@@ -27,6 +27,8 @@ class ConcaveFunctionOracle:
 
     ``support_radius`` bounds the support: f = 0 outside that ball.
     ``barycenter_zero`` asserts that the first moment of f vanishes.
+    ``section_fn`` is the polytope or ball section-volume function that f
+    evaluates, if any; its exact ray moments then replace the adaptive rule.
     """
 
     def __init__(
@@ -39,6 +41,7 @@ class ConcaveFunctionOracle:
         label: str = "oracle",
         ray_values: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
         ray_extent: Callable[[np.ndarray], float] | None = None,
+        section_fn: SectionVolumeFunction | None = None,
     ):
         self.dim = dim
         self._evaluate = evaluate
@@ -48,6 +51,7 @@ class ConcaveFunctionOracle:
         self.label = label
         self._ray_values = ray_values
         self._ray_extent = ray_extent
+        self.section_fn = section_fn
         if evaluate(np.zeros(dim)) <= 0:
             raise GeometryError("f(0) must be positive (0 interior to the support)")
 
@@ -96,6 +100,7 @@ def oracle_from_section_fn(svf: SectionVolumeFunction, label: str = "section-vol
         label=label,
         ray_values=svf.ray_values,
         ray_extent=svf.ray_extent,
+        section_fn=svf,
     )
 
 
@@ -121,13 +126,26 @@ def ball_indicator_oracle(k: int, r: float = 1.0) -> ConcaveFunctionOracle:
 # the I_p functional and its star bodies
 
 
+def _exact_section_fn(f: ConcaveFunctionOracle, p: float) -> SectionVolumeFunction | None:
+    """The section function behind f when its ray moments at p are exact, else None."""
+    svf = f.section_fn
+    return svf if svf is not None and svf.has_exact_ray_moments(p) else None
+
+
 def I_p(f: ConcaveFunctionOracle, x, p: float, spec: QuadratureSpec | None = None) -> float:
-    """(int_0^inf t^(p-1) f(t x) dt)^(1/p); homogeneous of degree -1 in x."""
+    """(int_0^inf t^(p-1) f(t x) dt)^(1/p); homogeneous of degree -1 in x.
+
+    Exact for polytope section profiles (see `_exact_section_fn`), else by
+    the adaptive ray rule.
+    """
     if p <= 0:
         raise GeometryError("p must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.linalg.norm(x) == 0:
         raise GeometryError("x must be nonzero")
+    svf = _exact_section_fn(f, p)
+    if svf is not None:
+        return float(svf.ray_moments(x[None, :], p)[0]) ** (1.0 / p)
     spec = spec or QuadratureSpec()
     T = f.ray_extent(x)
     if T <= 0:
@@ -139,9 +157,11 @@ def I_p(f: ConcaveFunctionOracle, x, p: float, spec: QuadratureSpec | None = Non
 class StarBodyOracle:
     """Direction -> radius map with a cached polytope approximation."""
 
-    def __init__(self, dim: int, radial: Callable[[np.ndarray], float], label: str = "star-body"):
+    def __init__(self, dim: int, radial: Callable[[np.ndarray], float], label: str = "star-body",
+                 radial_many: Callable[[np.ndarray], np.ndarray] | None = None):
         self.dim = dim
         self._radial = radial
+        self._radial_many = radial_many
         self.label = label
         self._approx_cache: dict[tuple, VPolytope] = {}
 
@@ -149,7 +169,10 @@ class StarBodyOracle:
         return float(self._radial(np.atleast_1d(np.asarray(theta, dtype=float))))
 
     def radial_many(self, thetas: np.ndarray) -> np.ndarray:
-        return np.array([self.radial(t) for t in np.atleast_2d(thetas)])
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        if self._radial_many is not None:
+            return self._radial_many(thetas)
+        return np.array([self.radial(t) for t in thetas])
 
     def polytope_approx(self, num_dirs: int | None = None, seed: int = 0) -> VPolytope:
         """Inscribed polytope: hull of boundary points at a seeded direction grid."""
@@ -171,7 +194,10 @@ class StarBodyOracle:
 
 def ball_body(f: ConcaveFunctionOracle, p: float, spec: QuadratureSpec | None = None) -> StarBodyOracle:
     """The convex body whose radial function is theta -> I_p(f, theta)."""
-    return StarBodyOracle(f.dim, lambda th: I_p(f, th, p, spec), label=f"L_{p}({f.label})")
+    svf = _exact_section_fn(f, p)
+    many = None if svf is None else (lambda thetas: svf.ray_moments(thetas, p) ** (1.0 / p))
+    return StarBodyOracle(f.dim, lambda th: I_p(f, th, p, spec), label=f"L_{p}({f.label})",
+                          radial_many=many)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +232,11 @@ def function_moment(f: ConcaveFunctionOracle, u, p: int, level: int | None = Non
     if level is None:
         level = {1: 1, 2: 1024, 3: 64}.get(k, 64)
     dirs, wts = sphere_quadrature(k, level)
-    vals = np.array([I_p(f, th, k + p, spec) ** (k + p) for th in dirs])
+    svf = _exact_section_fn(f, k + p)
+    if svf is not None:
+        vals = svf.ray_moments(dirs, k + p)
+    else:
+        vals = np.array([I_p(f, th, k + p, spec) ** (k + p) for th in dirs])
     return float(np.sum(wts * (dirs @ u) ** p * vals))
 
 

@@ -243,8 +243,8 @@ def _dedup_halfspaces(A: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL):
 class Ball(_BodyBase):
     def __init__(self, center, radius):
         center = np.atleast_1d(_as_array(center))
-        if radius <= 0:
-            raise GeometryError("ball radius must be positive")
+        if not (0 < radius < np.inf) or not np.all(np.isfinite(center)):
+            raise GeometryError("ball radius must be positive and finite, its center finite")
         self.center = center
         self.center.setflags(write=False)
         self.radius = float(radius)
@@ -464,12 +464,16 @@ def radial(K: ConvexBody, u) -> float:
         uc = float(u @ c)
         disc = uc * uc + uu * (r * r - float(c @ c))
         return (uc + np.sqrt(disc)) / uu
+    return float(radial_many(K, u[None, :])[0])
+
+
+def radial_many(K: ConvexBody, U) -> np.ndarray:
+    """radial(K, u) for each row u of an (N, n) array; polytopes only."""
     H = _interior_hrep(K)
-    proj = H.A @ u
-    pos = proj > 1e-14
-    if not pos.any():
-        return np.inf
-    return float(np.min(H.b[pos] / proj[pos]))
+    proj = np.atleast_2d(_as_array(U)) @ H.A.T
+    with np.errstate(divide="ignore"):
+        ratios = np.where(proj > 1e-14, H.b / proj, np.inf)
+    return ratios.min(axis=1)
 
 
 def minkowski_norm(K: ConvexBody, x) -> float:
@@ -549,8 +553,10 @@ def affine_map(K: ConvexBody, M, shift=None) -> ConvexBody:
     if shift is None:
         shift = np.zeros(n)
     shift = _as_array(shift)
-    det = np.linalg.det(M)
-    if abs(det) < 1e-12:
+    if M.shape != (n, n) or not np.all(np.isfinite(M)):
+        raise GeometryError("affine map matrix must be square and finite")
+    sv = np.linalg.svd(M, compute_uv=False)
+    if sv[-1] <= 1e-12 * sv[0]:
         raise GeometryError("affine map matrix is singular")
     if isinstance(K, Ball):
         MMt = M @ M.T
@@ -629,15 +635,24 @@ def orthant_cone(directions, within: Subspace | None = None) -> PolyhedralCone:
 # JSON specification loaders (external interface)
 
 
+def _finite(values, what: str) -> np.ndarray:
+    arr = _as_array(values)
+    if not np.all(np.isfinite(arr)):
+        raise GeometryError(f"{what} must be finite numbers")
+    return arr
+
+
 def body_from_spec(spec: dict) -> ConvexBody:
     """Build a body from the body-specification JSON object."""
     kind = spec["type"]
     if kind == "vpolytope":
-        return VPolytope(spec["vertices"])
+        V = np.atleast_2d(_finite(spec["vertices"], "vertices"))
+        _check_dim(V.shape[-1])
+        return VPolytope(V)
     if kind == "hpolytope":
-        A = [h["a"] for h in spec["halfspaces"]]
-        b = [h["b"] for h in spec["halfspaces"]]
-        return HPolytope(A, b)
+        A = np.atleast_2d(_finite([h["a"] for h in spec["halfspaces"]], "halfspace normals"))
+        _check_dim(A.shape[-1])
+        return HPolytope(A, _finite([h["b"] for h in spec["halfspaces"]], "halfspace offsets"))
     if kind == "ball":
         n = spec.get("n", len(spec.get("center", [])))
         return make_ball(n, spec.get("radius", 1.0), spec.get("center"))

@@ -9,6 +9,7 @@ and radial integration over the cone's spherical cross-section.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .geometry import (
     extreme_points,
     project,
     radial,
+    radial_many,
     to_hrep,
     to_vrep,
 )
@@ -164,6 +166,81 @@ class SectionVolumeFunction:
         """Largest t with f(t theta) > 0 (0 must be interior to the support)."""
         return radial(self.support_body(), np.asarray(theta, dtype=float))
 
+    def has_exact_ray_moments(self, p) -> bool:
+        """Whether `ray_moments` applies: K a polytope, and m = 1 or p an integer."""
+        return (not isinstance(self.body, Ball) and self.m >= 1
+                and (self.m == 1 or float(p).is_integer()))
+
+    def ray_moments(self, thetas, p) -> np.ndarray:
+        """int_0^T t^(p-1) f(t theta) dt for each row theta of an (N, k) array.
+
+        Exact up to rounding, by the piecewise-polynomial structure of f along
+        a ray: at m = 1, f is the chord length, linear between the kinks of
+        the facet lines bounding the chord, and each panel is integrated in
+        closed form for every real p > 0. At m >= 2, f is a polynomial of
+        degree <= m between the heights of the vertices of K cap (F + R theta),
+        and ceil((m + p) / 2) Gauss-Legendre nodes per panel are exact for
+        integer p. See `has_exact_ray_moments`.
+        """
+        if not self.has_exact_ray_moments(p):
+            raise GeometryError(f"no exact ray moments at m={self.m}, p={p}")
+        if p <= 0:
+            raise GeometryError("p must be positive")
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        T = radial_many(self.support_body(), thetas)
+        if self.m == 1:
+            return self._chord_moments(thetas, T, p)
+        return self._panel_moments(thetas, T, int(p))
+
+    def _chord_moments(self, thetas: np.ndarray, T: np.ndarray, p: float) -> np.ndarray:
+        """Ray moments at m = 1, where f(t theta) = hi(t) - lo(t) on [0, T].
+
+        hi (lo) is the lower (upper) envelope of the lines (b_i - t w_i) / a_i
+        of the facets with a_i > 0 (a_i < 0), so f is linear between the kinks
+        of the two envelopes. Facets parallel to F only bound t, and T
+        accounts for them.
+        """
+        a, A, b = self._fast
+        W = thetas @ self.Fperp.basis @ A.T  # (N, H): w_i = <A_i, theta>
+        pos, neg = a > 1e-12, a < -1e-12
+        c_hi, c_lo = b[pos] / a[pos], b[neg] / a[neg]
+        block = max(1, _RAY_BLOCK_ELEMENTS // len(a) ** 2)
+        out = np.empty(len(thetas))
+        for s in range(0, len(thetas), block):
+            g_hi = -W[s:s + block, pos] / a[pos]
+            g_lo = -W[s:s + block, neg] / a[neg]
+            top = T[s:s + block, None]
+            ts = np.sort(np.hstack([np.zeros_like(top), _envelope_kinks(c_hi, g_hi, top),
+                                    _envelope_kinks(-c_lo, -g_lo, top), top]), axis=1)
+            hi = (c_hi + g_hi[:, None, :] * ts[:, :, None]).min(axis=2)
+            lo = (c_lo + g_lo[:, None, :] * ts[:, :, None]).max(axis=2)
+            out[s:s + block] = _linear_panel_moments(ts, np.clip(hi - lo, 0.0, None), p)
+        return out
+
+    def _panel_moments(self, thetas: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
+        """Ray moments at m >= 2 and integer p by Gauss-Legendre on exact panels."""
+        x, w = _gl_cache(math.ceil((self.m + p) / 2))
+        out = np.empty(len(thetas))
+        for r, (theta, top) in enumerate(zip(thetas, T)):
+            heights = self._vertex_heights(self.Fperp.embed(theta))
+            edges = np.unique(np.clip(np.concatenate([[0.0, top], heights]), 0.0, top))
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            half = 0.5 * np.diff(edges)
+            ts = (mid[:, None] + half[:, None] * x).ravel()
+            out[r] = (np.outer(half, w).ravel() * ts ** (p - 1)) @ self.ray_values(theta, ts)
+        return out
+
+    def _vertex_heights(self, e: np.ndarray) -> np.ndarray:
+        """The t with F + t e through a vertex of K cap (F + R e)."""
+        e2 = float(e @ e)
+        if self.k == 1:  # F + R e is the whole space
+            return to_vrep(self.body).vertices @ e / e2
+        r = math.sqrt(e2)
+        sec = section(self.body, Subspace(self.F.ambient_dim, np.vstack([self.F.basis, e / r])))
+        if isinstance(sec, EmptySection):
+            return np.zeros(0)
+        return sec.vertices[:, -1] / r
+
     def __call__(self, x) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         key = tuple(np.round(x / 1e-10).astype(np.int64).tolist())
@@ -260,6 +337,62 @@ def _clipped_polygon_area(A2: np.ndarray, offs: np.ndarray, R: float) -> float:
     return 0.5 * abs(area)
 
 
+# directions x facets^2 per block of `_chord_moments`, which bounds its
+# (directions, breakpoints, facets) temporaries near 1 MB for any batch size
+_RAY_BLOCK_ELEMENTS = 1 << 17
+
+
+def _envelope_kinks(c: np.ndarray, g: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Kinks in (0, top) of the lower envelope t -> min_i (c_i + g_i t), per row of g.
+
+    c: (L,) intercepts; g: (N, L) slopes; top: (N, 1). The walk starts on the
+    lowest line at t = 0 and moves to the first line of smaller slope that
+    crosses the current one, so the slope falls at every step and a row ends
+    within L steps. Returns (N, steps), padded with top where a row ended.
+    Lines crossing at one point give repeated kinks, which are harmless.
+    """
+    rows = np.arange(len(g))
+    cur = np.full(len(g), np.argmin(c))
+    t = np.zeros((len(g), 1))
+    kinks = []
+    while True:
+        gc = g[rows, cur][:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.maximum((c - c[cur][:, None]) / (gc - g), t)
+        cross = np.where(g < gc, cross, np.inf)
+        nxt = cross.argmin(axis=1)
+        t_next = cross[rows, nxt][:, None]
+        going = t_next < top
+        if not going.any():
+            return np.hstack(kinks) if kinks else np.zeros((len(g), 0))
+        t = np.where(going, t_next, top)
+        cur = np.where(going[:, 0], nxt, cur)
+        kinks.append(t)
+
+
+def _power_steps(t: np.ndarray, q: float) -> np.ndarray:
+    """t[:, j+1]**q - t[:, j]**q along sorted rows t >= 0, to rounding also on short steps."""
+    t1, t2 = t[:, :-1], t[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        short = t1**q * np.expm1(q * np.log1p((t2 - t1) / t1))
+    return np.where(t1 > 0, short, t2**q)
+
+
+def _linear_panel_moments(t: np.ndarray, f: np.ndarray, p: float) -> np.ndarray:
+    """Row sums of int t^(p-1) f(t) dt over the panels [t_j, t_j+1] of sorted rows t.
+
+    f is linear on each panel with values f[:, j], f[:, j+1] at its ends; the
+    panel integral is f_j (W - w) + f_j+1 w with W = int t^(p-1) dt and
+    w = int t^(p-1) (t - t_j) dt / (t_j+1 - t_j), both free of cancellation
+    against steep f. Empty panels contribute 0.
+    """
+    dt = np.diff(t, axis=1)
+    whole = _power_steps(t, p) / p
+    lever = _power_steps(t, p + 1) / (p + 1) - t[:, :-1] * whole
+    right = np.divide(lever, dt, out=np.zeros_like(dt), where=dt > 0)
+    return (f[:, :-1] * (whole - right) + f[:, 1:] * right).sum(axis=1)
+
+
 def section_volume_fn(K: ConvexBody, F: Subspace) -> SectionVolumeFunction:
     return SectionVolumeFunction(K, F)
 
@@ -335,7 +468,16 @@ def solid_angle_fraction(C: PolyhedralCone, mc_samples: int = 4_000_000, seed: i
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls ray and spherical quadrature of the radial route."""
+    """Controls ray and spherical quadrature of the radial route.
+
+    The ray fields drive the adaptive rule `_composite_gl`, which integrates
+    only the profiles without exact ray moments: balls, oracles other than
+    polytope section functions, indicators (m = 0), and non-integer p at
+    m >= 2. Ray moments of polytope section functions at m = 1, or at any m
+    with integer p, are exact (`SectionVolumeFunction.ray_moments`). The
+    sphere fields always apply: the integral over the cone's directions
+    stays numerical.
+    """
 
     ray_panel_nodes: int = 32
     ray_max_panels: int = 16
@@ -360,10 +502,31 @@ def _gl_cache(n: int, _cache={}):
     return _cache[n]
 
 
+class QuadratureWarning(RuntimeWarning):
+    """The adaptive ray rule used all its panels without meeting ray_rel_tol.
+
+    ``value`` is the returned (finest) estimate and ``gap`` the difference
+    between the last two panel levels.
+    """
+
+    def __init__(self, value: float, gap: float, rel_tol: float):
+        super().__init__(
+            f"ray quadrature did not reach rel. tolerance {rel_tol:g} "
+            f"(value {value:.12g}, last gap {gap:.3g})"
+        )
+        self.value = value
+        self.gap = gap
+
+
 def _composite_gl(fn, a: float, b: float, spec: QuadratureSpec) -> float:
-    """Composite Gauss-Legendre with panel doubling; fn maps node array -> values."""
+    """Composite Gauss-Legendre with panel doubling; fn maps node array -> values.
+
+    Warns with a QuadratureWarning when ray_max_panels runs out before two
+    successive levels agree to ray_rel_tol, and returns the finest level.
+    """
     x0, w0 = _gl_cache(spec.ray_panel_nodes)
     prev = None
+    gap = math.inf
     panels = 1
     while panels <= spec.ray_max_panels:
         edges = np.linspace(a, b, panels + 1)
@@ -372,17 +535,25 @@ def _composite_gl(fn, a: float, b: float, spec: QuadratureSpec) -> float:
         ts = (mid[:, None] + half * x0[None, :]).ravel()
         ws = np.tile(half * w0, panels)
         val = float(ws @ fn(ts))
-        if prev is not None and abs(val - prev) <= spec.ray_rel_tol * max(abs(val), 1e-300):
-            return val
+        if prev is not None:
+            gap = abs(val - prev)
+            if gap <= spec.ray_rel_tol * max(abs(val), 1e-300):
+                return val
         prev = val
         panels *= 2
+    warnings.warn(QuadratureWarning(prev, gap, spec.ray_rel_tol), stacklevel=2)
     return prev
 
 
 def ray_moment(f: SectionVolumeFunction, theta_fperp, p: float, spec: QuadratureSpec | None = None) -> float:
-    """Integral of t^(p-1) f(t theta) over the ray, i.e. I_p(f, theta)^p."""
-    spec = spec or QuadratureSpec()
+    """Integral of t^(p-1) f(t theta) over the ray, i.e. I_p(f, theta)^p.
+
+    Exact where `f.has_exact_ray_moments(p)`, else adaptive (`_composite_gl`).
+    """
     theta = np.asarray(theta_fperp, dtype=float)
+    if f.has_exact_ray_moments(p):
+        return float(f.ray_moments(theta[None, :], p)[0])
+    spec = spec or QuadratureSpec()
     T = f.ray_extent(theta)
     if T <= 0:
         return 0.0
@@ -424,14 +595,17 @@ def cone_section_volume_radial(
     Gc = f.Fperp.coords(C.span.basis)  # (p, k) orthonormal rows: G inside F^perp
     gens = f.Fperp.coords(C.generators)
 
-    def fp(theta_g: np.ndarray) -> float:
-        # theta_g: unit direction in G-basis coordinates
-        return ray_moment(f, theta_g @ Gc, p, spec)
+    def fp(theta_g: np.ndarray) -> np.ndarray:
+        # theta_g: (N, p) unit directions in G-basis coordinates
+        thetas = theta_g @ Gc
+        if f.has_exact_ray_moments(p):
+            return f.ray_moments(thetas, p)
+        return np.array([ray_moment(f, th, p, spec) for th in thetas])
 
     g = gens @ Gc.T  # generator coordinates in the G basis
     g = g / np.linalg.norm(g, axis=1, keepdims=True)
     if p == 1:
-        return fp(np.array([math.copysign(1.0, g[0, 0])]))
+        return float(fp(np.array([[math.copysign(1.0, g[0, 0])]]))[0])
     if p == 2:
         a1 = math.atan2(g[0, 1], g[0, 0])
         a2 = math.atan2(g[1, 1], g[1, 0])
@@ -440,7 +614,7 @@ def cone_section_volume_radial(
             a1, delta = a2, 2 * math.pi - delta
 
         def arc(phis):
-            return np.array([fp(np.array([math.cos(a), math.sin(a)])) for a in phis])
+            return fp(np.stack([np.cos(phis), np.sin(phis)], axis=1))
 
         return _integrate_refining(lambda n: _fixed_gl(arc, a1, a1 + delta, n), spec)
     # p >= 3: integrate over the transversal simplex T = conv(unit generators):
@@ -458,7 +632,7 @@ def cone_section_volume_radial(
         lam_full = np.hstack([lam, 1.0 - lam.sum(axis=1, keepdims=True)])
         xs = lam_full @ U
         norms = np.linalg.norm(xs, axis=1)
-        vals = np.array([fp(x / r) for x, r in zip(xs, norms)])
+        vals = fp(xs / norms[:, None])
         mean_on_std = float((wts * vals / norms**p).sum())  # weights carry 1/(p-1)!
         return h * volT * math.factorial(p - 1) * mean_on_std
 

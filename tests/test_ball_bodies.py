@@ -27,10 +27,11 @@ from conesec.geometry import (
     Subspace,
     make_ball,
     make_regular_simplex,
+    random_centered_polytope,
 )
 from conesec.sections import section_volume_fn
 from conesec.special import beta
-from conesec.volume import unit_ball_volume, volume
+from conesec.volume import moment_p, unit_ball_volume, volume
 
 
 def linear_profile_oracle(m: float) -> ConcaveFunctionOracle:
@@ -156,6 +157,27 @@ def test_moment_identity_k1():
             assert abs(lhs - rhs) < 1e-6
         else:
             assert abs(lhs - rhs) / scale < 1e-4
+
+
+def test_section_profile_moments_are_exact():
+    # int <x,u>^p f(x) dx = int_K <P x, u>^p dx for the section profile f;
+    # at k = 1 the sphere quadrature (theta = +-1) is exact too
+    K = make_regular_simplex(4)
+    F = Subspace.from_span(np.eye(4)[:3])
+    f = oracle_from_section_fn(section_volume_fn(K, F))
+    for p in (0, 1, 2):
+        got = function_moment(f, [1.0], p)
+        assert got == pytest.approx(moment_p(K, np.eye(4)[3], p), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_section_profile_radii_batched_equal_single(k):
+    K = random_centered_polytope(4, 14, 9)
+    f = oracle_from_section_fn(section_volume_fn(K, Subspace.from_span(np.eye(4)[: 4 - k])))
+    dirs = np.random.default_rng(k).standard_normal((6, k))
+    for p in (1.0, 2.0, 3.0):
+        L = ball_body(f, p)
+        assert L.radial_many(dirs) == pytest.approx([I_p(f, th, p) for th in dirs], rel=1e-13)
 
 
 def test_moment_identity_k2_indicator():

@@ -191,6 +191,18 @@ def test_bad_vector_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("vertices", [
+    [[0.0, 0.0], [1.0, float("nan")], [0.0, 1.0]],  # non-finite vertex
+    [[0.0] * 9] + [[float(i == j) for j in range(9)] for i in range(9)],  # 9-D, over MAX_DIM
+])
+def test_malformed_vpolytope_file_exits_2(capsys, tmp_path, vertices):
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps({"type": "vpolytope", "vertices": vertices}))
+    code, out, err = run(capsys, "volume", "--body", str(body))
+    assert code == 2
+    assert "error:" in err
+
+
 def test_unknown_subcommand_is_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -226,6 +226,24 @@ def test_affine_volume_covariance(n, seed):
         abs(np.linalg.det(M)) * volume(K), rel=1e-8)
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+def test_affine_map_accepts_small_and_large_scalings(scale):
+    # singularity is judged relative to the matrix's scale, not by |det|
+    for K in (make_cube(3), make_regular_simplex(4)):
+        n = K.dim
+        M = scale * (np.eye(n) + 0.1 * np.arange(n * n).reshape(n, n) / (n * n))
+        assert volume(affine_map(K, M)) == pytest.approx(
+            abs(np.linalg.det(M)) * volume(K), rel=1e-9)
+
+
+def test_affine_map_rejects_singular_matrix():
+    M = np.diag([1e-5, 1e-5, 0.0])
+    with pytest.raises(GeometryError):
+        affine_map(make_cube(3), M)
+    with pytest.raises(GeometryError):
+        affine_map(make_cube(3), np.outer([1.0, 2.0, 3.0], [1.0, 0.5, 0.25]))
+
+
 def test_translate_moves_centroid():
     K = random_body(3, 5)
     shift = np.array([0.5, -1.0, 2.0])
@@ -275,6 +293,24 @@ def test_body_from_spec_builtins():
     assert isinstance(body_from_spec({"type": "ball", "n": 3}), Ball)
     K = body_from_spec({"type": "random", "n": 3, "points": 10, "seed": 7})
     assert K.dim == 3
+
+
+def test_body_from_spec_rejects_malformed_input():
+    bad = [
+        {"type": "vpolytope", "vertices": [[0.0, 0.0], [1.0, float("nan")], [0.0, 1.0]]},
+        {"type": "vpolytope", "vertices": np.vstack([np.zeros(9), np.eye(9)]).tolist()},
+        {"type": "hpolytope", "halfspaces": [{"a": [1.0, 0.0], "b": float("inf")},
+                                             {"a": [-1.0, 0.0], "b": 1.0},
+                                             {"a": [0.0, 1.0], "b": 1.0},
+                                             {"a": [0.0, -1.0], "b": 1.0}]},
+        {"type": "ball", "n": 2, "center": [0.0, float("nan")]},
+    ]
+    for spec in bad:
+        with pytest.raises(GeometryError):
+            body_from_spec(spec)
+    # the largest supported dimension still loads
+    K = body_from_spec({"type": "vpolytope", "vertices": np.vstack([np.zeros(8), np.eye(8)]).tolist()})
+    assert K.dim == 8
 
 
 def test_cone_from_spec_roundtrip():

@@ -1,23 +1,29 @@
 """Flat sections, section-volume functions and cone-section volumes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
 
 from conesec.geometry import (
+    HPolytope,
     PolyhedralCone,
     Subspace,
     make_ball,
+    make_cross_polytope,
     make_cube,
     make_regular_simplex,
     orthant_cone,
     random_centered_polytope,
+    to_hrep,
 )
 from conesec.sections import (
     EmptySection,
     QuadratureSpec,
+    QuadratureWarning,
     cone_section_volume_polyhedral,
     cone_section_volume_radial,
     ray_moment,
@@ -26,7 +32,7 @@ from conesec.sections import (
     section_volume_fn,
     solid_angle_fraction,
 )
-from conesec.volume import volume
+from conesec.volume import moment_p, volume
 
 dims = st.integers(min_value=2, max_value=5)
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -137,6 +143,126 @@ def test_ball_ray_moment_closed_form():
     assert ray_moment(f, np.array([1.0]), 1.0) == pytest.approx(math.pi / 2, rel=1e-6)
     # int_0^1 t f(t) dt = 2/3
     assert ray_moment(f, np.array([1.0]), 2.0) == pytest.approx(2.0 / 3.0, rel=1e-6)
+
+
+def test_adaptive_ray_rule_warns_when_it_misses_its_tolerance():
+    # the disc chord 2 sqrt(1 - t^2) has a square-root edge at t = 1: the
+    # panel doubling runs out before two levels agree to 1e-8
+    f = section_volume_fn(make_ball(2), Subspace.from_span([[1.0, 0.0]]))
+    spec = QuadratureSpec()
+    with pytest.warns(QuadratureWarning) as record:
+        got = ray_moment(f, np.array([1.0]), 1.0, spec)
+    warning = record[0].message
+    assert warning.value == got
+    assert warning.gap > spec.ray_rel_tol * got
+    assert got == pytest.approx(math.pi / 2, rel=1e-6)
+    # a looser tolerance is met, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loose = ray_moment(f, np.array([1.0]), 1.0, QuadratureSpec(ray_rel_tol=1e-5))
+    assert loose == pytest.approx(math.pi / 2, rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# exact ray moments of polytope profiles
+
+
+def _slab(K, F, theta_amb):
+    """K cap (F + R theta) in the coordinates (F basis, unit theta)."""
+    e = theta_amb / np.linalg.norm(theta_amb)
+    return section(K, Subspace(K.dim, np.vstack([F.basis, e])))
+
+
+def _fubini_ray_moment(K, F, theta_amb, p):
+    """int_0^T t^(p-1) f(t theta) dt as the moment of K cap (F + R_+ theta)."""
+    H = to_hrep(_slab(K, F, theta_amb))
+    d = H.dim
+    e_last = np.eye(d)[-1]
+    half = HPolytope(np.vstack([H.A, -e_last]), np.append(H.b, 0.0))
+    return moment_p(half, e_last, p - 1) / np.linalg.norm(theta_amb) ** p
+
+
+def _unit_rows(k, count, seed):
+    X = np.random.default_rng(seed).standard_normal((count, k))
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (3, 2), (4, 2), (4, 3)])
+def test_exact_ray_moments_match_fubini(n, m):
+    # (n, m) = (4, 2) takes the slab's vertices from a section of K, the
+    # others from K's vertices (m >= 2, k = 1) or from the chord lines (m = 1)
+    K = random_body(n, 40 + n + m)
+    F = Subspace.from_span(np.eye(n)[:m], ambient_dim=n)
+    f = section_volume_fn(K, F)
+    thetas = _unit_rows(f.k, 3, seed=n + m)
+    thetas[0] *= 1.7  # homogeneity: any nonzero direction vector
+    for p in (1, 2, 3, 4, 5):
+        assert f.has_exact_ray_moments(p)
+        got = f.ray_moments(thetas, p)
+        for value, theta in zip(got, thetas):
+            ref = _fubini_ray_moment(K, F, f.Fperp.embed(theta), p)
+            assert value == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.5])
+def test_chord_ray_moments_at_real_p(p):
+    # at m = 1 the closed form holds for real p: compare with adaptive
+    # Gauss-Kronrod on each panel between the slab polygon's vertex heights
+    K = random_body(4, 17)
+    F = Subspace.from_span(np.eye(4)[:1])
+    f = section_volume_fn(K, F)
+    assert f.has_exact_ray_moments(p)
+    for theta in _unit_rows(f.k, 3, seed=5):
+        T = f.ray_extent(theta)
+        heights = _slab(K, F, f.Fperp.embed(theta)).vertices[:, -1]
+        edges = np.unique(np.clip(np.append(heights, [0.0, T]), 0.0, T))
+        ref = sum(quad(lambda t: t ** (p - 1) * f.ray_values(theta, np.array([t]))[0],
+                       a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                  for a, b in zip(edges[:-1], edges[1:]))
+        assert f.ray_moments(theta[None, :], p)[0] == pytest.approx(ref, rel=1e-11)
+
+
+def test_non_integer_p_at_m2_is_not_exact():
+    f = section_volume_fn(random_body(3, 2), Subspace.from_span(np.eye(3)[:2]))
+    assert f.has_exact_ray_moments(2.0)
+    assert not f.has_exact_ray_moments(2.5)
+    assert not section_volume_fn(make_ball(3), Subspace.from_span(np.eye(3)[:1])).has_exact_ray_moments(2)
+    assert not section_volume_fn(make_cube(2), trivial_flat(2)).has_exact_ray_moments(2)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_batched_ray_moments_equal_per_direction(m):
+    # 300 directions on a 4-D chord body span several blocks at m = 1
+    K = random_body(4, 9)
+    f = section_volume_fn(K, Subspace.from_span(np.eye(4)[:m]))
+    thetas = _unit_rows(f.k, 300 if m == 1 else 12, seed=m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the exact route never warns
+        batched = f.ray_moments(thetas, 3)
+        single = [ray_moment(f, theta, 3) for theta in thetas]
+    assert batched == pytest.approx(single, rel=1e-13)
+
+
+def test_coinciding_breakpoints_give_exact_values():
+    # cube, axis-aligned theta: every facet line is parallel to the ray or
+    # to F, so crossings are at infinity and vertex heights repeat
+    cube = make_cube(3)
+    for p in (1, 2, 3.5):
+        f1 = section_volume_fn(cube, Subspace.from_span([[1.0, 0, 0]]))
+        assert f1.ray_moments([[1.0, 0.0]], p)[0] == pytest.approx(2.0 / p, rel=1e-13)
+        # diagonal theta leaves the cube through an edge, at t = sqrt(2)
+        diag = np.array([[1.0, 1.0]]) / math.sqrt(2)
+        assert f1.ray_moments(diag, p)[0] == pytest.approx(2.0 * 2 ** (p / 2) / p, rel=1e-13)
+    f2 = section_volume_fn(cube, Subspace.from_span(np.eye(3)[:2]))
+    for p in (1, 2, 3):
+        assert f2.ray_moments([[1.0]], p)[0] == pytest.approx(4.0 / p, rel=1e-13)
+    # cross-polytope, theta parallel to facets: facet lines coincide in
+    # pairs; the chord is 2 (1 - t), so the moment is 2 B(p, 2)
+    f3 = section_volume_fn(make_cross_polytope(3), Subspace.from_span([[1.0, 0, 0]]))
+    for p in (1, 2, 2.5):
+        got = f3.ray_moments([[1.0, 0.0], [0.0, -1.0]], p)
+        assert np.all(np.isfinite(got))
+        assert got == pytest.approx(2.0 / (p * (p + 1)), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
