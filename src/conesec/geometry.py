@@ -3,7 +3,9 @@
 Representations: V-polytopes, H-polytopes, Euclidean balls.  Affine images are
 applied eagerly (vertices / halfspaces are mapped on construction), so every
 body is concrete.  All types are immutable after construction and all
-operations are pure.
+operations are pure; what a polytope derives from one qhull hull (its
+triangulated boundary, its H-rep, its moments) is computed once and cached
+on its vertex representation.
 
 Conversions between representations go through Qhull (convex hull and
 halfspace intersection); degenerate inputs are detected via their affine hull
@@ -12,13 +14,13 @@ and handled in intrinsic coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
-from scipy.spatial import QhullError
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from . import rng as _rng
 
@@ -113,16 +115,125 @@ def _complement_basis(basis: np.ndarray, ambient_dim: int | None = None) -> np.n
 # body types
 
 
+def _first_of_close(X: np.ndarray, tol: float, b: np.ndarray | None = None) -> np.ndarray:
+    """Indices of the rows kept by a pass that drops each row within tol of an earlier kept row.
+
+    With ``b``, two rows are close when their offsets are also within tol.
+    The pairwise test runs in blocks of ~1 MB. A repeat of an earlier row is
+    dropped whatever became of that row, so inputs larger than one block
+    (qhull's triangulated facets repeat their equations) first lose their
+    repeats.
+    """
+    n, d = X.shape
+    block = 1 << 17
+    idx = np.arange(n)
+    if n * n * d > block:
+        _, first = np.unique(X if b is None else np.hstack([X, b[:, None]]), axis=0,
+                             return_index=True)
+        idx = np.sort(first)
+        X = X[idx]
+        n = len(idx)
+    keep = np.ones(n, dtype=bool)
+    step = max(1, block // max(1, n * d))
+    for s in range(0, n, step):
+        close = np.linalg.norm(X[s:s + step, None, :] - X[None, :, :], axis=2) < tol
+        if b is not None:
+            close &= np.abs(b[idx[s:s + step], None] - b[idx][None, :]) < tol
+        close &= np.arange(n) > np.arange(s, s + len(close))[:, None]
+        for r in np.flatnonzero(close.any(axis=1)):
+            if keep[s + r]:
+                keep[close[r]] = False
+    return idx[keep]
+
+
 def _dedup_points(points: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
     if len(points) > 400:
         # grid-based dedup for large clouds; exact pairwise testing is O(N^2)
         _, idx = np.unique(np.round(points / tol), axis=0, return_index=True)
         return points[np.sort(idx)]
-    keep: list[int] = []
-    for i, p in enumerate(points):
-        if all(np.linalg.norm(p - points[j]) >= tol for j in keep):
-            keep.append(i)
-    return points[keep]
+    return points[_first_of_close(points, tol)]
+
+
+@dataclass(frozen=True)
+class Boundary:
+    """Triangulated boundary of a full-dimensional polytope, from one qhull hull.
+
+    Row s of ``simplices`` indexes the d vertices of a (d-1)-simplex lying
+    on the facet {x : <A[s], x> = b[s]}, where A[s] is the facet's unit
+    outward normal. ``volume`` is the polytope's volume as qhull reports
+    it, and ``fan_volume`` the total volume of the simplices coned from an
+    interior point; they differ when the simplices overlap (qhull's
+    triangulation of a facet with many coplanar vertices can overlap
+    itself) or leave gaps.
+    """
+
+    simplices: np.ndarray  # (S, d) vertex indices
+    A: np.ndarray  # (S, d)
+    b: np.ndarray  # (S,)
+    volume: float
+    fan_volume: float
+
+    @property
+    def tiles(self) -> bool:
+        """Whether the simplices tile the boundary: fan and hull volumes agree to 1e-9."""
+        return abs(self.fan_volume - self.volume) <= 1e-9 * self.volume
+
+    def mapped(self, M: np.ndarray, shift: np.ndarray) -> "Boundary":
+        """The boundary of the image {M x + shift} of the polytope, M invertible.
+
+        An affine map keeps the face lattice, so the simplices carry over;
+        a facet <a, x> <= b maps to <a M^-1, y> <= b + <a M^-1, shift>.
+        """
+        A = self.A @ np.linalg.inv(M)
+        norms = np.linalg.norm(A, axis=1)
+        scale = abs(float(np.linalg.det(M)))
+        return Boundary(self.simplices, A / norms[:, None], (self.b + A @ shift) / norms,
+                        self.volume * scale, self.fan_volume * scale)
+
+
+def _hull_boundary(hull: "ConvexHull", basis: np.ndarray, center: np.ndarray,
+                   index: np.ndarray) -> Boundary:
+    """Boundary of a hull qhull built on (points - center) @ basis.T, basis orthogonal.
+
+    ``index`` maps hull point indices to vertex indices.
+    """
+    pts = hull.points
+    fan = np.abs(np.linalg.det(pts[hull.simplices] - pts.mean(axis=0))).sum()
+    # qhull equations: normal . y + offset <= 0 with unit normals
+    A = hull.equations[:, :-1] @ basis
+    b = A @ center - hull.equations[:, -1]
+    return Boundary(index[hull.simplices], A, b, float(hull.volume),
+                    float(fan) / math.factorial(pts.shape[1]))
+
+
+def _extreme_points(points: np.ndarray, tol: float = GEOM_TOL):
+    """Extreme points, affine-hull dimension, and the Boundary when full-dimensional."""
+    points = np.atleast_2d(_as_array(points))
+    points = _dedup_points(points, tol)
+    if len(points) == 1:
+        return points, 0, None
+    center = points.mean(axis=0)
+    centered = points - center
+    basis = orthonormal_basis(centered, tol=1e-12)
+    adim = basis.shape[0]
+    if adim == 0:
+        return points[:1], 0, None
+    coords = centered @ basis.T
+    if adim == 1:
+        lo = int(np.argmin(coords[:, 0]))
+        hi = int(np.argmax(coords[:, 0]))
+        return points[[lo, hi]], 1, None
+    hull = robust_hull(coords)
+    kept = np.sort(hull.vertices)
+    if adim < points.shape[1]:
+        return points[kept], adim, None
+    index = np.zeros(len(points), dtype=int)
+    index[kept] = np.arange(len(kept))
+    bd = _hull_boundary(hull, basis, center, index)
+    # qhull triangulates the non-simplicial facets of the same points
+    # differently in other coordinates; an overlapping triangulation here
+    # is not kept, and `boundary` hulls the vertices again
+    return points[kept], adim, bd if bd.tiles else None
 
 
 def extreme_points(points: np.ndarray, tol: float = GEOM_TOL):
@@ -131,23 +242,8 @@ def extreme_points(points: np.ndarray, tol: float = GEOM_TOL):
     Handles degenerate (lower-dimensional) inputs by recursing inside the
     affine hull.
     """
-    points = np.atleast_2d(_as_array(points))
-    points = _dedup_points(points, tol)
-    if len(points) == 1:
-        return points, 0
-    center = points.mean(axis=0)
-    centered = points - center
-    basis = orthonormal_basis(centered, tol=1e-12)
-    adim = basis.shape[0]
-    if adim == 0:
-        return points[:1], 0
-    coords = centered @ basis.T
-    if adim == 1:
-        lo = int(np.argmin(coords[:, 0]))
-        hi = int(np.argmax(coords[:, 0]))
-        return points[[lo, hi]], 1
-    hull = robust_hull(coords)
-    return points[np.sort(hull.vertices)], adim
+    verts, adim, _ = _extreme_points(points, tol)
+    return verts, adim
 
 
 def robust_hull(coords: np.ndarray) -> "ConvexHull":
@@ -168,7 +264,7 @@ def robust_hull(coords: np.ndarray) -> "ConvexHull":
 
 
 class _BodyBase:
-    """Shared cache plumbing for concrete bodies."""
+    """Common base of the concrete body types."""
 
     dim: int
 
@@ -184,14 +280,17 @@ class VPolytope(_BodyBase):
         if vertices.size == 0:
             raise GeometryError("empty vertex list")
         self.dim = vertices.shape[1]
+        adim = bd = None
         if canonicalize:
-            vertices, adim = extreme_points(vertices)
-        else:
-            _, adim = None, None
+            vertices, adim, bd = _extreme_points(vertices)
         self.vertices = vertices
         self.vertices.setflags(write=False)
         self._affine_dim = adim
+        # derived data, computed once: the boundary from one hull, and the
+        # H-rep and the moments (volume.moments) that come from it
+        self._boundary_cache: Boundary | None = bd
         self._hrep_cache: HPolytope | None = None
+        self._moments_cache = None
 
     @property
     def affine_dim(self) -> int:
@@ -228,15 +327,7 @@ class HPolytope(_BodyBase):
 
 
 def _dedup_halfspaces(A: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL):
-    keep: list[int] = []
-    for i in range(len(b)):
-        dup = False
-        for j in keep:
-            if np.linalg.norm(A[i] - A[j]) < tol and abs(b[i] - b[j]) < tol:
-                dup = True
-                break
-        if not dup:
-            keep.append(i)
+    keep = _first_of_close(A, tol, b)
     return A[keep], b[keep]
 
 
@@ -280,21 +371,44 @@ def to_hrep(K: ConvexBody) -> HPolytope:
     return K._hrep_cache
 
 
-def _vrep_to_hrep(K: VPolytope) -> HPolytope:
+def boundary(K: ConvexBody) -> Boundary:
+    """Triangulated boundary of a full-dimensional polytope, computed once per body.
+
+    Raises GeometryError when the simplices do not tile the boundary (see
+    `Boundary.tiles`), which would bias every volume computed from them.
+    """
+    bd = _cached_boundary(to_vrep(K))
+    if not bd.tiles:
+        raise GeometryError(f"hull triangulation does not tile the polytope (simplices "
+                            f"{bd.fan_volume:.17g}, hull {bd.volume:.17g})")
+    return bd
+
+
+def _cached_boundary(K: VPolytope) -> Boundary:
+    if K._boundary_cache is None:
+        K._boundary_cache = _vertex_boundary(K)
+    return K._boundary_cache
+
+
+def _vertex_boundary(K: VPolytope) -> Boundary:
     if not K.is_full_dimensional():
         raise GeometryError(
             f"degenerate polytope (affine dim {K.affine_dim} < {K.dim}); "
             "convert in intrinsic coordinates"
         )
-    d = K.dim
     V = K.vertices
-    if d == 1:
-        lo, hi = float(V.min()), float(V.max())
-        return HPolytope([[1.0], [-1.0]], [hi, -lo], canonicalize=False)
-    hull = ConvexHull(V, qhull_options="Qt Qx" if d > 4 else "Qt")
-    # Qhull equations: normal . x + offset <= 0, unit normals.
-    A, b = hull.equations[:, :-1], -hull.equations[:, -1]
-    A, b = _dedup_halfspaces(A, b)
+    if K.dim == 1:
+        lo, hi = int(np.argmin(V[:, 0])), int(np.argmax(V[:, 0]))
+        length = float(V[hi, 0] - V[lo, 0])
+        return Boundary(np.array([[hi], [lo]]), np.array([[1.0], [-1.0]]),
+                        np.array([V[hi, 0], -V[lo, 0]]), length, length)
+    d = K.dim
+    return _hull_boundary(robust_hull(V), np.eye(d), np.zeros(d), np.arange(len(V)))
+
+
+def _vrep_to_hrep(K: VPolytope) -> HPolytope:
+    bd = _cached_boundary(K)  # facet equations do not depend on the triangulation
+    A, b = _dedup_halfspaces(bd.A, bd.b)
     return HPolytope(A, b, canonicalize=False)
 
 
@@ -335,10 +449,10 @@ def _hrep_to_vrep(K: HPolytope) -> VPolytope:
     if center is None or radius <= GEOM_TOL:
         raise GeometryError("halfspace system empty or lower-dimensional")
     hs = HalfspaceIntersection(np.hstack([K.A, -K.b[:, None]]), center)
-    verts, adim = extreme_points(hs.intersections)
-    if adim < d:
+    V = VPolytope(hs.intersections)
+    if not V.is_full_dimensional():
         raise GeometryError("halfspace system lower-dimensional")
-    return VPolytope(verts, canonicalize=False)
+    return V
 
 
 def convert(K: ConvexBody, target: str) -> ConvexBody:
@@ -411,14 +525,11 @@ def random_centered_polytope(n: int, num_points: int, seed: int) -> VPolytope:
     if num_points < n + 1:
         raise GeometryError("need at least n+1 points")
     for attempt in range(100):
-        pts = _rng.sample_ball(n, num_points, seed + 1000003 * attempt)
-        verts, adim = extreme_points(pts)
-        if adim == n:
-            body = VPolytope(verts, canonicalize=False)
+        body = VPolytope(_rng.sample_ball(n, num_points, seed + 1000003 * attempt))
+        if body.is_full_dimensional():
             from .volume import moments  # cycle kept local
 
-            body = translate(body, -moments(body).centroid)
-            return body
+            return translate(body, -moments(body).centroid)
     raise GeometryError("failed to reach full dimension after 100 retries")
 
 
@@ -482,8 +593,13 @@ def minkowski_norm(K: ConvexBody, x) -> float:
     if isinstance(K, Ball):
         r = radial(K, x) if np.linalg.norm(x) > 0 else np.inf
         return 0.0 if np.linalg.norm(x) == 0 else 1.0 / r
+    return float(minkowski_norm_many(K, x[None, :])[0])
+
+
+def minkowski_norm_many(K: ConvexBody, X) -> np.ndarray:
+    """minkowski_norm(K, x) for each row x of an (N, n) array; polytopes only."""
     H = _interior_hrep(K)
-    return float(max(0.0, np.max((H.A @ x) / H.b)))
+    return np.maximum(0.0, (np.atleast_2d(_as_array(X)) @ H.A.T / H.b).max(axis=1))
 
 
 def contains(K: ConvexBody, x, tol: float = GEOM_TOL) -> bool:
@@ -526,8 +642,17 @@ def translate(K: ConvexBody, shift) -> ConvexBody:
     if isinstance(K, Ball):
         return Ball(K.center + shift, K.radius)
     if isinstance(K, VPolytope):
-        return VPolytope(K.vertices + shift, canonicalize=False)
+        return _mapped_vpolytope(K, np.eye(K.dim), shift)
     return HPolytope(K.A, K.b + K.A @ shift, canonicalize=False)
+
+
+def _mapped_vpolytope(K: VPolytope, M: np.ndarray, shift: np.ndarray) -> VPolytope:
+    """{M x + shift : x in K}, keeping K's boundary when it is already computed."""
+    image = VPolytope(K.vertices @ M.T + shift, canonicalize=False)
+    image._affine_dim = K._affine_dim
+    if K._boundary_cache is not None:
+        image._boundary_cache = K._boundary_cache.mapped(M, shift)
+    return image
 
 
 def polar_with_center(C: ConvexBody, z) -> ConvexBody:
@@ -565,7 +690,7 @@ def affine_map(K: ConvexBody, M, shift=None) -> ConvexBody:
             raise GeometryError("ball affine images are restricted to similarities")
         return Ball(M @ K.center + shift, K.radius * np.sqrt(scale2))
     if isinstance(K, VPolytope):
-        return VPolytope(K.vertices @ M.T + shift, canonicalize=False)
+        return _mapped_vpolytope(K, M, shift)
     Minv = np.linalg.inv(M)
     A = K.A @ Minv
     return HPolytope(A, K.b + A @ shift)

@@ -26,14 +26,13 @@ from .geometry import (
     Subspace,
     VPolytope,
     chebyshev_center,
-    extreme_points,
     project,
     radial,
     radial_many,
     to_hrep,
     to_vrep,
 )
-from .volume import moments, unit_ball_volume
+from .volume import moments, unit_ball_volume, wedge_volume
 
 
 class EmptySection:
@@ -87,10 +86,10 @@ def _body_from_halfspaces(A: np.ndarray, b: np.ndarray):
             last_exc = exc
     if hs is None:
         raise GeometryError(f"halfspace intersection failed: {last_exc}") from last_exc
-    verts, adim = extreme_points(hs.intersections)
-    if adim < d:
+    body = VPolytope(hs.intersections)
+    if not body.is_full_dimensional():
         return EmptySection(d)
-    return VPolytope(verts, canonicalize=False)
+    return body
 
 
 def section(K: ConvexBody, S: Subspace, x0=None):
@@ -408,7 +407,14 @@ def _check_cone_flat(F: Subspace, C: PolyhedralCone):
 
 
 def cone_section_volume_polyhedral(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
-    """|K cap (F + C)| in dimension dim(F) + dim(span C), exact for polytopes."""
+    """|K cap (F + C)| in dimension dim(F) + dim(span C), exact for polytopes.
+
+    For cones of dimension p <= 2, the wedge F + C is cut from the boundary
+    simplices K already has (`volume.wedge_volume`), after one section of K
+    by F + span C when that is not the whole space. Wider cones intersect
+    the section's halfspaces with the cone's, because the wedge kernel's
+    pieces multiply with every facet of the cone.
+    """
     _check_cone_flat(F, C)
     p = C.span_dim
     G = C.span
@@ -418,6 +424,13 @@ def cone_section_volume_polyhedral(K: ConvexBody, F: Subspace, C: PolyhedralCone
             raise GeometryError("cone sections of balls require the center at 0")
         return solid_angle_fraction(C) * unit_ball_volume(d) * K.radius**d
     basis = np.vstack([F.basis, G.basis]) if F.dim else G.basis
+    if p <= 2:
+        rows = C.constraints_in_span() @ G.basis  # F + C = {x in F + G : rows x >= 0}
+        if d == K.dim:
+            return wedge_volume(K, rows)
+        S = Subspace.from_span(basis, ambient_dim=K.dim)
+        sec = section(K, S)
+        return 0.0 if isinstance(sec, EmptySection) else wedge_volume(sec, S.coords(rows))
     H = to_hrep(K)
     A = H.A @ basis.T
     b = H.b.copy()

@@ -37,7 +37,7 @@ from .geometry import (
     make_cube,
     make_ball,
     make_regular_simplex,
-    minkowski_norm,
+    minkowski_norm_many,
     orthant_cone,
     radial,
     random_centered_polytope,
@@ -47,13 +47,12 @@ from .geometry import (
 )
 from .sections import (
     EmptySection,
-    _body_from_halfspaces,
     cone_section_volume_polyhedral,
     section,
     solid_angle_fraction,
 )
 from .special import beta, binom, gamma
-from .volume import isotropic_position, moments, unit_ball_volume, volume
+from .volume import isotropic_position, moments, unit_ball_volume, volume, wedge_volume
 
 __all__ = [
     "CheckResult", "ExplicitConstant", "gamma", "beta", "binom",
@@ -134,23 +133,13 @@ def trivial_flat(n: int) -> Subspace:
     return Subspace(n, np.zeros((0, n)))
 
 
-def _clip(K: ConvexBody, normals: np.ndarray):
-    """K intersected with the halfspaces <normal_i, x> >= 0."""
-    H = to_hrep(K)
-    normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    A = np.vstack([H.A, -normals])
-    b = np.concatenate([H.b, np.zeros(len(normals))])
-    return _body_from_halfspaces(A, b)
-
-
 def halfspace_volume(K: ConvexBody, u) -> float:
-    """|K cap {x : <x, u> >= 0}|."""
+    """|K cap {x : <x, u> >= 0}|, cut from K's boundary simplices (`wedge_volume`)."""
     if isinstance(K, Ball):
         if np.linalg.norm(K.center) > 1e-12:
             raise GeometryError("ball halfspace volumes require the center at 0")
         return 0.5 * unit_ball_volume(K.dim) * K.radius ** K.dim
-    body = _clip(K, np.atleast_2d(np.asarray(u, dtype=float)))
-    return 0.0 if isinstance(body, EmptySection) else moments(body).volume
+    return wedge_volume(K, np.atleast_2d(np.asarray(u, dtype=float)))
 
 
 def cone_volume(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
@@ -251,7 +240,7 @@ def check_main_theorem_part2(K: ConvexBody, F: Subspace, C: PolyhedralCone,
 def section_volume_in_flat(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
     """|K cap (F + G)| where G = span(C): the un-coned section volume."""
     G = C.span
-    if F.dim == 0 and G.dim == K.dim:
+    if F.dim + G.dim == K.dim:
         return moments(K).volume
     span = Subspace.from_span(np.vstack([F.basis, G.basis]) if F.dim else G.basis,
                               ambient_dim=K.dim)
@@ -522,8 +511,7 @@ def check_lemma5(L: ConvexBody, body_spec: str = "body") -> CheckResult:
     if isinstance(L, Ball):
         lhs = 1.0
     else:
-        V = to_vrep(L).vertices
-        lhs = max(minkowski_norm(L, -v) for v in V)
+        lhs = float(minkowski_norm_many(L, -to_vrep(L).vertices).max())
     slack = 1e-9
     return CheckResult(
         name="reflection-inclusion-factor",

@@ -1,10 +1,13 @@
 """Exact volumes, centroids and moments of polytopes via triangulation.
 
 Each full-dimensional polytope is fanned from the vertex average into the
-simplices over its facets; per-simplex closed forms give volume, centroid,
-second moments and arbitrary integer moments of a linear functional.  A
-seeded Monte Carlo estimator provides an independent cross-check, and the
-isotropic-position transform whitens the centered second-moment matrix.
+simplices over its cached boundary simplices (`geometry.boundary`);
+per-simplex closed forms give volume, centroid, second moments and arbitrary
+integer moments of a linear functional.  Wedge volumes |K cap {R x >= 0}|
+come from the same boundary simplices, coned from the origin and split by
+the wedge's hyperplanes.  A seeded Monte Carlo estimator provides an
+independent cross-check, and the isotropic-position transform whitens the
+centered second-moment matrix.
 """
 
 from __future__ import annotations
@@ -13,17 +16,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from . import rng as _rng
 from .geometry import (
     Ball,
     ConvexBody,
     GeometryError,
-    VPolytope,
     affine_map,
+    boundary,
     contains_many,
-    robust_hull,
     to_vrep,
     translate,
 )
@@ -52,7 +53,12 @@ def unit_ball_volume(d: int) -> float:
 
 
 def triangulate(K: ConvexBody):
-    """Simplices (S, d+1, d) fanning the polytope from its vertex average."""
+    """Simplices (S, d+1, d) fanning the polytope from its vertex average.
+
+    The fan is over the cached boundary simplices; GeometryError when the
+    polytope is degenerate or qhull's triangulation of its boundary does
+    not tile it (`geometry.boundary`).
+    """
     V = to_vrep(K)
     d = V.dim
     if not V.is_full_dimensional():
@@ -61,10 +67,8 @@ def triangulate(K: ConvexBody):
     if d == 1:
         lo, hi = verts.min(), verts.max()
         return np.array([[[lo], [hi]]])
-    hull = robust_hull(verts)
-    apex = verts.mean(axis=0)
-    facets = verts[hull.simplices]  # (S, d, d)
-    apexes = np.broadcast_to(apex, (facets.shape[0], 1, d))
+    facets = verts[boundary(V).simplices]  # (S, d, d)
+    apexes = np.broadcast_to(verts.mean(axis=0), (facets.shape[0], 1, d))
     return np.concatenate([apexes, facets], axis=1)
 
 
@@ -75,12 +79,23 @@ def _simplex_volumes(simplices: np.ndarray) -> np.ndarray:
 
 
 def moments(K: ConvexBody) -> MomentSummary:
-    """Exact volume, centroid and second-moment matrix of a polytope or ball."""
+    """Exact volume, centroid and second-moment matrix of a polytope or ball.
+
+    A polytope's moments are computed once and cached on its vertex
+    representation; their arrays are read-only.
+    """
     if isinstance(K, Ball):
         d, r, c = K.dim, K.radius, K.center
         vol = unit_ball_volume(d) * r**d
         cov = vol * (np.outer(c, c) + (r * r / (d + 2)) * np.eye(d))
         return MomentSummary(vol, c.copy(), cov)
+    V = to_vrep(K)
+    if V._moments_cache is None:
+        V._moments_cache = _polytope_moments(V)
+    return V._moments_cache
+
+
+def _polytope_moments(K: ConvexBody) -> MomentSummary:
     simplices = triangulate(K)
     d = simplices.shape[2]
     vols = _simplex_volumes(simplices)
@@ -95,7 +110,70 @@ def moments(K: ConvexBody) -> MomentSummary:
     outer_s = np.einsum("sa,sb->sab", s, s)
     cov = np.einsum("s,sab->ab", vols, outer_sum + outer_s) / ((d + 1) * (d + 2))
     cov = 0.5 * (cov + cov.T)
+    centroid.setflags(write=False)
+    cov.setflags(write=False)
     return MomentSummary(vol, centroid, cov)
+
+
+# boundary simplices per block of `wedge_volume`; splitting multiplies a
+# block by at most C(d, d/2) per hyperplane
+_WEDGE_BLOCK = 512
+
+
+def wedge_volume(K: ConvexBody, R) -> float:
+    """|K cap W| for a polytope K and the wedge W = {x : <r, x> >= 0 for each row r of R}.
+
+    Every facet of W lies in a hyperplane through 0, so |K cap W| is the sum
+    over K's boundary simplices D of sign(b_D) |det(D cap W)| / d!, b_D the
+    offset of D's facet; this holds wherever the origin is. Each hyperplane
+    of W splits the simplices it crosses: for vertices v_i (value c_i > 0)
+    and v_j (c_j < 0) the crossing point x_ij = (c_i v_j - c_j v_i) / (c_i - c_j)
+    replaces v_j in one child and v_i in the other, whose determinants are
+    the fractions c_i / (c_i - c_j) and -c_j / (c_i - c_j) of the parent's,
+    so nothing cancels. The crossing point's value is set to exactly 0,
+    which makes the splitting end. The pieces grow quickly with the number
+    of hyperplanes, so wedges with many facets are better cut by a halfspace
+    intersection.
+    """
+    V = to_vrep(K)
+    bd = boundary(V)
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    simplices = V.vertices[bd.simplices]  # (S, d, d)
+    weights = np.sign(bd.b) * np.abs(np.linalg.det(simplices))
+    total = 0.0
+    for s in range(0, len(simplices), _WEDGE_BLOCK):
+        pts, w = simplices[s:s + _WEDGE_BLOCK], weights[s:s + _WEDGE_BLOCK]
+        for r in R:
+            pts, w = _split_positive(pts, w, r)
+        total += float(w.sum())
+    return total / math.factorial(V.dim)
+
+
+def _split_positive(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
+    """The pieces of the simplices ``pts`` (weights ``w``) on the side <r, x> >= 0."""
+    c = pts @ r
+    done_pts, done_w = [pts[:0]], [w[:0]]
+    while len(pts):
+        inside = np.all(c >= 0, axis=1)
+        done_pts.append(pts[inside])
+        done_w.append(w[inside])
+        mixed = ~inside & np.any(c > 0, axis=1)
+        pts, c, w = pts[mixed], c[mixed], w[mixed]
+        rows = np.arange(len(pts))
+        i, j = c.argmax(axis=1), c.argmin(axis=1)
+        ci, cj = c[rows, i], c[rows, j]
+        gap = ci - cj
+        x = (ci[:, None] * pts[rows, j] - cj[:, None] * pts[rows, i]) / gap[:, None]
+        keep_i, keep_j = pts.copy(), pts
+        keep_i[rows, j] = x
+        keep_j[rows, i] = x
+        c_i, c_j = c.copy(), c
+        c_i[rows, j] = 0.0
+        c_j[rows, i] = 0.0
+        pts = np.concatenate([keep_i, keep_j])
+        c = np.concatenate([c_i, c_j])
+        w = np.concatenate([w * (ci / gap), w * (-cj / gap)])
+    return np.concatenate(done_pts), np.concatenate(done_w)
 
 
 def volume(K: ConvexBody) -> float:

@@ -24,6 +24,7 @@ from conesec.geometry import (
     make_cube,
     make_regular_simplex,
     minkowski_norm,
+    minkowski_norm_many,
     orthant_cone,
     polar,
     polar_with_center,
@@ -35,6 +36,7 @@ from conesec.geometry import (
     to_vrep,
     translate,
 )
+from conesec.geometry import _dedup_halfspaces, _dedup_points
 from conesec.volume import moments, volume
 
 dims = st.integers(min_value=2, max_value=5)
@@ -94,6 +96,50 @@ def test_centered_cone_centroid_at_origin():
 def test_vrep_hrep_roundtrip_preserves_volume(n, seed):
     K = random_body(n, seed)
     assert volume(to_hrep(K)) == pytest.approx(volume(K), rel=1e-9)
+
+
+def _dedup_points_loop(points, tol=1e-9):
+    keep = []
+    for i, p in enumerate(points):
+        if all(np.linalg.norm(p - points[j]) >= tol for j in keep):
+            keep.append(i)
+    return points[keep]
+
+
+def _dedup_halfspaces_loop(A, b, tol=1e-9):
+    keep = []
+    for i in range(len(b)):
+        if not any(np.linalg.norm(A[i] - A[j]) < tol and abs(b[i] - b[j]) < tol for j in keep):
+            keep.append(i)
+    return A[keep], b[keep]
+
+
+@pytest.mark.parametrize("seed,rows,dim", [(0, 60, 4), (1, 60, 4), (2, 150, 6)])
+def test_vectorised_dedup_matches_the_pairwise_loop(seed, rows, dim):
+    gen = np.random.default_rng(seed)
+    base = gen.normal(size=(rows, dim))
+    # exact and near copies, and chains a~b~c with a and c more than tol apart
+    # (the greedy pass keeps a and c); the largest case spans several blocks
+    step = np.zeros(dim)
+    step[0] = 0.6e-9
+    pts = np.vstack([base, base[:20], base[20:40] + 1e-12, base[:10] + step, base[:10] + 2 * step])
+    pts = pts[gen.permutation(len(pts))]
+    got = _dedup_points(pts)
+    assert np.array_equal(got, _dedup_points_loop(pts))
+    A = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    b = np.round(gen.random(len(pts)), 1)
+    ga, gb = _dedup_halfspaces(A, b)
+    ra, rb = _dedup_halfspaces_loop(A, b)
+    assert np.array_equal(ga, ra) and np.array_equal(gb, rb)
+
+
+def test_minkowski_norm_many_matches_pointwise():
+    K = random_body(4, 8)
+    X = np.random.default_rng(3).normal(size=(25, 4))
+    X[0] = 0.0
+    expect = [minkowski_norm(K, x) for x in X]
+    assert np.allclose(minkowski_norm_many(K, X), expect, rtol=1e-15, atol=0)
+    assert minkowski_norm_many(K, X)[0] == 0.0
 
 
 def test_degenerate_input_rejected():

@@ -7,18 +7,24 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
+import conesec
 from conesec.geometry import (
     HPolytope,
     PolyhedralCone,
     Subspace,
+    boundary,
     make_ball,
+    make_centered_cone,
     make_cross_polytope,
     make_cube,
     make_regular_simplex,
     orthant_cone,
     random_centered_polytope,
     to_hrep,
+    to_vrep,
+    translate,
 )
 from conesec.sections import (
     EmptySection,
@@ -32,7 +38,8 @@ from conesec.sections import (
     section_volume_fn,
     solid_angle_fraction,
 )
-from conesec.volume import moment_p, volume
+from conesec.verify import checks_for_body
+from conesec.volume import moment_p, volume, wedge_volume
 
 dims = st.integers(min_value=2, max_value=5)
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -323,6 +330,112 @@ def test_cone_partition_additivity(seed):
     a = cone_section_volume_polyhedral(K, F, up)
     b = cone_section_volume_polyhedral(K, F, down)
     assert a + b == pytest.approx(volume(K), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# wedge volumes from the cached boundary simplices
+
+
+def test_wedge_gruenbaum_cone_equality():
+    # the halfspace {x_n >= 0} through the centroid keeps (n/(n+1))^n of the cone
+    for n in range(2, 7):
+        K = make_centered_cone(n)
+        up = np.eye(n)[-1]
+        assert wedge_volume(K, [up]) / volume(K) == pytest.approx((n / (n + 1.0)) ** n, rel=1e-12)
+        F = Subspace.hyperplane(up)
+        got = cone_section_volume_polyhedral(K, F, PolyhedralCone([up]))
+        assert got / volume(K) == pytest.approx((n / (n + 1.0)) ** n, rel=1e-12)
+
+
+def test_wedge_halves_the_cube():
+    # axis-aligned cuts run through 2(n-1) facets; the diagonal cut through all
+    for n in range(2, 8):
+        cube = make_cube(n)
+        for u in list(np.eye(n)) + [np.ones(n)]:
+            assert wedge_volume(cube, [u]) == pytest.approx(2.0 ** (n - 1), rel=1e-12)
+    assert wedge_volume(make_cube(7), [np.ones(7)]) == pytest.approx(64.0, rel=1e-12)
+
+
+def test_wedge_with_the_origin_off_center_or_outside():
+    e = np.eye(3)
+    off = translate(make_cube(3), [0.5, 0.0, 0.0])  # [-0.5, 1.5] x [-1, 1]^2
+    assert wedge_volume(off, [e[0]]) == pytest.approx(6.0, rel=1e-12)
+    assert wedge_volume(off, [-e[0]]) == pytest.approx(2.0, rel=1e-12)
+    assert wedge_volume(off, [e[0], e[1]]) == pytest.approx(3.0, rel=1e-12)
+    far = translate(make_cube(3), [3.0, 0.0, 0.0])  # 0 outside K
+    assert wedge_volume(far, [e[0]]) == pytest.approx(8.0, rel=1e-12)
+    assert wedge_volume(far, [e[1]]) == pytest.approx(4.0, rel=1e-12)
+    assert wedge_volume(far, [e[0], -e[2]]) == pytest.approx(4.0, rel=1e-12)
+    assert wedge_volume(far, [-e[0]]) == 0.0  # the wedge misses K
+
+
+def test_wedge_takes_either_representation():
+    K = random_body(4, 12)
+    H = HPolytope(to_hrep(K).A, to_hrep(K).b)
+    R = [[1.0, -0.5, 0.2, 0.0], [0.0, 1.0, 0.3, -0.7]]
+    assert wedge_volume(H, R) == pytest.approx(wedge_volume(K, R), rel=1e-12)
+    cube = make_cube(4)
+    assert wedge_volume(cube, R) == pytest.approx(wedge_volume(to_vrep(cube), R), rel=1e-12)
+
+
+def _hull_volume_of(A, b):
+    """Volume of {A y <= b} by scipy's qhull alone (reference for the wedge route)."""
+    from scipy.optimize import linprog
+
+    d = A.shape[1]
+    res = linprog(np.r_[np.zeros(d), -1.0], A_ub=np.hstack([A, np.linalg.norm(A, axis=1)[:, None]]),
+                  b_ub=b, bounds=[(None, None)] * d + [(0, None)], method="highs")
+    hs = HalfspaceIntersection(np.hstack([A, -b[:, None]]), res.x[:d])
+    return ConvexHull(hs.intersections).volume
+
+
+def test_cone_section_through_a_lower_dimensional_span():
+    # F + span C is a proper subspace: one section, then the wedge in its coordinates
+    K = random_body(5, 21)
+    H = to_hrep(K)
+    e = np.eye(5)
+    for F, C in ((Subspace.from_span(e[:2], ambient_dim=5), PolyhedralCone([e[4]])),
+                 (Subspace.from_span(e[:1], ambient_dim=5), orthant_cone([e[3], -e[4]]))):
+        S = Subspace.from_span(np.vstack([F.basis, C.span.basis]), ambient_dim=5)
+        rows = S.coords(C.constraints_in_span() @ C.span.basis)
+        A = H.A @ S.basis.T
+        plus = cone_section_volume_polyhedral(K, F, C)
+        ref = _hull_volume_of(np.vstack([A, -rows]), np.r_[H.b, np.zeros(len(rows))])
+        assert plus == pytest.approx(ref, rel=1e-9)
+        minus = cone_section_volume_polyhedral(K, F, C.negated())
+        if C.span_dim == 1:
+            assert plus + minus == pytest.approx(ConvexHull(section(K, S).vertices).volume, rel=1e-12)
+
+
+def test_section_whose_first_hull_overlaps_is_hulled_again():
+    # in the centred, rotated coordinates that find this section's vertices,
+    # qhull's triangulation of its non-simplicial facets overlaps itself
+    K = random_body(6, 2608)
+    S = Subspace.from_span(np.eye(6)[[0, 1, 2, 4, 5]], ambient_dim=6)
+    sec = section(K, S)
+    assert boundary(sec).tiles
+    assert volume(sec) == pytest.approx(ConvexHull(sec.vertices).volume, rel=1e-12)
+
+
+def test_corpus_battery_hulls_a_6d_body_a_few_times(monkeypatch):
+    # one hull for the body, then one section (a halfspace intersection and
+    # a hull) per wedge that is not full-dimensional
+    made = []
+
+    def counted(cls):
+        def make(*args, **kwargs):
+            made.append(cls.__name__)
+            return cls(*args, **kwargs)
+        return make
+
+    for mod in (conesec.geometry, conesec.volume, conesec.sections, conesec.verify):
+        for cls in (ConvexHull, HalfspaceIntersection):
+            if getattr(mod, cls.__name__, None) is cls:
+                monkeypatch.setattr(mod, cls.__name__, counted(cls))
+    results = checks_for_body({"type": "random", "n": 6, "points": 18, "seed": 45,
+                               "label": "random-6-45"})
+    assert all(r.passed for r in results)
+    assert 0 < len(made) <= 8, made
 
 
 def test_radial_route_matches_polyhedral():

@@ -6,14 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from conesec import rng
 from conesec.ball_bodies import oracle_from_section_fn
 from conesec.geometry import (
     GeometryError,
     Subspace,
+    body_from_spec,
     make_ball,
     make_centered_cone,
     make_cube,
     make_regular_simplex,
+    orthant_cone,
     random_centered_polytope,
     to_vrep,
     translate,
@@ -32,6 +35,7 @@ from conesec.verify import (
     check_main_theorem_part2,
     check_prop8,
     checks_for_body,
+    cone_volume,
     experiment_alpha_n,
     experiment_remark1,
     experiment_remark2_sharpness,
@@ -83,6 +87,29 @@ def test_part1_constant_domain():
 def test_halfspace_volume_cube_and_ball():
     assert halfspace_volume(make_cube(3), [1.0, 0, 0]) == pytest.approx(4.0)
     assert halfspace_volume(make_ball(2), [0.0, 1.0]) == pytest.approx(math.pi / 2)
+
+
+def test_halfspace_volumes_add_up_on_the_corpus():
+    # both sides of every centroid-halfspace direction of the battery fill K
+    for spec in load_corpus():
+        if spec["type"] == "ball":
+            continue
+        K = body_from_spec(spec)
+        total = volume(K)
+        for u in rng.sphere_grid(K.dim, 3, seed=17):
+            both = halfspace_volume(K, u) + halfspace_volume(K, -u)
+            assert both == pytest.approx(total, rel=1e-12), (spec["label"], u)
+
+
+def test_two_orthant_sign_patterns_fill_a_6d_body():
+    spec = next(s for s in load_corpus() if s.get("label") == "random-6-46")
+    K = body_from_spec(spec)
+    e = np.eye(6)
+    F = Subspace.from_span(e[:4], ambient_dim=6)
+    parts = [cone_volume(K, F, orthant_cone([s5 * e[4], s6 * e[5]]))
+             for s5 in (1.0, -1.0) for s6 in (1.0, -1.0)]
+    assert min(parts) > 0
+    assert sum(parts) == pytest.approx(volume(K), rel=1e-12)
 
 
 def test_gruenbaum_cone_equality():

@@ -9,7 +9,9 @@ from hypothesis import given, strategies as st
 from conesec.geometry import (
     GeometryError,
     VPolytope,
+    _hull_boundary,
     affine_map,
+    boundary,
     make_ball,
     make_cross_polytope,
     make_cube,
@@ -61,6 +63,34 @@ def test_standard_simplex_volume():
         verts = np.vstack([np.zeros(n), np.eye(n)])
         assert volume(VPolytope(verts)) == pytest.approx(
             1.0 / math.factorial(n), rel=1e-12)
+
+
+def test_overlapping_boundary_triangulation_raises():
+    # a square whose boundary lists one edge twice: the fan overstates the area
+    square = VPolytope([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]], canonicalize=False)
+    edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [3, 0]])
+    normals = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [-1.0, 0.0]])
+    hull = type("Hull", (), {"points": square.vertices, "simplices": edges, "volume": 4.0,
+                             "equations": np.hstack([normals, -np.ones((5, 1))])})
+    square._boundary_cache = _hull_boundary(hull, np.eye(2), np.zeros(2), np.arange(4))
+    assert square._boundary_cache.fan_volume == pytest.approx(5.0)
+    with pytest.raises(GeometryError, match="does not tile"):
+        triangulate(square)
+    with pytest.raises(GeometryError, match="does not tile"):
+        boundary(square)
+
+
+def test_boundary_is_kept_through_affine_maps():
+    K = random_body(4, 5)
+    M = np.array([[2.0, 0.3, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.5, 0.1], [0.2, 0, 0, 1.5]])
+    image = affine_map(translate(K, [0.1, -0.2, 0.0, 0.3]), M, [1.0, 0.0, 0.5, 0.0])
+    fresh = VPolytope(image.vertices, canonicalize=False)
+    assert boundary(image).tiles
+    assert moments(image).volume == pytest.approx(moments(fresh).volume, rel=1e-12)
+    assert moments(image).volume == pytest.approx(volume(K) * abs(np.linalg.det(M)), rel=1e-12)
+    H = boundary(image)
+    verts = image.vertices[H.simplices]  # every simplex lies on its facet plane
+    assert np.allclose(np.einsum("sid,sd->si", verts, H.A), H.b[:, None], atol=1e-12)
 
 
 def test_triangulation_covers_volume():
