@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-- ``geometry``  convex bodies (V/H/ball), subspaces, polyhedral cones, polarity
+- ``geometry``  convex bodies (polytopes, balls), subspaces, polyhedral cones, polarity
 - ``volume``    exact moments via triangulation, Monte Carlo, isotropic position
 - ``sections``  flat and cone sections, Brunn section-volume functions
 - ``ball_bodies``  moment bodies L_p(f) of concave profiles and their constants

@@ -10,14 +10,13 @@ between star bodies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import rng as _rng
-from .geometry import GeometryError, Subspace, VPolytope
+from .geometry import GeometryError, Polytope, VPolytope
 from .sections import QuadratureSpec, SectionVolumeFunction, _composite_gl
 from .special import beta
 
@@ -163,7 +162,7 @@ class StarBodyOracle:
         self._radial = radial
         self._radial_many = radial_many
         self.label = label
-        self._approx_cache: dict[tuple, VPolytope] = {}
+        self._approx_cache: dict[tuple, Polytope] = {}
 
     def radial(self, theta) -> float:
         return float(self._radial(np.atleast_1d(np.asarray(theta, dtype=float))))
@@ -174,7 +173,7 @@ class StarBodyOracle:
             return self._radial_many(thetas)
         return np.array([self.radial(t) for t in thetas])
 
-    def polytope_approx(self, num_dirs: int | None = None, seed: int = 0) -> VPolytope:
+    def polytope_approx(self, num_dirs: int | None = None, seed: int = 0) -> Polytope:
         """Inscribed polytope: hull of boundary points at a seeded direction grid."""
         if num_dirs is None:
             num_dirs = 2 ** (self.dim + 4)
@@ -184,12 +183,6 @@ class StarBodyOracle:
             radii = self.radial_many(dirs)
             self._approx_cache[key] = VPolytope(dirs * radii[:, None])
         return self._approx_cache[key]
-
-    @classmethod
-    def from_body(cls, K, label: str = "body") -> "StarBodyOracle":
-        from .geometry import radial as _body_radial
-
-        return cls(K.dim, lambda th: _body_radial(K, th), label)
 
 
 def ball_body(f: ConcaveFunctionOracle, p: float, spec: QuadratureSpec | None = None) -> StarBodyOracle:

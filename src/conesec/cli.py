@@ -29,7 +29,6 @@ from .geometry import (
 )
 from .intersection_bodies import ci_inclusion_report, intersection_radial
 from .sections import (
-    QuadratureSpec,
     cone_section_volume_polyhedral,
     cone_section_volume_radial,
     section_volume,

@@ -1,15 +1,16 @@
 """Convex bodies in R^n (n <= 8) and primitive geometric operations.
 
-Representations: V-polytopes, H-polytopes, Euclidean balls.  Affine images are
-applied eagerly (vertices / halfspaces are mapped on construction), so every
-body is concrete.  All types are immutable after construction and all
-operations are pure; what a polytope derives from one qhull hull (its
-triangulated boundary, its H-rep, its moments) is computed once and cached
-on its vertex representation.
+Representations: polytopes and Euclidean balls.  A `Polytope` is built from
+its vertices (`VPolytope`) or its halfspaces (`HPolytope`) and computes the
+other representation lazily, at most once; what it derives from one qhull
+hull (its triangulated boundary, its H-rep, its moments) is cached on it as
+well.  Affine images are applied eagerly and carry every representation
+already computed, so every body is concrete.  Bodies are immutable apart
+from these caches, and all operations are pure.
 
 Conversions between representations go through Qhull (convex hull and
-halfspace intersection); degenerate inputs are detected via their affine hull
-and handled in intrinsic coordinates.
+halfspace intersection, both through one fallback ladder); degenerate inputs
+are detected via their affine hull and handled in intrinsic coordinates.
 """
 
 from __future__ import annotations
@@ -154,6 +155,21 @@ def _dedup_points(points: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
     return points[_first_of_close(points, tol)]
 
 
+def _dedup_halfspaces(A: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL):
+    keep = _first_of_close(A, tol, b)
+    return A[keep], b[keep]
+
+
+def _map_halfspaces(A: np.ndarray, b: np.ndarray, M: np.ndarray, shift: np.ndarray):
+    """The halfspaces <a, x> <= b mapped by x -> M x + shift (M invertible), with unit normals.
+
+    <a, x> <= b becomes <a M^-1, y> <= b + <a M^-1, shift>.
+    """
+    A = A @ np.linalg.inv(M)
+    norms = np.linalg.norm(A, axis=1)
+    return A / norms[:, None], (b + A @ shift) / norms
+
+
 @dataclass(frozen=True)
 class Boundary:
     """Triangulated boundary of a full-dimensional polytope, from one qhull hull.
@@ -181,13 +197,10 @@ class Boundary:
     def mapped(self, M: np.ndarray, shift: np.ndarray) -> "Boundary":
         """The boundary of the image {M x + shift} of the polytope, M invertible.
 
-        An affine map keeps the face lattice, so the simplices carry over;
-        a facet <a, x> <= b maps to <a M^-1, y> <= b + <a M^-1, shift>.
+        An affine map keeps the face lattice, so the simplices carry over.
         """
-        A = self.A @ np.linalg.inv(M)
-        norms = np.linalg.norm(A, axis=1)
         scale = abs(float(np.linalg.det(M)))
-        return Boundary(self.simplices, A / norms[:, None], (self.b + A @ shift) / norms,
+        return Boundary(self.simplices, *_map_halfspaces(self.A, self.b, M, shift),
                         self.volume * scale, self.fan_volume * scale)
 
 
@@ -246,129 +259,161 @@ def extreme_points(points: np.ndarray, tol: float = GEOM_TOL):
     return verts, adim
 
 
-def robust_hull(coords: np.ndarray) -> "ConvexHull":
-    """Full-dimensional convex hull with fallbacks for merge failures.
+def _qhull(build, data: np.ndarray, *args, options: str = ""):
+    """build(data, *args) by qhull, with fallbacks for merge failures.
 
-    Near-degenerate inputs can trip qhull's merge heuristics; Q12 relaxes
-    the wide-merge guard and QJ (joggled input) is the last resort.
+    Near-degenerate inputs can trip qhull's merge heuristics. On QhullError
+    ``options`` are retried with Q12, which relaxes the wide-merge guard,
+    and then replaced by joggled input as the last resort.
     """
-    adim = coords.shape[1]
-    base = "Qt Qx" if adim > 4 else "Qt"
     last_exc = None
-    for options in (base, base + " Q12", "QJ"):
+    for opts in (options, f"{options} Q12".lstrip(), "QJ"):
         try:
-            return ConvexHull(coords, qhull_options=options)
+            return build(data, *args, qhull_options=opts or None)
         except QhullError as exc:
             last_exc = exc
-    raise GeometryError(f"hull failed: {last_exc}") from last_exc
+    raise GeometryError(f"qhull failed: {last_exc}") from last_exc
 
 
-class _BodyBase:
-    """Common base of the concrete body types."""
+def robust_hull(coords: np.ndarray) -> "ConvexHull":
+    """Full-dimensional convex hull, triangulated, through the fallbacks of `_qhull`."""
+    return _qhull(ConvexHull, coords, options="Qt Qx" if coords.shape[1] > 4 else "Qt")
 
-    dim: int
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
+
+
+class Polytope:
+    """Polytope in R^dim, built from its vertices or from halfspaces <a_i, x> <= b_i.
+
+    It holds the representation it was built from and derives the other at
+    most once: ``vertices`` by a halfspace intersection, ``A`` and ``b``
+    (unit normals) from the facet equations of its boundary. The boundary
+    (`geometry.boundary`) and the moments (`volume.moments`) are cached on
+    it too. Build polytopes with `VPolytope` or `HPolytope`.
+    """
+
+    def __init__(self, vertices: np.ndarray | None = None, A: np.ndarray | None = None,
+                 b: np.ndarray | None = None, affine_dim: int | None = None,
+                 boundary: Boundary | None = None):
+        self.dim = (vertices if A is None else A).shape[1]
+        self._vertices = None if vertices is None else _read_only(vertices)
+        self._A = None if A is None else _read_only(A)
+        self._b = None if b is None else _read_only(b)
+        self._affine_dim = affine_dim
+        self._boundary_cache = boundary
+        self._moments_cache = None
 
     def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim})"
+        return f"Polytope(dim={self.dim})"
 
+    @property
+    def vertices(self) -> np.ndarray:
+        if self._vertices is None:
+            P = _halfspace_polytope(self._A, self._b)
+            if P is None:
+                raise GeometryError("halfspace system empty or lower-dimensional")
+            self._vertices, self._affine_dim = P._vertices, P._affine_dim
+            if self._boundary_cache is None:
+                self._boundary_cache = P._boundary_cache
+        return self._vertices
 
-class VPolytope(_BodyBase):
-    """Polytope given by its vertices (extreme points after canonicalization)."""
+    @property
+    def A(self) -> np.ndarray:
+        if self._A is None:
+            bd = self._boundary()  # facet equations do not depend on the triangulation
+            A, b = _dedup_halfspaces(bd.A, bd.b)
+            self._A, self._b = _read_only(A), _read_only(b)
+        return self._A
 
-    def __init__(self, vertices, canonicalize: bool = True):
-        vertices = np.atleast_2d(_as_array(vertices))
-        if vertices.size == 0:
-            raise GeometryError("empty vertex list")
-        self.dim = vertices.shape[1]
-        adim = bd = None
-        if canonicalize:
-            vertices, adim, bd = _extreme_points(vertices)
-        self.vertices = vertices
-        self.vertices.setflags(write=False)
-        self._affine_dim = adim
-        # derived data, computed once: the boundary from one hull, and the
-        # H-rep and the moments (volume.moments) that come from it
-        self._boundary_cache: Boundary | None = bd
-        self._hrep_cache: HPolytope | None = None
-        self._moments_cache = None
+    @property
+    def b(self) -> np.ndarray:
+        self.A
+        return self._b
 
     @property
     def affine_dim(self) -> int:
         if self._affine_dim is None:
-            basis = orthonormal_basis(self.vertices - self.vertices[0], tol=1e-12)
-            self._affine_dim = basis.shape[0]
+            V = self.vertices
+            if self._affine_dim is None:
+                self._affine_dim = orthonormal_basis(V - V[0], tol=1e-12).shape[0]
         return self._affine_dim
 
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.dim
 
-
-class HPolytope(_BodyBase):
-    """Polytope given by halfspaces <a_i, x> <= b_i with unit normals a_i."""
-
-    def __init__(self, A, b, canonicalize: bool = True):
-        A = np.atleast_2d(_as_array(A))
-        b = np.atleast_1d(_as_array(b))
-        if A.shape[0] != b.shape[0]:
-            raise GeometryError("halfspace normal/offset count mismatch")
-        norms = np.linalg.norm(A, axis=1)
-        if np.any(norms < 1e-14):
-            raise GeometryError("zero halfspace normal")
-        A = A / norms[:, None]
-        b = b / norms
-        if canonicalize:
-            A, b = _dedup_halfspaces(A, b)
-        self.dim = A.shape[1]
-        self.A = A
-        self.b = b
-        self.A.setflags(write=False)
-        self.b.setflags(write=False)
-        self._vrep_cache: VPolytope | None = None
+    def _boundary(self) -> Boundary:
+        """The boundary, hulled from the vertices unless their enumeration left one."""
+        if self._boundary_cache is None:
+            self.vertices
+            if self._boundary_cache is None:
+                self._boundary_cache = _vertex_boundary(self)
+        return self._boundary_cache
 
 
-def _dedup_halfspaces(A: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL):
-    keep = _first_of_close(A, tol, b)
-    return A[keep], b[keep]
+def VPolytope(vertices, canonicalize: bool = True) -> Polytope:
+    """The polytope conv(vertices); canonicalize keeps the extreme points only."""
+    vertices = np.atleast_2d(_as_array(vertices))
+    if vertices.size == 0:
+        raise GeometryError("empty vertex list")
+    if not canonicalize:
+        return Polytope(vertices)
+    V, adim, bd = _extreme_points(vertices)
+    return Polytope(V, affine_dim=adim, boundary=bd)
 
 
-class Ball(_BodyBase):
+def HPolytope(A, b, canonicalize: bool = True) -> Polytope:
+    """The polytope {x : <a_i, x> <= b_i}, rows scaled to unit normals; canonicalize drops repeats."""
+    A = np.atleast_2d(_as_array(A))
+    b = np.atleast_1d(_as_array(b))
+    if A.shape[0] != b.shape[0]:
+        raise GeometryError("halfspace normal/offset count mismatch")
+    norms = np.linalg.norm(A, axis=1)
+    if np.any(norms < 1e-14):
+        raise GeometryError("zero halfspace normal")
+    A = A / norms[:, None]
+    b = b / norms
+    if canonicalize:
+        A, b = _dedup_halfspaces(A, b)
+    return Polytope(A=A, b=b)
+
+
+class Ball:
     def __init__(self, center, radius):
         center = np.atleast_1d(_as_array(center))
         if not (0 < radius < np.inf) or not np.all(np.isfinite(center)):
             raise GeometryError("ball radius must be positive and finite, its center finite")
-        self.center = center
-        self.center.setflags(write=False)
+        self.center = _read_only(center)
         self.radius = float(radius)
         self.dim = center.shape[0]
 
+    def __repr__(self):
+        return f"Ball(dim={self.dim})"
 
-ConvexBody = Union[VPolytope, HPolytope, Ball]
+
+ConvexBody = Union[Polytope, Ball]
 
 
 # ---------------------------------------------------------------------------
 # representation conversion
 
 
-def to_vrep(K: ConvexBody) -> VPolytope:
-    """Vertex representation of a polytope (balls are rejected)."""
-    if isinstance(K, VPolytope):
-        return K
+def to_vrep(K: ConvexBody) -> Polytope:
+    """The polytope K with its vertices computed (balls are rejected)."""
     if isinstance(K, Ball):
         raise GeometryError("a ball has no exact vertex representation")
-    if K._vrep_cache is None:
-        K._vrep_cache = _hrep_to_vrep(K)
-    return K._vrep_cache
+    K.vertices
+    return K
 
 
-def to_hrep(K: ConvexBody) -> HPolytope:
-    """Halfspace representation of a full-dimensional polytope."""
-    if isinstance(K, HPolytope):
-        return K
+def to_hrep(K: ConvexBody) -> Polytope:
+    """The full-dimensional polytope K with its halfspaces computed (balls are rejected)."""
     if isinstance(K, Ball):
         raise GeometryError("a ball has no exact halfspace representation")
-    if K._hrep_cache is None:
-        K._hrep_cache = _vrep_to_hrep(K)
-    return K._hrep_cache
+    K.A
+    return K
 
 
 def boundary(K: ConvexBody) -> Boundary:
@@ -377,20 +422,14 @@ def boundary(K: ConvexBody) -> Boundary:
     Raises GeometryError when the simplices do not tile the boundary (see
     `Boundary.tiles`), which would bias every volume computed from them.
     """
-    bd = _cached_boundary(to_vrep(K))
+    bd = to_vrep(K)._boundary()
     if not bd.tiles:
         raise GeometryError(f"hull triangulation does not tile the polytope (simplices "
                             f"{bd.fan_volume:.17g}, hull {bd.volume:.17g})")
     return bd
 
 
-def _cached_boundary(K: VPolytope) -> Boundary:
-    if K._boundary_cache is None:
-        K._boundary_cache = _vertex_boundary(K)
-    return K._boundary_cache
-
-
-def _vertex_boundary(K: VPolytope) -> Boundary:
+def _vertex_boundary(K: Polytope) -> Boundary:
     if not K.is_full_dimensional():
         raise GeometryError(
             f"degenerate polytope (affine dim {K.affine_dim} < {K.dim}); "
@@ -404,12 +443,6 @@ def _vertex_boundary(K: VPolytope) -> Boundary:
                         np.array([V[hi, 0], -V[lo, 0]]), length, length)
     d = K.dim
     return _hull_boundary(robust_hull(V), np.eye(d), np.zeros(d), np.arange(len(V)))
-
-
-def _vrep_to_hrep(K: VPolytope) -> HPolytope:
-    bd = _cached_boundary(K)  # facet equations do not depend on the triangulation
-    A, b = _dedup_halfspaces(bd.A, bd.b)
-    return HPolytope(A, b, canonicalize=False)
 
 
 def chebyshev_center(A: np.ndarray, b: np.ndarray):
@@ -432,43 +465,54 @@ def chebyshev_center(A: np.ndarray, b: np.ndarray):
     return res.x[:d], float(res.x[d])
 
 
-def _hrep_to_vrep(K: HPolytope) -> VPolytope:
-    d = K.dim
+def interval_1d(a: np.ndarray, b: np.ndarray):
+    """The interval {t : a_i t <= b_i for every i}, for each column of b.
+
+    ``a`` has shape (H,) and ``b`` shape (H,) or (H, T). Returns (lo, hi,
+    empty), each of b's shape without its first axis. A row with
+    |a_i| <= 1e-14 bounds nothing and only tests 0 <= b_i. The interval is
+    empty where such a test fails by more than GEOM_TOL, or where it is no
+    longer than GEOM_TOL. Raises GeometryError when it is unbounded.
+    """
+    a_col = a.reshape((-1,) + (1,) * (b.ndim - 1))
+    pos, neg = a > 1e-14, a < -1e-14
+    if not pos.any() or not neg.any():
+        raise GeometryError("unbounded 1-d halfspace system")
+    hi = (b[pos] / a_col[pos]).min(axis=0)
+    lo = (b[neg] / a_col[neg]).max(axis=0)
+    empty = (b[~(pos | neg)] < -GEOM_TOL).any(axis=0) | (hi <= lo + GEOM_TOL)
+    return lo, hi, empty
+
+
+def _halfspace_polytope(A: np.ndarray, b: np.ndarray) -> Polytope | None:
+    """{y : A y <= b} as a polytope built from its vertices, or None when empty or lower-dimensional.
+
+    Rows need not be unit; a zero row only tests 0 <= b_i. Raises
+    GeometryError when the system is unbounded.
+    """
+    d = A.shape[1]
     if d == 1:
-        a = K.A[:, 0]
-        pos = a > 0
-        neg = a < 0
-        if not pos.any() or not neg.any():
-            raise GeometryError("unbounded 1-d halfspace system")
-        hi = float(np.min(K.b[pos] / a[pos]))
-        lo = float(np.max(K.b[neg] / a[neg]))
-        if hi < lo - GEOM_TOL:
-            raise GeometryError("empty halfspace system")
-        return VPolytope([[lo], [hi]], canonicalize=False)
-    center, radius = chebyshev_center(K.A, K.b)
-    if center is None or radius <= GEOM_TOL:
-        raise GeometryError("halfspace system empty or lower-dimensional")
-    hs = HalfspaceIntersection(np.hstack([K.A, -K.b[:, None]]), center)
-    V = VPolytope(hs.intersections)
-    if not V.is_full_dimensional():
-        raise GeometryError("halfspace system lower-dimensional")
-    return V
-
-
-def convert(K: ConvexBody, target: str) -> ConvexBody:
-    """H <-> V conversion; ``target`` is 'vpolytope' or 'hpolytope'."""
-    if target == "vpolytope":
-        return to_vrep(K)
-    if target == "hpolytope":
-        return to_hrep(K)
-    raise GeometryError(f"unknown target representation {target!r}")
+        lo, hi, empty = interval_1d(A[:, 0], b)
+        return None if empty else VPolytope([[lo], [hi]], canonicalize=False)
+    norms = np.linalg.norm(A, axis=1)
+    ok = norms > 1e-14
+    if np.any(b[~ok] < -GEOM_TOL):
+        return None
+    A = A[ok] / norms[ok, None]
+    b = b[ok] / norms[ok]
+    center, r = chebyshev_center(A, b)
+    if center is None or r <= GEOM_TOL:
+        return None
+    hs = _qhull(HalfspaceIntersection, np.hstack([A, -b[:, None]]), center)
+    P = VPolytope(hs.intersections)
+    return P if P.is_full_dimensional() else None
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
-def make_regular_simplex(n: int) -> VPolytope:
+def make_regular_simplex(n: int) -> Polytope:
     """Regular simplex in R^n with n+1 vertices and centroid exactly at 0."""
     _check_dim(n)
     # Vertices of the standard simplex in R^(n+1), centered, then expressed in
@@ -480,14 +524,14 @@ def make_regular_simplex(n: int) -> VPolytope:
     return VPolytope(verts, canonicalize=False)
 
 
-def make_cube(n: int) -> HPolytope:
+def make_cube(n: int) -> Polytope:
     """The cube [-1, 1]^n."""
     _check_dim(n)
     A = np.vstack([np.eye(n), -np.eye(n)])
     return HPolytope(A, np.ones(2 * n), canonicalize=False)
 
 
-def make_cross_polytope(n: int) -> VPolytope:
+def make_cross_polytope(n: int) -> Polytope:
     """conv(+-e_i)."""
     _check_dim(n)
     return VPolytope(np.vstack([np.eye(n), -np.eye(n)]), canonicalize=False)
@@ -500,7 +544,7 @@ def make_ball(n: int, r: float = 1.0, center=None) -> Ball:
     return Ball(center, r)
 
 
-def make_centered_cone(n: int, height: float = 1.0) -> VPolytope:
+def make_centered_cone(n: int, height: float = 1.0) -> Polytope:
     """Cone over a regular (n-1)-simplex base, apex on +e_n, centroid at 0.
 
     This is the Grunbaum equality body for the direction e_n: the halfspace
@@ -519,7 +563,7 @@ def make_centered_cone(n: int, height: float = 1.0) -> VPolytope:
     return VPolytope(verts, canonicalize=False)
 
 
-def random_centered_polytope(n: int, num_points: int, seed: int) -> VPolytope:
+def random_centered_polytope(n: int, num_points: int, seed: int) -> Polytope:
     """Hull of seeded uniform ball points, translated so its centroid is 0."""
     _check_dim(n)
     if num_points < n + 1:
@@ -545,19 +589,12 @@ def _check_dim(n: int):
 def support(K: ConvexBody, u) -> float:
     """Support function h_K(u) = max_{x in K} <x, u>."""
     u = _as_array(u)
-    if isinstance(K, VPolytope):
-        return float(np.max(K.vertices @ u))
     if isinstance(K, Ball):
         return float(K.center @ u + K.radius * np.linalg.norm(u))
-    res = linprog(-u, A_ub=K.A, b_ub=K.b, bounds=[(None, None)] * K.dim, method="highs")
-    if res.status == 3:
-        raise GeometryError("unbounded halfspace body")
-    if not res.success:
-        raise GeometryError("support LP failed (empty body?)")
-    return float(-res.fun)
+    return float(np.max(K.vertices @ u))
 
 
-def _interior_hrep(K: ConvexBody) -> HPolytope:
+def _interior_hrep(K: ConvexBody) -> Polytope:
     H = to_hrep(K)
     if np.any(H.b <= GEOM_TOL):
         raise GeometryError("origin is not interior to the body")
@@ -629,30 +666,27 @@ def polar(K: ConvexBody) -> ConvexBody:
         if np.linalg.norm(K.center) > GEOM_TOL:
             raise GeometryError("polar of an off-center ball is not a ball")
         return Ball(np.zeros(K.dim), 1.0 / K.radius)
-    if isinstance(K, VPolytope):
-        if not contains(K, np.zeros(K.dim), tol=-GEOM_TOL):
-            _interior_hrep(K)  # raises with the right message
-        return HPolytope(K.vertices, np.ones(len(K.vertices)))
+    has_halfspaces = K._A is not None  # before the interior test computes them
     H = _interior_hrep(K)
-    return VPolytope(H.A / H.b[:, None])
+    if has_halfspaces:
+        return VPolytope(H.A / H.b[:, None])
+    return HPolytope(K.vertices, np.ones(len(K.vertices)))
 
 
 def translate(K: ConvexBody, shift) -> ConvexBody:
     shift = _as_array(shift)
     if isinstance(K, Ball):
         return Ball(K.center + shift, K.radius)
-    if isinstance(K, VPolytope):
-        return _mapped_vpolytope(K, np.eye(K.dim), shift)
-    return HPolytope(K.A, K.b + K.A @ shift, canonicalize=False)
+    return _mapped_polytope(K, np.eye(K.dim), shift)
 
 
-def _mapped_vpolytope(K: VPolytope, M: np.ndarray, shift: np.ndarray) -> VPolytope:
-    """{M x + shift : x in K}, keeping K's boundary when it is already computed."""
-    image = VPolytope(K.vertices @ M.T + shift, canonicalize=False)
-    image._affine_dim = K._affine_dim
-    if K._boundary_cache is not None:
-        image._boundary_cache = K._boundary_cache.mapped(M, shift)
-    return image
+def _mapped_polytope(K: Polytope, M: np.ndarray, shift: np.ndarray) -> Polytope:
+    """{M x + shift : x in K}, M invertible, with every representation K has computed."""
+    return Polytope(
+        None if K._vertices is None else K._vertices @ M.T + shift,
+        *((None, None) if K._A is None else _map_halfspaces(K._A, K._b, M, shift)),
+        affine_dim=K._affine_dim,
+        boundary=None if K._boundary_cache is None else K._boundary_cache.mapped(M, shift))
 
 
 def polar_with_center(C: ConvexBody, z) -> ConvexBody:
@@ -689,11 +723,7 @@ def affine_map(K: ConvexBody, M, shift=None) -> ConvexBody:
         if not np.allclose(MMt, scale2 * np.eye(n), atol=1e-9 * max(1.0, scale2)):
             raise GeometryError("ball affine images are restricted to similarities")
         return Ball(M @ K.center + shift, K.radius * np.sqrt(scale2))
-    if isinstance(K, VPolytope):
-        return _mapped_vpolytope(K, M, shift)
-    Minv = np.linalg.inv(M)
-    A = K.A @ Minv
-    return HPolytope(A, K.b + A @ shift)
+    return _mapped_polytope(K, M, shift)
 
 
 # ---------------------------------------------------------------------------

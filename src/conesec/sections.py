@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import HalfspaceIntersection, QhullError
 
 from . import rng as _rng
 from .geometry import (
@@ -21,17 +20,17 @@ from .geometry import (
     ConvexBody,
     GEOM_TOL,
     GeometryError,
-    HPolytope,
     PolyhedralCone,
     Subspace,
-    VPolytope,
-    chebyshev_center,
+    _halfspace_polytope,
+    interval_1d,
     project,
     radial,
     radial_many,
     to_hrep,
     to_vrep,
 )
+from .special import beta
 from .volume import moments, unit_ball_volume, wedge_volume
 
 
@@ -43,53 +42,6 @@ class EmptySection:
 
     def __repr__(self):
         return f"EmptySection(dim={self.dim})"
-
-
-def _body_from_halfspaces(A: np.ndarray, b: np.ndarray):
-    """V-polytope of {A y <= b}, or EmptySection when empty/lower-dimensional."""
-    d = A.shape[1]
-    if d == 1:
-        a = A[:, 0]
-        pos = a > 1e-14
-        neg = a < -1e-14
-        zero = ~(pos | neg)
-        if np.any(b[zero] < -GEOM_TOL):
-            return EmptySection(1)
-        if not pos.any() or not neg.any():
-            raise GeometryError("unbounded 1-d section")
-        hi = float(np.min(b[pos] / a[pos]))
-        lo = float(np.max(b[neg] / a[neg]))
-        if hi <= lo + GEOM_TOL:
-            return EmptySection(1)
-        return VPolytope([[lo], [hi]], canonicalize=False)
-    norms = np.linalg.norm(A, axis=1)
-    ok = norms > 1e-14
-    if np.any(b[~ok] < -GEOM_TOL):
-        return EmptySection(d)
-    A, b, norms = A[ok], b[ok], norms[ok]
-    A = A / norms[:, None]
-    b = b / norms
-    center, r = chebyshev_center(A, b)
-    if center is None or r <= GEOM_TOL:
-        return EmptySection(d)
-    stacked = np.hstack([A, -b[:, None]])
-    # same fallback ladder as geometry.robust_hull: qhull's merge heuristics
-    # can fail on near-degenerate inputs
-    hs = None
-    last_exc = None
-    for options in (None, "Q12", "QJ"):
-        try:
-            hs = (HalfspaceIntersection(stacked, center) if options is None
-                  else HalfspaceIntersection(stacked, center, qhull_options=options))
-            break
-        except QhullError as exc:
-            last_exc = exc
-    if hs is None:
-        raise GeometryError(f"halfspace intersection failed: {last_exc}") from last_exc
-    body = VPolytope(hs.intersections)
-    if not body.is_full_dimensional():
-        return EmptySection(d)
-    return body
 
 
 def section(K: ConvexBody, S: Subspace, x0=None):
@@ -111,9 +63,8 @@ def section(K: ConvexBody, S: Subspace, x0=None):
             return EmptySection(S.dim)
         return Ball(q, math.sqrt(r2))
     H = to_hrep(K)
-    A = H.A @ S.basis.T
-    b = H.b - H.A @ x0
-    return _body_from_halfspaces(A, b)
+    sec = _halfspace_polytope(H.A @ S.basis.T, H.b - H.A @ x0)
+    return EmptySection(S.dim) if sec is None else sec
 
 
 def section_volume(K: ConvexBody, S: Subspace, x0=None) -> float:
@@ -165,10 +116,17 @@ class SectionVolumeFunction:
         """Largest t with f(t theta) > 0 (0 must be interior to the support)."""
         return radial(self.support_body(), np.asarray(theta, dtype=float))
 
+    def _centred_ball(self) -> bool:
+        return isinstance(self.body, Ball) and bool(np.linalg.norm(self.body.center) < 1e-14)
+
     def has_exact_ray_moments(self, p) -> bool:
-        """Whether `ray_moments` applies: K a polytope, and m = 1 or p an integer."""
-        return (not isinstance(self.body, Ball) and self.m >= 1
-                and (self.m == 1 or float(p).is_integer()))
+        """Whether `ray_moments` applies: m >= 1, and K a ball centred at 0, or
+        a polytope with m = 1 or p an integer."""
+        if self.m < 1:
+            return False
+        if isinstance(self.body, Ball):
+            return self._centred_ball()
+        return self.m == 1 or float(p).is_integer()
 
     def ray_moments(self, thetas, p) -> np.ndarray:
         """int_0^T t^(p-1) f(t theta) dt for each row theta of an (N, k) array.
@@ -179,13 +137,20 @@ class SectionVolumeFunction:
         closed form for every real p > 0. At m >= 2, f is a polynomial of
         degree <= m between the heights of the vertices of K cap (F + R theta),
         and ceil((m + p) / 2) Gauss-Legendre nodes per panel are exact for
-        integer p. See `has_exact_ray_moments`.
+        integer p. For a ball of radius r centred at 0, f(t theta) is
+        omega_m (r^2 - t^2 |theta|^2)^(m/2), whose moment is
+        omega_m r^(p+m) |theta|^(-p) B(p/2, m/2 + 1) / 2 for every real p > 0.
+        See `has_exact_ray_moments`.
         """
         if not self.has_exact_ray_moments(p):
             raise GeometryError(f"no exact ray moments at m={self.m}, p={p}")
         if p <= 0:
             raise GeometryError("p must be positive")
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        if isinstance(self.body, Ball):
+            m, r = self.m, self.body.radius
+            return (unit_ball_volume(m) * r ** (p + m) * beta(p / 2, m / 2 + 1) / 2
+                    * np.linalg.norm(thetas, axis=1) ** -p)
         T = radial_many(self.support_body(), thetas)
         if self.m == 1:
             return self._chord_moments(thetas, T, p)
@@ -267,19 +232,9 @@ class SectionVolumeFunction:
         ts = np.asarray(ts, dtype=float)
         if self._fast is not None:
             a, A, b = self._fast
-            w = A @ self.Fperp.embed(theta)
-            offs = b[:, None] - np.outer(w, ts)  # (m_h, T)
-            pos = a > 1e-12
-            neg = a < -1e-12
-            zero = ~(pos | neg)
-            hi = np.min(offs[pos] / a[pos, None], axis=0)
-            lo = np.max(offs[neg] / a[neg, None], axis=0)
-            length = np.clip(hi - lo, 0.0, None)
-            if zero.any():
-                infeasible = np.any(offs[zero] < 0, axis=0)
-                length[infeasible] = 0.0
-            return length
-        if isinstance(self.body, Ball) and np.linalg.norm(self.body.center) < 1e-14:
+            lo, hi, empty = interval_1d(a, b[:, None] - np.outer(A @ self.Fperp.embed(theta), ts))
+            return np.where(empty, 0.0, hi - lo)
+        if self._centred_ball():
             # rotation-invariant closed form: (n-k)-ball of radius sqrt(r^2-t^2)
             r = self.body.radius
             h2 = np.clip(r * r - ts * ts * (theta @ theta), 0.0, None)
@@ -409,37 +364,50 @@ def _check_cone_flat(F: Subspace, C: PolyhedralCone):
 def cone_section_volume_polyhedral(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
     """|K cap (F + C)| in dimension dim(F) + dim(span C), exact for polytopes.
 
-    For cones of dimension p <= 2, the wedge F + C is cut from the boundary
-    simplices K already has (`volume.wedge_volume`), after one section of K
-    by F + span C when that is not the whole space. Wider cones intersect
-    the section's halfspaces with the cone's, because the wedge kernel's
-    pieces multiply with every facet of the cone.
+    One section of K by F + span C when that is not the whole space, then
+    the cut by the cone's rows (`_cut_volume`).
     """
-    _check_cone_flat(F, C)
-    p = C.span_dim
-    G = C.span
-    d = F.dim + p
     if isinstance(K, Ball):
+        _check_cone_flat(F, C)
         if np.linalg.norm(K.center) > GEOM_TOL:
             raise GeometryError("cone sections of balls require the center at 0")
+        d = F.dim + C.span_dim
         return solid_angle_fraction(C) * unit_ball_volume(d) * K.radius**d
-    basis = np.vstack([F.basis, G.basis]) if F.dim else G.basis
-    if p <= 2:
-        rows = C.constraints_in_span() @ G.basis  # F + C = {x in F + G : rows x >= 0}
-        if d == K.dim:
-            return wedge_volume(K, rows)
-        S = Subspace.from_span(basis, ambient_dim=K.dim)
-        sec = section(K, S)
-        return 0.0 if isinstance(sec, EmptySection) else wedge_volume(sec, S.coords(rows))
-    H = to_hrep(K)
-    A = H.A @ basis.T
-    b = H.b.copy()
-    R = C.constraints_in_span()  # (p, p) in G coords
-    cone_rows = np.hstack([np.zeros((p, F.dim)), -R])
-    body = _body_from_halfspaces(np.vstack([A, cone_rows]), np.concatenate([b, np.zeros(p)]))
-    if isinstance(body, EmptySection):
+    return _cut_volume(*_section_and_rows(K, F, C))
+
+
+def _section_and_rows(K: ConvexBody, F: Subspace, C: PolyhedralCone):
+    """(L, R): the section L of the polytope K by F + span C, and rows R with F + C = {y : R y >= 0}.
+
+    L is K itself, in its own coordinates, when F + span C is the whole
+    space, and None when the section is empty. The rows of the opposite
+    cone -C are -R, whatever basis its span gets.
+    """
+    _check_cone_flat(F, C)
+    G = C.span
+    rows = C.constraints_in_span() @ G.basis
+    if F.dim + G.dim == K.dim:
+        return K, rows
+    S = Subspace.from_span(np.vstack([F.basis, G.basis]) if F.dim else G.basis, ambient_dim=K.dim)
+    sec = section(K, S)
+    return (None if isinstance(sec, EmptySection) else sec), S.coords(rows)
+
+
+def _cut_volume(L, R: np.ndarray) -> float:
+    """|L cap {y : R y >= 0}| for a polytope L (0 for None).
+
+    Up to two rows, the wedge is cut from the boundary simplices L already
+    has (`volume.wedge_volume`). More rows intersect L's halfspaces with the
+    cone's, because the wedge kernel's pieces multiply with every facet of
+    the cone.
+    """
+    if L is None:
         return 0.0
-    return moments(body).volume
+    if len(R) <= 2:
+        return wedge_volume(L, R)
+    H = to_hrep(L)
+    body = _halfspace_polytope(np.vstack([H.A, -R]), np.concatenate([H.b, np.zeros(len(R))]))
+    return 0.0 if body is None else moments(body).volume
 
 
 def solid_angle_fraction(C: PolyhedralCone, mc_samples: int = 4_000_000, seed: int = 20240801) -> float:

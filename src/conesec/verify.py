@@ -9,7 +9,7 @@ bounds are built in log space from Gamma/Beta/binomial evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import hadamard
@@ -28,18 +28,12 @@ from .geometry import (
     Ball,
     ConvexBody,
     GeometryError,
-    HPolytope,
     PolyhedralCone,
     Subspace,
-    VPolytope,
-    make_centered_cone,
-    make_cross_polytope,
     make_cube,
-    make_ball,
     make_regular_simplex,
     minkowski_norm_many,
     orthant_cone,
-    radial,
     random_centered_polytope,
     support,
     to_hrep,
@@ -47,12 +41,14 @@ from .geometry import (
 )
 from .sections import (
     EmptySection,
+    _cut_volume,
+    _section_and_rows,
     cone_section_volume_polyhedral,
     section,
     solid_angle_fraction,
 )
 from .special import beta, binom, gamma
-from .volume import isotropic_position, moments, unit_ball_volume, volume, wedge_volume
+from .volume import isotropic_position, moments, unit_ball_volume, wedge_volume
 
 __all__ = [
     "CheckResult", "ExplicitConstant", "gamma", "beta", "binom",
@@ -147,6 +143,14 @@ def cone_volume(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
     return cone_section_volume_polyhedral(K, F, C)
 
 
+def _opposite_cone_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone):
+    """|K cap (F + C)| and |K cap (F - C)|, from one section of K by F + span C."""
+    if isinstance(K, Ball):
+        return cone_volume(K, F, C), cone_volume(K, F, C.negated())
+    L, R = _section_and_rows(K, F, C)
+    return _cut_volume(L, R), _cut_volume(L, -R)
+
+
 def _centroid_guard(K: ConvexBody, tol: float = 1e-9):
     m = moments(K)
     scale = m.volume ** (1.0 / K.dim)
@@ -188,8 +192,7 @@ def check_main_theorem_part1(K: ConvexBody, F: Subspace, C: PolyhedralCone,
     k = n - F.dim
     p = C.span_dim
     const = part1_constant(n, k, p)
-    plus = cone_volume(K, F, C)
-    minus = cone_volume(K, F, C.negated())
+    plus, minus = _opposite_cone_volumes(K, F, C)
     if plus <= 0:
         raise GeometryError("degenerate cone section: |K cap (F+C)| = 0")
     lhs = minus / plus
@@ -259,10 +262,8 @@ def check_corollary1(K: ConvexBody, F: Subspace, theta,
     n = K.dim
     k = n - F.dim
     theta = np.asarray(theta, dtype=float)
-    C = PolyhedralCone(-theta[None, :])  # so that F - C = F + R_+ theta
     const = part1_constant(n, k, 1)
-    plus_ray = cone_volume(K, F, C.negated())
-    minus_ray = cone_volume(K, F, C)
+    plus_ray, minus_ray = _opposite_cone_volumes(K, F, PolyhedralCone(theta[None, :]))
     if minus_ray <= 0:
         raise GeometryError("degenerate ray section")
     lhs = plus_ray / minus_ray
@@ -290,11 +291,9 @@ def check_corollary2(K: ConvexBody, u, v, body_spec: str = "body") -> CheckResul
     if nt < 1e-9:
         raise GeometryError("directions must satisfy v != +-u")
     theta /= nt
-    F = Subspace.from_span(
-        _orth_complement(np.vstack([u, theta])), ambient_dim=n)
+    F = Subspace.from_span(np.vstack([u, theta])).complement()
     const = part1_constant(n, 2, 1)
-    plus = cone_volume(K, F, PolyhedralCone(theta[None, :]))
-    minus = cone_volume(K, F, PolyhedralCone(-theta[None, :]))
+    plus, minus = _opposite_cone_volumes(K, F, PolyhedralCone(theta[None, :]))
     if min(plus, minus) <= 0:
         raise GeometryError("degenerate hyperplane section split")
     ratio = plus / minus
@@ -308,12 +307,6 @@ def check_corollary2(K: ConvexBody, u, v, body_spec: str = "body") -> CheckResul
         passed=bool(lhs <= const.value * (1.0 + slack)),
         notes=f"two-sided; implied constant c >= {lhs:.6e}",
     )
-
-
-def _orth_complement(rows: np.ndarray) -> np.ndarray:
-    from .geometry import _complement_basis
-
-    return _complement_basis(rows)
 
 
 def check_corollary3(K: ConvexBody, E: Subspace, us,
@@ -331,8 +324,7 @@ def check_corollary3(K: ConvexBody, E: Subspace, us,
         if not E.contains_vector(u, tol=1e-9):
             raise GeometryError("orthant directions must lie in the section subspace")
     C = orthant_cone(us)
-    F = Subspace.from_span(
-        _orth_complement(np.vstack([E.complement().basis, us])), ambient_dim=n)
+    F = Subspace.from_span(np.vstack([E.complement().basis, us])).complement()
     plus = cone_volume(K, F, C)
     if E.dim == n:
         full = moments(K).volume

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
+import conesec
 from conesec.geometry import (
     Ball,
     GeometryError,
@@ -15,6 +17,7 @@ from conesec.geometry import (
     VPolytope,
     affine_map,
     body_from_spec,
+    boundary,
     cone_from_spec,
     contains,
     contains_many,
@@ -37,6 +40,8 @@ from conesec.geometry import (
     translate,
 )
 from conesec.geometry import _dedup_halfspaces, _dedup_points
+from conesec.sections import EmptySection, section, section_volume
+from conesec.verify import halfspace_volume
 from conesec.volume import moments, volume
 
 dims = st.integers(min_value=2, max_value=5)
@@ -145,6 +150,90 @@ def test_minkowski_norm_many_matches_pointwise():
 def test_degenerate_input_rejected():
     with pytest.raises(GeometryError):
         to_hrep(VPolytope([[0.0, 0.0], [1.0, 1.0]]))  # a segment in the plane
+
+
+def _count_qhull(monkeypatch, failing=()):
+    """Record (class name, qhull_options) of every qhull call geometry makes.
+
+    Calls with options in ``failing`` raise QhullError.
+    """
+    made = []
+
+    def counted(cls):
+        def make(*args, **kwargs):
+            made.append((cls.__name__, kwargs.get("qhull_options")))
+            if kwargs.get("qhull_options") in failing:
+                raise QhullError("merge failure")
+            return cls(*args, **kwargs)
+        return make
+
+    for cls in (ConvexHull, HalfspaceIntersection):
+        monkeypatch.setattr(conesec.geometry, cls.__name__, counted(cls))
+    return made
+
+
+def test_halfspace_polytope_enumerates_its_vertices_once(monkeypatch):
+    src = to_hrep(random_body(4, 14))
+    H = HPolytope(src.A, src.b)
+    made = _count_qhull(monkeypatch)
+    u = unit([1.0, -0.5, 0.3, 0.2])
+    M = np.array([[2.0, 0.3, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.5, 0.1], [0.2, 0, 0, 1.5]])
+    assert to_vrep(H) is H and to_hrep(H) is H
+    assert boundary(H).tiles
+    assert support(H, u) == pytest.approx(float(np.max(to_vrep(src).vertices @ u)), rel=1e-12)
+    image = affine_map(translate(H, [0.1, -0.2, 0.0, 0.3]), M, [1.0, 0.0, 0.5, 0.0])
+    assert moments(image).volume == pytest.approx(
+        moments(H).volume * abs(np.linalg.det(M)), rel=1e-12)
+    assert halfspace_volume(image, u) + halfspace_volume(image, -u) == pytest.approx(
+        volume(image), rel=1e-12)
+    assert np.all(contains_many(image, to_vrep(image).vertices))
+    assert sorted(name for name, _ in made) == ["ConvexHull", "HalfspaceIntersection"]
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_qhull_falls_back_to_q12_then_joggle(monkeypatch, levels):
+    # the first `levels` options of each ladder raise QhullError
+    ladders = {"HalfspaceIntersection": [None, "Q12", "QJ"], "ConvexHull": ["Qt", "Qt Q12", "QJ"]}
+    made = _count_qhull(monkeypatch, {o for ladder in ladders.values() for o in ladder[:levels]})
+    src = to_hrep(make_cube(3))
+    H = HPolytope(src.A, src.b)
+    # joggled input moves the vertices by up to about 1e-11
+    assert volume(H) == pytest.approx(8.0, rel=1e-9 if levels == 2 else 1e-12)
+    for name, options in ladders.items():
+        assert [o for n, o in made if n == name] == options[:levels + 1]
+
+
+def test_qhull_ladder_reports_its_last_failure(monkeypatch):
+    made = _count_qhull(monkeypatch, {"Qt Qx", "Qt Qx Q12", "QJ"})
+    with pytest.raises(GeometryError, match="merge failure"):
+        VPolytope(np.random.default_rng(2).normal(size=(12, 5)))
+    assert made == [("ConvexHull", "Qt Qx"), ("ConvexHull", "Qt Qx Q12"), ("ConvexHull", "QJ")]
+
+
+def test_one_dimensional_halfspace_systems():
+    # bounded: x <= 1, -x <= 0.5 and a repeat scaled by 2
+    H = HPolytope([[1.0], [-1.0], [2.0]], [1.0, 0.5, 4.0])
+    assert sorted(to_vrep(H).vertices[:, 0]) == [-0.5, 1.0]
+    assert volume(H) == pytest.approx(1.5)
+    # empty (x <= -1 and x >= 1) and a single point (x <= 0 and x >= 0)
+    for b in ([-1.0, -1.0], [0.0, 0.0]):
+        with pytest.raises(GeometryError):
+            volume(HPolytope([[1.0], [-1.0]], b))
+    with pytest.raises(GeometryError, match="unbounded"):
+        to_vrep(HPolytope([[1.0], [2.0]], [1.0, 1.0]))
+    # sections by lines of the triangle conv(0, e1, e2)
+    T = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    vertical = Subspace.from_span([[0.0, 1.0]])
+    assert section_volume(T, vertical, x0=[0.25, 0.0]) == pytest.approx(0.75)
+    assert isinstance(section(T, vertical, x0=[2.0, 0.0]), EmptySection)  # misses T
+    assert isinstance(section(T, vertical, x0=[1.0, 0.0]), EmptySection)  # touches a vertex
+    # the edges x = 0 of T and y = +-1 of the square are parallel to the line:
+    # zero-normal rows, which only test whether the line lies on their side
+    assert section_volume(T, vertical, x0=[0.0, 0.0]) == pytest.approx(1.0)
+    assert isinstance(section(T, vertical, x0=[-0.1, 0.0]), EmptySection)
+    horizontal = Subspace.from_span([[1.0, 0.0]])
+    assert section_volume(make_cube(2), horizontal, x0=[0.0, 1.0]) == pytest.approx(2.0)
+    assert isinstance(section(make_cube(2), horizontal, x0=[0.0, 1.5]), EmptySection)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from conesec.sections import (
     EmptySection,
     QuadratureSpec,
     QuadratureWarning,
+    _composite_gl,
     cone_section_volume_polyhedral,
     cone_section_volume_radial,
     ray_moment,
@@ -152,13 +153,33 @@ def test_ball_ray_moment_closed_form():
     assert ray_moment(f, np.array([1.0]), 2.0) == pytest.approx(2.0 / 3.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_centred_ball_ray_moments_are_exact(m):
+    # f(t theta) = omega_m (r^2 - t^2 |theta|^2)^(m/2) for the ball rB in R^(m+2)
+    f = section_volume_fn(make_ball(m + 2, r=1.5), Subspace.from_span(np.eye(m + 2)[:m]))
+    theta = np.array([1.02, -0.34])  # |theta| = 1.075...
+    T = 1.5 / np.linalg.norm(theta)
+    for p in (0.5, 2.0, 3.5):
+        assert f.has_exact_ray_moments(p)
+        ref = quad(lambda t: t ** (p - 1) * f.ray_values(theta, np.array([t]))[0], 0.0, T,
+                   epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert f.ray_moments([theta, -2.0 * theta], p) == pytest.approx(
+            [ref, ref * 2.0 ** -p], rel=1e-10)
+
+
 def test_adaptive_ray_rule_warns_when_it_misses_its_tolerance():
     # the disc chord 2 sqrt(1 - t^2) has a square-root edge at t = 1: the
-    # panel doubling runs out before two levels agree to 1e-8
+    # panel doubling runs out before two levels agree to 1e-8 (`ray_moment`
+    # itself takes the closed form for a centred ball)
     f = section_volume_fn(make_ball(2), Subspace.from_span([[1.0, 0.0]]))
+    theta = np.array([1.0])
+
+    def chord(spec):
+        return _composite_gl(lambda ts: f.ray_values(theta, ts), 0.0, 1.0, spec)
+
     spec = QuadratureSpec()
     with pytest.warns(QuadratureWarning) as record:
-        got = ray_moment(f, np.array([1.0]), 1.0, spec)
+        got = chord(spec)
     warning = record[0].message
     assert warning.value == got
     assert warning.gap > spec.ray_rel_tol * got
@@ -166,7 +187,7 @@ def test_adaptive_ray_rule_warns_when_it_misses_its_tolerance():
     # a looser tolerance is met, silently
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        loose = ray_moment(f, np.array([1.0]), 1.0, QuadratureSpec(ray_rel_tol=1e-5))
+        loose = chord(QuadratureSpec(ray_rel_tol=1e-5))
     assert loose == pytest.approx(math.pi / 2, rel=1e-5)
 
 
@@ -233,7 +254,10 @@ def test_non_integer_p_at_m2_is_not_exact():
     f = section_volume_fn(random_body(3, 2), Subspace.from_span(np.eye(3)[:2]))
     assert f.has_exact_ray_moments(2.0)
     assert not f.has_exact_ray_moments(2.5)
-    assert not section_volume_fn(make_ball(3), Subspace.from_span(np.eye(3)[:1])).has_exact_ray_moments(2)
+    # a ball's profile is exact only when the ball is centred at 0 (closed form)
+    assert section_volume_fn(make_ball(3), Subspace.from_span(np.eye(3)[:1])).has_exact_ray_moments(2.5)
+    off = make_ball(3, center=[0.0, 0.1, 0.0])
+    assert not section_volume_fn(off, Subspace.from_span(np.eye(3)[:1])).has_exact_ray_moments(2)
     assert not section_volume_fn(make_cube(2), trivial_flat(2)).has_exact_ray_moments(2)
 
 
