@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import rng as _rng
-from .geometry import GeometryError, Polytope, VPolytope
+from .geometry import GeometryError, Polytope, Subspace, VPolytope, make_ball
 from .sections import QuadratureSpec, SectionVolumeFunction, _composite_gl
 from .special import beta
 
@@ -104,21 +104,11 @@ def oracle_from_section_fn(svf: SectionVolumeFunction, label: str = "section-vol
 
 
 def ball_indicator_oracle(k: int, r: float = 1.0) -> ConcaveFunctionOracle:
-    """Indicator of r B_2^k (1/m-concave for every m)."""
-
-    def ray_values(x, ts):
-        return (ts * np.linalg.norm(x) <= r).astype(float)
-
-    return ConcaveFunctionOracle(
-        dim=k,
-        evaluate=lambda x: 1.0 if np.linalg.norm(x) <= r else 0.0,
-        concavity_index=None,
-        support_radius=r,
-        barycenter_zero=True,
-        label=f"indicator(B_2^{k})",
-        ray_values=ray_values,
-        ray_extent=lambda x: r / np.linalg.norm(x),
-    )
+    """Indicator of r B_2^k (1/m-concave for every m): the m = 0 profile of
+    the ball, whose ray moments are exact."""
+    flat = Subspace(k, np.zeros((0, k)))
+    return oracle_from_section_fn(SectionVolumeFunction(make_ball(k, r), flat),
+                                  label=f"indicator(B_2^{k})")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line front end: bodies in, JSON/CSV verification reports out.
 
-Exit codes: 0 success, 1 at least one asserted check failed, 2 bad
+Exit codes: 0 success, 1 at least one asserted check failed (for ci-body:
+the inclusion fails or a Newton solve is not certified), 2 bad
 configuration.  Reports echo the full configuration and the seed so reruns
 are byte-identical except for the wall-clock field.
 """
@@ -183,8 +184,8 @@ def _cmd_ci_body(args, t0) -> int:
     K = body_from_spec(_body_spec_from_args(args))
     rep = ci_inclusion_report(K, args.dirs, args.seed, tol=args.tol)
     _emit(_report(args, rep, t0), args)
-    ok = rep["summary"]["upper_inclusion_holds"]
-    return 0 if ok else 1
+    s = rep["summary"]
+    return 0 if s["upper_inclusion_holds"] and s["num_uncertified"] == 0 else 1
 
 
 def _run_named_check(args) -> list[CheckResult]:

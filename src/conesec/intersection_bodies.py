@@ -10,7 +10,6 @@ damped Newton descent from the always-feasible start z = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +20,12 @@ from .geometry import (
     ConvexBody,
     GeometryError,
     Subspace,
-    VPolytope,
     minkowski_norm,
     polar,
     project,
 )
-from .sections import EmptySection, _std_simplex_quadrature, section
-from .volume import moments
+from .sections import EmptySection, section
+from .volume import _simplex_volumes, moments, triangulate
 
 _SHRINK = 1.0 - 1e-6  # admissible centers live in this multiple of the projected polar
 _MAX_ITER = 10_000
@@ -57,9 +55,15 @@ def intersection_radial(K: ConvexBody, u) -> float:
 class _SectionIntegrator:
     """Kernel integrals over K cap u^perp, in hyperplane coordinates.
 
-    Evaluates int (1 - <z, y>)^(-n) dy and its z-gradient by per-simplex
-    Duffy-mapped Gauss quadrature, bisecting the longest edge of any simplex
-    on which the (affine) kernel argument varies too much.
+    The map y -> y / (1 - <z, y>) on the d = n - 1 dimensional section has
+    Jacobian (1 - <z, y>)^(-n), so int (1 - <z, y>)^(-n) dy is the volume of
+    the section's projective image, in closed form. A simplex with vertices
+    v_i maps to the simplex with vertices Y_i = v_i / g_i, g_i = 1 - <z, v_i>,
+    of volume w = vol / prod_i g_i; its z-gradient is w s and its Hessian
+    w (s s^T + sum_i Y_i Y_i^T), s = sum_i Y_i. A ball of centre c and radius
+    r maps to an ellipsoid of volume omega_d r^d q^(-n/2),
+    q = (1 - <c, z>)^2 - r^2 |z|^2. Both are finite exactly when the kernel
+    argument is positive on the section; otherwise GeometryError.
     """
 
     def __init__(self, K: ConvexBody, u):
@@ -70,120 +74,48 @@ class _SectionIntegrator:
         sec = section(K, self.S)
         if isinstance(sec, EmptySection):
             raise GeometryError("central section is empty; 0 must be interior to K")
-        d = self.n - 1
-        self.ball_section = None
-        if isinstance(sec, Ball):
-            if d == 1:
-                sec = VPolytope(np.array([[sec.center[0] - sec.radius],
-                                          [sec.center[0] + sec.radius]]))
-            else:
-                self.ball_section = sec
+        self.volume = moments(sec).volume
+        self.ball_section = sec if isinstance(sec, Ball) else None
         if self.ball_section is None:
-            from .volume import triangulate
-
             self.simplices = triangulate(sec)
-            self.volume = moments(sec).volume
-        else:
-            self.volume = moments(self.ball_section).volume
-        q = {1: 24, 2: 12, 3: 6}.get(d, 4)
-        self._ratio = 1.2 if d <= 2 else 1.5
-        self._nodes, self._wts = _std_simplex_quadrature(d, q)
-        self._dfact = math.factorial(d)
+            self._simplex_vols = _simplex_volumes(self.simplices)
 
-    def _simplex_integrals(self, verts: np.ndarray, zc: np.ndarray, n: int,
-                           want_gradient: bool, want_hessian: bool):
-        """Value and (optional) gradient/Hessian contribution of one simplex."""
-        d = verts.shape[1]
-        v0 = verts[0]
-        M = verts[1:] - v0
-        jac = abs(float(np.linalg.det(M)))  # = d! * vol
-        pts = self._nodes @ M + v0  # (Q, d)
-        g = 1.0 - pts @ zc
-        val = jac * float(self._wts @ g ** (-n))
-        grad = hess = None
-        if want_gradient:
-            grad = jac * n * ((self._wts * g ** (-n - 1)) @ pts)
-        if want_hessian:
-            w2 = self._wts * g ** (-n - 2)
-            hess = jac * n * (n + 1) * np.einsum("q,qa,qb->ab", w2, pts, pts)
-        return val, grad, hess
-
-    def _ball_integrals(self, zc: np.ndarray, n: int, want_gradient: bool,
-                        want_hessian: bool):
-        """Polar-coordinate quadrature for disc/ball sections (d <= 3)."""
-        from .ball_bodies import sphere_quadrature
-
-        B = self.ball_section
-        d = B.dim
-        dirs, wts = sphere_quadrature(d, 256 if d == 2 else 48)
-        t, wt = np.polynomial.legendre.leggauss(48)
-        t = 0.5 * B.radius * (t + 1.0)
-        wt = 0.5 * B.radius * wt
-        a = 1.0 - B.center @ zc - np.outer(dirs @ zc, t)  # (D, T)
-        if np.min(a) <= 0:
-            raise GeometryError("kernel argument nonpositive: z outside admissible region")
-        rad = t ** (d - 1) * a ** (-n)
-        val = float(wts @ rad @ wt)
-        grad = hess = None
-        if want_gradient:
-            # y = c + t theta; gradient integrand n y a^(-n-1)
-            core = t ** (d - 1) * a ** (-n - 1)  # (D, T)
-            gc = n * float(wts @ core @ wt) * B.center
-            gt = n * ((wts[:, None] * dirs).T @ (core @ (wt * t)))
-            grad = gc + gt
-        if want_hessian:
-            core2 = t ** (d - 1) * a ** (-n - 2)
-            c = B.center
-            s0 = float(wts @ core2 @ wt)
-            s1 = (wts[:, None] * dirs).T @ (core2 @ (wt * t))
-            s2 = np.einsum("q,qa,qb->ab", wts * (core2 @ (wt * t * t)), dirs, dirs)
-            hess = n * (n + 1) * (s0 * np.outer(c, c) + np.outer(c, s1)
-                                  + np.outer(s1, c) + s2)
-        return val, grad, hess
-
-    def integrals(self, zc: np.ndarray, n: int | None = None,
-                  want_gradient: bool = False, want_hessian: bool = False):
+    def integrals(self, zc: np.ndarray, want_gradient: bool = False,
+                  want_hessian: bool = False):
         """(value, gradient, Hessian) of the kernel integral, in flat coords.
 
         Gradient/Hessian slots are None unless requested.
         """
-        n = self.n if n is None else n
         zc = np.asarray(zc, dtype=float)
         if self.ball_section is not None:
-            return self._ball_integrals(zc, n, want_gradient, want_hessian)
-        d = len(zc)
-        total = 0.0
-        grad = np.zeros(d) if want_gradient else None
-        hess = np.zeros((d, d)) if want_hessian else None
-        for simplex in self.simplices:
-            stack = [(simplex, 0)]
-            while stack:
-                verts, depth = stack.pop()
-                gv = 1.0 - verts @ zc
-                gmin, gmax = float(gv.min()), float(gv.max())
-                if gmin <= 0:
-                    raise GeometryError(
-                        "kernel argument nonpositive: z outside admissible region")
-                if gmax / gmin > self._ratio and depth < 60:
-                    # bisect the longest edge; the kernel argument is affine, so
-                    # the vertex range controls the variation exactly
-                    diffs = verts[:, None, :] - verts[None, :, :]
-                    e = np.einsum("ijk,ijk->ij", diffs, diffs)
-                    i, j = np.unravel_index(np.argmax(e), e.shape)
-                    mid = 0.5 * (verts[i] + verts[j])
-                    for a, b in ((i, j), (j, i)):
-                        child = verts.copy()
-                        child[a] = mid
-                        stack.append((child, depth + 1))
-                    continue
-                val, g, h = self._simplex_integrals(verts, zc, n, want_gradient,
-                                                    want_hessian)
-                total += val
-                if want_gradient:
-                    grad += g
-                if want_hessian:
-                    hess += h
-        return total, grad, hess
+            return self._ball_closed_form(zc, want_gradient, want_hessian)
+        g = 1.0 - self.simplices @ zc  # (S, d+1)
+        if np.min(g) <= 0:
+            raise GeometryError("kernel argument nonpositive: z outside admissible region")
+        w = self._simplex_vols / np.prod(g, axis=1)
+        Y = self.simplices / g[:, :, None]
+        s = Y.sum(axis=1)
+        grad = w @ s if want_gradient else None
+        hess = None
+        if want_hessian:
+            hess = (w[:, None] * s).T @ s + np.einsum("s,sia,sib->ab", w, Y, Y)
+        return float(w.sum()), grad, hess
+
+    def _ball_closed_form(self, zc: np.ndarray, want_gradient: bool, want_hessian: bool):
+        c, r, n = self.ball_section.center, self.ball_section.radius, self.n
+        gc = 1.0 - float(c @ zc)
+        rz = r * float(np.linalg.norm(zc))
+        if gc <= rz:
+            raise GeometryError("kernel argument nonpositive: z outside admissible region")
+        q = (gc - rz) * (gc + rz)
+        F = self.volume * q ** (-n / 2)
+        a = gc * c + r * r * zc
+        grad = n * F / q * a if want_gradient else None
+        hess = None
+        if want_hessian:
+            hess = n * F / q * ((n + 2) / q * np.outer(a, a) + r * r * np.eye(len(zc))
+                                - np.outer(c, c))
+        return F, grad, hess
 
 
 def _flat_coords(integ: _SectionIntegrator, z) -> np.ndarray:
@@ -235,21 +167,28 @@ def ci_radial(K: ConvexBody, u, tol: float = 1e-8,
         if slope >= 0:  # numerical Hessian lost definiteness; fall back
             direction = -g / gap
             slope = -gap
+        # once the predicted decrease -slope is below the rounding of f, Armijo
+        # cannot see it: take the full step if it shrinks the exact gradient
+        tiny = -slope <= 1e-12 * f
         t = 1.0
         accepted = False
-        while t * abs(slope) > 1e-16 * f:
+        while True:
             z_new = z + t * direction
             if minkowski_norm(admissible, z_new) <= _SHRINK:
                 try:
                     f_new, g_new, H_new = integ.integrals(
                         z_new, want_gradient=True, want_hessian=True)
                 except GeometryError:
-                    f_new = math.inf
-                if f_new <= f + 1e-4 * t * slope:
-                    z, f, g, H = z_new, f_new, g_new, H_new
-                    accepted = True
-                    break
+                    pass
+                else:
+                    if (np.linalg.norm(g_new) < gap if tiny
+                            else f_new <= f + 1e-4 * t * slope):
+                        z, f, g, H = z_new, f_new, g_new, H_new
+                        accepted = True
+                        break
             t *= 0.5
+            if tiny or t * abs(slope) <= 1e-16 * f:
+                break
         iterations += 1
         if not accepted:
             break  # no feasible descent step at machine precision

@@ -120,13 +120,11 @@ class SectionVolumeFunction:
         return isinstance(self.body, Ball) and bool(np.linalg.norm(self.body.center) < 1e-14)
 
     def has_exact_ray_moments(self, p) -> bool:
-        """Whether `ray_moments` applies: m >= 1, and K a ball centred at 0, or
-        a polytope with m = 1 or p an integer."""
-        if self.m < 1:
-            return False
+        """Whether `ray_moments` applies: K a ball centred at 0 (any m), or a
+        polytope with m = 1, or m >= 2 and p an integer."""
         if isinstance(self.body, Ball):
             return self._centred_ball()
-        return self.m == 1 or float(p).is_integer()
+        return self.m == 1 or self.m >= 2 and float(p).is_integer()
 
     def ray_moments(self, thetas, p) -> np.ndarray:
         """int_0^T t^(p-1) f(t theta) dt for each row theta of an (N, k) array.
@@ -139,7 +137,8 @@ class SectionVolumeFunction:
         and ceil((m + p) / 2) Gauss-Legendre nodes per panel are exact for
         integer p. For a ball of radius r centred at 0, f(t theta) is
         omega_m (r^2 - t^2 |theta|^2)^(m/2), whose moment is
-        omega_m r^(p+m) |theta|^(-p) B(p/2, m/2 + 1) / 2 for every real p > 0.
+        omega_m r^(p+m) |theta|^(-p) B(p/2, m/2 + 1) / 2 for every real p > 0;
+        at m = 0 (f the indicator) that is (r / |theta|)^p / p.
         See `has_exact_ray_moments`.
         """
         if not self.has_exact_ray_moments(p):
@@ -234,6 +233,11 @@ class SectionVolumeFunction:
             a, A, b = self._fast
             lo, hi, empty = interval_1d(a, b[:, None] - np.outer(A @ self.Fperp.embed(theta), ts))
             return np.where(empty, 0.0, hi - lo)
+        if self.m == 0:  # before the ball's closed form, where h2 ** 0 reads 1 outside
+            from .geometry import contains_many
+
+            pts = np.outer(ts, self.Fperp.embed(theta))
+            return contains_many(self.body, pts).astype(float)
         if self._centred_ball():
             # rotation-invariant closed form: (n-k)-ball of radius sqrt(r^2-t^2)
             r = self.body.radius
@@ -245,11 +249,6 @@ class SectionVolumeFunction:
             return np.array(
                 [_clipped_polygon_area(AF, b - t * w, R) for t in ts]
             )
-        if self.m == 0:
-            from .geometry import contains_many
-
-            pts = np.outer(ts, self.Fperp.embed(theta))
-            return contains_many(self.body, pts).astype(float)
         return np.array([self(t * theta) for t in ts])
 
 

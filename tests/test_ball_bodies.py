@@ -146,6 +146,21 @@ def test_function_moment_of_indicator():
             unit_ball_volume(k), rel=1e-9)
 
 
+def test_indicator_is_the_exact_m0_profile_of_the_ball():
+    # 1_{rB} is the m = 0 section profile of rB: its ray moments are closed
+    # forms, (r / |theta|)^p / p, and its ray values vanish outside rB
+    for k in (1, 2, 3):
+        f = ball_indicator_oracle(k, r=2.0)
+        assert f.label == f"indicator(B_2^{k})"
+        assert f.section_fn is not None and f.section_fn.has_exact_ray_moments(k + 2)
+        theta = np.eye(k)[0]
+        assert f.ray_values(theta, np.array([1.0, 1.999, 2.001])).tolist() == [1.0, 1.0, 0.0]
+        assert f.ray_extent(0.5 * theta) == pytest.approx(4.0, rel=1e-15)
+    # at k = 1 the two directions +-1 make the sphere quadrature exact too
+    f = ball_indicator_oracle(1, r=2.0)
+    assert function_moment(f, [1.0], 2) == pytest.approx(16.0 / 3.0, rel=1e-14)
+
+
 def test_moment_identity_k1():
     K = make_regular_simplex(3)
     F = Subspace.from_span(np.eye(3)[:2])

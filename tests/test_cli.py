@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import conesec.cli
 from conesec.cli import main
 
 
@@ -201,6 +202,18 @@ def test_malformed_vpolytope_file_exits_2(capsys, tmp_path, vertices):
     code, out, err = run(capsys, "volume", "--body", str(body))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("uncertified, holds", [(1, True), (0, False)])
+def test_ci_body_exits_1_on_uncertified_solve_or_failed_inclusion(
+        capsys, monkeypatch, uncertified, holds):
+    def report(K, num_dirs, seed, tol):
+        return {"summary": {"num_uncertified": uncertified, "upper_inclusion_holds": holds}}
+
+    monkeypatch.setattr(conesec.cli, "ci_inclusion_report", report)
+    code, rep = run_json(capsys, "ci-body", "--body", "cube", "--n", "3", "--dirs", "2")
+    assert code == 1
+    assert rep["summary"]["num_uncertified"] == uncertified
 
 
 def test_unknown_subcommand_is_argparse_error(capsys):

@@ -5,21 +5,31 @@ import math
 import numpy as np
 import pytest
 
+from conesec import rng
 from conesec.geometry import (
+    Ball,
     GeometryError,
+    Subspace,
+    VPolytope,
     make_ball,
     make_cross_polytope,
     make_cube,
     make_regular_simplex,
+    minkowski_norm,
+    polar,
+    project,
     random_centered_polytope,
 )
 from conesec.intersection_bodies import (
+    _SectionIntegrator,
     ci_inclusion_report,
     ci_objective,
     ci_objective_gradient,
     ci_radial,
     intersection_radial,
 )
+from conesec.sections import section
+from conesec.volume import moments
 
 
 def unit(v):
@@ -96,6 +106,115 @@ def test_objective_rejects_z_outside_hyperplane():
         ci_objective(make_cube(3), np.eye(3)[2], np.array([0.0, 0.0, 0.5]))
 
 
+def _admissible_points(K, u, count, seed, scale):
+    """Random z in u^perp, each at `scale` times the edge of the admissible region."""
+    S = Subspace.hyperplane(u)
+    admissible = project(polar(K), S)
+    X = np.random.default_rng(seed).standard_normal((count, K.dim - 1))
+    return [S.embed(scale * x / minkowski_norm(admissible, x)) for x in X]
+
+
+@pytest.mark.parametrize("K", [random_centered_polytope(3, 12, 21), make_regular_simplex(4),
+                               random_centered_polytope(4, 14, 22),
+                               random_centered_polytope(5, 16, 23)],
+                         ids=["random3", "simplex4", "random4", "random5"])
+def test_objective_is_volume_of_projective_image(K):
+    # y -> y / (1 - <z, y>) has Jacobian (1 - <z, y>)^(-n) on the section, so
+    # the objective is the volume of an independent hull of the image vertices
+    n = K.dim
+    for u in rng.sphere_grid(n, 3, 7 + n):
+        S = Subspace.hyperplane(u)
+        V = section(K, S).vertices
+        for z in _admissible_points(K, u, 3, seed=n, scale=0.8):
+            image = VPolytope(V / (1.0 - V @ S.coords(z))[:, None])
+            assert ci_objective(K, u, z) == pytest.approx(moments(image).volume, rel=1e-12)
+
+
+def _inner_points(sec, count, seed, bound=0.4):
+    """Random z, in the section's coordinates, with |<z, y>| <= bound on it."""
+    if isinstance(sec, Ball):
+        reach = sec.radius + np.linalg.norm(sec.center)
+    else:
+        reach = np.max(np.linalg.norm(sec.vertices, axis=1))
+    X = np.random.default_rng(seed).standard_normal((count, sec.dim))
+    return bound / reach * X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def _polar_quadrature(center, radius, zc, n, nodes=48):
+    """Tensor Gauss-Legendre value and gradient of the kernel integral over a d-ball, d = 2, 3."""
+    d = len(center)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    t, wt = 0.5 * radius * (x + 1), 0.5 * radius * w
+    phi, wphi = math.pi * (x + 1), math.pi * w
+    if d == 2:
+        dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        wdir = wphi
+    else:
+        th, wth = 0.5 * math.pi * (x + 1), 0.5 * math.pi * w
+        TH, PH = np.meshgrid(th, phi, indexing="ij")
+        dirs = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH),
+                         np.cos(TH)], axis=-1).reshape(-1, 3)
+        wdir = (np.outer(wth * np.sin(th), wphi)).ravel()
+    Y = center + t[:, None, None] * dirs[None]  # (T, D, d)
+    wts = (wt * t ** (d - 1))[:, None] * wdir[None]
+    g = 1.0 - Y @ zc
+    value = float(np.sum(wts * g ** -n))
+    grad = n * np.einsum("td,tda->a", wts * g ** (-n - 1), Y)
+    return value, grad
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_off_centre_ball_sections_match_polar_quadrature(d):
+    n = d + 1
+    B = make_ball(n, 1.3, center=0.2 * np.arange(1.0, n + 1.0) / n)
+    u = unit(np.arange(n, 0.0, -1.0))
+    S = Subspace.hyperplane(u)
+    sec = section(B, S)
+    assert np.linalg.norm(sec.center) > 0.1
+    for zc in _inner_points(sec, 3, seed=d):
+        value, grad = _polar_quadrature(sec.center, sec.radius, zc, n)
+        z = S.embed(zc)
+        assert ci_objective(B, u, z) == pytest.approx(value, rel=1e-10)
+        assert ci_objective_gradient(B, u, z) == pytest.approx(S.embed(grad), rel=1e-10)
+
+
+@pytest.mark.parametrize("K", [random_centered_polytope(4, 14, 24),
+                               make_ball(3, 1.2, center=[0.1, -0.3, 0.2]),
+                               make_ball(4, 0.9, center=[0.2, 0.1, 0.0, -0.1])],
+                         ids=["random4", "ball3", "ball4"])
+def test_hessian_matches_differences_of_the_gradient(K):
+    n = K.dim
+    u = unit(np.arange(1.0, n + 1.0))
+    integ = _SectionIntegrator(K, u)
+    h = 1e-5
+    for zc in _inner_points(section(K, integ.S), 3, seed=n, bound=0.5):
+        _, _, H = integ.integrals(zc, want_hessian=True)
+        fd = np.column_stack([
+            (integ.integrals(zc + h * e, want_gradient=True)[1]
+             - integ.integrals(zc - h * e, want_gradient=True)[1]) / (2 * h)
+            for e in np.eye(n - 1)])
+        assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
+
+
+def test_edge_of_admissible_region_raises():
+    # the kernel argument 1 - <z, y> reaches 0 on the section: a square
+    # vertex for the cube, a boundary point of the disc for the ball
+    u = np.eye(3)[2]
+    for K, z in ((make_cube(3), np.array([0.5, 0.5, 0.0])),
+                 (make_ball(3), np.array([0.6, 0.8, 0.0]))):
+        with pytest.raises(GeometryError, match="nonpositive"):
+            ci_objective(K, u, z)
+        with pytest.raises(GeometryError, match="nonpositive"):
+            ci_objective_gradient(K, u, z)
+        assert ci_objective(K, u, (1.0 - 1e-9) * z) > 0
+    # just past the edge on a body without exact coordinates
+    K = random_centered_polytope(4, 14, 25)
+    u = unit([1.0, -2.0, 0.5, 1.0])
+    (z,) = _admissible_points(K, u, 1, seed=3, scale=1.0 + 1e-12)
+    with pytest.raises(GeometryError, match="nonpositive"):
+        ci_objective(K, u, z)
+
+
 # ---------------------------------------------------------------------------
 # minimization
 
@@ -151,3 +270,30 @@ def test_inclusion_report_random_body():
         assert rec["ratio"] == pytest.approx(
             rec["ci_radius"] / rec["i_radius"], rel=1e-12)
         assert rec["ratio"] <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("n, K, indices", [
+    (3, random_centered_polytope(3, 12, 44), [137, 172]),
+    (4, make_regular_simplex(4), [189]),
+    (4, random_centered_polytope(4, 14, 45), [212]),
+], ids=["random3", "simplex4", "random4"])
+def test_directions_that_stalled_below_the_certificate_certify(n, K, indices):
+    # with a quadrature objective these stopped at a relative gradient of
+    # 1.0-1.9e-8, just above the 1e-8 certificate
+    dirs = rng.sphere_grid(n, 220, 1629943578)
+    for i in indices:
+        res = ci_radial(K, dirs[i])
+        assert res.certified
+        assert res.certified_gap <= 1e-8 * res.ci_radius
+
+
+@pytest.mark.parametrize("K", [random_centered_polytope(3, 12, 44),
+                               random_centered_polytope(4, 14, 45)],
+                         ids=["random3", "random4"])
+def test_newton_certifies_below_the_rounding_of_f(K):
+    # at tol = 1e-12 the last Newton steps predict a decrease below the
+    # rounding of f, where Armijo sees none: the full step is taken when it
+    # shrinks the gradient
+    for u in rng.sphere_grid(K.dim, 20, 1629943578):
+        res = ci_radial(K, u, tol=1e-12)
+        assert res.certified, u

@@ -167,6 +167,19 @@ def test_centred_ball_ray_moments_are_exact(m):
             [ref, ref * 2.0 ** -p], rel=1e-10)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_centred_ball_indicator_ray_moments_are_exact(k):
+    # at m = 0, f is the indicator of rB: int_0^(r/|theta|) t^(p-1) dt = (r/|theta|)^p / p
+    f = section_volume_fn(make_ball(k, r=1.5), trivial_flat(k))
+    theta = np.linspace(0.4, 1.1, k)
+    R = 1.5 / np.linalg.norm(theta)
+    assert f.ray_values(theta, R * np.array([0.5, 0.999, 1.001, 2.0])).tolist() == [1, 1, 0, 0]
+    for p in (0.5, 2.0, 3.5):
+        assert f.has_exact_ray_moments(p)
+        assert f.ray_moments([theta, -2.0 * theta], p) == pytest.approx(
+            [R ** p / p, (R / 2) ** p / p], rel=1e-13)
+
+
 def test_adaptive_ray_rule_warns_when_it_misses_its_tolerance():
     # the disc chord 2 sqrt(1 - t^2) has a square-root edge at t = 1: the
     # panel doubling runs out before two levels agree to 1e-8 (`ray_moment`
