@@ -291,8 +291,9 @@ class Polytope:
     It holds the representation it was built from and derives the other at
     most once: ``vertices`` by a halfspace intersection, ``A`` and ``b``
     (unit normals) from the facet equations of its boundary. The boundary
-    (`geometry.boundary`) and the moments (`volume.moments`) are cached on
-    it too. Build polytopes with `VPolytope` or `HPolytope`.
+    (`geometry.boundary`), its cone simplices (`volume.wedge_volume`), the
+    moments (`volume.moments`) and the polar body (`geometry.polar`) are
+    cached on it too. Build polytopes with `VPolytope` or `HPolytope`.
     """
 
     def __init__(self, vertices: np.ndarray | None = None, A: np.ndarray | None = None,
@@ -305,6 +306,8 @@ class Polytope:
         self._affine_dim = affine_dim
         self._boundary_cache = boundary
         self._moments_cache = None
+        self._cone_cache = None
+        self._polar_cache = None
 
     def __repr__(self):
         return f"Polytope(dim={self.dim})"
@@ -484,11 +487,13 @@ def interval_1d(a: np.ndarray, b: np.ndarray):
     return lo, hi, empty
 
 
-def _halfspace_polytope(A: np.ndarray, b: np.ndarray) -> Polytope | None:
+def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope | None:
     """{y : A y <= b} as a polytope built from its vertices, or None when empty or lower-dimensional.
 
-    Rows need not be unit; a zero row only tests 0 <= b_i. Raises
-    GeometryError when the system is unbounded.
+    Rows need not be unit; a zero row only tests 0 <= b_i. qhull starts from
+    ``interior``, a point the caller knows to be clearly interior, or else
+    from the Chebyshev centre, found by an LP. Raises GeometryError when the
+    system is unbounded.
     """
     d = A.shape[1]
     if d == 1:
@@ -500,10 +505,11 @@ def _halfspace_polytope(A: np.ndarray, b: np.ndarray) -> Polytope | None:
         return None
     A = A[ok] / norms[ok, None]
     b = b[ok] / norms[ok]
-    center, r = chebyshev_center(A, b)
-    if center is None or r <= GEOM_TOL:
-        return None
-    hs = _qhull(HalfspaceIntersection, np.hstack([A, -b[:, None]]), center)
+    if interior is None:
+        interior, r = chebyshev_center(A, b)
+        if interior is None or r <= GEOM_TOL:
+            return None
+    hs = _qhull(HalfspaceIntersection, np.hstack([A, -b[:, None]]), interior)
     P = VPolytope(hs.intersections)
     return P if P.is_full_dimensional() else None
 
@@ -661,16 +667,17 @@ def contains_many(K: ConvexBody, X: np.ndarray, tol: float = GEOM_TOL) -> np.nda
 
 
 def polar(K: ConvexBody) -> ConvexBody:
-    """Polar body K^* with respect to the origin (0 must be interior)."""
+    """Polar body K^* with respect to the origin (0 must be interior); a polytope's is cached on it."""
     if isinstance(K, Ball):
         if np.linalg.norm(K.center) > GEOM_TOL:
             raise GeometryError("polar of an off-center ball is not a ball")
         return Ball(np.zeros(K.dim), 1.0 / K.radius)
-    has_halfspaces = K._A is not None  # before the interior test computes them
-    H = _interior_hrep(K)
-    if has_halfspaces:
-        return VPolytope(H.A / H.b[:, None])
-    return HPolytope(K.vertices, np.ones(len(K.vertices)))
+    if K._polar_cache is None:
+        has_halfspaces = K._A is not None  # before the interior test computes them
+        H = _interior_hrep(K)
+        K._polar_cache = (VPolytope(H.A / H.b[:, None]) if has_halfspaces
+                          else HPolytope(K.vertices, np.ones(len(K.vertices))))
+    return K._polar_cache
 
 
 def translate(K: ConvexBody, shift) -> ConvexBody:

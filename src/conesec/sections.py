@@ -48,6 +48,9 @@ def section(K: ConvexBody, S: Subspace, x0=None):
     """K intersected with the flat x0 + S, in S's orthonormal coordinates.
 
     Returns a body of intrinsic dimension dim(S), or an EmptySection marker.
+    When x0 is clearly interior to the polytope K (its distance to every
+    facet is at least 1e-3 of the largest), x0 starts qhull's halfspace
+    intersection and no Chebyshev-centre LP is solved.
     """
     if S.dim < 1:
         raise GeometryError("flat dimension must be >= 1")
@@ -63,7 +66,9 @@ def section(K: ConvexBody, S: Subspace, x0=None):
             return EmptySection(S.dim)
         return Ball(q, math.sqrt(r2))
     H = to_hrep(K)
-    sec = _halfspace_polytope(H.A @ S.basis.T, H.b - H.A @ x0)
+    b = H.b - H.A @ x0
+    interior = np.zeros(S.dim) if b.min() >= 1e-3 * b.max() else None
+    sec = _halfspace_polytope(H.A @ S.basis.T, b, interior)
     return EmptySection(S.dim) if sec is None else sec
 
 

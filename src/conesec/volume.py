@@ -4,10 +4,11 @@ Each full-dimensional polytope is fanned from the vertex average into the
 simplices over its cached boundary simplices (`geometry.boundary`);
 per-simplex closed forms give volume, centroid, second moments and arbitrary
 integer moments of a linear functional.  Wedge volumes |K cap {R x >= 0}|
-come from the same boundary simplices, coned from the origin and split by
-the wedge's hyperplanes.  A seeded Monte Carlo estimator provides an
-independent cross-check, and the isotropic-position transform whitens the
-centered second-moment matrix.
+come from the same boundary simplices, coned from the origin: the
+hyperplanes of the rows before the last split them, and the last row weights
+each piece by an exact recursion on its vertex values.  A seeded Monte Carlo
+estimator provides an independent cross-check, and the isotropic-position
+transform whitens the centered second-moment matrix.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ def _polytope_moments(K: ConvexBody) -> MomentSummary:
     return MomentSummary(vol, centroid, cov)
 
 
-# boundary simplices per block of `wedge_volume`; splitting multiplies a
-# block by at most C(d, d/2) per hyperplane
+# boundary simplices per block of `wedge_volume` when rows before the last
+# split them; each split multiplies a block by at most C(d, d/2)
 _WEDGE_BLOCK = 512
 
 
@@ -125,32 +126,49 @@ def wedge_volume(K: ConvexBody, R) -> float:
 
     Every facet of W lies in a hyperplane through 0, so |K cap W| is the sum
     over K's boundary simplices D of sign(b_D) |det(D cap W)| / d!, b_D the
-    offset of D's facet; this holds wherever the origin is. Each hyperplane
-    of W splits the simplices it crosses: for vertices v_i (value c_i > 0)
-    and v_j (c_j < 0) the crossing point x_ij = (c_i v_j - c_j v_i) / (c_i - c_j)
-    replaces v_j in one child and v_i in the other, whose determinants are
-    the fractions c_i / (c_i - c_j) and -c_j / (c_i - c_j) of the parent's,
-    so nothing cancels. The crossing point's value is set to exactly 0,
-    which makes the splitting end. The pieces grow quickly with the number
-    of hyperplanes, so wedges with many facets are better cut by a halfspace
+    offset of D's facet; this holds wherever the origin is. Each row before
+    the last splits the simplices it crosses (`_split_positive`). The last
+    row only weights each piece by the fraction of its cone from 0 on the
+    row's positive side, which depends on the vertex values alone
+    (`_positive_fraction`). The pieces grow quickly with the number of
+    rows, so wedges with many facets are better cut by a halfspace
     intersection.
     """
     V = to_vrep(K)
-    bd = boundary(V)
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    simplices = V.vertices[bd.simplices]  # (S, d, d)
-    weights = np.sign(bd.b) * np.abs(np.linalg.det(simplices))
+    simplices, weights = _cone_simplices(V)
+    block = _WEDGE_BLOCK if len(R) > 1 else len(simplices)
     total = 0.0
-    for s in range(0, len(simplices), _WEDGE_BLOCK):
-        pts, w = simplices[s:s + _WEDGE_BLOCK], weights[s:s + _WEDGE_BLOCK]
-        for r in R:
+    for s in range(0, len(simplices), block):
+        pts, w = simplices[s:s + block], weights[s:s + block]
+        for r in R[:-1]:
             pts, w = _split_positive(pts, w, r)
-        total += float(w.sum())
+        total += float(w @ _positive_fraction(pts @ R[-1]))
     return total / math.factorial(V.dim)
 
 
+def _cone_simplices(V: ConvexBody):
+    """V's boundary simplices (S, d, d) and their cone weights sign(b) |det|, cached on V."""
+    if V._cone_cache is None:
+        bd = boundary(V)
+        simplices = V.vertices[bd.simplices]
+        weights = np.sign(bd.b) * np.abs(np.linalg.det(simplices))
+        simplices.setflags(write=False)
+        weights.setflags(write=False)
+        V._cone_cache = simplices, weights
+    return V._cone_cache
+
+
 def _split_positive(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
-    """The pieces of the simplices ``pts`` (weights ``w``) on the side <r, x> >= 0."""
+    """The pieces of the simplices ``pts`` (weights ``w``) on the side <r, x> >= 0.
+
+    A simplex with vertices v_i (value c_i > 0) and v_j (c_j < 0), i and j
+    its largest and smallest values, is split at the crossing point
+    x_ij = (c_i v_j - c_j v_i) / (c_i - c_j), whose value is set to exactly
+    0: x_ij replaces v_j in one child and v_i in the other, whose
+    determinants are the fractions c_i / (c_i - c_j) and -c_j / (c_i - c_j)
+    of the parent's, so nothing cancels.
+    """
     c = pts @ r
     done_pts, done_w = [pts[:0]], [w[:0]]
     while len(pts):
@@ -174,6 +192,34 @@ def _split_positive(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
         c = np.concatenate([c_i, c_j])
         w = np.concatenate([w * (ci / gap), w * (-cj / gap)])
     return np.concatenate(done_pts), np.concatenate(done_w)
+
+
+def _positive_fraction(c: np.ndarray) -> np.ndarray:
+    """For simplices with vertex values c (S, d), the part of each cone from 0 where the value is >= 0.
+
+    It is the total weight of the pieces `_split_positive` keeps. The split
+    pairs the largest positive value left with the most negative one, so for
+    positive values p_1 >= ... >= p_a and negative ones n_1 <= ... <= n_b
+    (zeros drop out) the part is phi(1, 1) of the recursion
+    phi(s, t) = (p_s phi(s, t+1) - n_t phi(s+1, t)) / (p_s - n_t),
+    phi(s, b+1) = 1, phi(a+1, t) = 0. Its weights are the split's own: >= 0
+    and summing to 1, so nothing cancels. Padding p and n with zeros to
+    length d leaves every phi(1, 1) unchanged.
+    """
+    frac = np.all(c >= 0, axis=1).astype(float)
+    mixed = np.any(c > 0, axis=1) & np.any(c < 0, axis=1)
+    # row s of p and n holds p_s and n_s of each simplex with both signs
+    p = np.sort(np.maximum(c[mixed], 0.0), axis=1)[:, ::-1].T.copy()
+    n = np.sort(np.minimum(c[mixed], 0.0), axis=1).T.copy()
+    d = c.shape[1]
+    phi = np.ones((d + 1, p.shape[1]))  # row s: phi(s, t + 1), overwritten by phi(s, t)
+    phi[d] = 0.0
+    for t in reversed(range(d)):
+        for s in reversed(range(d)):
+            gap = p[s] - n[t]  # 0 only where both are padding, a state no weight reaches
+            phi[s] = (p[s] * phi[s] - n[t] * phi[s + 1]) / np.where(gap > 0, gap, 1.0)
+    frac[mixed] = phi[0]
+    return frac
 
 
 def volume(K: ConvexBody) -> float:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import conesec
 from conesec import rng
 from conesec.geometry import (
     Ball,
@@ -258,6 +259,18 @@ def test_inclusion_report_cube():
     assert s["num_uncertified"] == 0
     assert s["min_ratio"] == pytest.approx(1.0, abs=1e-6)
     assert s["max_ratio"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_inclusion_report_builds_the_polar_once(monkeypatch):
+    # the admissible centres of every direction come from one polar body
+    K = random_centered_polytope(3, 12, 8)
+    seen = []
+    real = conesec.geometry._interior_hrep
+    monkeypatch.setattr(conesec.geometry, "_interior_hrep",
+                        lambda P: seen.append(P is K) or real(P))
+    ci_inclusion_report(K, num_dirs=12, seed=5)
+    assert sum(seen) == 1
+    assert polar(K) is polar(K)
 
 
 def test_inclusion_report_random_body():

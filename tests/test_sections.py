@@ -14,6 +14,8 @@ from conesec.geometry import (
     HPolytope,
     PolyhedralCone,
     Subspace,
+    _halfspace_polytope,
+    affine_map,
     boundary,
     make_ball,
     make_centered_cone,
@@ -21,6 +23,7 @@ from conesec.geometry import (
     make_cube,
     make_regular_simplex,
     orthant_cone,
+    radial,
     random_centered_polytope,
     to_hrep,
     to_vrep,
@@ -71,6 +74,27 @@ def test_cube_diagonal_section():
         S = Subspace.hyperplane(u)
         assert section_volume(make_cube(n), S) == pytest.approx(
             math.sqrt(2) * 2 ** (n - 1), rel=1e-9)
+
+
+def test_section_through_a_clearly_interior_point_solves_no_lp(monkeypatch):
+    # 0 starts qhull when it is clearly interior to K, at every scale; the
+    # sections agree with the ones from the Chebyshev centre
+    lps = []
+    real = conesec.geometry.chebyshev_center
+    monkeypatch.setattr(conesec.geometry, "chebyshev_center", lambda A, b: lps.append(1) or real(A, b))
+    K, e = random_body(4, 17), np.eye(4)
+    S = Subspace.from_span(e[:3], ambient_dim=4)
+    ref = section_volume(K, S)
+    for scale in (1e-6, 1e-2, 1.0, 1e4):
+        H = to_hrep(affine_map(K, scale * e))
+        assert section_volume(H, S) == pytest.approx(scale**3 * ref, rel=1e-12)
+        lp_route = _halfspace_polytope(H.A @ S.basis.T, H.b)
+        assert volume(lp_route) == pytest.approx(scale**3 * ref, rel=1e-12)
+    assert len(lps) == 4  # the LP routes only
+    # a flat through a point near the boundary still takes the LP
+    x0 = 0.9999 * radial(K, e[3]) * e[3]
+    assert section_volume(K, S, x0) > 0
+    assert len(lps) == 5
 
 
 def test_ball_section_radius_shrinks():

@@ -1,14 +1,18 @@
 """Exact moments, Monte Carlo cross-checks and isotropic normalization."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
+from scipy.spatial import QhullError
 
+from conesec import geometry
 from conesec.geometry import (
     GeometryError,
     VPolytope,
+    _halfspace_polytope,
     _hull_boundary,
     affine_map,
     boundary,
@@ -17,9 +21,13 @@ from conesec.geometry import (
     make_cube,
     make_regular_simplex,
     random_centered_polytope,
+    to_hrep,
     translate,
 )
 from conesec.volume import (
+    _cone_simplices,
+    _positive_fraction,
+    _split_positive,
     centered_second_moment,
     centroid,
     isotropic_position,
@@ -29,6 +37,7 @@ from conesec.volume import (
     triangulate,
     unit_ball_volume,
     volume,
+    wedge_volume,
 )
 
 dims = st.integers(min_value=2, max_value=5)
@@ -100,6 +109,98 @@ def test_triangulation_covers_volume():
     total = sum(
         abs(np.linalg.det(s[1:] - s[0])) / math.factorial(d) for s in simplices)
     assert total == pytest.approx(volume(K), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# wedge volumes
+
+
+def _qhull_without_fallbacks(build, data, *args, options=""):
+    return build(data, *args, qhull_options=options or None)
+
+
+def halfspace_wedge_volume(K, R):
+    """|K cap {R x >= 0}| by one halfspace intersection, or None where qhull cannot give it.
+
+    qhull gets no fallback options here: when K has nearly parallel facets
+    it can reject this system, and its Q12 retry can then return a polytope
+    with vertices missing or far outside the system.
+    """
+    H = to_hrep(K)
+    A = np.vstack([H.A, -np.atleast_2d(R)])
+    b = np.concatenate([H.b, np.zeros(len(A) - len(H.b))])
+    with mock.patch.object(geometry, "_qhull", _qhull_without_fallbacks):
+        try:
+            body = _halfspace_polytope(A, b)
+            return 0.0 if body is None else volume(body)
+        except (GeometryError, QhullError):
+            return None
+
+
+@given(st.integers(min_value=2, max_value=6), seeds, st.integers(min_value=1, max_value=2),
+       st.floats(min_value=0.0, max_value=1.5))
+def test_wedge_matches_the_halfspace_intersection(n, seed, rows, shift):
+    # the origin inside K, near its boundary or outside it; both routes err
+    # by a few ulps of |K|, which bounds the error of a wedge that barely
+    # meets K
+    K = translate(random_body(n, seed), shift * np.eye(n)[0])
+    R = np.random.default_rng(seed).standard_normal((rows, n))
+    ref = halfspace_wedge_volume(K, R)
+    assume(ref is not None)
+    assert wedge_volume(K, R) == pytest.approx(ref, rel=1e-12, abs=1e-14 * volume(K))
+
+
+def test_wedge_with_rows_through_vertices():
+    # integer vertices and rows: many vertex values are exactly 0
+    for n in range(3, 7):
+        e = np.eye(n)
+        for K in (make_cube(n), make_cross_polytope(n), translate(make_cube(n), e[0])):
+            for R in ([e[0] - e[1]], [e[0]], [e[0], e[1] - e[2]], [e[0] + e[1], -e[1]]):
+                assert wedge_volume(K, R) == pytest.approx(halfspace_wedge_volume(K, R), rel=1e-12)
+
+
+def test_wedge_with_tied_values():
+    # the ones-row takes only n + 1 values on the cube's 2^n vertices
+    for n in range(3, 7):
+        cube, e = make_cube(n), np.eye(n)
+        assert wedge_volume(cube, [np.ones(n)]) == pytest.approx(2.0 ** (n - 1), rel=1e-12)
+        for R in ([e[0], np.ones(n)], [np.ones(n), e[0] - e[1]]):
+            assert wedge_volume(cube, R) == pytest.approx(halfspace_wedge_volume(cube, R), rel=1e-12)
+
+
+@given(st.integers(min_value=2, max_value=6), seeds, st.floats(min_value=0.0, max_value=1.5))
+def test_wedge_and_its_complement_add_up_to_the_body(n, seed, shift):
+    K = translate(random_body(n, seed), shift * np.ones(n) / np.sqrt(n))
+    r = np.random.default_rng(seed).standard_normal(n)
+    assert wedge_volume(K, [r]) + wedge_volume(K, [-r]) == pytest.approx(volume(K), rel=1e-12)
+
+
+@given(st.integers(min_value=2, max_value=6), seeds)
+def test_last_row_recursion_matches_the_split(n, seed):
+    pts, w = _cone_simplices(translate(random_body(n, seed), np.full(n, 0.2)))
+    gen = np.random.default_rng(seed)
+    for r in (gen.standard_normal(n), np.ones(n), np.eye(n)[0]):
+        kept = _split_positive(pts, w, r)[1].sum()
+        assert w @ _positive_fraction(pts @ r) == pytest.approx(kept, rel=1e-13, abs=1e-15 * np.abs(w).sum())
+
+
+def test_positive_fraction_closed_forms():
+    # the cone over a simplex with vertex values c keeps the part of the
+    # simplex where sum_i lambda_i c_i >= 0; one value p against d - 1 equal
+    # values q < 0 keeps lambda_1 >= -q / (p - q), a fraction (p / (p - q))^(d - 1)
+    for d in range(2, 8):
+        c = np.array([[3.0] + [-1.0] * (d - 1), [1.0] * (d - 1) + [-3.0], [2.0] + [0.0] * (d - 1),
+                      [0.0] * d, [-1.0] + [0.0] * (d - 1)])
+        assert _positive_fraction(c) == pytest.approx(
+            [0.75 ** (d - 1), 1.0 - 0.75 ** (d - 1), 1.0, 1.0, 0.0], rel=1e-14)
+    assert _positive_fraction(np.array([[1.0, 0.0, -1.0]])) == pytest.approx([0.5], rel=1e-15)
+
+
+def test_wedge_reads_the_cone_simplices_once(monkeypatch):
+    K, e = random_body(4, 7), np.eye(4)
+    vol, first = volume(K), wedge_volume(K, [e[0]])
+    monkeypatch.setattr(np.linalg, "det", None)  # a second determinant would raise
+    assert wedge_volume(K, [-e[0]]) == pytest.approx(vol - first, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
