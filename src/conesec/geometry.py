@@ -260,14 +260,15 @@ def extreme_points(points: np.ndarray, tol: float = GEOM_TOL):
 
 
 def _qhull(build, data: np.ndarray, *args, options: str = ""):
-    """build(data, *args) by qhull, with fallbacks for merge failures.
+    """build(data, *args) by qhull, with one fallback for merge failures.
 
     Near-degenerate inputs can trip qhull's merge heuristics. On QhullError
-    ``options`` are retried with Q12, which relaxes the wide-merge guard,
-    and then replaced by joggled input as the last resort.
+    ``options`` are retried with Q12, which relaxes the wide-merge guard;
+    when that fails too, GeometryError. Joggled input is never tried: it
+    would move the vertices without a trace in the result.
     """
     last_exc = None
-    for opts in (options, f"{options} Q12".lstrip(), "QJ"):
+    for opts in (options, f"{options} Q12".lstrip()):
         try:
             return build(data, *args, qhull_options=opts or None)
         except QhullError as exc:
@@ -291,7 +292,7 @@ class Polytope:
     It holds the representation it was built from and derives the other at
     most once: ``vertices`` by a halfspace intersection, ``A`` and ``b``
     (unit normals) from the facet equations of its boundary. The boundary
-    (`geometry.boundary`), its cone simplices (`volume.wedge_volume`), the
+    (`geometry.boundary`), its cone simplices (`volume.wedge_moment`), the
     moments (`volume.moments`) and the polar body (`geometry.polar`) are
     cached on it too. Build polytopes with `VPolytope` or `HPolytope`.
     """

@@ -3,7 +3,10 @@
 Provides the section operation (in the flat's intrinsic coordinates), the
 Brunn section-volume function f(x) = |K cap (F + x)|, and cone-section
 volumes |K cap (F + C)| by two independent routes: polyhedral intersection
-and radial integration over the cone's spherical cross-section.
+and radial integration over the cone's spherical cross-section.  The ray
+moments int_0^T t^(p-1) f(t theta) dt of the radial route are exact for
+polytopes: a closed form on chord kinks at m = 1, and one wedge moment
+(`volume.wedge_moment`) per direction at m >= 2 and integer p.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ from .geometry import (
     radial,
     radial_many,
     to_hrep,
-    to_vrep,
 )
 from .special import beta
-from .volume import moments, unit_ball_volume, wedge_volume
+from .volume import moments, unit_ball_volume, wedge_moment
 
 
 class EmptySection:
@@ -84,7 +86,8 @@ class SectionVolumeFunction:
 
     f is 1/m-concave on its support with m = n - k (k = codim of F).  For
     F = {0} (k = n) the 0-dimensional convention f = indicator of K is used.
-    Evaluations are memoized on a 1e-10 coordinate grid.
+    Each evaluation takes one section of K; ray moments are exact where
+    `has_exact_ray_moments` holds.
     """
 
     def __init__(self, body: ConvexBody, F: Subspace):
@@ -93,19 +96,12 @@ class SectionVolumeFunction:
         self.Fperp = F.complement()
         self.k = self.Fperp.dim
         self.m = F.dim  # section dimension n - k
-        self._memo: dict[tuple, float] = {}
         self._proj = None  # support body: projection of K onto F^perp
-        # fast path data for polytopes with sections of dimension <= 2
+        # chord data of polytopes with sections of dimension 1
         self._fast = None
-        self._fast2 = None
-        if not isinstance(body, Ball) and self.m in (1, 2):
+        if not isinstance(body, Ball) and self.m == 1:
             H = to_hrep(body)
-            AF = H.A @ F.basis.T
-            if self.m == 1:
-                self._fast = (AF[:, 0], H.A, H.b)
-            else:
-                R = float(np.max(np.linalg.norm(to_vrep(body).vertices, axis=1))) + 1.0
-                self._fast2 = (AF, H.A, H.b, R)
+            self._fast = ((H.A @ F.basis.T)[:, 0], H.A, H.b)
 
     @property
     def concavity_index(self) -> int:
@@ -126,7 +122,8 @@ class SectionVolumeFunction:
 
     def has_exact_ray_moments(self, p) -> bool:
         """Whether `ray_moments` applies: K a ball centred at 0 (any m), or a
-        polytope with m = 1, or m >= 2 and p an integer."""
+        polytope with m = 1, or m >= 2 and p an integer (a wedge moment of
+        degree p - 1)."""
         if isinstance(self.body, Ball):
             return self._centred_ball()
         return self.m == 1 or self.m >= 2 and float(p).is_integer()
@@ -134,13 +131,14 @@ class SectionVolumeFunction:
     def ray_moments(self, thetas, p) -> np.ndarray:
         """int_0^T t^(p-1) f(t theta) dt for each row theta of an (N, k) array.
 
-        Exact up to rounding, by the piecewise-polynomial structure of f along
-        a ray: at m = 1, f is the chord length, linear between the kinks of
-        the facet lines bounding the chord, and each panel is integrated in
-        closed form for every real p > 0. At m >= 2, f is a polynomial of
-        degree <= m between the heights of the vertices of K cap (F + R theta),
-        and ceil((m + p) / 2) Gauss-Legendre nodes per panel are exact for
-        integer p. For a ball of radius r centred at 0, f(t theta) is
+        Exact up to rounding. At m = 1, f is the chord length, linear between
+        the kinks of the facet lines bounding the chord, and each panel is
+        integrated in closed form for every real p > 0. At m >= 2 and integer
+        p, the moment is |theta|^(-p) times the integral of <e, y>^(p-1) over
+        L cap {<e, y> >= 0} (`volume.wedge_moment`), with e = theta / |theta|
+        and L = K cap (F + R theta) in coordinates whose last one is along e.
+        L is K itself when k = 1, and every direction then reads K's cached
+        boundary cones. For a ball of radius r centred at 0, f(t theta) is
         omega_m (r^2 - t^2 |theta|^2)^(m/2), whose moment is
         omega_m r^(p+m) |theta|^(-p) B(p/2, m/2 + 1) / 2 for every real p > 0;
         at m = 0 (f the indicator) that is (r / |theta|)^p / p.
@@ -155,10 +153,9 @@ class SectionVolumeFunction:
             m, r = self.m, self.body.radius
             return (unit_ball_volume(m) * r ** (p + m) * beta(p / 2, m / 2 + 1) / 2
                     * np.linalg.norm(thetas, axis=1) ** -p)
-        T = radial_many(self.support_body(), thetas)
         if self.m == 1:
-            return self._chord_moments(thetas, T, p)
-        return self._panel_moments(thetas, T, int(p))
+            return self._chord_moments(thetas, radial_many(self.support_body(), thetas), p)
+        return self._wedge_moments(thetas, int(p))
 
     def _chord_moments(self, thetas: np.ndarray, T: np.ndarray, p: float) -> np.ndarray:
         """Ray moments at m = 1, where f(t theta) = hi(t) - lo(t) on [0, T].
@@ -182,44 +179,25 @@ class SectionVolumeFunction:
                                     _envelope_kinks(-c_lo, -g_lo, top), top]), axis=1)
             hi = (c_hi + g_hi[:, None, :] * ts[:, :, None]).min(axis=2)
             lo = (c_lo + g_lo[:, None, :] * ts[:, :, None]).max(axis=2)
-            out[s:s + block] = _linear_panel_moments(ts, np.clip(hi - lo, 0.0, None), p)
+            out[s:s + block] = _piecewise_linear_moments(ts, np.clip(hi - lo, 0.0, None), p)
         return out
 
-    def _panel_moments(self, thetas: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
-        """Ray moments at m >= 2 and integer p by Gauss-Legendre on exact panels."""
-        x, w = _gl_cache(math.ceil((self.m + p) / 2))
+    def _wedge_moments(self, thetas: np.ndarray, p: int) -> np.ndarray:
+        """Ray moments at m >= 2 and integer p, one wedge moment per direction."""
+        r = np.linalg.norm(thetas, axis=1)
+        if self.k == 1:  # e = +-u: one wedge moment of K per sign, on K's cached cones
+            u, signs = self.Fperp.basis[0], np.sign(thetas[:, 0]).tolist()
+            per_sign = {s: wedge_moment(self.body, [s * u], p - 1) for s in set(signs)}
+            return np.array([per_sign[s] for s in signs]) * r ** -p
+        last = np.eye(self.m + 1)[-1:]
         out = np.empty(len(thetas))
-        for r, (theta, top) in enumerate(zip(thetas, T)):
-            heights = self._vertex_heights(self.Fperp.embed(theta))
-            edges = np.unique(np.clip(np.concatenate([[0.0, top], heights]), 0.0, top))
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            half = 0.5 * np.diff(edges)
-            ts = (mid[:, None] + half[:, None] * x).ravel()
-            out[r] = (np.outer(half, w).ravel() * ts ** (p - 1)) @ self.ray_values(theta, ts)
-        return out
-
-    def _vertex_heights(self, e: np.ndarray) -> np.ndarray:
-        """The t with F + t e through a vertex of K cap (F + R e)."""
-        e2 = float(e @ e)
-        if self.k == 1:  # F + R e is the whole space
-            return to_vrep(self.body).vertices @ e / e2
-        r = math.sqrt(e2)
-        sec = section(self.body, Subspace(self.F.ambient_dim, np.vstack([self.F.basis, e / r])))
-        if isinstance(sec, EmptySection):
-            return np.zeros(0)
-        return sec.vertices[:, -1] / r
+        for i, e in enumerate(self.Fperp.embed(thetas / r[:, None])):
+            L = section(self.body, Subspace(self.F.ambient_dim, np.vstack([self.F.basis, e])))
+            out[i] = 0.0 if isinstance(L, EmptySection) else wedge_moment(L, last, p - 1)
+        return out * r ** -p
 
     def __call__(self, x) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        key = tuple(np.round(x / 1e-10).astype(np.int64).tolist())
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        val = self._evaluate(x)
-        self._memo[key] = val
-        return val
-
-    def _evaluate(self, x: np.ndarray) -> float:
         point = self.Fperp.embed(x)
         if self.m == 0:
             from .geometry import contains
@@ -248,51 +226,7 @@ class SectionVolumeFunction:
             r = self.body.radius
             h2 = np.clip(r * r - ts * ts * (theta @ theta), 0.0, None)
             return unit_ball_volume(self.m) * h2 ** (self.m / 2)
-        if self._fast2 is not None:
-            AF, A, b, R = self._fast2
-            w = A @ self.Fperp.embed(theta)
-            return np.array(
-                [_clipped_polygon_area(AF, b - t * w, R) for t in ts]
-            )
         return np.array([self(t * theta) for t in ts])
-
-
-def _clipped_polygon_area(A2: np.ndarray, offs: np.ndarray, R: float) -> float:
-    """Area of {y in R^2 : A2 y <= offs} inside a bounding square of size R.
-
-    Sutherland-Hodgman clipping of the square against each halfspace; scalar
-    Python loops beat array ops at these polygon sizes.
-    """
-    xs = [-R, R, R, -R]
-    ys = [-R, -R, R, R]
-    for (ax, ay), b in zip(A2.tolist(), offs.tolist()):
-        vals = [ax * x + ay * y - b for x, y in zip(xs, ys)]
-        if max(vals) <= 0.0:
-            continue
-        if min(vals) >= 0.0:
-            return 0.0
-        nx: list[float] = []
-        ny: list[float] = []
-        m = len(xs)
-        for i in range(m):
-            j = i + 1 if i + 1 < m else 0
-            vi, vj = vals[i], vals[j]
-            if vi <= 0.0:
-                nx.append(xs[i])
-                ny.append(ys[i])
-            if (vi < 0.0 < vj) or (vj < 0.0 < vi):
-                t = vi / (vi - vj)
-                nx.append(xs[i] + t * (xs[j] - xs[i]))
-                ny.append(ys[i] + t * (ys[j] - ys[i]))
-        if len(nx) < 3:
-            return 0.0
-        xs, ys = nx, ny
-    area = 0.0
-    m = len(xs)
-    for i in range(m):
-        j = i + 1 if i + 1 < m else 0
-        area += xs[i] * ys[j] - xs[j] * ys[i]
-    return 0.5 * abs(area)
 
 
 # directions x facets^2 per block of `_chord_moments`, which bounds its
@@ -336,7 +270,7 @@ def _power_steps(t: np.ndarray, q: float) -> np.ndarray:
     return np.where(t1 > 0, short, t2**q)
 
 
-def _linear_panel_moments(t: np.ndarray, f: np.ndarray, p: float) -> np.ndarray:
+def _piecewise_linear_moments(t: np.ndarray, f: np.ndarray, p: float) -> np.ndarray:
     """Row sums of int t^(p-1) f(t) dt over the panels [t_j, t_j+1] of sorted rows t.
 
     f is linear on each panel with values f[:, j], f[:, j+1] at its ends; the
@@ -401,14 +335,14 @@ def _cut_volume(L, R: np.ndarray) -> float:
     """|L cap {y : R y >= 0}| for a polytope L (0 for None).
 
     Up to two rows, the wedge is cut from the boundary simplices L already
-    has (`volume.wedge_volume`). More rows intersect L's halfspaces with the
+    has (`volume.wedge_moment`). More rows intersect L's halfspaces with the
     cone's, because the wedge kernel's pieces multiply with every facet of
     the cone.
     """
     if L is None:
         return 0.0
     if len(R) <= 2:
-        return wedge_volume(L, R)
+        return wedge_moment(L, R)
     H = to_hrep(L)
     body = _halfspace_polytope(np.vstack([H.A, -R]), np.concatenate([H.b, np.zeros(len(R))]))
     return 0.0 if body is None else moments(body).volume
@@ -456,12 +390,13 @@ class QuadratureSpec:
     """Controls ray and spherical quadrature of the radial route.
 
     The ray fields drive the adaptive rule `_composite_gl`, which integrates
-    only the profiles without exact ray moments: balls, oracles other than
-    polytope section functions, indicators (m = 0), and non-integer p at
-    m >= 2. Ray moments of polytope section functions at m = 1, or at any m
-    with integer p, are exact (`SectionVolumeFunction.ray_moments`). The
-    sphere fields always apply: the integral over the cone's directions
-    stays numerical.
+    only the profiles without exact ray moments: off-centre balls, oracles
+    other than section functions, polytope indicators (m = 0), and
+    non-integer p at m >= 2. Ray moments are exact for centred balls and for
+    polytope section functions at m = 1, or at m >= 2 with integer p, where
+    they are wedge moments (`SectionVolumeFunction.ray_moments`). The sphere
+    fields always apply: the integral over the cone's directions stays
+    numerical.
     """
 
     ray_panel_nodes: int = 32

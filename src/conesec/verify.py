@@ -48,7 +48,7 @@ from .sections import (
     solid_angle_fraction,
 )
 from .special import beta, binom, gamma
-from .volume import isotropic_position, moments, unit_ball_volume, wedge_volume
+from .volume import isotropic_position, moments, unit_ball_volume, wedge_moment
 
 __all__ = [
     "CheckResult", "ExplicitConstant", "gamma", "beta", "binom",
@@ -130,12 +130,12 @@ def trivial_flat(n: int) -> Subspace:
 
 
 def halfspace_volume(K: ConvexBody, u) -> float:
-    """|K cap {x : <x, u> >= 0}|, cut from K's boundary simplices (`wedge_volume`)."""
+    """|K cap {x : <x, u> >= 0}|, cut from K's boundary simplices (`wedge_moment`)."""
     if isinstance(K, Ball):
         if np.linalg.norm(K.center) > 1e-12:
             raise GeometryError("ball halfspace volumes require the center at 0")
         return 0.5 * unit_ball_volume(K.dim) * K.radius ** K.dim
-    return wedge_volume(K, np.atleast_2d(np.asarray(u, dtype=float)))
+    return wedge_moment(K, np.atleast_2d(np.asarray(u, dtype=float)))
 
 
 def cone_volume(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:

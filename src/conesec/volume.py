@@ -3,12 +3,14 @@
 Each full-dimensional polytope is fanned from the vertex average into the
 simplices over its cached boundary simplices (`geometry.boundary`);
 per-simplex closed forms give volume, centroid, second moments and arbitrary
-integer moments of a linear functional.  Wedge volumes |K cap {R x >= 0}|
-come from the same boundary simplices, coned from the origin: the
-hyperplanes of the rows before the last split them, and the last row weights
-each piece by an exact recursion on its vertex values.  A seeded Monte Carlo
-estimator provides an independent cross-check, and the isotropic-position
-transform whitens the centered second-moment matrix.
+integer moments of a linear functional.  Wedge moments, the integrals of
+<r, x>^q over K cap {R x >= 0} with r the last row of R, come from the same
+boundary simplices, coned from the origin: the hyperplanes of the rows before
+the last split them, and the last row weights each piece by an exact
+recursion on its vertex values.  At q = 0 they are wedge volumes; the ray
+moments of section functions are wedge moments too (`sections`).  A seeded
+Monte Carlo estimator provides an independent cross-check, and the
+isotropic-position transform whitens the centered second-moment matrix.
 """
 
 from __future__ import annotations
@@ -116,23 +118,24 @@ def _polytope_moments(K: ConvexBody) -> MomentSummary:
     return MomentSummary(vol, centroid, cov)
 
 
-# boundary simplices per block of `wedge_volume` when rows before the last
+# boundary simplices per block of `wedge_moment` when rows before the last
 # split them; each split multiplies a block by at most C(d, d/2)
 _WEDGE_BLOCK = 512
 
 
-def wedge_volume(K: ConvexBody, R) -> float:
-    """|K cap W| for a polytope K and the wedge W = {x : <r, x> >= 0 for each row r of R}.
+def wedge_moment(K: ConvexBody, R, q: int = 0) -> float:
+    """Integral of <R[-1], x>^q over K cap W, W = {x : <r, x> >= 0 for each row r of R}.
 
-    Every facet of W lies in a hyperplane through 0, so |K cap W| is the sum
-    over K's boundary simplices D of sign(b_D) |det(D cap W)| / d!, b_D the
-    offset of D's facet; this holds wherever the origin is. Each row before
-    the last splits the simplices it crosses (`_split_positive`). The last
-    row only weights each piece by the fraction of its cone from 0 on the
-    row's positive side, which depends on the vertex values alone
-    (`_positive_fraction`). The pieces grow quickly with the number of
-    rows, so wedges with many facets are better cut by a halfspace
-    intersection.
+    K is a polytope and q >= 0 an integer; q = 0 gives the wedge volume.
+    Every facet of W lies in a hyperplane through 0, so the integral is the
+    sum over K's boundary simplices D of sign(b_D) times the integral over
+    the simplex conv(0, D) cap W, b_D the offset of D's facet; this holds
+    wherever the origin is. Each row before the last splits the simplices it
+    crosses (`_split_positive`). The last row only weights each piece by the
+    part of its cone from 0 on the row's positive side, which depends on the
+    vertex values alone (`_positive_fraction`). The pieces grow quickly with
+    the number of rows, so wedges with many facets are better cut by a
+    halfspace intersection.
     """
     V = to_vrep(K)
     R = np.atleast_2d(np.asarray(R, dtype=float))
@@ -143,8 +146,9 @@ def wedge_volume(K: ConvexBody, R) -> float:
         pts, w = simplices[s:s + block], weights[s:s + block]
         for r in R[:-1]:
             pts, w = _split_positive(pts, w, r)
-        total += float(w @ _positive_fraction(pts @ R[-1]))
-    return total / math.factorial(V.dim)
+        total += float(w @ _positive_fraction(pts @ R[-1], q))
+    # a simplex with vertices 0, v_1..v_d has integral |det| q! / (d + q)! h_q(<r, v_i>)
+    return total * math.factorial(q) / math.factorial(V.dim + q)
 
 
 def _cone_simplices(V: ConvexBody):
@@ -194,25 +198,31 @@ def _split_positive(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
     return np.concatenate(done_pts), np.concatenate(done_w)
 
 
-def _positive_fraction(c: np.ndarray) -> np.ndarray:
+def _positive_fraction(c: np.ndarray, q: int = 0) -> np.ndarray:
     """For simplices with vertex values c (S, d), the part of each cone from 0 where the value is >= 0.
 
-    It is the total weight of the pieces `_split_positive` keeps. The split
-    pairs the largest positive value left with the most negative one, so for
-    positive values p_1 >= ... >= p_a and negative ones n_1 <= ... <= n_b
-    (zeros drop out) the part is phi(1, 1) of the recursion
+    At q = 0 it is the total weight of the pieces `_split_positive` keeps;
+    at q > 0 each kept piece counts with h_q of its vertex values instead of
+    1, h_q the complete homogeneous polynomial of degree q (Baldoni, Berline,
+    De Loera, Koeppe and Vergne, "How to integrate a polynomial over a
+    simplex", Math. Comp. 2011). The split pairs the largest positive value
+    left with the most negative one, so for positive values
+    p_1 >= ... >= p_a and negative ones n_1 <= ... <= n_b (zeros drop out)
+    the part is phi(1, 1) of the recursion
     phi(s, t) = (p_s phi(s, t+1) - n_t phi(s+1, t)) / (p_s - n_t),
-    phi(s, b+1) = 1, phi(a+1, t) = 0. Its weights are the split's own: >= 0
-    and summing to 1, so nothing cancels. Padding p and n with zeros to
-    length d leaves every phi(1, 1) unchanged.
+    phi(s, b+1) = h_q(p_s, ..., p_a), phi(a+1, t) = 0. Its weights are the
+    split's own: >= 0 and summing to 1, so nothing cancels. Padding p and n
+    with zeros to length d leaves every phi(1, 1) unchanged.
     """
-    frac = np.all(c >= 0, axis=1).astype(float)
+    frac = np.zeros(len(c))
+    inside = np.all(c >= 0, axis=1)
+    frac[inside] = _suffix_h(c[inside].T, q)[0]
     mixed = np.any(c > 0, axis=1) & np.any(c < 0, axis=1)
     # row s of p and n holds p_s and n_s of each simplex with both signs
     p = np.sort(np.maximum(c[mixed], 0.0), axis=1)[:, ::-1].T.copy()
     n = np.sort(np.minimum(c[mixed], 0.0), axis=1).T.copy()
     d = c.shape[1]
-    phi = np.ones((d + 1, p.shape[1]))  # row s: phi(s, t + 1), overwritten by phi(s, t)
+    phi = _suffix_h(p, q)  # row s: phi(s, t + 1), overwritten by phi(s, t)
     phi[d] = 0.0
     for t in reversed(range(d)):
         for s in reversed(range(d)):
@@ -220,6 +230,17 @@ def _positive_fraction(c: np.ndarray) -> np.ndarray:
             phi[s] = (p[s] * phi[s] - n[t] * phi[s + 1]) / np.where(gap > 0, gap, 1.0)
     frac[mixed] = phi[0]
     return frac
+
+
+def _suffix_h(x: np.ndarray, q: int) -> np.ndarray:
+    """Row s of the result is h_q(x_s, ..., x_d-1), for values x (d, S); row d is h_q() (1 or 0)."""
+    h = np.zeros((len(x) + 1, q + 1, x.shape[1]))
+    h[:, 0] = 1.0
+    for s in reversed(range(len(x))):
+        h[s] = h[s + 1]
+        for j in range(1, q + 1):
+            h[s, j] += x[s] * h[s, j - 1]
+    return h[:, q]
 
 
 def volume(K: ConvexBody) -> float:

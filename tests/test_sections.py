@@ -43,7 +43,7 @@ from conesec.sections import (
     solid_angle_fraction,
 )
 from conesec.verify import checks_for_body
-from conesec.volume import moment_p, volume, wedge_volume
+from conesec.volume import moment_p, volume, wedge_moment
 
 dims = st.integers(min_value=2, max_value=5)
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -254,8 +254,9 @@ def _unit_rows(k, count, seed):
 
 @pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (3, 2), (4, 2), (4, 3)])
 def test_exact_ray_moments_match_fubini(n, m):
-    # (n, m) = (4, 2) takes the slab's vertices from a section of K, the
-    # others from K's vertices (m >= 2, k = 1) or from the chord lines (m = 1)
+    # (n, m) = (4, 2) takes a wedge moment of one section of K per
+    # direction, the others one of K itself (m >= 2, k = 1) or the chord
+    # lines (m = 1)
     K = random_body(n, 40 + n + m)
     F = Subspace.from_span(np.eye(n)[:m], ambient_dim=n)
     f = section_volume_fn(K, F)
@@ -402,7 +403,7 @@ def test_wedge_gruenbaum_cone_equality():
     for n in range(2, 7):
         K = make_centered_cone(n)
         up = np.eye(n)[-1]
-        assert wedge_volume(K, [up]) / volume(K) == pytest.approx((n / (n + 1.0)) ** n, rel=1e-12)
+        assert wedge_moment(K, [up]) / volume(K) == pytest.approx((n / (n + 1.0)) ** n, rel=1e-12)
         F = Subspace.hyperplane(up)
         got = cone_section_volume_polyhedral(K, F, PolyhedralCone([up]))
         assert got / volume(K) == pytest.approx((n / (n + 1.0)) ** n, rel=1e-12)
@@ -413,30 +414,30 @@ def test_wedge_halves_the_cube():
     for n in range(2, 8):
         cube = make_cube(n)
         for u in list(np.eye(n)) + [np.ones(n)]:
-            assert wedge_volume(cube, [u]) == pytest.approx(2.0 ** (n - 1), rel=1e-12)
-    assert wedge_volume(make_cube(7), [np.ones(7)]) == pytest.approx(64.0, rel=1e-12)
+            assert wedge_moment(cube, [u]) == pytest.approx(2.0 ** (n - 1), rel=1e-12)
+    assert wedge_moment(make_cube(7), [np.ones(7)]) == pytest.approx(64.0, rel=1e-12)
 
 
 def test_wedge_with_the_origin_off_center_or_outside():
     e = np.eye(3)
     off = translate(make_cube(3), [0.5, 0.0, 0.0])  # [-0.5, 1.5] x [-1, 1]^2
-    assert wedge_volume(off, [e[0]]) == pytest.approx(6.0, rel=1e-12)
-    assert wedge_volume(off, [-e[0]]) == pytest.approx(2.0, rel=1e-12)
-    assert wedge_volume(off, [e[0], e[1]]) == pytest.approx(3.0, rel=1e-12)
+    assert wedge_moment(off, [e[0]]) == pytest.approx(6.0, rel=1e-12)
+    assert wedge_moment(off, [-e[0]]) == pytest.approx(2.0, rel=1e-12)
+    assert wedge_moment(off, [e[0], e[1]]) == pytest.approx(3.0, rel=1e-12)
     far = translate(make_cube(3), [3.0, 0.0, 0.0])  # 0 outside K
-    assert wedge_volume(far, [e[0]]) == pytest.approx(8.0, rel=1e-12)
-    assert wedge_volume(far, [e[1]]) == pytest.approx(4.0, rel=1e-12)
-    assert wedge_volume(far, [e[0], -e[2]]) == pytest.approx(4.0, rel=1e-12)
-    assert wedge_volume(far, [-e[0]]) == 0.0  # the wedge misses K
+    assert wedge_moment(far, [e[0]]) == pytest.approx(8.0, rel=1e-12)
+    assert wedge_moment(far, [e[1]]) == pytest.approx(4.0, rel=1e-12)
+    assert wedge_moment(far, [e[0], -e[2]]) == pytest.approx(4.0, rel=1e-12)
+    assert wedge_moment(far, [-e[0]]) == 0.0  # the wedge misses K
 
 
 def test_wedge_takes_either_representation():
     K = random_body(4, 12)
     H = HPolytope(to_hrep(K).A, to_hrep(K).b)
     R = [[1.0, -0.5, 0.2, 0.0], [0.0, 1.0, 0.3, -0.7]]
-    assert wedge_volume(H, R) == pytest.approx(wedge_volume(K, R), rel=1e-12)
+    assert wedge_moment(H, R) == pytest.approx(wedge_moment(K, R), rel=1e-12)
     cube = make_cube(4)
-    assert wedge_volume(cube, R) == pytest.approx(wedge_volume(to_vrep(cube), R), rel=1e-12)
+    assert wedge_moment(cube, R) == pytest.approx(wedge_moment(to_vrep(cube), R), rel=1e-12)
 
 
 def _hull_volume_of(A, b):
@@ -507,6 +508,21 @@ def test_radial_route_matches_polyhedral():
         a = cone_section_volume_polyhedral(K, F, C)
         b = cone_section_volume_radial(K, F, C)
         assert b == pytest.approx(a, rel=1e-6)
+
+
+@pytest.mark.parametrize("scale", [
+    pytest.param(1e-6, marks=pytest.mark.xfail(
+        strict=True, reason="sections at this scale merge vertices closer than the absolute GEOM_TOL")),
+    1e-4, 1.0, 1e4])
+def test_radial_route_matches_polyhedral_at_every_scale(scale):
+    # a 5-D body with a 3-D flat and a 2-D cone: one section per direction
+    # (k = 2, m = 3). abs=0, as approx's default absolute tolerance of 1e-12
+    # would swamp these volumes (about 3e-32 at scale 1e-6)
+    e = np.eye(5)
+    K = affine_map(random_centered_polytope(5, 16, 12), scale * e)
+    F, C = Subspace.from_span(e[:3]), orthant_cone(e[3:])
+    assert cone_section_volume_radial(K, F, C) == pytest.approx(
+        cone_section_volume_polyhedral(K, F, C), rel=1e-9, abs=0.0)
 
 
 def test_radial_route_on_ball():

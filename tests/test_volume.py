@@ -1,5 +1,6 @@
 """Exact moments, Monte Carlo cross-checks and isotropic normalization."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -22,6 +23,7 @@ from conesec.geometry import (
     make_regular_simplex,
     random_centered_polytope,
     to_hrep,
+    to_vrep,
     translate,
 )
 from conesec.volume import (
@@ -37,7 +39,7 @@ from conesec.volume import (
     triangulate,
     unit_ball_volume,
     volume,
-    wedge_volume,
+    wedge_moment,
 )
 
 dims = st.integers(min_value=2, max_value=5)
@@ -119,69 +121,96 @@ def _qhull_without_fallbacks(build, data, *args, options=""):
     return build(data, *args, qhull_options=options or None)
 
 
-def halfspace_wedge_volume(K, R):
-    """|K cap {R x >= 0}| by one halfspace intersection, or None where qhull cannot give it.
+def halfspace_wedge_moment(K, R, q=0):
+    """The integral of <R[-1], x>^q over K cap {R x >= 0} by one halfspace intersection
+    and the fan triangulation (`moment_p`), or None where qhull cannot give it.
 
     qhull gets no fallback options here: when K has nearly parallel facets
     it can reject this system, and its Q12 retry can then return a polytope
     with vertices missing or far outside the system.
     """
+    R = np.atleast_2d(R)
     H = to_hrep(K)
-    A = np.vstack([H.A, -np.atleast_2d(R)])
-    b = np.concatenate([H.b, np.zeros(len(A) - len(H.b))])
+    A = np.vstack([H.A, -R])
+    b = np.concatenate([H.b, np.zeros(len(R))])
     with mock.patch.object(geometry, "_qhull", _qhull_without_fallbacks):
         try:
             body = _halfspace_polytope(A, b)
-            return 0.0 if body is None else volume(body)
+            return 0.0 if body is None else moment_p(body, R[-1], q)
         except (GeometryError, QhullError):
             return None
 
 
+def moment_scale(K, r, q):
+    """|K| max_x |<r, x>|^q over K, the size of every q-th moment of K along r."""
+    return volume(K) * np.abs(to_vrep(K).vertices @ r).max() ** q
+
+
+def h(c, q):
+    """The complete homogeneous polynomial h_q of each row of c, as a sum of monomials."""
+    return sum(np.prod(c[:, list(alpha)], axis=1)
+               for alpha in itertools.combinations_with_replacement(range(c.shape[1]), q))
+
+
+moment_degrees = pytest.mark.parametrize("q", [0, 1, 2, 3])
+
+
+@moment_degrees
 @given(st.integers(min_value=2, max_value=6), seeds, st.integers(min_value=1, max_value=2),
        st.floats(min_value=0.0, max_value=1.5))
-def test_wedge_matches_the_halfspace_intersection(n, seed, rows, shift):
+def test_wedge_matches_the_halfspace_intersection(q, n, seed, rows, shift):
     # the origin inside K, near its boundary or outside it; both routes err
-    # by a few ulps of |K|, which bounds the error of a wedge that barely
-    # meets K
+    # by a few ulps of K's moment scale, which bounds the error of a wedge
+    # that barely meets K
     K = translate(random_body(n, seed), shift * np.eye(n)[0])
     R = np.random.default_rng(seed).standard_normal((rows, n))
-    ref = halfspace_wedge_volume(K, R)
+    ref = halfspace_wedge_moment(K, R, q)
     assume(ref is not None)
-    assert wedge_volume(K, R) == pytest.approx(ref, rel=1e-12, abs=1e-14 * volume(K))
+    assert wedge_moment(K, R, q) == pytest.approx(ref, rel=1e-12, abs=1e-14 * moment_scale(K, R[-1], q))
 
 
-def test_wedge_with_rows_through_vertices():
+@moment_degrees
+def test_wedge_with_rows_through_vertices(q):
     # integer vertices and rows: many vertex values are exactly 0
     for n in range(3, 7):
         e = np.eye(n)
         for K in (make_cube(n), make_cross_polytope(n), translate(make_cube(n), e[0])):
             for R in ([e[0] - e[1]], [e[0]], [e[0], e[1] - e[2]], [e[0] + e[1], -e[1]]):
-                assert wedge_volume(K, R) == pytest.approx(halfspace_wedge_volume(K, R), rel=1e-12)
+                assert wedge_moment(K, R, q) == pytest.approx(halfspace_wedge_moment(K, R, q), rel=1e-12)
 
 
-def test_wedge_with_tied_values():
-    # the ones-row takes only n + 1 values on the cube's 2^n vertices
+@moment_degrees
+def test_wedge_with_tied_values(q):
+    # the ones-row takes only n + 1 values on the cube's 2^n vertices; the
+    # cube is symmetric, so at even q the wedge holds half the moment
     for n in range(3, 7):
-        cube, e = make_cube(n), np.eye(n)
-        assert wedge_volume(cube, [np.ones(n)]) == pytest.approx(2.0 ** (n - 1), rel=1e-12)
-        for R in ([e[0], np.ones(n)], [np.ones(n), e[0] - e[1]]):
-            assert wedge_volume(cube, R) == pytest.approx(halfspace_wedge_volume(cube, R), rel=1e-12)
+        cube, e, ones = make_cube(n), np.eye(n), np.ones(n)
+        if q % 2 == 0:
+            assert wedge_moment(cube, [ones], q) == pytest.approx(moment_p(cube, ones, q) / 2, rel=1e-12)
+        for R in ([ones], [e[0], ones], [ones, e[0] - e[1]]):
+            assert wedge_moment(cube, R, q) == pytest.approx(halfspace_wedge_moment(cube, R, q), rel=1e-12)
 
 
+@moment_degrees
 @given(st.integers(min_value=2, max_value=6), seeds, st.floats(min_value=0.0, max_value=1.5))
-def test_wedge_and_its_complement_add_up_to_the_body(n, seed, shift):
+def test_wedge_and_its_complement_add_up_to_the_body(q, n, seed, shift):
+    # on {<-r, x> >= 0} the integrand <-r, x>^q is (-1)^q <r, x>^q
     K = translate(random_body(n, seed), shift * np.ones(n) / np.sqrt(n))
     r = np.random.default_rng(seed).standard_normal(n)
-    assert wedge_volume(K, [r]) + wedge_volume(K, [-r]) == pytest.approx(volume(K), rel=1e-12)
+    assert wedge_moment(K, [r], q) + (-1) ** q * wedge_moment(K, [-r], q) == pytest.approx(
+        moment_p(K, r, q), rel=1e-12, abs=1e-14 * moment_scale(K, r, q))
 
 
+@moment_degrees
 @given(st.integers(min_value=2, max_value=6), seeds)
-def test_last_row_recursion_matches_the_split(n, seed):
+def test_last_row_recursion_matches_the_split(q, n, seed):
     pts, w = _cone_simplices(translate(random_body(n, seed), np.full(n, 0.2)))
     gen = np.random.default_rng(seed)
     for r in (gen.standard_normal(n), np.ones(n), np.eye(n)[0]):
-        kept = _split_positive(pts, w, r)[1].sum()
-        assert w @ _positive_fraction(pts @ r) == pytest.approx(kept, rel=1e-13, abs=1e-15 * np.abs(w).sum())
+        kept_pts, kept_w = _split_positive(pts, w, r)
+        kept = kept_w @ h(kept_pts @ r, q)
+        scale = np.abs(w).sum() * np.abs(pts @ r).max() ** q
+        assert w @ _positive_fraction(pts @ r, q) == pytest.approx(kept, rel=1e-13, abs=1e-15 * scale)
 
 
 def test_positive_fraction_closed_forms():
@@ -196,11 +225,12 @@ def test_positive_fraction_closed_forms():
     assert _positive_fraction(np.array([[1.0, 0.0, -1.0]])) == pytest.approx([0.5], rel=1e-15)
 
 
-def test_wedge_reads_the_cone_simplices_once(monkeypatch):
+@moment_degrees
+def test_wedge_reads_the_cone_simplices_once(monkeypatch, q):
     K, e = random_body(4, 7), np.eye(4)
-    vol, first = volume(K), wedge_volume(K, [e[0]])
+    whole, first = moment_p(K, e[0], q), wedge_moment(K, [e[0]], q)
     monkeypatch.setattr(np.linalg, "det", None)  # a second determinant would raise
-    assert wedge_volume(K, [-e[0]]) == pytest.approx(vol - first, rel=1e-12)
+    assert (-1) ** q * wedge_moment(K, [-e[0]], q) == pytest.approx(whole - first, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
