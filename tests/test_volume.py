@@ -152,38 +152,36 @@ def h(c, q):
                for alpha in itertools.combinations_with_replacement(range(c.shape[1]), q))
 
 
-moment_degrees = pytest.mark.parametrize("q", [0, 1, 2, 3])
+moment_degrees = (0, 1, 2, 3)
 
 
-@moment_degrees
 @given(st.integers(min_value=2, max_value=6), seeds, st.integers(min_value=1, max_value=2),
        st.floats(min_value=0.0, max_value=1.5))
-def test_wedge_matches_the_halfspace_intersection(q, n, seed, rows, shift):
+def test_wedge_matches_the_halfspace_intersection(n, seed, rows, shift):
     # the origin inside K, near its boundary or outside it; both routes err
     # by a few ulps of K's moment scale, which bounds the error of a wedge
     # that barely meets K
     K = translate(random_body(n, seed), shift * np.eye(n)[0])
     R = np.random.default_rng(seed).standard_normal((rows, n))
-    ref = halfspace_wedge_moment(K, R, q)
-    assume(ref is not None)
-    assert wedge_moment(K, R, q) == pytest.approx(ref, rel=1e-12, abs=1e-14 * moment_scale(K, R[-1], q))
+    for q in moment_degrees:
+        ref = halfspace_wedge_moment(K, R, q)
+        assume(ref is not None)
+        assert wedge_moment(K, R, q) == pytest.approx(ref, rel=1e-12, abs=1e-14 * moment_scale(K, R[-1], q))
 
 
-@moment_degrees
-def test_wedge_with_rows_through_vertices(q):
+def test_wedge_with_rows_through_vertices():
     # integer vertices and rows: many vertex values are exactly 0
-    for n in range(3, 7):
+    for n, q in itertools.product(range(3, 7), moment_degrees):
         e = np.eye(n)
         for K in (make_cube(n), make_cross_polytope(n), translate(make_cube(n), e[0])):
             for R in ([e[0] - e[1]], [e[0]], [e[0], e[1] - e[2]], [e[0] + e[1], -e[1]]):
                 assert wedge_moment(K, R, q) == pytest.approx(halfspace_wedge_moment(K, R, q), rel=1e-12)
 
 
-@moment_degrees
-def test_wedge_with_tied_values(q):
+def test_wedge_with_tied_values():
     # the ones-row takes only n + 1 values on the cube's 2^n vertices; the
     # cube is symmetric, so at even q the wedge holds half the moment
-    for n in range(3, 7):
+    for n, q in itertools.product(range(3, 7), moment_degrees):
         cube, e, ones = make_cube(n), np.eye(n), np.ones(n)
         if q % 2 == 0:
             assert wedge_moment(cube, [ones], q) == pytest.approx(moment_p(cube, ones, q) / 2, rel=1e-12)
@@ -191,22 +189,21 @@ def test_wedge_with_tied_values(q):
             assert wedge_moment(cube, R, q) == pytest.approx(halfspace_wedge_moment(cube, R, q), rel=1e-12)
 
 
-@moment_degrees
 @given(st.integers(min_value=2, max_value=6), seeds, st.floats(min_value=0.0, max_value=1.5))
-def test_wedge_and_its_complement_add_up_to_the_body(q, n, seed, shift):
+def test_wedge_and_its_complement_add_up_to_the_body(n, seed, shift):
     # on {<-r, x> >= 0} the integrand <-r, x>^q is (-1)^q <r, x>^q
     K = translate(random_body(n, seed), shift * np.ones(n) / np.sqrt(n))
     r = np.random.default_rng(seed).standard_normal(n)
-    assert wedge_moment(K, [r], q) + (-1) ** q * wedge_moment(K, [-r], q) == pytest.approx(
-        moment_p(K, r, q), rel=1e-12, abs=1e-14 * moment_scale(K, r, q))
+    for q in moment_degrees:
+        assert wedge_moment(K, [r], q) + (-1) ** q * wedge_moment(K, [-r], q) == pytest.approx(
+            moment_p(K, r, q), rel=1e-12, abs=1e-14 * moment_scale(K, r, q))
 
 
-@moment_degrees
 @given(st.integers(min_value=2, max_value=6), seeds)
-def test_last_row_recursion_matches_the_split(q, n, seed):
+def test_last_row_recursion_matches_the_split(n, seed):
     pts, w = _cone_simplices(translate(random_body(n, seed), np.full(n, 0.2)))
     gen = np.random.default_rng(seed)
-    for r in (gen.standard_normal(n), np.ones(n), np.eye(n)[0]):
+    for r, q in itertools.product((gen.standard_normal(n), np.ones(n), np.eye(n)[0]), moment_degrees):
         kept_pts, kept_w = _split_positive(pts, w, r)
         kept = kept_w @ h(kept_pts @ r, q)
         scale = np.abs(w).sum() * np.abs(pts @ r).max() ** q
@@ -225,12 +222,13 @@ def test_positive_fraction_closed_forms():
     assert _positive_fraction(np.array([[1.0, 0.0, -1.0]])) == pytest.approx([0.5], rel=1e-15)
 
 
-@moment_degrees
-def test_wedge_reads_the_cone_simplices_once(monkeypatch, q):
+def test_wedge_reads_the_cone_simplices_once(monkeypatch):
     K, e = random_body(4, 7), np.eye(4)
-    whole, first = moment_p(K, e[0], q), wedge_moment(K, [e[0]], q)
+    whole = [moment_p(K, e[0], q) for q in moment_degrees]
+    first = [wedge_moment(K, [e[0]], q) for q in moment_degrees]
     monkeypatch.setattr(np.linalg, "det", None)  # a second determinant would raise
-    assert (-1) ** q * wedge_moment(K, [-e[0]], q) == pytest.approx(whole - first, rel=1e-12)
+    for q, w, f in zip(moment_degrees, whole, first):
+        assert (-1) ** q * wedge_moment(K, [-e[0]], q) == pytest.approx(w - f, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
