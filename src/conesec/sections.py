@@ -99,6 +99,7 @@ class SectionVolumeFunction:
         self._proj = None  # support body: projection of K onto F^perp
         # chord data of polytopes with sections of dimension 1
         self._fast = None
+        self._profile = None  # (thetas bytes, ts, chord) of the last one-block chord call
         if not isinstance(body, Ball) and self.m == 1:
             H = to_hrep(body)
             self._fast = ((H.A @ F.basis.T)[:, 0], H.A, H.b)
@@ -133,7 +134,10 @@ class SectionVolumeFunction:
 
         Exact up to rounding. At m = 1, f is the chord length, linear between
         the kinks of the facet lines bounding the chord, and each panel is
-        integrated in closed form for every real p > 0. At m >= 2 and integer
+        integrated in closed form for every real p > 0. The kinks and chord
+        lengths do not depend on p: after a call whose directions fit in one
+        block, a call at another p on the same directions reuses them
+        (`_chord_moments`), with the same result bits. At m >= 2 and integer
         p, the moment is |theta|^(-p) times the integral of <e, y>^(p-1) over
         L cap {<e, y> >= 0} (`volume.wedge_moment`), with e = theta / |theta|
         and L = K cap (F + R theta) in coordinates whose last one is along e.
@@ -154,33 +158,51 @@ class SectionVolumeFunction:
             return (unit_ball_volume(m) * r ** (p + m) * beta(p / 2, m / 2 + 1) / 2
                     * np.linalg.norm(thetas, axis=1) ** -p)
         if self.m == 1:
-            return self._chord_moments(thetas, radial_many(self.support_body(), thetas), p)
+            return self._chord_moments(thetas, p)
         return self._wedge_moments(thetas, int(p))
 
-    def _chord_moments(self, thetas: np.ndarray, T: np.ndarray, p: float) -> np.ndarray:
-        """Ray moments at m = 1, where f(t theta) = hi(t) - lo(t) on [0, T].
+    def _chord_moments(self, thetas: np.ndarray, p: float) -> np.ndarray:
+        """Ray moments at m = 1: the moments at p of each block's chord profile.
 
-        hi (lo) is the lower (upper) envelope of the lines (b_i - t w_i) / a_i
-        of the facets with a_i > 0 (a_i < 0), so f is linear between the kinks
-        of the two envelopes. Facets parallel to F only bound t, and T
-        accounts for them.
+        The profile (`_chord_profile`) does not depend on p. A call whose
+        directions fit in one block keeps its profile, keyed by the bytes of
+        the directions, so a call at another p on the same directions only
+        takes the moments (`_piecewise_linear_moments`). Larger calls keep
+        nothing: T and W are computed for the whole call, and BLAS may round
+        a block's rows differently when they are computed alone, so a kept
+        block would not give the bits of a fresh call.
         """
+        key = thetas.tobytes()
+        if self._profile is not None and self._profile[0] == key:
+            return _piecewise_linear_moments(*self._profile[1:], p)
         a, A, b = self._fast
         W = thetas @ self.Fperp.basis @ A.T  # (N, H): w_i = <A_i, theta>
-        pos, neg = a > 1e-12, a < -1e-12
-        c_hi, c_lo = b[pos] / a[pos], b[neg] / a[neg]
+        T = radial_many(self.support_body(), thetas)
         block = max(1, _RAY_BLOCK_ELEMENTS // len(a) ** 2)
         out = np.empty(len(thetas))
         for s in range(0, len(thetas), block):
-            g_hi = -W[s:s + block, pos] / a[pos]
-            g_lo = -W[s:s + block, neg] / a[neg]
-            top = T[s:s + block, None]
-            ts = np.sort(np.hstack([np.zeros_like(top), _envelope_kinks(c_hi, g_hi, top),
-                                    _envelope_kinks(-c_lo, -g_lo, top), top]), axis=1)
-            hi = (c_hi + g_hi[:, None, :] * ts[:, :, None]).min(axis=2)
-            lo = (c_lo + g_lo[:, None, :] * ts[:, :, None]).max(axis=2)
-            out[s:s + block] = _piecewise_linear_moments(ts, np.clip(hi - lo, 0.0, None), p)
+            profile = self._chord_profile(W[s:s + block], T[s:s + block, None])
+            out[s:s + block] = _piecewise_linear_moments(*profile, p)
+        self._profile = (key, *profile) if 0 < len(thetas) <= block else None
         return out
+
+    def _chord_profile(self, W: np.ndarray, top: np.ndarray):
+        """(ts, chord): each row's breakpoints in [0, T] and f(t theta) = hi(t) - lo(t) there.
+
+        W holds <A_i, theta> per direction, top its T. hi (lo) is the lower
+        (upper) envelope of the lines (b_i - t w_i) / a_i of the facets with
+        a_i > 0 (a_i < 0), so f is linear between the kinks of the two
+        envelopes. Facets parallel to F only bound t, and T accounts for them.
+        """
+        a, _, b = self._fast
+        pos, neg = a > 1e-12, a < -1e-12
+        c_hi, c_lo = b[pos] / a[pos], b[neg] / a[neg]
+        g_hi, g_lo = -W[:, pos] / a[pos], -W[:, neg] / a[neg]
+        ts = np.sort(np.hstack([np.zeros_like(top), _envelope_kinks(c_hi, g_hi, top),
+                                _envelope_kinks(-c_lo, -g_lo, top), top]), axis=1)
+        hi = (c_hi + g_hi[:, None, :] * ts[:, :, None]).min(axis=2)
+        lo = (c_lo + g_lo[:, None, :] * ts[:, :, None]).max(axis=2)
+        return ts, np.clip(hi - lo, 0.0, None)
 
     def _wedge_moments(self, thetas: np.ndarray, p: int) -> np.ndarray:
         """Ray moments at m >= 2 and integer p, one wedge moment per direction."""
@@ -396,7 +418,16 @@ class QuadratureSpec:
     polytope section functions at m = 1, or at m >= 2 with integer p, where
     they are wedge moments (`SectionVolumeFunction.ray_moments`). The sphere
     fields always apply: the integral over the cone's directions stays
-    numerical.
+    numerical. Its rule (`_integrate_refining`) takes the levels of
+    sphere_nodes in turn; on a 2-D cone a level puts that many nodes on each
+    piece of the arc between the directions where the integrand kinks
+    (`_arc_kinks`), on a wider cone it is the 1-D order of a simplex rule.
+
+    Each rule warns with a `QuadratureWarning` when it returns without
+    meeting its relative tolerance: the ray rule when its panels run out,
+    the sphere rule when its last two levels differ by more than
+    sphere_rel_tol. A sphere-rule gap beyond sphere_fail_tol raises
+    `QuadratureNonConvergence` instead.
     """
 
     ray_panel_nodes: int = 32
@@ -423,15 +454,19 @@ def _gl_cache(n: int, _cache={}):
 
 
 class QuadratureWarning(RuntimeWarning):
-    """The adaptive ray rule used all its panels without meeting ray_rel_tol.
+    """A quadrature rule returned its finest level without meeting its tolerance.
 
+    Issued by the adaptive ray rule (`_composite_gl`) when
+    ray_max_panels runs out before two panel levels agree to ray_rel_tol,
+    and by the sphere rule (`_integrate_refining`) when its last two levels
+    differ by more than sphere_rel_tol but not by more than sphere_fail_tol.
     ``value`` is the returned (finest) estimate and ``gap`` the difference
-    between the last two panel levels.
+    between the last two levels.
     """
 
     def __init__(self, value: float, gap: float, rel_tol: float):
         super().__init__(
-            f"ray quadrature did not reach rel. tolerance {rel_tol:g} "
+            f"quadrature did not reach rel. tolerance {rel_tol:g} "
             f"(value {value:.12g}, last gap {gap:.3g})"
         )
         self.value = value
@@ -506,7 +541,8 @@ def cone_section_volume_radial(
     """|K cap (F + C)| as the integral of I_p(f, theta)^p over C cap S^(p-1).
 
     f is the section-volume function of (K, F); requires 0 interior to the
-    support of f restricted to span(C).
+    support of f restricted to span(C). On a 2-D cone the arc rule is split
+    at the directions where its integrand kinks (`_arc_kinks`).
     """
     spec = spec or QuadratureSpec()
     _check_cone_flat(F, C)
@@ -536,7 +572,8 @@ def cone_section_volume_radial(
         def arc(phis):
             return fp(np.stack([np.cos(phis), np.sin(phis)], axis=1))
 
-        return _integrate_refining(lambda n: _fixed_gl(arc, a1, a1 + delta, n), spec)
+        edges = np.concatenate([[a1], _arc_kinks(K, F, C, a1, delta), [a1 + delta]])
+        return _integrate_refining(lambda n: _fixed_gl(arc, edges, n), spec)
     # p >= 3: integrate over the transversal simplex T = conv(unit generators):
     # int_{C cap S^{p-1}} phi(theta) dtheta = h * int_T phi(x/|x|) |x|^-p dA(x)
     if g.shape[0] != p:
@@ -559,13 +596,42 @@ def cone_section_volume_radial(
     return _integrate_refining(simplex_value, spec)
 
 
-def _fixed_gl(fn, a: float, b: float, n: int) -> float:
+def _arc_kinks(K: ConvexBody, F: Subspace, C: PolyhedralCone, a1: float, delta: float) -> np.ndarray:
+    """Sorted angles in (a1, a1 + delta) where the arc rule's integrand may kink.
+
+    On a polytope, the integrand of the 2-D cone's arc is analytic between
+    the directions of the vertices of L = K cap (F + span C), projected onto
+    span C. Angles are taken in span C's basis. A ball has no kinks.
+    """
+    if isinstance(K, Ball):
+        return np.zeros(0)
+    L, R = _section_and_rows(K, F, C)
+    if L is None:
+        return np.zeros(0)
+    # R y holds the coefficients of y's projection onto span C on C's
+    # generators (`constraints_in_span`), so this is that projection
+    Y = L.vertices @ R.T @ C.span.coords(C.generators)
+    norms = np.linalg.norm(Y, axis=1)
+    Y = Y[norms > 1e-12 * norms.max()]  # vertices in F have no direction
+    rel = np.unique((np.arctan2(Y[:, 1], Y[:, 0]) - a1) % (2 * math.pi))
+    return a1 + rel[(rel > 0) & (rel < delta)]
+
+
+def _fixed_gl(fn, edges: np.ndarray, n: int) -> float:
+    """n-node Gauss-Legendre on each piece [edges[j], edges[j+1]], in one call of fn."""
     x, w = _gl_cache(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return float((half * w) @ fn(mid + half * x))
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    return float((half[:, None] * w).ravel() @ fn((mid[:, None] + half[:, None] * x).ravel()))
 
 
 def _integrate_refining(value_at, spec: QuadratureSpec) -> float:
+    """The sphere rule: value_at(n) at each level n of sphere_nodes until two agree.
+
+    Returns the first level within sphere_rel_tol of the one before. When
+    no two levels agree, raises QuadratureNonConvergence if the last gap
+    exceeds sphere_fail_tol, else warns with a QuadratureWarning and returns
+    the finest level.
+    """
     values = [value_at(n) for n in spec.sphere_nodes[:1]]
     for n in spec.sphere_nodes[1:]:
         values.append(value_at(n))
@@ -574,4 +640,5 @@ def _integrate_refining(value_at, spec: QuadratureSpec) -> float:
     est = abs(values[-1] - values[-2]) if len(values) > 1 else math.inf
     if est > spec.sphere_fail_tol * max(abs(values[-1]), 1e-300):
         raise QuadratureNonConvergence(values[-1], est)
+    warnings.warn(QuadratureWarning(values[-1], est, spec.sphere_rel_tol), stacklevel=2)
     return values[-1]

@@ -33,6 +33,8 @@ from conesec.sections import (
     EmptySection,
     QuadratureSpec,
     QuadratureWarning,
+    SectionVolumeFunction,
+    _RAY_BLOCK_ELEMENTS,
     _composite_gl,
     cone_section_volume_polyhedral,
     cone_section_volume_radial,
@@ -87,9 +89,9 @@ def test_section_through_a_clearly_interior_point_solves_no_lp(monkeypatch):
     ref = section_volume(K, S)
     for scale in (1e-6, 1e-2, 1.0, 1e4):
         H = to_hrep(affine_map(K, scale * e))
-        assert section_volume(H, S) == pytest.approx(scale**3 * ref, rel=1e-12)
+        assert section_volume(H, S) == pytest.approx(scale**3 * ref, rel=1e-12, abs=0.0)
         lp_route = _halfspace_polytope(H.A @ S.basis.T, H.b)
-        assert volume(lp_route) == pytest.approx(scale**3 * ref, rel=1e-12)
+        assert volume(lp_route) == pytest.approx(scale**3 * ref, rel=1e-12, abs=0.0)
     assert len(lps) == 4  # the LP routes only
     # a flat through a point near the boundary still takes the LP
     x0 = 0.9999 * radial(K, e[3]) * e[3]
@@ -312,6 +314,36 @@ def test_batched_ray_moments_equal_per_direction(m):
     assert batched == pytest.approx(single, rel=1e-13)
 
 
+def test_chord_moments_at_several_degrees_equal_fresh_ones():
+    # the chord profile of a one-block call is kept for calls at other p;
+    # every result equals the one of a function that has seen no direction
+    K, F = random_body(4, 9), Subspace.from_span(np.eye(4)[:1])
+    f = section_volume_fn(K, F)
+    block = _RAY_BLOCK_ELEMENTS // len(f._fast[0]) ** 2
+    for count in (block, 3 * block + 5):
+        thetas = _unit_rows(f.k, count, seed=count)
+        for p in (1, 2, 3, 2.5):
+            assert f.ray_moments(thetas, p).tolist() == section_volume_fn(K, F).ray_moments(thetas, p).tolist()
+    # directions changed in place are new directions
+    thetas = _unit_rows(f.k, 8, seed=3)
+    f.ray_moments(thetas, 2)
+    thetas[:4] *= -1.5
+    assert f.ray_moments(thetas, 2).tolist() == section_volume_fn(K, F).ray_moments(thetas, 2).tolist()
+
+
+def test_degrees_on_one_block_walk_the_envelopes_once(monkeypatch):
+    walks, extents = [], []
+    real_walk, real_extent = conesec.sections._envelope_kinks, conesec.sections.radial_many
+    monkeypatch.setattr(conesec.sections, "_envelope_kinks", lambda *a: walks.append(1) or real_walk(*a))
+    monkeypatch.setattr(conesec.sections, "radial_many", lambda *a: extents.append(1) or real_extent(*a))
+    f = section_volume_fn(random_body(3, 8), Subspace.from_span(np.eye(3)[:1]))
+    thetas = _unit_rows(f.k, 32, seed=1)
+    for p in (1, 2, 3):
+        f.ray_moments(thetas, p)
+    assert len(walks) == 2  # the upper and the lower envelope
+    assert len(extents) == 1
+
+
 def test_coinciding_breakpoints_give_exact_values():
     # cube, axis-aligned theta: every facet line is parallel to the ray or
     # to F, so crossings are at infinity and vertex heights repeat
@@ -508,6 +540,37 @@ def test_radial_route_matches_polyhedral():
         a = cone_section_volume_polyhedral(K, F, C)
         b = cone_section_volume_radial(K, F, C)
         assert b == pytest.approx(a, rel=1e-6)
+
+
+def test_arc_rule_split_at_vertex_directions_converges_at_its_second_level(monkeypatch):
+    # criterion 11's 3-D set-ups with 2-D cones: the integrand over the arc
+    # is analytic between the projected vertex directions, so the 16- and
+    # 32-node levels agree
+    calls = []
+    real = SectionVolumeFunction.ray_moments
+    monkeypatch.setattr(SectionVolumeFunction, "ray_moments", lambda *a: calls.append(1) or real(*a))
+    e = np.eye(3)
+    for seed in (5030, 5031):
+        K = random_body(3, seed)
+        for C in (orthant_cone(e[1:]), PolyhedralCone([e[1] + 0.4 * e[2], e[2]]), orthant_cone(-e[1:])):
+            calls.clear()
+            got = cone_section_volume_radial(K, Subspace.from_span(e[:1]), C)
+            assert len(calls) == 2
+            assert got == pytest.approx(cone_section_volume_polyhedral(K, Subspace.from_span(e[:1]), C),
+                                        rel=1e-6, abs=0.0)
+
+
+def test_sphere_rule_warns_when_it_misses_its_tolerance():
+    # on the cube, 2 and 3 nodes on each piece of the arc differ by more
+    # than sphere_rel_tol and less than sphere_fail_tol
+    F, C = Subspace.from_span([[1.0, 0, 0]]), orthant_cone([[0, 1.0, 0], [0, 0, 1.0]])
+    spec = QuadratureSpec(sphere_nodes=(2, 3), sphere_fail_tol=0.1)
+    with pytest.warns(QuadratureWarning) as record:
+        got = cone_section_volume_radial(make_cube(3), F, C, spec)
+    warning = record[0].message
+    assert warning.value == got
+    assert spec.sphere_rel_tol * got < warning.gap <= spec.sphere_fail_tol * got
+    assert got == pytest.approx(2.0, rel=1e-3)
 
 
 @pytest.mark.parametrize("scale", [
