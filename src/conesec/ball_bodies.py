@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 
 from . import rng as _rng
 from .geometry import GeometryError, Polytope, Subspace, VPolytope, make_ball
-from .sections import QuadratureSpec, SectionVolumeFunction, _composite_gl
+from .sections import QUADRATURE, SectionVolumeFunction, _composite_gl
 from .special import beta
 
 
@@ -27,7 +27,8 @@ class ConcaveFunctionOracle:
     ``support_radius`` bounds the support: f = 0 outside that ball.
     ``barycenter_zero`` asserts that the first moment of f vanishes.
     ``section_fn`` is the polytope or ball section-volume function that f
-    evaluates, if any; its exact ray moments then replace the adaptive rule.
+    evaluates, if any; its rays (`ray_values`, `ray_extent`, `ray_moments`)
+    are then read from it.
     """
 
     def __init__(
@@ -38,8 +39,6 @@ class ConcaveFunctionOracle:
         support_radius: float,
         barycenter_zero: bool = False,
         label: str = "oracle",
-        ray_values: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-        ray_extent: Callable[[np.ndarray], float] | None = None,
         section_fn: SectionVolumeFunction | None = None,
     ):
         self.dim = dim
@@ -48,8 +47,6 @@ class ConcaveFunctionOracle:
         self.support_radius = float(support_radius)
         self.barycenter_zero = barycenter_zero
         self.label = label
-        self._ray_values = ray_values
-        self._ray_extent = ray_extent
         self.section_fn = section_fn
         if evaluate(np.zeros(dim)) <= 0:
             raise GeometryError("f(0) must be positive (0 interior to the support)")
@@ -59,15 +56,15 @@ class ConcaveFunctionOracle:
 
     def ray_values(self, x, ts: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self._ray_values is not None:
-            return self._ray_values(x, ts)
+        if self.section_fn is not None:
+            return self.section_fn.ray_values(x, ts)
         return np.array([self(t * x) for t in ts])
 
     def ray_extent(self, x) -> float:
-        """Largest t with f(t x) > 0, by bisection unless a closed form exists."""
+        """Largest t with f(t x) > 0: the section function's, else by bisection."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self._ray_extent is not None:
-            return float(self._ray_extent(x))
+        if self.section_fn is not None:
+            return float(self.section_fn.ray_extent(x))
         hi = self.support_radius / max(np.linalg.norm(x), 1e-300) * 1.001
         if self(hi * x) > 0:
             return hi
@@ -79,6 +76,27 @@ class ConcaveFunctionOracle:
             else:
                 hi = mid
         return lo
+
+    def ray_moments(self, xs, p: float) -> np.ndarray:
+        """int_0^inf t^(p-1) f(t x) dt for each row x of an (N, k) array.
+
+        The section function's `ray_moments` when f has one, exact where it
+        can be; otherwise the adaptive rule `_composite_gl` on [0, `ray_extent`]
+        per row. Raises `GeometryError` unless p > 0 and every row is nonzero.
+        """
+        if p <= 0:
+            raise GeometryError("p must be positive")
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        if not xs.any(axis=1).all():
+            raise GeometryError("x must be nonzero")
+        if self.section_fn is not None:
+            return self.section_fn.ray_moments(xs, p)
+        out = np.empty(len(xs))
+        for i, x in enumerate(xs):
+            T = self.ray_extent(x)
+            out[i] = 0.0 if T <= 0 else _composite_gl(
+                lambda ts: ts ** (p - 1) * self.ray_values(x, ts), 0.0, T, QUADRATURE)
+        return out
 
 
 def oracle_from_section_fn(svf: SectionVolumeFunction, label: str = "section-volume") -> ConcaveFunctionOracle:
@@ -97,8 +115,6 @@ def oracle_from_section_fn(svf: SectionVolumeFunction, label: str = "section-vol
         support_radius=R,
         barycenter_zero=True,
         label=label,
-        ray_values=svf.ray_values,
-        ray_extent=svf.ray_extent,
         section_fn=svf,
     )
 
@@ -115,53 +131,34 @@ def ball_indicator_oracle(k: int, r: float = 1.0) -> ConcaveFunctionOracle:
 # the I_p functional and its star bodies
 
 
-def _exact_section_fn(f: ConcaveFunctionOracle, p: float) -> SectionVolumeFunction | None:
-    """The section function behind f when its ray moments at p are exact, else None."""
-    svf = f.section_fn
-    return svf if svf is not None and svf.has_exact_ray_moments(p) else None
-
-
-def I_p(f: ConcaveFunctionOracle, x, p: float, spec: QuadratureSpec | None = None) -> float:
+def I_p(f: ConcaveFunctionOracle, x, p: float) -> float:
     """(int_0^inf t^(p-1) f(t x) dt)^(1/p); homogeneous of degree -1 in x.
 
-    Exact for polytope section profiles (see `_exact_section_fn`), else by
-    the adaptive ray rule.
+    One row of `f.ray_moments`: exact for polytope section profiles and
+    ball indicators, else by the adaptive ray rule.
     """
-    if p <= 0:
-        raise GeometryError("p must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.linalg.norm(x) == 0:
-        raise GeometryError("x must be nonzero")
-    svf = _exact_section_fn(f, p)
-    if svf is not None:
-        return float(svf.ray_moments(x[None, :], p)[0]) ** (1.0 / p)
-    spec = spec or QuadratureSpec()
-    T = f.ray_extent(x)
-    if T <= 0:
-        return 0.0
-    val = _composite_gl(lambda ts: ts ** (p - 1) * f.ray_values(x, ts), 0.0, T, spec)
-    return val ** (1.0 / p)
+    return float((f.ray_moments(x[None, :], p) ** (1.0 / p))[0])
 
 
 class StarBodyOracle:
-    """Direction -> radius map with a cached polytope approximation."""
+    """Direction -> radius map with a cached polytope approximation.
 
-    def __init__(self, dim: int, radial: Callable[[np.ndarray], float], label: str = "star-body",
-                 radial_many: Callable[[np.ndarray], np.ndarray] | None = None):
+    ``radial_many`` maps an (N, dim) array of directions to their N radii.
+    """
+
+    def __init__(self, dim: int, radial_many: Callable[[np.ndarray], np.ndarray],
+                 label: str = "star-body"):
         self.dim = dim
-        self._radial = radial
         self._radial_many = radial_many
         self.label = label
         self._approx_cache: dict[tuple, Polytope] = {}
 
     def radial(self, theta) -> float:
-        return float(self._radial(np.atleast_1d(np.asarray(theta, dtype=float))))
+        return float(self.radial_many(np.atleast_1d(np.asarray(theta, dtype=float))[None, :])[0])
 
     def radial_many(self, thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        if self._radial_many is not None:
-            return self._radial_many(thetas)
-        return np.array([self.radial(t) for t in thetas])
+        return self._radial_many(np.atleast_2d(np.asarray(thetas, dtype=float)))
 
     def polytope_approx(self, num_dirs: int | None = None, seed: int = 0) -> Polytope:
         """Inscribed polytope: hull of boundary points at a seeded direction grid."""
@@ -175,12 +172,10 @@ class StarBodyOracle:
         return self._approx_cache[key]
 
 
-def ball_body(f: ConcaveFunctionOracle, p: float, spec: QuadratureSpec | None = None) -> StarBodyOracle:
+def ball_body(f: ConcaveFunctionOracle, p: float) -> StarBodyOracle:
     """The convex body whose radial function is theta -> I_p(f, theta)."""
-    svf = _exact_section_fn(f, p)
-    many = None if svf is None else (lambda thetas: svf.ray_moments(thetas, p) ** (1.0 / p))
-    return StarBodyOracle(f.dim, lambda th: I_p(f, th, p, spec), label=f"L_{p}({f.label})",
-                          radial_many=many)
+    return StarBodyOracle(f.dim, lambda thetas: f.ray_moments(thetas, p) ** (1.0 / p),
+                          label=f"L_{p}({f.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -207,25 +202,19 @@ def sphere_quadrature(k: int, level: int = 64):
     raise GeometryError("sphere quadrature implemented for k <= 3")
 
 
-def function_moment(f: ConcaveFunctionOracle, u, p: int, level: int | None = None,
-                    spec: QuadratureSpec | None = None) -> float:
+def function_moment(f: ConcaveFunctionOracle, u, p: int, level: int | None = None) -> float:
     """int_{R^k} <x,u>^p f(x) dx via polar coordinates and sphere quadrature."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     k = f.dim
     if level is None:
         level = {1: 1, 2: 1024, 3: 64}.get(k, 64)
     dirs, wts = sphere_quadrature(k, level)
-    svf = _exact_section_fn(f, k + p)
-    if svf is not None:
-        vals = svf.ray_moments(dirs, k + p)
-    else:
-        vals = np.array([I_p(f, th, k + p, spec) ** (k + p) for th in dirs])
+    vals = f.ray_moments(dirs, k + p)
     return float(np.sum(wts * (dirs @ u) ** p * vals))
 
 
 def moment_identity_check(f: ConcaveFunctionOracle, u, p: int,
-                          approx_dirs: int | None = None, seed: int = 11,
-                          spec: QuadratureSpec | None = None):
+                          approx_dirs: int | None = None, seed: int = 11):
     """Both sides of int_{L_{k+p}(f)} <x,u>^p dx = 1/(k+p) int <x,u>^p f(x) dx.
 
     The left side uses an inscribed polytope approximation of L_{k+p}(f) and
@@ -237,7 +226,7 @@ def moment_identity_check(f: ConcaveFunctionOracle, u, p: int,
 
     k = f.dim
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    L = ball_body(f, k + p, spec)
+    L = ball_body(f, k + p)
     if approx_dirs is None:
         approx_dirs = {1: 2, 2: 8192, 3: 24576}.get(k, 2 ** (k + 12))
     if k == 1:
@@ -251,7 +240,7 @@ def moment_identity_check(f: ConcaveFunctionOracle, u, p: int,
         alpha = 2.0 / (k - 1)
         w1, w2 = float(n1) ** alpha, float(n2) ** alpha
         lhs = (m2 * w2 - m1 * w1) / (w2 - w1)
-    rhs = function_moment(f, u, p, spec=spec) / (k + p)
+    rhs = function_moment(f, u, p) / (k + p)
     return lhs, rhs
 
 

@@ -167,7 +167,7 @@ def _cmd_ball_body(args, t0) -> int:
     f = oracle_from_section_fn(section_volume_fn(K, F))
     L = ball_body(f, args.p)
     dirs = _rng.sphere_grid(args.k, args.dirs, args.seed)
-    rows = [{"theta": th.tolist(), "radius": L.radial(th)} for th in dirs]
+    rows = [{"theta": th.tolist(), "radius": float(r)} for th, r in zip(dirs, L.radial_many(dirs))]
     _emit(_report(args, {"k": args.k, "p": args.p, "radii": rows}, t0), args)
     return 0
 

@@ -739,11 +739,13 @@ def affine_map(K: ConvexBody, M, shift=None) -> ConvexBody:
 
 
 class PolyhedralCone:
-    """Finitely generated cone; only rays, simplicial and orthant cones.
+    """Simplicial cone: a ray, a simplicial or an orthant cone.
 
-    ``generators`` are nonzero ambient vectors; the cone lives in the span G
-    of its generators.  When ``within`` is given, every generator must lie in
-    that subspace (it is the F^perp of a flat's direction space).
+    ``generators`` are linearly independent nonzero ambient vectors, as many
+    as the dimension of their span G, in which the cone lives; other
+    generator sets raise `GeometryError`.  When ``within`` is given, every
+    generator must lie in that subspace (it is the F^perp of a flat's
+    direction space).
     """
 
     def __init__(self, generators, within: Subspace | None = None):
@@ -759,6 +761,9 @@ class PolyhedralCone:
         self.span_dim = self.span.dim
         if self.span_dim < 1:
             raise GeometryError("cone must span at least one dimension")
+        if len(G) != self.span_dim:
+            raise GeometryError(f"{len(G)} cone generators span {self.span_dim} dimensions: "
+                                "only simplicial cones are supported")
         if within is not None:
             for g in G:
                 if not within.contains_vector(g, tol=1e-12):
@@ -768,18 +773,8 @@ class PolyhedralCone:
     def negated(self) -> "PolyhedralCone":
         return PolyhedralCone(-self.generators, within=self.within)
 
-    def is_simplicial(self) -> bool:
-        return self.generators.shape[0] == self.span_dim
-
     def constraints_in_span(self) -> np.ndarray:
-        """Rows r_i with C = {y in span-coords : r_i . y >= 0 for all i}.
-
-        Requires a simplicial cone (generator count equals span dimension).
-        """
-        if not self.is_simplicial():
-            raise GeometryError(
-                "only simplicial/ray/orthant cones have a supported facet structure"
-            )
+        """Rows r_i with C = {y in span-coords : r_i . y >= 0 for all i}."""
         W = self.span.coords(self.generators)  # (p, p), rows = generators
         return np.linalg.inv(W.T)  # y = W^T c, c >= 0  <=>  inv(W^T) y >= 0
 

@@ -86,8 +86,9 @@ class SectionVolumeFunction:
 
     f is 1/m-concave on its support with m = n - k (k = codim of F).  For
     F = {0} (k = n) the 0-dimensional convention f = indicator of K is used.
-    Each evaluation takes one section of K; ray moments are exact where
-    `has_exact_ray_moments` holds.
+    Each evaluation takes one section of K. `ray_moments` is the one entry
+    point for its ray moments: exact where `has_exact_ray_moments` holds,
+    adaptive elsewhere.
     """
 
     def __init__(self, body: ConvexBody, F: Subspace):
@@ -122,21 +123,22 @@ class SectionVolumeFunction:
         return isinstance(self.body, Ball) and bool(np.linalg.norm(self.body.center) < 1e-14)
 
     def has_exact_ray_moments(self, p) -> bool:
-        """Whether `ray_moments` applies: K a ball centred at 0 (any m), or a
-        polytope with m = 1, or m >= 2 and p an integer (a wedge moment of
-        degree p - 1)."""
+        """Whether `ray_moments` is exact at p: K a ball centred at 0 (any m),
+        or a polytope with m = 1, or m >= 2 and p an integer (a wedge moment
+        of degree p - 1)."""
         if isinstance(self.body, Ball):
             return self._centred_ball()
         return self.m == 1 or self.m >= 2 and float(p).is_integer()
 
     def ray_moments(self, thetas, p) -> np.ndarray:
-        """int_0^T t^(p-1) f(t theta) dt for each row theta of an (N, k) array.
+        """int_0^T t^(p-1) f(t theta) dt for each row theta of an (N, k) array, p > 0.
 
-        Exact up to rounding. At m = 1, f is the chord length, linear between
-        the kinks of the facet lines bounding the chord, and each panel is
-        integrated in closed form for every real p > 0. The kinks and chord
-        lengths do not depend on p: after a call whose directions fit in one
-        block, a call at another p on the same directions reuses them
+        Where `has_exact_ray_moments(p)` holds the moments are exact up to
+        rounding. At m = 1, f is the chord length, linear between the kinks
+        of the facet lines bounding the chord, and each panel is integrated
+        in closed form for every real p > 0. The kinks and chord lengths do
+        not depend on p: after a call whose directions fit in one block, a
+        call at another p on the same directions reuses them
         (`_chord_moments`), with the same result bits. At m >= 2 and integer
         p, the moment is |theta|^(-p) times the integral of <e, y>^(p-1) over
         L cap {<e, y> >= 0} (`volume.wedge_moment`), with e = theta / |theta|
@@ -146,13 +148,22 @@ class SectionVolumeFunction:
         omega_m (r^2 - t^2 |theta|^2)^(m/2), whose moment is
         omega_m r^(p+m) |theta|^(-p) B(p/2, m/2 + 1) / 2 for every real p > 0;
         at m = 0 (f the indicator) that is (r / |theta|)^p / p.
-        See `has_exact_ray_moments`.
+
+        Elsewhere (off-centre balls, polytope indicators at m = 0, and
+        non-integer p at m >= 2) each row takes the adaptive rule
+        `_composite_gl` on [0, `ray_extent`], which warns with a
+        `QuadratureWarning` when it misses its tolerance.
         """
-        if not self.has_exact_ray_moments(p):
-            raise GeometryError(f"no exact ray moments at m={self.m}, p={p}")
         if p <= 0:
             raise GeometryError("p must be positive")
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        if not self.has_exact_ray_moments(p):
+            out = np.empty(len(thetas))
+            for i, theta in enumerate(thetas):
+                T = self.ray_extent(theta)
+                out[i] = 0.0 if T <= 0 else _composite_gl(
+                    lambda ts: ts ** (p - 1) * self.ray_values(theta, ts), 0.0, T, QUADRATURE)
+            return out
         if isinstance(self.body, Ball):
             m, r = self.m, self.body.radius
             return (unit_ball_volume(m) * r ** (p + m) * beta(p / 2, m / 2 + 1) / 2
@@ -374,19 +385,19 @@ def solid_angle_fraction(C: PolyhedralCone, mc_samples: int = 4_000_000, seed: i
     """Fraction of the sphere S^(p-1) of span(C) inside C.
 
     Closed forms for p <= 2 and orthogonal generators; spherical-triangle
-    excess for simplicial p = 3; seeded Monte Carlo beyond that.
+    excess for p = 3; seeded Monte Carlo beyond that.
     """
     p = C.span_dim
     U = C.span.coords(C.generators)  # unit rows in span coords
     if p == 1:
         return 0.5
     gram = U @ U.T
-    if C.is_simplicial() and np.allclose(gram, np.eye(p), atol=1e-9):
+    if np.allclose(gram, np.eye(p), atol=1e-9):
         return 2.0**-p
     if p == 2:
         ang = math.acos(np.clip(gram[0, 1], -1, 1))
         return ang / (2 * math.pi)
-    if p == 3 and C.is_simplicial():
+    if p == 3:
         # spherical excess via the dihedral angles of the triangle (a, b, c)
         a, b, c = U
         angles = []
@@ -395,8 +406,6 @@ def solid_angle_fraction(C: PolyhedralCone, mc_samples: int = 4_000_000, seed: i
             tz = z - (z @ x) * x
             angles.append(math.acos(np.clip(ty @ tz / (np.linalg.norm(ty) * np.linalg.norm(tz)), -1, 1)))
         return (sum(angles) - math.pi) / (4 * math.pi)
-    if not C.is_simplicial():
-        raise GeometryError("solid angle supported for ray/simplicial/orthant cones only")
     R = C.constraints_in_span()
     dirs = _rng.sample_sphere(p, mc_samples, seed)
     inside = np.all(dirs @ R.T >= 0, axis=1)
@@ -409,7 +418,10 @@ def solid_angle_fraction(C: PolyhedralCone, mc_samples: int = 4_000_000, seed: i
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls ray and spherical quadrature of the radial route.
+    """The tolerances of the ray and spherical quadrature of the radial route.
+
+    One instance, the module constant `QUADRATURE`, serves every caller;
+    no public function takes a spec, so no call can loosen a tolerance.
 
     The ray fields drive the adaptive rule `_composite_gl`, which integrates
     only the profiles without exact ray moments: off-centre balls, oracles
@@ -436,6 +448,9 @@ class QuadratureSpec:
     sphere_nodes: tuple = (16, 32, 64, 128)
     sphere_rel_tol: float = 1e-6
     sphere_fail_tol: float = 1e-3  # hard nonconvergence threshold
+
+
+QUADRATURE = QuadratureSpec()
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -500,19 +515,12 @@ def _composite_gl(fn, a: float, b: float, spec: QuadratureSpec) -> float:
     return prev
 
 
-def ray_moment(f: SectionVolumeFunction, theta_fperp, p: float, spec: QuadratureSpec | None = None) -> float:
+def ray_moment(f: SectionVolumeFunction, theta_fperp, p: float) -> float:
     """Integral of t^(p-1) f(t theta) over the ray, i.e. I_p(f, theta)^p.
 
-    Exact where `f.has_exact_ray_moments(p)`, else adaptive (`_composite_gl`).
+    One row of `f.ray_moments`.
     """
-    theta = np.asarray(theta_fperp, dtype=float)
-    if f.has_exact_ray_moments(p):
-        return float(f.ray_moments(theta[None, :], p)[0])
-    spec = spec or QuadratureSpec()
-    T = f.ray_extent(theta)
-    if T <= 0:
-        return 0.0
-    return _composite_gl(lambda ts: ts ** (p - 1) * f.ray_values(theta, ts), 0.0, T, spec)
+    return float(f.ray_moments(np.asarray(theta_fperp, dtype=float)[None, :], p)[0])
 
 
 def _std_simplex_quadrature(d: int, n1d: int):
@@ -535,16 +543,13 @@ def _std_simplex_quadrature(d: int, n1d: int):
     return pts, wts  # weights sum to 1/d!
 
 
-def cone_section_volume_radial(
-    K: ConvexBody, F: Subspace, C: PolyhedralCone, spec: QuadratureSpec | None = None
-) -> float:
+def cone_section_volume_radial(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
     """|K cap (F + C)| as the integral of I_p(f, theta)^p over C cap S^(p-1).
 
     f is the section-volume function of (K, F); requires 0 interior to the
     support of f restricted to span(C). On a 2-D cone the arc rule is split
     at the directions where its integrand kinks (`_arc_kinks`).
     """
-    spec = spec or QuadratureSpec()
     _check_cone_flat(F, C)
     f = section_volume_fn(K, F)
     p = C.span_dim
@@ -553,10 +558,7 @@ def cone_section_volume_radial(
 
     def fp(theta_g: np.ndarray) -> np.ndarray:
         # theta_g: (N, p) unit directions in G-basis coordinates
-        thetas = theta_g @ Gc
-        if f.has_exact_ray_moments(p):
-            return f.ray_moments(thetas, p)
-        return np.array([ray_moment(f, th, p, spec) for th in thetas])
+        return f.ray_moments(theta_g @ Gc, p)
 
     g = gens @ Gc.T  # generator coordinates in the G basis
     g = g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -573,11 +575,9 @@ def cone_section_volume_radial(
             return fp(np.stack([np.cos(phis), np.sin(phis)], axis=1))
 
         edges = np.concatenate([[a1], _arc_kinks(K, F, C, a1, delta), [a1 + delta]])
-        return _integrate_refining(lambda n: _fixed_gl(arc, edges, n), spec)
+        return _integrate_refining(lambda n: _fixed_gl(arc, edges, n), QUADRATURE)
     # p >= 3: integrate over the transversal simplex T = conv(unit generators):
     # int_{C cap S^{p-1}} phi(theta) dtheta = h * int_T phi(x/|x|) |x|^-p dA(x)
-    if g.shape[0] != p:
-        raise GeometryError("radial route needs a simplicial cone for p >= 3")
     U = g  # (p, p) unit generators, rows
     nvec = np.linalg.solve(U, np.ones(p))
     h = 1.0 / np.linalg.norm(nvec)  # distance from 0 to aff(T)
@@ -593,7 +593,7 @@ def cone_section_volume_radial(
         mean_on_std = float((wts * vals / norms**p).sum())  # weights carry 1/(p-1)!
         return h * volT * math.factorial(p - 1) * mean_on_std
 
-    return _integrate_refining(simplex_value, spec)
+    return _integrate_refining(simplex_value, QUADRATURE)
 
 
 def _arc_kinks(K: ConvexBody, F: Subspace, C: PolyhedralCone, a1: float, delta: float) -> np.ndarray:

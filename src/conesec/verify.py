@@ -242,13 +242,8 @@ def check_main_theorem_part2(K: ConvexBody, F: Subspace, C: PolyhedralCone,
 
 def section_volume_in_flat(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
     """|K cap (F + G)| where G = span(C): the un-coned section volume."""
-    G = C.span
-    if F.dim + G.dim == K.dim:
-        return moments(K).volume
-    span = Subspace.from_span(np.vstack([F.basis, G.basis]) if F.dim else G.basis,
-                              ambient_dim=K.dim)
-    sec = section(K, span)
-    return 0.0 if isinstance(sec, EmptySection) else moments(sec).volume
+    L, _ = _section_and_rows(K, F, C)
+    return 0.0 if L is None else moments(L).volume
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +348,7 @@ def check_corollary3(K: ConvexBody, E: Subspace, us,
 # closed-form experiments on the regular simplex and the cube
 
 
-def check_experiment_remark1(n: int, l: int) -> CheckResult:
+def experiment_remark1(n: int, l: int) -> CheckResult:
     """Simplex sliced by the span of l vertices: exact halfspace fraction.
 
     The fraction of the l-dimensional section on the positive side of the
@@ -379,10 +374,6 @@ def check_experiment_remark1(n: int, l: int) -> CheckResult:
         passed=bool(abs(lhs - rhs) <= slack * rhs),
         notes="equality check (two-sided relative)",
     )
-
-
-# keep the experiment_* naming used by the CLI
-experiment_remark1 = check_experiment_remark1
 
 
 def experiment_remark3_cube(n: int) -> CheckResult:
@@ -522,12 +513,9 @@ def check_lemma6(f: ConcaveFunctionOracle, p: float, num_dirs: int = 64,
     L = ball_body(f, p)
     factor = negative_ray_factor(f.dim, f.concavity_index, p)
     dirs = _rng.sphere_grid(f.dim, num_dirs, seed)
-    worst = 0.0
-    for th in dirs:
-        r_plus = L.radial(th)
-        r_minus = L.radial(-th)
-        if r_plus > 0:
-            worst = max(worst, r_minus / r_plus)
+    r_plus, r_minus = L.radial_many(dirs), L.radial_many(-dirs)
+    seen = r_plus > 0
+    worst = float(np.max(r_minus[seen] / r_plus[seen], initial=0.0))
     slack = 1e-6
     return CheckResult(
         name="moment-body-backward-radius-bound",
@@ -596,7 +584,7 @@ def report_prop9(f: ConcaveFunctionOracle, num_dirs: int = 256,
     """
     k = f.dim
     L = ball_body(f, k + 1.0)
-    ball = StarBodyOracle(k, lambda th: 1.0, label="unit-ball")
+    ball = StarBodyOracle(k, lambda thetas: np.ones(len(thetas)), label="unit-ball")
     dist_lb = geometric_distance_lb(L, ball, num_dirs=num_dirs, seed=seed)
     m = moments(L.polytope_approx(seed=seed))
     w = np.linalg.eigvalsh(m.covariance / m.volume)

@@ -45,6 +45,17 @@ def linear_profile_oracle(m: float) -> ConcaveFunctionOracle:
     )
 
 
+def quadratic_cap_oracle() -> ConcaveFunctionOracle:
+    """f(x) = 1 - |x|^2 on the unit disc, an oracle with no section function."""
+    return ConcaveFunctionOracle(
+        dim=2,
+        evaluate=lambda x: max(0.0, 1.0 - float(x @ x)),
+        concavity_index=1.0,
+        support_radius=1.0,
+        label="1-|x|^2",
+    )
+
+
 # ---------------------------------------------------------------------------
 # radial integrals I_p
 
@@ -67,11 +78,30 @@ def test_I_p_homogeneity():
 
 
 def test_I_p_rejects_bad_arguments():
-    f = ball_indicator_oracle(2)
-    with pytest.raises(GeometryError):
-        I_p(f, [1.0, 0.0], 0.0)
-    with pytest.raises(GeometryError):
-        I_p(f, [0.0, 0.0], 1.0)
+    # through I_p and through the moment body's radius, on a section profile
+    # and on an oracle without one
+    for f in (ball_indicator_oracle(2), quadratic_cap_oracle()):
+        for p in (0.0, -1.0):
+            with pytest.raises(GeometryError):
+                I_p(f, [1.0, 0.0], p)
+            with pytest.raises(GeometryError):
+                ball_body(f, p).radial([1.0, 0.0])
+        with pytest.raises(GeometryError):
+            I_p(f, [0.0, 0.0], 1.0)
+        with pytest.raises(GeometryError):
+            ball_body(f, 1.0).radial([0.0, 0.0])
+
+
+def test_oracle_without_section_fn_takes_the_adaptive_rule():
+    # f = 1 - |x|^2: I_p(f, theta)^p = 1/p - 1/(p+2) for unit theta
+    f = quadratic_cap_oracle()
+    dirs = np.random.default_rng(3).standard_normal((4, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for p in (1.0, 2.0, 3.0):
+        L = ball_body(f, p)
+        radii = L.radial_many(dirs)
+        assert radii == pytest.approx([I_p(f, th, p) for th in dirs], rel=1e-13)
+        assert radii == pytest.approx((1 / p - 1 / (p + 2)) ** (1 / p), rel=1e-12)
 
 
 def test_linear_profile_matches_beta_function():

@@ -186,6 +186,19 @@ def test_bad_cone_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("generators", [
+    [[0.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]],  # quarter wedge, three generators
+    [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]],  # a line
+])
+def test_non_simplicial_cone_file_exits_2(capsys, tmp_path, generators):
+    cone = tmp_path / "cone.json"
+    cone.write_text(json.dumps({"flat_basis": [[1.0, 0.0, 0.0]], "generators": generators}))
+    code, out, err = run(capsys, "cone-volume", "--body", "ball", "--n", "3",
+                         "--cone", str(cone), "--route", "both")
+    assert code == 2
+    assert "simplicial" in err
+
+
 def test_bad_vector_exits_2(capsys):
     code, out, err = run(capsys, "section", "--body", "cube", "--n", "3",
                          "--u", "a,b,c")

@@ -411,6 +411,20 @@ def test_simplicial_cone_constraints():
     assert np.min(outside @ R.T) < 0
 
 
+# generator sets that span fewer dimensions than they count: the quarter
+# wedge of R^2 with a third generator inside it, and a line
+NON_SIMPLICIAL = [
+    [[0.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]],
+    [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]],
+]
+
+
+@pytest.mark.parametrize("generators", NON_SIMPLICIAL)
+def test_non_simplicial_cone_is_rejected(generators):
+    with pytest.raises(GeometryError, match="simplicial"):
+        PolyhedralCone(generators)
+
+
 def test_cone_negation():
     C = PolyhedralCone([[0.0, 1.0]])
     assert np.allclose(C.negated().generators, [[0.0, -1.0]])

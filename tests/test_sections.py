@@ -10,7 +10,9 @@ from scipy.integrate import quad
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 import conesec
+from conesec import sections
 from conesec.geometry import (
+    GeometryError,
     HPolytope,
     PolyhedralCone,
     Subspace,
@@ -228,6 +230,38 @@ def test_adaptive_ray_rule_warns_when_it_misses_its_tolerance():
         warnings.simplefilter("error")
         loose = chord(QuadratureSpec(ray_rel_tol=1e-5))
     assert loose == pytest.approx(math.pi / 2, rel=1e-5)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 2.5])
+def test_off_centre_ball_ray_moments_take_the_adaptive_rule(p):
+    # no closed form off centre: `ray_moments` integrates each row with the
+    # adaptive rule, silently at the rule's tolerance
+    f = section_volume_fn(make_ball(4, center=[0, 0, 0.1, -0.05]), Subspace.from_span(np.eye(4)[:2]))
+    assert not f.has_exact_ray_moments(p)
+    thetas = np.array([[1.0, 0.0], [-0.3, 0.8], [0.6, -1.2]])
+    refs = [quad(lambda t: t ** (p - 1) * f(t * theta), 0.0, f.ray_extent(theta),
+                 epsabs=0.0, epsrel=1e-13, limit=200)[0] for theta in thetas]
+    got = f.ray_moments(thetas, p)
+    assert got == pytest.approx(refs, rel=1e-12 if float(p).is_integer() else 1e-8)
+    assert [ray_moment(f, theta, p) for theta in thetas] == got.tolist()
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_polytope_indicator_ray_moments_take_the_adaptive_rule(p):
+    # at m = 0, f is the indicator of K: int_0^T t^(p-1) dt = radial(K, theta)^p / p
+    K = make_cube(3)
+    f = section_volume_fn(K, trivial_flat(3))
+    assert not f.has_exact_ray_moments(p)
+    thetas = np.array([[1.0, 0.2, -0.4], [-0.3, 0.9, 0.1], [0.0, 0.0, -2.0]])
+    assert f.ray_moments(thetas, p) == pytest.approx(
+        [radial(K, theta) ** p / p for theta in thetas], rel=1e-14)
+
+
+def test_ray_moments_reject_nonpositive_p():
+    f = section_volume_fn(make_ball(4, center=[0, 0, 0.1, -0.05]), Subspace.from_span(np.eye(4)[:2]))
+    for p in (0.0, -1.0):
+        with pytest.raises(GeometryError):
+            f.ray_moments([[1.0, 0.0]], p)
 
 
 # ---------------------------------------------------------------------------
@@ -561,13 +595,14 @@ def test_arc_rule_split_at_vertex_directions_converges_at_its_second_level(monke
                                         rel=1e-6, abs=0.0)
 
 
-def test_sphere_rule_warns_when_it_misses_its_tolerance():
+def test_sphere_rule_warns_when_it_misses_its_tolerance(monkeypatch):
     # on the cube, 2 and 3 nodes on each piece of the arc differ by more
     # than sphere_rel_tol and less than sphere_fail_tol
     F, C = Subspace.from_span([[1.0, 0, 0]]), orthant_cone([[0, 1.0, 0], [0, 0, 1.0]])
     spec = QuadratureSpec(sphere_nodes=(2, 3), sphere_fail_tol=0.1)
+    monkeypatch.setattr(sections, "QUADRATURE", spec)
     with pytest.warns(QuadratureWarning) as record:
-        got = cone_section_volume_radial(make_cube(3), F, C, spec)
+        got = cone_section_volume_radial(make_cube(3), F, C)
     warning = record[0].message
     assert warning.value == got
     assert spec.sphere_rel_tol * got < warning.gap <= spec.sphere_fail_tol * got
