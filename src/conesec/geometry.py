@@ -610,22 +610,20 @@ def _interior_hrep(K: ConvexBody) -> Polytope:
 
 def radial(K: ConvexBody, u) -> float:
     """Radial function r_K(u) = max{a >= 0 : a u in K}; 0 must be interior."""
-    u = _as_array(u)
+    return float(radial_many(K, _as_array(u)[None, :])[0])
+
+
+def radial_many(K: ConvexBody, U) -> np.ndarray:
+    """radial(K, u) for each row u of an (N, n) array."""
+    U = np.atleast_2d(_as_array(U))
     if isinstance(K, Ball):
         c, r = K.center, K.radius
         if np.linalg.norm(c) >= r - GEOM_TOL:
             raise GeometryError("origin is not interior to the ball")
-        uu = float(u @ u)
-        uc = float(u @ c)
-        disc = uc * uc + uu * (r * r - float(c @ c))
-        return (uc + np.sqrt(disc)) / uu
-    return float(radial_many(K, u[None, :])[0])
-
-
-def radial_many(K: ConvexBody, U) -> np.ndarray:
-    """radial(K, u) for each row u of an (N, n) array; polytopes only."""
+        uu, uc = np.einsum("ij,ij->i", U, U), U @ c
+        return (uc + np.sqrt(uc * uc + uu * (r * r - float(c @ c)))) / uu
     H = _interior_hrep(K)
-    proj = np.atleast_2d(_as_array(U)) @ H.A.T
+    proj = U @ H.A.T
     with np.errstate(divide="ignore"):
         ratios = np.where(proj > 1e-14, H.b / proj, np.inf)
     return ratios.min(axis=1)

@@ -5,8 +5,10 @@ Brunn section-volume function f(x) = |K cap (F + x)|, and cone-section
 volumes |K cap (F + C)| by two independent routes: polyhedral intersection
 and radial integration over the cone's spherical cross-section.  The ray
 moments int_0^T t^(p-1) f(t theta) dt of the radial route are exact for
-polytopes: a closed form on chord kinks at m = 1, and one wedge moment
-(`volume.wedge_moment`) per direction at m >= 2 and integer p.
+polytopes: radial(K, theta)^p / p at m = 0, a closed form on chord kinks at
+m = 1, and at m >= 2 and integer p one wedge moment (`volume.wedge_moment`)
+per direction, of K's cached boundary cones sliced down to the section
+K cap (F + R theta).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .geometry import (
     PolyhedralCone,
     Subspace,
     _halfspace_polytope,
-    interval_1d,
     project,
     radial,
     radial_many,
@@ -119,39 +120,36 @@ class SectionVolumeFunction:
         """Largest t with f(t theta) > 0 (0 must be interior to the support)."""
         return radial(self.support_body(), np.asarray(theta, dtype=float))
 
-    def _centred_ball(self) -> bool:
-        return isinstance(self.body, Ball) and bool(np.linalg.norm(self.body.center) < 1e-14)
-
     def has_exact_ray_moments(self, p) -> bool:
-        """Whether `ray_moments` is exact at p: K a ball centred at 0 (any m),
-        or a polytope with m = 1, or m >= 2 and p an integer (a wedge moment
-        of degree p - 1)."""
-        if isinstance(self.body, Ball):
-            return self._centred_ball()
-        return self.m == 1 or self.m >= 2 and float(p).is_integer()
+        """Whether `ray_moments` is exact at p: at m = 0 (f the indicator of
+        K), for K a ball centred at 0, or a polytope with m = 1, or m >= 2
+        and p an integer (a wedge moment of degree p - 1)."""
+        if isinstance(self.body, Ball) and self.m > 0:
+            return bool(np.linalg.norm(self.body.center) < 1e-14)
+        return self.m <= 1 or float(p).is_integer()
 
     def ray_moments(self, thetas, p) -> np.ndarray:
         """int_0^T t^(p-1) f(t theta) dt for each row theta of an (N, k) array, p > 0.
 
         Where `has_exact_ray_moments(p)` holds the moments are exact up to
-        rounding. At m = 1, f is the chord length, linear between the kinks
-        of the facet lines bounding the chord, and each panel is integrated
-        in closed form for every real p > 0. The kinks and chord lengths do
-        not depend on p: after a call whose directions fit in one block, a
-        call at another p on the same directions reuses them
-        (`_chord_moments`), with the same result bits. At m >= 2 and integer
-        p, the moment is |theta|^(-p) times the integral of <e, y>^(p-1) over
-        L cap {<e, y> >= 0} (`volume.wedge_moment`), with e = theta / |theta|
-        and L = K cap (F + R theta) in coordinates whose last one is along e.
-        L is K itself when k = 1, and every direction then reads K's cached
-        boundary cones. For a ball of radius r centred at 0, f(t theta) is
+        rounding. At m = 0, f is the indicator of K, whose moment is
+        radial(K, theta)^p / p for every real p > 0. At m = 1, f is the
+        chord length, linear between the kinks of the facet lines bounding
+        the chord, and each panel is integrated in closed form for every
+        real p > 0. The kinks and chord lengths do not depend on p: after a
+        call whose directions fit in one block, a call at another p on the
+        same directions reuses them (`_chord_moments`), with the same result
+        bits. At m >= 2 and integer p, the moment is |theta|^(-p) times the integral of <e, x>^(p-1) over
+        L cap {<e, x> >= 0}, with e = theta / |theta| in R^n and
+        L = K cap (F + R e): one wedge moment of K's cached boundary cones,
+        sliced by the k - 1 normals of F + R e (`_wedge_moments`). For a ball
+        of radius r centred at 0 and m >= 1, f(t theta) is
         omega_m (r^2 - t^2 |theta|^2)^(m/2), whose moment is
-        omega_m r^(p+m) |theta|^(-p) B(p/2, m/2 + 1) / 2 for every real p > 0;
-        at m = 0 (f the indicator) that is (r / |theta|)^p / p.
+        omega_m r^(p+m) |theta|^(-p) B(p/2, m/2 + 1) / 2 for every real p > 0.
 
-        Elsewhere (off-centre balls, polytope indicators at m = 0, and
-        non-integer p at m >= 2) each row takes the adaptive rule
-        `_composite_gl` on [0, `ray_extent`], which warns with a
+        Elsewhere (off-centre balls at m >= 1, and non-integer p at m >= 2)
+        each row takes the adaptive rule `_composite_gl` on [0, `ray_extent`],
+        which evaluates f one section per node and warns with a
         `QuadratureWarning` when it misses its tolerance.
         """
         if p <= 0:
@@ -164,6 +162,8 @@ class SectionVolumeFunction:
                 out[i] = 0.0 if T <= 0 else _composite_gl(
                     lambda ts: ts ** (p - 1) * self.ray_values(theta, ts), 0.0, T, QUADRATURE)
             return out
+        if self.m == 0:
+            return radial_many(self.support_body(), thetas) ** p / p
         if isinstance(self.body, Ball):
             m, r = self.m, self.body.radius
             return (unit_ball_volume(m) * r ** (p + m) * beta(p / 2, m / 2 + 1) / 2
@@ -216,17 +216,14 @@ class SectionVolumeFunction:
         return ts, np.clip(hi - lo, 0.0, None)
 
     def _wedge_moments(self, thetas: np.ndarray, p: int) -> np.ndarray:
-        """Ray moments at m >= 2 and integer p, one wedge moment per direction."""
+        """Ray moments at m >= 2 and integer p: per direction, one wedge moment
+        of K sliced by a basis of F^perp cap e^perp (none when k = 1)."""
         r = np.linalg.norm(thetas, axis=1)
-        if self.k == 1:  # e = +-u: one wedge moment of K per sign, on K's cached cones
-            u, signs = self.Fperp.basis[0], np.sign(thetas[:, 0]).tolist()
-            per_sign = {s: wedge_moment(self.body, [s * u], p - 1) for s in set(signs)}
-            return np.array([per_sign[s] for s in signs]) * r ** -p
-        last = np.eye(self.m + 1)[-1:]
+        units = thetas / r[:, None]
         out = np.empty(len(thetas))
-        for i, e in enumerate(self.Fperp.embed(thetas / r[:, None])):
-            L = section(self.body, Subspace(self.F.ambient_dim, np.vstack([self.F.basis, e])))
-            out[i] = 0.0 if isinstance(L, EmptySection) else wedge_moment(L, last, p - 1)
+        for i, (u, e) in enumerate(zip(units, self.Fperp.embed(units))):
+            normals = self.Fperp.embed(Subspace.hyperplane(u).basis)
+            out[i] = wedge_moment(self.body, [e], p - 1, normals)
         return out * r ** -p
 
     def __call__(self, x) -> float:
@@ -242,24 +239,9 @@ class SectionVolumeFunction:
         return moments(sec).volume
 
     def ray_values(self, theta, ts: np.ndarray) -> np.ndarray:
-        """Vectorized f(t * theta) for an array of parameters t >= 0."""
+        """f(t * theta) for an array of parameters t >= 0, one evaluation each."""
         theta = np.asarray(theta, dtype=float)
-        ts = np.asarray(ts, dtype=float)
-        if self._fast is not None:
-            a, A, b = self._fast
-            lo, hi, empty = interval_1d(a, b[:, None] - np.outer(A @ self.Fperp.embed(theta), ts))
-            return np.where(empty, 0.0, hi - lo)
-        if self.m == 0:  # before the ball's closed form, where h2 ** 0 reads 1 outside
-            from .geometry import contains_many
-
-            pts = np.outer(ts, self.Fperp.embed(theta))
-            return contains_many(self.body, pts).astype(float)
-        if self._centred_ball():
-            # rotation-invariant closed form: (n-k)-ball of radius sqrt(r^2-t^2)
-            r = self.body.radius
-            h2 = np.clip(r * r - ts * ts * (theta @ theta), 0.0, None)
-            return unit_ball_volume(self.m) * h2 ** (self.m / 2)
-        return np.array([self(t * theta) for t in ts])
+        return np.array([self(t * theta) for t in np.asarray(ts, dtype=float)])
 
 
 # directions x facets^2 per block of `_chord_moments`, which bounds its
@@ -424,9 +406,9 @@ class QuadratureSpec:
     no public function takes a spec, so no call can loosen a tolerance.
 
     The ray fields drive the adaptive rule `_composite_gl`, which integrates
-    only the profiles without exact ray moments: off-centre balls, oracles
-    other than section functions, polytope indicators (m = 0), and
-    non-integer p at m >= 2. Ray moments are exact for centred balls and for
+    only the profiles without exact ray moments: off-centre balls at m >= 1,
+    oracles other than section functions, and non-integer p at m >= 2. Ray
+    moments are exact for indicators (m = 0), for centred balls, and for
     polytope section functions at m = 1, or at m >= 2 with integer p, where
     they are wedge moments (`SectionVolumeFunction.ray_moments`). The sphere
     fields always apply: the integral over the cone's directions stays

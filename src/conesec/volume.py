@@ -5,10 +5,11 @@ simplices over its cached boundary simplices (`geometry.boundary`);
 per-simplex closed forms give volume, centroid, second moments and arbitrary
 integer moments of a linear functional.  Wedge moments, the integrals of
 <r, x>^q over K cap {R x >= 0} with r the last row of R, come from the same
-boundary simplices, coned from the origin: the hyperplanes of the rows before
-the last split them, and the last row weights each piece by an exact
-recursion on its vertex values.  At q = 0 they are wedge volumes; the ray
-moments of section functions are wedge moments too (`sections`).  A seeded
+boundary simplices, coned from the origin: hyperplanes through 0 slice them
+down to the cones of a section of K, the hyperplanes of the rows before the
+last split them, and the last row weights each piece by an exact recursion
+on its vertex values.  At q = 0 they are wedge volumes; the ray moments of
+section functions are wedge moments of sliced cones (`sections`).  A seeded
 Monte Carlo estimator provides an independent cross-check, and the
 isotropic-position transform whitens the centered second-moment matrix.
 """
@@ -123,32 +124,37 @@ def _polytope_moments(K: ConvexBody) -> MomentSummary:
 _WEDGE_BLOCK = 512
 
 
-def wedge_moment(K: ConvexBody, R, q: int = 0) -> float:
-    """Integral of <R[-1], x>^q over K cap W, W = {x : <r, x> >= 0 for each row r of R}.
+def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()) -> float:
+    """Integral of <R[-1], x>^q over L cap W, W = {x : <r, x> >= 0 for each row r of R}.
 
-    K is a polytope and q >= 0 an integer; q = 0 gives the wedge volume.
-    Every facet of W lies in a hyperplane through 0, so the integral is the
-    sum over K's boundary simplices D of sign(b_D) times the integral over
-    the simplex conv(0, D) cap W, b_D the offset of D's facet; this holds
-    wherever the origin is. Each row before the last splits the simplices it
-    crosses (`_split_positive`). The last row only weights each piece by the
-    part of its cone from 0 on the row's positive side, which depends on the
-    vertex values alone (`_positive_fraction`). The pieces grow quickly with
-    the number of rows, so wedges with many facets are better cut by a
-    halfspace intersection.
+    K is a polytope, q >= 0 an integer and L the section of K by the
+    orthogonal complement of the orthonormal rows ``normals``, K itself when
+    there are none; q = 0 gives the wedge volume. Every facet of W lies in a
+    hyperplane through 0, so the integral is the sum over K's boundary
+    simplices D of sign(b_D) times the integral over the simplex
+    conv(0, D) cap W, b_D the offset of D's facet; this holds wherever the
+    origin is. Each normal first slices the simplices down to their faces in
+    its hyperplane (`_slice`), which the same sum turns into L. Each row
+    before the last splits the simplices it crosses (`_split_positive`). The
+    last row only weights each piece by the part of its cone from 0 on the
+    row's positive side, which depends on the vertex values alone
+    (`_positive_fraction`). The pieces grow quickly with the number of rows,
+    so wedges with many facets are better cut by a halfspace intersection.
     """
     V = to_vrep(K)
     R = np.atleast_2d(np.asarray(R, dtype=float))
     simplices, weights = _cone_simplices(V)
-    block = _WEDGE_BLOCK if len(R) > 1 else len(simplices)
+    block = _WEDGE_BLOCK if len(R) + len(normals) > 1 else len(simplices)
     total = 0.0
     for s in range(0, len(simplices), block):
         pts, w = simplices[s:s + block], weights[s:s + block]
+        for nu in normals:
+            pts, w = _slice(pts, w, nu)
         for r in R[:-1]:
-            pts, w = _split_positive(pts, w, r)
+            pts, w, _ = _split_positive(pts, w, r)
         total += float(w @ _positive_fraction(pts @ R[-1], q))
-    # a simplex with vertices 0, v_1..v_d has integral |det| q! / (d + q)! h_q(<r, v_i>)
-    return total * math.factorial(q) / math.factorial(V.dim + q)
+    # a d-simplex with vertices 0, v_1..v_d has integral |det| q! / (d + q)! h_q(<r, v_i>)
+    return total * math.factorial(q) / math.factorial(V.dim - len(normals) + q)
 
 
 def _cone_simplices(V: ConvexBody):
@@ -164,7 +170,7 @@ def _cone_simplices(V: ConvexBody):
 
 
 def _split_positive(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
-    """The pieces of the simplices ``pts`` (weights ``w``) on the side <r, x> >= 0.
+    """The pieces (pts, w, c) of the simplices ``pts`` (weights ``w``) where c = <r, x> >= 0.
 
     A simplex with vertices v_i (value c_i > 0) and v_j (c_j < 0), i and j
     its largest and smallest values, is split at the crossing point
@@ -174,11 +180,12 @@ def _split_positive(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
     of the parent's, so nothing cancels.
     """
     c = pts @ r
-    done_pts, done_w = [pts[:0]], [w[:0]]
+    done_pts, done_w, done_c = [pts[:0]], [w[:0]], [c[:0]]
     while len(pts):
         inside = np.all(c >= 0, axis=1)
         done_pts.append(pts[inside])
         done_w.append(w[inside])
+        done_c.append(c[inside])
         mixed = ~inside & np.any(c > 0, axis=1)
         pts, c, w = pts[mixed], c[mixed], w[mixed]
         rows = np.arange(len(pts))
@@ -195,7 +202,24 @@ def _split_positive(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
         pts = np.concatenate([keep_i, keep_j])
         c = np.concatenate([c_i, c_j])
         w = np.concatenate([w * (ci / gap), w * (-cj / gap)])
-    return np.concatenate(done_pts), np.concatenate(done_w)
+    return np.concatenate(done_pts), np.concatenate(done_w), np.concatenate(done_c)
+
+
+def _slice(pts: np.ndarray, w: np.ndarray, nu: np.ndarray):
+    """The faces in nu^perp (nu a unit vector) of the cones from 0 over the simplices ``pts``.
+
+    A piece that `_split_positive` keeps on the side <nu, x> >= 0 meets
+    nu^perp in a face of full dimension only when exactly one of its values
+    c_+ is positive; the others are exactly 0, crossings included. That
+    face, with 0, is the base of the piece's cone, of height c_+, so its
+    weight is w / c_+. Faces the hyperplane holds whole are counted once,
+    from the positive side.
+    """
+    pts, w, c = _split_positive(pts, w, nu)
+    one = np.count_nonzero(c, axis=1) == 1
+    pts, w, c = pts[one], w[one], c[one]
+    S, d, n = pts.shape
+    return pts[c == 0].reshape(S, d - 1, n), w / c.max(axis=1)
 
 
 def _positive_fraction(c: np.ndarray, q: int = 0) -> np.ndarray:

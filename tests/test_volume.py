@@ -12,6 +12,7 @@ from scipy.spatial import QhullError
 from conesec import geometry
 from conesec.geometry import (
     GeometryError,
+    Subspace,
     VPolytope,
     _halfspace_polytope,
     _hull_boundary,
@@ -41,6 +42,7 @@ from conesec.volume import (
     volume,
     wedge_moment,
 )
+from conesec.sections import section
 
 dims = st.integers(min_value=2, max_value=5)
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -204,10 +206,45 @@ def test_last_row_recursion_matches_the_split(n, seed):
     pts, w = _cone_simplices(translate(random_body(n, seed), np.full(n, 0.2)))
     gen = np.random.default_rng(seed)
     for r, q in itertools.product((gen.standard_normal(n), np.ones(n), np.eye(n)[0]), moment_degrees):
-        kept_pts, kept_w = _split_positive(pts, w, r)
+        kept_pts, kept_w, _ = _split_positive(pts, w, r)
         kept = kept_w @ h(kept_pts @ r, q)
         scale = np.abs(w).sum() * np.abs(pts @ r).max() ** q
         assert w @ _positive_fraction(pts @ r, q) == pytest.approx(kept, rel=1e-13, abs=1e-15 * scale)
+
+
+def section_wedge_moment(K, R, q, nu):
+    """`wedge_moment` of the section K cap nu^perp in its own coordinates, or None
+    where qhull cannot give that section or its boundary."""
+    S = Subspace.hyperplane(nu)
+    try:
+        return wedge_moment(section(K, S), S.coords(np.atleast_2d(R)), q)
+    except (GeometryError, QhullError):
+        return None
+
+
+@given(st.integers(min_value=3, max_value=6), seeds, st.integers(min_value=1, max_value=2))
+def test_sliced_wedge_matches_the_section(n, seed, rows):
+    K = random_body(n, seed)
+    gen = np.random.default_rng(seed)
+    nu = gen.standard_normal(n)
+    nu /= np.linalg.norm(nu)
+    R = gen.standard_normal((rows, n))
+    for q in moment_degrees:
+        ref = section_wedge_moment(K, R, q, nu)
+        assume(ref is not None)
+        assert wedge_moment(K, R, q, [nu]) == pytest.approx(ref, rel=1e-12)
+
+
+def test_sliced_wedge_counts_faces_in_the_hyperplane_once():
+    # coordinate hyperplanes hold whole faces of these bodies' cones, and
+    # many vertex values are exactly 0
+    for n, q in itertools.product(range(3, 7), moment_degrees):
+        e = np.eye(n)
+        simplex = VPolytope(np.vstack([e, -np.ones(n)]))
+        for K in (make_cube(n), make_cross_polytope(n), simplex):
+            for R in ([e[1]], [e[1] - e[2]], [e[1], e[2] - e[0]]):
+                assert wedge_moment(K, R, q, [e[0]]) == pytest.approx(
+                    section_wedge_moment(K, R, q, e[0]), rel=1e-12)
 
 
 def test_positive_fraction_closed_forms():
