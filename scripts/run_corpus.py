@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the full check battery over the body corpus and write a report.
 
-Usage: python scripts/run_corpus.py [--jobs N] [--out report.json] [--csv report.csv]
+Usage: python scripts/run_corpus.py [--corpus manifest.json] [--jobs N] [--limit N] [--out report.json]
 """
 
 import argparse

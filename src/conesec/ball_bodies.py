@@ -27,8 +27,7 @@ class ConcaveFunctionOracle:
     ``support_radius`` bounds the support: f = 0 outside that ball.
     ``barycenter_zero`` asserts that the first moment of f vanishes.
     ``section_fn`` is the polytope or ball section-volume function that f
-    evaluates, if any; its rays (`ray_values`, `ray_extent`, `ray_moments`)
-    are then read from it.
+    evaluates, if any; `ray_extent` and `ray_moments` are then read from it.
     """
 
     def __init__(
@@ -56,8 +55,6 @@ class ConcaveFunctionOracle:
 
     def ray_values(self, x, ts: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.section_fn is not None:
-            return self.section_fn.ray_values(x, ts)
         return np.array([self(t * x) for t in ts])
 
     def ray_extent(self, x) -> float:
@@ -142,7 +139,7 @@ def I_p(f: ConcaveFunctionOracle, x, p: float) -> float:
 
 
 class StarBodyOracle:
-    """Direction -> radius map with a cached polytope approximation.
+    """Direction -> radius map with an inscribed polytope approximation.
 
     ``radial_many`` maps an (N, dim) array of directions to their N radii.
     """
@@ -152,7 +149,6 @@ class StarBodyOracle:
         self.dim = dim
         self._radial_many = radial_many
         self.label = label
-        self._approx_cache: dict[tuple, Polytope] = {}
 
     def radial(self, theta) -> float:
         return float(self.radial_many(np.atleast_1d(np.asarray(theta, dtype=float))[None, :])[0])
@@ -164,12 +160,8 @@ class StarBodyOracle:
         """Inscribed polytope: hull of boundary points at a seeded direction grid."""
         if num_dirs is None:
             num_dirs = 2 ** (self.dim + 4)
-        key = (num_dirs, seed)
-        if key not in self._approx_cache:
-            dirs = _rng.sphere_grid(self.dim, num_dirs, seed)
-            radii = self.radial_many(dirs)
-            self._approx_cache[key] = VPolytope(dirs * radii[:, None])
-        return self._approx_cache[key]
+        dirs = _rng.sphere_grid(self.dim, num_dirs, seed)
+        return VPolytope(dirs * self.radial_many(dirs)[:, None])
 
 
 def ball_body(f: ConcaveFunctionOracle, p: float) -> StarBodyOracle:

@@ -49,7 +49,6 @@ from .verify import (
     experiment_remark3_cube,
     load_corpus,
     run_corpus,
-    trivial_flat,
 )
 from .volume import moments, monte_carlo_volume
 
@@ -81,8 +80,6 @@ def _default_flat(n: int, k: int) -> Subspace:
     """F = span of the first n-k coordinate directions."""
     if not 1 <= k <= n:
         raise GeometryError("need 1 <= k <= n")
-    if k == n:
-        return trivial_flat(n)
     return Subspace.from_span(np.eye(n)[: n - k], ambient_dim=n)
 
 
@@ -200,8 +197,7 @@ def _run_named_check(args) -> list[CheckResult]:
         k = args.k if args.k else 1
         p = args.p if args.p else 1
         F = _default_flat(n, k)
-        gens = np.eye(n)[n - p:] if p > 1 else np.eye(n)[-1:]
-        C = PolyhedralCone(gens)
+        C = PolyhedralCone(np.eye(n)[n - p:])
         fn = check_main_theorem_part1 if name == "part1" else check_main_theorem_part2
         return [fn(K, F, C, label)]
     if name == "lemma5":

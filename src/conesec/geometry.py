@@ -292,9 +292,9 @@ class Polytope:
     It holds the representation it was built from and derives the other at
     most once: ``vertices`` by a halfspace intersection, ``A`` and ``b``
     (unit normals) from the facet equations of its boundary. The boundary
-    (`geometry.boundary`), its cone simplices (`volume.wedge_moment`), the
-    moments (`volume.moments`) and the polar body (`geometry.polar`) are
-    cached on it too. Build polytopes with `VPolytope` or `HPolytope`.
+    (`geometry.boundary`), its cone simplices (`volume.wedge_moment`) and
+    the moments (`volume.moments`) are cached on it too. Build polytopes
+    with `VPolytope` or `HPolytope`.
     """
 
     def __init__(self, vertices: np.ndarray | None = None, A: np.ndarray | None = None,
@@ -308,7 +308,6 @@ class Polytope:
         self._boundary_cache = boundary
         self._moments_cache = None
         self._cone_cache = None
-        self._polar_cache = None
 
     def __repr__(self):
         return f"Polytope(dim={self.dim})"
@@ -470,22 +469,19 @@ def chebyshev_center(A: np.ndarray, b: np.ndarray):
 
 
 def interval_1d(a: np.ndarray, b: np.ndarray):
-    """The interval {t : a_i t <= b_i for every i}, for each column of b.
+    """The interval {t : a_i t <= b_i for every i}, as (lo, hi, empty).
 
-    ``a`` has shape (H,) and ``b`` shape (H,) or (H, T). Returns (lo, hi,
-    empty), each of b's shape without its first axis. A row with
-    |a_i| <= 1e-14 bounds nothing and only tests 0 <= b_i. The interval is
-    empty where such a test fails by more than GEOM_TOL, or where it is no
-    longer than GEOM_TOL. Raises GeometryError when it is unbounded.
+    A row with |a_i| <= 1e-14 bounds nothing and only tests 0 <= b_i. The
+    interval is empty where such a test fails by more than GEOM_TOL, or
+    where it is no longer than GEOM_TOL. Raises GeometryError when it is
+    unbounded.
     """
-    a_col = a.reshape((-1,) + (1,) * (b.ndim - 1))
     pos, neg = a > 1e-14, a < -1e-14
     if not pos.any() or not neg.any():
         raise GeometryError("unbounded 1-d halfspace system")
-    hi = (b[pos] / a_col[pos]).min(axis=0)
-    lo = (b[neg] / a_col[neg]).max(axis=0)
-    empty = (b[~(pos | neg)] < -GEOM_TOL).any(axis=0) | (hi <= lo + GEOM_TOL)
-    return lo, hi, empty
+    hi = (b[pos] / a[pos]).min()
+    lo = (b[neg] / a[neg]).max()
+    return lo, hi, bool((b[~(pos | neg)] < -GEOM_TOL).any() or hi <= lo + GEOM_TOL)
 
 
 def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope | None:
@@ -601,7 +597,15 @@ def support(K: ConvexBody, u) -> float:
     return float(np.max(K.vertices @ u))
 
 
-def _interior_hrep(K: ConvexBody) -> Polytope:
+def _origin_interior(K: ConvexBody) -> ConvexBody:
+    """K, with its halfspaces computed if it is a polytope.
+
+    Raises GeometryError unless 0 is interior to K.
+    """
+    if isinstance(K, Ball):
+        if np.linalg.norm(K.center) >= K.radius - GEOM_TOL:
+            raise GeometryError("origin is not interior to the ball")
+        return K
     H = to_hrep(K)
     if np.any(H.b <= GEOM_TOL):
         raise GeometryError("origin is not interior to the body")
@@ -616,13 +620,11 @@ def radial(K: ConvexBody, u) -> float:
 def radial_many(K: ConvexBody, U) -> np.ndarray:
     """radial(K, u) for each row u of an (N, n) array."""
     U = np.atleast_2d(_as_array(U))
+    H = _origin_interior(K)
     if isinstance(K, Ball):
         c, r = K.center, K.radius
-        if np.linalg.norm(c) >= r - GEOM_TOL:
-            raise GeometryError("origin is not interior to the ball")
         uu, uc = np.einsum("ij,ij->i", U, U), U @ c
         return (uc + np.sqrt(uc * uc + uu * (r * r - float(c @ c)))) / uu
-    H = _interior_hrep(K)
     proj = U @ H.A.T
     with np.errstate(divide="ignore"):
         ratios = np.where(proj > 1e-14, H.b / proj, np.inf)
@@ -640,7 +642,7 @@ def minkowski_norm(K: ConvexBody, x) -> float:
 
 def minkowski_norm_many(K: ConvexBody, X) -> np.ndarray:
     """minkowski_norm(K, x) for each row x of an (N, n) array; polytopes only."""
-    H = _interior_hrep(K)
+    H = _origin_interior(K)
     return np.maximum(0.0, (np.atleast_2d(_as_array(X)) @ H.A.T / H.b).max(axis=1))
 
 
@@ -666,17 +668,15 @@ def contains_many(K: ConvexBody, X: np.ndarray, tol: float = GEOM_TOL) -> np.nda
 
 
 def polar(K: ConvexBody) -> ConvexBody:
-    """Polar body K^* with respect to the origin (0 must be interior); a polytope's is cached on it."""
+    """Polar body K^* with respect to the origin (0 must be interior)."""
     if isinstance(K, Ball):
         if np.linalg.norm(K.center) > GEOM_TOL:
             raise GeometryError("polar of an off-center ball is not a ball")
         return Ball(np.zeros(K.dim), 1.0 / K.radius)
-    if K._polar_cache is None:
-        has_halfspaces = K._A is not None  # before the interior test computes them
-        H = _interior_hrep(K)
-        K._polar_cache = (VPolytope(H.A / H.b[:, None]) if has_halfspaces
-                          else HPolytope(K.vertices, np.ones(len(K.vertices))))
-    return K._polar_cache
+    has_halfspaces = K._A is not None  # before the interior test computes them
+    H = _origin_interior(K)
+    return (VPolytope(H.A / H.b[:, None]) if has_halfspaces
+            else HPolytope(K.vertices, np.ones(len(K.vertices))))
 
 
 def translate(K: ConvexBody, shift) -> ConvexBody:

@@ -3,9 +3,11 @@
 For a body K with centroid at the origin the map u -> |K cap u^perp| is the
 radial function of a star body; a convexified variant replaces the section
 volume by the minimum over admissible centers z of the section integral of
-the kernel (1 - <z, y>)^(-n).  The minimization is a smooth convex problem
-over (a shrunken copy of) the projection of the polar body, solved by
-damped Newton descent from the always-feasible start z = 0.
+the kernel (1 - <z, y>)^(-n).  The admissible centers are the z with
+h_L(z) < 1 on the section L = K cap u^perp, the interior of its polar body
+(which is the projection of K's polar onto u^perp).  The minimization is a
+smooth convex problem over a shrunken copy of that region, solved by damped
+Newton descent from the always-feasible start z = 0.
 """
 
 from __future__ import annotations
@@ -15,19 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .geometry import (
-    Ball,
-    ConvexBody,
-    GeometryError,
-    Subspace,
-    minkowski_norm,
-    polar,
-    project,
-)
-from .sections import EmptySection, section
+from .geometry import Ball, ConvexBody, GeometryError, Subspace, _origin_interior, support
+from .sections import section, section_volume
 from .volume import _simplex_volumes, moments, triangulate
 
-_SHRINK = 1.0 - 1e-6  # admissible centers live in this multiple of the projected polar
+_SHRINK = 1.0 - 1e-6  # admissible centers z keep h_L(z) <= _SHRINK on the section L
 _MAX_ITER = 10_000
 
 
@@ -46,10 +40,7 @@ class CIEvaluation:
 
 def intersection_radial(K: ConvexBody, u) -> float:
     """Volume of the central hyperplane section K cap u^perp."""
-    sec = section(K, Subspace.hyperplane(u))
-    if isinstance(sec, EmptySection):
-        return 0.0
-    return moments(sec).volume
+    return section_volume(K, Subspace.hyperplane(u))
 
 
 class _SectionIntegrator:
@@ -71,12 +62,11 @@ class _SectionIntegrator:
         self.n = len(u)
         self.S = Subspace.hyperplane(u)
         self.u = u / np.linalg.norm(u)
-        sec = section(K, self.S)
-        if isinstance(sec, EmptySection):
+        self.section = sec = section(K, self.S)
+        if sec is None:
             raise GeometryError("central section is empty; 0 must be interior to K")
         self.volume = moments(sec).volume
-        self.ball_section = sec if isinstance(sec, Ball) else None
-        if self.ball_section is None:
+        if not isinstance(sec, Ball):
             self.simplices = triangulate(sec)
             self._simplex_vols = _simplex_volumes(self.simplices)
 
@@ -87,7 +77,7 @@ class _SectionIntegrator:
         Gradient/Hessian slots are None unless requested.
         """
         zc = np.asarray(zc, dtype=float)
-        if self.ball_section is not None:
+        if isinstance(self.section, Ball):
             return self._ball_closed_form(zc, want_gradient, want_hessian)
         g = 1.0 - self.simplices @ zc  # (S, d+1)
         if np.min(g) <= 0:
@@ -102,7 +92,7 @@ class _SectionIntegrator:
         return float(w.sum()), grad, hess
 
     def _ball_closed_form(self, zc: np.ndarray, want_gradient: bool, want_hessian: bool):
-        c, r, n = self.ball_section.center, self.ball_section.radius, self.n
+        c, r, n = self.section.center, self.section.radius, self.n
         gc = 1.0 - float(c @ zc)
         rz = r * float(np.linalg.norm(zc))
         if gc <= rz:
@@ -144,12 +134,15 @@ def ci_radial(K: ConvexBody, u, tol: float = 1e-8,
     """Minimize the section kernel integral over admissible centers z.
 
     Damped Newton descent with Armijo backtracking from z = 0, keeping
-    iterates in the shrunken projected polar body; the objective is convex
-    there (its Hessian is a positive multiple of a second-moment matrix), so
-    a small relative gradient norm certifies global optimality.
+    iterates where the support function of the section L = K cap u^perp is
+    at most _SHRINK; the objective is convex there (its Hessian is a
+    positive multiple of a second-moment matrix), so a small relative
+    gradient norm certifies global optimality. Raises GeometryError unless 0
+    is interior to K, not only to L: with 0 on K's boundary the region
+    h_L(z) < 1 is unbounded in general.
     """
     integ = _SectionIntegrator(K, u)
-    admissible = project(polar(K), integ.S)
+    _origin_interior(K)
     d = integ.n - 1
     z = np.zeros(d)
     f, g, H = integ.integrals(z, want_gradient=True, want_hessian=True)
@@ -174,7 +167,7 @@ def ci_radial(K: ConvexBody, u, tol: float = 1e-8,
         accepted = False
         while True:
             z_new = z + t * direction
-            if minkowski_norm(admissible, z_new) <= _SHRINK:
+            if support(integ.section, z_new) <= _SHRINK:
                 try:
                     f_new, g_new, H_new = integ.integrals(
                         z_new, want_gradient=True, want_hessian=True)

@@ -37,23 +37,14 @@ from .special import beta
 from .volume import moments, unit_ball_volume, wedge_moment
 
 
-class EmptySection:
-    """Explicit marker for an empty (or measure-zero) section."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def __repr__(self):
-        return f"EmptySection(dim={self.dim})"
-
-
 def section(K: ConvexBody, S: Subspace, x0=None):
     """K intersected with the flat x0 + S, in S's orthonormal coordinates.
 
-    Returns a body of intrinsic dimension dim(S), or an EmptySection marker.
-    When x0 is clearly interior to the polytope K (its distance to every
-    facet is at least 1e-3 of the largest), x0 starts qhull's halfspace
-    intersection and no Chebyshev-centre LP is solved.
+    Returns a body of intrinsic dimension dim(S), or None when the section
+    is empty or of measure zero in the flat. When x0 is clearly interior to
+    the polytope K (its distance to every facet is at least 1e-3 of the
+    largest), x0 starts qhull's halfspace intersection and no
+    Chebyshev-centre LP is solved.
     """
     if S.dim < 1:
         raise GeometryError("flat dimension must be >= 1")
@@ -65,21 +56,17 @@ def section(K: ConvexBody, S: Subspace, x0=None):
         q = S.coords(delta)
         w2 = float(delta @ delta - q @ q)
         r2 = K.radius**2 - w2
-        if r2 <= GEOM_TOL**2:
-            return EmptySection(S.dim)
-        return Ball(q, math.sqrt(r2))
+        return Ball(q, math.sqrt(r2)) if r2 > GEOM_TOL**2 else None
     H = to_hrep(K)
     b = H.b - H.A @ x0
     interior = np.zeros(S.dim) if b.min() >= 1e-3 * b.max() else None
-    sec = _halfspace_polytope(H.A @ S.basis.T, b, interior)
-    return EmptySection(S.dim) if sec is None else sec
+    return _halfspace_polytope(H.A @ S.basis.T, b, interior)
 
 
 def section_volume(K: ConvexBody, S: Subspace, x0=None) -> float:
+    """|K cap (x0 + S)| in dimension dim(S), 0 when the section is empty."""
     sec = section(K, S, x0)
-    if isinstance(sec, EmptySection):
-        return 0.0
-    return moments(sec).volume
+    return 0.0 if sec is None else moments(sec).volume
 
 
 class SectionVolumeFunction:
@@ -233,10 +220,7 @@ class SectionVolumeFunction:
             from .geometry import contains
 
             return 1.0 if contains(self.body, point) else 0.0
-        sec = section(self.body, self.F, point)
-        if isinstance(sec, EmptySection):
-            return 0.0
-        return moments(sec).volume
+        return section_volume(self.body, self.F, point)
 
     def ray_values(self, theta, ts: np.ndarray) -> np.ndarray:
         """f(t * theta) for an array of parameters t >= 0, one evaluation each."""
@@ -342,8 +326,7 @@ def _section_and_rows(K: ConvexBody, F: Subspace, C: PolyhedralCone):
     if F.dim + G.dim == K.dim:
         return K, rows
     S = Subspace.from_span(np.vstack([F.basis, G.basis]) if F.dim else G.basis, ambient_dim=K.dim)
-    sec = section(K, S)
-    return (None if isinstance(sec, EmptySection) else sec), S.coords(rows)
+    return section(K, S), S.coords(rows)
 
 
 def _cut_volume(L, R: np.ndarray) -> float:

@@ -40,11 +40,11 @@ from .geometry import (
     to_vrep,
 )
 from .sections import (
-    EmptySection,
     _cut_volume,
     _section_and_rows,
     cone_section_volume_polyhedral,
     section,
+    section_volume,
     solid_angle_fraction,
 )
 from .special import beta, binom, gamma
@@ -321,11 +321,7 @@ def check_corollary3(K: ConvexBody, E: Subspace, us,
     C = orthant_cone(us)
     F = Subspace.from_span(np.vstack([E.complement().basis, us])).complement()
     plus = cone_volume(K, F, C)
-    if E.dim == n:
-        full = moments(K).volume
-    else:
-        sec = section(K, E)
-        full = 0.0 if isinstance(sec, EmptySection) else moments(sec).volume
+    full = moments(K).volume if E.dim == n else section_volume(K, E)
     if full <= 0:
         raise GeometryError("empty section subspace")
     lhs = (2.0 * n) ** (-p) * full

@@ -108,6 +108,33 @@ def test_check_part1_with_parameters(capsys):
     assert r["parameters"] == {"n": 4, "k": 2, "p": 2}
 
 
+def test_check_lemma5_is_tight_on_the_simplex(capsys):
+    # -T = n T for the centred simplex T: the reflection factor is n exactly
+    code, rep = run_json(capsys, "check", "lemma5", "--body", "simplex", "--n", "3")
+    assert code == 0
+    (r,) = rep["results"]
+    assert r["passed"] and r["lhs"] == pytest.approx(3.0, rel=1e-12)
+
+
+def test_check_prop8_and_part2(capsys):
+    code, rep = run_json(capsys, "check", "prop8", "--body", "cube", "--n", "3")
+    assert code == 0 and rep["num_failed"] == 0
+    code, rep = run_json(capsys, "check", "part2", "--body", "random", "--n", "4",
+                         "--seed", "3")
+    assert code == 0 and rep["num_failed"] == 0
+    assert rep["results"][0]["parameters"] == {"n": 4, "k": 1, "p": 1}
+
+
+def test_experiment_remark3_and_alpha(capsys):
+    code, rep = run_json(capsys, "experiment", "remark3", "--n", "4")
+    assert code == 0
+    assert rep["results"][0]["lhs"] == pytest.approx(4.0 ** 2 / math.factorial(4), rel=1e-9)
+    code, rep = run_json(capsys, "experiment", "alpha", "--n", "2", "--trials", "2")
+    assert code == 0
+    assert rep["trials"] == 2 and len(rep["values"]) == 2
+    assert rep["min_value"] == min(rep["values"])
+
+
 def test_experiment_remark1(capsys):
     code, rep = run_json(capsys, "experiment", "remark1", "--n", "4", "--l", "2")
     assert code == 0

@@ -40,7 +40,7 @@ from conesec.geometry import (
     translate,
 )
 from conesec.geometry import _dedup_halfspaces, _dedup_points
-from conesec.sections import EmptySection, section, section_volume
+from conesec.sections import section, section_volume
 from conesec.verify import halfspace_volume
 from conesec.volume import moments, volume
 
@@ -230,15 +230,15 @@ def test_one_dimensional_halfspace_systems():
     T = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     vertical = Subspace.from_span([[0.0, 1.0]])
     assert section_volume(T, vertical, x0=[0.25, 0.0]) == pytest.approx(0.75)
-    assert isinstance(section(T, vertical, x0=[2.0, 0.0]), EmptySection)  # misses T
-    assert isinstance(section(T, vertical, x0=[1.0, 0.0]), EmptySection)  # touches a vertex
+    assert section(T, vertical, x0=[2.0, 0.0]) is None  # misses T
+    assert section(T, vertical, x0=[1.0, 0.0]) is None  # touches a vertex
     # the edges x = 0 of T and y = +-1 of the square are parallel to the line:
     # zero-normal rows, which only test whether the line lies on their side
     assert section_volume(T, vertical, x0=[0.0, 0.0]) == pytest.approx(1.0)
-    assert isinstance(section(T, vertical, x0=[-0.1, 0.0]), EmptySection)
+    assert section(T, vertical, x0=[-0.1, 0.0]) is None
     horizontal = Subspace.from_span([[1.0, 0.0]])
     assert section_volume(make_cube(2), horizontal, x0=[0.0, 1.0]) == pytest.approx(2.0)
-    assert isinstance(section(make_cube(2), horizontal, x0=[0.0, 1.5]), EmptySection)
+    assert section(make_cube(2), horizontal, x0=[0.0, 1.5]) is None
 
 
 # ---------------------------------------------------------------------------

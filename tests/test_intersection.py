@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import conesec
 from conesec import rng
 from conesec.geometry import (
     Ball,
@@ -20,6 +19,8 @@ from conesec.geometry import (
     polar,
     project,
     random_centered_polytope,
+    support,
+    translate,
 )
 from conesec.intersection_bodies import (
     _SectionIntegrator,
@@ -197,6 +198,20 @@ def test_hessian_matches_differences_of_the_gradient(K):
         assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
 
 
+@pytest.mark.parametrize("K", [random_centered_polytope(n, 2 * n + 6, 30 + n) for n in range(3, 7)]
+                         + [make_cube(4), make_cross_polytope(5), make_ball(4, 1.3)],
+                         ids=["random3", "random4", "random5", "random6", "cube4", "cross5", "ball4"])
+def test_section_support_is_the_gauge_of_the_projected_polar(K):
+    # (K cap S)^* = P_S(K^*) for 0 interior to K: the support function of the
+    # section, which bounds the admissible centres, is the gauge of that body
+    n, K_polar = K.dim, polar(K)
+    for u in rng.sample_sphere(n, 3, 5 + n):
+        S = Subspace.hyperplane(u)
+        L, admissible = section(K, S), project(K_polar, S)
+        for y in np.random.default_rng(n).standard_normal((4, n - 1)):
+            assert support(L, y) == pytest.approx(minkowski_norm(admissible, y), rel=1e-12)
+
+
 def test_edge_of_admissible_region_raises():
     # the kernel argument 1 - <z, y> reaches 0 on the section: a square
     # vertex for the cube, a boundary point of the disc for the ball
@@ -218,6 +233,38 @@ def test_edge_of_admissible_region_raises():
 
 # ---------------------------------------------------------------------------
 # minimization
+
+
+@pytest.mark.parametrize("K", [translate(make_cube(3), [1.0, 0.0, 0.0]),
+                               make_ball(3, 1.0, center=[0.0, 0.6, 0.8])],
+                         ids=["cube-0-on-facet", "ball-0-on-sphere"])
+def test_ci_radial_needs_0_interior_to_the_body(K):
+    # 0 lies on K's boundary and on the section's: the centres with
+    # h_L(z) < 1 then form an unbounded region, along which the kernel
+    # integral tends to 0
+    u = unit([0.3, 0.5, 0.8])
+    assert intersection_radial(K, u) > 0
+    with pytest.raises(GeometryError, match="origin is not interior"):
+        ci_radial(K, u)
+
+
+def test_off_centre_ball_certifies_below_its_section():
+    B = make_ball(3, 1.2, center=[0.3, -0.4, 0.2])
+    for u in rng.sphere_grid(3, 4, 1):
+        res = ci_radial(B, u)
+        assert res.certified
+        assert res.ci_radius <= res.i_radius
+        assert ci_objective(B, u, res.minimizer_z) == pytest.approx(res.ci_radius, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=GeometryError,
+                   reason="qhull's triangulation of the 5-D section overlaps itself")
+@pytest.mark.parametrize("index", [25, 33])
+@pytest.mark.parametrize("radius", [ci_radial, intersection_radial],
+                         ids=["ci", "intersection"])
+def test_6d_sections_whose_hull_does_not_tile(radius, index):
+    K = random_centered_polytope(6, 18, 5)
+    radius(K, rng.sphere_grid(6, 50, 7)[index])
 
 
 def test_symmetric_bodies_minimize_at_zero():
@@ -259,18 +306,6 @@ def test_inclusion_report_cube():
     assert s["num_uncertified"] == 0
     assert s["min_ratio"] == pytest.approx(1.0, abs=1e-6)
     assert s["max_ratio"] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_inclusion_report_builds_the_polar_once(monkeypatch):
-    # the admissible centres of every direction come from one polar body
-    K = random_centered_polytope(3, 12, 8)
-    seen = []
-    real = conesec.geometry._interior_hrep
-    monkeypatch.setattr(conesec.geometry, "_interior_hrep",
-                        lambda P: seen.append(P is K) or real(P))
-    ci_inclusion_report(K, num_dirs=12, seed=5)
-    assert sum(seen) == 1
-    assert polar(K) is polar(K)
 
 
 def test_inclusion_report_random_body():
