@@ -17,17 +17,21 @@ from scipy.optimize import minimize
 
 from . import rng as _rng
 from .geometry import GeometryError, Polytope, Subspace, VPolytope, make_ball
-from .sections import QUADRATURE, SectionVolumeFunction, _composite_gl
+from .sections import QUADRATURE, SectionVolumeFunction, _composite_gl, _ray_arguments
 from .special import beta
 
 
 class ConcaveFunctionOracle:
-    """Evaluable f: R^k -> R_+, 1/m-concave (or log-concave only).
+    """Evaluable f: R^k -> R_+, 1/m-concave (or log-concave only), from a plain callable.
 
-    ``support_radius`` bounds the support: f = 0 outside that ball.
-    ``barycenter_zero`` asserts that the first moment of f vanishes.
-    ``section_fn`` is the polytope or ball section-volume function that f
-    evaluates, if any; `ray_extent` and `ray_moments` are then read from it.
+    The profile-oracle protocol that the moment bodies and the profile checks
+    read: ``dim`` (k), ``label``, ``concavity_index`` (m, or None), calls f(x),
+    ``ray_values``, ``ray_extent`` and ``ray_moments``, and
+    ``support_radius`` (f = 0 outside that ball) and ``barycenter_zero``
+    (the first moment of f vanishes), which this class takes as given.
+    A `SectionVolumeFunction` answers the same protocol from its body
+    (`oracle_from_section_fn`); this class serves every other profile, with
+    the adaptive ray rule.
     """
 
     def __init__(
@@ -38,7 +42,6 @@ class ConcaveFunctionOracle:
         support_radius: float,
         barycenter_zero: bool = False,
         label: str = "oracle",
-        section_fn: SectionVolumeFunction | None = None,
     ):
         self.dim = dim
         self._evaluate = evaluate
@@ -46,7 +49,6 @@ class ConcaveFunctionOracle:
         self.support_radius = float(support_radius)
         self.barycenter_zero = barycenter_zero
         self.label = label
-        self.section_fn = section_fn
         if evaluate(np.zeros(dim)) <= 0:
             raise GeometryError("f(0) must be positive (0 interior to the support)")
 
@@ -58,10 +60,8 @@ class ConcaveFunctionOracle:
         return np.array([self(t * x) for t in ts])
 
     def ray_extent(self, x) -> float:
-        """Largest t with f(t x) > 0: the section function's, else by bisection."""
+        """Largest t with f(t x) > 0, by bisection below `support_radius`."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.section_fn is not None:
-            return float(self.section_fn.ray_extent(x))
         hi = self.support_radius / max(np.linalg.norm(x), 1e-300) * 1.001
         if self(hi * x) > 0:
             return hi
@@ -77,17 +77,10 @@ class ConcaveFunctionOracle:
     def ray_moments(self, xs, p: float) -> np.ndarray:
         """int_0^inf t^(p-1) f(t x) dt for each row x of an (N, k) array.
 
-        The section function's `ray_moments` when f has one, exact where it
-        can be; otherwise the adaptive rule `_composite_gl` on [0, `ray_extent`]
-        per row. Raises `GeometryError` unless p > 0 and every row is nonzero.
+        The adaptive rule `_composite_gl` on [0, `ray_extent`] per row.
+        Raises `GeometryError` unless p > 0 and every row is nonzero.
         """
-        if p <= 0:
-            raise GeometryError("p must be positive")
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if not xs.any(axis=1).all():
-            raise GeometryError("x must be nonzero")
-        if self.section_fn is not None:
-            return self.section_fn.ray_moments(xs, p)
+        xs = _ray_arguments(xs, p)
         out = np.empty(len(xs))
         for i, x in enumerate(xs):
             T = self.ray_extent(x)
@@ -96,27 +89,22 @@ class ConcaveFunctionOracle:
         return out
 
 
-def oracle_from_section_fn(svf: SectionVolumeFunction, label: str = "section-volume") -> ConcaveFunctionOracle:
-    """Wrap a Brunn section-volume function (of a centered body) as an oracle."""
-    from .geometry import to_vrep
-    from .geometry import Ball
+def oracle_from_section_fn(svf: SectionVolumeFunction,
+                           label: str = "section-volume") -> SectionVolumeFunction:
+    """The section-volume function itself, labelled, as a profile oracle.
 
-    if isinstance(svf.body, Ball):
-        R = svf.body.radius + float(np.linalg.norm(svf.body.center))
-    else:
-        R = float(np.max(np.linalg.norm(to_vrep(svf.body).vertices, axis=1)))
-    return ConcaveFunctionOracle(
-        dim=svf.k,
-        evaluate=lambda x: svf(x),
-        concavity_index=svf.m if svf.m > 0 else None,
-        support_radius=R,
-        barycenter_zero=True,
-        label=label,
-        section_fn=svf,
-    )
+    A `SectionVolumeFunction` answers the oracle protocol (see
+    `ConcaveFunctionOracle`) from its body: its barycentre is K's centroid
+    projected onto F^perp, so only a body whose centroid lies in F passes
+    the barycentre-zero checks. Raises `GeometryError` unless f(0) > 0.
+    """
+    if svf(np.zeros(svf.dim)) <= 0:
+        raise GeometryError("f(0) must be positive (0 interior to the support)")
+    svf.label = label
+    return svf
 
 
-def ball_indicator_oracle(k: int, r: float = 1.0) -> ConcaveFunctionOracle:
+def ball_indicator_oracle(k: int, r: float = 1.0) -> SectionVolumeFunction:
     """Indicator of r B_2^k (1/m-concave for every m): the m = 0 profile of
     the ball, whose ray moments are exact."""
     flat = Subspace(k, np.zeros((0, k)))
@@ -128,7 +116,7 @@ def ball_indicator_oracle(k: int, r: float = 1.0) -> ConcaveFunctionOracle:
 # the I_p functional and its star bodies
 
 
-def I_p(f: ConcaveFunctionOracle, x, p: float) -> float:
+def I_p(f: ConcaveFunctionOracle | SectionVolumeFunction, x, p: float) -> float:
     """(int_0^inf t^(p-1) f(t x) dt)^(1/p); homogeneous of degree -1 in x.
 
     One row of `f.ray_moments`: exact for polytope section profiles and
@@ -164,7 +152,7 @@ class StarBodyOracle:
         return VPolytope(dirs * self.radial_many(dirs)[:, None])
 
 
-def ball_body(f: ConcaveFunctionOracle, p: float) -> StarBodyOracle:
+def ball_body(f: ConcaveFunctionOracle | SectionVolumeFunction, p: float) -> StarBodyOracle:
     """The convex body whose radial function is theta -> I_p(f, theta)."""
     return StarBodyOracle(f.dim, lambda thetas: f.ray_moments(thetas, p) ** (1.0 / p),
                           label=f"L_{p}({f.label})")
@@ -194,7 +182,8 @@ def sphere_quadrature(k: int, level: int = 64):
     raise GeometryError("sphere quadrature implemented for k <= 3")
 
 
-def function_moment(f: ConcaveFunctionOracle, u, p: int, level: int | None = None) -> float:
+def function_moment(f: ConcaveFunctionOracle | SectionVolumeFunction, u, p: int,
+                    level: int | None = None) -> float:
     """int_{R^k} <x,u>^p f(x) dx via polar coordinates and sphere quadrature."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     k = f.dim
@@ -205,7 +194,7 @@ def function_moment(f: ConcaveFunctionOracle, u, p: int, level: int | None = Non
     return float(np.sum(wts * (dirs @ u) ** p * vals))
 
 
-def moment_identity_check(f: ConcaveFunctionOracle, u, p: int,
+def moment_identity_check(f: ConcaveFunctionOracle | SectionVolumeFunction, u, p: int,
                           approx_dirs: int | None = None, seed: int = 11):
     """Both sides of int_{L_{k+p}(f)} <x,u>^p dx = 1/(k+p) int <x,u>^p f(x) dx.
 
@@ -272,7 +261,8 @@ def geometric_distance_factor(k: int, m: float, p: float) -> float:
     return (1 + k / (m + 1)) ** (m / p) * num / den
 
 
-def estimate_max(f: ConcaveFunctionOracle, seed: int = 23, grid: int = 512) -> float:
+def estimate_max(f: ConcaveFunctionOracle | SectionVolumeFunction, seed: int = 23,
+                 grid: int = 512) -> float:
     """max f over its support: seeded grid then local ascent from the best point.
 
     For concave-power f any local maximum is global, so the polish step is a

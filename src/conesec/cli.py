@@ -84,7 +84,7 @@ def _default_flat(n: int, k: int) -> Subspace:
 
 
 def _emit(report: dict, args, check_rows=None) -> None:
-    if getattr(args, "format", "json") == "csv" and check_rows is not None:
+    if check_rows is not None and args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["name", "body", "n", "k", "p", "lhs", "rhs", "ratio", "passed"])
@@ -270,9 +270,11 @@ def _add_body_args(sp, need_dirs=False):
         sp.add_argument("--dirs", type=int, default=32)
 
 
-def _add_output_args(sp):
+def _add_output_args(sp, rows=False):
+    """--out, and --format where the command has check rows for `_emit` to write as CSV."""
     sp.add_argument("--out", help="output file (default: stdout)")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    if rows:
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_body_args(sp, need_dirs=True)
     sp.add_argument("--k", type=int)
     sp.add_argument("--p", type=int)
-    _add_output_args(sp)
+    _add_output_args(sp, rows=True)
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("experiment", help="run one closed-form or sampling experiment")
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--corpus", help="manifest path (default: env CONESEC_CORPUS or packaged)")
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--limit", type=int, help="only the first N corpus bodies")
-    _add_output_args(sp)
+    _add_output_args(sp, rows=True)
     sp.set_defaults(func=_cmd_corpus)
 
     return parser

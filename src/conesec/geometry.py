@@ -223,8 +223,6 @@ def _extreme_points(points: np.ndarray, tol: float = GEOM_TOL):
     """Extreme points, affine-hull dimension, and the Boundary when full-dimensional."""
     points = np.atleast_2d(_as_array(points))
     points = _dedup_points(points, tol)
-    if len(points) == 1:
-        return points, 0, None
     center = points.mean(axis=0)
     centered = points - center
     basis = orthonormal_basis(centered, tol=1e-12)
@@ -647,11 +645,8 @@ def minkowski_norm_many(K: ConvexBody, X) -> np.ndarray:
 
 
 def contains(K: ConvexBody, x, tol: float = GEOM_TOL) -> bool:
-    x = _as_array(x)
-    if isinstance(K, Ball):
-        return bool(np.linalg.norm(x - K.center) <= K.radius + tol)
-    H = to_hrep(K)
-    return bool(np.all(H.A @ x <= H.b + tol))
+    """Membership of one point: one row of `contains_many`."""
+    return bool(contains_many(K, _as_array(x)[None, :], tol)[0])
 
 
 def contains_many(K: ConvexBody, X: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:

@@ -32,9 +32,10 @@ from .geometry import (
     radial,
     radial_many,
     to_hrep,
+    to_vrep,
 )
 from .special import beta
-from .volume import moments, unit_ball_volume, wedge_moment
+from .volume import _centred, moments, unit_ball_volume, wedge_moment
 
 
 def section(K: ConvexBody, S: Subspace, x0=None):
@@ -77,14 +78,20 @@ class SectionVolumeFunction:
     Each evaluation takes one section of K. `ray_moments` is the one entry
     point for its ray moments: exact where `has_exact_ray_moments` holds,
     adaptive elsewhere.
+
+    It answers the profile-oracle protocol of `ball_bodies` itself: ``dim``
+    (= k), ``label``, ``concavity_index`` (m, None for the indicator at
+    m = 0), ``support_radius`` (the largest vertex norm of K, or r + |c| for
+    a ball) and ``barycenter_zero``, read from K's centroid.
     """
 
     def __init__(self, body: ConvexBody, F: Subspace):
         self.body = body
         self.F = F
         self.Fperp = F.complement()
-        self.k = self.Fperp.dim
+        self.dim = self.k = self.Fperp.dim
         self.m = F.dim  # section dimension n - k
+        self.label = "section-volume"
         self._proj = None  # support body: projection of K onto F^perp
         # chord data of polytopes with sections of dimension 1
         self._fast = None
@@ -94,8 +101,21 @@ class SectionVolumeFunction:
             self._fast = ((H.A @ F.basis.T)[:, 0], H.A, H.b)
 
     @property
-    def concavity_index(self) -> int:
-        return self.m
+    def concavity_index(self) -> int | None:
+        return self.m if self.m > 0 else None
+
+    @property
+    def support_radius(self) -> float:
+        """Radius of a ball about 0 outside which f vanishes."""
+        if isinstance(self.body, Ball):
+            return self.body.radius + float(np.linalg.norm(self.body.center))
+        return float(np.max(np.linalg.norm(to_vrep(self.body).vertices, axis=1)))
+
+    @property
+    def barycenter_zero(self) -> bool:
+        """Whether int x f(x) dx = |K| P_{F^perp} centroid(K) vanishes, to the
+        relative tolerance of the centroid checks (`volume._centred`)."""
+        return _centred(self.body, self.Fperp.coords(moments(self.body).centroid))
 
     def support_body(self) -> ConvexBody:
         """Projection of K onto F^perp: the support of f, in F^perp coords."""
@@ -137,11 +157,10 @@ class SectionVolumeFunction:
         Elsewhere (off-centre balls at m >= 1, and non-integer p at m >= 2)
         each row takes the adaptive rule `_composite_gl` on [0, `ray_extent`],
         which evaluates f one section per node and warns with a
-        `QuadratureWarning` when it misses its tolerance.
+        `QuadratureWarning` when it misses its tolerance. Raises
+        `GeometryError` unless p > 0 and every row is nonzero.
         """
-        if p <= 0:
-            raise GeometryError("p must be positive")
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        thetas = _ray_arguments(thetas, p)
         if not self.has_exact_ray_moments(p):
             out = np.empty(len(thetas))
             for i, theta in enumerate(thetas):
@@ -226,6 +245,16 @@ class SectionVolumeFunction:
         """f(t * theta) for an array of parameters t >= 0, one evaluation each."""
         theta = np.asarray(theta, dtype=float)
         return np.array([self(t * theta) for t in np.asarray(ts, dtype=float)])
+
+
+def _ray_arguments(thetas, p) -> np.ndarray:
+    """thetas as an (N, k) array; GeometryError unless p > 0 and every row is nonzero."""
+    if p <= 0:
+        raise GeometryError("p must be positive")
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if not thetas.any(axis=1).all():
+        raise GeometryError("ray directions must be nonzero")
+    return thetas
 
 
 # directions x facets^2 per block of `_chord_moments`, which bounds its

@@ -9,7 +9,7 @@ bounds are built in log space from Gamma/Beta/binomial evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import hadamard
@@ -40,6 +40,7 @@ from .geometry import (
     to_vrep,
 )
 from .sections import (
+    SectionVolumeFunction,
     _cut_volume,
     _section_and_rows,
     cone_section_volume_polyhedral,
@@ -48,7 +49,7 @@ from .sections import (
     solid_angle_fraction,
 )
 from .special import beta, binom, gamma
-from .volume import isotropic_position, moments, unit_ball_volume, wedge_moment
+from .volume import _centred, isotropic_position, moments, unit_ball_volume, wedge_moment
 
 __all__ = [
     "CheckResult", "ExplicitConstant", "gamma", "beta", "binom",
@@ -151,10 +152,9 @@ def _opposite_cone_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone):
     return _cut_volume(L, R), _cut_volume(L, -R)
 
 
-def _centroid_guard(K: ConvexBody, tol: float = 1e-9):
+def _centroid_guard(K: ConvexBody):
     m = moments(K)
-    scale = m.volume ** (1.0 / K.dim)
-    if np.linalg.norm(m.centroid) > tol * max(1.0, scale):
+    if not _centred(K, m.centroid):
         raise GeometryError("check requires the centroid at the origin")
     return m
 
@@ -252,26 +252,18 @@ def section_volume_in_flat(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> flo
 
 def check_corollary1(K: ConvexBody, F: Subspace, theta,
                      body_spec: str = "body") -> CheckResult:
-    """Opposite-ray section ratio: parent p = 1 bound asserted, c reported."""
-    _centroid_guard(K)
-    n = K.dim
-    k = n - F.dim
-    theta = np.asarray(theta, dtype=float)
-    const = part1_constant(n, k, 1)
-    plus_ray, minus_ray = _opposite_cone_volumes(K, F, PolyhedralCone(theta[None, :]))
-    if minus_ray <= 0:
-        raise GeometryError("degenerate ray section")
-    lhs = plus_ray / minus_ray
+    """Opposite-ray section ratio |K cap (F + R+ theta)| / |K cap (F - R+ theta)|.
+
+    Corollary 1 is part 1 at p = 1 on the ray -theta, so this is
+    `check_main_theorem_part1` on that ray under its own name, with the
+    implied constant c against the k^2 envelope reported in the notes.
+    """
+    res = check_main_theorem_part1(K, F, PolyhedralCone(-np.asarray(theta, dtype=float)[None, :]),
+                                   body_spec)
+    n, k = res.parameters["n"], res.parameters["k"]
     envelope = k * k * (1.0 + k / (n - k + 1.0)) ** max(n - k - 1, 0)
-    slack = 1e-6
-    return CheckResult(
-        name="opposite-ray-ratio-bound",
-        body_spec=body_spec,
-        parameters={"n": n, "k": k},
-        lhs=lhs, rhs=const.value, slack=slack,
-        passed=bool(lhs <= const.value * (1.0 + slack)),
-        notes=f"implied constant c >= {lhs / envelope:.6e} against k^2 envelope",
-    )
+    return replace(res, name="opposite-ray-ratio-bound", parameters={"n": n, "k": k},
+                   notes=f"implied constant c >= {res.lhs / envelope:.6e} against k^2 envelope")
 
 
 def check_corollary2(K: ConvexBody, u, v, body_spec: str = "body") -> CheckResult:
@@ -464,9 +456,14 @@ def experiment_alpha_n(n: int, trials: int, seed: int) -> dict:
 # one-dimensional profile and star-body lemmas, bound to CheckResult
 
 
-def check_fradelizi(f: ConcaveFunctionOracle, seed: int = 23,
+def check_fradelizi(f: ConcaveFunctionOracle | SectionVolumeFunction, seed: int = 23,
                     body_spec: str = "oracle") -> CheckResult:
-    """max f <= (1 + k/(m+1))^m f(0) for barycenter-zero concave profiles."""
+    """max f <= (1 + k/(m+1))^m f(0) for barycenter-zero concave profiles.
+
+    Raises `GeometryError` on a profile without a finite concavity index or
+    whose barycentre is not 0: a section-volume function's is its body's
+    centroid projected onto F^perp (`SectionVolumeFunction.barycenter_zero`).
+    """
     if f.concavity_index is None:
         raise GeometryError("check requires a finite concavity index")
     if not f.barycenter_zero:
@@ -501,8 +498,8 @@ def check_lemma5(L: ConvexBody, body_spec: str = "body") -> CheckResult:
     )
 
 
-def check_lemma6(f: ConcaveFunctionOracle, p: float, num_dirs: int = 64,
-                 seed: int = 5, body_spec: str = "oracle") -> CheckResult:
+def check_lemma6(f: ConcaveFunctionOracle | SectionVolumeFunction, p: float,
+                 num_dirs: int = 64, seed: int = 5, body_spec: str = "oracle") -> CheckResult:
     """Backward radius of the moment body against the explicit factor."""
     if f.concavity_index is None:
         raise GeometryError("check requires a finite concavity index")
@@ -545,9 +542,14 @@ def check_lemma7(L: ConvexBody, u, body_spec: str = "body") -> CheckResult:
 
 
 def check_prop8(L: ConvexBody, body_spec: str = "body") -> CheckResult:
-    """Ball sandwich from second moments: beta B <= L <= r k beta B (exact)."""
+    """Ball sandwich from second moments: beta B <= L <= r k beta B (exact).
+
+    The radii of the balls about 0 inside and around L are read from its
+    vertices and facets (the radius for a ball), so L must have its
+    centroid at 0 (`GeometryError` otherwise), as the proposition assumes.
+    """
     k = L.dim
-    m = moments(L)
+    m = _centroid_guard(L)
     w = np.linalg.eigvalsh(m.covariance / m.volume)
     gamma_min, gamma_max = float(w[0]), float(w[-1])
     r = math.sqrt(gamma_max / gamma_min)
@@ -571,7 +573,7 @@ def check_prop8(L: ConvexBody, body_spec: str = "body") -> CheckResult:
     )
 
 
-def report_prop9(f: ConcaveFunctionOracle, num_dirs: int = 256,
+def report_prop9(f: ConcaveFunctionOracle | SectionVolumeFunction, num_dirs: int = 256,
                  seed: int = 11, body_spec: str = "oracle") -> CheckResult:
     """Distance of the (k+1)-moment body from the ball: report-only.
 

@@ -267,6 +267,11 @@ def _suffix_h(x: np.ndarray, q: int) -> np.ndarray:
     return h[:, q]
 
 
+def _centred(K: ConvexBody, x: np.ndarray, tol: float = 1e-9) -> bool:
+    """Whether x, K's centroid or a projection of it, is 0 to tol times max(1, |K|^(1/n))."""
+    return bool(np.linalg.norm(x) <= tol * max(1.0, moments(K).volume ** (1.0 / K.dim)))
+
+
 def volume(K: ConvexBody) -> float:
     return moments(K).volume
 
@@ -289,15 +294,11 @@ def moment_p(K: ConvexBody, u, p: int) -> float:
     if p == 0:
         return float(vols.sum())
     c = simplices @ u  # (S, d+1) vertex values of the functional
-    # complete homogeneous symmetric polynomial h_p of the vertex values
-    S = c.shape[0]
-    h = np.zeros((S, p + 1))
-    h[:, 0] = 1.0
-    for i in range(c.shape[1]):
-        for j in range(1, p + 1):
-            h[:, j] += c[:, i] * h[:, j - 1]
+    # complete homogeneous symmetric polynomial h_p of the vertex values,
+    # taken from the first value on (hence the reversal)
+    h = _suffix_h(c[:, ::-1].T, p)[0]
     coef = math.factorial(d) * math.factorial(p) / math.factorial(d + p)
-    return float(coef * (vols * h[:, p]).sum())
+    return float(coef * (vols * h).sum())
 
 
 def bounding_box(K: ConvexBody):

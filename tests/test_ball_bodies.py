@@ -28,6 +28,8 @@ from conesec.geometry import (
     make_ball,
     make_regular_simplex,
     random_centered_polytope,
+    to_vrep,
+    translate,
 )
 from conesec.sections import section_volume_fn
 from conesec.special import beta
@@ -123,6 +125,18 @@ def test_section_fn_oracle_reproduces_values():
     assert f.concavity_index == 2
 
 
+def test_section_fn_is_its_own_oracle():
+    K = random_centered_polytope(4, 14, 9)
+    svf = section_volume_fn(K, Subspace.from_span(np.eye(4)[:2]))
+    f = oracle_from_section_fn(svf, label="profile")
+    assert f is svf
+    assert f.label == "profile" and f.dim == 2 and f.barycenter_zero
+    assert f.support_radius == pytest.approx(np.linalg.norm(to_vrep(K).vertices, axis=1).max())
+    # f(0) = 0: 0 is not interior to the support
+    with pytest.raises(GeometryError):
+        oracle_from_section_fn(section_volume_fn(translate(K, [0.0, 0.0, 5.0, 0.0]), svf.F))
+
+
 # ---------------------------------------------------------------------------
 # star bodies
 
@@ -182,7 +196,7 @@ def test_indicator_is_the_exact_m0_profile_of_the_ball():
     for k in (1, 2, 3):
         f = ball_indicator_oracle(k, r=2.0)
         assert f.label == f"indicator(B_2^{k})"
-        assert f.section_fn is not None and f.section_fn.has_exact_ray_moments(k + 2)
+        assert f.has_exact_ray_moments(k + 2)
         theta = np.eye(k)[0]
         assert f.ray_values(theta, np.array([1.0, 1.999, 2.001])).tolist() == [1.0, 1.0, 0.0]
         assert f.ray_extent(0.5 * theta) == pytest.approx(4.0, rel=1e-15)

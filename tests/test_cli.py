@@ -169,6 +169,26 @@ def test_csv_format(capsys):
     assert all(line.endswith("True") for line in lines[1:])
 
 
+@pytest.mark.parametrize("argv", [
+    ("volume", "--body", "cube", "--n", "3"),
+    ("section", "--body", "cube", "--n", "3", "--u", "0,0,1"),
+    ("ball-body", "--body", "cube", "--n", "3", "--k", "1", "--dirs", "2"),
+    ("experiment", "remark1", "--n", "3", "--l", "1"),
+])
+def test_format_is_rejected_where_no_csv_is_written(capsys, argv):
+    # only check and corpus write CSV; elsewhere --format would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_corpus_writes_csv(capsys):
+    code, out, err = run(capsys, "corpus", "--limit", "1", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == "name,body,n,k,p,lhs,rhs,ratio,passed"
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, err = run(capsys, "volume", "--body", "cube", "--n", "2",

@@ -138,9 +138,31 @@ def test_brunn_function_basic_values():
 
 def test_brunn_function_codim_n_is_indicator():
     f = section_volume_fn(make_cube(2), trivial_flat(2))
-    assert f.concavity_index == 0
+    assert f.concavity_index is None
     assert f([0.2, 0.3]) == 1.0
     assert f([1.2, 0.0]) == 0.0
+
+
+@pytest.mark.parametrize("k", [3, 2, 1])
+def test_zero_ray_directions_are_rejected(k):
+    # m = 1, 2, 3: the chord, wedge-moment and (at p = 1.5) adaptive routes
+    f = section_volume_fn(random_centered_polytope(4, 14, 9), Subspace.from_span(np.eye(4)[: 4 - k]))
+    assert f.m == 4 - k
+    for p in (1.0, 1.5, 2.0):
+        with pytest.raises(GeometryError, match="nonzero"):
+            f.ray_moments([np.ones(k), np.zeros(k)], p)
+        with pytest.raises(GeometryError, match="nonzero"):
+            ray_moment(f, np.zeros(k), p)
+
+
+def test_barycenter_zero_reads_the_centroid_across_the_flat():
+    # f's barycentre is the centroid of K projected onto F^perp: a shift
+    # along F^perp moves it, a shift along F does not
+    K = random_centered_polytope(4, 14, 9)
+    F = Subspace.from_span(np.eye(4)[:2])
+    assert section_volume_fn(K, F).barycenter_zero
+    assert not section_volume_fn(translate(K, [0.0, 0.0, 0.05, 0.0]), F).barycenter_zero
+    assert section_volume_fn(translate(K, [0.05, -0.03, 0.0, 0.0]), F).barycenter_zero
 
 
 @given(dims, seeds)

@@ -10,6 +10,7 @@ from conesec import rng
 from conesec.ball_bodies import oracle_from_section_fn
 from conesec.geometry import (
     GeometryError,
+    PolyhedralCone,
     Subspace,
     body_from_spec,
     make_ball,
@@ -181,6 +182,20 @@ def test_corollary1_simplex():
     assert "implied constant" in res.notes
 
 
+def test_corollary1_is_the_ratio_of_the_ray_sections():
+    # lhs = |K cap (F + R+ theta)| / |K cap (F - R+ theta)|, whichever way
+    # the ray is passed to part 1
+    K = random_centered_polytope(4, 14, 3)
+    F = Subspace.from_span(np.eye(4)[:2])
+    theta = unit([0.0, 0.0, 1.0, -0.4])
+    res = check_corollary1(K, F, theta)
+    plus = cone_volume(K, F, PolyhedralCone(theta[None, :]))
+    minus = cone_volume(K, F, PolyhedralCone(-theta[None, :]))
+    assert res.lhs == pytest.approx(plus / minus, rel=1e-12)
+    assert res.name == "opposite-ray-ratio-bound"
+    assert res.parameters == {"n": 4, "k": 2}
+
+
 def test_corollary2_random_body():
     K = random_centered_polytope(3, 12, 4)
     res = check_corollary2(K, [1.0, 0, 0], [0.3, 1.0, 0.2])
@@ -255,6 +270,17 @@ def test_fradelizi_wrapper():
     assert res.passed
 
 
+def test_fradelizi_refuses_a_profile_whose_barycentre_is_off_zero():
+    # the cone shifted along F^perp still holds 0, but its profile's
+    # barycentre is -0.55: the inequality does not apply, so no verdict
+    F = Subspace.from_span(np.eye(3)[:2])
+    cone = make_centered_cone(3)
+    assert check_fradelizi(oracle_from_section_fn(section_volume_fn(cone, F))).passed
+    shifted = oracle_from_section_fn(section_volume_fn(translate(cone, [0.0, 0.0, -0.55]), F))
+    with pytest.raises(GeometryError, match="barycenter"):
+        check_fradelizi(shifted)
+
+
 def test_lemma5_sharp_on_simplex():
     for k in (2, 3):
         res = check_lemma5(make_regular_simplex(k))
@@ -280,6 +306,15 @@ def test_prop8_wrapper():
     assert res.passed
     assert res.parameters["r"] == pytest.approx(1.0)
     assert check_prop8(random_centered_polytope(4, 14, 6)).passed
+
+
+@pytest.mark.parametrize("body", [
+    translate(make_cube(3), [3.0, 0.0, 0.0]),  # 0 outside the body
+    make_ball(3, 1.0, center=[0.9, 0.0, 0.0]),  # 0 at distance 0.1 from the sphere
+])
+def test_prop8_refuses_bodies_off_centre(body):
+    with pytest.raises(GeometryError, match="centroid"):
+        check_prop8(body)
 
 
 def test_prop9_is_report_only():
