@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -193,6 +194,16 @@ class Boundary:
     def tiles(self) -> bool:
         """Whether the simplices tile the boundary: fan and hull volumes agree to 1e-9."""
         return abs(self.fan_volume - self.volume) <= 1e-9 * self.volume
+
+    @cached_property
+    def simplicial(self) -> bool:
+        """Whether the simplices tile the boundary and each is a whole facet.
+
+        qhull gives every simplex of a triangulated facet that facet's
+        equation, so no two rows of A are equal exactly when each facet is
+        one simplex.
+        """
+        return self.tiles and len(np.unique(self.A, axis=0)) == len(self.simplices)
 
     def mapped(self, M: np.ndarray, shift: np.ndarray) -> "Boundary":
         """The boundary of the image {M x + shift} of the polytope, M invertible.
@@ -428,6 +439,19 @@ def boundary(K: ConvexBody) -> Boundary:
         raise GeometryError(f"hull triangulation does not tile the polytope (simplices "
                             f"{bd.fan_volume:.17g}, hull {bd.volume:.17g})")
     return bd
+
+
+def known_simplicial(K: ConvexBody) -> bool:
+    """Whether K is a polytope known by its vertices whose boundary, hulled
+    from them once per body, is triangulated by its own facets
+    (`Boundary.simplicial`).
+
+    False for a ball, and for a polytope known only by its halfspaces: its
+    vertices would take a halfspace intersection and a hull (3 s for the
+    8-cube), which a section of it does not need. Unlike `boundary`, it does
+    not raise on a triangulation that does not tile.
+    """
+    return isinstance(K, Polytope) and K._vertices is not None and K._boundary().simplicial
 
 
 def _vertex_boundary(K: Polytope) -> Boundary:

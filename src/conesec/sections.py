@@ -28,6 +28,7 @@ from .geometry import (
     PolyhedralCone,
     Subspace,
     _halfspace_polytope,
+    known_simplicial,
     project,
     radial,
     radial_many,
@@ -65,9 +66,36 @@ def section(K: ConvexBody, S: Subspace, x0=None):
 
 
 def section_volume(K: ConvexBody, S: Subspace, x0=None) -> float:
-    """|K cap (x0 + S)| in dimension dim(S), 0 when the section is empty."""
+    """|K cap (x0 + S)| in dimension dim(S), 0 when the section is empty.
+
+    A hyperplane S through 0 (x0 None) of a simplicial polytope K known by
+    its vertices takes the volume from K's cached boundary cones sliced by
+    S's normal (`_sliced_normal`), with no qhull call; any other query
+    takes one `section` and its moments.
+    """
+    nu = None if x0 is not None else _sliced_normal(K, S)
+    if nu is not None:
+        return wedge_moment(K, np.zeros((1, K.dim)), 0, [nu])  # the zero row keeps all of nu^perp
     sec = section(K, S, x0)
     return 0.0 if sec is None else moments(sec).volume
+
+
+def _sliced_normal(K: ConvexBody, S: Subspace):
+    """The unit normal of S when volumes in S are cut from K's sliced cones, else None.
+
+    That is when S is a hyperplane and K a polytope known by its vertices
+    and simplicial (`geometry.known_simplicial`): each boundary simplex is
+    then a facet, and slicing builds only the pieces of the section's cones
+    (`volume._slice`). A section, one halfspace intersection and a hull,
+    measured faster elsewhere: on cube-6 a hyperplane section took 4.3 ms
+    against 18 ms by slicing its 1964 boundary simplices, and on random 5-D
+    and 6-D bodies a flat of codimension 3 or more took 0.6-4.7 ms against
+    3.4-11.8 ms by slicing once per codimension. At codimension 2 neither
+    route won on both (the section on 5-D bodies, the slice on 6-D ones).
+    """
+    if K.dim - 1 == S.dim >= 1 and known_simplicial(K):
+        return S.complement().basis[0]
+    return None
 
 
 class SectionVolumeFunction:
@@ -330,8 +358,12 @@ def _check_cone_flat(F: Subspace, C: PolyhedralCone):
 def cone_section_volume_polyhedral(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
     """|K cap (F + C)| in dimension dim(F) + dim(span C), exact for polytopes.
 
-    One section of K by F + span C when that is not the whole space, then
-    the cut by the cone's rows (`_cut_volume`).
+    On a polytope it is `_cone_volumes`: a wedge of K's cones sliced by the
+    normal of F + span C when that is a hyperplane, the cone has at most two
+    rows and K is simplicial and known by its vertices (`_sliced_normal`),
+    and otherwise one section
+    of K by F + span C (none for the whole space) cut by the cone's rows
+    (`_cut_volume`).
     """
     if isinstance(K, Ball):
         _check_cone_flat(F, C)
@@ -339,23 +371,47 @@ def cone_section_volume_polyhedral(K: ConvexBody, F: Subspace, C: PolyhedralCone
             raise GeometryError("cone sections of balls require the center at 0")
         d = F.dim + C.span_dim
         return solid_angle_fraction(C) * unit_ball_volume(d) * K.radius**d
-    return _cut_volume(*_section_and_rows(K, F, C))
+    return _cone_volumes(K, F, C, (1.0,))[0]
+
+
+def _cone_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone, signs) -> list[float]:
+    """|K cap (F + s C)| for each sign s in ``signs``, K a polytope.
+
+    The rows of s C are s R, whatever basis its span gets, so one route, and
+    at most one section, serves every sign. Cones of at most two rows are
+    wedges of K's cones sliced by the normal of F + span C where
+    `_sliced_normal` gives one; wider cones, whose wedge pieces multiply
+    with each row, and all other flats are cut from one section of K
+    (`_cut_volume`).
+    """
+    S, rows = _cone_flat(K, F, C)
+    nu = None if S is None or len(rows) > 2 else _sliced_normal(K, S)
+    if nu is not None:
+        return [wedge_moment(K, s * rows, 0, [nu]) for s in signs]
+    L, R = (K, rows) if S is None else (section(K, S), S.coords(rows))
+    return [_cut_volume(L, s * R) for s in signs]
+
+
+def _cone_flat(K: ConvexBody, F: Subspace, C: PolyhedralCone):
+    """(S, R): the subspace S = F + span C, None when it is the whole space,
+    and ambient rows R with F + C = {x in S : R x >= 0}."""
+    _check_cone_flat(F, C)
+    G = C.span
+    rows = C.constraints_in_span() @ G.basis
+    if F.dim + G.dim == K.dim:
+        return None, rows
+    return Subspace.from_span(np.vstack([F.basis, G.basis]) if F.dim else G.basis,
+                              ambient_dim=K.dim), rows
 
 
 def _section_and_rows(K: ConvexBody, F: Subspace, C: PolyhedralCone):
     """(L, R): the section L of the polytope K by F + span C, and rows R with F + C = {y : R y >= 0}.
 
     L is K itself, in its own coordinates, when F + span C is the whole
-    space, and None when the section is empty. The rows of the opposite
-    cone -C are -R, whatever basis its span gets.
+    space, and None when the section is empty.
     """
-    _check_cone_flat(F, C)
-    G = C.span
-    rows = C.constraints_in_span() @ G.basis
-    if F.dim + G.dim == K.dim:
-        return K, rows
-    S = Subspace.from_span(np.vstack([F.basis, G.basis]) if F.dim else G.basis, ambient_dim=K.dim)
-    return section(K, S), S.coords(rows)
+    S, rows = _cone_flat(K, F, C)
+    return (K, rows) if S is None else (section(K, S), S.coords(rows))
 
 
 def _cut_volume(L, R: np.ndarray) -> float:

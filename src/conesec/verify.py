@@ -41,7 +41,7 @@ from .geometry import (
 )
 from .sections import (
     SectionVolumeFunction,
-    _cut_volume,
+    _cone_volumes,
     _section_and_rows,
     cone_section_volume_polyhedral,
     section,
@@ -145,11 +145,11 @@ def cone_volume(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
 
 
 def _opposite_cone_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone):
-    """|K cap (F + C)| and |K cap (F - C)|, from one section of K by F + span C."""
+    """|K cap (F + C)| and |K cap (F - C)|, by the route of `cone_volume` for
+    both, and from one section of K by F + span C where that route takes one."""
     if isinstance(K, Ball):
         return cone_volume(K, F, C), cone_volume(K, F, C.negated())
-    L, R = _section_and_rows(K, F, C)
-    return _cut_volume(L, R), _cut_volume(L, -R)
+    return _cone_volumes(K, F, C, (1.0, -1.0))
 
 
 def _centroid_guard(K: ConvexBody):

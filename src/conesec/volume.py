@@ -6,16 +6,21 @@ per-simplex closed forms give volume, centroid, second moments and arbitrary
 integer moments of a linear functional.  Wedge moments, the integrals of
 <r, x>^q over K cap {R x >= 0} with r the last row of R, come from the same
 boundary simplices, coned from the origin: hyperplanes through 0 slice them
-down to the cones of a section of K, the hyperplanes of the rows before the
-last split them, and the last row weights each piece by an exact recursion
-on its vertex values.  At q = 0 they are wedge volumes; the ray moments of
-section functions are wedge moments of sliced cones (`sections`).  A seeded
+down to the cones of a section of K, building only the faces they keep
+(`_slice`), the hyperplanes of the rows before the last split them, and the
+last row weights each piece by an exact recursion on its vertex values.  At
+q = 0 they are wedge volumes.  `sections` takes from sliced cones the ray
+moments of section functions at m >= 2, and the volumes and cone sections of
+simplicial polytopes in hyperplanes through 0; the other sections, where a
+halfspace intersection and one hull measured faster, do not slice.  A seeded
 Monte Carlo estimator provides an independent cross-check, and the
 isotropic-position transform whitens the centered second-moment matrix.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -140,6 +145,12 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()) -> float:
     row's positive side, which depends on the vertex values alone
     (`_positive_fraction`). The pieces grow quickly with the number of rows,
     so wedges with many facets are better cut by a halfspace intersection.
+    Each normal multiplies the pieces too, by up to C(d - 2, d/2 - 1) per
+    simplex, and a polytope whose facets are cut into many simplices has
+    many to slice. So `sections` slices for a section's volume or cone
+    volume only by one normal and on simplicial polytopes
+    (`sections._sliced_normal`), and takes a section of K elsewhere; its ray
+    moments at m >= 2 slice by every normal on every polytope.
     """
     V = to_vrep(K)
     R = np.atleast_2d(np.asarray(R, dtype=float))
@@ -151,7 +162,7 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()) -> float:
         for nu in normals:
             pts, w = _slice(pts, w, nu)
         for r in R[:-1]:
-            pts, w, _ = _split_positive(pts, w, r)
+            pts, w = _split_positive(pts, w, r)
         total += float(w @ _positive_fraction(pts @ R[-1], q))
     # a d-simplex with vertices 0, v_1..v_d has integral |det| q! / (d + q)! h_q(<r, v_i>)
     return total * math.factorial(q) / math.factorial(V.dim - len(normals) + q)
@@ -170,7 +181,7 @@ def _cone_simplices(V: ConvexBody):
 
 
 def _split_positive(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
-    """The pieces (pts, w, c) of the simplices ``pts`` (weights ``w``) where c = <r, x> >= 0.
+    """The pieces (pts, w) of the simplices ``pts`` (weights ``w``) where <r, x> >= 0.
 
     A simplex with vertices v_i (value c_i > 0) and v_j (c_j < 0), i and j
     its largest and smallest values, is split at the crossing point
@@ -180,12 +191,11 @@ def _split_positive(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
     of the parent's, so nothing cancels.
     """
     c = pts @ r
-    done_pts, done_w, done_c = [pts[:0]], [w[:0]], [c[:0]]
+    done_pts, done_w = [pts[:0]], [w[:0]]
     while len(pts):
         inside = np.all(c >= 0, axis=1)
         done_pts.append(pts[inside])
         done_w.append(w[inside])
-        done_c.append(c[inside])
         mixed = ~inside & np.any(c > 0, axis=1)
         pts, c, w = pts[mixed], c[mixed], w[mixed]
         rows = np.arange(len(pts))
@@ -202,24 +212,72 @@ def _split_positive(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
         pts = np.concatenate([keep_i, keep_j])
         c = np.concatenate([c_i, c_j])
         w = np.concatenate([w * (ci / gap), w * (-cj / gap)])
-    return np.concatenate(done_pts), np.concatenate(done_w), np.concatenate(done_c)
+    return np.concatenate(done_pts), np.concatenate(done_w)
 
 
 def _slice(pts: np.ndarray, w: np.ndarray, nu: np.ndarray):
     """The faces in nu^perp (nu a unit vector) of the cones from 0 over the simplices ``pts``.
 
-    A piece that `_split_positive` keeps on the side <nu, x> >= 0 meets
-    nu^perp in a face of full dimension only when exactly one of its values
-    c_+ is positive; the others are exactly 0, crossings included. That
-    face, with 0, is the base of the piece's cone, of height c_+, so its
-    weight is w / c_+. Faces the hyperplane holds whole are counted once,
-    from the positive side.
+    A simplex with P positive values p_1 >= ... >= p_P (vertices a_s) and N
+    negative ones n_1 <= ... <= n_N (vertices b_t), sorted as
+    `_positive_fraction` sorts them, meets nu^perp in its zero vertices
+    joined with a copy of Delta_{P-1} x Delta_{N-1}, whose vertices are the
+    crossings x_st = (p_s b_t - n_t a_s) / (p_s - n_t). The split of
+    `_split_positive` at x_st sends a piece at (s, t) to (s, t + 1) with the
+    fraction p_s / (p_s - n_t) of its weight and to (s + 1, t) with
+    -n_t / (p_s - n_t). The pieces with one positive vertex a_P left are the
+    monotone lattice paths from (1, 1) that leave (P, N) to (P, N + 1):
+    C(P + N - 2, P - 1) of them, the staircase triangulation of the product
+    of simplices (De Loera, Rambau and Santos, *Triangulations*, 2010,
+    Sec. 6.2). Each path's face is the zero vertices and the crossings it
+    visits; with 0 it is the base of its piece's cone, of height p_P, so its
+    weight is w times the fractions along the path over p_P. Only those
+    faces are built. A simplex with one positive value and the rest zero is
+    its own face; faces the hyperplane holds whole are counted once, from
+    the positive side.
     """
-    pts, w, c = _split_positive(pts, w, nu)
-    one = np.count_nonzero(c, axis=1) == 1
-    pts, w, c = pts[one], w[one], c[one]
-    S, d, n = pts.shape
-    return pts[c == 0].reshape(S, d - 1, n), w / c.max(axis=1)
+    d, n = pts.shape[1:]
+    c = pts @ nu
+    order = np.argsort(-c, axis=1, kind="stable")  # positives, zeros, negatives from the top
+    pts = np.take_along_axis(pts, order[:, :, None], axis=1)
+    c = np.take_along_axis(c, order, axis=1)
+    pos, neg = np.count_nonzero(c > 0, axis=1), np.count_nonzero(c < 0, axis=1)
+    faces, weights = [pts[:0, 1:]], [w[:0]]
+    for P, N in set(zip(pos.tolist(), neg.tolist())):
+        if P == 0 or (N == 0 and P > 1):
+            continue  # no face of full dimension in nu^perp
+        group = (pos == P) & (neg == N)
+        x, cg, G = pts[group], c[group], np.count_nonzero(group)
+        a, p = x[:, :P], cg[:, :P]
+        b, m = x[:, ::-1][:, :N], cg[:, ::-1][:, :N]
+        gap = p[:, :, None] - m[:, None, :]  # (G, P, N)
+        cross = (p[:, :, None, None] * b[:, None] - m[:, None, :, None] * a[:, :, None]) / gap[..., None]
+        fractions = np.stack([-m[:, None, :] / gap, p[:, :, None] / gap], axis=1).reshape(G, -1)
+        states, steps = _lattice_paths(P, N)
+        zeros = np.broadcast_to(x[:, None, P:d - N], (G, len(states), d - P - N, n))
+        faces.append(np.concatenate([zeros, cross.reshape(G, P * N, n)[:, states]],
+                                    axis=2).reshape(-1, d - 1, n))
+        weights.append((w[group, None] * fractions[:, steps].prod(axis=2) / p[:, -1:]).ravel())
+    return np.concatenate(faces), np.concatenate(weights)
+
+
+@functools.cache
+def _lattice_paths(P: int, N: int):
+    """(states, steps) of the monotone lattice paths of `_slice`, one row per path.
+
+    A path from (1, 1) takes P - 1 steps s -> s + 1 and N - 1 steps
+    t -> t + 1 in any order, then t -> t + 1 from (P, N). ``states`` indexes
+    the crossings x_st it leaves in a (P, N) array, and ``steps`` the
+    fraction of each step in a (2, P, N) array: first those of the steps
+    s -> s + 1, then those of the steps t -> t + 1.
+    """
+    ups = list(itertools.combinations(range(P + N - 2), P - 1))
+    up = np.zeros((len(ups), P + N - 1), dtype=int)
+    for row, cols in zip(up, ups):
+        row[list(cols)] = 1
+    s = np.cumsum(up, axis=1) - up
+    states = s * N + np.arange(P + N - 1) - s
+    return states, states + P * N * (1 - up)
 
 
 def _positive_fraction(c: np.ndarray, q: int = 0) -> np.ndarray:

@@ -16,9 +16,11 @@ from conesec.geometry import (
     HPolytope,
     PolyhedralCone,
     Subspace,
+    VPolytope,
     _halfspace_polytope,
     affine_map,
     boundary,
+    known_simplicial,
     make_ball,
     make_centered_cone,
     make_cross_polytope,
@@ -37,6 +39,8 @@ from conesec.sections import (
     SectionVolumeFunction,
     _RAY_BLOCK_ELEMENTS,
     _composite_gl,
+    _cut_volume,
+    _section_and_rows,
     cone_section_volume_polyhedral,
     cone_section_volume_radial,
     ray_moment,
@@ -45,7 +49,7 @@ from conesec.sections import (
     section_volume_fn,
     solid_angle_fraction,
 )
-from conesec.verify import checks_for_body
+from conesec.verify import _opposite_cone_volumes, checks_for_body
 from conesec.volume import moment_p, volume, wedge_moment
 
 dims = st.integers(min_value=2, max_value=5)
@@ -561,6 +565,55 @@ def test_cone_section_through_a_lower_dimensional_span():
         minus = cone_section_volume_polyhedral(K, F, C.negated())
         if C.span_dim == 1:
             assert plus + minus == pytest.approx(ConvexHull(section(K, S).vertices).volume, rel=1e-12)
+
+
+def _hyperplane_cones(n, seed):
+    """(F, C) pairs whose F + span C is a hyperplane: a ray and a 2-D cone, in
+    coordinate directions and in a seeded orthonormal frame."""
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    for U in (np.eye(n), Q):
+        yield Subspace.from_span(U[:n - 2], ambient_dim=n), PolyhedralCone(U[n - 1:])
+        yield (Subspace.from_span(U[:n - 3], ambient_dim=n),
+               PolyhedralCone(np.vstack([U[n - 2], U[n - 2] + 2.0 * U[n - 1]])))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_hyperplane_cone_volumes_of_simplicial_bodies_take_no_qhull_call(n, monkeypatch):
+    # codimension-1 cones of 1 and 2 rows against one section and its cut;
+    # simplicial bodies slice their cached cones instead, with no qhull call
+    e = np.eye(n)
+    bodies = [random_body(n, n), VPolytope(np.vstack([e, -np.ones(n)])),
+              make_cross_polytope(n), make_centered_cone(n), make_cube(n)]
+    for K in bodies:
+        boundary(K)
+    assert [known_simplicial(K) for K in bodies] == [True, True, True, True, False]
+    cases = [(K, F, C, _cut_volume(L, R), _cut_volume(L, -R))
+             for K in bodies for F, C in _hyperplane_cones(n, n)
+             for L, R in [_section_and_rows(K, F, C)]]
+
+    def no_qhull(*args, **kwargs):
+        raise AssertionError("qhull called")
+
+    for K, F, C, plus, minus in cases:
+        with monkeypatch.context() as patch:
+            if known_simplicial(K):
+                patch.setattr(conesec.geometry, "_qhull", no_qhull)
+            assert cone_section_volume_polyhedral(K, F, C) == pytest.approx(plus, rel=1e-12)
+            assert _opposite_cone_volumes(K, F, C) == pytest.approx([plus, minus], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_bodies_known_by_halfspaces_are_sectioned_without_their_vertices(n):
+    # slicing would need the vertices, and so a halfspace intersection and a
+    # hull; a section needs only the halfspaces
+    V = VPolytope(np.vstack([np.eye(n), -np.ones(n)]))
+    H = HPolytope(to_hrep(V).A, to_hrep(V).b)
+    S = Subspace.hyperplane(np.arange(1.0, n + 1.0))
+    for F, C in _hyperplane_cones(n, n):
+        assert cone_section_volume_polyhedral(H, F, C) == pytest.approx(
+            cone_section_volume_polyhedral(V, F, C), rel=1e-12)
+    assert section_volume(H, S) == pytest.approx(section_volume(V, S), rel=1e-12)
+    assert H._vertices is None and known_simplicial(V)
 
 
 def test_section_whose_first_hull_overlaps_is_hulled_again():

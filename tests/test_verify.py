@@ -12,6 +12,8 @@ from conesec.geometry import (
     GeometryError,
     PolyhedralCone,
     Subspace,
+    VPolytope,
+    affine_map,
     body_from_spec,
     make_ball,
     make_centered_cone,
@@ -49,7 +51,7 @@ from conesec.verify import (
     run_corpus,
     trivial_flat,
 )
-from conesec.volume import isotropic_position, volume
+from conesec.volume import isotropic_position, volume, wedge_moment
 
 
 def unit(v):
@@ -161,6 +163,31 @@ def test_part1_simplex_passes():
     for C in (PolyhedralCone(np.eye(4)[3:]), orthant_cone(np.eye(4)[2:])):
         res = check_main_theorem_part1(K, F, C)
         assert res.passed
+
+
+def test_part1_of_an_8d_body_takes_no_section_hull():
+    # F + span C = e7^perp. A section of K by it takes 15-27 s of halfspace
+    # intersection, and its hull does not tile under the rotations tried, so
+    # the check takes both volumes from K's sliced cones. The reference hulls
+    # the crossings of K's vertex pairs with e7^perp, the section's vertex
+    # candidates, under a seeded rotation in which qhull tiles that hull.
+    K, e = random_centered_polytope(8, 22, 1), np.eye(8)
+    F, C = Subspace.from_span(e[:6]), PolyhedralCone(e[7:])
+    res = check_main_theorem_part1(K, F, C)
+    assert res.passed
+    plus, minus = cone_volume(K, F, C), cone_volume(K, F, C.negated())
+    assert res.lhs == pytest.approx(minus / plus, rel=1e-12)
+    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8)))[0]
+    V, nu = to_vrep(affine_map(K, Q)).vertices, Q @ e[6]
+    c = V @ nu
+    a, b, ca, cb = V[c > 0], V[c < 0], c[c > 0], c[c < 0]
+    crossings = ((ca[:, None, None] * b - cb[:, None] * a[:, None])
+                 / (ca[:, None] - cb)[..., None]).reshape(-1, 8)
+    S = Subspace.hyperplane(nu)
+    L = VPolytope(S.coords(np.vstack([crossings, V[c == 0]])))
+    R = S.coords(Q @ e[7])[None, :]
+    assert plus == pytest.approx(wedge_moment(L, R), rel=1e-10)
+    assert minus == pytest.approx(wedge_moment(L, -R), rel=1e-10)
 
 
 def test_part2_symmetric_body_is_exact():

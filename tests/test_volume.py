@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from scipy.spatial import QhullError
 
-from conesec import geometry
+from conesec import geometry, volume as volume_module
 from conesec.geometry import (
     GeometryError,
     Subspace,
@@ -30,6 +30,7 @@ from conesec.geometry import (
 from conesec.volume import (
     _cone_simplices,
     _positive_fraction,
+    _slice,
     _split_positive,
     centered_second_moment,
     centroid,
@@ -206,7 +207,7 @@ def test_last_row_recursion_matches_the_split(n, seed):
     pts, w = _cone_simplices(translate(random_body(n, seed), np.full(n, 0.2)))
     gen = np.random.default_rng(seed)
     for r, q in itertools.product((gen.standard_normal(n), np.ones(n), np.eye(n)[0]), moment_degrees):
-        kept_pts, kept_w, _ = _split_positive(pts, w, r)
+        kept_pts, kept_w = _split_positive(pts, w, r)
         kept = kept_w @ h(kept_pts @ r, q)
         scale = np.abs(w).sum() * np.abs(pts @ r).max() ** q
         assert w @ _positive_fraction(pts @ r, q) == pytest.approx(kept, rel=1e-13, abs=1e-15 * scale)
@@ -245,6 +246,29 @@ def test_sliced_wedge_counts_faces_in_the_hyperplane_once():
             for R in ([e[1]], [e[1] - e[2]], [e[1], e[2] - e[0]]):
                 assert wedge_moment(K, R, q, [e[0]]) == pytest.approx(
                     section_wedge_moment(K, R, q, e[0]), rel=1e-12)
+
+
+def test_slice_builds_only_the_faces_it_keeps(monkeypatch):
+    # a boundary simplex with P positive and N negative values along nu meets
+    # nu^perp in one face per monotone lattice path, C(P + N - 2, P - 1) of
+    # them; one with one positive value and the rest zero is its own face; no
+    # other simplex gives a face, and no piece is split off on the way
+    monkeypatch.setattr(volume_module, "_split_positive", None)
+    for n in range(3, 7):
+        e = np.eye(n)
+        nu = np.random.default_rng(n).standard_normal(n)
+        simplex = VPolytope(np.vstack([e, -np.ones(n)]))
+        for K in (make_cube(n), make_cross_polytope(n), simplex, random_body(n, n)):
+            pts, w = _cone_simplices(K)
+            for u in (e[0], nu / np.linalg.norm(nu)):
+                c = pts @ u
+                counts = zip(np.count_nonzero(c > 0, axis=1), np.count_nonzero(c < 0, axis=1))
+                expected = sum(math.comb(P + N - 2, P - 1) if N else P == 1
+                               for P, N in counts if P)
+                faces, weights = _slice(pts, w, u)
+                assert faces.shape == (expected, n - 1, n)
+                assert weights.shape == (expected,)
+                assert np.abs(faces @ u).max(initial=0.0) <= 1e-14 * np.abs(pts).max()
 
 
 def test_positive_fraction_closed_forms():
