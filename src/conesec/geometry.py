@@ -301,9 +301,9 @@ class Polytope:
     It holds the representation it was built from and derives the other at
     most once: ``vertices`` by a halfspace intersection, ``A`` and ``b``
     (unit normals) from the facet equations of its boundary. The boundary
-    (`geometry.boundary`), its cone simplices (`volume.wedge_moment`) and
-    the moments (`volume.moments`) are cached on it too. Build polytopes
-    with `VPolytope` or `HPolytope`.
+    (`geometry.boundary`), its cone simplices (`volume.wedge_moment`), the
+    moments (`volume.moments`) and its facet ridges (`facet_ridges`) are
+    cached on it too. Build polytopes with `VPolytope` or `HPolytope`.
     """
 
     def __init__(self, vertices: np.ndarray | None = None, A: np.ndarray | None = None,
@@ -317,6 +317,7 @@ class Polytope:
         self._boundary_cache = boundary
         self._moments_cache = None
         self._cone_cache = None
+        self._ridge_cache = None
 
     def __repr__(self):
         return f"Polytope(dim={self.dim})"
@@ -452,6 +453,46 @@ def known_simplicial(K: ConvexBody) -> bool:
     not raise on a triangulation that does not tile.
     """
     return isinstance(K, Polytope) and K._vertices is not None and K._boundary().simplicial
+
+
+@dataclass(frozen=True)
+class Ridges:
+    """The facet ridges of a full-dimensional polytope, as pairs of rows of its H-rep.
+
+    ``pairs`` (R, 2) holds i < j for each pair of facets that share at least
+    n - 1 vertices: every ridge, and possibly pairs that meet in a smaller
+    face. ``neighbours`` (H, D) lists the facets each facet pairs with,
+    padded with its own index. Facet i is {x : <A_i, x> = b_i} cut by the
+    inequalities of its neighbours; a neighbour that meets it in a smaller
+    face adds an inequality valid on K, which changes nothing.
+    """
+
+    pairs: np.ndarray
+    neighbours: np.ndarray
+
+
+def facet_ridges(K: Polytope) -> Ridges:
+    """The `Ridges` of the polytope K, computed once per body.
+
+    A vertex lies on a facet when its residual is within GEOM_TOL of max |b|,
+    so the incidence does not depend on the scale. Ridges are taken from
+    the facets of `to_hrep`, not from the boundary simplices, which are far
+    more on non-simplicial bodies (113 458 on the 8-cube, which has 16
+    facets).
+    """
+    if K._ridge_cache is None:
+        A, b, V = to_hrep(K).A, K.b, to_vrep(K).vertices
+        on = (np.abs(V @ A.T - b) <= GEOM_TOL * np.abs(b).max()).astype(float)
+        adjacent = on.T @ on >= K.dim - 1  # counts of shared vertices
+        np.fill_diagonal(adjacent, False)
+        degree = adjacent.sum(axis=1)
+        rows, cols = np.nonzero(adjacent)  # by rows, so each row's slots fill in order
+        neighbours = np.repeat(np.arange(len(A))[:, None], max(1, degree.max()), axis=1)
+        neighbours[rows, np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)] = cols
+        upper = rows < cols
+        K._ridge_cache = Ridges(_read_only(np.stack([rows[upper], cols[upper]], axis=1)),
+                                _read_only(neighbours))
+    return K._ridge_cache
 
 
 def _vertex_boundary(K: Polytope) -> Boundary:

@@ -5,10 +5,13 @@ Brunn section-volume function f(x) = |K cap (F + x)|, and cone-section
 volumes |K cap (F + C)| by two independent routes: polyhedral intersection
 and radial integration over the cone's spherical cross-section.  The ray
 moments int_0^T t^(p-1) f(t theta) dt of the radial route are exact for
-polytopes: radial(K, theta)^p / p at m = 0, a closed form on chord kinks at
-m = 1, and at m >= 2 and integer p one wedge moment (`volume.wedge_moment`)
-per direction, of K's cached boundary cones sliced down to the section
-K cap (F + R theta).
+polytopes: radial(K, theta)^p / p at m = 0; at m = 1 a closed form between
+the chord's kinks, which are the ray's crossings with K's cached facet
+ridges (`geometry.facet_ridges`), and T from the Fourier-Motzkin rows of
+those ridges and of the facets parallel to F, with no projection hulled
+(`_Chords`); and at m >= 2 and
+integer p one wedge moment (`volume.wedge_moment`) per direction, of K's
+cached boundary cones sliced down to the section K cap (F + R theta).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .geometry import (
     PolyhedralCone,
     Subspace,
     _halfspace_polytope,
+    facet_ridges,
     known_simplicial,
     project,
     radial,
@@ -36,7 +40,7 @@ from .geometry import (
     to_vrep,
 )
 from .special import beta
-from .volume import _centred, moments, unit_ball_volume, wedge_moment
+from .volume import _centred, _wedge_moments_by_rows, moments, unit_ball_volume, wedge_moment
 
 
 def section(K: ConvexBody, S: Subspace, x0=None):
@@ -121,12 +125,8 @@ class SectionVolumeFunction:
         self.m = F.dim  # section dimension n - k
         self.label = "section-volume"
         self._proj = None  # support body: projection of K onto F^perp
-        # chord data of polytopes with sections of dimension 1
-        self._fast = None
+        self._chord_cache = None  # `_Chords` of a polytope with sections of dimension 1
         self._profile = None  # (thetas bytes, ts, chord) of the last one-block chord call
-        if not isinstance(body, Ball) and self.m == 1:
-            H = to_hrep(body)
-            self._fast = ((H.A @ F.basis.T)[:, 0], H.A, H.b)
 
     @property
     def concavity_index(self) -> int | None:
@@ -169,9 +169,13 @@ class SectionVolumeFunction:
         Where `has_exact_ray_moments(p)` holds the moments are exact up to
         rounding. At m = 0, f is the indicator of K, whose moment is
         radial(K, theta)^p / p for every real p > 0. At m = 1, f is the
-        chord length, linear between the kinks of the facet lines bounding
-        the chord, and each panel is integrated in closed form for every
-        real p > 0. The kinks and chord lengths do not depend on p: after a
+        chord length, linear between its kinks, where the ray's plane
+        crosses a ridge of two facets of K that face the same way along F;
+        each panel is integrated in closed form for every real p > 0. The
+        ridges are cached on K (`geometry.facet_ridges`), and the ray's
+        extent T comes from the Fourier-Motzkin rows of the ridges between
+        facets that face opposite ways, so no projection of K is hulled
+        (`_Chords`). The kinks and chord lengths do not depend on p: after a
         call whose directions fit in one block, a call at another p on the
         same directions reuses them (`_chord_moments`), with the same result
         bits. At m >= 2 and integer p, the moment is |theta|^(-p) times the integral of <e, x>^(p-1) over
@@ -206,10 +210,16 @@ class SectionVolumeFunction:
             return self._chord_moments(thetas, p)
         return self._wedge_moments(thetas, int(p))
 
+    def _chords(self) -> "_Chords":
+        """The chord data of K and F, built once from K's cached ridges (`_Chords`)."""
+        if self._chord_cache is None:
+            self._chord_cache = _Chords.of(self.body, self.F)
+        return self._chord_cache
+
     def _chord_moments(self, thetas: np.ndarray, p: float) -> np.ndarray:
         """Ray moments at m = 1: the moments at p of each block's chord profile.
 
-        The profile (`_chord_profile`) does not depend on p. A call whose
+        The profile (`_Chords.profile`) does not depend on p. A call whose
         directions fit in one block keeps its profile, keyed by the bytes of
         the directions, so a call at another p on the same directions only
         takes the moments (`_piecewise_linear_moments`). Larger calls keep
@@ -220,34 +230,16 @@ class SectionVolumeFunction:
         key = thetas.tobytes()
         if self._profile is not None and self._profile[0] == key:
             return _piecewise_linear_moments(*self._profile[1:], p)
-        a, A, b = self._fast
-        W = thetas @ self.Fperp.basis @ A.T  # (N, H): w_i = <A_i, theta>
-        T = radial_many(self.support_body(), thetas)
-        block = max(1, _RAY_BLOCK_ELEMENTS // len(a) ** 2)
+        ch = self._chords()
+        X = thetas @ self.Fperp.basis  # the directions in R^n
+        W = X @ ch.A.T  # (N, H): w_i = <A_i, theta>
+        T = ch.extent(X)
         out = np.empty(len(thetas))
-        for s in range(0, len(thetas), block):
-            profile = self._chord_profile(W[s:s + block], T[s:s + block, None])
-            out[s:s + block] = _piecewise_linear_moments(*profile, p)
-        self._profile = (key, *profile) if 0 < len(thetas) <= block else None
+        for s in range(0, len(thetas), ch.block):
+            profile = ch.profile(W[s:s + ch.block], T[s:s + ch.block, None])
+            out[s:s + ch.block] = _piecewise_linear_moments(*profile, p)
+        self._profile = (key, *profile) if 0 < len(thetas) <= ch.block else None
         return out
-
-    def _chord_profile(self, W: np.ndarray, top: np.ndarray):
-        """(ts, chord): each row's breakpoints in [0, T] and f(t theta) = hi(t) - lo(t) there.
-
-        W holds <A_i, theta> per direction, top its T. hi (lo) is the lower
-        (upper) envelope of the lines (b_i - t w_i) / a_i of the facets with
-        a_i > 0 (a_i < 0), so f is linear between the kinks of the two
-        envelopes. Facets parallel to F only bound t, and T accounts for them.
-        """
-        a, _, b = self._fast
-        pos, neg = a > 1e-12, a < -1e-12
-        c_hi, c_lo = b[pos] / a[pos], b[neg] / a[neg]
-        g_hi, g_lo = -W[:, pos] / a[pos], -W[:, neg] / a[neg]
-        ts = np.sort(np.hstack([np.zeros_like(top), _envelope_kinks(c_hi, g_hi, top),
-                                _envelope_kinks(-c_lo, -g_lo, top), top]), axis=1)
-        hi = (c_hi + g_hi[:, None, :] * ts[:, :, None]).min(axis=2)
-        lo = (c_lo + g_lo[:, None, :] * ts[:, :, None]).max(axis=2)
-        return ts, np.clip(hi - lo, 0.0, None)
 
     def _wedge_moments(self, thetas: np.ndarray, p: int) -> np.ndarray:
         """Ray moments at m >= 2 and integer p: per direction, one wedge moment
@@ -285,37 +277,98 @@ def _ray_arguments(thetas, p) -> np.ndarray:
     return thetas
 
 
-# directions x facets^2 per block of `_chord_moments`, which bounds its
-# (directions, breakpoints, facets) temporaries near 1 MB for any batch size
+# directions x kink ridges x neighbours per block of `_chord_moments`, which
+# bounds its (directions, ridges, neighbours) temporaries near 1 MB for any batch size
 _RAY_BLOCK_ELEMENTS = 1 << 17
 
+# a crossing stays a breakpoint while it misses a neighbour's inequality by at
+# most this share of max |b|: an extra breakpoint only splits a linear panel,
+# a lost kink is an error
+_RIDGE_SLACK = 1e-9
 
-def _envelope_kinks(c: np.ndarray, g: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Kinks in (0, top) of the lower envelope t -> min_i (c_i + g_i t), per row of g.
 
-    c: (L,) intercepts; g: (N, L) slopes; top: (N, 1). The walk starts on the
-    lowest line at t = 0 and moves to the first line of smaller slope that
-    crosses the current one, so the slope falls at every step and a row ends
-    within L steps. Returns (N, steps), padded with top where a row ended.
-    Lines crossing at one point give repeated kinks, which are harmless.
+@dataclass(frozen=True)
+class _Chords:
+    """The chord profiles of a polytope K along a line F = R f (m = 1), from K's ridges.
+
+    The chord of K over t theta is [lo(t), hi(t)] in units of f: hi is the
+    lower envelope of the lines c_i + g_i t of the facets with
+    a_i = <A_i, f> > 0, lo the upper envelope of those with a_i < 0, where
+    c_i = b_i / a_i and g_i = -<A_i, theta> / a_i. f(t theta) = hi - lo is
+    linear between the envelopes' kinks, and a kink is where the ray's
+    plane crosses a ridge of two facets that face the same way along f
+    (`facet_ridges`): the crossing t_ij = (c_j - c_i) / (g_i - g_j) of their
+    lines counts when it lies in (0, T) and the point there meets the
+    inequalities of facet i's neighbours, to `_RIDGE_SLACK`. The ray ends at
+    T, the radial function of K's projection onto F^perp. That projection's
+    halfspaces are its Fourier-Motzkin rows (Ziegler, *Lectures on
+    Polytopes*, 1995, Sec. 1.2): (-a_j) A_i + a_i A_j <= (-a_j) b_i + a_i b_j
+    for the ridges of an upper facet i and a lower facet j, and the facets
+    parallel to f; so no projection is hulled.
     """
-    rows = np.arange(len(g))
-    cur = np.full(len(g), np.argmin(c))
-    t = np.zeros((len(g), 1))
-    kinks = []
-    while True:
-        gc = g[rows, cur][:, None]
+
+    A: np.ndarray  # (H, n) K's unit facet normals
+    a: np.ndarray  # (H,) <A_i, f>
+    b: np.ndarray  # (H,) K's facet offsets
+    kinks: np.ndarray  # (R, 2) the ridges of two upper or two lower facets
+    near: np.ndarray  # (R, D) the neighbours of the first facet of each
+    rows: np.ndarray  # (M, n) the projection's unit normals
+    beta: np.ndarray  # (M,) and offsets
+    block: int  # directions per block, R D of them within _RAY_BLOCK_ELEMENTS
+
+    @classmethod
+    def of(cls, K: ConvexBody, F: Subspace) -> "_Chords":
+        ridges = facet_ridges(K)
+        A, b = K.A, K.b
+        a = A @ F.basis[0]
+        side = np.where(a > 1e-12, 1, np.where(a < -1e-12, -1, 0))
+        i, j = ridges.pairs.T
+        same, across = side[i] * side[j] > 0, side[i] * side[j] < 0
+        up = np.where(side[i] > 0, i, j)[across]
+        lo = np.where(side[i] > 0, j, i)[across]
+        rows = np.vstack([-a[lo, None] * A[up] + a[up, None] * A[lo], A[side == 0]])
+        beta = np.concatenate([-a[lo] * b[up] + a[up] * b[lo], b[side == 0]])
+        norms = np.linalg.norm(rows, axis=1)
+        rows, beta = rows / norms[:, None], beta / norms
+        if beta.min() <= GEOM_TOL:
+            raise GeometryError("origin is not interior to the body")
+        near = ridges.neighbours[i[same]]
+        return cls(A, a, b, ridges.pairs[same], near, rows, beta,
+                   max(1, _RAY_BLOCK_ELEMENTS // max(1, near.size)))
+
+    def extent(self, X: np.ndarray) -> np.ndarray:
+        """T per row of X, directions in R^n within F^perp: min beta / <h, theta> over the rows h."""
+        proj = X @ self.rows.T
+        with np.errstate(divide="ignore"):
+            return np.where(proj > 1e-14, self.beta / proj, np.inf).min(axis=1)
+
+    def profile(self, W: np.ndarray, top: np.ndarray):
+        """(ts, chord): each row's breakpoints in [0, T] and f(t theta) = hi(t) - lo(t) there.
+
+        W holds <A_i, theta> per direction, top its T. The breakpoints are 0,
+        the kinks and T; rows with fewer kinks are padded with T.
+        """
+        a, b = self.a, self.b
+        pos, neg = a > 1e-12, a < -1e-12
+        c = b / np.where(pos | neg, a, 1.0)
+        g = -W / np.where(pos | neg, a, 1.0)
+        i, j = self.kinks.T
         with np.errstate(divide="ignore", invalid="ignore"):
-            cross = np.maximum((c - c[cur][:, None]) / (gc - g), t)
-        cross = np.where(g < gc, cross, np.inf)
-        nxt = cross.argmin(axis=1)
-        t_next = cross[rows, nxt][:, None]
-        going = t_next < top
-        if not going.any():
-            return np.hstack(kinks) if kinks else np.zeros((len(g), 0))
-        t = np.where(going, t_next, top)
-        cur = np.where(going[:, 0], nxt, cur)
-        kinks.append(t)
+            t = (c[j] - c[i]) / (g[:, i] - g[:, j])
+        row, ridge = np.nonzero((t > 0) & (t < top))
+        t, i, near = t[row, ridge], i[ridge], self.near[ridge]
+        s = c[i] + g[row, i] * t  # the crossing's height on facet i
+        slack = b[near] - t[:, None] * W[row[:, None], near] - s[:, None] * a[near]
+        on = (slack >= -_RIDGE_SLACK * np.abs(b).max()).all(axis=1)
+        row, t = row[on], t[on]
+        count = np.bincount(row, minlength=len(W))
+        ts = np.repeat(top, count.max(initial=0) + 2, axis=1)
+        ts[:, 0] = 0.0
+        ts[row, 1 + np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)] = t
+        ts.sort(axis=1)
+        hi = (c[pos] + g[:, pos][:, None, :] * ts[:, :, None]).min(axis=2)
+        lo = (c[neg] + g[:, neg][:, None, :] * ts[:, :, None]).max(axis=2)
+        return ts, np.clip(hi - lo, 0.0, None)
 
 
 def _power_steps(t: np.ndarray, q: float) -> np.ndarray:
@@ -378,7 +431,8 @@ def _cone_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone, signs) -> list[
     """|K cap (F + s C)| for each sign s in ``signs``, K a polytope.
 
     The rows of s C are s R, whatever basis its span gets, so one route, and
-    at most one section, serves every sign. Cones of at most two rows are
+    at most one section or one slicing of K's cones, serves every sign: the
+    sliced faces do not depend on the rows. Cones of at most two rows are
     wedges of K's cones sliced by the normal of F + span C where
     `_sliced_normal` gives one; wider cones, whose wedge pieces multiply
     with each row, and all other flats are cut from one section of K
@@ -387,7 +441,7 @@ def _cone_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone, signs) -> list[
     S, rows = _cone_flat(K, F, C)
     nu = None if S is None or len(rows) > 2 else _sliced_normal(K, S)
     if nu is not None:
-        return [wedge_moment(K, s * rows, 0, [nu]) for s in signs]
+        return _wedge_moments_by_rows(K, [s * rows for s in signs], 0, [nu])
     L, R = (K, rows) if S is None else (section(K, S), S.coords(rows))
     return [_cut_volume(L, s * R) for s in signs]
 

@@ -152,20 +152,32 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()) -> float:
     (`sections._sliced_normal`), and takes a section of K elsewhere; its ray
     moments at m >= 2 slice by every normal on every polytope.
     """
+    return _wedge_moments_by_rows(K, [R], q, normals)[0]
+
+
+def _wedge_moments_by_rows(K: ConvexBody, Rs, q: int, normals) -> list[float]:
+    """`wedge_moment` for each row set in ``Rs``, all of one size, slicing K's cones once.
+
+    The sliced faces do not depend on the rows, so the two signs of a
+    part-1 pair (`sections._cone_volumes`) share one slicing pass; each
+    sign gives the bits of its own `wedge_moment` call.
+    """
     V = to_vrep(K)
-    R = np.atleast_2d(np.asarray(R, dtype=float))
+    Rs = [np.atleast_2d(np.asarray(R, dtype=float)) for R in Rs]
     simplices, weights = _cone_simplices(V)
-    block = _WEDGE_BLOCK if len(R) + len(normals) > 1 else len(simplices)
-    total = 0.0
+    block = _WEDGE_BLOCK if len(Rs[0]) + len(normals) > 1 else len(simplices)
+    totals = [0.0] * len(Rs)
     for s in range(0, len(simplices), block):
-        pts, w = simplices[s:s + block], weights[s:s + block]
+        sliced = simplices[s:s + block], weights[s:s + block]
         for nu in normals:
-            pts, w = _slice(pts, w, nu)
-        for r in R[:-1]:
-            pts, w = _split_positive(pts, w, r)
-        total += float(w @ _positive_fraction(pts @ R[-1], q))
+            sliced = _slice(*sliced, nu)
+        for k, R in enumerate(Rs):
+            pts, w = sliced
+            for r in R[:-1]:
+                pts, w = _split_positive(pts, w, r)
+            totals[k] += float(w @ _positive_fraction(pts @ R[-1], q))
     # a d-simplex with vertices 0, v_1..v_d has integral |det| q! / (d + q)! h_q(<r, v_i>)
-    return total * math.factorial(q) / math.factorial(V.dim - len(normals) + q)
+    return [total * math.factorial(q) / math.factorial(V.dim - len(normals) + q) for total in totals]
 
 
 def _cone_simplices(V: ConvexBody):

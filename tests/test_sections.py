@@ -37,7 +37,6 @@ from conesec.sections import (
     QuadratureSpec,
     QuadratureWarning,
     SectionVolumeFunction,
-    _RAY_BLOCK_ELEMENTS,
     _composite_gl,
     _cut_volume,
     _section_and_rows,
@@ -287,12 +286,26 @@ def _slab(K, F, theta_amb):
 
 
 def _fubini_ray_moment(K, F, theta_amb, p):
-    """int_0^T t^(p-1) f(t theta) dt as the moment of K cap (F + R_+ theta)."""
+    """int_0^T t^(p-1) f(t theta) dt as the moment of K cap (F + R_+ theta).
+
+    Integer p takes `moment_p`. Real p, on a 2-D slab (m = 1), takes
+    Green's theorem, int t^(p-1) ds dt = -(1/p) oint t^p ds counterclockwise
+    in the slab's (s, t) coordinates, by adaptive quadrature on each edge.
+    """
     H = to_hrep(_slab(K, F, theta_amb))
     d = H.dim
     e_last = np.eye(d)[-1]
     half = HPolytope(np.vstack([H.A, -e_last]), np.append(H.b, 0.0))
-    return moment_p(half, e_last, p - 1) / np.linalg.norm(theta_amb) ** p
+    if float(p).is_integer():
+        return moment_p(half, e_last, int(p) - 1) / np.linalg.norm(theta_amb) ** p
+    assert d == 2
+    V = half.vertices
+    V = V[np.argsort(np.arctan2(*(V - V.mean(axis=0)).T[::-1]))]
+    total = 0.0
+    for (s0, t0), (s1, t1) in zip(V, np.roll(V, -1, axis=0)):
+        edge = quad(lambda u: max(t0 + u * (t1 - t0), 0.0) ** p, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+        total -= (s1 - s0) * edge / p
+    return total / np.linalg.norm(theta_amb) ** p
 
 
 def _unit_rows(k, count, seed):
@@ -335,6 +348,55 @@ def test_ray_moments_of_6d_bodies_match_fubini(points, seed, index, rotation):
     ref = _fubini_ray_moment(affine_map(K, Q), Subspace.from_span(e[:4] @ Q.T),
                              Q @ f.Fperp.embed(theta), 2)
     assert f.ray_moments(theta[None, :], 2)[0] == pytest.approx(ref, rel=1e-10)
+
+
+def _chord_directions(f, K, count, seed):
+    """Seeded unit directions of F^perp, then (k >= 2) one through the projection
+    of K's farthest vertex and one parallel to the facet of largest projected normal."""
+    thetas = list(_unit_rows(f.k, count, seed))
+    if f.k >= 2:
+        V = f.Fperp.coords(to_vrep(K).vertices)
+        thetas.append(V[np.argmax(np.linalg.norm(V, axis=1))])
+        U = f.Fperp.coords(to_hrep(K).A)
+        u = U[np.argmax(np.linalg.norm(U, axis=1))]
+        thetas.append(thetas[0] - (thetas[0] @ u) / (u @ u) * u)
+    return np.array([theta / np.linalg.norm(theta) for theta in thetas])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_chord_moments_from_ridges_match_fubini(n):
+    # m = 1 on random bodies (at n = 6 also one of 888 facets), an H-built
+    # cube and a cross-polytope, along a coordinate axis (the cube's facets
+    # but two are then parallel to F) and a seeded line; p real, and the
+    # directions include one through a projected vertex and one parallel to
+    # a facet. Scaling K by s scales each moment by s^(1 + p); at s = 1e8 a
+    # vertex-facet incidence judged to an absolute 1e-9 loses ridges.
+    line = np.random.default_rng(n).standard_normal(n)
+    bodies = [random_body(n, 60 + n), make_cube(n), make_cross_polytope(n)]
+    if n == 6:
+        bodies.append(random_centered_polytope(6, 30, 4))
+    for K in bodies:
+        for u in (np.eye(n)[0], line):
+            F = Subspace.from_span(u[None, :], ambient_dim=n)
+            f = section_volume_fn(K, F)
+            thetas = _chord_directions(f, K, 2, seed=n)
+            for p in (1, 1.5, 2, 3.5):
+                got = f.ray_moments(thetas, p)
+                refs = [_fubini_ray_moment(K, F, f.Fperp.embed(theta), p) for theta in thetas]
+                assert got == pytest.approx(refs, rel=1e-10)
+                for scale in (1e-6, 1e4, 1e8):
+                    scaled = section_volume_fn(affine_map(K, scale * np.eye(n)), F)
+                    assert scaled.ray_moments(thetas, p) == pytest.approx(
+                        scale ** (1 + p) * got, rel=1e-10)
+
+
+def test_chord_moments_of_the_8_cube_are_closed_forms():
+    # f = 2 on [-1, 1]^7 along e1, so I_p(theta) = (2 / p)^(1/p) / max |theta_i|
+    f = section_volume_fn(make_cube(8), Subspace.from_span(np.eye(8)[:1]))
+    thetas = np.vstack([_unit_rows(7, 20, seed=8), np.eye(7)[:2], np.ones((1, 7))])
+    top = np.abs(f.Fperp.embed(thetas)).max(axis=1)
+    for p in (1, 1.5, 2, 3.5):
+        assert f.ray_moments(thetas, p) ** (1 / p) == pytest.approx((2 / p) ** (1 / p) / top, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.5])
@@ -384,7 +446,7 @@ def test_chord_moments_at_several_degrees_equal_fresh_ones():
     # every result equals the one of a function that has seen no direction
     K, F = random_body(4, 9), Subspace.from_span(np.eye(4)[:1])
     f = section_volume_fn(K, F)
-    block = _RAY_BLOCK_ELEMENTS // len(f._fast[0]) ** 2
+    block = f._chords().block
     for count in (block, 3 * block + 5):
         thetas = _unit_rows(f.k, count, seed=count)
         for p in (1, 2, 3, 2.5):
@@ -397,17 +459,24 @@ def test_chord_moments_at_several_degrees_equal_fresh_ones():
     assert f.ray_moments(thetas, 2).tolist() == section_volume_fn(K, F).ray_moments(thetas, 2).tolist()
 
 
-def test_degrees_on_one_block_walk_the_envelopes_once(monkeypatch):
-    walks, extents = [], []
-    real_walk, real_extent = conesec.sections._envelope_kinks, conesec.sections.radial_many
-    monkeypatch.setattr(conesec.sections, "_envelope_kinks", lambda *a: walks.append(1) or real_walk(*a))
-    monkeypatch.setattr(conesec.sections, "radial_many", lambda *a: extents.append(1) or real_extent(*a))
-    f = section_volume_fn(random_body(3, 8), Subspace.from_span(np.eye(3)[:1]))
+def test_degrees_on_one_block_take_one_chord_profile(monkeypatch):
+    # radii at p = 1, 2, 3 on one block of directions find the kinks and
+    # extents once; with K's boundary cached, the m = 1 moments project
+    # nothing, take no radial function and call no qhull
+    K = random_body(3, 8)
+    boundary(K)
+    profiles = []
+    real_profile = sections._Chords.profile
+    monkeypatch.setattr(sections._Chords, "profile",
+                        lambda self, *a: profiles.append(1) or real_profile(self, *a))
+    for name in ("project", "radial_many"):
+        monkeypatch.setattr(sections, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+    monkeypatch.setattr(conesec.geometry, "_qhull", lambda *a, **k: pytest.fail("qhull called"))
+    f = section_volume_fn(K, Subspace.from_span(np.eye(3)[:1]))
     thetas = _unit_rows(f.k, 32, seed=1)
     for p in (1, 2, 3):
         f.ray_moments(thetas, p)
-    assert len(walks) == 2  # the upper and the lower envelope
-    assert len(extents) == 1
+    assert len(profiles) == 1
 
 
 def test_coinciding_breakpoints_give_exact_values():
@@ -600,6 +669,25 @@ def test_hyperplane_cone_volumes_of_simplicial_bodies_take_no_qhull_call(n, monk
                 patch.setattr(conesec.geometry, "_qhull", no_qhull)
             assert cone_section_volume_polyhedral(K, F, C) == pytest.approx(plus, rel=1e-12)
             assert _opposite_cone_volumes(K, F, C) == pytest.approx([plus, minus], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_opposite_cone_volumes_slice_the_cones_once(n, monkeypatch):
+    # both signs of a part-1 pair weight the same sliced faces: one slicing
+    # pass per call, one `_slice` per block of boundary simplices (the 6-D
+    # body of 888 facets takes 2 blocks)
+    K = random_centered_polytope(6, 30, 4) if n == 6 else random_body(n, n)
+    boundary(K)
+    blocks = math.ceil(len(conesec.volume._cone_simplices(K)[1]) / conesec.volume._WEDGE_BLOCK)
+    assert blocks == (2 if n == 6 else 1)
+    slices = []
+    real_slice = conesec.volume._slice
+    monkeypatch.setattr(conesec.volume, "_slice", lambda *a: slices.append(1) or real_slice(*a))
+    for F, C in _hyperplane_cones(n, n):
+        plus, minus = (cone_section_volume_polyhedral(K, F, D) for D in (C, C.negated()))
+        slices.clear()
+        assert _opposite_cone_volumes(K, F, C) == pytest.approx([plus, minus], rel=1e-12)
+        assert len(slices) == blocks
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
