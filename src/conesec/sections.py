@@ -3,7 +3,12 @@
 Provides the section operation (in the flat's intrinsic coordinates), the
 Brunn section-volume function f(x) = |K cap (F + x)|, and cone-section
 volumes |K cap (F + C)| by two independent routes: polyhedral intersection
-and radial integration over the cone's spherical cross-section.  The ray
+and radial integration over the cone's spherical cross-section.  Every
+section is one `section` call, which alone picks its route: a central
+hyperplane section of a simplicial polytope known by its vertices is sliced
+from K's cached boundary cones, any other a halfspace intersection.  The
+polyhedral route cuts one section by the cone's rows, and by their
+negatives for the other sign of a part-1 pair.  The ray
 moments int_0^T t^(p-1) f(t theta) dt of the radial route are exact for
 polytopes: radial(K, theta)^p / p at m = 0; at m = 1 a closed form between
 the chord's kinks, which are the ray's crossings with K's cached facet
@@ -25,12 +30,16 @@ import numpy as np
 from . import rng as _rng
 from .geometry import (
     Ball,
+    Boundary,
     ConvexBody,
     GEOM_TOL,
     GeometryError,
     PolyhedralCone,
+    Polytope,
     Subspace,
     _halfspace_polytope,
+    _read_only,
+    boundary,
     facet_ridges,
     known_simplicial,
     project,
@@ -40,22 +49,34 @@ from .geometry import (
     to_vrep,
 )
 from .special import beta
-from .volume import _centred, _wedge_moments_by_rows, moments, unit_ball_volume, wedge_moment
+from .volume import _centred, _cone_simplices, _slice, moments, unit_ball_volume, wedge_moment
 
 
 def section(K: ConvexBody, S: Subspace, x0=None):
     """K intersected with the flat x0 + S, in S's orthonormal coordinates.
 
     Returns a body of intrinsic dimension dim(S), or None when the section
-    is empty or of measure zero in the flat. When x0 is clearly interior to
-    the polytope K (its distance to every facet is at least 1e-3 of the
-    largest), x0 starts qhull's halfspace intersection and no
-    Chebyshev-centre LP is solved.
+    is empty or of measure zero in the flat. A hyperplane S through 0 (x0
+    None or 0) of a simplicial polytope known by its vertices
+    (`geometry.known_simplicial`) is cut from one slice of K's cached
+    boundary cones by S's normal (`_sliced_section`), with no qhull call.
+    Every other query intersects K's halfspaces with the flat by qhull and
+    hulls the result; when x0 is clearly interior to K (its distance to
+    every facet is at least 1e-3 of the largest), x0 starts that
+    intersection and no Chebyshev-centre LP is solved.
+
+    That rule was set by measurement. A halfspace intersection and one hull
+    was faster elsewhere: on cube-6 a hyperplane section took 4.3 ms
+    against 18 ms by slicing its 1964 boundary simplices, and on random 5-D
+    and 6-D bodies a flat of codimension 3 or more took 0.6-4.7 ms against
+    3.4-11.8 ms by slicing once per codimension. At codimension 2 neither
+    route won on both (the section on 5-D bodies, the slice on 6-D ones).
+    Bodies known only by their halfspaces would need a halfspace
+    intersection and a hull for their vertices first.
     """
     if S.dim < 1:
         raise GeometryError("flat dimension must be >= 1")
-    n = S.ambient_dim
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    x0 = np.zeros(S.ambient_dim) if x0 is None else np.asarray(x0, dtype=float)
     if isinstance(K, Ball):
         # |x0 + B^T y - c|^2 = |y - q|^2 + |w|^2 with q the in-flat part
         delta = K.center - x0
@@ -63,43 +84,50 @@ def section(K: ConvexBody, S: Subspace, x0=None):
         w2 = float(delta @ delta - q @ q)
         r2 = K.radius**2 - w2
         return Ball(q, math.sqrt(r2)) if r2 > GEOM_TOL**2 else None
+    if S.dim == S.ambient_dim - 1 and not x0.any() and known_simplicial(K):
+        return _sliced_section(K, S)
     H = to_hrep(K)
     b = H.b - H.A @ x0
     interior = np.zeros(S.dim) if b.min() >= 1e-3 * b.max() else None
     return _halfspace_polytope(H.A @ S.basis.T, b, interior)
 
 
-def section_volume(K: ConvexBody, S: Subspace, x0=None) -> float:
-    """|K cap (x0 + S)| in dimension dim(S), 0 when the section is empty.
+def _sliced_section(K: Polytope, S: Subspace):
+    """K cap S for a hyperplane S through 0 and a simplicial K known by its
+    vertices, from one `volume._slice` of K's cached cones by S's normal.
 
-    A hyperplane S through 0 (x0 None) of a simplicial polytope K known by
-    its vertices takes the volume from K's cached boundary cones sliced by
-    S's normal (`_sliced_normal`), with no qhull call; any other query
-    takes one `section` and its moments.
+    The section's vertices are the crossings of K's edges with S and K's
+    vertices in S, each taken once by its pair of K's vertex indices, so no
+    coordinate tolerance merges them. Its boundary is the sliced faces,
+    each on its parent facet's row restricted to S; they tile the section's
+    boundary by construction. Its volume is the sum of the slice weights
+    over (n - 1)!, and the faces and weights are its cached cone simplices,
+    so a wedge cut of it takes no new determinant. None when that volume
+    is not positive.
     """
-    nu = None if x0 is not None else _sliced_normal(K, S)
-    if nu is not None:
-        return wedge_moment(K, np.zeros((1, K.dim)), 0, [nu])  # the zero row keeps all of nu^perp
+    bd = boundary(K)
+    faces, weights, ends = _slice(*_cone_simplices(K), S.complement().basis[0])
+    vol = float(weights.sum()) / math.factorial(S.dim)
+    if vol <= 0:
+        return None
+    edges = np.sort(bd.simplices.ravel()[ends], axis=2)
+    _, first, index = np.unique((edges[..., 0] * len(K.vertices) + edges[..., 1]).ravel(),
+                                return_index=True, return_inverse=True)
+    vertices = S.coords(faces.reshape(-1, K.dim)[first])
+    simplices = index.reshape(len(faces), S.dim)
+    parent = ends[:, 0, 0] // K.dim
+    A = bd.A[parent] @ S.basis.T
+    norms = np.linalg.norm(A, axis=1)
+    L = Polytope(vertices, affine_dim=S.dim, boundary=Boundary(
+        simplices, A / norms[:, None], bd.b[parent] / norms, vol, vol))
+    L._cone_cache = _read_only(vertices[simplices]), _read_only(weights)
+    return L
+
+
+def section_volume(K: ConvexBody, S: Subspace, x0=None) -> float:
+    """|K cap (x0 + S)| in dimension dim(S), 0 when the section is empty."""
     sec = section(K, S, x0)
     return 0.0 if sec is None else moments(sec).volume
-
-
-def _sliced_normal(K: ConvexBody, S: Subspace):
-    """The unit normal of S when volumes in S are cut from K's sliced cones, else None.
-
-    That is when S is a hyperplane and K a polytope known by its vertices
-    and simplicial (`geometry.known_simplicial`): each boundary simplex is
-    then a facet, and slicing builds only the pieces of the section's cones
-    (`volume._slice`). A section, one halfspace intersection and a hull,
-    measured faster elsewhere: on cube-6 a hyperplane section took 4.3 ms
-    against 18 ms by slicing its 1964 boundary simplices, and on random 5-D
-    and 6-D bodies a flat of codimension 3 or more took 0.6-4.7 ms against
-    3.4-11.8 ms by slicing once per codimension. At codimension 2 neither
-    route won on both (the section on 5-D bodies, the slice on 6-D ones).
-    """
-    if K.dim - 1 == S.dim >= 1 and known_simplicial(K):
-        return S.complement().basis[0]
-    return None
 
 
 class SectionVolumeFunction:
@@ -124,7 +152,7 @@ class SectionVolumeFunction:
         self.dim = self.k = self.Fperp.dim
         self.m = F.dim  # section dimension n - k
         self.label = "section-volume"
-        self._proj = None  # support body: projection of K onto F^perp
+        self._proj = None  # the support of f: projection of K onto F^perp
         self._chord_cache = None  # `_Chords` of a polytope with sections of dimension 1
         self._profile = None  # (thetas bytes, ts, chord) of the last one-block chord call
 
@@ -145,15 +173,15 @@ class SectionVolumeFunction:
         relative tolerance of the centroid checks (`volume._centred`)."""
         return _centred(self.body, self.Fperp.coords(moments(self.body).centroid))
 
-    def support_body(self) -> ConvexBody:
-        """Projection of K onto F^perp: the support of f, in F^perp coords."""
+    def ray_extent(self, theta) -> float:
+        """Largest t with f(t theta) > 0 (0 must be interior to the support).
+
+        The support of f is the projection of K onto F^perp, in F^perp
+        coordinates, built on the first call.
+        """
         if self._proj is None:
             self._proj = project(self.body, self.Fperp)
-        return self._proj
-
-    def ray_extent(self, theta) -> float:
-        """Largest t with f(t theta) > 0 (0 must be interior to the support)."""
-        return radial(self.support_body(), np.asarray(theta, dtype=float))
+        return radial(self._proj, np.asarray(theta, dtype=float))
 
     def has_exact_ray_moments(self, p) -> bool:
         """Whether `ray_moments` is exact at p: at m = 0 (f the indicator of
@@ -201,7 +229,7 @@ class SectionVolumeFunction:
                     lambda ts: ts ** (p - 1) * self.ray_values(theta, ts), 0.0, T, QUADRATURE)
             return out
         if self.m == 0:
-            return radial_many(self.support_body(), thetas) ** p / p
+            return radial_many(self.body, self.Fperp.embed(thetas)) ** p / p
         if isinstance(self.body, Ball):
             m, r = self.m, self.body.radius
             return (unit_ball_volume(m) * r ** (p + m) * beta(p / 2, m / 2 + 1) / 2
@@ -411,12 +439,8 @@ def _check_cone_flat(F: Subspace, C: PolyhedralCone):
 def cone_section_volume_polyhedral(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
     """|K cap (F + C)| in dimension dim(F) + dim(span C), exact for polytopes.
 
-    On a polytope it is `_cone_volumes`: a wedge of K's cones sliced by the
-    normal of F + span C when that is a hyperplane, the cone has at most two
-    rows and K is simplicial and known by its vertices (`_sliced_normal`),
-    and otherwise one section
-    of K by F + span C (none for the whole space) cut by the cone's rows
-    (`_cut_volume`).
+    On a polytope it is one section of K by F + span C (none for the whole
+    space), cut by the cone's rows (`_cut_volume`).
     """
     if isinstance(K, Ball):
         _check_cone_flat(F, C)
@@ -424,48 +448,23 @@ def cone_section_volume_polyhedral(K: ConvexBody, F: Subspace, C: PolyhedralCone
             raise GeometryError("cone sections of balls require the center at 0")
         d = F.dim + C.span_dim
         return solid_angle_fraction(C) * unit_ball_volume(d) * K.radius**d
-    return _cone_volumes(K, F, C, (1.0,))[0]
-
-
-def _cone_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone, signs) -> list[float]:
-    """|K cap (F + s C)| for each sign s in ``signs``, K a polytope.
-
-    The rows of s C are s R, whatever basis its span gets, so one route, and
-    at most one section or one slicing of K's cones, serves every sign: the
-    sliced faces do not depend on the rows. Cones of at most two rows are
-    wedges of K's cones sliced by the normal of F + span C where
-    `_sliced_normal` gives one; wider cones, whose wedge pieces multiply
-    with each row, and all other flats are cut from one section of K
-    (`_cut_volume`).
-    """
-    S, rows = _cone_flat(K, F, C)
-    nu = None if S is None or len(rows) > 2 else _sliced_normal(K, S)
-    if nu is not None:
-        return _wedge_moments_by_rows(K, [s * rows for s in signs], 0, [nu])
-    L, R = (K, rows) if S is None else (section(K, S), S.coords(rows))
-    return [_cut_volume(L, s * R) for s in signs]
-
-
-def _cone_flat(K: ConvexBody, F: Subspace, C: PolyhedralCone):
-    """(S, R): the subspace S = F + span C, None when it is the whole space,
-    and ambient rows R with F + C = {x in S : R x >= 0}."""
-    _check_cone_flat(F, C)
-    G = C.span
-    rows = C.constraints_in_span() @ G.basis
-    if F.dim + G.dim == K.dim:
-        return None, rows
-    return Subspace.from_span(np.vstack([F.basis, G.basis]) if F.dim else G.basis,
-                              ambient_dim=K.dim), rows
+    return _cut_volume(*_section_and_rows(K, F, C))
 
 
 def _section_and_rows(K: ConvexBody, F: Subspace, C: PolyhedralCone):
     """(L, R): the section L of the polytope K by F + span C, and rows R with F + C = {y : R y >= 0}.
 
     L is K itself, in its own coordinates, when F + span C is the whole
-    space, and None when the section is empty.
+    space, and None when the section is empty. The rows of -C are -R,
+    whatever basis its span gets, so one section serves both signs.
     """
-    S, rows = _cone_flat(K, F, C)
-    return (K, rows) if S is None else (section(K, S), S.coords(rows))
+    _check_cone_flat(F, C)
+    G = C.span
+    rows = C.constraints_in_span() @ G.basis
+    if F.dim + G.dim == K.dim:
+        return K, rows
+    S = Subspace.from_span(np.vstack([F.basis, G.basis]), ambient_dim=K.dim)
+    return section(K, S), S.coords(rows)
 
 
 def _cut_volume(L, R: np.ndarray) -> float:
@@ -630,20 +629,12 @@ def ray_moment(f: SectionVolumeFunction, theta_fperp, p: float) -> float:
 def _std_simplex_quadrature(d: int, n1d: int):
     """Nodes/weights on the standard simplex {l >= 0, sum <= 1} via Duffy maps."""
     x, w = _gl_cache(n1d)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    pts = np.zeros((1, 0))
-    wts = np.array([1.0])
-    for i in range(d):
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    pts, wts = np.zeros((1, 0)), np.array([1.0])
+    for _ in range(d):
         rem = 1.0 - pts.sum(axis=1)  # remaining budget per point
-        new_pts = []
-        new_wts = []
-        for j in range(len(x)):
-            lam = rem * x[j]
-            new_pts.append(np.hstack([pts, lam[:, None]]))
-            new_wts.append(wts * w[j] * rem)
-        pts = np.vstack(new_pts)
-        wts = np.concatenate(new_wts)
+        pts = np.vstack([np.hstack([pts, (rem * xj)[:, None]]) for xj in x])
+        wts = np.concatenate([wts * wj * rem for wj in w])
     return pts, wts  # weights sum to 1/d!
 
 

@@ -41,7 +41,7 @@ from .geometry import (
 )
 from .sections import (
     SectionVolumeFunction,
-    _cone_volumes,
+    _cut_volume,
     _section_and_rows,
     cone_section_volume_polyhedral,
     section,
@@ -146,10 +146,11 @@ def cone_volume(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
 
 def _opposite_cone_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone):
     """|K cap (F + C)| and |K cap (F - C)|, by the route of `cone_volume` for
-    both, and from one section of K by F + span C where that route takes one."""
+    both: one section of K by F + span C, cut by C's rows and by their negatives."""
     if isinstance(K, Ball):
         return cone_volume(K, F, C), cone_volume(K, F, C.negated())
-    return _cone_volumes(K, F, C, (1.0, -1.0))
+    L, R = _section_and_rows(K, F, C)
+    return _cut_volume(L, R), _cut_volume(L, -R)
 
 
 def _centroid_guard(K: ConvexBody):

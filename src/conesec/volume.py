@@ -9,11 +9,12 @@ boundary simplices, coned from the origin: hyperplanes through 0 slice them
 down to the cones of a section of K, building only the faces they keep
 (`_slice`), the hyperplanes of the rows before the last split them, and the
 last row weights each piece by an exact recursion on its vertex values.  At
-q = 0 they are wedge volumes.  `sections` takes from sliced cones the ray
-moments of section functions at m >= 2, and the volumes and cone sections of
-simplicial polytopes in hyperplanes through 0; the other sections, where a
-halfspace intersection and one hull measured faster, do not slice.  A seeded
-Monte Carlo estimator provides an independent cross-check, and the
+q = 0 they are wedge volumes.  `sections` slices K's cones by every normal
+for the ray moments of section functions at m >= 2, and once for each
+central hyperplane section of a simplicial polytope, whose faces and weights
+become that section's own boundary and cone simplices; the other sections,
+where a halfspace intersection and one hull measured faster, do not slice.
+A seeded Monte Carlo estimator provides an independent cross-check, and the
 isotropic-position transform whitens the centered second-moment matrix.
 """
 
@@ -147,41 +148,32 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()) -> float:
     so wedges with many facets are better cut by a halfspace intersection.
     Each normal multiplies the pieces too, by up to C(d - 2, d/2 - 1) per
     simplex, and a polytope whose facets are cut into many simplices has
-    many to slice. So `sections` slices for a section's volume or cone
-    volume only by one normal and on simplicial polytopes
-    (`sections._sliced_normal`), and takes a section of K elsewhere; its ray
-    moments at m >= 2 slice by every normal on every polytope.
-    """
-    return _wedge_moments_by_rows(K, [R], q, normals)[0]
-
-
-def _wedge_moments_by_rows(K: ConvexBody, Rs, q: int, normals) -> list[float]:
-    """`wedge_moment` for each row set in ``Rs``, all of one size, slicing K's cones once.
-
-    The sliced faces do not depend on the rows, so the two signs of a
-    part-1 pair (`sections._cone_volumes`) share one slicing pass; each
-    sign gives the bits of its own `wedge_moment` call.
+    many to slice. `sections` slices by normals here only for the ray
+    moments at m >= 2; its sections slice K's cones once themselves
+    (`sections.section`) and seed the section's cone simplices, so their
+    wedges are cut here with no normal.
     """
     V = to_vrep(K)
-    Rs = [np.atleast_2d(np.asarray(R, dtype=float)) for R in Rs]
+    R = np.atleast_2d(np.asarray(R, dtype=float))
     simplices, weights = _cone_simplices(V)
-    block = _WEDGE_BLOCK if len(Rs[0]) + len(normals) > 1 else len(simplices)
-    totals = [0.0] * len(Rs)
+    block = _WEDGE_BLOCK if len(R) + len(normals) > 1 else len(simplices)
+    total = 0.0
     for s in range(0, len(simplices), block):
-        sliced = simplices[s:s + block], weights[s:s + block]
+        pts, w = simplices[s:s + block], weights[s:s + block]
         for nu in normals:
-            sliced = _slice(*sliced, nu)
-        for k, R in enumerate(Rs):
-            pts, w = sliced
-            for r in R[:-1]:
-                pts, w = _split_positive(pts, w, r)
-            totals[k] += float(w @ _positive_fraction(pts @ R[-1], q))
+            pts, w, _ = _slice(pts, w, nu)
+        for r in R[:-1]:
+            pts, w = _split_positive(pts, w, r)
+        total += float(w @ _positive_fraction(pts @ R[-1], q))
     # a d-simplex with vertices 0, v_1..v_d has integral |det| q! / (d + q)! h_q(<r, v_i>)
-    return [total * math.factorial(q) / math.factorial(V.dim - len(normals) + q) for total in totals]
+    return total * math.factorial(q) / math.factorial(V.dim - len(normals) + q)
 
 
 def _cone_simplices(V: ConvexBody):
-    """V's boundary simplices (S, d, d) and their cone weights sign(b) |det|, cached on V."""
+    """V's boundary simplices (S, d, d) and their cone weights sign(b) |det|, cached on V.
+
+    A sliced section (`sections.section`) comes with them already cached.
+    """
     if V._cone_cache is None:
         bd = boundary(V)
         simplices = V.vertices[bd.simplices]
@@ -247,19 +239,25 @@ def _slice(pts: np.ndarray, w: np.ndarray, nu: np.ndarray):
     faces are built. A simplex with one positive value and the rest zero is
     its own face; faces the hyperplane holds whole are counted once, from
     the positive side.
+
+    Returns (faces, weights, ends). ``ends`` (F, d - 1, 2) holds, for each
+    face vertex, the indices into pts.reshape(-1, n) of the two simplex
+    vertices whose crossing it is (a zero vertex twice), so a face's
+    simplex is ends[f, 0, 0] // d.
     """
     d, n = pts.shape[1:]
     c = pts @ nu
     order = np.argsort(-c, axis=1, kind="stable")  # positives, zeros, negatives from the top
+    slots = order + d * np.arange(len(pts))[:, None]
     pts = np.take_along_axis(pts, order[:, :, None], axis=1)
     c = np.take_along_axis(c, order, axis=1)
     pos, neg = np.count_nonzero(c > 0, axis=1), np.count_nonzero(c < 0, axis=1)
-    faces, weights = [pts[:0, 1:]], [w[:0]]
+    faces, weights, ends = [pts[:0, 1:]], [w[:0]], [slots[:0, 1:, None].repeat(2, axis=2)]
     for P, N in set(zip(pos.tolist(), neg.tolist())):
         if P == 0 or (N == 0 and P > 1):
             continue  # no face of full dimension in nu^perp
         group = (pos == P) & (neg == N)
-        x, cg, G = pts[group], c[group], np.count_nonzero(group)
+        x, cg, o, G = pts[group], c[group], slots[group], np.count_nonzero(group)
         a, p = x[:, :P], cg[:, :P]
         b, m = x[:, ::-1][:, :N], cg[:, ::-1][:, :N]
         gap = p[:, :, None] - m[:, None, :]  # (G, P, N)
@@ -270,7 +268,11 @@ def _slice(pts: np.ndarray, w: np.ndarray, nu: np.ndarray):
         faces.append(np.concatenate([zeros, cross.reshape(G, P * N, n)[:, states]],
                                     axis=2).reshape(-1, d - 1, n))
         weights.append((w[group, None] * fractions[:, steps].prod(axis=2) / p[:, -1:]).ravel())
-    return np.concatenate(faces), np.concatenate(weights)
+        pairs = np.stack(np.broadcast_arrays(o[:, :P, None], o[:, ::-1][:, None, :N]), axis=3)
+        zero_ends = np.broadcast_to(o[:, None, P:d - N, None], (G, len(states), d - P - N, 2))
+        ends.append(np.concatenate([zero_ends, pairs.reshape(G, P * N, 2)[:, states]],
+                                   axis=2).reshape(-1, d - 1, 2))
+    return np.concatenate(faces), np.concatenate(weights), np.concatenate(ends)
 
 
 @functools.cache

@@ -33,6 +33,7 @@ from conesec.intersection_bodies import (
 )
 from conesec.sections import section
 from conesec.volume import moments
+from conftest import halfspace_section
 
 
 def unit(v):
@@ -259,19 +260,21 @@ def test_off_centre_ball_certifies_below_its_section():
 
 
 @pytest.mark.parametrize("index", [25, 33])
-@pytest.mark.parametrize("radius", [
-    pytest.param(ci_radial, marks=pytest.mark.xfail(
-        strict=True, raises=GeometryError,
-        reason="qhull's triangulation of the 5-D section overlaps itself")),
-    intersection_radial], ids=["ci", "intersection"])
+@pytest.mark.parametrize("radius", ["ci", "intersection"])
 def test_6d_sections_whose_hull_does_not_tile(radius, index):
-    # ci_radial integrates over the section's own simplices; the section
-    # volume is cut from K's sliced cones, and the reference takes the
-    # section under a seeded rotation in which qhull tiles its hull
+    # qhull's triangulation of these 5-D sections overlaps itself. Both
+    # radii take the section sliced from K's cones, ci_radial integrating
+    # over its faces; the reference is a halfspace intersection under a
+    # seeded rotation in which qhull tiles its hull
     K, u = random_centered_polytope(6, 18, 5), rng.sphere_grid(6, 50, 7)[index]
-    value = radius(K, u)
+    if radius == "ci":
+        res = ci_radial(K, u)
+        assert res.certified
+        value = res.i_radius
+    else:
+        value = intersection_radial(K, u)
     Q = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))[0]
-    ref = moments(section(affine_map(K, Q), Subspace.hyperplane(Q @ u))).volume
+    ref = moments(halfspace_section(affine_map(K, Q), Subspace.hyperplane(Q @ u))).volume
     assert value == pytest.approx(ref, rel=1e-10)
 
 

@@ -33,13 +33,13 @@ from conesec.geometry import (
     to_vrep,
     translate,
 )
+from conesec.intersection_bodies import ci_radial
 from conesec.sections import (
     QuadratureSpec,
     QuadratureWarning,
     SectionVolumeFunction,
     _composite_gl,
     _cut_volume,
-    _section_and_rows,
     cone_section_volume_polyhedral,
     cone_section_volume_radial,
     ray_moment,
@@ -50,6 +50,7 @@ from conesec.sections import (
 )
 from conesec.verify import _opposite_cone_volumes, checks_for_body
 from conesec.volume import moment_p, volume, wedge_moment
+from conftest import halfspace_section
 
 dims = st.integers(min_value=2, max_value=5)
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -268,6 +269,21 @@ def test_polytope_indicator_ray_moments_are_exact(p):
         [radial(K, theta) ** p / p for theta in thetas], rel=1e-14)
 
 
+def test_indicator_ray_moments_take_no_projection(monkeypatch):
+    # at m = 0, f is the indicator of K and its ray moments read K's own
+    # radial function: no projection of K onto R^n is hulled
+    K, F, e = random_centered_polytope(3, 12, 1), trivial_flat(3), np.eye(3)
+    cones = (orthant_cone(e[:2]), orthant_cone(-e[1:]), PolyhedralCone(e[2:]))
+    refs = [cone_section_volume_polyhedral(K, F, C) for C in cones]
+
+    def no_projection(*args):
+        raise AssertionError("K projected")
+
+    monkeypatch.setattr(sections, "project", no_projection)
+    for C, ref in zip(cones, refs):
+        assert cone_section_volume_radial(K, F, C) == pytest.approx(ref, rel=1e-6)
+
+
 def test_ray_moments_reject_nonpositive_p():
     f = section_volume_fn(make_ball(4, center=[0, 0, 0.1, -0.05]), Subspace.from_span(np.eye(4)[:2]))
     for p in (0.0, -1.0):
@@ -280,9 +296,10 @@ def test_ray_moments_reject_nonpositive_p():
 
 
 def _slab(K, F, theta_amb):
-    """K cap (F + R theta) in the coordinates (F basis, unit theta)."""
+    """K cap (F + R theta) in the coordinates (F basis, unit theta), by a
+    halfspace intersection: the ray moments under test slice K's cones."""
     e = theta_amb / np.linalg.norm(theta_amb)
-    return section(K, Subspace(K.dim, np.vstack([F.basis, e])))
+    return halfspace_section(K, Subspace(K.dim, np.vstack([F.basis, e])))
 
 
 def _fubini_ray_moment(K, F, theta_amb, p):
@@ -646,10 +663,17 @@ def _hyperplane_cones(n, seed):
                PolyhedralCone(np.vstack([U[n - 2], U[n - 2] + 2.0 * U[n - 1]])))
 
 
+def _halfspace_section_and_rows(K, F, C):
+    """`_section_and_rows` with the section taken by a halfspace intersection."""
+    S = Subspace.from_span(np.vstack([F.basis, C.span.basis]), ambient_dim=K.dim)
+    return halfspace_section(K, S), S.coords(C.constraints_in_span() @ C.span.basis)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_hyperplane_cone_volumes_of_simplicial_bodies_take_no_qhull_call(n, monkeypatch):
-    # codimension-1 cones of 1 and 2 rows against one section and its cut;
-    # simplicial bodies slice their cached cones instead, with no qhull call
+    # codimension-1 cones of 1 and 2 rows against a halfspace intersection
+    # and its cut; simplicial bodies slice their cached cones instead, with
+    # no qhull call
     e = np.eye(n)
     bodies = [random_body(n, n), VPolytope(np.vstack([e, -np.ones(n)])),
               make_cross_polytope(n), make_centered_cone(n), make_cube(n)]
@@ -658,7 +682,7 @@ def test_hyperplane_cone_volumes_of_simplicial_bodies_take_no_qhull_call(n, monk
     assert [known_simplicial(K) for K in bodies] == [True, True, True, True, False]
     cases = [(K, F, C, _cut_volume(L, R), _cut_volume(L, -R))
              for K in bodies for F, C in _hyperplane_cones(n, n)
-             for L, R in [_section_and_rows(K, F, C)]]
+             for L, R in [_halfspace_section_and_rows(K, F, C)]]
 
     def no_qhull(*args, **kwargs):
         raise AssertionError("qhull called")
@@ -673,21 +697,66 @@ def test_hyperplane_cone_volumes_of_simplicial_bodies_take_no_qhull_call(n, monk
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_opposite_cone_volumes_slice_the_cones_once(n, monkeypatch):
-    # both signs of a part-1 pair weight the same sliced faces: one slicing
-    # pass per call, one `_slice` per block of boundary simplices (the 6-D
-    # body of 888 facets takes 2 blocks)
+    # both signs of a part-1 pair cut the same section: one `_slice` of all
+    # of K's cones per call, also for the 6-D body of 888 facets
     K = random_centered_polytope(6, 30, 4) if n == 6 else random_body(n, n)
     boundary(K)
-    blocks = math.ceil(len(conesec.volume._cone_simplices(K)[1]) / conesec.volume._WEDGE_BLOCK)
-    assert blocks == (2 if n == 6 else 1)
     slices = []
-    real_slice = conesec.volume._slice
-    monkeypatch.setattr(conesec.volume, "_slice", lambda *a: slices.append(1) or real_slice(*a))
+    real_slice = sections._slice
+    monkeypatch.setattr(sections, "_slice", lambda *a: slices.append(1) or real_slice(*a))
     for F, C in _hyperplane_cones(n, n):
         plus, minus = (cone_section_volume_polyhedral(K, F, D) for D in (C, C.negated()))
         slices.clear()
         assert _opposite_cone_volumes(K, F, C) == pytest.approx([plus, minus], rel=1e-12)
-        assert len(slices) == blocks
+        assert len(slices) == 1
+
+
+@pytest.mark.parametrize("n, points", [(3, 12), (4, 14), (5, 16), (6, 18), (7, 20), (8, 12)])
+def test_central_sections_of_simplicial_bodies_take_no_qhull_call(n, points, monkeypatch):
+    # a seeded hyperplane section through 0 is sliced from K's cached cones.
+    # Where qhull's hull of the halfspace intersection tiles (not for this
+    # 7-D body), it has the same vertices and volume
+    K = random_centered_polytope(n, points, n)
+    u = np.random.default_rng(n).standard_normal(n)
+    S = Subspace.hyperplane(u)
+    boundary(K)
+
+    def no_qhull(*args, **kwargs):
+        raise AssertionError("qhull called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(conesec.geometry, "_qhull", no_qhull)
+        L = section(K, S)
+        got = volume(L)
+        assert ci_radial(K, u).certified
+    try:
+        ref = halfspace_section(K, S)
+        ref_volume = volume(ref)
+    except GeometryError:
+        assert n == 7
+        return
+    assert len(L.vertices) == len(ref.vertices)
+    assert got == pytest.approx(ref_volume, rel=1e-12)
+
+
+@pytest.mark.parametrize("points, seed, draw", [(18, 10, 3), (30, 4, 11), (30, 4, 12), (30, 4, 16)])
+def test_central_sections_keep_their_vertices_at_every_scale(points, seed, draw):
+    # the section by the hyperplane of the draw-th normal u has one vertex per
+    # edge of K that crosses it (K is simplicial, so the edges of its
+    # boundary simplices are its edges) at every scale, and its volume
+    # scales by s^5. A halfspace intersection and hull lost or gained
+    # vertices here at 1e-6 or 1e-4, or raised
+    K = random_centered_polytope(6, points, seed)
+    u = np.random.default_rng(seed).standard_normal((draw, 6))[-1]
+    S = Subspace.hyperplane(u / np.linalg.norm(u))
+    c = to_vrep(K).vertices @ S.complement().basis[0]
+    crossing = {(i, j) for row in boundary(K).simplices for i in row for j in row if c[i] > 0 > c[j]}
+    L = section(K, S)
+    assert len(L.vertices) == len(crossing) + np.count_nonzero(c == 0)
+    for s in (1e-6, 1e-4, 1e4):
+        scaled = section(affine_map(K, s * np.eye(6)), S)
+        assert len(scaled.vertices) == len(L.vertices)
+        assert volume(scaled) / s**5 == pytest.approx(volume(L), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -706,12 +775,15 @@ def test_bodies_known_by_halfspaces_are_sectioned_without_their_vertices(n):
 
 def test_section_whose_first_hull_overlaps_is_hulled_again():
     # in the centred, rotated coordinates that find this section's vertices,
-    # qhull's triangulation of its non-simplicial facets overlaps itself
+    # qhull's triangulation of its non-simplicial facets overlaps itself.
+    # `section` slices this hyperplane from K's cones, so the halfspace
+    # intersection is taken explicitly to reach the re-hull
     K = random_body(6, 2608)
     S = Subspace.from_span(np.eye(6)[[0, 1, 2, 4, 5]], ambient_dim=6)
-    sec = section(K, S)
+    sec = halfspace_section(K, S)
     assert boundary(sec).tiles
     assert volume(sec) == pytest.approx(ConvexHull(sec.vertices).volume, rel=1e-12)
+    assert volume(section(K, S)) == pytest.approx(volume(sec), rel=1e-12)
 
 
 def test_corpus_battery_hulls_a_6d_body_a_few_times(monkeypatch):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conesec import rng
+from conesec import geometry, rng
 from conesec.ball_bodies import oracle_from_section_fn
 from conesec.geometry import (
     GeometryError,
@@ -15,6 +15,7 @@ from conesec.geometry import (
     VPolytope,
     affine_map,
     body_from_spec,
+    boundary,
     make_ball,
     make_centered_cone,
     make_cube,
@@ -24,7 +25,7 @@ from conesec.geometry import (
     to_vrep,
     translate,
 )
-from conesec.sections import section_volume_fn
+from conesec.sections import section, section_volume_fn
 from conesec.verify import (
     check_corollary1,
     check_corollary2,
@@ -165,29 +166,53 @@ def test_part1_simplex_passes():
         assert res.passed
 
 
+def _rotated_crossing_hull(K, nu, seed):
+    """(L, S, Q): the section of Q K by S = (Q nu)^perp, Q the rotation of the
+    seed, as the hull of the crossings of Q K's vertex pairs with S, the
+    section's vertex candidates, with no halfspace intersection."""
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((K.dim, K.dim)))[0]
+    V, nu = to_vrep(affine_map(K, Q)).vertices, Q @ nu
+    c = V @ nu
+    a, b, ca, cb = V[c > 0], V[c < 0], c[c > 0], c[c < 0]
+    crossings = ((ca[:, None, None] * b - cb[:, None] * a[:, None])
+                 / (ca[:, None] - cb)[..., None]).reshape(-1, K.dim)
+    S = Subspace.hyperplane(nu)
+    return VPolytope(S.coords(np.vstack([crossings, V[c == 0]]))), S, Q
+
+
 def test_part1_of_an_8d_body_takes_no_section_hull():
-    # F + span C = e7^perp. A section of K by it takes 15-27 s of halfspace
-    # intersection, and its hull does not tile under the rotations tried, so
-    # the check takes both volumes from K's sliced cones. The reference hulls
-    # the crossings of K's vertex pairs with e7^perp, the section's vertex
-    # candidates, under a seeded rotation in which qhull tiles that hull.
+    # F + span C = e7^perp. A halfspace intersection takes 15-27 s for this
+    # section, and its hull does not tile under the rotations tried, so the
+    # check takes both volumes from K's sliced cones. The reference hulls
+    # the crossings under a seeded rotation in which qhull tiles that hull.
     K, e = random_centered_polytope(8, 22, 1), np.eye(8)
     F, C = Subspace.from_span(e[:6]), PolyhedralCone(e[7:])
     res = check_main_theorem_part1(K, F, C)
     assert res.passed
     plus, minus = cone_volume(K, F, C), cone_volume(K, F, C.negated())
     assert res.lhs == pytest.approx(minus / plus, rel=1e-12)
-    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8)))[0]
-    V, nu = to_vrep(affine_map(K, Q)).vertices, Q @ e[6]
-    c = V @ nu
-    a, b, ca, cb = V[c > 0], V[c < 0], c[c > 0], c[c < 0]
-    crossings = ((ca[:, None, None] * b - cb[:, None] * a[:, None])
-                 / (ca[:, None] - cb)[..., None]).reshape(-1, 8)
-    S = Subspace.hyperplane(nu)
-    L = VPolytope(S.coords(np.vstack([crossings, V[c == 0]])))
+    L, S, Q = _rotated_crossing_hull(K, e[6], 0)
     R = S.coords(Q @ e[7])[None, :]
     assert plus == pytest.approx(wedge_moment(L, R), rel=1e-10)
     assert minus == pytest.approx(wedge_moment(L, -R), rel=1e-10)
+
+
+def test_8d_central_section_takes_no_qhull_call(monkeypatch):
+    # the section by e7^perp is sliced from K's cached cones; a halfspace
+    # intersection took 18.7 s for it
+    K = random_centered_polytope(8, 22, 1)
+    boundary(K)
+
+    def no_qhull(*args, **kwargs):
+        raise AssertionError("qhull called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_qhull", no_qhull)
+        sec = section(K, Subspace.hyperplane(np.eye(8)[6]))
+        got = volume(sec)
+    ref, _, _ = _rotated_crossing_hull(K, np.eye(8)[6], 0)
+    assert len(sec.vertices) == len(ref.vertices)
+    assert got == pytest.approx(volume(ref), rel=1e-10)
 
 
 def test_part2_symmetric_body_is_exact():

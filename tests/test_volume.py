@@ -43,7 +43,7 @@ from conesec.volume import (
     volume,
     wedge_moment,
 )
-from conesec.sections import section
+from conftest import halfspace_section
 
 dims = st.integers(min_value=2, max_value=5)
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -215,10 +215,11 @@ def test_last_row_recursion_matches_the_split(n, seed):
 
 def section_wedge_moment(K, R, q, nu):
     """`wedge_moment` of the section K cap nu^perp in its own coordinates, or None
-    where qhull cannot give that section or its boundary."""
+    where qhull cannot give that section or its boundary. The section is a
+    halfspace intersection, as `section` itself slices K's cones here."""
     S = Subspace.hyperplane(nu)
     try:
-        return wedge_moment(section(K, S), S.coords(np.atleast_2d(R)), q)
+        return wedge_moment(halfspace_section(K, S), S.coords(np.atleast_2d(R)), q)
     except (GeometryError, QhullError):
         return None
 
@@ -265,10 +266,16 @@ def test_slice_builds_only_the_faces_it_keeps(monkeypatch):
                 counts = zip(np.count_nonzero(c > 0, axis=1), np.count_nonzero(c < 0, axis=1))
                 expected = sum(math.comb(P + N - 2, P - 1) if N else P == 1
                                for P, N in counts if P)
-                faces, weights = _slice(pts, w, u)
+                faces, weights, ends = _slice(pts, w, u)
                 assert faces.shape == (expected, n - 1, n)
                 assert weights.shape == (expected,)
                 assert np.abs(faces @ u).max(initial=0.0) <= 1e-14 * np.abs(pts).max()
+                # each face vertex crosses an edge, from a value >= 0 to one
+                # <= 0, of the face's own simplex
+                values = (pts @ u).ravel()[ends]
+                assert ends.shape == (expected, n - 1, 2)
+                assert (ends // n == ends[:, :1, :1] // n).all()
+                assert (values[..., 0] >= 0).all() and (values[..., 1] <= 0).all()
 
 
 def test_positive_fraction_closed_forms():
