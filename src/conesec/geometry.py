@@ -553,7 +553,9 @@ def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope
     Rows need not be unit; a zero row only tests 0 <= b_i. qhull starts from
     ``interior``, a point the caller knows to be clearly interior, or else
     from the Chebyshev centre, found by an LP. Raises GeometryError when the
-    system is unbounded.
+    system is unbounded, or when a vertex qhull returns violates the
+    normalised system by more than GEOM_TOL max(1, max |b|), as its Q12
+    retry can after rejecting a system.
     """
     d = A.shape[1]
     if d == 1:
@@ -570,6 +572,8 @@ def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope
         if interior is None or r <= GEOM_TOL:
             return None
     hs = _qhull(HalfspaceIntersection, np.hstack([A, -b[:, None]]), interior)
+    if np.max(hs.intersections @ A.T - b) > GEOM_TOL * max(1.0, np.abs(b).max()):
+        raise GeometryError("halfspace intersection has vertices outside its system")
     P = VPolytope(hs.intersections)
     return P if P.is_full_dimensional() else None
 

@@ -12,6 +12,7 @@ Newton descent from the always-feasible start z = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import rng as _rng
 from .geometry import Ball, ConvexBody, GeometryError, Subspace, _origin_interior, support
 from .sections import section, section_volume
-from .volume import _simplex_volumes, moments, triangulate
+from .volume import _cone_simplices, moments
 
 _SHRINK = 1.0 - 1e-6  # admissible centers z keep h_L(z) <= _SHRINK on the section L
 _MAX_ITER = 10_000
@@ -54,7 +55,11 @@ class _SectionIntegrator:
     w (s s^T + sum_i Y_i Y_i^T), s = sum_i Y_i. A ball of centre c and radius
     r maps to an ellipsoid of volume omega_d r^d q^(-n/2),
     q = (1 - <c, z>)^2 - r^2 |z|^2. Both are finite exactly when the kernel
-    argument is positive on the section; otherwise GeometryError.
+    argument is positive on the section; otherwise GeometryError. The
+    simplices are the section's boundary simplices coned from 0, signed by
+    their facet's side of 0 (`volume._cone_simplices`), and the volume is
+    their sum; a sliced section has them cached, so no triangulation or
+    determinant is taken again.
     """
 
     def __init__(self, K: ConvexBody, u):
@@ -65,10 +70,13 @@ class _SectionIntegrator:
         self.section = sec = section(K, self.S)
         if sec is None:
             raise GeometryError("central section is empty; 0 must be interior to K")
-        self.volume = moments(sec).volume
-        if not isinstance(sec, Ball):
-            self.simplices = triangulate(sec)
-            self._simplex_vols = _simplex_volumes(self.simplices)
+        if isinstance(sec, Ball):
+            self.volume = moments(sec).volume
+        else:  # the origin's row has g = 1 and Y = 0
+            cones, weights = _cone_simplices(sec)
+            self.simplices = np.insert(cones, 0, 0.0, axis=1)
+            self._simplex_vols = weights / math.factorial(self.n - 1)
+            self.volume = float(weights.sum()) / math.factorial(self.n - 1)
 
     def integrals(self, zc: np.ndarray, want_gradient: bool = False,
                   want_hessian: bool = False):

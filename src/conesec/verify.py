@@ -130,13 +130,16 @@ def trivial_flat(n: int) -> Subspace:
     return Subspace(n, np.zeros((0, n)))
 
 
-def halfspace_volume(K: ConvexBody, u) -> float:
-    """|K cap {x : <x, u> >= 0}|, cut from K's boundary simplices (`wedge_moment`)."""
+def halfspace_volume(K: ConvexBody, U):
+    """|K cap {x : <x, u> >= 0}| for one direction u (a float) or each row u of
+    a grid U (an array), cut from K's boundary simplices in one `wedge_moment` call."""
+    U = np.asarray(U, dtype=float)
     if isinstance(K, Ball):
         if np.linalg.norm(K.center) > 1e-12:
             raise GeometryError("ball halfspace volumes require the center at 0")
-        return 0.5 * unit_ball_volume(K.dim) * K.radius ** K.dim
-    return wedge_moment(K, np.atleast_2d(np.asarray(u, dtype=float)))
+        half = 0.5 * unit_ball_volume(K.dim) * K.radius ** K.dim
+        return half if U.ndim == 1 else np.full(len(U), half)
+    return wedge_moment(K, U[..., None, :])
 
 
 def cone_volume(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
@@ -146,11 +149,15 @@ def cone_volume(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
 
 def _opposite_cone_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone):
     """|K cap (F + C)| and |K cap (F - C)|, by the route of `cone_volume` for
-    both: one section of K by F + span C, cut by C's rows and by their negatives."""
+    both: one section of K by F + span C, cut by C's rows and by their
+    negatives. Up to two rows, one `wedge_moment` call cuts the stack
+    [R, -R], so both wedges share the split by their first rows."""
     if isinstance(K, Ball):
         return cone_volume(K, F, C), cone_volume(K, F, C.negated())
     L, R = _section_and_rows(K, F, C)
-    return _cut_volume(L, R), _cut_volume(L, -R)
+    if L is None or len(R) > 2:
+        return _cut_volume(L, R), _cut_volume(L, -R)
+    return tuple(wedge_moment(L, np.stack([R, -R])).tolist())
 
 
 def _centroid_guard(K: ConvexBody):
@@ -164,21 +171,25 @@ def _centroid_guard(K: ConvexBody):
 # halfspaces through the centroid
 
 
-def check_gruenbaum(K: ConvexBody, u, body_spec: str = "body") -> CheckResult:
-    """Every halfspace through the centroid keeps at least (1+1/n)^-n of |K|."""
+def check_gruenbaum(K: ConvexBody, U, body_spec: str = "body") -> list[CheckResult]:
+    """Every halfspace through the centroid keeps at least (1+1/n)^-n of |K|.
+
+    One result per row u of the direction grid U (one direction counts as a
+    grid of one row); their halfspace volumes come from one
+    `halfspace_volume` call.
+    """
     m = _centroid_guard(K)
-    n = K.dim
-    lhs = gruenbaum_constant(n).value * m.volume
-    rhs = halfspace_volume(K, u)
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    lhs = gruenbaum_constant(K.dim).value * m.volume
     slack = 1e-9
-    return CheckResult(
+    return [CheckResult(
         name="centroid-halfspace-lower-bound",
         body_spec=body_spec,
-        parameters={"n": n, "u": np.asarray(u, dtype=float).round(12).tolist()},
-        lhs=lhs, rhs=rhs, slack=slack,
+        parameters={"n": K.dim, "u": u.round(12).tolist()},
+        lhs=lhs, rhs=float(rhs), slack=slack,
         passed=bool(lhs <= rhs * (1.0 + slack)),
         notes="lower bound: halfspace volume on the right",
-    )
+    ) for u, rhs in zip(U, halfspace_volume(K, U))]
 
 
 # ---------------------------------------------------------------------------
@@ -629,13 +640,9 @@ def checks_for_body(spec: dict) -> list[CheckResult]:
     K = body_from_spec(spec)
     label = spec.get("label", spec["type"])
     n = K.dim
-    results = []
-    for u in _rng.sphere_grid(n, 3, seed=17):
-        results.append(check_gruenbaum(K, u, label))
-    results.append(check_lemma5(K, label))
-    results.append(check_prop8(K, label))
-    for u in _rng.sphere_grid(n, 2, seed=31):
-        results.append(check_lemma7(K, u, label))
+    results = check_gruenbaum(K, _rng.sphere_grid(n, 3, seed=17), label)
+    results += [check_lemma5(K, label), check_prop8(K, label)]
+    results += [check_lemma7(K, u, label) for u in _rng.sphere_grid(n, 2, seed=31)]
     basis = np.eye(n)
     configs = [(Subspace.from_span(basis[: n - 1], ambient_dim=n),
                 PolyhedralCone(basis[-1:]))]
@@ -643,8 +650,7 @@ def checks_for_body(spec: dict) -> list[CheckResult]:
         F2 = Subspace.from_span(basis[: n - 2], ambient_dim=n)
         configs.append((F2, PolyhedralCone(basis[-1:])))
         configs.append((F2, orthant_cone(basis[n - 2:])))
-    for F, C in configs:
-        results.append(check_main_theorem_part1(K, F, C, label))
+    results += [check_main_theorem_part1(K, F, C, label) for F, C in configs]
     if n <= 4:
         results.append(check_main_theorem_part2(
             K, Subspace.from_span(basis[: n - 1], ambient_dim=n),

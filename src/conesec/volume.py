@@ -9,11 +9,17 @@ boundary simplices, coned from the origin: hyperplanes through 0 slice them
 down to the cones of a section of K, building only the faces they keep
 (`_slice`), the hyperplanes of the rows before the last split them, and the
 last row weights each piece by an exact recursion on its vertex values.  At
-q = 0 they are wedge volumes.  `sections` slices K's cones by every normal
-for the ray moments of section functions at m >= 2, and once for each
-central hyperplane section of a simplicial polytope, whose faces and weights
-become that section's own boundary and cone simplices; the other sections,
-where a halfspace intersection and one hull measured faster, do not slice.
+q = 0 they are wedge volumes.  One call cuts a stack of wedges of one body:
+the vertex values of many wedges go through one recursion, in blocks of
+about 1 MB, and a wedge R and its negative -R share one split, so a
+direction grid of halfspaces or a part-1 pair costs one pass over the cones.
+`sections` slices K's cones by every normal for the ray moments of section
+functions at m >= 2, and once for each central hyperplane section of a
+simplicial polytope, whose faces and weights become that section's own
+boundary and cone simplices; the other sections, where a halfspace
+intersection and one hull measured faster, do not slice.  The convexified
+section integrals of `intersection_bodies` take a section's cone simplices
+as they are.
 A seeded Monte Carlo estimator provides an independent cross-check, and the
 isotropic-position transform whitens the centered second-moment matrix.
 """
@@ -129,44 +135,78 @@ def _polytope_moments(K: ConvexBody) -> MomentSummary:
 # split them; each split multiplies a block by at most C(d, d/2)
 _WEDGE_BLOCK = 512
 
+# vertex values per `_positive_fraction` call of `wedge_moment`: one call takes
+# as many wedges as the block's simplices fit, which bounds its temporaries
+# near 1 MB for a grid of single-row wedges of any size; split pieces can
+# exceed it, but they are held anyway
+_VALUE_BLOCK_ELEMENTS = 1 << 17
 
-def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()) -> float:
+
+def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
     """Integral of <R[-1], x>^q over L cap W, W = {x : <r, x> >= 0 for each row r of R}.
 
     K is a polytope, q >= 0 an integer and L the section of K by the
     orthogonal complement of the orthonormal rows ``normals``, K itself when
-    there are none; q = 0 gives the wedge volume. Every facet of W lies in a
-    hyperplane through 0, so the integral is the sum over K's boundary
+    there are none; q = 0 gives the wedge volume. R is one wedge (r, n),
+    which gives a float, or a stack of m wedges of r rows each (m, r, n),
+    which gives one value per wedge in an (m,) array. Every facet of W lies
+    in a hyperplane through 0, so the integral is the sum over K's boundary
     simplices D of sign(b_D) times the integral over the simplex
     conv(0, D) cap W, b_D the offset of D's facet; this holds wherever the
     origin is. Each normal first slices the simplices down to their faces in
     its hyperplane (`_slice`), which the same sum turns into L. Each row
-    before the last splits the simplices it crosses (`_split_positive`). The
-    last row only weights each piece by the part of its cone from 0 on the
-    row's positive side, which depends on the vertex values alone
-    (`_positive_fraction`). The pieces grow quickly with the number of rows,
-    so wedges with many facets are better cut by a halfspace intersection.
-    Each normal multiplies the pieces too, by up to C(d - 2, d/2 - 1) per
-    simplex, and a polytope whose facets are cut into many simplices has
-    many to slice. `sections` slices by normals here only for the ray
-    moments at m >= 2; its sections slice K's cones once themselves
-    (`sections.section`) and seed the section's cone simplices, so their
-    wedges are cut here with no normal.
+    before the last splits the simplices it crosses (`_split`); a wedge whose
+    first row is the negative of another wedge's takes the other side of
+    that wedge's split, so R and -R cost one split. The last row only
+    weights each piece by the part of its cone from 0 on the row's positive
+    side, which depends on the vertex values alone (`_positive_fraction`),
+    taken for as many wedges in one call as `_VALUE_BLOCK_ELEMENTS` allows;
+    each wedge's sum over its pieces stays its own. The pieces grow quickly
+    with the number of rows, so wedges with many facets are better cut by a
+    halfspace intersection. Each normal multiplies the pieces too, by up to
+    C(d - 2, d/2 - 1) per simplex, and a polytope whose facets are cut into
+    many simplices has many to slice. `sections` slices by normals here only
+    for the ray moments at m >= 2; its sections slice K's cones once
+    themselves (`sections.section`) and seed the section's cone simplices,
+    so their wedges are cut here with no normal.
     """
-    V = to_vrep(K)
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    simplices, weights = _cone_simplices(V)
-    block = _WEDGE_BLOCK if len(R) + len(normals) > 1 else len(simplices)
-    total = 0.0
+    stack = np.array(R, dtype=float, ndmin=3)
+    simplices, weights = _cone_simplices(to_vrep(K))
+    block = _WEDGE_BLOCK if stack.shape[1] + len(normals) > 1 else len(simplices)
+    total = np.zeros(len(stack))
     for s in range(0, len(simplices), block):
         pts, w = simplices[s:s + block], weights[s:s + block]
         for nu in normals:
             pts, w, _ = _slice(pts, w, nu)
-        for r in R[:-1]:
-            pts, w = _split_positive(pts, w, r)
-        total += float(w @ _positive_fraction(pts @ R[-1], q))
+        per_call = max(1, _VALUE_BLOCK_ELEMENTS // max(1, pts.shape[0] * pts.shape[1]))
+        total += _weigh(_wedge_pieces(pts, w, stack), q, per_call)
     # a d-simplex with vertices 0, v_1..v_d has integral |det| q! / (d + q)! h_q(<r, v_i>)
-    return total * math.factorial(q) / math.factorial(V.dim - len(normals) + q)
+    total = total * math.factorial(q) / math.factorial(simplices.shape[2] - len(normals) + q)
+    return total if np.ndim(R) == 3 else float(total[0])
+
+
+def _wedge_pieces(pts: np.ndarray, w: np.ndarray, stack: np.ndarray):
+    """Per wedge R of the stack, (w, c) of the pieces of the simplices ``pts`` on the
+    positive side of its rows before the last: their weights, and their vertex values along R[-1]."""
+    sides = {}  # first row -> the pieces on its positive side
+    for R in stack:
+        key = (R[0] + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+        if len(R) > 1 and key not in sides:
+            sides[(0.0 - R[0]).tobytes()], sides[key] = _split(pts, w, R[0])[::-1]
+        piece_pts, piece_w = sides.get(key, (pts, w))
+        for r in R[1:-1]:
+            (piece_pts, piece_w), _ = _split(piece_pts, piece_w, r)
+        yield piece_w, piece_pts @ R[-1]
+
+
+def _weigh(pieces, q: int, per_call: int) -> np.ndarray:
+    """w @ `_positive_fraction`(c, q) for each (w, c) of ``pieces``, with one call per ``per_call`` of them."""
+    out = []
+    while group := list(itertools.islice(pieces, per_call)):
+        frac = _positive_fraction(np.concatenate([c for _, c in group]), q)
+        ends = np.cumsum([len(w) for w, _ in group])
+        out += [w @ frac[e - len(w):e] for (w, _), e in zip(group, ends)]
+    return np.array(out)
 
 
 def _cone_simplices(V: ConvexBody):
@@ -184,23 +224,24 @@ def _cone_simplices(V: ConvexBody):
     return V._cone_cache
 
 
-def _split_positive(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
-    """The pieces (pts, w) of the simplices ``pts`` (weights ``w``) where <r, x> >= 0.
+def _split(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
+    """The pieces ((pts, w), (pts, w)) of the simplices ``pts`` (weights ``w``) where <r, x> >= 0 and where <r, x> <= 0.
 
     A simplex with vertices v_i (value c_i > 0) and v_j (c_j < 0), i and j
     its largest and smallest values, is split at the crossing point
     x_ij = (c_i v_j - c_j v_i) / (c_i - c_j), whose value is set to exactly
     0: x_ij replaces v_j in one child and v_i in the other, whose
     determinants are the fractions c_i / (c_i - c_j) and -c_j / (c_i - c_j)
-    of the parent's, so nothing cancels.
+    of the parent's, so nothing cancels. The crossings, children and
+    fractions of the split by -r are the same, so its positive side is this
+    split's negative side, in another order.
     """
     c = pts @ r
-    done_pts, done_w = [pts[:0]], [w[:0]]
+    sides = [(pts[:0], w[:0])], [(pts[:0], w[:0])]
     while len(pts):
-        inside = np.all(c >= 0, axis=1)
-        done_pts.append(pts[inside])
-        done_w.append(w[inside])
-        mixed = ~inside & np.any(c > 0, axis=1)
+        for side, held in zip(sides, (np.all(c >= 0, axis=1), np.all(c <= 0, axis=1))):
+            side.append((pts[held], w[held]))
+        mixed = np.any(c > 0, axis=1) & np.any(c < 0, axis=1)
         pts, c, w = pts[mixed], c[mixed], w[mixed]
         rows = np.arange(len(pts))
         i, j = c.argmax(axis=1), c.argmin(axis=1)
@@ -216,7 +257,7 @@ def _split_positive(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
         pts = np.concatenate([keep_i, keep_j])
         c = np.concatenate([c_i, c_j])
         w = np.concatenate([w * (ci / gap), w * (-cj / gap)])
-    return np.concatenate(done_pts), np.concatenate(done_w)
+    return tuple(tuple(map(np.concatenate, zip(*side))) for side in sides)
 
 
 def _slice(pts: np.ndarray, w: np.ndarray, nu: np.ndarray):
@@ -226,9 +267,9 @@ def _slice(pts: np.ndarray, w: np.ndarray, nu: np.ndarray):
     negative ones n_1 <= ... <= n_N (vertices b_t), sorted as
     `_positive_fraction` sorts them, meets nu^perp in its zero vertices
     joined with a copy of Delta_{P-1} x Delta_{N-1}, whose vertices are the
-    crossings x_st = (p_s b_t - n_t a_s) / (p_s - n_t). The split of
-    `_split_positive` at x_st sends a piece at (s, t) to (s, t + 1) with the
-    fraction p_s / (p_s - n_t) of its weight and to (s + 1, t) with
+    crossings x_st = (p_s b_t - n_t a_s) / (p_s - n_t). `_split` at x_st
+    sends a piece at (s, t) to (s, t + 1) with the fraction
+    p_s / (p_s - n_t) of its weight and to (s + 1, t) with
     -n_t / (p_s - n_t). The pieces with one positive vertex a_P left are the
     monotone lattice paths from (1, 1) that leave (P, N) to (P, N + 1):
     C(P + N - 2, P - 1) of them, the staircase triangulation of the product
@@ -297,11 +338,11 @@ def _lattice_paths(P: int, N: int):
 def _positive_fraction(c: np.ndarray, q: int = 0) -> np.ndarray:
     """For simplices with vertex values c (S, d), the part of each cone from 0 where the value is >= 0.
 
-    At q = 0 it is the total weight of the pieces `_split_positive` keeps;
-    at q > 0 each kept piece counts with h_q of its vertex values instead of
-    1, h_q the complete homogeneous polynomial of degree q (Baldoni, Berline,
-    De Loera, Koeppe and Vergne, "How to integrate a polynomial over a
-    simplex", Math. Comp. 2011). The split pairs the largest positive value
+    At q = 0 it is the total weight of the pieces on the positive side of
+    `_split`; at q > 0 each such piece counts with h_q of its vertex values
+    instead of 1, h_q the complete homogeneous polynomial of degree q
+    (Baldoni, Berline, De Loera, Koeppe and Vergne, "How to integrate a
+    polynomial over a simplex", Math. Comp. 2011). The split pairs the largest positive value
     left with the most negative one, so for positive values
     p_1 >= ... >= p_a and negative ones n_1 <= ... <= n_b (zeros drop out)
     the part is phi(1, 1) of the recursion

@@ -39,7 +39,7 @@ from conesec.geometry import (
     to_vrep,
     translate,
 )
-from conesec.geometry import _dedup_halfspaces, _dedup_points
+from conesec.geometry import _dedup_halfspaces, _dedup_points, _halfspace_polytope
 from conesec.sections import section, section_volume
 from conesec.verify import halfspace_volume
 from conesec.volume import moments, volume
@@ -213,6 +213,17 @@ def test_qhull_ladder_reports_its_last_failure(monkeypatch):
     with pytest.raises(GeometryError, match="merge failure"):
         VPolytope(np.random.default_rng(2).normal(size=(12, 5)))
     assert made == [("ConvexHull", "Qt Qx"), ("ConvexHull", "Qt Qx Q12")]
+
+
+def test_halfspace_intersection_outside_its_system_raises():
+    # qhull rejects this wedge system (QH6271 wide merge), and its Q12 retry
+    # returns vertices 0.431 outside it, with a volume of 0.0386 where the
+    # wedge is 0.0316; the ladder must not hand that on as the polytope
+    K = translate(random_centered_polytope(5, 16, 218), 0.33344736970120425 * np.eye(5)[0])
+    R = np.random.default_rng(218).standard_normal((2, 5))
+    H = to_hrep(K)
+    with pytest.raises(GeometryError, match="outside its system"):
+        _halfspace_polytope(np.vstack([H.A, -R]), np.concatenate([H.b, np.zeros(2)]))
 
 
 def test_one_dimensional_halfspace_systems():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conesec import geometry, rng
+from conesec import volume as volume_module
 from conesec.ball_bodies import oracle_from_section_fn
 from conesec.geometry import (
     GeometryError,
@@ -25,8 +26,9 @@ from conesec.geometry import (
     to_vrep,
     translate,
 )
-from conesec.sections import section, section_volume_fn
+from conesec.sections import _section_and_rows, section, section_volume_fn
 from conesec.verify import (
+    _opposite_cone_volumes,
     check_corollary1,
     check_corollary2,
     check_corollary3,
@@ -52,7 +54,14 @@ from conesec.verify import (
     run_corpus,
     trivial_flat,
 )
-from conesec.volume import isotropic_position, volume, wedge_moment
+from conesec.volume import (
+    _VALUE_BLOCK_ELEMENTS,
+    _WEDGE_BLOCK,
+    _cone_simplices,
+    isotropic_position,
+    volume,
+    wedge_moment,
+)
 
 
 def unit(v):
@@ -105,6 +114,60 @@ def test_halfspace_volumes_add_up_on_the_corpus():
             assert both == pytest.approx(total, rel=1e-12), (spec["label"], u)
 
 
+def test_stacked_wedges_match_one_call_per_wedge_on_the_corpus():
+    # the battery's Grünbaum grids and its part-1 pairs of one and two rows,
+    # each cut in one `wedge_moment` call, against one call per wedge
+    for spec in load_corpus():
+        if spec["type"] == "ball":
+            continue
+        K = body_from_spec(spec)
+        n, e = K.dim, np.eye(K.dim)
+        U = rng.sphere_grid(n, 3, seed=17)
+        single = [halfspace_volume(K, u) for u in U]
+        assert halfspace_volume(K, U) == pytest.approx(single, rel=1e-13, abs=0), spec["label"]
+        configs = [(n - 1, PolyhedralCone(e[-1:]))]
+        if n >= 3:
+            configs += [(n - 2, PolyhedralCone(e[-1:])), (n - 2, orthant_cone(e[n - 2:]))]
+        for flat_dim, C in configs:
+            L, R = _section_and_rows(K, Subspace.from_span(e[:flat_dim], ambient_dim=n), C)
+            pair = [wedge_moment(L, R), wedge_moment(L, -R)]
+            assert all(isinstance(v, float) for v in pair)
+            stacked = wedge_moment(L, np.stack([R, -R]))
+            assert stacked.shape == (2,)
+            assert stacked == pytest.approx(pair, rel=1e-13, abs=0), (spec["label"], len(R))
+
+
+def test_opposite_two_row_wedges_take_one_split_per_cone_block(monkeypatch):
+    # R and -R share the split by their first rows: one `_split` per block
+    # of K's 888 cones, where a call per wedge took two
+    K, e = random_centered_polytope(6, 30, 4), np.eye(6)
+    F, C = Subspace.from_span(e[:4]), orthant_cone(e[4:])
+    plus, minus = cone_volume(K, F, C), cone_volume(K, F, C.negated())
+    splits = []
+    real_split = volume_module._split
+    monkeypatch.setattr(volume_module, "_split", lambda *a: splits.append(1) or real_split(*a))
+    assert _opposite_cone_volumes(K, F, C) == pytest.approx([plus, minus], rel=1e-13, abs=0)
+    blocks = -(-len(_cone_simplices(K)[0]) // _WEDGE_BLOCK)
+    assert len(splits) == blocks == 2
+
+
+def test_a_dense_halfspace_grid_is_weighed_in_bounded_blocks(monkeypatch):
+    # 1012 directions on the 1964 cones of cube-6: no `_positive_fraction`
+    # call gets more vertex values than the block bound, and each direction
+    # gets what it gets alone
+    K = make_cube(6)
+    cones = len(_cone_simplices(to_vrep(K))[0])
+    U = rng.sphere_grid(6, 1000, seed=3)
+    rows = []
+    real_fraction = volume_module._positive_fraction
+    monkeypatch.setattr(volume_module, "_positive_fraction",
+                        lambda c, q=0: rows.append(len(c)) or real_fraction(c, q))
+    stacked = halfspace_volume(K, U)
+    assert cones == 1964 and len(rows) > 1 and sum(rows) == len(U) * cones
+    assert max(rows) * 6 <= _VALUE_BLOCK_ELEMENTS
+    assert stacked[::50] == pytest.approx([halfspace_volume(K, u) for u in U[::50]], rel=1e-13, abs=0)
+
+
 def test_two_orthant_sign_patterns_fill_a_6d_body():
     spec = next(s for s in load_corpus() if s.get("label") == "random-6-46")
     K = body_from_spec(spec)
@@ -122,7 +185,7 @@ def test_gruenbaum_cone_equality():
         K = make_centered_cone(n)
         u = np.zeros(n)
         u[-1] = 1.0
-        res = check_gruenbaum(K, u)
+        [res] = check_gruenbaum(K, u)
         assert res.passed
         assert res.lhs == pytest.approx(res.rhs, rel=1e-9)
 
@@ -130,7 +193,7 @@ def test_gruenbaum_cone_equality():
 def test_gruenbaum_random_bodies():
     for seed in (0, 1, 2):
         K = random_centered_polytope(4, 14, seed)
-        res = check_gruenbaum(K, unit(np.arange(1.0, 5.0)))
+        [res] = check_gruenbaum(K, unit(np.arange(1.0, 5.0)))
         assert res.passed
         assert res.lhs <= res.rhs * (1 + res.slack)
 
@@ -376,7 +439,7 @@ def test_prop9_is_report_only():
 
 
 def test_check_result_serializes():
-    res = check_gruenbaum(make_cube(2), [1.0, 0.0])
+    [res] = check_gruenbaum(make_cube(2), [1.0, 0.0])
     rec = res.to_record()
     json.dumps(rec)  # must be JSON-clean
     assert rec["name"] == "centroid-halfspace-lower-bound"

@@ -31,7 +31,7 @@ from conesec.volume import (
     _cone_simplices,
     _positive_fraction,
     _slice,
-    _split_positive,
+    _split,
     centered_second_moment,
     centroid,
     isotropic_position,
@@ -207,10 +207,12 @@ def test_last_row_recursion_matches_the_split(n, seed):
     pts, w = _cone_simplices(translate(random_body(n, seed), np.full(n, 0.2)))
     gen = np.random.default_rng(seed)
     for r, q in itertools.product((gen.standard_normal(n), np.ones(n), np.eye(n)[0]), moment_degrees):
-        kept_pts, kept_w = _split_positive(pts, w, r)
-        kept = kept_w @ h(kept_pts @ r, q)
-        scale = np.abs(w).sum() * np.abs(pts @ r).max() ** q
-        assert w @ _positive_fraction(pts @ r, q) == pytest.approx(kept, rel=1e-13, abs=1e-15 * scale)
+        # the negative side of the split by r is the positive side of -r
+        for (kept_pts, kept_w), side in zip(_split(pts, w, r), (r, -r)):
+            kept = kept_w @ h(kept_pts @ side, q)
+            scale = np.abs(w).sum() * np.abs(pts @ r).max() ** q
+            assert w @ _positive_fraction(pts @ side, q) == pytest.approx(
+                kept, rel=1e-13, abs=1e-15 * scale)
 
 
 def section_wedge_moment(K, R, q, nu):
@@ -254,7 +256,7 @@ def test_slice_builds_only_the_faces_it_keeps(monkeypatch):
     # nu^perp in one face per monotone lattice path, C(P + N - 2, P - 1) of
     # them; one with one positive value and the rest zero is its own face; no
     # other simplex gives a face, and no piece is split off on the way
-    monkeypatch.setattr(volume_module, "_split_positive", None)
+    monkeypatch.setattr(volume_module, "_split", None)
     for n in range(3, 7):
         e = np.eye(n)
         nu = np.random.default_rng(n).standard_normal(n)
