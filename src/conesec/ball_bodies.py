@@ -13,12 +13,22 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from . import rng as _rng
-from .geometry import GeometryError, Polytope, Subspace, VPolytope, make_ball
+from .geometry import (
+    Ball,
+    GeometryError,
+    Polytope,
+    Subspace,
+    VPolytope,
+    make_ball,
+    to_hrep,
+    to_vrep,
+)
 from .sections import QUADRATURE, SectionVolumeFunction, _composite_gl, _ray_arguments
 from .special import beta
+from .volume import unit_ball_volume
 
 
 class ConcaveFunctionOracle:
@@ -261,12 +271,113 @@ def geometric_distance_factor(k: int, m: float, p: float) -> float:
     return (1 + k / (m + 1)) ** (m / p) * num / den
 
 
+def max_route(f: ConcaveFunctionOracle | SectionVolumeFunction) -> str:
+    """The route by which `estimate_max` finds max f.
+
+    For a section-volume function: "closed-form" at m = 0 (the indicator of
+    K) and for a ball, "lp" for a polytope at m = 1, "vertex-heights" for a
+    polytope at k = 1 and m >= 2. "search" for the rest: polytopes at
+    k >= 2 and m >= 2, and every `ConcaveFunctionOracle`. Every route but
+    "search" is exact up to rounding.
+    """
+    if not isinstance(f, SectionVolumeFunction):
+        return "search"
+    if f.m == 0 or isinstance(f.body, Ball):
+        return "closed-form"
+    if f.m == 1:
+        return "lp"
+    return "vertex-heights" if f.k == 1 else "search"
+
+
 def estimate_max(f: ConcaveFunctionOracle | SectionVolumeFunction, seed: int = 23,
                  grid: int = 512) -> float:
-    """max f over its support: seeded grid then local ascent from the best point.
+    """max f over its support, by the route `max_route(f)` names.
+
+    - "closed-form": 1 for an indicator (m = 0), and omega_m r^m for the
+      profile of a ball of radius r at m >= 1, its section through the centre.
+    - "lp": at m = 1, f(x) is the length of K's chord along F over x,
+      concave and piecewise linear; its maximum is one LP (`_chord_max`).
+    - "vertex-heights": at k = 1, f is a polynomial of degree <= m between
+      consecutive heights <v, e> of K's vertices (`_height_max`).
+    - "search": a seeded grid of ``grid`` points in the support ball, then a
+      Nelder-Mead ascent from the best (`_search_max`). It is uncertified:
+      nothing bounds how far below max f it ends.
+
+    The LP and vertex-height routes return f at the point they find, a
+    section value. ``seed`` and ``grid`` apply only to the search.
+    """
+    route = max_route(f)
+    if route == "closed-form":
+        return 1.0 if f.m == 0 else unit_ball_volume(f.m) * f.body.radius ** f.m
+    if route == "lp":
+        return _chord_max(f)
+    if route == "vertex-heights":
+        return _height_max(f)
+    return _search_max(f, seed, grid)
+
+
+def _chord_max(f: SectionVolumeFunction) -> float:
+    """max f at m = 1: K's longest chord along F = R u.
+
+    One LP: max s over (z, s) in R^n x R with A z <= b and A (z + s u) <= b,
+    on K's rows with b scaled to max |b| = 1, since the solver's
+    tolerances are absolute. Returns f at the maximiser z, after checking
+    that it agrees with s. Raises `GeometryError` when the LP fails or the
+    two disagree.
+    """
+    K = to_hrep(f.body)
+    n = K.dim
+    scale = float(np.abs(K.b).max())
+    b = K.b / scale
+    start = np.hstack([K.A, np.zeros((len(b), 1))])
+    end = np.hstack([K.A, (K.A @ f.F.basis[0])[:, None]])
+    res = linprog(-np.eye(n + 1)[n], A_ub=np.vstack([start, end]), b_ub=np.concatenate([b, b]),
+                  bounds=[(None, None)] * n + [(0, None)], method="highs")
+    if not res.success:
+        raise GeometryError(f"chord LP failed: {res.message}")
+    s = res.x[n] * scale
+    value = f(f.Fperp.coords(res.x[:n] * scale))
+    if abs(value - s) > 1e-9 * s:
+        raise GeometryError(f"chord LP optimum {s!r} is not the chord {value!r} at its maximiser")
+    return value
+
+
+def _height_max(f: SectionVolumeFunction) -> float:
+    """max f at k = 1 from K's vertex heights h = <v, e>, e spanning F^perp.
+
+    f^(1/m) is concave, so max f lies in the one or two intervals next to
+    the height where f is largest. On each, f is a polynomial of degree
+    <= m: it is fitted from f at m + 1 Chebyshev nodes, and f is taken at
+    the real parts of its derivative's roots inside the interval. Returns
+    the largest f value taken. Raises `GeometryError` when a fitted
+    polynomial misses f at its interval's ends by more than 1e-8 of the
+    largest value, as a section wrongly measured at a vertex height would.
+    """
+    heights = np.unique(to_vrep(f.body).vertices @ f.Fperp.basis[0])
+    at = np.array([f(t) for t in heights])
+    j = int(np.argmax(at))
+    best = at[j]
+    for i in range(max(j - 1, 0), min(j + 1, len(heights) - 1)):
+        ends = heights[i:i + 2]
+        nodes = np.polynomial.polyutils.mapdomain(np.polynomial.chebyshev.chebpts1(f.m + 1),
+                                                  [-1.0, 1.0], ends)
+        values = [f(t) for t in nodes]
+        poly = np.polynomial.Chebyshev.fit(nodes, values, f.m, domain=ends)
+        if np.abs(poly(ends) - at[i:i + 2]).max() > 1e-8 * at[j]:
+            raise GeometryError("sections at vertex heights miss the polynomial between them")
+        crit = poly.deriv().roots().real
+        values += [f(t) for t in crit[(crit > ends[0]) & (crit < ends[1])]]
+        best = max(best, max(values))
+    return float(best)
+
+
+def _search_max(f: ConcaveFunctionOracle | SectionVolumeFunction, seed: int,
+                grid: int) -> float:
+    """max f over its support, estimated: seeded grid then local ascent from the best point.
 
     For concave-power f any local maximum is global, so the polish step is a
-    Nelder-Mead ascent restricted to the support.
+    Nelder-Mead ascent restricted to the support. Uncertified: its value is
+    f at some point, so it can only fall short of max f, by an unbounded gap.
     """
     k = f.dim
     pts = _rng.sample_ball(k, grid, seed) * f.support_radius

@@ -42,6 +42,7 @@ from .sections import (
 )
 from .verify import (
     CheckResult,
+    check_fradelizi,
     check_gruenbaum,
     check_lemma5,
     check_lemma7,
@@ -204,6 +205,9 @@ def _run_named_check(args) -> list[CheckResult]:
         C = PolyhedralCone(np.eye(n)[n - p:])
         fn = check_main_theorem_part1 if name == "part1" else check_main_theorem_part2
         return [fn(K, F, C, label)]
+    if name == "fradelizi":
+        f = oracle_from_section_fn(section_volume_fn(K, _default_flat(n, args.k or 1)))
+        return [check_fradelizi(f, body_spec=label)]
     if name == "lemma5":
         return [check_lemma5(K, label)]
     if name == "lemma7":
@@ -329,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="run one named inequality check")
     sp.add_argument("check",
-                    choices=("gruenbaum", "part1", "part2", "lemma5", "lemma7", "prop8"))
+                    choices=("gruenbaum", "part1", "part2", "fradelizi", "lemma5", "lemma7",
+                             "prop8"))
     _add_body_args(sp, need_dirs=True)
     sp.add_argument("--k", type=int)
     sp.add_argument("--p", type=int)

@@ -22,6 +22,7 @@ from .ball_bodies import (
     estimate_max,
     fradelizi_constant,
     geometric_distance_lb,
+    max_route,
     negative_ray_factor,
 )
 from .geometry import (
@@ -472,6 +473,13 @@ def check_fradelizi(f: ConcaveFunctionOracle | SectionVolumeFunction, seed: int 
                     body_spec: str = "oracle") -> CheckResult:
     """max f <= (1 + k/(m+1))^m f(0) for barycenter-zero concave profiles.
 
+    The left side is `estimate_max(f)`, and ``parameters["max_route"]``
+    names its route (`max_route`): exact for section-volume functions at
+    m <= 1, at k = 1, and of balls ("closed-form", "lp",
+    "vertex-heights"); an uncertified search ("search") for polytope
+    profiles with k >= 2 and m >= 2 and for other oracles, whose left side
+    may fall short of max f. ``seed`` applies only to the search.
+
     Raises `GeometryError` on a profile without a finite concavity index or
     whose barycentre is not 0: a section-volume function's is its body's
     centroid projected onto F^perp (`SectionVolumeFunction.barycenter_zero`).
@@ -486,7 +494,7 @@ def check_fradelizi(f: ConcaveFunctionOracle | SectionVolumeFunction, seed: int 
     return CheckResult(
         name="profile-max-vs-center",
         body_spec=body_spec,
-        parameters={"k": f.dim, "m": f.concavity_index},
+        parameters={"k": f.dim, "m": f.concavity_index, "max_route": max_route(f)},
         lhs=lhs, rhs=rhs, slack=slack,
         passed=bool(lhs <= rhs * (1.0 + slack)),
     )

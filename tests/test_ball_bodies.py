@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import minimize_scalar
 
+from conesec import ball_bodies
 from conesec.ball_bodies import (
     ConcaveFunctionOracle,
     I_p,
@@ -17,6 +19,7 @@ from conesec.ball_bodies import (
     function_moment,
     geometric_distance_factor,
     geometric_distance_lb,
+    max_route,
     moment_identity_check,
     negative_ray_factor,
     oracle_from_section_fn,
@@ -25,8 +28,14 @@ from conesec.ball_bodies import (
 from conesec.geometry import (
     GeometryError,
     Subspace,
+    VPolytope,
+    affine_map,
     make_ball,
+    make_centered_cone,
+    make_cross_polytope,
+    make_cube,
     make_regular_simplex,
+    radial,
     random_centered_polytope,
     to_vrep,
     translate,
@@ -302,3 +311,141 @@ def test_estimate_max_simple_profiles():
         label="shifted bump",
     )
     assert estimate_max(bump) == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# exact profile maxima
+
+
+def coordinate_profile(K, k):
+    """f(x) = |K cap (F + x)| with F the span of the first n - k coordinate directions."""
+    n = K.dim
+    return oracle_from_section_fn(section_volume_fn(K, Subspace.from_span(np.eye(n)[: n - k],
+                                                                          ambient_dim=n)))
+
+
+def seeded_profile(K, k, seed):
+    """The profile of K along a seeded non-coordinate flat F of dimension n - k."""
+    n = K.dim
+    basis = np.random.default_rng(seed).normal(size=(n - k, n))
+    return oracle_from_section_fn(section_volume_fn(K, Subspace.from_span(basis, ambient_dim=n)))
+
+
+def longest_chord(f):
+    """The longest chord of K along F = R u: the radial function of the
+    difference body K - K at u, from a hull of the vertex differences."""
+    V = to_vrep(f.body).vertices
+    return radial(VPolytope((V[:, None] - V[None]).reshape(-1, V.shape[1])), f.F.basis[0])
+
+
+def brent_max(f):
+    """max f at k = 1: f at the vertex heights and a bounded Brent search of
+    exact sections on each interval between consecutive heights."""
+    h = np.unique(to_vrep(f.body).vertices @ f.Fperp.basis[0])
+    best = max(f(t) for t in h)
+    for lo, hi in zip(h[:-1], h[1:]):
+        res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-14 * (h[-1] - h[0])})
+        best = max(best, -res.fun)
+    return best
+
+
+def scaled(K, s):
+    return affine_map(K, s * np.eye(K.dim))
+
+
+CHORD_CASES = {
+    "random-3": lambda: coordinate_profile(random_centered_polytope(3, 12, 8), 2),
+    "random-4": lambda: coordinate_profile(random_centered_polytope(4, 14, 9), 3),
+    "random-5": lambda: coordinate_profile(random_centered_polytope(5, 16, 3), 4),
+    "cube-4-hrep": lambda: coordinate_profile(make_cube(4), 3),
+    "cross-4": lambda: coordinate_profile(make_cross_polytope(4), 3),
+    "random-4-seeded-flat": lambda: seeded_profile(random_centered_polytope(4, 14, 2), 3, 7),
+    "random-4-scale-1e-6": lambda: coordinate_profile(
+        scaled(random_centered_polytope(4, 14, 9), 1e-6), 3),
+    "random-4-scale-1e4": lambda: coordinate_profile(
+        scaled(random_centered_polytope(4, 14, 9), 1e4), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHORD_CASES))
+def test_chord_profile_max_is_the_longest_chord(case):
+    f = CHORD_CASES[case]()
+    assert f.m == 1 and max_route(f) == "lp"
+    value = estimate_max(f)
+    assert value == pytest.approx(longest_chord(f), rel=1e-12, abs=0)
+
+
+HEIGHT_CASES = {
+    "random-3": lambda: coordinate_profile(random_centered_polytope(3, 12, 11), 1),
+    "random-4": lambda: coordinate_profile(random_centered_polytope(4, 14, 12), 1),
+    "cube-4-hrep": lambda: coordinate_profile(make_cube(4), 1),
+    "cross-3": lambda: coordinate_profile(make_cross_polytope(3), 1),
+    # the maximum is the base, a facet parallel to F at the lowest height
+    "cone-3": lambda: coordinate_profile(make_centered_cone(3), 1),
+    "random-4-seeded-flat": lambda: seeded_profile(random_centered_polytope(4, 14, 2), 1, 7),
+    "random-4-scale-1e4": lambda: coordinate_profile(
+        scaled(random_centered_polytope(4, 14, 12), 1e4), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEIGHT_CASES))
+def test_k1_profile_max_matches_brent(case):
+    f = HEIGHT_CASES[case]()
+    assert f.m >= 2 and max_route(f) == "vertex-heights"
+    assert estimate_max(f) == pytest.approx(brent_max(f), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("k, s", [
+    (3, 1e-6), (3, 1e4), (1, 1e4),
+    # the affine sections of the k = 1 route go through qhull's halfspace
+    # intersection, whose feasibility test is absolute (QH6023 at this scale)
+    pytest.param(1, 1e-6, marks=pytest.mark.xfail(raises=GeometryError, strict=True)),
+])
+def test_profile_max_scales_as_s_to_the_m(k, s):
+    K = random_centered_polytope(4, 14, 12)
+    assert estimate_max(coordinate_profile(scaled(K, s), k)) == pytest.approx(
+        s ** (4 - k) * estimate_max(coordinate_profile(K, k)), rel=1e-12, abs=0)
+
+
+def test_ball_and_indicator_maxima_are_closed_forms():
+    for n, k in ((3, 1), (4, 2), (5, 3)):
+        center = np.linspace(-0.3, 0.2, n)
+        ball = make_ball(n, 1.7, center)
+        f = coordinate_profile(ball, k)
+        assert max_route(f) == "closed-form"
+        value = estimate_max(f)
+        assert value == pytest.approx(unit_ball_volume(n - k) * 1.7 ** (n - k), rel=1e-15)
+        # the section through the centre attains it
+        assert f(f.Fperp.coords(center)) == pytest.approx(value, rel=1e-12)
+    for f in (ball_indicator_oracle(3, 2.0),
+              oracle_from_section_fn(section_volume_fn(make_cube(3), Subspace(3, np.zeros((0, 3)))))):
+        assert max_route(f) == "closed-form" and estimate_max(f) == 1.0
+
+
+def test_search_is_left_for_k_and_m_at_least_2_and_plain_oracles():
+    assert max_route(coordinate_profile(random_centered_polytope(4, 14, 14), 2)) == "search"
+    assert max_route(quadratic_cap_oracle()) == "search"
+
+
+def test_m_at_most_1_and_k1_profile_maxima_take_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Nelder-Mead search called")
+
+    # the benchmark's two chord profiles and the acceptance criteria's k = 1
+    # and m = 1 profiles, on hulls of 2n + 6 ball points
+    acceptance = [coordinate_profile(random_centered_polytope(n, 2 * n + 6, seed), k)
+                  for k, n, seed in ((2, 3, 8), (3, 4, 9), (1, 3, 11), (1, 4, 12), (2, 3, 13))]
+    searched = [ball_bodies._search_max(f, 23, 512) for f in acceptance]
+    monkeypatch.setattr(ball_bodies, "minimize", refuse)
+    others = [coordinate_profile(random_centered_polytope(n, 2 * n + 6, 20 + n), k)
+              for n in (2, 3, 4, 5) for k in range(1, n + 1) if k == 1 or n - k <= 1]
+    for f in others + [coordinate_profile(make_ball(3, 1.0), 2), ball_indicator_oracle(2)]:
+        assert estimate_max(f) > 0
+    # the exact value is not below the search, up to the rounding of one
+    # section's volume, and matches the reference
+    for f, search in zip(acceptance, searched):
+        value = estimate_max(f)
+        assert value >= search * (1 - 1e-15)
+        reference = longest_chord(f) if f.m == 1 else brent_max(f)
+        assert value == pytest.approx(reference, rel=1e-12, abs=0)

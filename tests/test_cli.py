@@ -125,6 +125,24 @@ def test_check_prop8_and_part2(capsys):
     assert rep["results"][0]["parameters"] == {"n": 4, "k": 1, "p": 1}
 
 
+@pytest.mark.parametrize("name", ["gruenbaum", "part1", "part2", "fradelizi", "lemma5",
+                                  "lemma7", "prop8"])
+def test_every_named_check_passes_on_the_cube(capsys, name):
+    code, rep = run_json(capsys, "check", name, "--body", "cube", "--n", "3", "--dirs", "2")
+    assert code == 0 and rep["num_failed"] == 0 and rep["results"]
+
+
+def test_check_fradelizi_takes_k_and_records_its_route(capsys):
+    # the cube's profiles are flat: max f = f(0), 4 at k = 1 and 2 at k = 2
+    for k, m, route, top in ((1, 2, "vertex-heights", 4.0), (2, 1, "lp", 2.0)):
+        code, rep = run_json(capsys, "check", "fradelizi", "--body", "cube", "--n", "3",
+                             "--k", str(k))
+        (r,) = rep["results"]
+        assert code == 0 and r["parameters"] == {"k": k, "m": m, "max_route": route}
+        assert r["lhs"] == pytest.approx(top, rel=1e-12)
+        assert r["rhs"] == pytest.approx((1 + k / (m + 1)) ** m * top, rel=1e-12)
+
+
 def test_experiment_remark3_and_alpha(capsys):
     code, rep = run_json(capsys, "experiment", "remark3", "--n", "4")
     assert code == 0

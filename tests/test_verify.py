@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from conesec import geometry, rng
 from conesec import volume as volume_module
-from conesec.ball_bodies import oracle_from_section_fn
+from conesec.ball_bodies import ConcaveFunctionOracle, oracle_from_section_fn
 from conesec.geometry import (
     GeometryError,
     PolyhedralCone,
@@ -383,6 +384,47 @@ def triangle_profile():
 def test_fradelizi_wrapper():
     res = check_fradelizi(triangle_profile())
     assert res.passed
+
+
+def test_fradelizi_records_its_maximum_route():
+    # exact routes for m <= 1, k = 1 and balls; the search for plain oracles
+    profiles = {
+        "vertex-heights": triangle_profile(),
+        "lp": oracle_from_section_fn(section_volume_fn(
+            make_regular_simplex(3), Subspace.from_span(np.eye(3)[:1]))),
+        "closed-form": oracle_from_section_fn(section_volume_fn(
+            make_ball(3), Subspace.from_span(np.eye(3)[:2]))),
+        "search": ConcaveFunctionOracle(2, lambda x: max(0.0, 1.0 - float(x @ x)), 1, 1.0,
+                                        barycenter_zero=True),
+    }
+    for route, f in profiles.items():
+        res = check_fradelizi(f)
+        assert res.passed and res.parameters == {"k": f.dim, "m": f.concavity_index,
+                                                 "max_route": route}
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_fradelizi_on_6d_profiles_whose_affine_sections_do_not_tile(seed):
+    # the grid search met a 5-D affine section whose hull does not tile;
+    # the vertex heights and their Chebyshev nodes miss every such flat here
+    K = random_centered_polytope(6, 18, seed)
+    f = oracle_from_section_fn(section_volume_fn(K, Subspace.from_span(np.eye(6)[:5])))
+    res = check_fradelizi(f)
+    assert res.passed and res.parameters["max_route"] == "vertex-heights"
+    # the maximum lies between the neighbours of the best vertex height; the
+    # reference's Brent search counts a section that raises as f = 0
+    def negative_f(t):
+        try:
+            return -f(t)
+        except GeometryError:
+            return 0.0
+
+    h = np.unique(to_vrep(K).vertices @ f.Fperp.basis[0])
+    j = int(np.argmax([f(t) for t in h]))
+    brent = minimize_scalar(negative_f, bounds=(h[max(j - 1, 0)], h[min(j + 1, len(h) - 1)]),
+                            method="bounded", options={"xatol": 1e-14})
+    assert res.lhs >= -brent.fun * (1 - 1e-12)
+    assert res.lhs == pytest.approx(-brent.fun, rel=1e-12, abs=0)
 
 
 def test_fradelizi_refuses_a_profile_whose_barycentre_is_off_zero():
