@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -64,7 +64,7 @@ class Subspace:
         object.__setattr__(self, "basis", b)
         if b.shape[0]:
             gram = b @ b.T
-            if not np.allclose(gram, np.eye(b.shape[0]), atol=1e-12):
+            if np.abs(gram - np.eye(b.shape[0])).max() > 1e-12:
                 raise GeometryError("subspace basis is not orthonormal")
 
     @property
@@ -117,48 +117,55 @@ def _complement_basis(basis: np.ndarray, ambient_dim: int | None = None) -> np.n
 # body types
 
 
-def _first_of_close(X: np.ndarray, tol: float, b: np.ndarray | None = None) -> np.ndarray:
-    """Indices of the rows kept by a pass that drops each row within tol of an earlier kept row.
+@lru_cache
+def _sort_direction(d: int) -> np.ndarray:
+    """The fixed generic unit vector of `_first_of_close` in R^d."""
+    w = np.cos(np.arange(1.0, d + 1.0))
+    return _read_only(w / np.linalg.norm(w))
 
-    With ``b``, two rows are close when their offsets are also within tol.
-    The pairwise test runs in blocks of ~1 MB. A repeat of an earlier row is
-    dropped whatever became of that row, so inputs larger than one block
-    (qhull's triangulated facets repeat their equations) first lose their
-    repeats.
+
+def _first_of_close(X: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Indices, ascending, of the rows that a pass in row order keeps when it
+    drops each row within GEOM_TOL of an earlier kept row.
+
+    With ``b``, two rows are close when their offsets are within GEOM_TOL too.
+    Rows within GEOM_TOL of each other are within GEOM_TOL along every unit
+    vector, so also along one fixed generic unit vector w. Sorted by <x, w>,
+    close rows therefore fall in one run of neighbours less than GEOM_TOL
+    apart (plus the rounding of <x, w>), and only rows of one run are
+    compared. A row equal to its neighbour in the sort is a repeat (qhull
+    repeats a facet's equation on every simplex of that facet); the pass
+    drops the later copies whatever became of the first, so they are
+    dropped before the pairs are compared.
     """
     n, d = X.shape
-    block = 1 << 17
-    idx = np.arange(n)
-    if n * n * d > block:
-        _, first = np.unique(X if b is None else np.hstack([X, b[:, None]]), axis=0,
-                             return_index=True)
-        idx = np.sort(first)
-        X = X[idx]
-        n = len(idx)
-    keep = np.ones(n, dtype=bool)
-    step = max(1, block // max(1, n * d))
-    for s in range(0, n, step):
-        close = np.linalg.norm(X[s:s + step, None, :] - X[None, :, :], axis=2) < tol
-        if b is not None:
-            close &= np.abs(b[idx[s:s + step], None] - b[idx][None, :]) < tol
-        close &= np.arange(n) > np.arange(s, s + len(close))[:, None]
-        for r in np.flatnonzero(close.any(axis=1)):
-            if keep[s + r]:
-                keep[close[r]] = False
-    return idx[keep]
-
-
-def _dedup_points(points: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
-    if len(points) > 400:
-        # grid-based dedup for large clouds; exact pairwise testing is O(N^2)
-        _, idx = np.unique(np.round(points / tol), axis=0, return_index=True)
-        return points[np.sort(idx)]
-    return points[_first_of_close(points, tol)]
-
-
-def _dedup_halfspaces(A: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL):
-    keep = _first_of_close(A, tol, b)
-    return A[keep], b[keep]
+    t = X @ _sort_direction(d)
+    order = np.argsort(t, kind="stable")
+    # <x, w> is rounded by at most d eps sum |x_i| <= d^2 eps max |x_i|
+    reach = GEOM_TOL + 4 * d * d * np.finfo(float).eps * (GEOM_TOL + np.abs(X).max())
+    if not (np.diff(t[order]) < reach).any():
+        return np.arange(n)  # no run holds two rows
+    Z = (X if b is None else np.column_stack([X, b]))[order]
+    first = np.flatnonzero(np.r_[True, (Z[1:] != Z[:-1]).any(axis=1)])
+    rows = np.minimum.reduceat(order, first)  # the earliest copy of each row
+    near = np.diff(t[rows]) < reach
+    keep = np.bincount(rows, minlength=n) > 0
+    # same[i]: rows[i] and rows[i + k] lie in one run
+    same, k, pairs = near, 1, [np.zeros((2, 0), dtype=int)]
+    while same.any():
+        i = np.flatnonzero(same)
+        pairs.append(rows[np.stack([i, i + k])])
+        k += 1
+        same = same[:-1] & near[k - 1:]
+    lo, hi = np.sort(np.hstack(pairs), axis=0)
+    close = np.linalg.norm(X[lo] - X[hi], axis=1) < GEOM_TOL
+    if b is not None:
+        close &= np.abs(b[lo] - b[hi]) < GEOM_TOL
+    # in row order, so that keep[i] is final when it is read
+    for i, j in sorted(zip(lo[close].tolist(), hi[close].tolist())):
+        if keep[i]:
+            keep[j] = False
+    return np.flatnonzero(keep)
 
 
 def _map_halfspaces(A: np.ndarray, b: np.ndarray, M: np.ndarray, shift: np.ndarray):
@@ -230,10 +237,10 @@ def _hull_boundary(hull: "ConvexHull", basis: np.ndarray, center: np.ndarray,
                     float(fan) / math.factorial(pts.shape[1]))
 
 
-def _extreme_points(points: np.ndarray, tol: float = GEOM_TOL):
+def _extreme_points(points: np.ndarray):
     """Extreme points, affine-hull dimension, and the Boundary when full-dimensional."""
     points = np.atleast_2d(_as_array(points))
-    points = _dedup_points(points, tol)
+    points = points[_first_of_close(points)]
     center = points.mean(axis=0)
     centered = points - center
     basis = orthonormal_basis(centered, tol=1e-12)
@@ -258,13 +265,14 @@ def _extreme_points(points: np.ndarray, tol: float = GEOM_TOL):
     return points[kept], adim, bd if bd.tiles else None
 
 
-def extreme_points(points: np.ndarray, tol: float = GEOM_TOL):
+def extreme_points(points: np.ndarray):
     """Extreme points of conv(points) and the affine-hull dimension.
 
-    Handles degenerate (lower-dimensional) inputs by recursing inside the
-    affine hull.
+    Points within GEOM_TOL of an earlier kept point are dropped first
+    (`_first_of_close`). Degenerate (lower-dimensional) inputs are projected
+    once onto their affine hull, and hulled there.
     """
-    verts, adim, _ = _extreme_points(points, tol)
+    verts, adim, _ = _extreme_points(points)
     return verts, adim
 
 
@@ -337,8 +345,8 @@ class Polytope:
     def A(self) -> np.ndarray:
         if self._A is None:
             bd = self._boundary()  # facet equations do not depend on the triangulation
-            A, b = _dedup_halfspaces(bd.A, bd.b)
-            self._A, self._b = _read_only(A), _read_only(b)
+            keep = _first_of_close(bd.A, bd.b)
+            self._A, self._b = _read_only(bd.A[keep]), _read_only(bd.b[keep])
         return self._A
 
     @property
@@ -366,19 +374,21 @@ class Polytope:
         return self._boundary_cache
 
 
-def VPolytope(vertices, canonicalize: bool = True) -> Polytope:
-    """The polytope conv(vertices); canonicalize keeps the extreme points only."""
+def VPolytope(vertices) -> Polytope:
+    """The polytope conv(vertices), which keeps the extreme points only (`extreme_points`)."""
     vertices = np.atleast_2d(_as_array(vertices))
     if vertices.size == 0:
         raise GeometryError("empty vertex list")
-    if not canonicalize:
-        return Polytope(vertices)
     V, adim, bd = _extreme_points(vertices)
     return Polytope(V, affine_dim=adim, boundary=bd)
 
 
-def HPolytope(A, b, canonicalize: bool = True) -> Polytope:
-    """The polytope {x : <a_i, x> <= b_i}, rows scaled to unit normals; canonicalize drops repeats."""
+def HPolytope(A, b) -> Polytope:
+    """The polytope {x : <a_i, x> <= b_i}, rows scaled to unit normals.
+
+    A row within GEOM_TOL of an earlier kept row, in normal and in offset,
+    is dropped (`_first_of_close`).
+    """
     A = np.atleast_2d(_as_array(A))
     b = np.atleast_1d(_as_array(b))
     if A.shape[0] != b.shape[0]:
@@ -388,9 +398,8 @@ def HPolytope(A, b, canonicalize: bool = True) -> Polytope:
         raise GeometryError("zero halfspace normal")
     A = A / norms[:, None]
     b = b / norms
-    if canonicalize:
-        A, b = _dedup_halfspaces(A, b)
-    return Polytope(A=A, b=b)
+    keep = _first_of_close(A, b)
+    return Polytope(A=A[keep], b=b[keep])
 
 
 class Ball:
@@ -560,7 +569,7 @@ def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope
     d = A.shape[1]
     if d == 1:
         lo, hi, empty = interval_1d(A[:, 0], b)
-        return None if empty else VPolytope([[lo], [hi]], canonicalize=False)
+        return None if empty else Polytope(np.array([[lo], [hi]]))
     norms = np.linalg.norm(A, axis=1)
     ok = norms > 1e-14
     if np.any(b[~ok] < -GEOM_TOL):
@@ -591,20 +600,20 @@ def make_regular_simplex(n: int) -> Polytope:
     basis = _complement_basis(np.ones((1, n + 1)))
     verts = pts @ basis.T
     verts -= verts.mean(axis=0)  # kill accumulated roundoff in the centroid
-    return VPolytope(verts, canonicalize=False)
+    return Polytope(verts)
 
 
 def make_cube(n: int) -> Polytope:
     """The cube [-1, 1]^n."""
     _check_dim(n)
     A = np.vstack([np.eye(n), -np.eye(n)])
-    return HPolytope(A, np.ones(2 * n), canonicalize=False)
+    return HPolytope(A, np.ones(2 * n))
 
 
 def make_cross_polytope(n: int) -> Polytope:
     """conv(+-e_i)."""
     _check_dim(n)
-    return VPolytope(np.vstack([np.eye(n), -np.eye(n)]), canonicalize=False)
+    return Polytope(np.vstack([np.eye(n), -np.eye(n)]))
 
 
 def make_ball(n: int, r: float = 1.0, center=None) -> Ball:
@@ -630,7 +639,7 @@ def make_centered_cone(n: int, height: float = 1.0) -> Polytope:
     verts = np.vstack([base3, apex])
     # centroid of a cone sits at 1/(n+1) of the height above the base
     verts[:, -1] -= height / (n + 1)
-    return VPolytope(verts, canonicalize=False)
+    return Polytope(verts)
 
 
 def random_centered_polytope(n: int, num_points: int, seed: int) -> Polytope:

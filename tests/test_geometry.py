@@ -39,7 +39,7 @@ from conesec.geometry import (
     to_vrep,
     translate,
 )
-from conesec.geometry import _dedup_halfspaces, _dedup_points, _halfspace_polytope
+from conesec.geometry import _first_of_close, _halfspace_polytope
 from conesec.sections import section, section_volume
 from conesec.verify import halfspace_volume
 from conesec.volume import moments, volume
@@ -104,38 +104,58 @@ def test_vrep_hrep_roundtrip_preserves_volume(n, seed):
 
 
 def _dedup_points_loop(points, tol=1e-9):
-    keep = []
+    # each row against every kept row at once, so that clouds of thousands of
+    # rows take a fraction of a second
+    kept = np.zeros(len(points), dtype=bool)
     for i, p in enumerate(points):
-        if all(np.linalg.norm(p - points[j]) >= tol for j in keep):
-            keep.append(i)
-    return points[keep]
+        kept[i] = np.all(np.linalg.norm(p - points[:i][kept[:i]], axis=1) >= tol)
+    return points[kept]
 
 
 def _dedup_halfspaces_loop(A, b, tol=1e-9):
-    keep = []
+    kept = np.zeros(len(b), dtype=bool)
     for i in range(len(b)):
-        if not any(np.linalg.norm(A[i] - A[j]) < tol and abs(b[i] - b[j]) < tol for j in keep):
-            keep.append(i)
-    return A[keep], b[keep]
+        Ak, bk = A[:i][kept[:i]], b[:i][kept[:i]]
+        kept[i] = not np.any((np.linalg.norm(A[i] - Ak, axis=1) < tol) & (np.abs(b[i] - bk) < tol))
+    return A[kept], b[kept]
 
 
-@pytest.mark.parametrize("seed,rows,dim", [(0, 60, 4), (1, 60, 4), (2, 150, 6)])
+@pytest.mark.parametrize("seed,rows,dim", [(0, 60, 4), (1, 60, 4), (2, 150, 6), (0, 400, 3),
+                                           (1, 400, 4), (2, 600, 6), (3, 4940, 5)])
 def test_vectorised_dedup_matches_the_pairwise_loop(seed, rows, dim):
     gen = np.random.default_rng(seed)
     base = gen.normal(size=(rows, dim))
     # exact and near copies, and chains a~b~c with a and c more than tol apart
-    # (the greedy pass keeps a and c); the largest case spans several blocks
+    # (the greedy pass keeps a and c)
     step = np.zeros(dim)
     step[0] = 0.6e-9
     pts = np.vstack([base, base[:20], base[20:40] + 1e-12, base[:10] + step, base[:10] + 2 * step])
     pts = pts[gen.permutation(len(pts))]
-    got = _dedup_points(pts)
+    got = pts[_first_of_close(pts)]
     assert np.array_equal(got, _dedup_points_loop(pts))
     A = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     b = np.round(gen.random(len(pts)), 1)
-    ga, gb = _dedup_halfspaces(A, b)
+    keep = _first_of_close(A, b)
     ra, rb = _dedup_halfspaces_loop(A, b)
-    assert np.array_equal(ga, ra) and np.array_equal(gb, rb)
+    assert np.array_equal(A[keep], ra) and np.array_equal(b[keep], rb)
+
+
+def test_dedup_of_repeated_facet_equations_matches_the_pairwise_loop():
+    # qhull gives each of the 1964 boundary simplices of the 6-cube its
+    # facet's equation, so the rows are 12 facets repeated
+    cube = VPolytope(to_vrep(make_cube(6)).vertices)
+    bd = cube._boundary()
+    assert len(bd.b) == 1964
+    keep = _first_of_close(bd.A, bd.b)
+    ra, rb = _dedup_halfspaces_loop(bd.A, bd.b)
+    assert len(rb) == 12
+    assert np.array_equal(bd.A[keep], ra) and np.array_equal(bd.b[keep], rb)
+
+
+def test_subspace_basis_must_be_orthonormal_to_1e12():
+    Subspace(2, [[1.0 + 1e-13, 0.0]])
+    with pytest.raises(GeometryError, match="orthonormal"):
+        Subspace(2, [[1.0 + 1e-6, 0.0]])
 
 
 def test_minkowski_norm_many_matches_pointwise():

@@ -12,6 +12,7 @@ from scipy.spatial import QhullError
 from conesec import geometry, volume as volume_module
 from conesec.geometry import (
     GeometryError,
+    Polytope,
     Subspace,
     VPolytope,
     _halfspace_polytope,
@@ -81,7 +82,7 @@ def test_standard_simplex_volume():
 
 def test_overlapping_boundary_triangulation_raises():
     # a square whose boundary lists one edge twice: the fan overstates the area
-    square = VPolytope([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]], canonicalize=False)
+    square = Polytope(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
     edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [3, 0]])
     normals = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [-1.0, 0.0]])
     hull = type("Hull", (), {"points": square.vertices, "simplices": edges, "volume": 4.0,
@@ -98,7 +99,7 @@ def test_boundary_is_kept_through_affine_maps():
     K = random_body(4, 5)
     M = np.array([[2.0, 0.3, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.5, 0.1], [0.2, 0, 0, 1.5]])
     image = affine_map(translate(K, [0.1, -0.2, 0.0, 0.3]), M, [1.0, 0.0, 0.5, 0.0])
-    fresh = VPolytope(image.vertices, canonicalize=False)
+    fresh = Polytope(image.vertices)
     assert boundary(image).tiles
     assert moments(image).volume == pytest.approx(moments(fresh).volume, rel=1e-12)
     assert moments(image).volume == pytest.approx(volume(K) * abs(np.linalg.det(M)), rel=1e-12)
