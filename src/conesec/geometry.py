@@ -797,9 +797,10 @@ def affine_map(K: ConvexBody, M, shift=None) -> ConvexBody:
     if sv[-1] <= 1e-12 * sv[0]:
         raise GeometryError("affine map matrix is singular")
     if isinstance(K, Ball):
+        # M M^T = s I entry by entry, to 1e-12 s, so the bound scales with M
         MMt = M @ M.T
-        scale2 = MMt[0, 0]
-        if not np.allclose(MMt, scale2 * np.eye(n), atol=1e-9 * max(1.0, scale2)):
+        scale2 = np.trace(MMt) / n
+        if np.abs(MMt - scale2 * np.eye(n)).max() > 1e-12 * scale2:
             raise GeometryError("ball affine images are restricted to similarities")
         return Ball(M @ K.center + shift, K.radius * np.sqrt(scale2))
     return _mapped_polytope(K, M, shift)

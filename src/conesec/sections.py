@@ -394,14 +394,26 @@ class _Chords:
         ts[:, 0] = 0.0
         ts[row, 1 + np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)] = t
         ts.sort(axis=1)
-        hi = (c[pos] + g[:, pos][:, None, :] * ts[:, :, None]).min(axis=2)
-        lo = (c[neg] + g[:, neg][:, None, :] * ts[:, :, None]).max(axis=2)
+        # facet-major: each reduction runs over the leading axis of whole (N, J) planes
+        hi = (c[pos, None, None] + g[:, pos].T[:, :, None] * ts).min(axis=0)
+        lo = (c[neg, None, None] + g[:, neg].T[:, :, None] * ts).max(axis=0)
         return ts, np.clip(hi - lo, 0.0, None)
 
 
 def _power_steps(t: np.ndarray, q: float) -> np.ndarray:
-    """t[:, j+1]**q - t[:, j]**q along sorted rows t >= 0, to rounding also on short steps."""
+    """t[:, j+1]**q - t[:, j]**q along sorted rows t >= 0, to rounding also on short steps.
+
+    At integer q >= 1 it is (t2 - t1) times sum_i t2^i t1^(q-1-i), taken by
+    Horner's rule; every term is >= 0, so nothing cancels. At real q it is
+    t1^q expm1(q log1p((t2 - t1) / t1)), and t2^q where t1 = 0.
+    """
     t1, t2 = t[:, :-1], t[:, 1:]
+    if float(q).is_integer() and q >= 1:
+        total, power = np.ones_like(t1), np.ones_like(t1)
+        for _ in range(int(q) - 1):
+            power = power * t1
+            total = total * t2 + power
+        return (t2 - t1) * total
     with np.errstate(divide="ignore", invalid="ignore"):
         short = t1**q * np.expm1(q * np.log1p((t2 - t1) / t1))
     return np.where(t1 > 0, short, t2**q)
@@ -442,8 +454,8 @@ def cone_section_volume_polyhedral(K: ConvexBody, F: Subspace, C: PolyhedralCone
     On a polytope it is one section of K by F + span C (none for the whole
     space), cut by the cone's rows (`_cut_volume`).
     """
+    _check_cone_flat(F, C)
     if isinstance(K, Ball):
-        _check_cone_flat(F, C)
         if np.linalg.norm(K.center) > GEOM_TOL:
             raise GeometryError("cone sections of balls require the center at 0")
         d = F.dim + C.span_dim
@@ -456,9 +468,9 @@ def _section_and_rows(K: ConvexBody, F: Subspace, C: PolyhedralCone):
 
     L is K itself, in its own coordinates, when F + span C is the whole
     space, and None when the section is empty. The rows of -C are -R,
-    whatever basis its span gets, so one section serves both signs.
+    whatever basis its span gets, so one section serves both signs. The
+    caller has checked that C lies in F^perp (`_check_cone_flat`).
     """
-    _check_cone_flat(F, C)
     G = C.span
     rows = C.constraints_in_span() @ G.basis
     if F.dim + G.dim == K.dim:
@@ -534,9 +546,10 @@ class QuadratureSpec:
     they are wedge moments (`SectionVolumeFunction.ray_moments`). The sphere
     fields always apply: the integral over the cone's directions stays
     numerical. Its rule (`_integrate_refining`) takes the levels of
-    sphere_nodes in turn; on a 2-D cone a level puts that many nodes on each
-    piece of the arc between the directions where the integrand kinks
-    (`_arc_kinks`), on a wider cone it is the 1-D order of a simplex rule.
+    sphere_nodes in turn, the first two in one batch of ray moments; on a
+    2-D cone a level puts that many nodes on each piece of the arc between
+    the directions where the integrand kinks (`_arc_kinks`), on a wider
+    cone it is the 1-D order of a simplex rule.
 
     Each rule warns with a `QuadratureWarning` when it returns without
     meeting its relative tolerance: the ray rule when its panels run out,
@@ -670,7 +683,7 @@ def cone_section_volume_radial(K: ConvexBody, F: Subspace, C: PolyhedralCone) ->
             return fp(np.stack([np.cos(phis), np.sin(phis)], axis=1))
 
         edges = np.concatenate([[a1], _arc_kinks(K, F, C, a1, delta), [a1 + delta]])
-        return _integrate_refining(lambda n: _fixed_gl(arc, edges, n), QUADRATURE)
+        return _integrate_refining(lambda levels: _fixed_gl(arc, edges, levels), QUADRATURE)
     # p >= 3: integrate over the transversal simplex T = conv(unit generators):
     # int_{C cap S^{p-1}} phi(theta) dtheta = h * int_T phi(x/|x|) |x|^-p dA(x)
     U = g  # (p, p) unit generators, rows
@@ -679,14 +692,18 @@ def cone_section_volume_radial(K: ConvexBody, F: Subspace, C: PolyhedralCone) ->
     M = U[:-1] - U[-1]
     volT = math.sqrt(max(np.linalg.det(M @ M.T), 0.0)) / math.factorial(p - 1)
 
-    def simplex_value(n1d: int) -> float:
-        lam, wts = _std_simplex_quadrature(p - 1, n1d)
+    def simplex_value(levels: tuple) -> list:
+        # every level's simplex nodes in one call of fp
+        rules = [_std_simplex_quadrature(p - 1, n1d) for n1d in levels]
+        lam = np.vstack([nodes for nodes, _ in rules])
         lam_full = np.hstack([lam, 1.0 - lam.sum(axis=1, keepdims=True)])
         xs = lam_full @ U
         norms = np.linalg.norm(xs, axis=1)
-        vals = fp(xs / norms[:, None])
-        mean_on_std = float((wts * vals / norms**p).sum())  # weights carry 1/(p-1)!
-        return h * volT * math.factorial(p - 1) * mean_on_std
+        vals = fp(xs / norms[:, None]) / norms**p
+        split = np.cumsum([len(wts) for _, wts in rules])[:-1]
+        # weights carry 1/(p-1)!
+        return [h * volT * math.factorial(p - 1) * float((wts * v).sum())
+                for (_, wts), v in zip(rules, np.split(vals, split))]
 
     return _integrate_refining(simplex_value, QUADRATURE)
 
@@ -712,28 +729,36 @@ def _arc_kinks(K: ConvexBody, F: Subspace, C: PolyhedralCone, a1: float, delta: 
     return a1 + rel[(rel > 0) & (rel < delta)]
 
 
-def _fixed_gl(fn, edges: np.ndarray, n: int) -> float:
-    """n-node Gauss-Legendre on each piece [edges[j], edges[j+1]], in one call of fn."""
-    x, w = _gl_cache(n)
+def _fixed_gl(fn, edges: np.ndarray, levels: tuple) -> list:
+    """n-node Gauss-Legendre on each piece [edges[j], edges[j+1]], one value per
+    level n of levels, with the nodes of every level in one call of fn."""
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    return float((half[:, None] * w).ravel() @ fn((mid[:, None] + half[:, None] * x).ravel()))
+    rules = [_gl_cache(n) for n in levels]
+    nodes = [(mid[:, None] + half[:, None] * x).ravel() for x, _ in rules]
+    vals = np.split(fn(np.concatenate(nodes)), np.cumsum([len(ts) for ts in nodes])[:-1])
+    return [float((half[:, None] * w).ravel() @ v) for (_, w), v in zip(rules, vals)]
 
 
 def _integrate_refining(value_at, spec: QuadratureSpec) -> float:
-    """The sphere rule: value_at(n) at each level n of sphere_nodes until two agree.
+    """The sphere rule: the levels of sphere_nodes in turn until two agree.
 
+    value_at takes a tuple of levels and returns one value per level. The
+    first call takes the first two levels, which no query can skip, so they
+    share one batch of ray moments; each later call takes one level.
     Returns the first level within sphere_rel_tol of the one before. When
     no two levels agree, raises QuadratureNonConvergence if the last gap
     exceeds sphere_fail_tol, else warns with a QuadratureWarning and returns
     the finest level.
     """
-    values = [value_at(n) for n in spec.sphere_nodes[:1]]
-    for n in spec.sphere_nodes[1:]:
-        values.append(value_at(n))
-        if abs(values[-1] - values[-2]) <= spec.sphere_rel_tol * max(abs(values[-1]), 1e-300):
+    values = list(value_at(spec.sphere_nodes[:2]))
+    for n in (*spec.sphere_nodes[2:], None):  # None: no level left
+        est = abs(values[-1] - values[-2]) if len(values) > 1 else math.inf
+        scale = max(abs(values[-1]), 1e-300)
+        if est <= spec.sphere_rel_tol * scale:
             return values[-1]
-    est = abs(values[-1] - values[-2]) if len(values) > 1 else math.inf
-    if est > spec.sphere_fail_tol * max(abs(values[-1]), 1e-300):
+        if n is not None:
+            values += value_at((n,))
+    if est > spec.sphere_fail_tol * scale:
         raise QuadratureNonConvergence(values[-1], est)
     warnings.warn(QuadratureWarning(values[-1], est, spec.sphere_rel_tol), stacklevel=2)
     return values[-1]

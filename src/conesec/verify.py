@@ -42,6 +42,7 @@ from .geometry import (
 )
 from .sections import (
     SectionVolumeFunction,
+    _check_cone_flat,
     _cut_volume,
     _section_and_rows,
     cone_section_volume_polyhedral,
@@ -155,6 +156,7 @@ def _opposite_cone_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone):
     [R, -R], so both wedges share the split by their first rows."""
     if isinstance(K, Ball):
         return cone_volume(K, F, C), cone_volume(K, F, C.negated())
+    _check_cone_flat(F, C)
     L, R = _section_and_rows(K, F, C)
     if L is None or len(R) > 2:
         return _cut_volume(L, R), _cut_volume(L, -R)
@@ -255,6 +257,7 @@ def check_main_theorem_part2(K: ConvexBody, F: Subspace, C: PolyhedralCone,
 
 def section_volume_in_flat(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
     """|K cap (F + G)| where G = span(C): the un-coned section volume."""
+    _check_cone_flat(F, C)
     L, _ = _section_and_rows(K, F, C)
     return 0.0 if L is None else moments(L).volume
 

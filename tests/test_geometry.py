@@ -415,6 +415,23 @@ def test_affine_map_rejects_singular_matrix():
         affine_map(make_cube(3), np.outer([1.0, 2.0, 3.0], [1.0, 0.5, 0.25]))
 
 
+def test_affine_map_of_a_ball_requires_a_similarity_to_rounding():
+    # (M M^T)[0, 0] = 1 and the diagonal 1 + 8e-6 passed np.allclose's rtol
+    with pytest.raises(GeometryError):
+        affine_map(make_ball(2), np.diag([1.0, 1.0 + 4e-6]))
+    with pytest.raises(GeometryError):
+        affine_map(make_ball(3), 1e-6 * np.diag([1.0, 1.0, 1.1]))
+    for n, scale in ((2, 1e-6), (3, 1.0), (3, 1e4), (4, 3.0)):
+        Q = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))[0]
+        B = affine_map(make_ball(n, r=2.0), scale * Q, shift=np.ones(n))
+        assert isinstance(B, Ball)
+        assert B.radius == pytest.approx(2.0 * scale, rel=1e-14)
+        assert np.allclose(B.center, np.ones(n), rtol=0.0, atol=1e-15)
+    B = affine_map(make_ball(3, r=2.0, center=[0.5, -1.0, 0.25]), -3.0 * np.eye(3))
+    assert B.radius == pytest.approx(6.0, rel=1e-15)
+    assert np.array_equal(B.center, [-1.5, 3.0, -0.75])
+
+
 def test_translate_moves_centroid():
     K = random_body(3, 5)
     shift = np.array([0.5, -1.0, 2.0])

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -820,19 +821,75 @@ def test_radial_route_matches_polyhedral():
 def test_arc_rule_split_at_vertex_directions_converges_at_its_second_level(monkeypatch):
     # criterion 11's 3-D set-ups with 2-D cones: the integrand over the arc
     # is analytic between the projected vertex directions, so the 16- and
-    # 32-node levels agree
-    calls = []
+    # 32-node levels agree. The two levels share one call, so a query that
+    # stops there makes one call of (16 + 32) directions per arc piece
+    calls, pieces = [], []
     real = SectionVolumeFunction.ray_moments
-    monkeypatch.setattr(SectionVolumeFunction, "ray_moments", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(SectionVolumeFunction, "ray_moments",
+                        lambda self, thetas, p: calls.append(len(thetas)) or real(self, thetas, p))
+    real_kinks = sections._arc_kinks
+
+    def kinks(*args):
+        out = real_kinks(*args)
+        pieces.append(len(out) + 1)
+        return out
+
+    monkeypatch.setattr(sections, "_arc_kinks", kinks)
     e = np.eye(3)
     for seed in (5030, 5031):
         K = random_body(3, seed)
         for C in (orthant_cone(e[1:]), PolyhedralCone([e[1] + 0.4 * e[2], e[2]]), orthant_cone(-e[1:])):
             calls.clear()
+            pieces.clear()
             got = cone_section_volume_radial(K, Subspace.from_span(e[:1]), C)
-            assert len(calls) == 2
+            assert pieces[0] > 1 and calls == [(16 + 32) * pieces[0]]
             assert got == pytest.approx(cone_section_volume_polyhedral(K, Subspace.from_span(e[:1]), C),
                                         rel=1e-6, abs=0.0)
+
+
+def test_sphere_rule_takes_one_call_per_level_after_its_first_two(monkeypatch):
+    # 2 and 3 nodes per arc piece disagree on the cube, and so do 3 and 32,
+    # so the rule goes on to its third level and then to its fourth
+    F, C = Subspace.from_span([[1.0, 0, 0]]), orthant_cone([[0, 1.0, 0], [0, 0, 1.0]])
+    monkeypatch.setattr(sections, "QUADRATURE", QuadratureSpec(sphere_nodes=(2, 3, 32, 64)))
+    calls = []
+    real = SectionVolumeFunction.ray_moments
+    monkeypatch.setattr(SectionVolumeFunction, "ray_moments",
+                        lambda self, thetas, p: calls.append(len(thetas)) or real(self, thetas, p))
+    got = cone_section_volume_radial(make_cube(3), F, C)
+    pieces = calls[0] // (2 + 3)
+    assert calls == [(2 + 3) * pieces, 32 * pieces, 64 * pieces]
+    assert got == pytest.approx(2.0, rel=1e-6)
+
+
+def test_fixed_gl_levels_match_their_single_level_calls():
+    # the nodes of both levels go to fn in one call; each level's value is
+    # the one it has alone
+    calls = []
+
+    def fn(phis):
+        calls.append(len(phis))
+        return np.exp(np.sin(3 * phis)) * np.abs(np.cos(phis))
+
+    edges = np.array([0.1, 0.7, 1.3, 2.0])
+    both = sections._fixed_gl(fn, edges, (16, 32))
+    alone = [sections._fixed_gl(fn, edges, (n,))[0] for n in (16, 32)]
+    assert calls == [3 * (16 + 32), 3 * 16, 3 * 32]
+    assert both == pytest.approx(alone, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4])
+def test_integer_power_steps_match_exact_rationals(q, scale):
+    # t2^q - t1^q as a sum of non-negative terms: no cancellation on steps
+    # of 1e-12 relative, nor from t1 = 0
+    base = scale * np.sort(np.random.default_rng(q).uniform(0.05, 3.0, 40))
+    t = np.concatenate([[0.0], base, base * (1 + 1e-12), base * (1 + 1e-9)])
+    t = np.sort(t)[None, :]
+    got = sections._power_steps(t, q)[0]
+    exact = [Fraction(b) ** q - Fraction(a) ** q for a, b in zip(t[0, :-1], t[0, 1:])]
+    err = [abs(Fraction(g) - x) / x for g, x in zip(got, exact)]
+    assert max(err) <= 4 * np.finfo(float).eps
 
 
 def test_sphere_rule_warns_when_it_misses_its_tolerance(monkeypatch):
