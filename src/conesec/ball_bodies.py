@@ -31,6 +31,10 @@ from .special import beta
 from .volume import unit_ball_volume
 
 
+# points and seed of the grid that starts `_search_max`
+_SEARCH_GRID, _SEARCH_SEED = 512, 23
+
+
 class ConcaveFunctionOracle:
     """Evaluable f: R^k -> R_+, 1/m-concave (or log-concave only), from a plain callable.
 
@@ -289,8 +293,7 @@ def max_route(f: ConcaveFunctionOracle | SectionVolumeFunction) -> str:
     return "vertex-heights" if f.k == 1 else "search"
 
 
-def estimate_max(f: ConcaveFunctionOracle | SectionVolumeFunction, seed: int = 23,
-                 grid: int = 512) -> float:
+def estimate_max(f: ConcaveFunctionOracle | SectionVolumeFunction) -> float:
     """max f over its support, by the route `max_route(f)` names.
 
     - "closed-form": 1 for an indicator (m = 0), and omega_m r^m for the
@@ -299,12 +302,12 @@ def estimate_max(f: ConcaveFunctionOracle | SectionVolumeFunction, seed: int = 2
       concave and piecewise linear; its maximum is one LP (`_chord_max`).
     - "vertex-heights": at k = 1, f is a polynomial of degree <= m between
       consecutive heights <v, e> of K's vertices (`_height_max`).
-    - "search": a seeded grid of ``grid`` points in the support ball, then a
-      Nelder-Mead ascent from the best (`_search_max`). It is uncertified:
-      nothing bounds how far below max f it ends.
+    - "search": a grid of _SEARCH_GRID points of seed _SEARCH_SEED in the
+      support ball, then a Nelder-Mead ascent from the best (`_search_max`).
+      It is uncertified: nothing bounds how far below max f it ends.
 
     The LP and vertex-height routes return f at the point they find, a
-    section value. ``seed`` and ``grid`` apply only to the search.
+    section value.
     """
     route = max_route(f)
     if route == "closed-form":
@@ -313,7 +316,7 @@ def estimate_max(f: ConcaveFunctionOracle | SectionVolumeFunction, seed: int = 2
         return _chord_max(f)
     if route == "vertex-heights":
         return _height_max(f)
-    return _search_max(f, seed, grid)
+    return _search_max(f, _SEARCH_SEED, _SEARCH_GRID)
 
 
 def _chord_max(f: SectionVolumeFunction) -> float:

@@ -541,41 +541,42 @@ def chebyshev_center(A: np.ndarray, b: np.ndarray):
 
 
 def interval_1d(a: np.ndarray, b: np.ndarray):
-    """The interval {t : a_i t <= b_i for every i}, as (lo, hi, empty).
+    """The interval {t : a_i t <= b_i for every i}, a_i nonzero, as (lo, hi, empty).
 
-    A row with |a_i| <= 1e-14 bounds nothing and only tests 0 <= b_i. The
-    interval is empty where such a test fails by more than GEOM_TOL, or
-    where it is no longer than GEOM_TOL. Raises GeometryError when it is
-    unbounded.
+    It is empty where it is no longer than GEOM_TOL. Raises GeometryError
+    when it is unbounded.
     """
-    pos, neg = a > 1e-14, a < -1e-14
+    pos, neg = a > 0, a < 0
     if not pos.any() or not neg.any():
         raise GeometryError("unbounded 1-d halfspace system")
     hi = (b[pos] / a[pos]).min()
     lo = (b[neg] / a[neg]).max()
-    return lo, hi, bool((b[~(pos | neg)] < -GEOM_TOL).any() or hi <= lo + GEOM_TOL)
+    return lo, hi, bool(hi <= lo + GEOM_TOL)
 
 
 def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope | None:
     """{y : A y <= b} as a polytope built from its vertices, or None when empty or lower-dimensional.
 
-    Rows need not be unit; a zero row only tests 0 <= b_i. qhull starts from
+    Rows need not be unit. A row that vanishes on the flat (norm <= 1e-14)
+    bounds nothing and only tests 0 <= b_i, to rounding: 8 eps max |b|, so
+    the test does not depend on the scale, and a facet parallel to the
+    flat holds it only where the flat meets the facet. In one dimension
+    the rest is an interval (`interval_1d`). Otherwise qhull starts from
     ``interior``, a point the caller knows to be clearly interior, or else
-    from the Chebyshev centre, found by an LP. Raises GeometryError when the
-    system is unbounded, or when a vertex qhull returns violates the
+    from the Chebyshev centre, found by an LP. Raises GeometryError when
+    the system is unbounded, or when a vertex qhull returns violates the
     normalised system by more than GEOM_TOL max(1, max |b|), as its Q12
     retry can after rejecting a system.
     """
-    d = A.shape[1]
-    if d == 1:
-        lo, hi, empty = interval_1d(A[:, 0], b)
-        return None if empty else Polytope(np.array([[lo], [hi]]))
     norms = np.linalg.norm(A, axis=1)
     ok = norms > 1e-14
-    if np.any(b[~ok] < -GEOM_TOL):
+    if np.any(b[~ok] < -8 * np.finfo(float).eps * np.abs(b).max()):
         return None
     A = A[ok] / norms[ok, None]
     b = b[ok] / norms[ok]
+    if A.shape[1] == 1:
+        lo, hi, empty = interval_1d(A[:, 0], b)
+        return None if empty else Polytope(np.array([[lo], [hi]]))
     if interior is None:
         interior, r = chebyshev_center(A, b)
         if interior is None or r <= GEOM_TOL:

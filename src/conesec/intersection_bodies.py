@@ -137,8 +137,7 @@ def ci_objective_gradient(K: ConvexBody, u, z) -> np.ndarray:
     return integ.S.embed(grad)
 
 
-def ci_radial(K: ConvexBody, u, tol: float = 1e-8,
-              max_iter: int = _MAX_ITER) -> CIEvaluation:
+def ci_radial(K: ConvexBody, u, tol: float = 1e-8) -> CIEvaluation:
     """Minimize the section kernel integral over admissible centers z.
 
     Damped Newton descent with Armijo backtracking from z = 0, keeping
@@ -156,7 +155,7 @@ def ci_radial(K: ConvexBody, u, tol: float = 1e-8,
     f, g, H = integ.integrals(z, want_gradient=True, want_hessian=True)
     i_radius = integ.volume
     iterations = 0
-    while iterations < max_iter:
+    while iterations < _MAX_ITER:
         gap = float(np.linalg.norm(g))
         if gap <= tol * f:
             break

@@ -47,6 +47,7 @@ from .geometry import (
     radial_many,
     to_hrep,
     to_vrep,
+    translate,
 )
 from .special import beta
 from .volume import _centred, _cone_simplices, _slice, moments, unit_ball_volume, wedge_moment
@@ -56,14 +57,18 @@ def section(K: ConvexBody, S: Subspace, x0=None):
     """K intersected with the flat x0 + S, in S's orthonormal coordinates.
 
     Returns a body of intrinsic dimension dim(S), or None when the section
-    is empty or of measure zero in the flat. A hyperplane S through 0 (x0
-    None or 0) of a simplicial polytope known by its vertices
-    (`geometry.known_simplicial`) is cut from one slice of K's cached
-    boundary cones by S's normal (`_sliced_section`), with no qhull call.
-    Every other query intersects K's halfspaces with the flat by qhull and
-    hulls the result; when x0 is clearly interior to K (its distance to
-    every facet is at least 1e-3 of the largest), x0 starts that
-    intersection and no Chebyshev-centre LP is solved.
+    is empty or of measure zero in the flat. An affine flat is the central
+    flat S of the translated body: K cap (x0 + S) = x0 + ((K - x0) cap S),
+    in the same coordinates of S, and K - x0 carries every representation
+    K has computed (`geometry.translate`), so no evaluation hulls K again.
+    A hyperplane S of a simplicial polytope known by its vertices
+    (`geometry.known_simplicial`, read on K's own cached boundary) is cut
+    from one slice of the translated body's boundary cones by S's normal
+    (`_sliced_section`), with no qhull call and no LP. Every other flat
+    intersects the halfspaces with S by qhull and hulls the result; when 0
+    is clearly interior to the body (its distance to every facet is at
+    least 1e-3 of the largest), 0 starts that intersection and no
+    Chebyshev-centre LP is solved.
 
     That rule was set by measurement. A halfspace intersection and one hull
     was faster elsewhere: on cube-6 a hyperplane section took 4.3 ms
@@ -76,20 +81,19 @@ def section(K: ConvexBody, S: Subspace, x0=None):
     """
     if S.dim < 1:
         raise GeometryError("flat dimension must be >= 1")
-    x0 = np.zeros(S.ambient_dim) if x0 is None else np.asarray(x0, dtype=float)
+    sliced = S.dim == S.ambient_dim - 1 and known_simplicial(K)
+    if x0 is not None and np.any(x0):
+        K = translate(K if isinstance(K, Ball) else to_hrep(K), np.negative(x0, dtype=float))
     if isinstance(K, Ball):
-        # |x0 + B^T y - c|^2 = |y - q|^2 + |w|^2 with q the in-flat part
-        delta = K.center - x0
-        q = S.coords(delta)
-        w2 = float(delta @ delta - q @ q)
-        r2 = K.radius**2 - w2
+        # |B^T y - c|^2 = |y - q|^2 + |w|^2 with q the in-flat part of c
+        q = S.coords(K.center)
+        r2 = K.radius**2 - float(K.center @ K.center - q @ q)
         return Ball(q, math.sqrt(r2)) if r2 > GEOM_TOL**2 else None
-    if S.dim == S.ambient_dim - 1 and not x0.any() and known_simplicial(K):
+    if sliced:
         return _sliced_section(K, S)
     H = to_hrep(K)
-    b = H.b - H.A @ x0
-    interior = np.zeros(S.dim) if b.min() >= 1e-3 * b.max() else None
-    return _halfspace_polytope(H.A @ S.basis.T, b, interior)
+    interior = np.zeros(S.dim) if H.b.min() >= 1e-3 * H.b.max() else None
+    return _halfspace_polytope(H.A @ S.basis.T, H.b, interior)
 
 
 def _sliced_section(K: Polytope, S: Subspace):
@@ -496,11 +500,16 @@ def _cut_volume(L, R: np.ndarray) -> float:
     return 0.0 if body is None else moments(body).volume
 
 
-def solid_angle_fraction(C: PolyhedralCone, mc_samples: int = 4_000_000, seed: int = 20240801) -> float:
+# sphere points and seed of `solid_angle_fraction`'s Monte Carlo estimate
+_MC_SAMPLES, _MC_SEED = 4_000_000, 20240801
+
+
+def solid_angle_fraction(C: PolyhedralCone) -> float:
     """Fraction of the sphere S^(p-1) of span(C) inside C.
 
     Closed forms for p <= 2 and orthogonal generators; spherical-triangle
-    excess for p = 3; seeded Monte Carlo beyond that.
+    excess for p = 3; beyond that a Monte Carlo estimate from _MC_SAMPLES
+    sphere points of seed _MC_SEED.
     """
     p = C.span_dim
     U = C.span.coords(C.generators)  # unit rows in span coords
@@ -522,7 +531,7 @@ def solid_angle_fraction(C: PolyhedralCone, mc_samples: int = 4_000_000, seed: i
             angles.append(math.acos(np.clip(ty @ tz / (np.linalg.norm(ty) * np.linalg.norm(tz)), -1, 1)))
         return (sum(angles) - math.pi) / (4 * math.pi)
     R = C.constraints_in_span()
-    dirs = _rng.sample_sphere(p, mc_samples, seed)
+    dirs = _rng.sample_sphere(p, _MC_SAMPLES, _MC_SEED)
     inside = np.all(dirs @ R.T >= 0, axis=1)
     return float(inside.mean())
 

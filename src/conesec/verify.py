@@ -472,7 +472,7 @@ def experiment_alpha_n(n: int, trials: int, seed: int) -> dict:
 # one-dimensional profile and star-body lemmas, bound to CheckResult
 
 
-def check_fradelizi(f: ConcaveFunctionOracle | SectionVolumeFunction, seed: int = 23,
+def check_fradelizi(f: ConcaveFunctionOracle | SectionVolumeFunction,
                     body_spec: str = "oracle") -> CheckResult:
     """max f <= (1 + k/(m+1))^m f(0) for barycenter-zero concave profiles.
 
@@ -481,7 +481,7 @@ def check_fradelizi(f: ConcaveFunctionOracle | SectionVolumeFunction, seed: int 
     m <= 1, at k = 1, and of balls ("closed-form", "lp",
     "vertex-heights"); an uncertified search ("search") for polytope
     profiles with k >= 2 and m >= 2 and for other oracles, whose left side
-    may fall short of max f. ``seed`` applies only to the search.
+    may fall short of max f.
 
     Raises `GeometryError` on a profile without a finite concavity index or
     whose barycentre is not 0: a section-volume function's is its body's
@@ -491,7 +491,7 @@ def check_fradelizi(f: ConcaveFunctionOracle | SectionVolumeFunction, seed: int 
         raise GeometryError("check requires a finite concavity index")
     if not f.barycenter_zero:
         raise GeometryError("check requires a barycenter-zero oracle")
-    lhs = estimate_max(f, seed=seed)
+    lhs = estimate_max(f)
     rhs = fradelizi_constant(f.dim, f.concavity_index) * f(np.zeros(f.dim))
     slack = 1e-6
     return CheckResult(

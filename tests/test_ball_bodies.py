@@ -396,12 +396,7 @@ def test_k1_profile_max_matches_brent(case):
     assert estimate_max(f) == pytest.approx(brent_max(f), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("k, s", [
-    (3, 1e-6), (3, 1e4), (1, 1e4),
-    # the affine sections of the k = 1 route go through qhull's halfspace
-    # intersection, whose feasibility test is absolute (QH6023 at this scale)
-    pytest.param(1, 1e-6, marks=pytest.mark.xfail(raises=GeometryError, strict=True)),
-])
+@pytest.mark.parametrize("k, s", [(3, 1e-6), (3, 1e4), (1, 1e4), (1, 1e-6)])
 def test_profile_max_scales_as_s_to_the_m(k, s):
     K = random_centered_polytope(4, 14, 12)
     assert estimate_max(coordinate_profile(scaled(K, s), k)) == pytest.approx(

@@ -12,6 +12,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 import conesec
 from conesec import sections
+from conesec.ball_bodies import estimate_max
 from conesec.geometry import (
     GeometryError,
     HPolytope,
@@ -99,9 +100,17 @@ def test_section_through_a_clearly_interior_point_solves_no_lp(monkeypatch):
         lp_route = _halfspace_polytope(H.A @ S.basis.T, H.b)
         assert volume(lp_route) == pytest.approx(scale**3 * ref, rel=1e-12, abs=0.0)
     assert len(lps) == 4  # the LP routes only
-    # a flat through a point near the boundary still takes the LP
+    # an affine hyperplane near the boundary is sliced from the translated
+    # body's cones, with no LP
     x0 = 0.9999 * radial(K, e[3]) * e[3]
     assert section_volume(K, S, x0) > 0
+    assert len(lps) == 4
+    # a flat of codimension 2 takes the halfspace route: through a clearly
+    # interior point it solves no LP, through a point near the boundary one
+    S2 = Subspace.from_span(e[:2], ambient_dim=4)
+    assert section_volume(K, S2, 0.1 * x0) > 0
+    assert len(lps) == 4
+    assert section_volume(K, S2, x0) > 0
     assert len(lps) == 5
 
 
@@ -758,6 +767,69 @@ def test_central_sections_keep_their_vertices_at_every_scale(points, seed, draw)
         scaled = section(affine_map(K, s * np.eye(6)), S)
         assert len(scaled.vertices) == len(L.vertices)
         assert volume(scaled) / s**5 == pytest.approx(volume(L), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n, points, seed", [(4, 14, 2), (5, 16, 3), (6, 18, 4)])
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e4])
+def test_k1_profiles_integrate_to_the_volume_with_no_qhull_call(n, points, seed, s, monkeypatch):
+    # f is a polynomial of degree n - 1 between consecutive vertex heights,
+    # so n Gauss-Legendre nodes per interval integrate f and t f exactly:
+    # int f = |K| and int t f = |K| <centroid, e> = 0. Once K's boundary is
+    # built, every f(t) is a slice of the translated body's cones, and the
+    # exact maximum takes f at the heights, with no qhull call and no LP
+    K = affine_map(random_centered_polytope(n, points, seed), s * np.eye(n))
+    boundary(K)
+    f = SectionVolumeFunction(K, Subspace.from_span(np.eye(n)[:n - 1], ambient_dim=n))
+    heights = np.unique(to_vrep(K).vertices[:, -1])
+    x, w = np.polynomial.legendre.leggauss(n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("qhull or the Chebyshev LP called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(conesec.geometry, "_qhull", refuse)
+        patch.setattr(conesec.geometry, "chebyshev_center", refuse)
+        mass = first = 0.0
+        for lo, hi in zip(heights[:-1], heights[1:]):
+            ts = (lo + hi) / 2 + (hi - lo) / 2 * x
+            values = np.array([f(t) for t in ts]) * w * (hi - lo) / 2
+            mass += values.sum()
+            first += values @ ts
+        assert estimate_max(f) > 0
+    assert mass == pytest.approx(volume(K), rel=1e-12, abs=0.0)
+    assert abs(first) <= 1e-12 * volume(K) * (heights[-1] - heights[0])
+
+
+def test_sections_just_outside_a_facet_parallel_to_the_flat_are_empty():
+    # 5e-10 outside a facet parallel to the flat the section is empty; at
+    # the facet it is the facet's section. The cone is sliced from its
+    # translated cones; the H-built cube and the line through it take the
+    # halfspace route
+    cone, F = make_centered_cone(3), Subspace.from_span(np.eye(3)[:2])
+    f = section_volume_fn(cone, F)
+    V = to_vrep(cone).vertices
+    base = V[V[:, 2] < 0, :2]
+    assert f(-0.25) == pytest.approx(volume(VPolytope(base)), rel=1e-15)
+    assert f(-0.25 - 5e-10) == 0.0
+    cube = make_cube(3)
+    g = section_volume_fn(cube, F)
+    assert g(1.0) == g(-1.0) == 4.0
+    assert g(1.0 + 5e-10) == g(-1.0 - 5e-10) == 0.0
+    line = section_volume_fn(cube, Subspace.from_span(np.eye(3)[:1]))
+    assert line([1.0, 0.0]) == 2.0
+    assert line([1.0 + 5e-10, 0.0]) == line([0.0, -1.0 - 5e-10]) == 0.0
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_affine_sections_of_6d_bodies_raise_at_no_height(seed):
+    # on the halfspace route 2 and 3 of these 200 heights raised the tiling
+    # guard; sliced from the translated body's cones, f^(1/5) is concave
+    K = random_centered_polytope(6, 18, seed)
+    f = section_volume_fn(K, Subspace.from_span(np.eye(6)[:5]))
+    h = to_vrep(K).vertices[:, 5]
+    ts = np.linspace(h.min(), h.max(), 200)
+    root = np.array([f(t) for t in ts]) ** (1 / 5)
+    assert np.all(root[1:-1] >= (root[:-2] + root[2:]) / 2 - 1e-12 * root.max())
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
