@@ -185,7 +185,7 @@ def _cmd_intersection_body(args, t0) -> int:
 
 def _cmd_ci_body(args, t0) -> int:
     K = body_from_spec(_body_spec_from_args(args))
-    rep = ci_inclusion_report(K, args.dirs, args.seed, tol=args.tol)
+    rep = ci_inclusion_report(K, args.dirs, args.seed)
     _emit(_report(args, rep, t0), args)
     s = rep["summary"]
     return 0 if s["upper_inclusion_holds"] and s["num_uncertified"] == 0 else 1
@@ -254,7 +254,7 @@ def _cmd_corpus(args, t0) -> int:
     specs = load_corpus(args.corpus)
     if args.limit:
         specs = specs[: args.limit]
-    results = run_corpus(specs, jobs=args.jobs)
+    results = run_corpus(specs)
     payload = {
         "num_checks": len(results),
         "num_failed": sum(not r.passed for r in results),
@@ -327,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ci-body", help="convexified section radii and inclusion report")
     _add_body_args(sp, need_dirs=True)
-    sp.add_argument("--tol", type=float, default=1e-8)
     _add_output_args(sp)
     sp.set_defaults(func=_cmd_ci_body)
 
@@ -352,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("corpus", help="run the standard battery over the body corpus")
     sp.add_argument("--corpus", help="manifest path (default: env CONESEC_CORPUS or packaged)")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--limit", type=int, help="only the first N corpus bodies")
     _add_output_args(sp, rows=True)
     sp.set_defaults(func=_cmd_corpus)

@@ -16,7 +16,7 @@ are detected via their affine hull and handled in intrinsic coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Union
 
@@ -42,14 +42,19 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def orthonormal_basis(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis (rows) of the span of the given row vectors."""
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank from singular values s in descending order: those above
+    1e-12 s[0], so it does not depend on the scale and is 0 for a zero input."""
+    return int(np.sum(s > 1e-12 * s[0])) if len(s) else 0
+
+
+def orthonormal_basis(vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (rows) of the span of the given row vectors (`_rank`)."""
     vectors = np.atleast_2d(_as_array(vectors))
     if vectors.size == 0:
         return np.zeros((0, vectors.shape[1] if vectors.ndim == 2 else 0))
-    u, s, vt = np.linalg.svd(vectors, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
-    return vt[:rank]
+    _, s, vt = np.linalg.svd(vectors, full_matrices=False)
+    return vt[:_rank(s)]
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,11 @@ class Subspace:
 
     @classmethod
     def hyperplane(cls, normal) -> "Subspace":
-        """The hyperplane normal^perp."""
-        return cls(len(normal), _complement_basis(np.atleast_2d(_as_array(normal))))
+        """The hyperplane normal^perp; GeometryError for a zero normal."""
+        normal = _as_array(normal)
+        if not normal.any():
+            raise GeometryError("zero hyperplane normal")
+        return cls(len(normal), _complement_basis(normal[None, :]))
 
     def complement(self) -> "Subspace":
         return Subspace(self.ambient_dim, _complement_basis(self.basis, self.ambient_dim))
@@ -108,9 +116,8 @@ def _complement_basis(basis: np.ndarray, ambient_dim: int | None = None) -> np.n
     n = ambient_dim if ambient_dim is not None else basis.shape[1]
     if basis.shape[0] == 0:
         return np.eye(n)
-    u, s, vt = np.linalg.svd(basis, full_matrices=True)
-    rank = int(np.sum(s > 1e-12))
-    return vt[rank:]
+    _, s, vt = np.linalg.svd(basis, full_matrices=True)
+    return vt[_rank(s):]
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +187,18 @@ def _map_halfspaces(A: np.ndarray, b: np.ndarray, M: np.ndarray, shift: np.ndarr
 
 @dataclass(frozen=True)
 class Boundary:
-    """Triangulated boundary of a full-dimensional polytope, from one qhull hull.
+    """Triangulated boundary of a full-dimensional polytope.
 
-    Row s of ``simplices`` indexes the d vertices of a (d-1)-simplex lying
-    on the facet {x : <A[s], x> = b[s]}, where A[s] is the facet's unit
-    outward normal. ``volume`` is the polytope's volume as qhull reports
-    it, and ``fan_volume`` the total volume of the simplices coned from an
-    interior point; they differ when the simplices overlap (qhull's
-    triangulation of a facet with many coplanar vertices can overlap
-    itself) or leave gaps.
+    A hull becomes one in `_extreme_points` alone: a qhull hull in R^d,
+    d >= 2, and the two end points in R^1. A sliced section
+    (`sections.section`) gets its own from the slice, and an affine image
+    carries its body's (`mapped`). Row s of ``simplices`` indexes the d
+    vertices of a (d-1)-simplex lying on the facet
+    {x : <A[s], x> = b[s]}, where A[s] is the facet's unit outward normal.
+    ``volume`` is the polytope's volume as qhull reports it, and
+    ``fan_volume`` the total volume of the simplices coned from an interior
+    point; they differ when the simplices overlap (qhull's triangulation of
+    a facet with many coplanar vertices can overlap itself) or leave gaps.
     """
 
     simplices: np.ndarray  # (S, d) vertex indices
@@ -238,31 +248,46 @@ def _hull_boundary(hull: "ConvexHull", basis: np.ndarray, center: np.ndarray,
 
 
 def _extreme_points(points: np.ndarray):
-    """Extreme points, affine-hull dimension, and the Boundary when full-dimensional."""
-    points = np.atleast_2d(_as_array(points))
-    points = points[_first_of_close(points)]
-    center = points.mean(axis=0)
-    centered = points - center
-    basis = orthonormal_basis(centered, tol=1e-12)
-    adim = basis.shape[0]
+    """(keep, adim, bd) of the (N, d) float array ``points``: the indices of
+    the extreme points of conv(points), the dimension of its affine hull,
+    and its `Boundary` over points[keep] when it is full-dimensional (else
+    None). The one place a hull becomes a Boundary.
+
+    The points are hulled once, in an orthonormal basis of their affine
+    hull about their mean. qhull triangulates the non-simplicial facets of
+    the same points differently in other coordinates, so when that
+    triangulation does not tile (`Boundary.tiles`) the extreme points are
+    hulled once more in their own coordinates; `boundary` raises if that
+    one does not tile either. In R^1 the boundary is the two end points.
+    """
+    first = _first_of_close(points)
+    X = points[first]
+    center = X.mean(axis=0)
+    basis = orthonormal_basis(X - center)
+    adim, d = basis.shape[0], X.shape[1]
     if adim == 0:
-        return points[:1], 0, None
-    coords = centered @ basis.T
+        return first[:1], 0, None
+    coords = (X - center) @ basis.T
     if adim == 1:
-        lo = int(np.argmin(coords[:, 0]))
-        hi = int(np.argmax(coords[:, 0]))
-        return points[[lo, hi]], 1, None
+        t = coords[:, 0] if d > 1 else X[:, 0]  # in R^1 the lower end comes first
+        ends = [int(np.argmin(t)), int(np.argmax(t))]
+        if d > 1:
+            return first[ends], 1, None
+        lo, hi = X[ends, 0]
+        length = float(hi - lo)
+        return first[ends], 1, Boundary(np.array([[1], [0]]), np.array([[1.0], [-1.0]]),
+                                        np.array([hi, -lo]), length, length)
     hull = robust_hull(coords)
     kept = np.sort(hull.vertices)
-    if adim < points.shape[1]:
-        return points[kept], adim, None
-    index = np.zeros(len(points), dtype=int)
+    if adim < d:
+        return first[kept], adim, None
+    index = np.zeros(len(X), dtype=int)
     index[kept] = np.arange(len(kept))
     bd = _hull_boundary(hull, basis, center, index)
-    # qhull triangulates the non-simplicial facets of the same points
-    # differently in other coordinates; an overlapping triangulation here
-    # is not kept, and `boundary` hulls the vertices again
-    return points[kept], adim, bd if bd.tiles else None
+    if not bd.tiles:
+        V = X[kept]
+        bd = _hull_boundary(robust_hull(V), np.eye(d), np.zeros(d), np.arange(len(V)))
+    return first[kept], adim, bd
 
 
 def extreme_points(points: np.ndarray):
@@ -272,8 +297,9 @@ def extreme_points(points: np.ndarray):
     (`_first_of_close`). Degenerate (lower-dimensional) inputs are projected
     once onto their affine hull, and hulled there.
     """
-    verts, adim, _ = _extreme_points(points)
-    return verts, adim
+    points = np.atleast_2d(_as_array(points))
+    keep, adim, _ = _extreme_points(points)
+    return points[keep], adim
 
 
 def _qhull(build, data: np.ndarray, *args, options: str = ""):
@@ -359,18 +385,22 @@ class Polytope:
         if self._affine_dim is None:
             V = self.vertices
             if self._affine_dim is None:
-                self._affine_dim = orthonormal_basis(V - V[0], tol=1e-12).shape[0]
+                self._affine_dim = orthonormal_basis(V - V[0]).shape[0]
         return self._affine_dim
 
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.dim
 
     def _boundary(self) -> Boundary:
-        """The boundary, hulled from the vertices unless their enumeration left one."""
+        """The boundary, built from the vertices (`_extreme_points`) unless their enumeration left one."""
         if self._boundary_cache is None:
-            self.vertices
+            V = self.vertices
             if self._boundary_cache is None:
-                self._boundary_cache = _vertex_boundary(self)
+                keep, adim, bd = _extreme_points(V)
+                if bd is None:
+                    raise GeometryError(f"degenerate polytope (affine dim {adim} < {self.dim}); "
+                                        "convert in intrinsic coordinates")
+                self._boundary_cache = replace(bd, simplices=keep[bd.simplices])
         return self._boundary_cache
 
 
@@ -379,8 +409,8 @@ def VPolytope(vertices) -> Polytope:
     vertices = np.atleast_2d(_as_array(vertices))
     if vertices.size == 0:
         raise GeometryError("empty vertex list")
-    V, adim, bd = _extreme_points(vertices)
-    return Polytope(V, affine_dim=adim, boundary=bd)
+    keep, adim, bd = _extreme_points(vertices)
+    return Polytope(vertices[keep], affine_dim=adim, boundary=bd)
 
 
 def HPolytope(A, b) -> Polytope:
@@ -441,8 +471,11 @@ def to_hrep(K: ConvexBody) -> Polytope:
 def boundary(K: ConvexBody) -> Boundary:
     """Triangulated boundary of a full-dimensional polytope, computed once per body.
 
-    Raises GeometryError when the simplices do not tile the boundary (see
-    `Boundary.tiles`), which would bias every volume computed from them.
+    It comes from the hull of the body's vertices (`_extreme_points`, which
+    hulls them once more in their own coordinates when the first
+    triangulation does not tile). Raises GeometryError when the simplices
+    still do not tile the boundary (see `Boundary.tiles`), which would bias
+    every volume computed from them.
     """
     bd = to_vrep(K)._boundary()
     if not bd.tiles:
@@ -504,22 +537,6 @@ def facet_ridges(K: Polytope) -> Ridges:
     return K._ridge_cache
 
 
-def _vertex_boundary(K: Polytope) -> Boundary:
-    if not K.is_full_dimensional():
-        raise GeometryError(
-            f"degenerate polytope (affine dim {K.affine_dim} < {K.dim}); "
-            "convert in intrinsic coordinates"
-        )
-    V = K.vertices
-    if K.dim == 1:
-        lo, hi = int(np.argmin(V[:, 0])), int(np.argmax(V[:, 0]))
-        length = float(V[hi, 0] - V[lo, 0])
-        return Boundary(np.array([[hi], [lo]]), np.array([[1.0], [-1.0]]),
-                        np.array([V[hi, 0], -V[lo, 0]]), length, length)
-    d = K.dim
-    return _hull_boundary(robust_hull(V), np.eye(d), np.zeros(d), np.arange(len(V)))
-
-
 def chebyshev_center(A: np.ndarray, b: np.ndarray):
     """Center and radius of the largest ball inside {A x <= b} (unit rows)."""
     d = A.shape[1]
@@ -576,7 +593,7 @@ def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope
     b = b[ok] / norms[ok]
     if A.shape[1] == 1:
         lo, hi, empty = interval_1d(A[:, 0], b)
-        return None if empty else Polytope(np.array([[lo], [hi]]))
+        return None if empty else VPolytope([[lo], [hi]])
     if interior is None:
         interior, r = chebyshev_center(A, b)
         if interior is None or r <= GEOM_TOL:
@@ -709,18 +726,20 @@ def radial_many(K: ConvexBody, U) -> np.ndarray:
 
 
 def minkowski_norm(K: ConvexBody, x) -> float:
-    """Gauge ||x||_K = min{a >= 0 : x in aK}; 0 must be interior."""
-    x = _as_array(x)
-    if isinstance(K, Ball):
-        r = radial(K, x) if np.linalg.norm(x) > 0 else np.inf
-        return 0.0 if np.linalg.norm(x) == 0 else 1.0 / r
-    return float(minkowski_norm_many(K, x[None, :])[0])
+    """Gauge ||x||_K = min{a >= 0 : x in aK}; 0 must be interior. One row of `minkowski_norm_many`."""
+    return float(minkowski_norm_many(K, _as_array(x)[None, :])[0])
 
 
 def minkowski_norm_many(K: ConvexBody, X) -> np.ndarray:
-    """minkowski_norm(K, x) for each row x of an (N, n) array; polytopes only."""
+    """minkowski_norm(K, x) for each row x of an (N, n) array: 1 / radial(K, x), and 0 at x = 0."""
+    X = np.atleast_2d(_as_array(X))
     H = _origin_interior(K)
-    return np.maximum(0.0, (np.atleast_2d(_as_array(X)) @ H.A.T / H.b).max(axis=1))
+    if isinstance(K, Ball):
+        norms = np.zeros(len(X))
+        moved = X.any(axis=1)
+        norms[moved] = 1.0 / radial_many(K, X[moved])
+        return norms
+    return np.maximum(0.0, (X @ H.A.T / H.b).max(axis=1))
 
 
 def contains(K: ConvexBody, x, tol: float = GEOM_TOL) -> bool:
@@ -794,8 +813,7 @@ def affine_map(K: ConvexBody, M, shift=None) -> ConvexBody:
     shift = _as_array(shift)
     if M.shape != (n, n) or not np.all(np.isfinite(M)):
         raise GeometryError("affine map matrix must be square and finite")
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
+    if _rank(np.linalg.svd(M, compute_uv=False)) < n:
         raise GeometryError("affine map matrix is singular")
     if isinstance(K, Ball):
         # M M^T = s I entry by entry, to 1e-12 s, so the bound scales with M

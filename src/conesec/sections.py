@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rng as _rng
 from .geometry import (
     Ball,
     Boundary,
@@ -42,6 +41,7 @@ from .geometry import (
     boundary,
     facet_ridges,
     known_simplicial,
+    make_ball,
     project,
     radial,
     radial_many,
@@ -500,16 +500,15 @@ def _cut_volume(L, R: np.ndarray) -> float:
     return 0.0 if body is None else moments(body).volume
 
 
-# sphere points and seed of `solid_angle_fraction`'s Monte Carlo estimate
-_MC_SAMPLES, _MC_SEED = 4_000_000, 20240801
-
-
 def solid_angle_fraction(C: PolyhedralCone) -> float:
     """Fraction of the sphere S^(p-1) of span(C) inside C.
 
     Closed forms for p <= 2 and orthogonal generators; spherical-triangle
-    excess for p = 3; beyond that a Monte Carlo estimate from _MC_SAMPLES
-    sphere points of seed _MC_SEED.
+    excess for p = 3. Beyond that it is the radial route's volume of the
+    cone's part of the unit p-ball, over the ball's volume
+    (`cone_section_volume_radial`, with C in the coordinates of its span
+    and the flat {0}): the ball's ray moments are exact, so only the
+    route's sphere quadrature is numerical, and it is deterministic.
     """
     p = C.span_dim
     U = C.span.coords(C.generators)  # unit rows in span coords
@@ -530,10 +529,8 @@ def solid_angle_fraction(C: PolyhedralCone) -> float:
             tz = z - (z @ x) * x
             angles.append(math.acos(np.clip(ty @ tz / (np.linalg.norm(ty) * np.linalg.norm(tz)), -1, 1)))
         return (sum(angles) - math.pi) / (4 * math.pi)
-    R = C.constraints_in_span()
-    dirs = _rng.sample_sphere(p, _MC_SAMPLES, _MC_SEED)
-    inside = np.all(dirs @ R.T >= 0, axis=1)
-    return float(inside.mean())
+    flat = Subspace(p, np.zeros((0, p)))
+    return cone_section_volume_radial(make_ball(p), flat, PolyhedralCone(U)) / unit_ball_volume(p)
 
 
 # ---------------------------------------------------------------------------
@@ -660,12 +657,23 @@ def _std_simplex_quadrature(d: int, n1d: int):
     return pts, wts  # weights sum to 1/d!
 
 
+# nodes of the largest level of the radial route's simplex rule, whose
+# level of n nodes per axis takes n^(p - 1) directions. Every level fits up
+# to p = 4 (128^3 = 2^21); at p = 5 the levels 16 and 32, 1.1 M directions
+# in one batch, peak near 400 MB, and the next, 64^4 = 2^24 directions,
+# would take gigabytes
+_SIMPLEX_NODES = 1 << 21
+
+
 def cone_section_volume_radial(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
     """|K cap (F + C)| as the integral of I_p(f, theta)^p over C cap S^(p-1).
 
     f is the section-volume function of (K, F); requires 0 interior to the
     support of f restricted to span(C). On a 2-D cone the arc rule is split
-    at the directions where its integrand kinks (`_arc_kinks`).
+    at the directions where its integrand kinks (`_arc_kinks`). On a wider
+    cone the simplex rule takes only the levels of sphere_nodes with at
+    most _SIMPLEX_NODES nodes, and raises GeometryError when fewer than two
+    fit (p >= 6).
     """
     _check_cone_flat(F, C)
     f = section_volume_fn(K, F)
@@ -695,6 +703,10 @@ def cone_section_volume_radial(K: ConvexBody, F: Subspace, C: PolyhedralCone) ->
         return _integrate_refining(lambda levels: _fixed_gl(arc, edges, levels), QUADRATURE)
     # p >= 3: integrate over the transversal simplex T = conv(unit generators):
     # int_{C cap S^{p-1}} phi(theta) dtheta = h * int_T phi(x/|x|) |x|^-p dA(x)
+    levels = tuple(n for n in QUADRATURE.sphere_nodes if n ** (p - 1) <= _SIMPLEX_NODES)
+    if len(levels) < 2:
+        raise GeometryError(f"the simplex rule of a {p}-D cone has fewer than two levels "
+                            f"of at most {_SIMPLEX_NODES} nodes")
     U = g  # (p, p) unit generators, rows
     nvec = np.linalg.solve(U, np.ones(p))
     h = 1.0 / np.linalg.norm(nvec)  # distance from 0 to aff(T)
@@ -714,7 +726,7 @@ def cone_section_volume_radial(K: ConvexBody, F: Subspace, C: PolyhedralCone) ->
         return [h * volT * math.factorial(p - 1) * float((wts * v).sum())
                 for (_, wts), v in zip(rules, np.split(vals, split))]
 
-    return _integrate_refining(simplex_value, QUADRATURE)
+    return _integrate_refining(simplex_value, replace(QUADRATURE, sphere_nodes=levels))
 
 
 def _arc_kinks(K: ConvexBody, F: Subspace, C: PolyhedralCone, a1: float, delta: float) -> np.ndarray:

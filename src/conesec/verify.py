@@ -669,18 +669,11 @@ def checks_for_body(spec: dict) -> list[CheckResult]:
     return results
 
 
-def run_corpus(specs: list[dict] | None = None, jobs: int = 1) -> list[CheckResult]:
-    """Run the standard battery over the corpus, sorted deterministically."""
+def run_corpus(specs: list[dict] | None = None) -> list[CheckResult]:
+    """Run the standard battery over the corpus, in this process, sorted deterministically."""
     if specs is None:
         specs = load_corpus()
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(checks_for_body, specs))
-    else:
-        batches = [checks_for_body(s) for s in specs]
-    results = [r for batch in batches for r in batch]
+    results = [r for s in specs for r in checks_for_body(s)]
     results.sort(key=lambda r: (r.name, r.body_spec, sorted(r.parameters.items(),
                                                             key=lambda kv: kv[0])))
     return results

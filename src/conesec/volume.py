@@ -71,20 +71,14 @@ def unit_ball_volume(d: int) -> float:
 def triangulate(K: ConvexBody):
     """Simplices (S, d+1, d) fanning the polytope from its vertex average.
 
-    The fan is over the cached boundary simplices; GeometryError when the
-    polytope is degenerate or qhull's triangulation of its boundary does
-    not tile it (`geometry.boundary`).
+    The fan is over the cached boundary simplices, in R^1 the two end
+    points; GeometryError when the polytope is degenerate or qhull's
+    triangulation of its boundary does not tile it (`geometry.boundary`).
     """
     V = to_vrep(K)
-    d = V.dim
-    if not V.is_full_dimensional():
-        raise GeometryError("cannot triangulate a degenerate polytope")
     verts = V.vertices
-    if d == 1:
-        lo, hi = verts.min(), verts.max()
-        return np.array([[[lo], [hi]]])
     facets = verts[boundary(V).simplices]  # (S, d, d)
-    apexes = np.broadcast_to(verts.mean(axis=0), (facets.shape[0], 1, d))
+    apexes = np.broadcast_to(verts.mean(axis=0), (facets.shape[0], 1, V.dim))
     return np.concatenate([apexes, facets], axis=1)
 
 

@@ -48,6 +48,15 @@ def test_section_command(capsys):
     assert rep["section_volume"] == pytest.approx(4.0)
 
 
+def test_section_normal_of_any_scale_gives_one_hyperplane(capsys):
+    code, rep = run_json(capsys, "section", "--body", "cube", "--n", "3", "--u", "1e-13,0,0")
+    assert code == 0
+    assert rep["section_volume"] == pytest.approx(4.0, rel=1e-12)
+    code, out, err = run(capsys, "section", "--body", "cube", "--n", "3", "--u", "0,0,0")
+    assert code == 2
+    assert "zero hyperplane normal" in err
+
+
 def test_cone_volume_both_routes(capsys, tmp_path):
     cone = tmp_path / "cone.json"
     cone.write_text(json.dumps({
@@ -285,7 +294,7 @@ def test_malformed_vpolytope_file_exits_2(capsys, tmp_path, vertices):
 @pytest.mark.parametrize("uncertified, holds", [(1, True), (0, False)])
 def test_ci_body_exits_1_on_uncertified_solve_or_failed_inclusion(
         capsys, monkeypatch, uncertified, holds):
-    def report(K, num_dirs, seed, tol):
+    def report(K, num_dirs, seed):
         return {"summary": {"num_uncertified": uncertified, "upper_inclusion_holds": holds}}
 
     monkeypatch.setattr(conesec.cli, "ci_inclusion_report", report)

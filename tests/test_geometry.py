@@ -10,6 +10,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 import conesec
 from conesec.geometry import (
     Ball,
+    Boundary,
     GeometryError,
     HPolytope,
     PolyhedralCone,
@@ -33,6 +34,7 @@ from conesec.geometry import (
     polar_with_center,
     project,
     radial,
+    radial_many,
     random_centered_polytope,
     support,
     to_hrep,
@@ -165,6 +167,74 @@ def test_minkowski_norm_many_matches_pointwise():
     expect = [minkowski_norm(K, x) for x in X]
     assert np.allclose(minkowski_norm_many(K, X), expect, rtol=1e-15, atol=0)
     assert minkowski_norm_many(K, X)[0] == 0.0
+
+
+def test_minkowski_norm_of_an_off_centre_ball_is_the_reciprocal_radial():
+    B = make_ball(3, 1.5, [0.4, -0.3, 0.2])
+    X = np.random.default_rng(5).normal(size=(20, 3))
+    X[7] = 0.0
+    got = minkowski_norm_many(B, X)
+    moved = np.arange(20) != 7
+    assert np.allclose(got[moved], 1.0 / radial_many(B, X[moved]), rtol=1e-15, atol=0)
+    assert got[7] == 0.0
+    assert [minkowski_norm(B, x) for x in X] == got.tolist()
+
+
+@pytest.mark.parametrize("u", [[1.0, 0.0, 0.0], [0.3, -1.2, 0.5]])
+def test_hyperplane_does_not_depend_on_the_scale_of_its_normal(u):
+    u = np.asarray(u)
+    planes = [Subspace.hyperplane(s * u) for s in (1e-13, 1.0, 1e6)]
+    assert all(S.dim == 2 for S in planes)
+    for S in planes:  # one subspace: the same orthogonal projector
+        assert np.allclose(S.basis.T @ S.basis, planes[1].basis.T @ planes[1].basis, atol=1e-15)
+    with pytest.raises(GeometryError, match="zero hyperplane normal"):
+        Subspace.hyperplane(np.zeros(3))
+
+
+def _spy_builder(monkeypatch):
+    """Record the inputs of every `_extreme_points` call."""
+    seen = []
+    build = conesec.geometry._extreme_points
+
+    def spy(points):
+        seen.append(points.copy())
+        return build(points)
+
+    monkeypatch.setattr(conesec.geometry, "_extreme_points", spy)
+    return seen
+
+
+@pytest.mark.parametrize("make", [make_regular_simplex, make_cross_polytope, make_centered_cone])
+def test_constructor_bodies_and_their_images_take_the_one_boundary_builder(monkeypatch, make):
+    M = np.array([[2.0, 0.3, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.5, 0.1], [0.2, 0, 0, 1.5]])
+    K = make(4)
+    image = affine_map(K, M, [0.1, 0.0, -0.2, 0.3])  # before K's boundary exists
+    V, W = K.vertices.copy(), image.vertices.copy()
+    seen = _spy_builder(monkeypatch)
+    for body, verts in ((K, V), (image, W)):
+        assert boundary(body).tiles
+        assert np.array_equal(seen[-1], verts)  # built from the vertices, kept in their order
+        assert np.array_equal(body.vertices, verts)
+    assert len(seen) == 2
+    assert volume(image) == pytest.approx(volume(K) * abs(np.linalg.det(M)), rel=1e-12)
+
+
+def test_the_builder_hulls_once_more_in_own_coordinates_when_the_first_does_not_tile(monkeypatch):
+    made = []
+    hull_boundary = conesec.geometry._hull_boundary
+
+    def overlapping_first(hull, basis, center, index):
+        bd = hull_boundary(hull, basis, center, index)
+        made.append(basis)
+        return bd if len(made) > 1 else Boundary(bd.simplices, bd.A, bd.b, bd.volume,
+                                                  2 * bd.fan_volume)
+
+    src = random_body(4, 2)
+    monkeypatch.setattr(conesec.geometry, "_hull_boundary", overlapping_first)
+    K = VPolytope(src.vertices)
+    assert len(made) == 2 and np.array_equal(made[1], np.eye(4))
+    assert boundary(K).tiles
+    assert volume(K) == pytest.approx(volume(src), rel=1e-12)
 
 
 def test_degenerate_input_rejected():

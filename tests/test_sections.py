@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.stats import multivariate_normal
 
 import conesec
 from conesec import sections
@@ -551,6 +552,35 @@ def test_solid_angle_simplicial_3d():
     den = 1.0 + v1 @ v2 + v2 @ v3 + v1 @ v3
     omega = 2.0 * math.atan2(num, den)
     assert solid_angle_fraction(C) == pytest.approx(omega / (4 * math.pi), rel=1e-10)
+
+
+def test_solid_angle_of_a_4d_product_of_wedges_is_deterministic():
+    # two 45-degree wedges in orthogonal planes: a Gaussian vector lies in
+    # each with probability 1/8, independently
+    s = 1.0 / math.sqrt(2.0)
+    C = PolyhedralCone([[1.0, 0, 0, 0], [s, s, 0, 0], [0, 0, 1.0, 0], [0, 0, s, s]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solid_angle_fraction(C) == pytest.approx(1.0 / 64.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_solid_angle_of_skew_4d_cones_matches_genz(seed):
+    # Genz's quasi-Monte Carlo orthant probability, at a fixed seed: a
+    # cross-check to its error bound, not a certificate. C = {y : R y >= 0},
+    # so a Gaussian y lies in C when -R y <= 0
+    C = PolyhedralCone(np.eye(4) + 0.3 * np.random.default_rng(seed).random((4, 4)))
+    R = C.constraints_in_span()
+    ref = multivariate_normal(np.zeros(4), R @ R.T, abseps=1e-6).cdf(
+        np.zeros(4), rng=np.random.default_rng(0))
+    assert solid_angle_fraction(C) == pytest.approx(ref, abs=1e-5)
+
+
+def test_solid_angle_beyond_the_simplex_rule_raises():
+    # a skew 6-D cone: the simplex rule's second level would take 32^5 nodes
+    C = PolyhedralCone(np.eye(6) + 0.3 * np.random.default_rng(6).random((6, 6)))
+    with pytest.raises(GeometryError, match="fewer than two levels"):
+        solid_angle_fraction(C)
 
 
 def test_ball_cone_section_is_solid_angle_share():

@@ -12,6 +12,7 @@ from scipy.spatial import QhullError
 from conesec import geometry, volume as volume_module
 from conesec.geometry import (
     GeometryError,
+    HPolytope,
     Polytope,
     Subspace,
     VPolytope,
@@ -106,6 +107,21 @@ def test_boundary_is_kept_through_affine_maps():
     H = boundary(image)
     verts = image.vertices[H.simplices]  # every simplex lies on its facet plane
     assert np.allclose(np.einsum("sid,sd->si", verts, H.A), H.b[:, None], atol=1e-12)
+
+
+@pytest.mark.parametrize("lo,hi", [(-0.7, 1.9), (0.5, 2.0)])
+def test_segment_moments_and_wedges_are_their_closed_forms(lo, hi):
+    # the two-point boundary of a body in R^1, built by VPolytope and by HPolytope
+    for K in (VPolytope([[hi], [0.5 * (lo + hi)], [lo]]), to_vrep(HPolytope([[1.0], [-1.0]], [hi, -lo]))):
+        m = moments(K)
+        assert m.volume == pytest.approx(hi - lo, rel=1e-14)
+        assert m.centroid[0] == pytest.approx(0.5 * (lo + hi), rel=1e-14)
+        assert m.covariance[0, 0] == pytest.approx((hi**3 - lo**3) / 3, rel=1e-14)
+        right, left = max(hi, 0.0) - max(lo, 0.0), min(hi, 0.0) - min(lo, 0.0)
+        assert wedge_moment(K, [[1.0]]) == pytest.approx(right, rel=1e-14, abs=1e-15)
+        assert wedge_moment(K, [[-1.0]]) == pytest.approx(left, rel=1e-14, abs=1e-15)
+        assert wedge_moment(K, [[1.0]], q=2) == pytest.approx(
+            (max(hi, 0.0)**3 - max(lo, 0.0)**3) / 3, rel=1e-14, abs=1e-15)
 
 
 def test_triangulation_covers_volume():
