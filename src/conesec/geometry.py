@@ -337,7 +337,9 @@ class Polytope:
     (unit normals) from the facet equations of its boundary. The boundary
     (`geometry.boundary`), its cone simplices (`volume.wedge_moment`), the
     moments (`volume.moments`) and its facet ridges (`facet_ridges`) are
-    cached on it too. Build polytopes with `VPolytope` or `HPolytope`.
+    cached on it too, and so are its section-volume functions
+    (`sections.section_volume_fn`). Build polytopes with `VPolytope` or
+    `HPolytope`.
     """
 
     def __init__(self, vertices: np.ndarray | None = None, A: np.ndarray | None = None,
@@ -352,6 +354,7 @@ class Polytope:
         self._moments_cache = None
         self._cone_cache = None
         self._ridge_cache = None
+        self._section_fn_cache = {}
 
     def __repr__(self):
         return f"Polytope(dim={self.dim})"
@@ -417,14 +420,15 @@ def HPolytope(A, b) -> Polytope:
     """The polytope {x : <a_i, x> <= b_i}, rows scaled to unit normals.
 
     A row within GEOM_TOL of an earlier kept row, in normal and in offset,
-    is dropped (`_first_of_close`).
+    is dropped (`_first_of_close`). Only an exactly zero normal raises, so
+    the system may have any scale.
     """
     A = np.atleast_2d(_as_array(A))
     b = np.atleast_1d(_as_array(b))
     if A.shape[0] != b.shape[0]:
         raise GeometryError("halfspace normal/offset count mismatch")
     norms = np.linalg.norm(A, axis=1)
-    if np.any(norms < 1e-14):
+    if not norms.all():
         raise GeometryError("zero halfspace normal")
     A = A / norms[:, None]
     b = b / norms
@@ -832,9 +836,9 @@ def affine_map(K: ConvexBody, M, shift=None) -> ConvexBody:
 class PolyhedralCone:
     """Simplicial cone: a ray, a simplicial or an orthant cone.
 
-    ``generators`` are linearly independent nonzero ambient vectors, as many
-    as the dimension of their span G, in which the cone lives; other
-    generator sets raise `GeometryError`.  When ``within`` is given, every
+    ``generators`` are linearly independent nonzero ambient vectors of any
+    scale, as many as the dimension of their span G, in which the cone
+    lives; other generator sets raise `GeometryError`.  When ``within`` is given, every
     generator must lie in that subspace (it is the F^perp of a flat's
     direction space).
     """
@@ -842,7 +846,7 @@ class PolyhedralCone:
     def __init__(self, generators, within: Subspace | None = None):
         G = np.atleast_2d(_as_array(generators))
         norms = np.linalg.norm(G, axis=1)
-        if np.any(norms < 1e-14):
+        if not norms.all():
             raise GeometryError("zero cone generator")
         G = G / norms[:, None]
         self.generators = G

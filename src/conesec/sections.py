@@ -17,6 +17,12 @@ those ridges and of the facets parallel to F, with no projection hulled
 (`_Chords`); and at m >= 2 and
 integer p one wedge moment (`volume.wedge_moment`) per direction, of K's
 cached boundary cones sliced down to the section K cap (F + R theta).
+
+A polytope keeps one `SectionVolumeFunction` per flat (`section_volume_fn`),
+so F^perp, the chord data of `_Chords` and the support projection are built
+once per (K, F); a radial query builds only what depends on its cone and
+its directions: the arc's kink angles, the directions' facet products,
+extents, kinks and chord lengths, and their moments.
 """
 
 from __future__ import annotations
@@ -129,8 +135,15 @@ def _sliced_section(K: Polytope, S: Subspace):
 
 
 def section_volume(K: ConvexBody, S: Subspace, x0=None) -> float:
-    """|K cap (x0 + S)| in dimension dim(S), 0 when the section is empty."""
+    """|K cap (x0 + S)| in dimension dim(S), 0 when the section is empty.
+
+    A polytope section's volume is the sum of its cone weights over dim(S)!
+    (`volume._cone_simplices`), which a sliced section already holds, so no
+    moments are taken.
+    """
     sec = section(K, S, x0)
+    if isinstance(sec, Polytope):
+        return float(_cone_simplices(sec)[1].sum()) / math.factorial(S.dim)
     return 0.0 if sec is None else moments(sec).volume
 
 
@@ -142,6 +155,13 @@ class SectionVolumeFunction:
     Each evaluation takes one section of K. `ray_moments` is the one entry
     point for its ray moments: exact where `has_exact_ray_moments` holds,
     adaptive elsewhere.
+
+    Built once per instance: F^perp (one SVD, here), and on first use the
+    support projection (`ray_extent`) and, at m = 1, the chord data
+    (`_Chords`). Built per call: everything that depends on the directions.
+    `section_volume_fn` gives one instance per polytope and flat basis, so
+    every query on one (K, F) shares them; so does the kept profile of the
+    last one-block chord call, which gives the bits of a fresh instance.
 
     It answers the profile-oracle protocol of `ball_bodies` itself: ``dim``
     (= k), ``label``, ``concavity_index`` (m, None for the indicator at
@@ -336,16 +356,23 @@ class _Chords:
     halfspaces are its Fourier-Motzkin rows (Ziegler, *Lectures on
     Polytopes*, 1995, Sec. 1.2): (-a_j) A_i + a_i A_j <= (-a_j) b_i + a_i b_j
     for the ridges of an upper facet i and a lower facet j, and the facets
-    parallel to f; so no projection is hulled.
+    parallel to f; so no projection is hulled. Every array that does not
+    depend on theta is computed once, here.
     """
 
     A: np.ndarray  # (H, n) K's unit facet normals
-    a: np.ndarray  # (H,) <A_i, f>
-    b: np.ndarray  # (H,) K's facet offsets
-    kinks: np.ndarray  # (R, 2) the ridges of two upper or two lower facets
-    near: np.ndarray  # (R, D) the neighbours of the first facet of each
     rows: np.ndarray  # (M, n) the projection's unit normals
     beta: np.ndarray  # (M,) and offsets
+    a: np.ndarray  # (H,) <A_i, f>
+    b: np.ndarray  # (H,) K's facet offsets
+    scale: np.ndarray  # (H,) a_i, and 1 on the facets parallel to f
+    c: np.ndarray  # (H,) b_i / scale_i
+    upper: np.ndarray  # the facets with a_i > 0
+    lower: np.ndarray  # and with a_i < 0
+    kinks: np.ndarray  # (R, 2) the ridges (i, j) of two upper or two lower facets
+    rise: np.ndarray  # (R,) c_j - c_i
+    near: np.ndarray  # (R, D) the neighbours of facet i
+    floor: float  # the least slack of a kink, -_RIDGE_SLACK max |b|
     block: int  # directions per block, R D of them within _RAY_BLOCK_ELEMENTS
 
     @classmethod
@@ -364,8 +391,11 @@ class _Chords:
         rows, beta = rows / norms[:, None], beta / norms
         if beta.min() <= GEOM_TOL:
             raise GeometryError("origin is not interior to the body")
-        near = ridges.neighbours[i[same]]
-        return cls(A, a, b, ridges.pairs[same], near, rows, beta,
+        kinks, near = ridges.pairs[same], ridges.neighbours[i[same]]
+        scale = np.where(side != 0, a, 1.0)
+        c = b / scale
+        return cls(A, rows, beta, a, b, scale, c, np.flatnonzero(side > 0), np.flatnonzero(side < 0),
+                   kinks, c[kinks[:, 1]] - c[kinks[:, 0]], near, -_RIDGE_SLACK * np.abs(b).max(),
                    max(1, _RAY_BLOCK_ELEMENTS // max(1, near.size)))
 
     def extent(self, X: np.ndarray) -> np.ndarray:
@@ -380,47 +410,50 @@ class _Chords:
         W holds <A_i, theta> per direction, top its T. The breakpoints are 0,
         the kinks and T; rows with fewer kinks are padded with T.
         """
-        a, b = self.a, self.b
-        pos, neg = a > 1e-12, a < -1e-12
-        c = b / np.where(pos | neg, a, 1.0)
-        g = -W / np.where(pos | neg, a, 1.0)
+        g = -W / self.scale
         i, j = self.kinks.T
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (c[j] - c[i]) / (g[:, i] - g[:, j])
+            t = self.rise / (g[:, i] - g[:, j])
         row, ridge = np.nonzero((t > 0) & (t < top))
-        t, i, near = t[row, ridge], i[ridge], self.near[ridge]
-        s = c[i] + g[row, i] * t  # the crossing's height on facet i
-        slack = b[near] - t[:, None] * W[row[:, None], near] - s[:, None] * a[near]
-        on = (slack >= -_RIDGE_SLACK * np.abs(b).max()).all(axis=1)
+        t = t[row, ridge]
+        # the crossing's height on facet i, and its slack in the inequalities of i's neighbours
+        i, near = i.take(ridge), self.near.take(ridge, axis=0)
+        s = self.c.take(i) + g[row, i] * t
+        slack = self.b.take(near) - t[:, None] * W[row[:, None], near] - s[:, None] * self.a.take(near)
+        on = (slack >= self.floor).all(axis=1)
         row, t = row[on], t[on]
         count = np.bincount(row, minlength=len(W))
         ts = np.repeat(top, count.max(initial=0) + 2, axis=1)
         ts[:, 0] = 0.0
         ts[row, 1 + np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)] = t
         ts.sort(axis=1)
-        # facet-major: each reduction runs over the leading axis of whole (N, J) planes
-        hi = (c[pos, None, None] + g[:, pos].T[:, :, None] * ts).min(axis=0)
-        lo = (c[neg, None, None] + g[:, neg].T[:, :, None] * ts).max(axis=0)
-        return ts, np.clip(hi - lo, 0.0, None)
+        # facet-major, breakpoint by breakpoint: each reduction runs over the
+        # leading axis of whole (J, N) planes, whose rows are contiguous
+        tsT, gT = ts.T.copy(), g.T
+        hi = (self.c[self.upper, None, None] + gT[self.upper, None, :] * tsT).min(axis=0)
+        lo = (self.c[self.lower, None, None] + gT[self.lower, None, :] * tsT).max(axis=0)
+        return ts, np.clip(hi - lo, 0.0, None).T.copy()
 
 
-def _power_steps(t: np.ndarray, q: float) -> np.ndarray:
-    """t[:, j+1]**q - t[:, j]**q along sorted rows t >= 0, to rounding also on short steps.
+def _power_steps(t: np.ndarray, q: float):
+    """The steps t[:, j+1]**e - t[:, j]**e along sorted rows t >= 0 at e = q and
+    e = q + 1, to rounding also on short steps.
 
-    At integer q >= 1 it is (t2 - t1) times sum_i t2^i t1^(q-1-i), taken by
-    Horner's rule; every term is >= 0, so nothing cancels. At real q it is
-    t1^q expm1(q log1p((t2 - t1) / t1)), and t2^q where t1 = 0.
+    At integer q >= 1 a step is (t2 - t1) times sum_i t2^i t1^(e-1-i), taken
+    by Horner's rule, whose pass for q + 1 runs through the one for q; every
+    term is >= 0, so nothing cancels. At real q it is
+    t1^e expm1(e log1p((t2 - t1) / t1)), and t2^e where t1 = 0.
     """
-    t1, t2 = t[:, :-1], t[:, 1:]
+    t1, t2, step = t[:, :-1], t[:, 1:], t[:, 1:] - t[:, :-1]
     if float(q).is_integer() and q >= 1:
-        total, power = np.ones_like(t1), np.ones_like(t1)
+        total = power = 1.0  # 1.0 * x is x exactly, and no array of ones is built
         for _ in range(int(q) - 1):
             power = power * t1
             total = total * t2 + power
-        return (t2 - t1) * total
+        return step * total, step * (total * t2 + power * t1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        short = t1**q * np.expm1(q * np.log1p((t2 - t1) / t1))
-    return np.where(t1 > 0, short, t2**q)
+        log = np.log1p(step / t1)
+        return tuple(np.where(t1 > 0, t1**e * np.expm1(e * log), t2**e) for e in (q, q + 1))
 
 
 def _piecewise_linear_moments(t: np.ndarray, f: np.ndarray, p: float) -> np.ndarray:
@@ -432,14 +465,23 @@ def _piecewise_linear_moments(t: np.ndarray, f: np.ndarray, p: float) -> np.ndar
     against steep f. Empty panels contribute 0.
     """
     dt = np.diff(t, axis=1)
-    whole = _power_steps(t, p) / p
-    lever = _power_steps(t, p + 1) / (p + 1) - t[:, :-1] * whole
+    steps, next_steps = _power_steps(t, p)
+    whole = steps / p
+    lever = next_steps / (p + 1) - t[:, :-1] * whole
     right = np.divide(lever, dt, out=np.zeros_like(dt), where=dt > 0)
     return (f[:, :-1] * (whole - right) + f[:, 1:] * right).sum(axis=1)
 
 
 def section_volume_fn(K: ConvexBody, F: Subspace) -> SectionVolumeFunction:
-    return SectionVolumeFunction(K, F)
+    """The `SectionVolumeFunction` of (K, F), one per polytope and flat basis.
+
+    A polytope keeps the functions it has given, keyed by the exact bytes of
+    F's basis, so the queries on one (K, F) share F^perp, the chord data and
+    the support projection; a ball's function is built anew.
+    """
+    cache = K._section_fn_cache if isinstance(K, Polytope) else {}
+    key = F.basis.shape, F.basis.tobytes()
+    return cache[key] if key in cache else cache.setdefault(key, SectionVolumeFunction(K, F))
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +489,8 @@ def section_volume_fn(K: ConvexBody, F: Subspace) -> SectionVolumeFunction:
 
 
 def _check_cone_flat(F: Subspace, C: PolyhedralCone):
-    for g in C.generators:
-        if np.linalg.norm(F.coords(g)) > 1e-9:
-            raise GeometryError("cone does not lie in the orthogonal complement of F")
+    if (np.linalg.norm(F.coords(C.generators), axis=1) > 1e-9).any():
+        raise GeometryError("cone does not lie in the orthogonal complement of F")
 
 
 def cone_section_volume_polyhedral(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
@@ -467,20 +508,28 @@ def cone_section_volume_polyhedral(K: ConvexBody, F: Subspace, C: PolyhedralCone
     return _cut_volume(*_section_and_rows(K, F, C))
 
 
-def _section_and_rows(K: ConvexBody, F: Subspace, C: PolyhedralCone):
-    """(L, R): the section L of the polytope K by F + span C, and rows R with F + C = {y : R y >= 0}.
+def _flat_section(K: ConvexBody, F: Subspace, C: PolyhedralCone):
+    """(L, S): the section L of the polytope K by S = F + span C, in S's coordinates.
 
-    L is K itself, in its own coordinates, when F + span C is the whole
-    space, and None when the section is empty. The rows of -C are -R,
-    whatever basis its span gets, so one section serves both signs. The
-    caller has checked that C lies in F^perp (`_check_cone_flat`).
+    L is K itself and S None when F + span C is the whole space; L is None
+    when the section is empty.
     """
-    G = C.span
-    rows = C.constraints_in_span() @ G.basis
-    if F.dim + G.dim == K.dim:
-        return K, rows
-    S = Subspace.from_span(np.vstack([F.basis, G.basis]), ambient_dim=K.dim)
-    return section(K, S), S.coords(rows)
+    if F.dim + C.span_dim == K.dim:
+        return K, None
+    S = Subspace.from_span(np.vstack([F.basis, C.span.basis]), ambient_dim=K.dim)
+    return section(K, S), S
+
+
+def _section_and_rows(K: ConvexBody, F: Subspace, C: PolyhedralCone):
+    """(L, R): the section L of `_flat_section`, and rows R with F + C = {y : R y >= 0}.
+
+    The rows of -C are -R, whatever basis its span gets, so one section
+    serves both signs. The caller has checked that C lies in F^perp
+    (`_check_cone_flat`).
+    """
+    L, S = _flat_section(K, F, C)
+    rows = C.constraints_in_span() @ C.span.basis
+    return L, rows if S is None else S.coords(rows)
 
 
 def _cut_volume(L, R: np.ndarray) -> float:
@@ -679,13 +728,12 @@ def cone_section_volume_radial(K: ConvexBody, F: Subspace, C: PolyhedralCone) ->
     f = section_volume_fn(K, F)
     p = C.span_dim
     Gc = f.Fperp.coords(C.span.basis)  # (p, k) orthonormal rows: G inside F^perp
-    gens = f.Fperp.coords(C.generators)
 
     def fp(theta_g: np.ndarray) -> np.ndarray:
         # theta_g: (N, p) unit directions in G-basis coordinates
         return f.ray_moments(theta_g @ Gc, p)
 
-    g = gens @ Gc.T  # generator coordinates in the G basis
+    g = f.Fperp.coords(C.generators) @ Gc.T  # generator coordinates in the G basis
     g = g / np.linalg.norm(g, axis=1, keepdims=True)
     if p == 1:
         return float(fp(np.array([[math.copysign(1.0, g[0, 0])]]))[0])
@@ -734,16 +782,15 @@ def _arc_kinks(K: ConvexBody, F: Subspace, C: PolyhedralCone, a1: float, delta: 
 
     On a polytope, the integrand of the 2-D cone's arc is analytic between
     the directions of the vertices of L = K cap (F + span C), projected onto
-    span C. Angles are taken in span C's basis. A ball has no kinks.
+    span C: one product of L's vertices, in R^n, with span C's basis, whose
+    coordinates give the angles. A ball has no kinks.
     """
     if isinstance(K, Ball):
         return np.zeros(0)
-    L, R = _section_and_rows(K, F, C)
+    L, S = _flat_section(K, F, C)
     if L is None:
         return np.zeros(0)
-    # R y holds the coefficients of y's projection onto span C on C's
-    # generators (`constraints_in_span`), so this is that projection
-    Y = L.vertices @ R.T @ C.span.coords(C.generators)
+    Y = C.span.coords(L.vertices if S is None else S.embed(L.vertices))
     norms = np.linalg.norm(Y, axis=1)
     Y = Y[norms > 1e-12 * norms.max()]  # vertices in F have no direction
     rel = np.unique((np.arctan2(Y[:, 1], Y[:, 0]) - a1) % (2 * math.pi))

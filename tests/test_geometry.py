@@ -191,6 +191,18 @@ def test_hyperplane_does_not_depend_on_the_scale_of_its_normal(u):
         Subspace.hyperplane(np.zeros(3))
 
 
+@pytest.mark.parametrize("s", [1e-15, 1.0])
+def test_halfspaces_and_cone_generators_of_any_scale_build(s):
+    # only an exactly zero normal or generator raises, as in `Subspace.hyperplane`
+    square = HPolytope(s * np.vstack([np.eye(2), -np.eye(2)]), s * np.ones(4))
+    assert volume(square) == pytest.approx(4.0, rel=1e-12)
+    assert np.array_equal(PolyhedralCone(s * np.eye(2)).generators, np.eye(2))
+    with pytest.raises(GeometryError, match="zero halfspace normal"):
+        HPolytope(s * np.array([[1.0, 0.0], [0.0, 0.0]]), s * np.ones(2))
+    with pytest.raises(GeometryError, match="zero cone generator"):
+        PolyhedralCone(s * np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
 def _spy_builder(monkeypatch):
     """Record the inputs of every `_extreme_points` call."""
     seen = []

@@ -52,7 +52,7 @@ from conesec.sections import (
     solid_angle_fraction,
 )
 from conesec.verify import _opposite_cone_volumes, checks_for_body
-from conesec.volume import moment_p, volume, wedge_moment
+from conesec.volume import moment_p, moments, volume, wedge_moment
 from conftest import halfspace_section
 
 dims = st.integers(min_value=2, max_value=5)
@@ -113,6 +113,24 @@ def test_section_through_a_clearly_interior_point_solves_no_lp(monkeypatch):
     assert len(lps) == 4
     assert section_volume(K, S2, x0) > 0
     assert len(lps) == 5
+
+
+def test_section_volume_is_the_sum_of_the_section_cone_weights(monkeypatch):
+    # sliced, halfspace-route and H-built sections, central and affine: the
+    # cone weights over dim(S)! give the volume of the section's moments,
+    # and section_volume takes no moments
+    K, e = random_body(4, 17), np.eye(4)
+    H = HPolytope(to_hrep(K).A, K.b)
+    x0 = 0.3 * radial(K, e[3]) * e[3]
+    hyperplane = Subspace.from_span(e[:3], ambient_dim=4)
+    cases = [(body, S, point) for body, S in ((K, hyperplane), (K, Subspace.from_span(e[:2], ambient_dim=4)),
+                                              (H, hyperplane))
+             for point in (None, x0)]
+    assert section(K, hyperplane, x0)._cone_cache is not None  # sliced
+    refs = [moments(section(*case)).volume for case in cases]
+    monkeypatch.setattr(sections, "moments", lambda body: pytest.fail("moments taken"))
+    assert [section_volume(*case) for case in cases] == pytest.approx(refs, rel=1e-12, abs=0.0)
+    assert H._vertices is None
 
 
 def test_ball_section_radius_shrinks():
@@ -478,13 +496,41 @@ def test_chord_moments_at_several_degrees_equal_fresh_ones():
     for count in (block, 3 * block + 5):
         thetas = _unit_rows(f.k, count, seed=count)
         for p in (1, 2, 3, 2.5):
-            fresh = section_volume_fn(K, F).ray_moments(thetas, p)
+            fresh = SectionVolumeFunction(K, F).ray_moments(thetas, p)
             assert f.ray_moments(thetas, p).tolist() == fresh.tolist()
     # directions changed in place are new directions
     thetas = _unit_rows(f.k, 8, seed=3)
     f.ray_moments(thetas, 2)
     thetas[:4] *= -1.5
-    assert f.ray_moments(thetas, 2).tolist() == section_volume_fn(K, F).ray_moments(thetas, 2).tolist()
+    assert f.ray_moments(thetas, 2).tolist() == SectionVolumeFunction(K, F).ray_moments(thetas, 2).tolist()
+
+
+def test_queries_on_one_body_and_line_share_one_section_function(monkeypatch):
+    # criterion 11's three m = 1 cones on one (K, F) build F^perp and the
+    # chord data once; every value, also after a one-block call at another p
+    # that reuses the kept profile, has the bits of a fresh body's
+    seed, e = 5030, np.eye(3)
+    F = Subspace.from_span(e[:1])
+    cones = [orthant_cone(e[1:]), PolyhedralCone([e[1] + 0.4 * e[2], e[2]]), orthant_cone(-e[1:])]
+    thetas = _unit_rows(2, 40, seed=1)
+    fresh = [cone_section_volume_radial(random_body(3, seed), F, C) for C in cones]
+    fresh_moments = section_volume_fn(random_body(3, seed), F).ray_moments(thetas, 3).tolist()
+    K = random_body(3, seed)
+    complements, chords = [], []
+    real_complement, real_of = Subspace.complement, sections._Chords.of
+    monkeypatch.setattr(Subspace, "complement", lambda S: complements.append(S) or real_complement(S))
+    monkeypatch.setattr(sections._Chords, "of", lambda K, F: chords.append(F) or real_of(K, F))
+    f = section_volume_fn(K, F)
+    for _ in range(2):
+        for C, value in zip(cones, fresh):
+            assert cone_section_volume_radial(K, F, C) == value
+            f.ray_moments(thetas, 2)
+            assert f.ray_moments(thetas, 3).tolist() == fresh_moments
+    assert f._profile is not None and f._profile[0] == thetas.tobytes()
+    assert len(complements) == 1 and len(chords) == 1 and section_volume_fn(K, F) is f
+    # the images of K are other bodies, with functions of their own
+    for image in (translate(K, [0.1, 0.0, 0.0]), affine_map(K, 2.0 * np.eye(3))):
+        assert image._section_fn_cache == {} and section_volume_fn(image, F) is not f
 
 
 def test_degrees_on_one_block_take_one_chord_profile(monkeypatch):
@@ -983,15 +1029,16 @@ def test_fixed_gl_levels_match_their_single_level_calls():
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4])
 def test_integer_power_steps_match_exact_rationals(q, scale):
-    # t2^q - t1^q as a sum of non-negative terms: no cancellation on steps
-    # of 1e-12 relative, nor from t1 = 0
+    # t2^e - t1^e at e = q and q + 1 (one Horner pass) as sums of
+    # non-negative terms: no cancellation on steps of 1e-12 relative, nor
+    # from t1 = 0
     base = scale * np.sort(np.random.default_rng(q).uniform(0.05, 3.0, 40))
     t = np.concatenate([[0.0], base, base * (1 + 1e-12), base * (1 + 1e-9)])
     t = np.sort(t)[None, :]
-    got = sections._power_steps(t, q)[0]
-    exact = [Fraction(b) ** q - Fraction(a) ** q for a, b in zip(t[0, :-1], t[0, 1:])]
-    err = [abs(Fraction(g) - x) / x for g, x in zip(got, exact)]
-    assert max(err) <= 4 * np.finfo(float).eps
+    for e, got in zip((q, q + 1), sections._power_steps(t, q)):
+        exact = [Fraction(b) ** e - Fraction(a) ** e for a, b in zip(t[0, :-1], t[0, 1:])]
+        err = [abs(Fraction(g) - x) / x for g, x in zip(got[0], exact)]
+        assert max(err) <= 4 * np.finfo(float).eps
 
 
 def test_sphere_rule_warns_when_it_misses_its_tolerance(monkeypatch):
