@@ -716,7 +716,11 @@ def radial(K: ConvexBody, u) -> float:
 
 
 def radial_many(K: ConvexBody, U) -> np.ndarray:
-    """radial(K, u) for each row u of an (N, n) array."""
+    """radial(K, u) for each row u of an (N, n) array.
+
+    A facet bounds the ray where <a, u> > 0, with no absolute floor, so the
+    result is of degree -1 in u at every length of u.
+    """
     U = np.atleast_2d(_as_array(U))
     H = _origin_interior(K)
     if isinstance(K, Ball):
@@ -724,8 +728,8 @@ def radial_many(K: ConvexBody, U) -> np.ndarray:
         uu, uc = np.einsum("ij,ij->i", U, U), U @ c
         return (uc + np.sqrt(uc * uc + uu * (r * r - float(c @ c)))) / uu
     proj = U @ H.A.T
-    with np.errstate(divide="ignore"):
-        ratios = np.where(proj > 1e-14, H.b / proj, np.inf)
+    with np.errstate(divide="ignore", over="ignore"):
+        ratios = np.where(proj > 0, H.b / proj, np.inf)
     return ratios.min(axis=1)
 
 
@@ -929,6 +933,6 @@ def cone_from_spec(spec: dict) -> tuple[Subspace, PolyhedralCone]:
     flat = np.atleast_2d(_as_array(spec.get("flat_basis", np.zeros((0, n)))))
     if flat.size == 0:
         flat = np.zeros((0, n))
-    F = Subspace.from_span(flat, ambient_dim=n) if flat.shape[0] else Subspace(n, np.zeros((0, n)))
+    F = Subspace.from_span(flat, ambient_dim=n)
     C = PolyhedralCone(gens, within=F.complement())
     return F, C

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .geometry import Ball, ConvexBody, GeometryError, Subspace, _origin_interior, support
+from .geometry import Ball, ConvexBody, GeometryError, Polytope, Subspace, _origin_interior, support
 from .sections import section, section_volume
-from .volume import _cone_simplices, moments
+from .volume import _cone_simplices, body_volume
 
 _SHRINK = 1.0 - 1e-6  # admissible centers z keep h_L(z) <= _SHRINK on the section L
 _MAX_ITER = 10_000
@@ -58,8 +58,8 @@ class _SectionIntegrator:
     argument is positive on the section; otherwise GeometryError. The
     simplices are the section's boundary simplices coned from 0, signed by
     their facet's side of 0 (`volume._cone_simplices`), and the volume is
-    their sum; a sliced section has them cached, so no triangulation or
-    determinant is taken again.
+    their sum (`volume.body_volume`); a sliced section has them cached, so
+    no triangulation or determinant is taken again.
     """
 
     def __init__(self, K: ConvexBody, u):
@@ -70,13 +70,11 @@ class _SectionIntegrator:
         self.section = sec = section(K, self.S)
         if sec is None:
             raise GeometryError("central section is empty; 0 must be interior to K")
-        if isinstance(sec, Ball):
-            self.volume = moments(sec).volume
-        else:  # the origin's row has g = 1 and Y = 0
+        self.volume = body_volume(sec)
+        if isinstance(sec, Polytope):  # the origin's row has g = 1 and Y = 0
             cones, weights = _cone_simplices(sec)
             self.simplices = np.insert(cones, 0, 0.0, axis=1)
             self._simplex_vols = weights / math.factorial(self.n - 1)
-            self.volume = float(weights.sum()) / math.factorial(self.n - 1)
 
     def integrals(self, zc: np.ndarray, want_gradient: bool = False,
                   want_hessian: bool = False):

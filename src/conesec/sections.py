@@ -45,6 +45,7 @@ from .geometry import (
     _halfspace_polytope,
     _read_only,
     boundary,
+    contains,
     facet_ridges,
     known_simplicial,
     make_ball,
@@ -56,7 +57,7 @@ from .geometry import (
     translate,
 )
 from .special import beta
-from .volume import _centred, _cone_simplices, _slice, moments, unit_ball_volume, wedge_moment
+from .volume import _centred, _cone_simplices, _slice, body_volume, moments, unit_ball_volume, wedge_moment
 
 
 def section(K: ConvexBody, S: Subspace, x0=None):
@@ -135,16 +136,10 @@ def _sliced_section(K: Polytope, S: Subspace):
 
 
 def section_volume(K: ConvexBody, S: Subspace, x0=None) -> float:
-    """|K cap (x0 + S)| in dimension dim(S), 0 when the section is empty.
-
-    A polytope section's volume is the sum of its cone weights over dim(S)!
-    (`volume._cone_simplices`), which a sliced section already holds, so no
-    moments are taken.
-    """
-    sec = section(K, S, x0)
-    if isinstance(sec, Polytope):
-        return float(_cone_simplices(sec)[1].sum()) / math.factorial(S.dim)
-    return 0.0 if sec is None else moments(sec).volume
+    """|K cap (x0 + S)| in dimension dim(S), 0 when the section is empty: the
+    section's volume read from its cone weights (`volume.body_volume`), which
+    a sliced section already holds, so no moments are taken."""
+    return body_volume(section(K, S, x0))
 
 
 class SectionVolumeFunction:
@@ -308,8 +303,6 @@ class SectionVolumeFunction:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         point = self.Fperp.embed(x)
         if self.m == 0:
-            from .geometry import contains
-
             return 1.0 if contains(self.body, point) else 0.0
         return section_volume(self.body, self.F, point)
 
@@ -401,8 +394,8 @@ class _Chords:
     def extent(self, X: np.ndarray) -> np.ndarray:
         """T per row of X, directions in R^n within F^perp: min beta / <h, theta> over the rows h."""
         proj = X @ self.rows.T
-        with np.errstate(divide="ignore"):
-            return np.where(proj > 1e-14, self.beta / proj, np.inf).min(axis=1)
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(proj > 0, self.beta / proj, np.inf).min(axis=1)
 
     def profile(self, W: np.ndarray, top: np.ndarray):
         """(ts, chord): each row's breakpoints in [0, T] and f(t theta) = hi(t) - lo(t) there.
@@ -532,21 +525,29 @@ def _section_and_rows(K: ConvexBody, F: Subspace, C: PolyhedralCone):
     return L, rows if S is None else S.coords(rows)
 
 
-def _cut_volume(L, R: np.ndarray) -> float:
-    """|L cap {y : R y >= 0}| for a polytope L (0 for None).
+def _cut_volume(L, R):
+    """|L cap {y : R y >= 0}| for a polytope L (0 for None), the one cut of the
+    polyhedral route. R is one wedge (r, n), which gives a float, or a stack
+    of m wedges of r rows each (m, r, n), which gives one value per wedge in
+    an (m,) array, as `volume.wedge_moment` takes them.
 
-    Up to two rows, the wedge is cut from the boundary simplices L already
-    has (`volume.wedge_moment`). More rows intersect L's halfspaces with the
-    cone's, because the wedge kernel's pieces multiply with every facet of
-    the cone.
+    Up to two rows, the stack is cut from the boundary simplices L already
+    has in one `wedge_moment` call, so a wedge and its negative share one
+    split. More rows intersect L's halfspaces with each wedge's, one
+    halfspace intersection per wedge whose volume is read from its cone
+    weights (`volume.body_volume`), because the wedge kernel's pieces
+    multiply with every facet of the cone.
     """
+    stack = np.array(R, dtype=float, ndmin=3)
     if L is None:
-        return 0.0
-    if len(R) <= 2:
-        return wedge_moment(L, R)
-    H = to_hrep(L)
-    body = _halfspace_polytope(np.vstack([H.A, -R]), np.concatenate([H.b, np.zeros(len(R))]))
-    return 0.0 if body is None else moments(body).volume
+        out = np.zeros(len(stack))
+    elif stack.shape[1] <= 2:
+        out = wedge_moment(L, stack)
+    else:
+        H, zeros = to_hrep(L), np.zeros(stack.shape[1])
+        out = np.array([body_volume(_halfspace_polytope(np.vstack([H.A, -W]), np.concatenate([H.b, zeros])))
+                        for W in stack])
+    return out if np.ndim(R) == 3 else float(out[0])
 
 
 def solid_angle_fraction(C: PolyhedralCone) -> float:

@@ -44,6 +44,7 @@ from .sections import (
     SectionVolumeFunction,
     _check_cone_flat,
     _cut_volume,
+    _flat_section,
     _section_and_rows,
     cone_section_volume_polyhedral,
     section,
@@ -51,7 +52,7 @@ from .sections import (
     solid_angle_fraction,
 )
 from .special import beta, binom, gamma
-from .volume import _centred, isotropic_position, moments, unit_ball_volume, wedge_moment
+from .volume import _centred, body_volume, isotropic_position, moments
 
 __all__ = [
     "CheckResult", "ExplicitConstant", "gamma", "beta", "binom",
@@ -134,14 +135,16 @@ def trivial_flat(n: int) -> Subspace:
 
 def halfspace_volume(K: ConvexBody, U):
     """|K cap {x : <x, u> >= 0}| for one direction u (a float) or each row u of
-    a grid U (an array), cut from K's boundary simplices in one `wedge_moment` call."""
+    a grid U (an array). On a polytope every u is a one-row wedge, and the
+    grid is one stack cut by `sections._cut_volume`; a ball centred at 0
+    keeps half its volume."""
     U = np.asarray(U, dtype=float)
     if isinstance(K, Ball):
         if np.linalg.norm(K.center) > 1e-12:
             raise GeometryError("ball halfspace volumes require the center at 0")
-        half = 0.5 * unit_ball_volume(K.dim) * K.radius ** K.dim
+        half = 0.5 * body_volume(K)
         return half if U.ndim == 1 else np.full(len(U), half)
-    return wedge_moment(K, U[..., None, :])
+    return _cut_volume(K, U[..., None, :])
 
 
 def cone_volume(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
@@ -151,16 +154,15 @@ def cone_volume(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
 
 def _opposite_cone_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone):
     """|K cap (F + C)| and |K cap (F - C)|, by the route of `cone_volume` for
-    both: one section of K by F + span C, cut by C's rows and by their
-    negatives. Up to two rows, one `wedge_moment` call cuts the stack
-    [R, -R], so both wedges share the split by their first rows."""
+    both. On a polytope, one section of K by F + span C is cut by the stack
+    [R, -R] of C's rows and their negatives in one `sections._cut_volume`
+    call, which picks the cut for both (up to two rows the wedges share the
+    split by their first rows); a ball takes `cone_volume` per sign."""
     if isinstance(K, Ball):
         return cone_volume(K, F, C), cone_volume(K, F, C.negated())
     _check_cone_flat(F, C)
     L, R = _section_and_rows(K, F, C)
-    if L is None or len(R) > 2:
-        return _cut_volume(L, R), _cut_volume(L, -R)
-    return tuple(wedge_moment(L, np.stack([R, -R])).tolist())
+    return tuple(_cut_volume(L, np.stack([R, -R])).tolist())
 
 
 def _centroid_guard(K: ConvexBody):
@@ -226,6 +228,12 @@ def check_main_theorem_part2(K: ConvexBody, F: Subspace, C: PolyhedralCone,
                              body_spec: str = "body") -> CheckResult:
     """Isotropic K: cone-section fraction within n^p of the ball's fraction.
 
+    |K cap (F + C)| is `cone_volume` of K in isotropic position, and
+    |K cap (F + span C)| is the volume of the section that cone volume cuts
+    (`sections._flat_section`), read from its cone weights
+    (`volume.body_volume`): K's own when F + span C is the whole space, which
+    the cut has cached, so no section is fanned for its moments.
+
     Only the n^p branch of the constant is explicit, so only it is asserted;
     the alternative branch is reported with its unspecified factor symbolic.
     """
@@ -234,7 +242,7 @@ def check_main_theorem_part2(K: ConvexBody, F: Subspace, C: PolyhedralCone,
     p = C.span_dim
     K_iso, _ = isotropic_position(K)
     plus = cone_volume(K_iso, F, C)
-    full = section_volume_in_flat(K_iso, F, C)
+    full = body_volume(_flat_section(K_iso, F, C)[0])
     if full <= 0 or plus <= 0:
         raise GeometryError("degenerate cone section")
     k_ratio = plus / full
@@ -253,13 +261,6 @@ def check_main_theorem_part2(K: ConvexBody, F: Subspace, C: PolyhedralCone,
         notes=(f"two-sided; K-fraction {k_ratio:.6e}, ball fraction {ball_ratio:.6e}; "
                f"alternative branch a^{{{k * p}}} * {alt:.6e} with a unspecified"),
     )
-
-
-def section_volume_in_flat(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
-    """|K cap (F + G)| where G = span(C): the un-coned section volume."""
-    _check_cone_flat(F, C)
-    L, _ = _section_and_rows(K, F, C)
-    return 0.0 if L is None else moments(L).volume
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +330,7 @@ def check_corollary3(K: ConvexBody, E: Subspace, us,
     C = orthant_cone(us)
     F = Subspace.from_span(np.vstack([E.complement().basis, us])).complement()
     plus = cone_volume(K, F, C)
-    full = moments(K).volume if E.dim == n else section_volume(K, E)
+    full = body_volume(K) if E.dim == n else section_volume(K, E)
     if full <= 0:
         raise GeometryError("empty section subspace")
     lhs = (2.0 * n) ** (-p) * full
@@ -365,7 +366,7 @@ def experiment_remark1(n: int, l: int) -> CheckResult:
     E = Subspace.from_span(verts[:l], ambient_dim=n)
     sec = section(simplex, E)
     f_next = -verts[:l].sum(axis=0) / (n + 1.0 - l)
-    total = moments(sec).volume
+    total = body_volume(sec)
     positive = halfspace_volume(sec, E.coords(f_next))
     lhs = positive / total
     rhs = (l / (n + 1.0)) ** l
@@ -455,7 +456,7 @@ def experiment_alpha_n(n: int, trials: int, seed: int) -> dict:
         K_iso, _ = isotropic_position(K)
         Q = np.linalg.qr(gen.normal(size=(n, n)))[0]
         C = orthant_cone(Q)
-        frac = cone_volume(K_iso, F0, C) / moments(K_iso).volume
+        frac = cone_volume(K_iso, F0, C) / body_volume(K_iso)
         values.append(2.0 * frac ** (1.0 / n))
     return {
         "n": n,

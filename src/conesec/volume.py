@@ -20,6 +20,9 @@ boundary and cone simplices; the other sections, where a halfspace
 intersection and one hull measured faster, do not slice.  The convexified
 section integrals of `intersection_bodies` take a section's cone simplices
 as they are.
+A body's volume alone is read from the same cached cones (`body_volume`:
+their weights over d!, a ball's closed form), so only centroids and second
+moments take the vertex-average fan of `moments`.
 A seeded Monte Carlo estimator provides an independent cross-check, and the
 isotropic-position transform whitens the centered second-moment matrix.
 """
@@ -96,7 +99,7 @@ def moments(K: ConvexBody) -> MomentSummary:
     """
     if isinstance(K, Ball):
         d, r, c = K.dim, K.radius, K.center
-        vol = unit_ball_volume(d) * r**d
+        vol = body_volume(K)
         cov = vol * (np.outer(c, c) + (r * r / (d + 2)) * np.eye(d))
         return MomentSummary(vol, c.copy(), cov)
     V = to_vrep(K)
@@ -216,6 +219,22 @@ def _cone_simplices(V: ConvexBody):
         weights.setflags(write=False)
         V._cone_cache = simplices, weights
     return V._cone_cache
+
+
+def body_volume(K: ConvexBody | None) -> float:
+    """|K| with no fan: a polytope's cached cone weights summed over d!
+    (`_cone_simplices`), a ball's closed form, and 0 for None (an empty section).
+
+    The weights are the ones every wedge cut of K reads, and a sliced section
+    (`sections.section`) comes with them, so a volume read takes no
+    determinant twice. `moments` keeps its own fan for centroids and second
+    moments.
+    """
+    if K is None:
+        return 0.0
+    if isinstance(K, Ball):
+        return unit_ball_volume(K.dim) * K.radius**K.dim
+    return float(_cone_simplices(to_vrep(K))[1].sum()) / math.factorial(K.dim)
 
 
 def _split(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
@@ -444,8 +463,7 @@ def isotropic_position(K: ConvexBody):
     """
     m = moments(K)
     n = len(m.centroid)
-    M = m.covariance - m.volume * np.outer(m.centroid, m.centroid)
-    w, Q = np.linalg.eigh(M)
+    w, Q = np.linalg.eigh(centered_second_moment(K))
     if np.any(w <= 1e-14 * max(1.0, w.max())):
         raise GeometryError("second-moment matrix is not positive definite")
     inv_sqrt = Q @ np.diag(w**-0.5) @ Q.T

@@ -313,6 +313,31 @@ def test_indicator_ray_moments_take_no_projection(monkeypatch):
         assert cone_section_volume_radial(K, F, C) == pytest.approx(ref, rel=1e-6)
 
 
+def test_a_tiny_direction_reaches_the_cube_face():
+    # the facet test <a, u> > 0 has no absolute floor, so a direction of
+    # length 1e-15 is not taken for an unbounded one
+    assert radial(make_cube(3), [1e-15, 0.0, 0.0]) == pytest.approx(1e15, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("s", [1e-16, 1e-15, 1e-14, 1e-10, 1e4, 1e8])
+def test_radial_and_ray_moments_are_homogeneous_in_the_direction(s):
+    # radial is of degree -1 in u, and the ray moments of every route of
+    # degree -p in theta: m = 0 (radial), m = 1 (chords, whose extent T has
+    # the same facet test) and m >= 2 (wedge moments); at s = 1e-14 the chord
+    # route returned nan, where T came out infinite
+    K, K4 = random_body(3, 5030), random_centered_polytope(4, 14, 5040)
+    e3, e4 = np.eye(3), np.eye(4)
+    u = np.array([0.6, 0.8, 0.0])
+    assert radial(K, s * u) * s == pytest.approx(radial(K, u), rel=1e-14, abs=0)
+    for body, F, theta in [(K, trivial_flat(3), u), (K, Subspace.from_span(e3[:1]), u[:2]),
+                           (K4, Subspace.from_span(e4[:2]), u[:2]),
+                           (K4, Subspace.from_span(e4[:3]), np.array([-1.0]))]:
+        f = section_volume_fn(body, F)
+        for p in (1, 2, 3):
+            got = f.ray_moments(s * theta, p)[0] * s**p
+            assert got == pytest.approx(f.ray_moments(theta, p)[0], rel=1e-14, abs=0), (f.m, p)
+
+
 def test_ray_moments_reject_nonpositive_p():
     f = section_volume_fn(make_ball(4, center=[0, 0, 0.1, -0.05]), Subspace.from_span(np.eye(4)[:2]))
     for p in (0.0, -1.0):
@@ -795,6 +820,41 @@ def test_opposite_cone_volumes_slice_the_cones_once(n, monkeypatch):
         slices.clear()
         assert _opposite_cone_volumes(K, F, C) == pytest.approx([plus, minus], rel=1e-12)
         assert len(slices) == 1
+
+
+def test_cut_volume_takes_one_wedge_or_a_stack():
+    # one wedge gives a float, a stack one value per wedge; up to two rows
+    # the stack is one wedge-kernel call, beyond that each wedge is one
+    # halfspace intersection, checked here against the fan of its moments
+    K, e = random_body(4, 3), np.eye(4)
+    for rows in (1, 2, 3):
+        C = orthant_cone(e[4 - rows:]) if rows > 1 else PolyhedralCone(e[3:])
+        L, R = sections._section_and_rows(K, Subspace.from_span(e[:4 - rows]), C)
+        assert L is K
+        single = [_cut_volume(L, R), _cut_volume(L, -R)]
+        assert all(isinstance(v, float) for v in single)
+        stacked = _cut_volume(L, np.stack([R, -R]))
+        assert stacked.shape == (2,) and stacked.tolist() == single
+        fans = [moments(_halfspace_polytope(np.vstack([K.A, -W]), np.concatenate([K.b, np.zeros(rows)]))).volume
+                for W in (R, -R)]
+        assert stacked == pytest.approx(fans, rel=1e-12, abs=0)
+    assert _cut_volume(None, R) == 0.0 and _cut_volume(None, np.stack([R, -R])).tolist() == [0.0, 0.0]
+
+
+# (points, seed, k, p) of `conesec check part1 --body random --n 6`
+@pytest.mark.xfail(raises=GeometryError, strict=True,
+                   reason="the halfspace cut of 3-4 rows breaks qhull (QH6271) or the tiling guard")
+@pytest.mark.parametrize("points, seed, k, p", [(18, 3, 3, 3), (30, 4, 3, 3), (18, 3, 4, 4)])
+def test_wide_cone_cuts_of_6d_sections(points, seed, k, p):
+    # the wedge kernel cuts all three, but it is slower than the halfspace
+    # cut on other bodies and far slower on 7-D and 8-D ones (CHANGES.md),
+    # so the two-row rule stays
+    e = np.eye(6)
+    K = random_centered_polytope(6, points, seed)
+    F, C = Subspace.from_span(e[:6 - k]), PolyhedralCone(e[6 - p:])
+    L, R = sections._section_and_rows(K, F, C)
+    plus, minus = _opposite_cone_volumes(K, F, C)
+    assert [plus, minus] == pytest.approx(wedge_moment(L, np.stack([R, -R])), rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("n, points", [(3, 12), (4, 14), (5, 16), (6, 18), (7, 20), (8, 12)])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from conesec.geometry import (
     to_vrep,
     translate,
 )
-from conesec.sections import _section_and_rows, section, section_volume_fn
+from conesec.sections import _flat_section, _section_and_rows, section, section_volume_fn
 from conesec.verify import (
     _opposite_cone_volumes,
     check_corollary1,
@@ -59,6 +60,7 @@ from conesec.volume import (
     _VALUE_BLOCK_ELEMENTS,
     _WEDGE_BLOCK,
     _cone_simplices,
+    body_volume,
     isotropic_position,
     volume,
     wedge_moment,
@@ -259,6 +261,30 @@ def test_part1_of_an_8d_body_takes_no_section_hull():
     R = S.coords(Q @ e[7])[None, :]
     assert plus == pytest.approx(wedge_moment(L, R), rel=1e-10)
     assert minus == pytest.approx(wedge_moment(L, -R), rel=1e-10)
+
+
+def test_part2_reads_the_section_volume_from_its_cones(monkeypatch):
+    # |K cap (F + span C)| of the 8-D body is the sliced 7-D section's cone
+    # weight sum; `moments` is taken only of the 8-D body itself (isotropic
+    # position), and the section's fan gives the same volume afterwards
+    K, e = random_centered_polytope(8, 22, 1), np.eye(8)
+    F, C = Subspace.from_span(e[:5]), PolyhedralCone(e[6:])
+    real = volume_module.moments
+
+    def moments_of_8d_bodies(body):
+        if body.dim != 8:
+            pytest.fail(f"moments of a {body.dim}-D section")
+        return real(body)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("conesec") and getattr(mod, "moments", None) is real:
+            monkeypatch.setattr(mod, "moments", moments_of_8d_bodies)
+    res = check_main_theorem_part2(K, F, C)
+    monkeypatch.undo()
+    assert res.passed
+    L = _flat_section(isotropic_position(K)[0], F, C)[0]
+    assert L.dim == 7
+    assert body_volume(L) == pytest.approx(real(L).volume, rel=1e-12, abs=0)
 
 
 def test_8d_central_section_takes_no_qhull_call(monkeypatch):
