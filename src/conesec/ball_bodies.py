@@ -20,13 +20,13 @@ from .geometry import (
     Ball,
     GeometryError,
     Polytope,
-    Subspace,
     VPolytope,
     make_ball,
     to_hrep,
     to_vrep,
+    trivial_flat,
 )
-from .sections import QUADRATURE, SectionVolumeFunction, _composite_gl, _ray_arguments
+from .sections import SectionVolumeFunction, _adaptive_ray_moments, _composite_gl, _gl_cache, _ray_arguments
 from .special import beta
 from .volume import unit_ball_volume
 
@@ -39,7 +39,7 @@ class ConcaveFunctionOracle:
     """Evaluable f: R^k -> R_+, 1/m-concave (or log-concave only), from a plain callable.
 
     The profile-oracle protocol that the moment bodies and the profile checks
-    read: ``dim`` (k), ``label``, ``concavity_index`` (m, or None), calls f(x),
+    read: ``dim`` (k), ``concavity_index`` (m, or None), calls f(x),
     ``ray_values``, ``ray_extent`` and ``ray_moments``, and
     ``support_radius`` (f = 0 outside that ball) and ``barycenter_zero``
     (the first moment of f vanishes), which this class takes as given.
@@ -55,14 +55,12 @@ class ConcaveFunctionOracle:
         concavity_index: float | None,
         support_radius: float,
         barycenter_zero: bool = False,
-        label: str = "oracle",
     ):
         self.dim = dim
         self._evaluate = evaluate
         self.concavity_index = concavity_index
         self.support_radius = float(support_radius)
         self.barycenter_zero = barycenter_zero
-        self.label = label
         if evaluate(np.zeros(dim)) <= 0:
             raise GeometryError("f(0) must be positive (0 interior to the support)")
 
@@ -94,36 +92,28 @@ class ConcaveFunctionOracle:
         The adaptive rule `_composite_gl` on [0, `ray_extent`] per row.
         Raises `GeometryError` unless p > 0 and every row is nonzero.
         """
-        xs = _ray_arguments(xs, p)
-        out = np.empty(len(xs))
-        for i, x in enumerate(xs):
-            T = self.ray_extent(x)
-            out[i] = 0.0 if T <= 0 else _composite_gl(
-                lambda ts: ts ** (p - 1) * self.ray_values(x, ts), 0.0, T, QUADRATURE)
-        return out
+        return _adaptive_ray_moments(self, _ray_arguments(xs, p), p, _composite_gl)
 
 
-def oracle_from_section_fn(svf: SectionVolumeFunction,
-                           label: str = "section-volume") -> SectionVolumeFunction:
-    """The section-volume function itself, labelled, as a profile oracle.
+def oracle_from_section_fn(svf: SectionVolumeFunction) -> SectionVolumeFunction:
+    """The section-volume function itself, untouched, as a profile oracle.
 
     A `SectionVolumeFunction` answers the oracle protocol (see
     `ConcaveFunctionOracle`) from its body: its barycentre is K's centroid
     projected onto F^perp, so only a body whose centroid lies in F passes
-    the barycentre-zero checks. Raises `GeometryError` unless f(0) > 0.
+    the barycentre-zero checks. Nothing is written on the function, which
+    `sections.section_volume_fn` shares between the queries on one (K, F).
+    Raises `GeometryError` unless f(0) > 0.
     """
     if svf(np.zeros(svf.dim)) <= 0:
         raise GeometryError("f(0) must be positive (0 interior to the support)")
-    svf.label = label
     return svf
 
 
 def ball_indicator_oracle(k: int, r: float = 1.0) -> SectionVolumeFunction:
     """Indicator of r B_2^k (1/m-concave for every m): the m = 0 profile of
-    the ball, whose ray moments are exact."""
-    flat = Subspace(k, np.zeros((0, k)))
-    return oracle_from_section_fn(SectionVolumeFunction(make_ball(k, r), flat),
-                                  label=f"indicator(B_2^{k})")
+    the ball, with f(0) = 1, whose ray moments are exact."""
+    return SectionVolumeFunction(make_ball(k, r), trivial_flat(k))
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +136,9 @@ class StarBodyOracle:
     ``radial_many`` maps an (N, dim) array of directions to their N radii.
     """
 
-    def __init__(self, dim: int, radial_many: Callable[[np.ndarray], np.ndarray],
-                 label: str = "star-body"):
+    def __init__(self, dim: int, radial_many: Callable[[np.ndarray], np.ndarray]):
         self.dim = dim
         self._radial_many = radial_many
-        self.label = label
 
     def radial(self, theta) -> float:
         return float(self.radial_many(np.atleast_1d(np.asarray(theta, dtype=float))[None, :])[0])
@@ -168,8 +156,7 @@ class StarBodyOracle:
 
 def ball_body(f: ConcaveFunctionOracle | SectionVolumeFunction, p: float) -> StarBodyOracle:
     """The convex body whose radial function is theta -> I_p(f, theta)."""
-    return StarBodyOracle(f.dim, lambda thetas: f.ray_moments(thetas, p) ** (1.0 / p),
-                          label=f"L_{p}({f.label})")
+    return StarBodyOracle(f.dim, lambda thetas: f.ray_moments(thetas, p) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +172,7 @@ def sphere_quadrature(k: int, level: int = 64):
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         return dirs, np.full(level, 2 * math.pi / level)
     if k == 3:
-        z, wz = np.polynomial.legendre.leggauss(level)
+        z, wz = _gl_cache(level)
         m_az = 2 * level
         az = 2 * math.pi * np.arange(m_az) / m_az
         Z, AZ = np.meshgrid(z, az, indexing="ij")

@@ -9,8 +9,9 @@ already computed, so every body is concrete.  Bodies are immutable apart
 from these caches, and all operations are pure.
 
 Conversions between representations go through Qhull (convex hull and
-halfspace intersection, both through one fallback ladder); degenerate inputs
-are detected via their affine hull and handled in intrinsic coordinates.
+halfspace intersection, both through `_qhull`, where only a hull gets a Q12
+retry); degenerate inputs are detected via their affine hull and handled in
+intrinsic coordinates.
 """
 
 from __future__ import annotations
@@ -109,6 +110,11 @@ class Subspace:
         v = _as_array(v)
         resid = v - self.embed(self.coords(v))
         return float(np.linalg.norm(resid)) < tol * max(1.0, float(np.linalg.norm(v)))
+
+
+def trivial_flat(n: int) -> Subspace:
+    """The subspace {0} in R^n (flat of a full-dimensional cone section)."""
+    return Subspace(n, np.zeros((0, n)))
 
 
 def _complement_basis(basis: np.ndarray, ambient_dim: int | None = None) -> np.ndarray:
@@ -303,15 +309,22 @@ def extreme_points(points: np.ndarray):
 
 
 def _qhull(build, data: np.ndarray, *args, options: str = ""):
-    """build(data, *args) by qhull, with one fallback for merge failures.
+    """build(data, *args) by qhull, with one fallback for a hull's merge failures.
 
     Near-degenerate inputs can trip qhull's merge heuristics. On QhullError
-    ``options`` are retried with Q12, which relaxes the wide-merge guard;
-    when that fails too, GeometryError. Joggled input is never tried: it
-    would move the vertices without a trace in the result.
+    a hull (`ConvexHull`) retries ``options`` with Q12, which relaxes the
+    wide-merge guard; when that fails too, GeometryError. A halfspace
+    intersection takes one attempt, then GeometryError: after rejecting a
+    system, its Q12 retry can return a polytope with vertices missing
+    (4.7% of the volume on a scaled wedge system) or outside the system.
+    A hull keeps the retry, which near-degenerate bodies need, and its
+    triangulation is checked by the tiling guard of `boundary`. Joggled
+    input is never tried: it would move the vertices without a trace in
+    the result.
     """
+    ladder = [options, f"{options} Q12".lstrip()] if build is ConvexHull else [options]
     last_exc = None
-    for opts in (options, f"{options} Q12".lstrip()):
+    for opts in ladder:
         try:
             return build(data, *args, qhull_options=opts or None)
         except QhullError as exc:
@@ -584,10 +597,11 @@ def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope
     flat holds it only where the flat meets the facet. In one dimension
     the rest is an interval (`interval_1d`). Otherwise qhull starts from
     ``interior``, a point the caller knows to be clearly interior, or else
-    from the Chebyshev centre, found by an LP. Raises GeometryError when
-    the system is unbounded, or when a vertex qhull returns violates the
-    normalised system by more than GEOM_TOL max(1, max |b|), as its Q12
-    retry can after rejecting a system.
+    from the Chebyshev centre, found by an LP. qhull takes the system once,
+    with no Q12 retry (`_qhull`). Raises GeometryError when the system is
+    unbounded, when qhull rejects it, or when a vertex qhull returns
+    violates the normalised system by more than GEOM_TOL max(1, max |b|),
+    a guard kept against any intersection that misplaces its vertices.
     """
     norms = np.linalg.norm(A, axis=1)
     ok = norms > 1e-14

@@ -27,9 +27,10 @@ extents, kinks and chord lengths, and their moments.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .geometry import (
     to_hrep,
     to_vrep,
     translate,
+    trivial_flat,
 )
 from .special import beta
 from .volume import _centred, _cone_simplices, _slice, body_volume, moments, unit_ball_volume, wedge_moment
@@ -159,9 +161,9 @@ class SectionVolumeFunction:
     last one-block chord call, which gives the bits of a fresh instance.
 
     It answers the profile-oracle protocol of `ball_bodies` itself: ``dim``
-    (= k), ``label``, ``concavity_index`` (m, None for the indicator at
-    m = 0), ``support_radius`` (the largest vertex norm of K, or r + |c| for
-    a ball) and ``barycenter_zero``, read from K's centroid.
+    (= k), ``concavity_index`` (m, None for the indicator at m = 0),
+    ``support_radius`` (the largest vertex norm of K, or r + |c| for a
+    ball) and ``barycenter_zero``, read from K's centroid.
     """
 
     def __init__(self, body: ConvexBody, F: Subspace):
@@ -170,7 +172,6 @@ class SectionVolumeFunction:
         self.Fperp = F.complement()
         self.dim = self.k = self.Fperp.dim
         self.m = F.dim  # section dimension n - k
-        self.label = "section-volume"
         self._proj = None  # the support of f: projection of K onto F^perp
         self._chord_cache = None  # `_Chords` of a polytope with sections of dimension 1
         self._profile = None  # (thetas bytes, ts, chord) of the last one-block chord call
@@ -241,12 +242,7 @@ class SectionVolumeFunction:
         """
         thetas = _ray_arguments(thetas, p)
         if not self.has_exact_ray_moments(p):
-            out = np.empty(len(thetas))
-            for i, theta in enumerate(thetas):
-                T = self.ray_extent(theta)
-                out[i] = 0.0 if T <= 0 else _composite_gl(
-                    lambda ts: ts ** (p - 1) * self.ray_values(theta, ts), 0.0, T, QUADRATURE)
-            return out
+            return _adaptive_ray_moments(self, thetas, p, _composite_gl)
         if self.m == 0:
             return radial_many(self.body, self.Fperp.embed(thetas)) ** p / p
         if isinstance(self.body, Ball):
@@ -320,6 +316,17 @@ def _ray_arguments(thetas, p) -> np.ndarray:
     if not thetas.any(axis=1).all():
         raise GeometryError("ray directions must be nonzero")
     return thetas
+
+
+def _adaptive_ray_moments(f, thetas: np.ndarray, p: float, rule) -> np.ndarray:
+    """int_0^T t^(p-1) f(t theta) dt per row theta, T = f.ray_extent(theta), by
+    ``rule``: the adaptive ray rule `_composite_gl` as the calling module binds it."""
+    out = np.empty(len(thetas))
+    for i, theta in enumerate(thetas):
+        T = f.ray_extent(theta)
+        out[i] = 0.0 if T <= 0 else rule(
+            lambda ts: ts ** (p - 1) * f.ray_values(theta, ts), 0.0, T, QUADRATURE)
+    return out
 
 
 # directions x kink ridges x neighbours per block of `_chord_moments`, which
@@ -579,8 +586,7 @@ def solid_angle_fraction(C: PolyhedralCone) -> float:
             tz = z - (z @ x) * x
             angles.append(math.acos(np.clip(ty @ tz / (np.linalg.norm(ty) * np.linalg.norm(tz)), -1, 1)))
         return (sum(angles) - math.pi) / (4 * math.pi)
-    flat = Subspace(p, np.zeros((0, p)))
-    return cone_section_volume_radial(make_ball(p), flat, PolyhedralCone(U)) / unit_ball_volume(p)
+    return cone_section_volume_radial(make_ball(p), trivial_flat(p), PolyhedralCone(U)) / unit_ball_volume(p)
 
 
 # ---------------------------------------------------------------------------
@@ -594,24 +600,26 @@ class QuadratureSpec:
     One instance, the module constant `QUADRATURE`, serves every caller;
     no public function takes a spec, so no call can loosen a tolerance.
 
-    The ray fields drive the adaptive rule `_composite_gl`, which integrates
-    only the profiles without exact ray moments: off-centre balls at m >= 1,
-    oracles other than section functions, and non-integer p at m >= 2. Ray
-    moments are exact for indicators (m = 0), for centred balls, and for
-    polytope section functions at m = 1, or at m >= 2 with integer p, where
-    they are wedge moments (`SectionVolumeFunction.ray_moments`). The sphere
-    fields always apply: the integral over the cone's directions stays
-    numerical. Its rule (`_integrate_refining`) takes the levels of
-    sphere_nodes in turn, the first two in one batch of ray moments; on a
-    2-D cone a level puts that many nodes on each piece of the arc between
-    the directions where the integrand kinks (`_arc_kinks`), on a wider
-    cone it is the 1-D order of a simplex rule.
+    Both rules are refinement loops of one routine (`_refine`): each takes
+    its levels in turn, the first two in one call, until two agree. The ray
+    fields drive the adaptive ray rule `_composite_gl`, whose levels are 1,
+    2, 4, ... ray_max_panels panels of ray_panel_nodes nodes each. It
+    integrates only the profiles without exact ray moments: off-centre balls
+    at m >= 1, oracles other than section functions, and non-integer p at
+    m >= 2. Ray moments are exact for indicators (m = 0), for centred balls,
+    and for polytope section functions at m = 1, or at m >= 2 with integer
+    p, where they are wedge moments (`SectionVolumeFunction.ray_moments`).
+    The sphere fields always apply: the integral over the cone's directions
+    stays numerical. Its levels are sphere_nodes, whose first two share one
+    batch of ray moments; on a 2-D cone a level puts that many nodes on each
+    piece of the arc between the directions where the integrand kinks
+    (`_arc_kinks`), on a wider cone it is the 1-D order of a simplex rule.
 
     Each rule warns with a `QuadratureWarning` when it returns without
     meeting its relative tolerance: the ray rule when its panels run out,
     the sphere rule when its last two levels differ by more than
     sphere_rel_tol. A sphere-rule gap beyond sphere_fail_tol raises
-    `QuadratureNonConvergence` instead.
+    `QuadratureNonConvergence` instead; the ray rule never raises.
     """
 
     ray_panel_nodes: int = 32
@@ -634,18 +642,18 @@ class QuadratureNonConvergence(RuntimeError):
         self.error_estimate = error_estimate
 
 
-def _gl_cache(n: int, _cache={}):
-    if n not in _cache:
-        _cache[n] = np.polynomial.legendre.leggauss(n)
-    return _cache[n]
+@functools.cache
+def _gl_cache(n: int):
+    """The n-node Gauss-Legendre rule (nodes, weights) on [-1, 1], built once per n."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 class QuadratureWarning(RuntimeWarning):
     """A quadrature rule returned its finest level without meeting its tolerance.
 
-    Issued by the adaptive ray rule (`_composite_gl`) when
-    ray_max_panels runs out before two panel levels agree to ray_rel_tol,
-    and by the sphere rule (`_integrate_refining`) when its last two levels
+    Issued by the refinement loop (`_refine`) of the adaptive ray rule
+    (`_composite_gl`) when ray_max_panels runs out before two panel levels
+    agree to ray_rel_tol, and of the sphere rule when its last two levels
     differ by more than sphere_rel_tol but not by more than sphere_fail_tol.
     ``value`` is the returned (finest) estimate and ``gap`` the difference
     between the last two levels.
@@ -660,31 +668,46 @@ class QuadratureWarning(RuntimeWarning):
         self.gap = gap
 
 
-def _composite_gl(fn, a: float, b: float, spec: QuadratureSpec) -> float:
-    """Composite Gauss-Legendre with panel doubling; fn maps node array -> values.
+def _refine(value_at, levels: tuple, rel_tol: float, fail_tol: float) -> float:
+    """The one refinement loop of the ray and sphere rules: levels in turn until two agree.
 
-    Warns with a QuadratureWarning when ray_max_panels runs out before two
-    successive levels agree to ray_rel_tol, and returns the finest level.
+    value_at takes a tuple of levels and returns one value per level. The
+    first call takes the first two levels, which no integral can skip, so a
+    caller may batch them; each later call takes one level. Returns the
+    first level within rel_tol of the one before. When no two levels agree,
+    raises QuadratureNonConvergence if the last gap exceeds fail_tol, else
+    warns with a QuadratureWarning and returns the finest level.
     """
-    x0, w0 = _gl_cache(spec.ray_panel_nodes)
-    prev = None
-    gap = math.inf
-    panels = 1
-    while panels <= spec.ray_max_panels:
-        edges = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        ts = (mid[:, None] + half * x0[None, :]).ravel()
-        ws = np.tile(half * w0, panels)
-        val = float(ws @ fn(ts))
-        if prev is not None:
-            gap = abs(val - prev)
-            if gap <= spec.ray_rel_tol * max(abs(val), 1e-300):
-                return val
-        prev = val
-        panels *= 2
-    warnings.warn(QuadratureWarning(prev, gap, spec.ray_rel_tol), stacklevel=2)
-    return prev
+    values = list(value_at(levels[:2]))
+    for n in (*levels[2:], None):  # None: no level left
+        est = abs(values[-1] - values[-2]) if len(values) > 1 else math.inf
+        scale = max(abs(values[-1]), 1e-300)
+        if est <= rel_tol * scale:
+            return values[-1]
+        if n is not None:
+            values += value_at((n,))
+    if est > fail_tol * scale:
+        raise QuadratureNonConvergence(values[-1], est)
+    warnings.warn(QuadratureWarning(values[-1], est, rel_tol), stacklevel=2)
+    return values[-1]
+
+
+def _composite_gl(fn, a: float, b: float, spec: QuadratureSpec) -> float:
+    """The adaptive ray rule: int_a^b fn by composite Gauss-Legendre with panel doubling.
+
+    fn maps an array of nodes to their values. A level of P panels is one
+    `_fixed_gl` call with spec.ray_panel_nodes nodes on each of the P equal
+    panels of [a, b]; the levels are 1, 2, 4, ... ray_max_panels panels,
+    refined by `_refine` to ray_rel_tol with no failure bound: when the
+    panels run out, it warns with a QuadratureWarning and returns the
+    finest level.
+    """
+    def value_at(levels: tuple) -> list:
+        return [_fixed_gl(fn, np.linspace(a, b, panels + 1), (spec.ray_panel_nodes,))[0]
+                for panels in levels]
+
+    levels = tuple(2**i for i in range(spec.ray_max_panels.bit_length()))
+    return _refine(value_at, levels, spec.ray_rel_tol, math.inf)
 
 
 def ray_moment(f: SectionVolumeFunction, theta_fperp, p: float) -> float:
@@ -726,6 +749,7 @@ def cone_section_volume_radial(K: ConvexBody, F: Subspace, C: PolyhedralCone) ->
     fit (p >= 6).
     """
     _check_cone_flat(F, C)
+    spec = QUADRATURE
     f = section_volume_fn(K, F)
     p = C.span_dim
     Gc = f.Fperp.coords(C.span.basis)  # (p, k) orthonormal rows: G inside F^perp
@@ -749,10 +773,11 @@ def cone_section_volume_radial(K: ConvexBody, F: Subspace, C: PolyhedralCone) ->
             return fp(np.stack([np.cos(phis), np.sin(phis)], axis=1))
 
         edges = np.concatenate([[a1], _arc_kinks(K, F, C, a1, delta), [a1 + delta]])
-        return _integrate_refining(lambda levels: _fixed_gl(arc, edges, levels), QUADRATURE)
+        return _refine(lambda levels: _fixed_gl(arc, edges, levels), spec.sphere_nodes,
+                       spec.sphere_rel_tol, spec.sphere_fail_tol)
     # p >= 3: integrate over the transversal simplex T = conv(unit generators):
     # int_{C cap S^{p-1}} phi(theta) dtheta = h * int_T phi(x/|x|) |x|^-p dA(x)
-    levels = tuple(n for n in QUADRATURE.sphere_nodes if n ** (p - 1) <= _SIMPLEX_NODES)
+    levels = tuple(n for n in spec.sphere_nodes if n ** (p - 1) <= _SIMPLEX_NODES)
     if len(levels) < 2:
         raise GeometryError(f"the simplex rule of a {p}-D cone has fewer than two levels "
                             f"of at most {_SIMPLEX_NODES} nodes")
@@ -775,7 +800,7 @@ def cone_section_volume_radial(K: ConvexBody, F: Subspace, C: PolyhedralCone) ->
         return [h * volT * math.factorial(p - 1) * float((wts * v).sum())
                 for (_, wts), v in zip(rules, np.split(vals, split))]
 
-    return _integrate_refining(simplex_value, replace(QUADRATURE, sphere_nodes=levels))
+    return _refine(simplex_value, levels, spec.sphere_rel_tol, spec.sphere_fail_tol)
 
 
 def _arc_kinks(K: ConvexBody, F: Subspace, C: PolyhedralCone, a1: float, delta: float) -> np.ndarray:
@@ -806,28 +831,3 @@ def _fixed_gl(fn, edges: np.ndarray, levels: tuple) -> list:
     nodes = [(mid[:, None] + half[:, None] * x).ravel() for x, _ in rules]
     vals = np.split(fn(np.concatenate(nodes)), np.cumsum([len(ts) for ts in nodes])[:-1])
     return [float((half[:, None] * w).ravel() @ v) for (_, w), v in zip(rules, vals)]
-
-
-def _integrate_refining(value_at, spec: QuadratureSpec) -> float:
-    """The sphere rule: the levels of sphere_nodes in turn until two agree.
-
-    value_at takes a tuple of levels and returns one value per level. The
-    first call takes the first two levels, which no query can skip, so they
-    share one batch of ray moments; each later call takes one level.
-    Returns the first level within sphere_rel_tol of the one before. When
-    no two levels agree, raises QuadratureNonConvergence if the last gap
-    exceeds sphere_fail_tol, else warns with a QuadratureWarning and returns
-    the finest level.
-    """
-    values = list(value_at(spec.sphere_nodes[:2]))
-    for n in (*spec.sphere_nodes[2:], None):  # None: no level left
-        est = abs(values[-1] - values[-2]) if len(values) > 1 else math.inf
-        scale = max(abs(values[-1]), 1e-300)
-        if est <= spec.sphere_rel_tol * scale:
-            return values[-1]
-        if n is not None:
-            values += value_at((n,))
-    if est > spec.sphere_fail_tol * scale:
-        raise QuadratureNonConvergence(values[-1], est)
-    warnings.warn(QuadratureWarning(values[-1], est, spec.sphere_rel_tol), stacklevel=2)
-    return values[-1]

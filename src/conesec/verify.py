@@ -39,6 +39,7 @@ from .geometry import (
     support,
     to_hrep,
     to_vrep,
+    trivial_flat,
 )
 from .sections import (
     SectionVolumeFunction,
@@ -126,11 +127,6 @@ def part1_constant(n: int, k: int, p: int) -> ExplicitConstant:
 
 # ---------------------------------------------------------------------------
 # small geometric helpers
-
-
-def trivial_flat(n: int) -> Subspace:
-    """The subspace {0} in R^n (flat of a full-dimensional cone section)."""
-    return Subspace(n, np.zeros((0, n)))
 
 
 def halfspace_volume(K: ConvexBody, U):
@@ -606,7 +602,7 @@ def report_prop9(f: ConcaveFunctionOracle | SectionVolumeFunction, num_dirs: int
     """
     k = f.dim
     L = ball_body(f, k + 1.0)
-    ball = StarBodyOracle(k, lambda thetas: np.ones(len(thetas)), label="unit-ball")
+    ball = StarBodyOracle(k, lambda thetas: np.ones(len(thetas)))
     dist_lb = geometric_distance_lb(L, ball, num_dirs=num_dirs, seed=seed)
     m = moments(L.polytope_approx(seed=seed))
     w = np.linalg.eigvalsh(m.covariance / m.volume)

@@ -154,13 +154,14 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
     its hyperplane (`_slice`), which the same sum turns into L. Each row
     before the last splits the simplices it crosses (`_split`); a wedge whose
     first row is the negative of another wedge's takes the other side of
-    that wedge's split, so R and -R cost one split. The last row only
-    weights each piece by the part of its cone from 0 on the row's positive
-    side, which depends on the vertex values alone (`_positive_fraction`),
-    taken for as many wedges in one call as `_VALUE_BLOCK_ELEMENTS` allows;
-    each wedge's sum over its pieces stays its own. The pieces grow quickly
-    with the number of rows, so wedges with many facets are better cut by a
-    halfspace intersection. Each normal multiplies the pieces too, by up to
+    one split by that row's fixed sign (`_wedge_pieces`), so R and -R cost
+    one split, and a stack gives the bits of its wedges cut alone. The last
+    row only weights each piece by the part of its cone from 0 on the row's
+    positive side, which depends on the vertex values alone
+    (`_positive_fraction`), taken for as many wedges in one call as
+    `_VALUE_BLOCK_ELEMENTS` allows; each wedge's sum over its pieces stays
+    its own. The pieces grow quickly with the number of rows, so wedges
+    with many facets are better cut by a halfspace intersection. Each normal multiplies the pieces too, by up to
     C(d - 2, d/2 - 1) per simplex, and a polytope whose facets are cut into
     many simplices has many to slice. `sections` slices by normals here only
     for the ray moments at m >= 2; its sections slice K's cones once
@@ -184,12 +185,19 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
 
 def _wedge_pieces(pts: np.ndarray, w: np.ndarray, stack: np.ndarray):
     """Per wedge R of the stack, (w, c) of the pieces of the simplices ``pts`` on the
-    positive side of its rows before the last: their weights, and their vertex values along R[-1]."""
+    positive side of its rows before the last: their weights, and their vertex values along R[-1].
+
+    The first row splits by whichever of +-R[0] has its first nonzero entry
+    positive, and R takes that split's side, so a wedge cut alone or in a
+    stack with its negative gets the same pieces, in the same order.
+    """
     sides = {}  # first row -> the pieces on its positive side
     for R in stack:
         key = (R[0] + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
         if len(R) > 1 and key not in sides:
-            sides[(0.0 - R[0]).tobytes()], sides[key] = _split(pts, w, R[0])[::-1]
+            flip = R[0][R[0] != 0][:1].sum() < 0  # the sign of the first nonzero entry
+            pos, neg = _split(pts, w, 0.0 - R[0] if flip else R[0])
+            sides[key], sides[(0.0 - R[0]).tobytes()] = (neg, pos) if flip else (pos, neg)
         piece_pts, piece_w = sides.get(key, (pts, w))
         for r in R[1:-1]:
             (piece_pts, piece_w), _ = _split(piece_pts, piece_w, r)

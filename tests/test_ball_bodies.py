@@ -40,7 +40,7 @@ from conesec.geometry import (
     to_vrep,
     translate,
 )
-from conesec.sections import section_volume_fn
+from conesec.sections import SectionVolumeFunction, section_volume_fn
 from conesec.special import beta
 from conesec.volume import moment_p, unit_ball_volume, volume
 
@@ -52,7 +52,6 @@ def linear_profile_oracle(m: float) -> ConcaveFunctionOracle:
         evaluate=lambda x: max(0.0, 1.0 - abs(float(x[0]))) ** m,
         concavity_index=m,
         support_radius=1.0,
-        label=f"(1-|t|)^{m}",
     )
 
 
@@ -63,7 +62,6 @@ def quadratic_cap_oracle() -> ConcaveFunctionOracle:
         evaluate=lambda x: max(0.0, 1.0 - float(x @ x)),
         concavity_index=1.0,
         support_radius=1.0,
-        label="1-|x|^2",
     )
 
 
@@ -134,12 +132,24 @@ def test_section_fn_oracle_reproduces_values():
     assert f.concavity_index == 2
 
 
+def test_oracles_of_a_shared_section_fn_leave_it_untouched():
+    # `section_volume_fn` gives one function per (K, F); each oracle built on
+    # it is that function, with nothing written on it
+    K, F = random_centered_polytope(3, 12, 5030), Subspace.from_span(np.eye(3)[:1])
+    svf = section_volume_fn(K, F)
+    before = dict(vars(svf))
+    first, second = oracle_from_section_fn(section_volume_fn(K, F)), oracle_from_section_fn(svf)
+    assert first is svf and second is svf
+    assert vars(svf).keys() == before.keys()
+    assert all(vars(svf)[name] is value for name, value in before.items())
+
+
 def test_section_fn_is_its_own_oracle():
     K = random_centered_polytope(4, 14, 9)
     svf = section_volume_fn(K, Subspace.from_span(np.eye(4)[:2]))
-    f = oracle_from_section_fn(svf, label="profile")
+    f = oracle_from_section_fn(svf)
     assert f is svf
-    assert f.label == "profile" and f.dim == 2 and f.barycenter_zero
+    assert f.dim == 2 and f.barycenter_zero
     assert f.support_radius == pytest.approx(np.linalg.norm(to_vrep(K).vertices, axis=1).max())
     # f(0) = 0: 0 is not interior to the support
     with pytest.raises(GeometryError):
@@ -204,7 +214,7 @@ def test_indicator_is_the_exact_m0_profile_of_the_ball():
     # forms, (r / |theta|)^p / p, and its ray values vanish outside rB
     for k in (1, 2, 3):
         f = ball_indicator_oracle(k, r=2.0)
-        assert f.label == f"indicator(B_2^{k})"
+        assert isinstance(f, SectionVolumeFunction)
         assert f.has_exact_ray_moments(k + 2)
         theta = np.eye(k)[0]
         assert f.ray_values(theta, np.array([1.0, 1.999, 2.001])).tolist() == [1.0, 1.0, 0.0]
@@ -308,7 +318,6 @@ def test_estimate_max_simple_profiles():
         evaluate=lambda x: max(0.0, 1.0 - (float(x[0]) - 0.3) ** 2),
         concavity_index=None,
         support_radius=2.0,
-        label="shifted bump",
     )
     assert estimate_max(bump) == pytest.approx(1.0, abs=1e-6)
 

@@ -1,6 +1,7 @@
 """Representations, conversions, duality and cone plumbing."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -294,20 +295,30 @@ def test_halfspace_polytope_enumerates_its_vertices_once(monkeypatch):
 
 @pytest.mark.parametrize("levels", [1, 2])
 def test_qhull_falls_back_to_q12_then_joggle(monkeypatch, levels):
-    # the first `levels` options of each ladder raise QhullError; when both
-    # fail, the ladder raises instead of joggling the input
-    ladders = {"HalfspaceIntersection": [None, "Q12"], "ConvexHull": ["Qt", "Qt Q12"]}
-    made = _count_qhull(monkeypatch, {o for ladder in ladders.values() for o in ladder[:levels]})
+    # the first `levels` options of the hull's ladder raise QhullError; when
+    # both fail, the ladder raises instead of joggling the input. The
+    # halfspace intersection before the hull takes its one option
+    ladder = ["Qt", "Qt Q12"]
+    made = _count_qhull(monkeypatch, set(ladder[:levels]))
     src = to_hrep(make_cube(3))
     H = HPolytope(src.A, src.b)
     if levels == 2:
         with pytest.raises(GeometryError, match="merge failure"):
             volume(H)
-        assert made == [("HalfspaceIntersection", None), ("HalfspaceIntersection", "Q12")]
+        assert made == [("HalfspaceIntersection", None), ("ConvexHull", "Qt"), ("ConvexHull", "Qt Q12")]
         return
     assert volume(H) == pytest.approx(8.0, rel=1e-12)
-    for name, options in ladders.items():
-        assert [o for n, o in made if n == name] == options
+    assert [o for n, o in made if n == "ConvexHull"] == ladder
+    assert [o for n, o in made if n == "HalfspaceIntersection"] == [None]
+
+
+def test_a_halfspace_intersection_takes_one_qhull_attempt(monkeypatch):
+    # a rejected system is not retried with Q12, whose output can be short
+    made = _count_qhull(monkeypatch, {None})
+    src = to_hrep(make_cube(3))
+    with pytest.raises(GeometryError, match="merge failure"):
+        volume(HPolytope(src.A, src.b))
+    assert made == [("HalfspaceIntersection", None)]
 
 
 def test_qhull_ladder_reports_its_last_failure(monkeypatch):
@@ -317,15 +328,40 @@ def test_qhull_ladder_reports_its_last_failure(monkeypatch):
     assert made == [("ConvexHull", "Qt Qx"), ("ConvexHull", "Qt Qx Q12")]
 
 
-def test_halfspace_intersection_outside_its_system_raises():
-    # qhull rejects this wedge system (QH6271 wide merge), and its Q12 retry
-    # returns vertices 0.431 outside it, with a volume of 0.0386 where the
-    # wedge is 0.0316; the ladder must not hand that on as the polytope
-    K = translate(random_centered_polytope(5, 16, 218), 0.33344736970120425 * np.eye(5)[0])
-    R = np.random.default_rng(218).standard_normal((2, 5))
-    H = to_hrep(K)
+def test_halfspace_intersection_outside_its_system_raises(monkeypatch):
+    # the guard on qhull's vertices: the square's system, with one vertex
+    # of its intersection moved 0.5 outside it
+    real = HalfspaceIntersection
+
+    def misplaced(*args, **kwargs):
+        moved = real(*args, **kwargs).intersections.copy()
+        moved[0] *= 1.5
+        return SimpleNamespace(intersections=moved)
+
+    monkeypatch.setattr(conesec.geometry, "HalfspaceIntersection", misplaced)
+    src = to_hrep(make_cube(2))
     with pytest.raises(GeometryError, match="outside its system"):
-        _halfspace_polytope(np.vstack([H.A, -R]), np.concatenate([H.b, np.zeros(2)]))
+        _halfspace_polytope(src.A, src.b)
+
+
+@pytest.mark.parametrize("shift, unit_rows, scaled", [
+    (0.33344736970120425, False, False), (0.33344736970120425, False, True), (0.333984375, True, False)],
+    ids=["outside", "scaled", "short"])
+def test_a_wedge_system_that_qhull_rejects_raises(shift, unit_rows, scaled):
+    # qhull rejects each of these wedge systems (QH6271 wide merge). A Q12
+    # retry returned vertices 0.431 outside the first; on the second, the
+    # first scaled to max |b| = 1, and on the third it returned vertices
+    # inside the system but lost 4.7% of the wedge's volume (0.0301188 for
+    # 0.0316009 after rescaling, and 0.03015 for 0.03163). With no retry
+    # each raises
+    K = translate(random_centered_polytope(5, 16, 218), shift * np.eye(5)[0])
+    R = np.random.default_rng(218).standard_normal((2, 5))
+    if unit_rows:
+        R = R / np.linalg.norm(R, axis=1)[:, None]
+    H = to_hrep(K)
+    A, b = np.vstack([H.A, -R]), np.concatenate([H.b, np.zeros(2)])
+    with pytest.raises(GeometryError, match="qhull failed"):
+        _halfspace_polytope(A, b / np.abs(b).max() if scaled else b)
 
 
 def test_one_dimensional_halfspace_systems():

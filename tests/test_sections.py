@@ -839,6 +839,14 @@ def test_cut_volume_takes_one_wedge_or_a_stack():
                 for W in (R, -R)]
         assert stacked == pytest.approx(fans, rel=1e-12, abs=0)
     assert _cut_volume(None, R) == 0.0 and _cut_volume(None, np.stack([R, -R])).tolist() == [0.0, 0.0]
+    # two rows on a grid of bodies: the stack [R, -R] gives the bits of its
+    # wedges cut alone, whichever sign R's first row has
+    for n in range(3, 7):
+        e = np.eye(n)
+        for seed in range(1, 16):
+            L, R = sections._section_and_rows(random_centered_polytope(n, 2 * n + 6, seed),
+                                              Subspace.from_span(e[:n - 2]), orthant_cone(e[n - 2:]))
+            assert _cut_volume(L, np.stack([R, -R])).tolist() == [_cut_volume(L, R), _cut_volume(L, -R)], (n, seed)
 
 
 # (points, seed, k, p) of `conesec check part1 --body random --n 6`
