@@ -250,9 +250,7 @@ def fradelizi_constant(k: int, m: float) -> float:
 
 def negative_ray_factor(k: int, m: float, p: float) -> float:
     """Factor lambda with -L_p(f) inside lambda L_p(f) for barycenter-zero f."""
-    num = ((k + 1) * beta(k + 1, m + 1)) ** (1 / (k + 1))
-    den = (p * beta(p, m + 1)) ** (1 / p)
-    return k * (1 + k / (m + 1)) ** (m / p) * num / den
+    return k * geometric_distance_factor(k, m, p)
 
 
 def geometric_distance_factor(k: int, m: float, p: float) -> float:

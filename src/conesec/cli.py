@@ -90,7 +90,8 @@ def _default_flat(n: int, k: int) -> Subspace:
 
 
 def _emit(report: dict, args, check_rows=None) -> None:
-    if check_rows is not None and args.format == "csv":
+    # `experiment` writes check rows but has no --format: its reports are JSON
+    if check_rows is not None and getattr(args, "format", "json") == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["name", "body", "n", "k", "p", "lhs", "rhs", "ratio", "passed"])
@@ -112,6 +113,15 @@ def _emit(report: dict, args, check_rows=None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_checks(args, t0: float, results: list[CheckResult], **payload) -> int:
+    """Emit a report of check rows, with ``results`` and ``num_failed`` beside
+    the extra payload; the exit code is 1 when a check failed, else 0."""
+    num_failed = sum(not r.passed for r in results)
+    _emit(_report(args, {**payload, "results": [r.to_record() for r in results],
+                         "num_failed": num_failed}, t0), args, check_rows=results)
+    return 0 if num_failed == 0 else 1
 
 
 def _report(args, payload: dict, t0: float) -> dict:
@@ -219,11 +229,7 @@ def _run_named_check(args) -> list[CheckResult]:
 
 
 def _cmd_check(args, t0) -> int:
-    results = _run_named_check(args)
-    payload = {"results": [r.to_record() for r in results],
-               "num_failed": sum(not r.passed for r in results)}
-    _emit(_report(args, payload, t0), args, check_rows=results)
-    return 0 if payload["num_failed"] == 0 else 1
+    return _emit_checks(args, t0, _run_named_check(args))
 
 
 def _cmd_experiment(args, t0) -> int:
@@ -231,23 +237,17 @@ def _cmd_experiment(args, t0) -> int:
     if name == "remark1":
         if args.l is None:
             raise GeometryError("experiment remark1 needs --l")
-        r = experiment_remark1(args.n, args.l)
-        payload = {"results": [r.to_record()]}
-        code = 0 if r.passed else 1
-    elif name == "remark3":
-        r = experiment_remark3_cube(args.n)
-        payload = {"results": [r.to_record()]}
-        code = 0 if r.passed else 1
-    elif name == "remark2":
+        return _emit_checks(args, t0, [experiment_remark1(args.n, args.l)])
+    if name == "remark3":
+        return _emit_checks(args, t0, [experiment_remark3_cube(args.n)])
+    if name == "remark2":
         payload = experiment_remark2_sharpness(args.n)
-        code = 0
     elif name == "alpha":
         payload = experiment_alpha_n(args.n, args.trials, args.seed)
-        code = 0
     else:
         raise GeometryError(f"unknown experiment {args.experiment!r}")
     _emit(_report(args, payload, t0), args)
-    return code
+    return 0
 
 
 def _cmd_corpus(args, t0) -> int:
@@ -255,13 +255,7 @@ def _cmd_corpus(args, t0) -> int:
     if args.limit:
         specs = specs[: args.limit]
     results = run_corpus(specs)
-    payload = {
-        "num_checks": len(results),
-        "num_failed": sum(not r.passed for r in results),
-        "results": [r.to_record() for r in results],
-    }
-    _emit(_report(args, payload, t0), args, check_rows=results)
-    return 0 if payload["num_failed"] == 0 else 1
+    return _emit_checks(args, t0, results, num_checks=len(results))
 
 
 # ---------------------------------------------------------------------------

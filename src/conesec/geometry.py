@@ -461,6 +461,12 @@ class Ball:
     def __repr__(self):
         return f"Ball(dim={self.dim})"
 
+    @property
+    def centred(self) -> bool:
+        """Whether the centre is 0 to 1e-12 of the radius: the one test by which a
+        ball's closed forms (its cone cuts, its polar, its ray moments) take it."""
+        return bool(np.linalg.norm(self.center) <= 1e-12 * self.radius)
+
 
 ConvexBody = Union[Polytope, Ball]
 
@@ -712,14 +718,17 @@ def support(K: ConvexBody, u) -> float:
 def _origin_interior(K: ConvexBody) -> ConvexBody:
     """K, with its halfspaces computed if it is a polytope.
 
-    Raises GeometryError unless 0 is interior to K.
+    Raises GeometryError unless 0 is interior to K, judged relative to K's
+    own scale, so the test holds at every scale: a polytope's facet offsets
+    must exceed GEOM_TOL max |b|, and a ball's centre must lie within
+    radius (1 - GEOM_TOL) of 0.
     """
     if isinstance(K, Ball):
-        if np.linalg.norm(K.center) >= K.radius - GEOM_TOL:
+        if np.linalg.norm(K.center) >= K.radius * (1.0 - GEOM_TOL):
             raise GeometryError("origin is not interior to the ball")
         return K
     H = to_hrep(K)
-    if np.any(H.b <= GEOM_TOL):
+    if np.any(H.b <= GEOM_TOL * np.abs(H.b).max()):
         raise GeometryError("origin is not interior to the body")
     return H
 
@@ -785,7 +794,7 @@ def contains_many(K: ConvexBody, X: np.ndarray, tol: float = GEOM_TOL) -> np.nda
 def polar(K: ConvexBody) -> ConvexBody:
     """Polar body K^* with respect to the origin (0 must be interior)."""
     if isinstance(K, Ball):
-        if np.linalg.norm(K.center) > GEOM_TOL:
+        if not K.centred:
             raise GeometryError("polar of an off-center ball is not a ball")
         return Ball(np.zeros(K.dim), 1.0 / K.radius)
     has_halfspaces = K._A is not None  # before the interior test computes them

@@ -208,7 +208,7 @@ class SectionVolumeFunction:
         K), for K a ball centred at 0, or a polytope with m = 1, or m >= 2
         and p an integer (a wedge moment of degree p - 1)."""
         if isinstance(self.body, Ball) and self.m > 0:
-            return bool(np.linalg.norm(self.body.center) < 1e-14)
+            return self.body.centred
         return self.m <= 1 or float(p).is_integer()
 
     def ray_moments(self, thetas, p) -> np.ndarray:
@@ -389,7 +389,7 @@ class _Chords:
         beta = np.concatenate([-a[lo] * b[up] + a[up] * b[lo], b[side == 0]])
         norms = np.linalg.norm(rows, axis=1)
         rows, beta = rows / norms[:, None], beta / norms
-        if beta.min() <= GEOM_TOL:
+        if beta.min() <= GEOM_TOL * np.abs(b).max():
             raise GeometryError("origin is not interior to the body")
         kinks, near = ridges.pairs[same], ridges.neighbours[i[same]]
         scale = np.where(side != 0, a, 1.0)
@@ -494,17 +494,14 @@ def _check_cone_flat(F: Subspace, C: PolyhedralCone):
 
 
 def cone_section_volume_polyhedral(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
-    """|K cap (F + C)| in dimension dim(F) + dim(span C), exact for polytopes.
+    """|K cap (F + C)| in dimension dim(F) + dim(span C), exact for polytopes
+    and for balls centred at 0.
 
-    On a polytope it is one section of K by F + span C (none for the whole
-    space), cut by the cone's rows (`_cut_volume`).
+    It is one section of K by F + span C (none for the whole space), cut by
+    the cone's rows (`_cut_volume`), which raises `GeometryError` on a ball
+    section off 0.
     """
     _check_cone_flat(F, C)
-    if isinstance(K, Ball):
-        if np.linalg.norm(K.center) > GEOM_TOL:
-            raise GeometryError("cone sections of balls require the center at 0")
-        d = F.dim + C.span_dim
-        return solid_angle_fraction(C) * unit_ball_volume(d) * K.radius**d
     return _cut_volume(*_section_and_rows(K, F, C))
 
 
@@ -533,21 +530,31 @@ def _section_and_rows(K: ConvexBody, F: Subspace, C: PolyhedralCone):
 
 
 def _cut_volume(L, R):
-    """|L cap {y : R y >= 0}| for a polytope L (0 for None), the one cut of the
-    polyhedral route. R is one wedge (r, n), which gives a float, or a stack
-    of m wedges of r rows each (m, r, n), which gives one value per wedge in
-    an (m,) array, as `volume.wedge_moment` takes them.
+    """|L cap {y : R y >= 0}| for a polytope or a ball L (0 for None), the one
+    cut of the polyhedral route. R is one wedge (r, n) of linearly
+    independent rows, which gives a float, or a stack of m wedges of r rows
+    each (m, r, n), which gives one value per wedge in an (m,) array, as
+    `volume.wedge_moment` takes them.
 
-    Up to two rows, the stack is cut from the boundary simplices L already
-    has in one `wedge_moment` call, so a wedge and its negative share one
-    split. More rows intersect L's halfspaces with each wedge's, one
-    halfspace intersection per wedge whose volume is read from its cone
-    weights (`volume.body_volume`), because the wedge kernel's pieces
-    multiply with every facet of the cone.
+    A ball must be centred at 0 (`Ball.centred`; GeometryError otherwise).
+    Its wedge W keeps the share of its volume that the cone {W y >= 0} takes
+    of the sphere: the solid-angle fraction (`solid_angle_fraction`) of the
+    cone in W's row space generated by the columns of W's pseudo-inverse,
+    since W pinv(W) = I. On a polytope, up to two rows, the stack is cut
+    from the boundary simplices L already has in one `wedge_moment` call, so
+    a wedge and its negative share one split. More rows intersect L's
+    halfspaces with each wedge's, one halfspace intersection per wedge whose
+    volume is read from its cone weights (`volume.body_volume`), because the
+    wedge kernel's pieces multiply with every facet of the cone.
     """
     stack = np.array(R, dtype=float, ndmin=3)
     if L is None:
         out = np.zeros(len(stack))
+    elif isinstance(L, Ball):
+        if not L.centred:
+            raise GeometryError("cone sections of balls require the center at 0")
+        out = body_volume(L) * np.array([solid_angle_fraction(PolyhedralCone(np.linalg.pinv(W).T))
+                                         for W in stack])
     elif stack.shape[1] <= 2:
         out = wedge_moment(L, stack)
     else:

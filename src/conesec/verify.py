@@ -72,8 +72,12 @@ __all__ = [
 class CheckResult:
     """One verified inequality: passed iff lhs <= rhs * (1 + slack).
 
-    Checks that are two-sided or equalities say so in ``notes`` and encode
-    the worst side in (lhs, rhs).
+    That verdict is the default, computed at construction when ``passed``
+    is not given (None), so a bound check states only its two sides and its
+    slack; ``replace(result, ..., passed=None)`` recomputes it for new sides.
+    Two-sided checks say so in ``notes`` and encode the worst side in
+    (lhs, rhs). Only the equality experiments pass their own two-sided
+    verdict, |lhs - rhs| <= slack * rhs.
     """
 
     name: str
@@ -82,8 +86,12 @@ class CheckResult:
     lhs: float
     rhs: float
     slack: float
-    passed: bool
+    passed: bool | None = None
     notes: str = ""
+
+    def __post_init__(self):
+        if self.passed is None:
+            object.__setattr__(self, "passed", bool(self.lhs <= self.rhs * (1.0 + self.slack)))
 
     def to_record(self) -> dict:
         return {
@@ -131,16 +139,10 @@ def part1_constant(n: int, k: int, p: int) -> ExplicitConstant:
 
 def halfspace_volume(K: ConvexBody, U):
     """|K cap {x : <x, u> >= 0}| for one direction u (a float) or each row u of
-    a grid U (an array). On a polytope every u is a one-row wedge, and the
-    grid is one stack cut by `sections._cut_volume`; a ball centred at 0
-    keeps half its volume."""
-    U = np.asarray(U, dtype=float)
-    if isinstance(K, Ball):
-        if np.linalg.norm(K.center) > 1e-12:
-            raise GeometryError("ball halfspace volumes require the center at 0")
-        half = 0.5 * body_volume(K)
-        return half if U.ndim == 1 else np.full(len(U), half)
-    return _cut_volume(K, U[..., None, :])
+    a grid U (an array): every u is a one-row wedge, and the grid is one
+    stack cut by `sections._cut_volume`, which takes polytopes and balls
+    centred at 0 (a ball off 0 raises `GeometryError`)."""
+    return _cut_volume(K, np.asarray(U, dtype=float)[..., None, :])
 
 
 def cone_volume(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
@@ -150,12 +152,10 @@ def cone_volume(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
 
 def _opposite_cone_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone):
     """|K cap (F + C)| and |K cap (F - C)|, by the route of `cone_volume` for
-    both. On a polytope, one section of K by F + span C is cut by the stack
-    [R, -R] of C's rows and their negatives in one `sections._cut_volume`
-    call, which picks the cut for both (up to two rows the wedges share the
-    split by their first rows); a ball takes `cone_volume` per sign."""
-    if isinstance(K, Ball):
-        return cone_volume(K, F, C), cone_volume(K, F, C.negated())
+    both: one section of K by F + span C, a polytope or a ball, is cut by
+    the stack [R, -R] of C's rows and their negatives in one
+    `sections._cut_volume` call, which picks the cut for both (up to two
+    rows the wedges of a polytope share the split by their first rows)."""
     _check_cone_flat(F, C)
     L, R = _section_and_rows(K, F, C)
     return tuple(_cut_volume(L, np.stack([R, -R])).tolist())
@@ -182,13 +182,11 @@ def check_gruenbaum(K: ConvexBody, U, body_spec: str = "body") -> list[CheckResu
     m = _centroid_guard(K)
     U = np.atleast_2d(np.asarray(U, dtype=float))
     lhs = gruenbaum_constant(K.dim).value * m.volume
-    slack = 1e-9
     return [CheckResult(
         name="centroid-halfspace-lower-bound",
         body_spec=body_spec,
         parameters={"n": K.dim, "u": u.round(12).tolist()},
-        lhs=lhs, rhs=float(rhs), slack=slack,
-        passed=bool(lhs <= rhs * (1.0 + slack)),
+        lhs=lhs, rhs=float(rhs), slack=1e-9,
         notes="lower bound: halfspace volume on the right",
     ) for u, rhs in zip(U, halfspace_volume(K, U))]
 
@@ -208,14 +206,11 @@ def check_main_theorem_part1(K: ConvexBody, F: Subspace, C: PolyhedralCone,
     plus, minus = _opposite_cone_volumes(K, F, C)
     if plus <= 0:
         raise GeometryError("degenerate cone section: |K cap (F+C)| = 0")
-    lhs = minus / plus
-    slack = 1e-6
     return CheckResult(
         name="cone-ratio-upper-bound",
         body_spec=body_spec,
         parameters={"n": n, "k": k, "p": p},
-        lhs=lhs, rhs=const.value, slack=slack,
-        passed=bool(lhs <= const.value * (1.0 + slack)),
+        lhs=minus / plus, rhs=const.value, slack=1e-6,
         notes=f"|K cap (F-C)| = {minus:.6e}, |K cap (F+C)| = {plus:.6e}",
     )
 
@@ -231,7 +226,8 @@ def check_main_theorem_part2(K: ConvexBody, F: Subspace, C: PolyhedralCone,
     the cut has cached, so no section is fanned for its moments.
 
     Only the n^p branch of the constant is explicit, so only it is asserted;
-    the alternative branch is reported with its unspecified factor symbolic.
+    the alternative branch, a^(kp) times part 1's constant over k^p, is
+    reported with its unspecified factor a symbolic.
     """
     n = K.dim
     k = n - F.dim
@@ -243,17 +239,12 @@ def check_main_theorem_part2(K: ConvexBody, F: Subspace, C: PolyhedralCone,
         raise GeometryError("degenerate cone section")
     k_ratio = plus / full
     ball_ratio = solid_angle_fraction(C)
-    lhs = max(k_ratio / ball_ratio, ball_ratio / k_ratio)
-    rhs = float(n) ** p
-    slack = 1e-6
-    alt = ((1.0 + k / (n + 1.0 - k)) ** (n - k) * binom(n + p - k, p)
-           * binom(n + 1, k + 1) ** (-p / (k + 1.0)))
+    alt = part1_constant(n, k, p).value / k ** p
     return CheckResult(
         name="isotropic-cone-fraction-sandwich",
         body_spec=body_spec,
         parameters={"n": n, "k": k, "p": p},
-        lhs=lhs, rhs=rhs, slack=slack,
-        passed=bool(lhs <= rhs * (1.0 + slack)),
+        lhs=max(k_ratio / ball_ratio, ball_ratio / k_ratio), rhs=float(n) ** p, slack=1e-6,
         notes=(f"two-sided; K-fraction {k_ratio:.6e}, ball fraction {ball_ratio:.6e}; "
                f"alternative branch a^{{{k * p}}} * {alt:.6e} with a unspecified"),
     )
@@ -280,9 +271,16 @@ def check_corollary1(K: ConvexBody, F: Subspace, theta,
 
 
 def check_corollary2(K: ConvexBody, u, v, body_spec: str = "body") -> CheckResult:
-    """Hyperplane section split by a second direction: ratio bounded both ways."""
-    _centroid_guard(K)
-    n = K.dim
+    """Hyperplane section split by a second direction: ratio bounded both ways.
+
+    theta is the unit part of v orthogonal to u, and F the orthogonal
+    complement of span(u, theta), so F + R theta is the hyperplane u^perp
+    and +-theta split its section. Corollary 2 is part 1 at p = 1 on the ray
+    theta (k = 2), whose ratio l = |K cap (F - theta)| / |K cap (F + theta)|
+    it bounds both ways: this is `check_main_theorem_part1` on that ray with
+    lhs max(l, 1/l), its verdict recomputed by `CheckResult`, and
+    ``parameters["ratio"]`` the split ratio 1/l.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     u = u / np.linalg.norm(u)
@@ -292,21 +290,13 @@ def check_corollary2(K: ConvexBody, u, v, body_spec: str = "body") -> CheckResul
         raise GeometryError("directions must satisfy v != +-u")
     theta /= nt
     F = Subspace.from_span(np.vstack([u, theta])).complement()
-    const = part1_constant(n, 2, 1)
-    plus, minus = _opposite_cone_volumes(K, F, PolyhedralCone(theta[None, :]))
-    if min(plus, minus) <= 0:
+    res = check_main_theorem_part1(K, F, PolyhedralCone(theta[None, :]), body_spec)
+    if res.lhs <= 0:
         raise GeometryError("degenerate hyperplane section split")
-    ratio = plus / minus
-    lhs = max(ratio, 1.0 / ratio)
-    slack = 1e-6
-    return CheckResult(
-        name="hyperplane-split-two-sided-bound",
-        body_spec=body_spec,
-        parameters={"n": n, "ratio": float(ratio)},
-        lhs=lhs, rhs=const.value, slack=slack,
-        passed=bool(lhs <= const.value * (1.0 + slack)),
-        notes=f"two-sided; implied constant c >= {lhs:.6e}",
-    )
+    lhs = max(res.lhs, 1.0 / res.lhs)
+    return replace(res, name="hyperplane-split-two-sided-bound",
+                   parameters={"n": K.dim, "ratio": 1.0 / res.lhs}, lhs=lhs, passed=None,
+                   notes=f"two-sided; implied constant c >= {lhs:.6e}")
 
 
 def check_corollary3(K: ConvexBody, E: Subspace, us,
@@ -329,17 +319,13 @@ def check_corollary3(K: ConvexBody, E: Subspace, us,
     full = body_volume(K) if E.dim == n else section_volume(K, E)
     if full <= 0:
         raise GeometryError("empty section subspace")
-    lhs = (2.0 * n) ** (-p) * full
-    rhs = plus
-    slack = 1e-6
     frac = plus / full
     implied_c = -math.log(frac) / (k * p) if frac < 1 else 0.0
     return CheckResult(
         name="isotropic-orthant-fraction-lower-bound",
         body_spec=body_spec,
         parameters={"n": n, "k": k, "p": p},
-        lhs=lhs, rhs=rhs, slack=slack,
-        passed=bool(lhs <= rhs * (1.0 + slack)),
+        lhs=(2.0 * n) ** (-p) * full, rhs=plus, slack=1e-6,
         notes=(f"lower bound: orthant volume on the right; fraction {frac:.6e}; "
                f"exponential branch needs c >= {implied_c:.6e}"),
     )
@@ -406,7 +392,8 @@ def experiment_remark2_sharpness(n: int, eps_sequence=None) -> dict:
 
     On the centered regular simplex the ratio approaches n^n as the cone
     around a vertex direction narrows; the table reports the trend, with no
-    hard assertion beyond monotonicity checked by the caller.
+    hard assertion beyond monotonicity checked by the caller. Both signs of
+    each cone come from one `_opposite_cone_volumes` call, as in part 1.
     """
     if eps_sequence is None:
         eps_sequence = [0.8, 0.4, 0.2, 0.1, 0.05]
@@ -421,9 +408,7 @@ def experiment_remark2_sharpness(n: int, eps_sequence=None) -> dict:
     F0 = trivial_flat(n)
     for eps in eps_sequence:
         gens = apex[None, :] + eps * (spread @ perp.basis)
-        C = PolyhedralCone(gens)
-        plus = cone_volume(simplex, F0, C)
-        minus = cone_volume(simplex, F0, C.negated())
+        plus, minus = _opposite_cone_volumes(simplex, F0, PolyhedralCone(gens))
         if plus < 1e-12 or minus < 1e-300:
             raise GeometryError("cone too small to resolve")
         rows.append({"eps": float(eps), "ratio": plus / minus})
@@ -488,15 +473,12 @@ def check_fradelizi(f: ConcaveFunctionOracle | SectionVolumeFunction,
         raise GeometryError("check requires a finite concavity index")
     if not f.barycenter_zero:
         raise GeometryError("check requires a barycenter-zero oracle")
-    lhs = estimate_max(f)
-    rhs = fradelizi_constant(f.dim, f.concavity_index) * f(np.zeros(f.dim))
-    slack = 1e-6
     return CheckResult(
         name="profile-max-vs-center",
         body_spec=body_spec,
         parameters={"k": f.dim, "m": f.concavity_index, "max_route": max_route(f)},
-        lhs=lhs, rhs=rhs, slack=slack,
-        passed=bool(lhs <= rhs * (1.0 + slack)),
+        lhs=estimate_max(f), rhs=fradelizi_constant(f.dim, f.concavity_index) * f(np.zeros(f.dim)),
+        slack=1e-6,
     )
 
 
@@ -508,13 +490,11 @@ def check_lemma5(L: ConvexBody, body_spec: str = "body") -> CheckResult:
         lhs = 1.0
     else:
         lhs = float(minkowski_norm_many(L, -to_vrep(L).vertices).max())
-    slack = 1e-9
     return CheckResult(
         name="reflection-inclusion-factor",
         body_spec=body_spec,
         parameters={"k": k},
-        lhs=lhs, rhs=float(k), slack=slack,
-        passed=bool(lhs <= k * (1.0 + slack)),
+        lhs=lhs, rhs=float(k), slack=1e-9,
     )
 
 
@@ -528,14 +508,11 @@ def check_lemma6(f: ConcaveFunctionOracle | SectionVolumeFunction, p: float,
     dirs = _rng.sphere_grid(f.dim, num_dirs, seed)
     r_plus, r_minus = L.radial_many(dirs), L.radial_many(-dirs)
     seen = r_plus > 0
-    worst = float(np.max(r_minus[seen] / r_plus[seen], initial=0.0))
-    slack = 1e-6
     return CheckResult(
         name="moment-body-backward-radius-bound",
         body_spec=body_spec,
         parameters={"k": f.dim, "m": f.concavity_index, "p": p},
-        lhs=worst, rhs=factor, slack=slack,
-        passed=bool(worst <= factor * (1.0 + slack)),
+        lhs=float(np.max(r_minus[seen] / r_plus[seen], initial=0.0)), rhs=factor, slack=1e-6,
     )
 
 
@@ -549,14 +526,12 @@ def check_lemma7(L: ConvexBody, u, body_spec: str = "body") -> CheckResult:
     h = support(L, u)
     lower = h * h / (k * (k + 2.0))
     upper = (k / (k + 2.0)) * h * h
-    slack = 1e-9
     lhs = max(lower / second, second / upper) if second > 0 else math.inf
     return CheckResult(
         name="second-moment-support-sandwich",
         body_spec=body_spec,
         parameters={"k": k, "second_moment": second, "support": h},
-        lhs=lhs, rhs=1.0, slack=slack,
-        passed=bool(lhs <= 1.0 + slack),
+        lhs=lhs, rhs=1.0, slack=1e-9,
         notes="two-sided; lhs is the worst violation factor of either side",
     )
 
@@ -581,14 +556,11 @@ def check_prop8(L: ConvexBody, body_spec: str = "body") -> CheckResult:
         outer = float(np.max(np.linalg.norm(V.vertices, axis=1)))
         H = to_hrep(L)
         inner = float(np.min(H.b / np.linalg.norm(H.A, axis=1)))
-    slack = 1e-7
-    lhs = max(beta_L / inner, outer / (r * k * beta_L))
     return CheckResult(
         name="second-moment-ball-sandwich",
         body_spec=body_spec,
         parameters={"k": k, "beta": beta_L, "r": r},
-        lhs=lhs, rhs=1.0, slack=slack,
-        passed=bool(lhs <= 1.0 + slack),
+        lhs=max(beta_L / inner, outer / (r * k * beta_L)), rhs=1.0, slack=1e-7,
         notes="two-sided; lhs is the worst violation factor of either side",
     )
 
@@ -613,7 +585,6 @@ def report_prop9(f: ConcaveFunctionOracle | SectionVolumeFunction, num_dirs: int
         body_spec=body_spec,
         parameters={"k": k, "distance_lb": dist_lb, "r": r},
         lhs=dist_lb, rhs=dist_lb, slack=0.0,
-        passed=True,
         notes=f"report-only: implied a >= {implied_a:.6e}",
     )
 

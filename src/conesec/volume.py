@@ -20,9 +20,10 @@ boundary and cone simplices; the other sections, where a halfspace
 intersection and one hull measured faster, do not slice.  The convexified
 section integrals of `intersection_bodies` take a section's cone simplices
 as they are.
-A body's volume alone is read from the same cached cones (`body_volume`:
-their weights over d!, a ball's closed form), so only centroids and second
-moments take the vertex-average fan of `moments`.
+A body's volume and its polynomial moments along one direction are read
+from the same cached cones (`body_volume`: their weights over d!, a ball's
+closed form; `moment_p`), so only centroids and second moments take the
+vertex-average fan of `moments`.
 A seeded Monte Carlo estimator provides an independent cross-check, and the
 isotropic-position transform whitens the centered second-moment matrix.
 """
@@ -85,12 +86,6 @@ def triangulate(K: ConvexBody):
     return np.concatenate([apexes, facets], axis=1)
 
 
-def _simplex_volumes(simplices: np.ndarray) -> np.ndarray:
-    d = simplices.shape[2]
-    M = simplices[:, 1:, :] - simplices[:, :1, :]
-    return np.abs(np.linalg.det(M)) / math.factorial(d)
-
-
 def moments(K: ConvexBody) -> MomentSummary:
     """Exact volume, centroid and second-moment matrix of a polytope or ball.
 
@@ -111,7 +106,7 @@ def moments(K: ConvexBody) -> MomentSummary:
 def _polytope_moments(K: ConvexBody) -> MomentSummary:
     simplices = triangulate(K)
     d = simplices.shape[2]
-    vols = _simplex_volumes(simplices)
+    vols = np.abs(np.linalg.det(simplices[:, 1:, :] - simplices[:, :1, :])) / math.factorial(d)
     vol = float(vols.sum())
     if vol <= 0:
         raise GeometryError("degenerate body has zero volume")
@@ -418,21 +413,20 @@ _SUPPORTED_P = (0, 1, 2, 3, 4)
 
 
 def moment_p(K: ConvexBody, u, p: int) -> float:
-    """Exact integral of <x, u>^p over a polytope, p in {0,...,4}."""
+    """Exact integral of <x, u>^p over a polytope, p in {0,...,4}.
+
+    It is the sum over K's cached boundary cones conv(0, D) (`_cone_simplices`)
+    of their weights sign(b_D) |det| times p! / (d + p)! h_p(<u, v_i>), the
+    formula of `wedge_moment` with no wedge: it holds wherever the origin
+    is, and the cones are the ones every volume read and wedge cut of K
+    takes, so no vertex-average fan is built (`triangulate` serves
+    `moments` alone).
+    """
     if p not in _SUPPORTED_P:
         raise GeometryError(f"unsupported moment degree p={p}")
-    u = np.asarray(u, dtype=float)
-    simplices = triangulate(K)
-    d = simplices.shape[2]
-    vols = _simplex_volumes(simplices)
-    if p == 0:
-        return float(vols.sum())
-    c = simplices @ u  # (S, d+1) vertex values of the functional
-    # complete homogeneous symmetric polynomial h_p of the vertex values,
-    # taken from the first value on (hence the reversal)
-    h = _suffix_h(c[:, ::-1].T, p)[0]
-    coef = math.factorial(d) * math.factorial(p) / math.factorial(d + p)
-    return float(coef * (vols * h).sum())
+    simplices, weights = _cone_simplices(to_vrep(K))
+    h = _suffix_h((simplices @ np.asarray(u, dtype=float)).T, p)[0]
+    return float(weights @ h) * math.factorial(p) / math.factorial(K.dim + p)
 
 
 def bounding_box(K: ConvexBody):

@@ -168,6 +168,19 @@ def test_experiment_remark1(capsys):
     assert rep["results"][0]["lhs"] == pytest.approx((2.0 / 5.0) ** 2, rel=1e-9)
 
 
+def test_check_rows_take_one_report(capsys, monkeypatch):
+    # check, corpus and the remark1/remark3 experiments report results and
+    # num_failed, and exit 1 on a failed row; experiment has no --format
+    code, rep = run_json(capsys, "experiment", "remark3", "--n", "2")
+    assert code == 0 and rep["num_failed"] == 0 and len(rep["results"]) == 1
+    code, rep = run_json(capsys, "corpus", "--limit", "1")
+    assert code == 0 and rep["num_failed"] == 0 and rep["num_checks"] == len(rep["results"])
+    failed = conesec.cli.CheckResult("equality", "body", {}, 2.0, 1.0, 0.0, passed=False)
+    monkeypatch.setattr(conesec.cli, "experiment_remark1", lambda n, l: failed)
+    code, rep = run_json(capsys, "experiment", "remark1", "--n", "3", "--l", "1")
+    assert code == 1 and rep["num_failed"] == 1 and rep["results"] == [failed.to_record()]
+
+
 def test_experiment_remark2_table(capsys):
     code, rep = run_json(capsys, "experiment", "remark2", "--n", "2")
     assert code == 0

@@ -430,6 +430,23 @@ def test_radial_point_lies_on_boundary(n, seed):
     assert not contains(K, 1.0001 * x, tol=-1e-9)
 
 
+@pytest.mark.parametrize("s", [1e-12, 1e-10, 1e-6, 1.0, 1e4])
+def test_origin_interior_is_judged_at_the_body_scale(s):
+    # facet offsets against GEOM_TOL max |b|, a ball's centre against its
+    # radius; with GEOM_TOL absolute, every s below 1e-9 raised "origin is
+    # not interior"
+    e = np.eye(3)
+    cube, ball = affine_map(make_cube(3), s * e), make_ball(3, s)
+    assert radial(cube, e[0]) == pytest.approx(s, rel=1e-15, abs=0)
+    assert minkowski_norm(cube, e[0]) == pytest.approx(1.0 / s, rel=1e-15, abs=0)
+    assert radial(ball, e[1]) == pytest.approx(s, rel=1e-15, abs=0)
+    assert minkowski_norm(ball, e[2]) == pytest.approx(1.0 / s, rel=1e-15, abs=0)
+    # 0 on the boundary still raises at every scale
+    for K in (translate(cube, s * e[0]), make_ball(3, s, center=s * e[0])):
+        with pytest.raises(GeometryError, match="origin is not interior"):
+            radial(K, e[1])
+
+
 # ---------------------------------------------------------------------------
 # polarity
 

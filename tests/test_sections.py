@@ -13,7 +13,7 @@ from scipy.stats import multivariate_normal
 
 import conesec
 from conesec import sections
-from conesec.ball_bodies import estimate_max
+from conesec.ball_bodies import I_p, ball_indicator_oracle, estimate_max
 from conesec.geometry import (
     GeometryError,
     HPolytope,
@@ -336,6 +336,20 @@ def test_radial_and_ray_moments_are_homogeneous_in_the_direction(s):
         for p in (1, 2, 3):
             got = f.ray_moments(s * theta, p)[0] * s**p
             assert got == pytest.approx(f.ray_moments(theta, p)[0], rel=1e-14, abs=0), (f.m, p)
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-10, 1e-6, 1.0, 1e4])
+def test_ray_moments_hold_at_every_scale_of_the_body(s):
+    # the ball indicator's I_p is s p^(-1/p), and the chord moments (m = 1)
+    # of K scaled by s are s^(p+1) times K's: the chord data judge 0
+    # interior relative to max |b|, as `radial` does
+    e, theta = np.eye(3), np.array([[0.6, 0.8]])
+    assert I_p(ball_indicator_oracle(3, s), e[0], 2) == pytest.approx(s / math.sqrt(2), rel=1e-15, abs=0)
+    K, F = random_body(3, 5), Subspace.from_span(e[:1])
+    for p in (1, 2, 2.5):
+        scaled = section_volume_fn(affine_map(K, s * e), F).ray_moments(theta, p)[0]
+        assert scaled == pytest.approx(section_volume_fn(K, F).ray_moments(theta, p)[0] * s ** (p + 1),
+                                       rel=1e-14, abs=0), p
 
 
 def test_ray_moments_reject_nonpositive_p():

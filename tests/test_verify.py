@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,12 +25,14 @@ from conesec.geometry import (
     make_cube,
     make_regular_simplex,
     orthant_cone,
+    polar,
     random_centered_polytope,
     to_vrep,
     translate,
 )
 from conesec.sections import _flat_section, _section_and_rows, section, section_volume_fn
 from conesec.verify import (
+    CheckResult,
     _opposite_cone_volumes,
     check_corollary1,
     check_corollary2,
@@ -96,6 +99,22 @@ def test_part1_constant_domain():
         part1_constant(2, 3, 1)  # k > n
 
 
+def test_check_result_defaults_to_the_bound_verdict():
+    # passed iff lhs <= rhs (1 + slack), at, above and below that edge
+    rhs, slack = 3.0, 1e-6
+    edge = rhs * (1.0 + slack)
+    for lhs, passed in ((edge, True), (np.nextafter(edge, math.inf), False),
+                        (np.nextafter(edge, 0.0), True), (0.5 * rhs, True), (2.0 * rhs, False),
+                        (math.inf, False), (math.nan, False)):
+        assert CheckResult("bound", "body", {}, lhs, rhs, slack).passed is passed, lhs
+    # a verdict given is kept, also by `replace`; passed=None recomputes it
+    res = CheckResult("bound", "body", {}, 5.0, 1.0, 0.0)
+    assert res.passed is False
+    assert CheckResult("equality", "body", {}, 5.0, 1.0, 0.0, passed=True).passed is True
+    assert replace(res, lhs=1.0).passed is False
+    assert replace(res, lhs=1.0, passed=None).passed is True
+
+
 # ---------------------------------------------------------------------------
 # halfspace checks
 
@@ -103,6 +122,63 @@ def test_part1_constant_domain():
 def test_halfspace_volume_cube_and_ball():
     assert halfspace_volume(make_cube(3), [1.0, 0, 0]) == pytest.approx(4.0)
     assert halfspace_volume(make_ball(2), [0.0, 1.0]) == pytest.approx(math.pi / 2)
+
+
+def spherical_excess(a, b, c):
+    """The solid angle of the cone over unit vectors a, b, c (Van Oosterom and Strackee, 1983)."""
+    return 2.0 * math.atan2(abs(a @ np.cross(b, c)), 1.0 + a @ b + b @ c + c @ a)
+
+
+def test_a_centred_ball_is_cut_by_the_one_cut_routine():
+    # stacks of one to four rows on balls centred at 0 keep a half, angle / 2 pi,
+    # the spherical excess over 4 pi and (1/8)^2 of the ball (pi^2 / 128 for
+    # the unit 4-ball), through cone_volume, halfspace_volume and part 1
+    r, e3, e4 = 1.5, np.eye(3), np.eye(4)
+    B2, B3, B4 = make_ball(2, r), make_ball(3, r), make_ball(4)
+    U = rng.sphere_grid(3, 4, seed=2)
+    assert halfspace_volume(B3, U).tolist() == [body_volume(B3) / 2] * len(U)
+    assert halfspace_volume(B3, U[0]) == pytest.approx(2.0 * math.pi * r ** 3 / 3, rel=1e-15)
+    angle = 1.1
+    wedge = [[1.0, 0.0], [math.cos(angle), math.sin(angle)]]
+    assert cone_volume(B2, trivial_flat(2), PolyhedralCone(wedge)) == pytest.approx(
+        angle / 2 * r * r, rel=1e-14)
+    # the same wedge about the axis e1 of the 3-ball: F = span(e1), two rows in R^3
+    C = PolyhedralCone(np.hstack([np.zeros((2, 1)), wedge]))
+    assert cone_volume(B3, Subspace.from_span(e3[:1]), C) == pytest.approx(
+        angle / (2 * math.pi) * body_volume(B3), rel=1e-14)
+    a, b, c = (unit(v) for v in ([1.0, 0.2, 0.1], [0.1, 1.0, -0.3], [0.2, 0.3, 1.0]))
+    omega = spherical_excess(a, b, c)
+    assert cone_volume(B3, trivial_flat(3), PolyhedralCone([a, b, c])) == pytest.approx(
+        omega / (4 * math.pi) * body_volume(B3), rel=1e-12)
+    s = math.sqrt(0.5)
+    two_wedges = PolyhedralCone([[1, 0, 0, 0], [s, s, 0, 0], [0, 0, 1, 0], [0, 0, s, s]])
+    assert cone_volume(B4, trivial_flat(4), two_wedges) == pytest.approx(math.pi ** 2 / 128, rel=1e-9)
+    # part 1 on the 4-ball with the 3-row cone over a, b, c in span(e2, e3, e4)
+    F, C = Subspace.from_span(e4[:1]), PolyhedralCone(np.hstack([np.zeros((3, 1)), [a, b, c]]))
+    both = _opposite_cone_volumes(B4, F, C)
+    assert both == pytest.approx([omega / (4 * math.pi) * body_volume(B4)] * 2, rel=1e-12)
+    res = check_main_theorem_part1(B4, F, C)
+    assert res.passed and res.lhs == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e4])
+def test_a_ball_is_centred_to_1e12_of_its_radius(s):
+    # one rule, |c| <= 1e-12 r, for the cut, the polar and the closed-form ray
+    # moments: a centre 1e-13 r off 0 passes it, one 1e-10 r off raises in
+    # every cut and has adaptive ray moments
+    e = np.eye(3)
+    near, off = (make_ball(3, s, center=t * s * e[0]) for t in (1e-13, 1e-10))
+    assert near.centred and not off.centred
+    assert cone_volume(near, trivial_flat(3), orthant_cone(e)) == body_volume(near) / 8
+    assert polar(near).radius == 1.0 / s
+    assert section_volume_fn(near, Subspace.from_span(e[:1])).has_exact_ray_moments(2)
+    assert not section_volume_fn(off, Subspace.from_span(e[:1])).has_exact_ray_moments(2)
+    for cut in (lambda: cone_volume(off, trivial_flat(3), orthant_cone(e)),
+                lambda: halfspace_volume(off, e[0]),
+                lambda: check_main_theorem_part1(off, Subspace.from_span(e[:1]), PolyhedralCone(e[2:])),
+                lambda: polar(off)):
+        with pytest.raises(GeometryError, match="center"):
+            cut()
 
 
 def test_halfspace_volumes_add_up_on_the_corpus():
@@ -343,6 +419,20 @@ def test_corollary2_random_body():
     res = check_corollary2(K, [1.0, 0, 0], [0.3, 1.0, 0.2])
     assert res.passed
     assert res.rhs == pytest.approx(part1_constant(3, 2, 1).value)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 4), (4, 3), (5, 2)])
+def test_corollary2_is_part1_on_the_ray_both_ways(n, seed):
+    # lhs max(l, 1/l) of part 1's ratio l on the ray theta, with the bound's verdict
+    K = random_centered_polytope(n, 2 * n + 6, seed)
+    u, v = np.eye(n)[0], np.linspace(0.3, 1.0, n)
+    theta = unit(v - (v @ u) * u)
+    F = Subspace.from_span(np.vstack([u, theta])).complement()
+    l = check_main_theorem_part1(K, F, PolyhedralCone(theta[None, :])).lhs
+    res = check_corollary2(K, u, v)
+    assert res.lhs == max(l, 1.0 / l) and res.parameters == {"n": n, "ratio": 1.0 / l}
+    assert res.rhs == part1_constant(n, 2, 1).value
+    assert res.passed is (res.lhs <= res.rhs * (1.0 + res.slack)) is True
 
 
 def test_corollary3_isotropic_simplex():

@@ -143,7 +143,7 @@ def _qhull_without_fallbacks(build, data, *args, options=""):
 
 def halfspace_wedge_moment(K, R, q=0):
     """The integral of <R[-1], x>^q over K cap {R x >= 0} by one halfspace intersection
-    and the fan triangulation (`moment_p`), or None where qhull cannot give it.
+    and its moment (`moment_p`), or None where qhull cannot give it.
 
     qhull gets no fallback options here: when K has nearly parallel facets
     it can reject this system, and its Q12 retry can then return a polytope
@@ -346,6 +346,24 @@ def test_moment_p_on_cube():
     assert moment_p(cube, u, 4) == pytest.approx(4.0 / 5.0)
     with pytest.raises(GeometryError):
         moment_p(cube, u, 5)
+
+
+def test_moment_p_reads_the_cached_cones(monkeypatch):
+    # one fan per body: moment_p sums over the boundary cones every wedge cut
+    # reads, with no triangulation from the vertex average, and agrees with
+    # that triangulation's closed form
+    def fan_moment(K, u, q):
+        S = triangulate(K)
+        vols = np.abs(np.linalg.det(S[:, 1:] - S[:, :1])) / math.factorial(K.dim)
+        return float(vols @ h(S @ u, q)) * math.factorial(K.dim) * math.factorial(q) / math.factorial(K.dim + q)
+
+    bodies = [make_cube(4), random_body(4, 7), translate(make_regular_simplex(3), [0.4, -0.2, 0.3])]
+    us = [np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.3, -1.2, 0.5, 0.7]), np.array([0.3, -1.2, 0.5])]
+    fans = [[(fan_moment(K, u, q), 1e-14 * moment_scale(K, u, q)) for q in range(5)] for K, u in zip(bodies, us)]
+    monkeypatch.setattr(volume_module, "triangulate", None)  # a fan would raise
+    for K, u, fan in zip(bodies, us, fans):
+        for q, (ref, scale) in enumerate(fan):
+            assert moment_p(K, u, q) == pytest.approx(ref, rel=1e-13, abs=scale), q
 
 
 def test_moment_p_matches_quadrature_on_simplex():
