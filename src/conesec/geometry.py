@@ -2,21 +2,24 @@
 
 Representations: polytopes and Euclidean balls.  A `Polytope` is built from
 its vertices (`VPolytope`) or its halfspaces (`HPolytope`) and computes the
-other representation lazily, at most once; what it derives from one qhull
-hull (its triangulated boundary, its H-rep, its moments) is cached on it as
-well.  Affine images are applied eagerly and carry every representation
-already computed, so every body is concrete.  Bodies are immutable apart
-from these caches, and all operations are pure.
+other representation lazily, at most once; what it derives from them (its
+triangulated boundary, its H-rep, its vertex-facet incidence, its moments)
+is cached on it as well.  Affine images are applied eagerly and carry every
+representation already computed, so every body is concrete.  Bodies are
+immutable apart from these caches, and all operations are pure.
 
-Conversions between representations go through Qhull (convex hull and
-halfspace intersection, both through `_qhull`, where only a hull gets a Q12
-retry); degenerate inputs are detected via their affine hull and handled in
-intrinsic coordinates.
+qhull runs at most once per body or halfspace system, through `_qhull`: a
+hull finds a vertex-built body's vertices and facets (with a Q12 retry), and
+a halfspace intersection finds a system's vertices (one attempt).  The
+points of an intersection are never hulled.  The boundary has one builder:
+a facet with d vertices is its own simplex, and any other is pulled from
+the facet-vertex incidence (`_pulled`); every built boundary passes a
+closure guard (`_closed`).  Degenerate inputs are detected via their
+affine hull and handled in intrinsic coordinates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Union
@@ -195,76 +198,121 @@ def _map_halfspaces(A: np.ndarray, b: np.ndarray, M: np.ndarray, shift: np.ndarr
 class Boundary:
     """Triangulated boundary of a full-dimensional polytope.
 
-    A hull becomes one in `_extreme_points` alone: a qhull hull in R^d,
-    d >= 2, and the two end points in R^1. A sliced section
+    Row s of ``simplices`` indexes the d vertices of a (d-1)-simplex lying
+    on the facet {x : <A[s], x> = b[s]}, where A[s] is the facet's unit
+    outward normal, and facet[s] labels that facet, so the rows where each
+    label first occurs are the polytope's H-rep. A vertex-built body
+    gets its boundary in `_extreme_points`, a body with facet rows in
+    `_pulled`; both pass the closure guard `_closed`. A sliced section
     (`sections.section`) gets its own from the slice, and an affine image
-    carries its body's (`mapped`). Row s of ``simplices`` indexes the d
-    vertices of a (d-1)-simplex lying on the facet
-    {x : <A[s], x> = b[s]}, where A[s] is the facet's unit outward normal.
-    ``volume`` is the polytope's volume as qhull reports it, and
-    ``fan_volume`` the total volume of the simplices coned from an interior
-    point; they differ when the simplices overlap (qhull's triangulation of
-    a facet with many coplanar vertices can overlap itself) or leave gaps.
+    carries its body's (`mapped`).
     """
 
     simplices: np.ndarray  # (S, d) vertex indices
     A: np.ndarray  # (S, d)
     b: np.ndarray  # (S,)
-    volume: float
-    fan_volume: float
-
-    @property
-    def tiles(self) -> bool:
-        """Whether the simplices tile the boundary: fan and hull volumes agree to 1e-9."""
-        return abs(self.fan_volume - self.volume) <= 1e-9 * self.volume
+    facet: np.ndarray  # (S,) the facet each simplex lies on
 
     @cached_property
     def simplicial(self) -> bool:
-        """Whether the simplices tile the boundary and each is a whole facet.
-
-        qhull gives every simplex of a triangulated facet that facet's
-        equation, so no two rows of A are equal exactly when each facet is
-        one simplex.
-        """
-        return self.tiles and len(np.unique(self.A, axis=0)) == len(self.simplices)
+        """Whether each facet is one simplex."""
+        return len(np.unique(self.facet)) == len(self.facet)
 
     def mapped(self, M: np.ndarray, shift: np.ndarray) -> "Boundary":
         """The boundary of the image {M x + shift} of the polytope, M invertible.
 
         An affine map keeps the face lattice, so the simplices carry over.
         """
-        scale = abs(float(np.linalg.det(M)))
-        return Boundary(self.simplices, *_map_halfspaces(self.A, self.b, M, shift),
-                        self.volume * scale, self.fan_volume * scale)
+        return Boundary(self.simplices, *_map_halfspaces(self.A, self.b, M, shift), self.facet)
 
 
-def _hull_boundary(hull: "ConvexHull", basis: np.ndarray, center: np.ndarray,
-                   index: np.ndarray) -> Boundary:
-    """Boundary of a hull qhull built on (points - center) @ basis.T, basis orthogonal.
+def _pulled(P: "Polytope") -> Boundary:
+    """The boundary of the full-dimensional polytope P, whose facets are
+    among its unit rows (A, b), read from their incidence on its vertices
+    (`Polytope._incidence`) alone.
 
-    ``index`` maps hull point indices to vertex indices.
+    A row is a facet when its vertex set holds at least d vertices and lies
+    in no other row's set (of rows with equal sets the first is kept), so
+    redundant rows and rows that touch only a lower face drop out. The
+    facets of a face of dimension k < d - 1 are the inclusion-maximal sets
+    among its meets with K's facets that hold at least k vertices. A facet
+    with d vertices is its own simplex; any other gets the
+    pulling triangulation (De Loera, Rambau and Santos, *Triangulations*,
+    2010, sec. 4.3): a face of dimension k with more than k + 1 vertices is
+    the cone from its lowest-index vertex v over the pulled facets of the
+    face that miss v. Faces are pulled once each, so a shared face gives
+    both of its cofaces the same simplices, and the simplices tile the
+    boundary. Each simplex lists its vertices in ascending order.
     """
-    pts = hull.points
-    fan = np.abs(np.linalg.det(pts[hull.simplices] - pts.mean(axis=0))).sum()
-    # qhull equations: normal . y + offset <= 0 with unit normals
-    A = hull.equations[:, :-1] @ basis
-    b = A @ center - hull.equations[:, -1]
-    return Boundary(index[hull.simplices], A, b, float(hull.volume),
-                    float(fan) / math.factorial(pts.shape[1]))
+    on, d = P._incidence, P.dim
+    rows = np.flatnonzero(on.sum(axis=0) >= d)
+    shared = on[:, rows].T.astype(float) @ on[:, rows]
+    count = np.diag(shared)
+    # inside[i, j]: row i's set lies in row j's, which is larger or earlier
+    inside = (shared == count[:, None]) & ((count > count[:, None]) | (rows < rows[:, None]))
+    facet = ~inside.any(axis=1)
+    rows, near = rows[facet], shared[np.ix_(facet, facet)] >= d - 1
+    masks = [int.from_bytes(c.tobytes(), "little") for c in np.packbits(on[:, rows].T, axis=1, bitorder="little")]
+    pulled = {0: [()]}  # the empty face: one simplex, with no vertex
+
+    def pull(face: int, k: int, rows: list[int]) -> list[tuple]:
+        # rows holds every facet of K that meets the face in k vertices or more
+        if face not in pulled:
+            v = face & -face
+            below = [face ^ v]  # a simplex is the cone from v over its face opposite v
+            if face.bit_count() > k + 1:
+                rows = [m for m in rows if (face & m).bit_count() >= k]
+                below = []  # the inclusion-maximal proper meets: the face's facets
+                for G in sorted(dict.fromkeys(face & m for m in rows if face & m != face),
+                                key=int.bit_count, reverse=True):
+                    if not any(G & H == G for H in below):
+                        below.append(G)
+            pulled[face] = [(v.bit_length() - 1,) + s for G in below if not G & v for s in pull(G, k - 1, rows)]
+        return pulled[face]
+
+    per_facet = [pull(m, d - 1, [masks[i] for i in np.flatnonzero(near[j])] if m.bit_count() > d else [])
+                 for j, m in enumerate(masks)]
+    counts = np.array([len(p) for p in per_facet])
+    simplices = np.array([s for p in per_facet for s in p], dtype=int).reshape(-1, d)
+    row = np.repeat(rows, counts)
+    return _closed(P.vertices, Boundary(simplices, P.A[row], P.b[row], row))
+
+
+def _closed(V: np.ndarray, bd: Boundary) -> Boundary:
+    """bd, once its simplices are seen to close up; GeometryError otherwise.
+
+    The signed fan volume sum_s sign(b_s - <A_s, c>) |det(D_s - c)| / d! of
+    a closed boundary is the same from every apex c. It is affine in c, with
+    gradient -w / d, where w = sum_s a_s A_s and a_s is the (d-1)-volume of
+    simplex s, so the fans from all apexes agree exactly when w = 0
+    (Minkowski's relation for the facets of a polytope). An overlap or a gap
+    of the simplices on a facet adds its area times the facet's normal to
+    w. So w must vanish to 1e-9 of the total area sum_s a_s; this compares
+    the fans from every pair of apexes at once, with one determinant per
+    simplex (a_s (d-1)! = |det| of its edges from its first vertex and
+    A_s), and it does not depend on the scale or on where 0 lies.
+    """
+    D = V[bd.simplices]
+    area = np.abs(np.linalg.det(np.concatenate([D[:, 1:] - D[:, :1], bd.A[:, None, :]], axis=1)))
+    if not np.linalg.norm(area @ bd.A) <= 1e-9 * area.sum():
+        raise GeometryError(f"boundary simplices do not close up (total area {area.sum():.17g} times (d-1)!)")
+    return bd
 
 
 def _extreme_points(points: np.ndarray):
     """(keep, adim, bd) of the (N, d) float array ``points``: the indices of
     the extreme points of conv(points), the dimension of its affine hull,
     and its `Boundary` over points[keep] when it is full-dimensional (else
-    None). The one place a hull becomes a Boundary.
+    None).
 
-    The points are hulled once, in an orthonormal basis of their affine
-    hull about their mean. qhull triangulates the non-simplicial facets of
-    the same points differently in other coordinates, so when that
-    triangulation does not tile (`Boundary.tiles`) the extreme points are
-    hulled once more in their own coordinates; `boundary` raises if that
-    one does not tile either. In R^1 the boundary is the two end points.
+    The points are hulled once, by qhull, in an orthonormal basis of their
+    affine hull about their mean. When no two of qhull's facet rows are
+    within GEOM_TOL (`_first_of_close`), every facet is a simplex and the
+    boundary is qhull's simplices as qhull gives them. Otherwise the rows
+    kept by `_first_of_close` are the facets, and the boundary is pulled
+    from their incidence (`_pulled`), not taken from qhull's `Qt`
+    triangulation, which depends on the coordinates and can overlap itself.
+    In R^1 the boundary is the two end points.
     """
     first = _first_of_close(points)
     X = points[first]
@@ -280,19 +328,23 @@ def _extreme_points(points: np.ndarray):
         if d > 1:
             return first[ends], 1, None
         lo, hi = X[ends, 0]
-        length = float(hi - lo)
         return first[ends], 1, Boundary(np.array([[1], [0]]), np.array([[1.0], [-1.0]]),
-                                        np.array([hi, -lo]), length, length)
+                                        np.array([hi, -lo]), np.arange(2))
     hull = robust_hull(coords)
     kept = np.sort(hull.vertices)
     if adim < d:
         return first[kept], adim, None
-    index = np.zeros(len(X), dtype=int)
-    index[kept] = np.arange(len(kept))
-    bd = _hull_boundary(hull, basis, center, index)
-    if not bd.tiles:
-        V = X[kept]
-        bd = _hull_boundary(robust_hull(V), np.eye(d), np.zeros(d), np.arange(len(V)))
+    V = X[kept]
+    # qhull equations: normal . y + offset <= 0 with unit normals
+    A = hull.equations[:, :-1] @ basis
+    b = A @ center - hull.equations[:, -1]
+    rows = _first_of_close(A, b)
+    if len(rows) == len(A):
+        index = np.zeros(len(X), dtype=int)
+        index[kept] = np.arange(len(kept))
+        bd = _closed(V, Boundary(index[hull.simplices], A, b, rows))
+    else:
+        bd = _pulled(Polytope(V, A[rows], b[rows]))
     return first[kept], adim, bd
 
 
@@ -317,8 +369,8 @@ def _qhull(build, data: np.ndarray, *args, options: str = ""):
     intersection takes one attempt, then GeometryError: after rejecting a
     system, its Q12 retry can return a polytope with vertices missing
     (4.7% of the volume on a scaled wedge system) or outside the system.
-    A hull keeps the retry, which near-degenerate bodies need, and its
-    triangulation is checked by the tiling guard of `boundary`. Joggled
+    A hull keeps the retry, which near-degenerate bodies need, and the
+    boundary built from it passes the closure guard (`_closed`). Joggled
     input is never tried: it would move the vertices without a trace in
     the result.
     """
@@ -346,13 +398,16 @@ class Polytope:
     """Polytope in R^dim, built from its vertices or from halfspaces <a_i, x> <= b_i.
 
     It holds the representation it was built from and derives the other at
-    most once: ``vertices`` by a halfspace intersection, ``A`` and ``b``
-    (unit normals) from the facet equations of its boundary. The boundary
-    (`geometry.boundary`), its cone simplices (`volume.wedge_moment`), the
-    moments (`volume.moments`) and its facet ridges (`facet_ridges`) are
-    cached on it too, and so are its section-volume functions
-    (`sections.section_volume_fn`). Build polytopes with `VPolytope` or
-    `HPolytope`.
+    most once: ``vertices`` by one halfspace intersection, ``A`` and ``b``
+    (unit normals) as the facet rows of its boundary. A body known by its
+    vertices alone gets its boundary from one hull (`_extreme_points`); a
+    body with halfspace rows gets it pulled from the incidence of its
+    vertices on those rows (`_pulled`), with no hull. The boundary
+    (`geometry.boundary`), that incidence (shared with `facet_ridges`), its
+    cone simplices (`volume.wedge_moment`), the moments (`volume.moments`)
+    and its facet ridges are cached on it too, and so are its
+    section-volume functions (`sections.section_volume_fn`). Build
+    polytopes with `VPolytope` or `HPolytope`.
     """
 
     def __init__(self, vertices: np.ndarray | None = None, A: np.ndarray | None = None,
@@ -378,17 +433,15 @@ class Polytope:
             P = _halfspace_polytope(self._A, self._b)
             if P is None:
                 raise GeometryError("halfspace system empty or lower-dimensional")
-            self._vertices, self._affine_dim = P._vertices, P._affine_dim
-            if self._boundary_cache is None:
-                self._boundary_cache = P._boundary_cache
+            self._vertices, self._affine_dim = P._vertices, self.dim
         return self._vertices
 
     @property
     def A(self) -> np.ndarray:
         if self._A is None:
-            bd = self._boundary()  # facet equations do not depend on the triangulation
-            keep = _first_of_close(bd.A, bd.b)
-            self._A, self._b = _read_only(bd.A[keep]), _read_only(bd.b[keep])
+            bd = self._boundary()
+            first = np.sort(np.unique(bd.facet, return_index=True)[1])
+            self._A, self._b = _read_only(bd.A[first]), _read_only(bd.b[first])
         return self._A
 
     @property
@@ -408,16 +461,28 @@ class Polytope:
         return self.affine_dim == self.dim
 
     def _boundary(self) -> Boundary:
-        """The boundary, built from the vertices (`_extreme_points`) unless their enumeration left one."""
+        """The boundary: pulled from the halfspace rows when the body has them
+        (`_pulled`), else built from the hull of the vertices (`_extreme_points`)."""
         if self._boundary_cache is None:
-            V = self.vertices
-            if self._boundary_cache is None:
-                keep, adim, bd = _extreme_points(V)
+            if self._A is not None:
+                self._boundary_cache = _pulled(self)
+            else:
+                keep, adim, bd = _extreme_points(self.vertices)
                 if bd is None:
                     raise GeometryError(f"degenerate polytope (affine dim {adim} < {self.dim}); "
                                         "convert in intrinsic coordinates")
                 self._boundary_cache = replace(bd, simplices=keep[bd.simplices])
         return self._boundary_cache
+
+    @cached_property
+    def _incidence(self) -> np.ndarray:
+        """(N, H) bool, computed once: vertex i lies on row j of ``A`` when its
+        residual |<A_j, v_i> - b_j| is within GEOM_TOL of max |b|, so the rule
+        does not depend on the scale. max |b| is capped at max |v|, which
+        bounds |b_j| on every row that touches the body, so a far redundant
+        row does not loosen the rule."""
+        V, b = self.vertices, self.b
+        return _read_only(np.abs(V @ self.A.T - b) <= GEOM_TOL * min(np.abs(b).max(), np.linalg.norm(V, axis=1).max()))
 
 
 def VPolytope(vertices) -> Polytope:
@@ -494,28 +559,25 @@ def to_hrep(K: ConvexBody) -> Polytope:
 def boundary(K: ConvexBody) -> Boundary:
     """Triangulated boundary of a full-dimensional polytope, computed once per body.
 
-    It comes from the hull of the body's vertices (`_extreme_points`, which
-    hulls them once more in their own coordinates when the first
-    triangulation does not tile). Raises GeometryError when the simplices
-    still do not tile the boundary (see `Boundary.tiles`), which would bias
-    every volume computed from them.
+    A body known by its vertices alone takes it from their one hull
+    (`_extreme_points`): qhull's simplices when every facet is a simplex,
+    else facets pulled from their vertex incidence. A body with halfspace
+    rows (`HPolytope`, a halfspace-route section) pulls its facets from the
+    incidence of its vertices on those rows (`_pulled`), with no hull. A
+    built boundary has passed the closure guard (`_closed`), so
+    GeometryError is raised where the simplices would overlap or leave a
+    gap, which would bias every volume computed from them.
     """
-    bd = to_vrep(K)._boundary()
-    if not bd.tiles:
-        raise GeometryError(f"hull triangulation does not tile the polytope (simplices "
-                            f"{bd.fan_volume:.17g}, hull {bd.volume:.17g})")
-    return bd
+    return to_vrep(K)._boundary()
 
 
 def known_simplicial(K: ConvexBody) -> bool:
-    """Whether K is a polytope known by its vertices whose boundary, hulled
-    from them once per body, is triangulated by its own facets
-    (`Boundary.simplicial`).
+    """Whether K is a polytope known by its vertices whose boundary is
+    triangulated by its own facets (`Boundary.simplicial`).
 
     False for a ball, and for a polytope known only by its halfspaces: its
-    vertices would take a halfspace intersection and a hull (3 s for the
-    8-cube), which a section of it does not need. Unlike `boundary`, it does
-    not raise on a triangulation that does not tile.
+    vertices would take a halfspace intersection, which a section of it
+    does not need.
     """
     return isinstance(K, Polytope) and K._vertices is not None and K._boundary().simplicial
 
@@ -539,20 +601,21 @@ class Ridges:
 def facet_ridges(K: Polytope) -> Ridges:
     """The `Ridges` of the polytope K, computed once per body.
 
-    A vertex lies on a facet when its residual is within GEOM_TOL of max |b|,
-    so the incidence does not depend on the scale. Ridges are taken from
-    the facets of `to_hrep`, not from the boundary simplices, which are far
-    more on non-simplicial bodies (113 458 on the 8-cube, which has 16
-    facets).
+    It reads the incidence cached on K (`_incidence`: a vertex lies on a
+    row when its residual is within GEOM_TOL of max |b|), the one the
+    boundary of a body with halfspace rows is pulled from, so a body known
+    by its halfspaces takes one halfspace intersection and no hull. Ridges
+    are taken from the rows of `to_hrep`, not from the boundary simplices,
+    which are far more on non-simplicial bodies (80 640 on the 8-cube, which
+    has 16 facets).
     """
     if K._ridge_cache is None:
-        A, b, V = to_hrep(K).A, K.b, to_vrep(K).vertices
-        on = (np.abs(V @ A.T - b) <= GEOM_TOL * np.abs(b).max()).astype(float)
+        on = to_hrep(K)._incidence.astype(float)
         adjacent = on.T @ on >= K.dim - 1  # counts of shared vertices
         np.fill_diagonal(adjacent, False)
         degree = adjacent.sum(axis=1)
         rows, cols = np.nonzero(adjacent)  # by rows, so each row's slots fill in order
-        neighbours = np.repeat(np.arange(len(A))[:, None], max(1, degree.max()), axis=1)
+        neighbours = np.repeat(np.arange(on.shape[1])[:, None], max(1, degree.max()), axis=1)
         neighbours[rows, np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)] = cols
         upper = rows < cols
         K._ridge_cache = Ridges(_read_only(np.stack([rows[upper], cols[upper]], axis=1)),
@@ -595,38 +658,51 @@ def interval_1d(a: np.ndarray, b: np.ndarray):
 
 
 def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope | None:
-    """{y : A y <= b} as a polytope built from its vertices, or None when empty or lower-dimensional.
+    """{y : A y <= b} as a polytope with its vertices and halfspace rows, or
+    None when empty or lower-dimensional.
 
     Rows need not be unit. A row that vanishes on the flat (norm <= 1e-14)
     bounds nothing and only tests 0 <= b_i, to rounding: 8 eps max |b|, so
     the test does not depend on the scale, and a facet parallel to the
     flat holds it only where the flat meets the facet. In one dimension
-    the rest is an interval (`interval_1d`). Otherwise qhull starts from
-    ``interior``, a point the caller knows to be clearly interior, or else
-    from the Chebyshev centre, found by an LP. qhull takes the system once,
-    with no Q12 retry (`_qhull`). Raises GeometryError when the system is
-    unbounded, when qhull rejects it, or when a vertex qhull returns
-    violates the normalised system by more than GEOM_TOL max(1, max |b|),
-    a guard kept against any intersection that misplaces its vertices.
+    the rest is an interval (`interval_1d`). Otherwise the system is scaled
+    to max |b| = 1, since the LP's and qhull's tolerances are absolute, and
+    qhull starts from ``interior``, a point the caller knows to be clearly
+    interior, or else from the Chebyshev centre, found by an LP. qhull takes
+    the system once, with no Q12 retry (`_qhull`), and that is the only
+    qhull call: the intersection points, less near repeats
+    (`_first_of_close`), are the vertices, and the body is full-dimensional
+    when they are (`_rank`). Its rows are the system's, less those farther
+    from 0 than every vertex (they touch nothing); its boundary is pulled
+    from them when asked for (`_pulled`). Raises GeometryError when the
+    system is unbounded, when qhull rejects it, or when a vertex qhull
+    returns violates the normalised system by more than GEOM_TOL of its
+    scale, a guard kept against any intersection that misplaces its
+    vertices.
     """
     norms = np.linalg.norm(A, axis=1)
     ok = norms > 1e-14
-    if np.any(b[~ok] < -8 * np.finfo(float).eps * np.abs(b).max()):
+    scale = np.abs(b).max() or 1.0
+    if np.any(b[~ok] < -8 * np.finfo(float).eps * scale):
         return None
     A = A[ok] / norms[ok, None]
     b = b[ok] / norms[ok]
     if A.shape[1] == 1:
         lo, hi, empty = interval_1d(A[:, 0], b)
         return None if empty else VPolytope([[lo], [hi]])
+    c, interior = b / scale, None if interior is None else interior / scale
     if interior is None:
-        interior, r = chebyshev_center(A, b)
+        interior, r = chebyshev_center(A, c)
         if interior is None or r <= GEOM_TOL:
             return None
-    hs = _qhull(HalfspaceIntersection, np.hstack([A, -b[:, None]]), interior)
-    if np.max(hs.intersections @ A.T - b) > GEOM_TOL * max(1.0, np.abs(b).max()):
+    points = _qhull(HalfspaceIntersection, np.hstack([A, -c[:, None]]), interior).intersections
+    if np.max(points @ A.T - c) > GEOM_TOL:
         raise GeometryError("halfspace intersection has vertices outside its system")
-    P = VPolytope(hs.intersections)
-    return P if P.is_full_dimensional() else None
+    V = points[_first_of_close(points)] * scale
+    if _rank(np.linalg.svd(V - V.mean(axis=0), compute_uv=False)) < A.shape[1]:
+        return None
+    near = np.abs(b) <= np.linalg.norm(V, axis=1).max()
+    return Polytope(V, A[near], b[near], affine_dim=A.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -779,12 +855,17 @@ def contains(K: ConvexBody, x, tol: float = GEOM_TOL) -> bool:
 
 
 def contains_many(K: ConvexBody, X: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
-    """Vectorized membership for an (N, n) array of points."""
+    """Vectorized membership for an (N, n) array of points.
+
+    ``tol`` is a share of K's own scale, as in `_origin_interior`: a point
+    may lie tol max |b| outside a polytope's facets, or tol r outside a
+    ball of radius r, so the test holds at every scale.
+    """
     X = np.atleast_2d(_as_array(X))
     if isinstance(K, Ball):
-        return np.linalg.norm(X - K.center, axis=1) <= K.radius + tol
+        return np.linalg.norm(X - K.center, axis=1) <= K.radius * (1.0 + tol)
     H = to_hrep(K)
-    return np.all(X @ H.A.T <= H.b + tol, axis=1)
+    return np.all(X @ H.A.T <= H.b + tol * np.abs(H.b).max(), axis=1)
 
 
 # ---------------------------------------------------------------------------

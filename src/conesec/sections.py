@@ -74,19 +74,21 @@ def section(K: ConvexBody, S: Subspace, x0=None):
     (`geometry.known_simplicial`, read on K's own cached boundary) is cut
     from one slice of the translated body's boundary cones by S's normal
     (`_sliced_section`), with no qhull call and no LP. Every other flat
-    intersects the halfspaces with S by qhull and hulls the result; when 0
+    intersects the halfspaces with S by one qhull halfspace intersection,
+    whose boundary is pulled from the system's rows; when 0
     is clearly interior to the body (its distance to every facet is at
     least 1e-3 of the largest), 0 starts that intersection and no
     Chebyshev-centre LP is solved.
 
-    That rule was set by measurement. A halfspace intersection and one hull
+    That rule was set by measurement, when the halfspace route hulled its
+    intersection points as well. A halfspace intersection and one hull
     was faster elsewhere: on cube-6 a hyperplane section took 4.3 ms
     against 18 ms by slicing its 1964 boundary simplices, and on random 5-D
     and 6-D bodies a flat of codimension 3 or more took 0.6-4.7 ms against
     3.4-11.8 ms by slicing once per codimension. At codimension 2 neither
     route won on both (the section on 5-D bodies, the slice on 6-D ones).
     Bodies known only by their halfspaces would need a halfspace
-    intersection and a hull for their vertices first.
+    intersection for their vertices first.
     """
     if S.dim < 1:
         raise GeometryError("flat dimension must be >= 1")
@@ -112,8 +114,9 @@ def _sliced_section(K: Polytope, S: Subspace):
     The section's vertices are the crossings of K's edges with S and K's
     vertices in S, each taken once by its pair of K's vertex indices, so no
     coordinate tolerance merges them. Its boundary is the sliced faces,
-    each on its parent facet's row restricted to S; they tile the section's
-    boundary by construction. Its volume is the sum of the slice weights
+    each on its parent facet's row restricted to S and labelled by that
+    facet (`Boundary.facet`); they tile the section's boundary by
+    construction. Its volume is the sum of the slice weights
     over (n - 1)!, and the faces and weights are its cached cone simplices,
     so a wedge cut of it takes no new determinant. None when that volume
     is not positive.
@@ -132,7 +135,7 @@ def _sliced_section(K: Polytope, S: Subspace):
     A = bd.A[parent] @ S.basis.T
     norms = np.linalg.norm(A, axis=1)
     L = Polytope(vertices, affine_dim=S.dim, boundary=Boundary(
-        simplices, A / norms[:, None], bd.b[parent] / norms, vol, vol))
+        simplices, A / norms[:, None], bd.b[parent] / norms, parent))
     L._cone_cache = _read_only(vertices[simplices]), _read_only(weights)
     return L
 

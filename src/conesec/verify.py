@@ -279,14 +279,16 @@ def check_corollary2(K: ConvexBody, u, v, body_spec: str = "body") -> CheckResul
     theta (k = 2), whose ratio l = |K cap (F - theta)| / |K cap (F + theta)|
     it bounds both ways: this is `check_main_theorem_part1` on that ray with
     lhs max(l, 1/l), its verdict recomputed by `CheckResult`, and
-    ``parameters["ratio"]`` the split ratio 1/l.
+    ``parameters["ratio"]`` the split ratio 1/l. v may have any length: it
+    is rejected as parallel to u when its part orthogonal to u is within
+    1e-9 of |v|.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     u = u / np.linalg.norm(u)
     theta = v - (v @ u) * u
     nt = np.linalg.norm(theta)
-    if nt < 1e-9:
+    if not nt > 1e-9 * np.linalg.norm(v):
         raise GeometryError("directions must satisfy v != +-u")
     theta /= nt
     F = Subspace.from_span(np.vstack([u, theta])).complement()

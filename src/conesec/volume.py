@@ -17,7 +17,7 @@ direction grid of halfspaces or a part-1 pair costs one pass over the cones.
 functions at m >= 2, and once for each central hyperplane section of a
 simplicial polytope, whose faces and weights become that section's own
 boundary and cone simplices; the other sections, where a halfspace
-intersection and one hull measured faster, do not slice.  The convexified
+intersection measured faster, do not slice.  The convexified
 section integrals of `intersection_bodies` take a section's cone simplices
 as they are.
 A body's volume and its polynomial moments along one direction are read
@@ -76,8 +76,8 @@ def triangulate(K: ConvexBody):
     """Simplices (S, d+1, d) fanning the polytope from its vertex average.
 
     The fan is over the cached boundary simplices, in R^1 the two end
-    points; GeometryError when the polytope is degenerate or qhull's
-    triangulation of its boundary does not tile it (`geometry.boundary`).
+    points; GeometryError when the polytope is degenerate or its boundary
+    simplices do not close up (`geometry.boundary`).
     """
     V = to_vrep(K)
     verts = V.vertices

@@ -11,7 +11,6 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 import conesec
 from conesec.geometry import (
     Ball,
-    Boundary,
     GeometryError,
     HPolytope,
     PolyhedralCone,
@@ -23,6 +22,7 @@ from conesec.geometry import (
     cone_from_spec,
     contains,
     contains_many,
+    facet_ridges,
     make_ball,
     make_centered_cone,
     make_cross_polytope,
@@ -42,7 +42,8 @@ from conesec.geometry import (
     to_vrep,
     translate,
 )
-from conesec.geometry import _first_of_close, _halfspace_polytope
+from conesec.ball_bodies import ball_indicator_oracle
+from conesec.geometry import _closed, _first_of_close, _halfspace_polytope, _qhull, robust_hull
 from conesec.sections import section, section_volume
 from conesec.verify import halfspace_volume
 from conesec.volume import moments, volume
@@ -144,15 +145,20 @@ def test_vectorised_dedup_matches_the_pairwise_loop(seed, rows, dim):
 
 
 def test_dedup_of_repeated_facet_equations_matches_the_pairwise_loop():
-    # qhull gives each of the 1964 boundary simplices of the 6-cube its
-    # facet's equation, so the rows are 12 facets repeated
-    cube = VPolytope(to_vrep(make_cube(6)).vertices)
-    bd = cube._boundary()
-    assert len(bd.b) == 1964
-    keep = _first_of_close(bd.A, bd.b)
-    ra, rb = _dedup_halfspaces_loop(bd.A, bd.b)
+    # qhull gives each of the 1916 simplices of its triangulation of the
+    # 6-cube its facet's equation, so the rows are 12 facets repeated; the
+    # facets of the boundary built from the same vertices are those rows
+    V = to_vrep(make_cube(6)).vertices
+    hull = robust_hull(V)
+    A, b = hull.equations[:, :-1], -hull.equations[:, -1]
+    assert len(b) == 1916
+    keep = _first_of_close(A, b)
+    ra, rb = _dedup_halfspaces_loop(A, b)
     assert len(rb) == 12
-    assert np.array_equal(bd.A[keep], ra) and np.array_equal(bd.b[keep], rb)
+    assert np.array_equal(A[keep], ra) and np.array_equal(b[keep], rb)
+    cube = VPolytope(V)
+    assert len(np.unique(boundary(cube).facet)) == 12 and len(boundary(cube).simplices) == 1440
+    assert sorted(map(tuple, np.round(cube.A, 12))) == sorted(map(tuple, np.round(ra, 12)))
 
 
 def test_subspace_basis_must_be_orthonormal_to_1e12():
@@ -225,29 +231,50 @@ def test_constructor_bodies_and_their_images_take_the_one_boundary_builder(monke
     V, W = K.vertices.copy(), image.vertices.copy()
     seen = _spy_builder(monkeypatch)
     for body, verts in ((K, V), (image, W)):
-        assert boundary(body).tiles
+        assert _closed(verts, boundary(body)).simplicial
         assert np.array_equal(seen[-1], verts)  # built from the vertices, kept in their order
         assert np.array_equal(body.vertices, verts)
     assert len(seen) == 2
     assert volume(image) == pytest.approx(volume(K) * abs(np.linalg.det(M)), rel=1e-12)
 
 
-def test_the_builder_hulls_once_more_in_own_coordinates_when_the_first_does_not_tile(monkeypatch):
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cube_facets_are_pulled_and_cross_polytopes_keep_qhulls_simplices(n):
+    # the 2n facets of the cube, H-built or built from its 2^n vertices, are
+    # pulled into (n-1)! simplices each, 2 n! in all (qhull's `Qt` gave
+    # 113 458 at n = 8); the simplicial cross-polytope keeps
+    # qhull's simplices and rows bit for bit. Every boundary closes up
+    corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * n, indexing="ij")).reshape(n, -1).T
+    for cube in (make_cube(n), VPolytope(corners)):
+        bd = boundary(cube)
+        assert len(bd.simplices) == 2 * math.factorial(n) and len(np.unique(bd.facet)) == 2 * n
+        assert volume(cube) == pytest.approx(2.0**n, rel=1e-14, abs=0)
+        assert _closed(cube.vertices, bd) is bd
+    cross = make_cross_polytope(n)
+    V = cross.vertices
+    basis = conesec.geometry.orthonormal_basis(V - V.mean(axis=0))
+    hull = robust_hull((V - V.mean(axis=0)) @ basis.T)
+    bd = boundary(cross)
+    assert bd.simplicial and np.array_equal(bd.simplices, hull.simplices)
+    assert np.array_equal(bd.A, hull.equations[:, :-1] @ basis)
+    assert _closed(V, bd) is bd
+    assert volume(cross) == pytest.approx(2.0**n / math.factorial(n), rel=1e-14, abs=0)
+
+
+def test_a_halfspace_system_takes_one_qhull_call_and_no_hull(monkeypatch):
+    # the intersection points are the vertices, and the boundary is pulled
+    # from their incidence on the system's rows
     made = []
-    hull_boundary = conesec.geometry._hull_boundary
 
-    def overlapping_first(hull, basis, center, index):
-        bd = hull_boundary(hull, basis, center, index)
-        made.append(basis)
-        return bd if len(made) > 1 else Boundary(bd.simplices, bd.A, bd.b, bd.volume,
-                                                  2 * bd.fan_volume)
+    def spy(build, *args, **kwargs):
+        made.append(build.__name__)
+        return _qhull(build, *args, **kwargs)
 
-    src = random_body(4, 2)
-    monkeypatch.setattr(conesec.geometry, "_hull_boundary", overlapping_first)
-    K = VPolytope(src.vertices)
-    assert len(made) == 2 and np.array_equal(made[1], np.eye(4))
-    assert boundary(K).tiles
-    assert volume(K) == pytest.approx(volume(src), rel=1e-12)
+    src = to_hrep(random_body(5, 6))
+    monkeypatch.setattr(conesec.geometry, "_qhull", spy)
+    P = _halfspace_polytope(np.vstack([src.A, -np.eye(5)[:3]]), np.concatenate([src.b, np.zeros(3)]))
+    assert volume(P) > 0 and facet_ridges(P).pairs.size and P.A.shape[1] == 5
+    assert made == ["HalfspaceIntersection"]
 
 
 def test_degenerate_input_rejected():
@@ -282,7 +309,7 @@ def test_halfspace_polytope_enumerates_its_vertices_once(monkeypatch):
     u = unit([1.0, -0.5, 0.3, 0.2])
     M = np.array([[2.0, 0.3, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.5, 0.1], [0.2, 0, 0, 1.5]])
     assert to_vrep(H) is H and to_hrep(H) is H
-    assert boundary(H).tiles
+    assert _closed(H.vertices, boundary(H)).simplicial
     assert support(H, u) == pytest.approx(float(np.max(to_vrep(src).vertices @ u)), rel=1e-12)
     image = affine_map(translate(H, [0.1, -0.2, 0.0, 0.3]), M, [1.0, 0.0, 0.5, 0.0])
     assert moments(image).volume == pytest.approx(
@@ -290,26 +317,26 @@ def test_halfspace_polytope_enumerates_its_vertices_once(monkeypatch):
     assert halfspace_volume(image, u) + halfspace_volume(image, -u) == pytest.approx(
         volume(image), rel=1e-12)
     assert np.all(contains_many(image, to_vrep(image).vertices))
-    assert sorted(name for name, _ in made) == ["ConvexHull", "HalfspaceIntersection"]
+    # the vertices come from one halfspace intersection, and the boundary is
+    # pulled from their incidence: its points are never hulled
+    assert made == [("HalfspaceIntersection", None)]
 
 
 @pytest.mark.parametrize("levels", [1, 2])
 def test_qhull_falls_back_to_q12_then_joggle(monkeypatch, levels):
     # the first `levels` options of the hull's ladder raise QhullError; when
-    # both fail, the ladder raises instead of joggling the input. The
-    # halfspace intersection before the hull takes its one option
+    # both fail, the ladder raises instead of joggling the input. The cube
+    # is built from its vertices, so its one qhull call is a hull
     ladder = ["Qt", "Qt Q12"]
     made = _count_qhull(monkeypatch, set(ladder[:levels]))
-    src = to_hrep(make_cube(3))
-    H = HPolytope(src.A, src.b)
+    corners = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
     if levels == 2:
         with pytest.raises(GeometryError, match="merge failure"):
-            volume(H)
-        assert made == [("HalfspaceIntersection", None), ("ConvexHull", "Qt"), ("ConvexHull", "Qt Q12")]
+            VPolytope(corners)
+        assert made == [("ConvexHull", "Qt"), ("ConvexHull", "Qt Q12")]
         return
-    assert volume(H) == pytest.approx(8.0, rel=1e-12)
-    assert [o for n, o in made if n == "ConvexHull"] == ladder
-    assert [o for n, o in made if n == "HalfspaceIntersection"] == [None]
+    assert volume(VPolytope(corners)) == pytest.approx(8.0, rel=1e-12)
+    assert made == [("ConvexHull", o) for o in ladder]
 
 
 def test_a_halfspace_intersection_takes_one_qhull_attempt(monkeypatch):
@@ -428,6 +455,21 @@ def test_radial_point_lies_on_boundary(n, seed):
     x = radial(K, u) * u
     assert contains(K, x, tol=1e-7)
     assert not contains(K, 1.0001 * x, tol=-1e-9)
+
+
+@pytest.mark.parametrize("s", [1e-10, 1e-6, 1.0, 1e4])
+def test_membership_is_judged_at_the_body_scale(s):
+    # tol is a share of max |b| or of the radius: with an absolute 1e-9, a
+    # point 5 radii out of the 1e-10 cube and ball was inside
+    e = np.eye(3)[0]
+    cube = affine_map(make_cube(3), s * np.eye(3))
+    f = ball_indicator_oracle(3, s)
+    for K in (cube, make_ball(3, s)):
+        assert contains(K, s * e) and contains(K, (1 + 1e-10) * s * e)
+        assert not contains(K, 5 * s * e) and not contains(K, (1 + 1e-8) * s * e)
+        assert contains_many(K, np.array([0.5 * s * e, 5 * s * e])).tolist() == [True, False]
+    assert f(np.zeros(3)) == f(0.5 * s * e) == 1.0
+    assert f(5 * s * e) == 0.0
 
 
 @pytest.mark.parametrize("s", [1e-12, 1e-10, 1e-6, 1.0, 1e4])

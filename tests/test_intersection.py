@@ -356,3 +356,12 @@ def test_newton_certifies_below_the_rounding_of_f(K):
     for u in rng.sphere_grid(K.dim, 20, 1629943578):
         res = ci_radial(K, u, tol=1e-12)
         assert res.certified, u
+
+
+@pytest.mark.parametrize("index", [0, 32, 45, 46])
+def test_central_sections_of_the_8_cube_certify(index):
+    # the H-built 8-cube's central sections take the halfspace route, whose
+    # boundary is pulled from the system's rows; the hull of the
+    # intersection points did not tile at indices 32, 45 and 46
+    u = rng.sphere_grid(8, 32, 0)[index]
+    assert ci_radial(make_cube(8), u).certified

@@ -864,13 +864,17 @@ def test_cut_volume_takes_one_wedge_or_a_stack():
 
 
 # (points, seed, k, p) of `conesec check part1 --body random --n 6`
-@pytest.mark.xfail(raises=GeometryError, strict=True,
-                   reason="the halfspace cut of 3-4 rows breaks qhull (QH6271) or the tiling guard")
-@pytest.mark.parametrize("points, seed, k, p", [(18, 3, 3, 3), (30, 4, 3, 3), (18, 3, 4, 4)])
+@pytest.mark.parametrize("points, seed, k, p", [
+    (18, 3, 3, 3),
+    pytest.param(30, 4, 3, 3, marks=pytest.mark.xfail(
+        raises=GeometryError, strict=True,
+        reason="qhull's halfspace intersection of the +R wedge system raises QH6271 (dupridge)")),
+    (18, 3, 4, 4)])
 def test_wide_cone_cuts_of_6d_sections(points, seed, k, p):
-    # the wedge kernel cuts all three, but it is slower than the halfspace
-    # cut on other bodies and far slower on 7-D and 8-D ones (CHANGES.md),
-    # so the two-row rule stays
+    # the halfspace cut of 3-4 rows, whose boundary is pulled from the
+    # wedge system's rows, against the wedge kernel. The wedge kernel is
+    # slower than the halfspace cut on other bodies and far slower on 7-D
+    # and 8-D ones (CHANGES.md), so the two-row rule stays
     e = np.eye(6)
     K = random_centered_polytope(6, points, seed)
     F, C = Subspace.from_span(e[:6 - k]), PolyhedralCone(e[6 - p:])
@@ -882,8 +886,8 @@ def test_wide_cone_cuts_of_6d_sections(points, seed, k, p):
 @pytest.mark.parametrize("n, points", [(3, 12), (4, 14), (5, 16), (6, 18), (7, 20), (8, 12)])
 def test_central_sections_of_simplicial_bodies_take_no_qhull_call(n, points, monkeypatch):
     # a seeded hyperplane section through 0 is sliced from K's cached cones.
-    # Where qhull's hull of the halfspace intersection tiles (not for this
-    # 7-D body), it has the same vertices and volume
+    # The halfspace intersection, with its boundary pulled, has the same
+    # vertices and volume (a hull of its points did not tile the 7-D one)
     K = random_centered_polytope(n, points, n)
     u = np.random.default_rng(n).standard_normal(n)
     S = Subspace.hyperplane(u)
@@ -897,14 +901,9 @@ def test_central_sections_of_simplicial_bodies_take_no_qhull_call(n, points, mon
         L = section(K, S)
         got = volume(L)
         assert ci_radial(K, u).certified
-    try:
-        ref = halfspace_section(K, S)
-        ref_volume = volume(ref)
-    except GeometryError:
-        assert n == 7
-        return
+    ref = halfspace_section(K, S)
     assert len(L.vertices) == len(ref.vertices)
-    assert got == pytest.approx(ref_volume, rel=1e-12)
+    assert got == pytest.approx(volume(ref), rel=1e-12)
 
 
 @pytest.mark.parametrize("points, seed, draw", [(18, 10, 3), (30, 4, 11), (30, 4, 12), (30, 4, 16)])
@@ -1004,17 +1003,32 @@ def test_bodies_known_by_halfspaces_are_sectioned_without_their_vertices(n):
     assert H._vertices is None and known_simplicial(V)
 
 
-def test_section_whose_first_hull_overlaps_is_hulled_again():
-    # in the centred, rotated coordinates that find this section's vertices,
-    # qhull's triangulation of its non-simplicial facets overlaps itself.
-    # `section` slices this hyperplane from K's cones, so the halfspace
-    # intersection is taken explicitly to reach the re-hull
+def test_section_with_non_simplicial_facets_is_pulled():
+    # in the centred, rotated coordinates of a hull of this section's
+    # vertices, qhull's triangulation of its non-simplicial facets overlaps
+    # itself. `section` slices this hyperplane from K's cones, so the
+    # halfspace intersection is taken explicitly: its facets are pulled
+    # from the system's rows, with no hull
     K = random_body(6, 2608)
     S = Subspace.from_span(np.eye(6)[[0, 1, 2, 4, 5]], ambient_dim=6)
     sec = halfspace_section(K, S)
-    assert boundary(sec).tiles
+    assert not boundary(sec).simplicial
     assert volume(sec) == pytest.approx(ConvexHull(sec.vertices).volume, rel=1e-12)
     assert volume(section(K, S)) == pytest.approx(volume(sec), rel=1e-12)
+
+
+def test_h_built_affine_sections_hold_at_small_scale():
+    # the halfspace route scales its system to max |b| = 1 before the LP and
+    # qhull: at scale 1e-6 one vertex height of this body raised QH6023
+    # (feasible point not clearly inside). f of the H-built body now equals
+    # f of the vertex-built one, sliced from its cones, at every height
+    K = affine_map(random_centered_polytope(4, 14, 12), 1e-6 * np.eye(4))
+    H = HPolytope(to_hrep(K).A, to_hrep(K).b)
+    F = Subspace.from_span(np.eye(4)[:3])
+    fH, fV = SectionVolumeFunction(H, F), SectionVolumeFunction(K, F)
+    heights = to_vrep(K).vertices @ F.complement().basis[0]
+    assert [fH(np.array([t])) for t in heights] == pytest.approx(
+        [fV(np.array([t])) for t in heights], rel=1e-12, abs=0)
 
 
 def test_corpus_battery_hulls_a_6d_body_a_few_times(monkeypatch):

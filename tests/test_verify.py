@@ -231,7 +231,8 @@ def test_opposite_two_row_wedges_take_one_split_per_cone_block(monkeypatch):
 
 
 def test_a_dense_halfspace_grid_is_weighed_in_bounded_blocks(monkeypatch):
-    # 1012 directions on the 1964 cones of cube-6: no `_positive_fraction`
+    # 1012 directions on the 1440 cones of cube-6 (its 12 facets pulled into
+    # 5! simplices each): no `_positive_fraction`
     # call gets more vertex values than the block bound, and each direction
     # gets what it gets alone
     K = make_cube(6)
@@ -242,7 +243,7 @@ def test_a_dense_halfspace_grid_is_weighed_in_bounded_blocks(monkeypatch):
     monkeypatch.setattr(volume_module, "_positive_fraction",
                         lambda c, q=0: rows.append(len(c)) or real_fraction(c, q))
     stacked = halfspace_volume(K, U)
-    assert cones == 1964 and len(rows) > 1 and sum(rows) == len(U) * cones
+    assert cones == 1440 and len(rows) > 1 and sum(rows) == len(U) * cones
     assert max(rows) * 6 <= _VALUE_BLOCK_ELEMENTS
     assert stacked[::50] == pytest.approx([halfspace_volume(K, u) for u in U[::50]], rel=1e-13, abs=0)
 
@@ -419,6 +420,16 @@ def test_corollary2_random_body():
     res = check_corollary2(K, [1.0, 0, 0], [0.3, 1.0, 0.2])
     assert res.passed
     assert res.rhs == pytest.approx(part1_constant(3, 2, 1).value)
+
+
+def test_corollary2_takes_a_second_direction_of_any_length():
+    # v != +-u is judged relative to |v|: an absolute 1e-9 rejected 1e-10 e2
+    K = random_centered_polytope(3, 12, 4)
+    e = np.eye(3)
+    lhs = [check_corollary2(K, e[0], s * e[1]).lhs for s in (1e-10, 1.0, 1e6)]
+    assert lhs[0] == lhs[1] == lhs[2] == pytest.approx(1.0371291408789830, rel=1e-14)
+    with pytest.raises(GeometryError, match="v != \\+-u"):
+        check_corollary2(K, e[0], 1e-10 * e[0] + 1e-21 * e[1])
 
 
 @pytest.mark.parametrize("n, seed", [(3, 4), (4, 3), (5, 2)])

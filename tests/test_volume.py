@@ -16,8 +16,9 @@ from conesec.geometry import (
     Polytope,
     Subspace,
     VPolytope,
+    Boundary,
+    _closed,
     _halfspace_polytope,
-    _hull_boundary,
     affine_map,
     boundary,
     make_ball,
@@ -82,18 +83,19 @@ def test_standard_simplex_volume():
 
 
 def test_overlapping_boundary_triangulation_raises():
-    # a square whose boundary lists one edge twice: the fan overstates the area
-    square = Polytope(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
+    # a square whose boundary lists one edge twice, or leaves one out: the
+    # fans from its vertex mean and from a vertex then differ, and the
+    # closure guard raises; the closed boundary passes it
+    square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [3, 0]])
     normals = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [-1.0, 0.0]])
-    hull = type("Hull", (), {"points": square.vertices, "simplices": edges, "volume": 4.0,
-                             "equations": np.hstack([normals, -np.ones((5, 1))])})
-    square._boundary_cache = _hull_boundary(hull, np.eye(2), np.zeros(2), np.arange(4))
-    assert square._boundary_cache.fan_volume == pytest.approx(5.0)
-    with pytest.raises(GeometryError, match="does not tile"):
-        triangulate(square)
-    with pytest.raises(GeometryError, match="does not tile"):
-        boundary(square)
+    for rows in (np.arange(5), np.arange(3)):
+        with pytest.raises(GeometryError, match="do not close up"):
+            _closed(square, Boundary(edges[rows], normals[rows], np.ones(len(rows)), np.arange(len(rows))))
+    closed = Boundary(edges[:4], normals[:4], np.ones(4), np.arange(4))
+    assert _closed(square, closed) is closed
+    fans = [np.abs(np.linalg.det(square[edges[:4]] - c)).sum() / 2 for c in (square.mean(axis=0), square[0])]
+    assert fans == [4.0, 4.0]
 
 
 def test_boundary_is_kept_through_affine_maps():
@@ -101,7 +103,7 @@ def test_boundary_is_kept_through_affine_maps():
     M = np.array([[2.0, 0.3, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.5, 0.1], [0.2, 0, 0, 1.5]])
     image = affine_map(translate(K, [0.1, -0.2, 0.0, 0.3]), M, [1.0, 0.0, 0.5, 0.0])
     fresh = Polytope(image.vertices)
-    assert boundary(image).tiles
+    assert _closed(image.vertices, boundary(image)) is boundary(image)
     assert moments(image).volume == pytest.approx(moments(fresh).volume, rel=1e-12)
     assert moments(image).volume == pytest.approx(volume(K) * abs(np.linalg.det(M)), rel=1e-12)
     H = boundary(image)
