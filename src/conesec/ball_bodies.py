@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import linprog, minimize
+from scipy.special import beta
 
 from . import rng as _rng
 from .geometry import (
@@ -27,7 +28,6 @@ from .geometry import (
     trivial_flat,
 )
 from .sections import SectionVolumeFunction, _adaptive_ray_moments, _composite_gl, _gl_cache, _ray_arguments
-from .special import beta
 from .volume import unit_ball_volume
 
 
@@ -40,12 +40,12 @@ class ConcaveFunctionOracle:
 
     The profile-oracle protocol that the moment bodies and the profile checks
     read: ``dim`` (k), ``concavity_index`` (m, or None), calls f(x),
-    ``ray_values``, ``ray_extent`` and ``ray_moments``, and
-    ``support_radius`` (f = 0 outside that ball) and ``barycenter_zero``
-    (the first moment of f vanishes), which this class takes as given.
-    A `SectionVolumeFunction` answers the same protocol from its body
-    (`oracle_from_section_fn`); this class serves every other profile, with
-    the adaptive ray rule.
+    ``ray_extent`` and ``ray_moments``, and ``support_radius`` (f = 0
+    outside that ball) and ``barycenter_zero`` (the first moment of f
+    vanishes), which this class takes as given. A `SectionVolumeFunction`
+    answers the same protocol from its body (`oracle_from_section_fn`); this
+    class serves every other profile, with the adaptive ray rule, which
+    calls f once per node (`sections._adaptive_ray_moments`).
     """
 
     def __init__(
@@ -66,10 +66,6 @@ class ConcaveFunctionOracle:
 
     def __call__(self, x) -> float:
         return float(self._evaluate(np.atleast_1d(np.asarray(x, dtype=float))))
-
-    def ray_values(self, x, ts: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.array([self(t * x) for t in ts])
 
     def ray_extent(self, x) -> float:
         """Largest t with f(t x) > 0, by bisection below `support_radius`."""
@@ -238,7 +234,7 @@ def berwald_inclusion_constants(p: float, q: float, m: float):
     """
     if not (0 < p <= q) or m <= 0:
         raise GeometryError("need 0 < p <= q and m > 0")
-    lower = beta(p, m + 1) ** (1 / p) / beta(q, m + 1) ** (1 / q)
+    lower = float(beta(p, m + 1) ** (1 / p) / beta(q, m + 1) ** (1 / q))
     upper = q ** (1 / q) / p ** (1 / p)
     return lower, upper
 
@@ -257,7 +253,7 @@ def geometric_distance_factor(k: int, m: float, p: float) -> float:
     """Bound on d_g(L_{k+1}(f), L_p(f)) for barycenter-zero 1/m-concave f."""
     num = ((k + 1) * beta(k + 1, m + 1)) ** (1 / (k + 1))
     den = (p * beta(p, m + 1)) ** (1 / p)
-    return (1 + k / (m + 1)) ** (m / p) * num / den
+    return float((1 + k / (m + 1)) ** (m / p) * num / den)
 
 
 def max_route(f: ConcaveFunctionOracle | SectionVolumeFunction) -> str:
@@ -301,7 +297,7 @@ def estimate_max(f: ConcaveFunctionOracle | SectionVolumeFunction) -> float:
         return _chord_max(f)
     if route == "vertex-heights":
         return _height_max(f)
-    return _search_max(f, _SEARCH_SEED, _SEARCH_GRID)
+    return _search_max(f)
 
 
 def _chord_max(f: SectionVolumeFunction) -> float:
@@ -359,16 +355,16 @@ def _height_max(f: SectionVolumeFunction) -> float:
     return float(best)
 
 
-def _search_max(f: ConcaveFunctionOracle | SectionVolumeFunction, seed: int,
-                grid: int) -> float:
-    """max f over its support, estimated: seeded grid then local ascent from the best point.
+def _search_max(f: ConcaveFunctionOracle | SectionVolumeFunction) -> float:
+    """max f over its support, estimated: a grid of _SEARCH_GRID points of seed
+    _SEARCH_SEED in the support ball, then local ascent from the best point.
 
     For concave-power f any local maximum is global, so the polish step is a
     Nelder-Mead ascent restricted to the support. Uncertified: its value is
     f at some point, so it can only fall short of max f, by an unbounded gap.
     """
     k = f.dim
-    pts = _rng.sample_ball(k, grid, seed) * f.support_radius
+    pts = _rng.sample_ball(k, _SEARCH_GRID, _SEARCH_SEED) * f.support_radius
     pts = np.vstack([np.zeros((1, k)), pts])
     vals = np.array([f(x) for x in pts])
     best = pts[int(np.argmax(vals))]

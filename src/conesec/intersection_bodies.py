@@ -59,7 +59,8 @@ class _SectionIntegrator:
     simplices are the section's boundary simplices coned from 0, signed by
     their facet's side of 0 (`volume._cone_simplices`), and the volume is
     their sum (`volume.body_volume`); a sliced section has them cached, so
-    no triangulation or determinant is taken again.
+    no triangulation or determinant is taken again. Each evaluation gives the
+    value, gradient and Hessian together, one kernel call per Newton step.
     """
 
     def __init__(self, K: ConvexBody, u):
@@ -76,28 +77,21 @@ class _SectionIntegrator:
             self.simplices = np.insert(cones, 0, 0.0, axis=1)
             self._simplex_vols = weights / math.factorial(self.n - 1)
 
-    def integrals(self, zc: np.ndarray, want_gradient: bool = False,
-                  want_hessian: bool = False):
-        """(value, gradient, Hessian) of the kernel integral, in flat coords.
-
-        Gradient/Hessian slots are None unless requested.
-        """
+    def integrals(self, zc: np.ndarray):
+        """(value, gradient, Hessian) of the kernel integral, in flat coords."""
         zc = np.asarray(zc, dtype=float)
         if isinstance(self.section, Ball):
-            return self._ball_closed_form(zc, want_gradient, want_hessian)
+            return self._ball_closed_form(zc)
         g = 1.0 - self.simplices @ zc  # (S, d+1)
         if np.min(g) <= 0:
             raise GeometryError("kernel argument nonpositive: z outside admissible region")
         w = self._simplex_vols / np.prod(g, axis=1)
         Y = self.simplices / g[:, :, None]
         s = Y.sum(axis=1)
-        grad = w @ s if want_gradient else None
-        hess = None
-        if want_hessian:
-            hess = (w[:, None] * s).T @ s + np.einsum("s,sia,sib->ab", w, Y, Y)
-        return float(w.sum()), grad, hess
+        hess = (w[:, None] * s).T @ s + np.einsum("s,sia,sib->ab", w, Y, Y)
+        return float(w.sum()), w @ s, hess
 
-    def _ball_closed_form(self, zc: np.ndarray, want_gradient: bool, want_hessian: bool):
+    def _ball_closed_form(self, zc: np.ndarray):
         c, r, n = self.section.center, self.section.radius, self.n
         gc = 1.0 - float(c @ zc)
         rz = r * float(np.linalg.norm(zc))
@@ -106,12 +100,8 @@ class _SectionIntegrator:
         q = (gc - rz) * (gc + rz)
         F = self.volume * q ** (-n / 2)
         a = gc * c + r * r * zc
-        grad = n * F / q * a if want_gradient else None
-        hess = None
-        if want_hessian:
-            hess = n * F / q * ((n + 2) / q * np.outer(a, a) + r * r * np.eye(len(zc))
-                                - np.outer(c, c))
-        return F, grad, hess
+        hess = n * F / q * ((n + 2) / q * np.outer(a, a) + r * r * np.eye(len(zc)) - np.outer(c, c))
+        return F, n * F / q * a, hess
 
 
 def _flat_coords(integ: _SectionIntegrator, z) -> np.ndarray:
@@ -131,7 +121,7 @@ def ci_objective(K: ConvexBody, u, z) -> float:
 def ci_objective_gradient(K: ConvexBody, u, z) -> np.ndarray:
     """Gradient of ci_objective in z, returned as an ambient vector in u^perp."""
     integ = _SectionIntegrator(K, u)
-    _, grad, _ = integ.integrals(_flat_coords(integ, z), want_gradient=True)
+    _, grad, _ = integ.integrals(_flat_coords(integ, z))
     return integ.S.embed(grad)
 
 
@@ -145,12 +135,17 @@ def ci_radial(K: ConvexBody, u, tol: float = 1e-8) -> CIEvaluation:
     gradient norm certifies global optimality. Raises GeometryError unless 0
     is interior to K, not only to L: with 0 on K's boundary the region
     h_L(z) < 1 is unbounded in general.
+
+    A step is evaluated only where h_L(z) <= _SHRINK. There every kernel
+    argument is at least 1 - _SHRINK > 0: 1 - <z, v> >= 1 - h_L(z) at each
+    vertex v of a polytope section, and 1 - <c, z> - r |z| = 1 - h_L(z) for a
+    ball. So the kernel integral is finite at every step it takes.
     """
     integ = _SectionIntegrator(K, u)
     _origin_interior(K)
     d = integ.n - 1
     z = np.zeros(d)
-    f, g, H = integ.integrals(z, want_gradient=True, want_hessian=True)
+    f, g, H = integ.integrals(z)
     i_radius = integ.volume
     iterations = 0
     while iterations < _MAX_ITER:
@@ -173,17 +168,11 @@ def ci_radial(K: ConvexBody, u, tol: float = 1e-8) -> CIEvaluation:
         while True:
             z_new = z + t * direction
             if support(integ.section, z_new) <= _SHRINK:
-                try:
-                    f_new, g_new, H_new = integ.integrals(
-                        z_new, want_gradient=True, want_hessian=True)
-                except GeometryError:
-                    pass
-                else:
-                    if (np.linalg.norm(g_new) < gap if tiny
-                            else f_new <= f + 1e-4 * t * slope):
-                        z, f, g, H = z_new, f_new, g_new, H_new
-                        accepted = True
-                        break
+                f_new, g_new, H_new = integ.integrals(z_new)
+                if np.linalg.norm(g_new) < gap if tiny else f_new <= f + 1e-4 * t * slope:
+                    z, f, g, H = z_new, f_new, g_new, H_new
+                    accepted = True
+                    break
             t *= 0.5
             if tiny or t * abs(slope) <= 1e-16 * f:
                 break

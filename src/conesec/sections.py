@@ -33,6 +33,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import beta
 
 from .geometry import (
     Ball,
@@ -58,7 +59,6 @@ from .geometry import (
     translate,
     trivial_flat,
 )
-from .special import beta
 from .volume import _centred, _cone_simplices, _slice, body_volume, moments, unit_ball_volume, wedge_moment
 
 
@@ -305,11 +305,6 @@ class SectionVolumeFunction:
             return 1.0 if contains(self.body, point) else 0.0
         return section_volume(self.body, self.F, point)
 
-    def ray_values(self, theta, ts: np.ndarray) -> np.ndarray:
-        """f(t * theta) for an array of parameters t >= 0, one evaluation each."""
-        theta = np.asarray(theta, dtype=float)
-        return np.array([self(t * theta) for t in np.asarray(ts, dtype=float)])
-
 
 def _ray_arguments(thetas, p) -> np.ndarray:
     """thetas as an (N, k) array; GeometryError unless p > 0 and every row is nonzero."""
@@ -323,12 +318,17 @@ def _ray_arguments(thetas, p) -> np.ndarray:
 
 def _adaptive_ray_moments(f, thetas: np.ndarray, p: float, rule) -> np.ndarray:
     """int_0^T t^(p-1) f(t theta) dt per row theta, T = f.ray_extent(theta), by
-    ``rule``: the adaptive ray rule `_composite_gl` as the calling module binds it."""
+    ``rule``: the adaptive ray rule `_composite_gl` as the calling module binds it.
+
+    The one evaluation loop of the rule: f is called once per node, f(t theta),
+    for any profile oracle, a `SectionVolumeFunction` (one section per node)
+    or a `ball_bodies.ConcaveFunctionOracle`.
+    """
     out = np.empty(len(thetas))
     for i, theta in enumerate(thetas):
         T = f.ray_extent(theta)
         out[i] = 0.0 if T <= 0 else rule(
-            lambda ts: ts ** (p - 1) * f.ray_values(theta, ts), 0.0, T, QUADRATURE)
+            lambda ts: ts ** (p - 1) * np.array([f(t * theta) for t in ts]), 0.0, T, QUADRATURE)
     return out
 
 
@@ -504,7 +504,6 @@ def cone_section_volume_polyhedral(K: ConvexBody, F: Subspace, C: PolyhedralCone
     the cone's rows (`_cut_volume`), which raises `GeometryError` on a ball
     section off 0.
     """
-    _check_cone_flat(F, C)
     return _cut_volume(*_section_and_rows(K, F, C))
 
 
@@ -524,9 +523,10 @@ def _section_and_rows(K: ConvexBody, F: Subspace, C: PolyhedralCone):
     """(L, R): the section L of `_flat_section`, and rows R with F + C = {y : R y >= 0}.
 
     The rows of -C are -R, whatever basis its span gets, so one section
-    serves both signs. The caller has checked that C lies in F^perp
+    serves both signs. Raises `GeometryError` unless C lies in F^perp
     (`_check_cone_flat`).
     """
+    _check_cone_flat(F, C)
     L, S = _flat_section(K, F, C)
     rows = C.constraints_in_span() @ C.span.basis
     return L, rows if S is None else S.coords(rows)

@@ -3,7 +3,8 @@
 Every check returns a CheckResult pairing the two sides of an inequality
 with an explicit slack; experiments with no fully explicit constant return
 tables instead of hard pass/fail verdicts.  Constants appearing in the
-bounds are built in log space from Gamma/Beta/binomial evaluations.
+bounds are closed forms in Python floats, their Beta and binomial factors
+taken from `scipy.special`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import hadamard
+from scipy.special import binom
 
 from . import rng as _rng
 from .ball_bodies import (
@@ -43,20 +45,16 @@ from .geometry import (
 )
 from .sections import (
     SectionVolumeFunction,
-    _check_cone_flat,
     _cut_volume,
-    _flat_section,
     _section_and_rows,
     cone_section_volume_polyhedral,
     section,
-    section_volume,
     solid_angle_fraction,
 )
-from .special import beta, binom, gamma
 from .volume import _centred, body_volume, isotropic_position, moments
 
 __all__ = [
-    "CheckResult", "ExplicitConstant", "gamma", "beta", "binom",
+    "CheckResult", "ExplicitConstant",
     "gruenbaum_constant", "part1_constant",
     "check_gruenbaum", "check_main_theorem_part1", "check_main_theorem_part2",
     "check_corollary1", "check_corollary2", "check_corollary3",
@@ -128,8 +126,8 @@ def part1_constant(n: int, k: int, p: int) -> ExplicitConstant:
     """k^p (1 + k/(n+1-k))^(n-k) C(n+p-k, p) C(n+1, k+1)^(-p/(k+1))."""
     if not (1 <= p <= k <= n):
         raise GeometryError("need 1 <= p <= k <= n")
-    value = (k ** p * (1.0 + k / (n + 1.0 - k)) ** (n - k) * binom(n + p - k, p)
-             * binom(n + 1, k + 1) ** (-p / (k + 1.0)))
+    value = float(k ** p * (1.0 + k / (n + 1.0 - k)) ** (n - k) * binom(n + p - k, p)
+                  * binom(n + 1, k + 1) ** (-p / (k + 1.0)))
     return ExplicitConstant("cone-ratio-bound", {"n": n, "k": k, "p": p}, value)
 
 
@@ -156,7 +154,6 @@ def _opposite_cone_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone):
     the stack [R, -R] of C's rows and their negatives in one
     `sections._cut_volume` call, which picks the cut for both (up to two
     rows the wedges of a polytope share the split by their first rows)."""
-    _check_cone_flat(F, C)
     L, R = _section_and_rows(K, F, C)
     return tuple(_cut_volume(L, np.stack([R, -R])).tolist())
 
@@ -219,11 +216,11 @@ def check_main_theorem_part2(K: ConvexBody, F: Subspace, C: PolyhedralCone,
                              body_spec: str = "body") -> CheckResult:
     """Isotropic K: cone-section fraction within n^p of the ball's fraction.
 
-    |K cap (F + C)| is `cone_volume` of K in isotropic position, and
-    |K cap (F + span C)| is the volume of the section that cone volume cuts
-    (`sections._flat_section`), read from its cone weights
-    (`volume.body_volume`): K's own when F + span C is the whole space, which
-    the cut has cached, so no section is fanned for its moments.
+    Both volumes come from one section L of K in isotropic position by
+    F + span C (`sections._section_and_rows`; K itself when that is the
+    whole space): |K cap (F + C)| is L cut by C's rows (`sections._cut_volume`,
+    the cut of `cone_volume`), and |K cap (F + span C)| is L's volume, read
+    from the cone weights that cut takes (`volume.body_volume`).
 
     Only the n^p branch of the constant is explicit, so only it is asserted;
     the alternative branch, a^(kp) times part 1's constant over k^p, is
@@ -233,8 +230,8 @@ def check_main_theorem_part2(K: ConvexBody, F: Subspace, C: PolyhedralCone,
     k = n - F.dim
     p = C.span_dim
     K_iso, _ = isotropic_position(K)
-    plus = cone_volume(K_iso, F, C)
-    full = body_volume(_flat_section(K_iso, F, C)[0])
+    L, R = _section_and_rows(K_iso, F, C)
+    plus, full = _cut_volume(L, R), body_volume(L)
     if full <= 0 or plus <= 0:
         raise GeometryError("degenerate cone section")
     k_ratio = plus / full
@@ -307,6 +304,12 @@ def check_corollary3(K: ConvexBody, E: Subspace, us,
 
     Only the (2n)^-p branch is explicit; the e^{-ckp} branch's implied c is
     reported.  K must already be in isotropic position.
+
+    C is the orthant of ``us`` and F = E cap us^perp, so F + span C is E.
+    Both volumes come from one section L of K by F + span C
+    (`sections._section_and_rows`; K itself when E is the whole space):
+    |K cap (F + C)| is L cut by C's rows (`sections._cut_volume`) and
+    |K cap E| is L's volume (`volume.body_volume`).
     """
     n = K.dim
     us = np.atleast_2d(np.asarray(us, dtype=float))
@@ -317,8 +320,8 @@ def check_corollary3(K: ConvexBody, E: Subspace, us,
             raise GeometryError("orthant directions must lie in the section subspace")
     C = orthant_cone(us)
     F = Subspace.from_span(np.vstack([E.complement().basis, us])).complement()
-    plus = cone_volume(K, F, C)
-    full = body_volume(K) if E.dim == n else section_volume(K, E)
+    L, R = _section_and_rows(K, F, C)
+    plus, full = _cut_volume(L, R), body_volume(L)
     if full <= 0:
         raise GeometryError("empty section subspace")
     frac = plus / full
@@ -519,7 +522,11 @@ def check_lemma6(f: ConcaveFunctionOracle | SectionVolumeFunction, p: float,
 
 
 def check_lemma7(L: ConvexBody, u, body_spec: str = "body") -> CheckResult:
-    """Support-height sandwich for the directional second moment (exact)."""
+    """Support-height sandwich for the directional second moment (exact).
+
+    ``parameters["u"]`` records the unit direction, as `check_gruenbaum`
+    records its own.
+    """
     k = L.dim
     u = np.asarray(u, dtype=float)
     u = u / np.linalg.norm(u)
@@ -532,7 +539,7 @@ def check_lemma7(L: ConvexBody, u, body_spec: str = "body") -> CheckResult:
     return CheckResult(
         name="second-moment-support-sandwich",
         body_spec=body_spec,
-        parameters={"k": k, "second_moment": second, "support": h},
+        parameters={"k": k, "u": u.round(12).tolist(), "second_moment": second, "support": h},
         lhs=lhs, rhs=1.0, slack=1e-9,
         notes="two-sided; lhs is the worst violation factor of either side",
     )
@@ -640,10 +647,15 @@ def checks_for_body(spec: dict) -> list[CheckResult]:
 
 
 def run_corpus(specs: list[dict] | None = None) -> list[CheckResult]:
-    """Run the standard battery over the corpus, in this process, sorted deterministically."""
+    """Run the standard battery over the corpus, in this process, sorted by
+    check name and body.
+
+    The sort is stable, so the records of one check on one body keep the
+    battery's order; no measured value orders them, so a change in the last
+    bits of a value cannot reorder the records.
+    """
     if specs is None:
         specs = load_corpus()
     results = [r for s in specs for r in checks_for_body(s)]
-    results.sort(key=lambda r: (r.name, r.body_spec, sorted(r.parameters.items(),
-                                                            key=lambda kv: kv[0])))
+    results.sort(key=lambda r: (r.name, r.body_spec))
     return results

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta, binom
 
 from conesec import rng as _rng
 from conesec.ball_bodies import (
@@ -33,7 +34,6 @@ from conesec.sections import (
     cone_section_volume_radial,
     section_volume_fn,
 )
-from conesec.special import beta, binom
 from conesec.verify import (
     check_fradelizi,
     check_gruenbaum,

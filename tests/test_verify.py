@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conesec import geometry, rng
+from conesec import geometry, rng, sections
 from conesec import volume as volume_module
 from conesec.ball_bodies import ConcaveFunctionOracle, oracle_from_section_fn
 from conesec.geometry import (
@@ -446,6 +446,31 @@ def test_corollary2_is_part1_on_the_ray_both_ways(n, seed):
     assert res.passed is (res.lhs <= res.rhs * (1.0 + res.slack)) is True
 
 
+def test_part2_and_corollary3_take_one_section(monkeypatch):
+    # the cone volume and the volume of the whole section come from one
+    # section by F + span C (two sections of the same flat before)
+    taken = []
+    real = sections.section
+
+    def spy(K, S, x0=None):
+        taken.append(S.dim)
+        return real(K, S, x0)
+
+    monkeypatch.setattr(sections, "section", spy)
+    K, e = random_centered_polytope(5, 16, 2), np.eye(5)
+    K_iso = isotropic_position(K)[0]
+    check_main_theorem_part2(K, Subspace.from_span(e[:2]), orthant_cone(e[3:]))
+    assert taken == [4]
+    taken.clear()
+    res = check_corollary3(K_iso, Subspace.from_span(e[:4]), e[2:4])
+    assert taken == [4]
+    monkeypatch.undo()
+    assert res.rhs == pytest.approx(cone_volume(K_iso, Subspace.from_span(e[:2]), orthant_cone(e[2:4])),
+                                    rel=1e-12, abs=0)
+    assert res.lhs == pytest.approx(body_volume(section(K_iso, Subspace.from_span(e[:4]))) / 100,
+                                    rel=1e-12, abs=0)
+
+
 def test_corollary3_isotropic_simplex():
     K, _ = isotropic_position(make_regular_simplex(3))
     E = Subspace.from_span(np.eye(3))
@@ -639,6 +664,16 @@ def test_checks_for_body_battery():
     assert "centroid-halfspace-lower-bound" in names
     assert "cone-ratio-upper-bound" in names
     assert "isotropic-cone-fraction-sandwich" in names
+
+
+def test_corpus_records_of_one_check_keep_the_battery_order():
+    # lemma 7's measured second moments and support heights tie up to
+    # rounding on a symmetric body, so they must not order its records: the
+    # records of one check on one body keep the battery's order, and each
+    # lemma-7 record carries its direction
+    spec = next(s for s in load_corpus() if s.get("label") == "simplex-5")
+    records = [r for r in run_corpus([spec]) if r.name == "second-moment-support-sandwich"]
+    assert [r.parameters["u"] for r in records] == rng.sphere_grid(5, 2, seed=31).round(12).tolist()
 
 
 def test_run_corpus_subset_deterministic_and_parallel():

@@ -35,6 +35,7 @@ from conesec.volume import (
     _positive_fraction,
     _slice,
     _split,
+    body_volume,
     centered_second_moment,
     centroid,
     isotropic_position,
@@ -80,6 +81,24 @@ def test_standard_simplex_volume():
         verts = np.vstack([np.zeros(n), np.eye(n)])
         assert volume(VPolytope(verts)) == pytest.approx(
             1.0 / math.factorial(n), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e2, 1e4])
+@pytest.mark.parametrize("n, points, seed", [(6, 30, 4), (4, 14, 3)])
+def test_volume_off_the_origin_does_not_cancel(n, points, seed, s):
+    # with 0 outside K the cones from 0 cancel: their weight sum lost 1.3e-8
+    # of the 6-D volume at s = 1e4. The reference is the translated body moved
+    # back, which contains 0: its vertices are the translate's own, exactly
+    # for s >= 1e2 (a difference of two floats within a factor 2 of each other
+    # is exact), so the rounding of the translation itself, about 2e-12 of
+    # volume(K) at s = 1e4, is not counted as an error
+    K = random_centered_polytope(n, points, seed)
+    shift = s * np.linspace(1.0, 2.0, n)
+    T = translate(K, shift)
+    assert _cone_simplices(to_vrep(T))[1].min() < 0
+    back = VPolytope(to_vrep(T).vertices - shift)
+    assert body_volume(T) == pytest.approx(body_volume(back), rel=1e-12, abs=0)
+    assert body_volume(T) == pytest.approx(volume(K), rel=1e-14 * max(s, 100.0), abs=0)
 
 
 def test_overlapping_boundary_triangulation_raises():
