@@ -95,7 +95,7 @@ class Subspace:
         return cls(len(normal), _complement_basis(normal[None, :]))
 
     def complement(self) -> "Subspace":
-        return Subspace(self.ambient_dim, _complement_basis(self.basis, self.ambient_dim))
+        return Subspace(self.ambient_dim, _complement_basis(self.basis))
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of (the projection of) ambient points in this basis."""
@@ -103,11 +103,7 @@ class Subspace:
 
     def embed(self, y: np.ndarray) -> np.ndarray:
         """Map intrinsic coordinates back to ambient R^n."""
-        y = _as_array(y)
-        if self.dim == 0:
-            shape = y.shape[:-1] if y.ndim else ()
-            return np.zeros(shape + (self.ambient_dim,))
-        return y @ self.basis
+        return _as_array(y) @ self.basis
 
     def contains_vector(self, v: np.ndarray, tol: float = 1e-12) -> bool:
         v = _as_array(v)
@@ -120,11 +116,7 @@ def trivial_flat(n: int) -> Subspace:
     return Subspace(n, np.zeros((0, n)))
 
 
-def _complement_basis(basis: np.ndarray, ambient_dim: int | None = None) -> np.ndarray:
-    basis = np.atleast_2d(basis)
-    n = ambient_dim if ambient_dim is not None else basis.shape[1]
-    if basis.shape[0] == 0:
-        return np.eye(n)
+def _complement_basis(basis: np.ndarray) -> np.ndarray:
     _, s, vt = np.linalg.svd(basis, full_matrices=True)
     return vt[_rank(s):]
 
@@ -736,8 +728,9 @@ def make_cross_polytope(n: int) -> Polytope:
 
 def make_ball(n: int, r: float = 1.0, center=None) -> Ball:
     _check_dim(n)
-    if center is None:
-        center = np.zeros(n)
+    center = np.zeros(n) if center is None else _as_array(center)
+    if center.shape != (n,):
+        raise GeometryError(f"ball center has shape {center.shape}, not ({n},)")
     return Ball(center, r)
 
 
@@ -1003,36 +996,46 @@ def _finite(values, what: str) -> np.ndarray:
     return arr
 
 
+def _field(spec, key: str, what: str = "body spec"):
+    """spec[key]; GeometryError naming the field when spec is no JSON object or lacks it."""
+    if not isinstance(spec, dict):
+        raise GeometryError(f"{what} must be a JSON object, not {type(spec).__name__}")
+    if key not in spec:
+        raise GeometryError(f"{what} has no {key!r} field")
+    return spec[key]
+
+
 def body_from_spec(spec: dict) -> ConvexBody:
     """Build a body from the body-specification JSON object."""
-    kind = spec["type"]
+    kind = _field(spec, "type")
     if kind == "vpolytope":
-        V = np.atleast_2d(_finite(spec["vertices"], "vertices"))
+        V = np.atleast_2d(_finite(_field(spec, "vertices"), "vertices"))
         _check_dim(V.shape[-1])
         return VPolytope(V)
     if kind == "hpolytope":
-        A = np.atleast_2d(_finite([h["a"] for h in spec["halfspaces"]], "halfspace normals"))
+        halfspaces = _field(spec, "halfspaces")
+        A = np.atleast_2d(_finite([_field(h, "a", "halfspace") for h in halfspaces], "halfspace normals"))
         _check_dim(A.shape[-1])
-        return HPolytope(A, _finite([h["b"] for h in spec["halfspaces"]], "halfspace offsets"))
+        return HPolytope(A, _finite([_field(h, "b", "halfspace") for h in halfspaces], "halfspace offsets"))
     if kind == "ball":
         n = spec.get("n", len(spec.get("center", [])))
         return make_ball(n, spec.get("radius", 1.0), spec.get("center"))
     if kind == "simplex":
-        return make_regular_simplex(spec["n"])
+        return make_regular_simplex(_field(spec, "n"))
     if kind == "cube":
-        return make_cube(spec["n"])
+        return make_cube(_field(spec, "n"))
     if kind == "cross":
-        return make_cross_polytope(spec["n"])
+        return make_cross_polytope(_field(spec, "n"))
     if kind == "cone":
-        return make_centered_cone(spec["n"], spec.get("height", 1.0))
+        return make_centered_cone(_field(spec, "n"), spec.get("height", 1.0))
     if kind == "random":
-        return random_centered_polytope(spec["n"], spec["points"], spec["seed"])
+        return random_centered_polytope(_field(spec, "n"), _field(spec, "points"), _field(spec, "seed"))
     raise GeometryError(f"unknown body type {kind!r}")
 
 
 def cone_from_spec(spec: dict) -> tuple[Subspace, PolyhedralCone]:
     """Load {"generators": [...], "flat_basis": [...]} into (F, C)."""
-    gens = np.atleast_2d(_as_array(spec["generators"]))
+    gens = np.atleast_2d(_as_array(_field(spec, "generators", "cone spec")))
     n = gens.shape[1]
     flat = np.atleast_2d(_as_array(spec.get("flat_basis", np.zeros((0, n)))))
     if flat.size == 0:

@@ -20,7 +20,7 @@ import numpy as np
 from . import rng as _rng
 from .geometry import Ball, ConvexBody, GeometryError, Polytope, Subspace, _origin_interior, support
 from .sections import section, section_volume
-from .volume import _cone_simplices, body_volume
+from .volume import _fan, body_volume, triangulate
 
 _SHRINK = 1.0 - 1e-6  # admissible centers z keep h_L(z) <= _SHRINK on the section L
 _MAX_ITER = 10_000
@@ -56,11 +56,12 @@ class _SectionIntegrator:
     r maps to an ellipsoid of volume omega_d r^d q^(-n/2),
     q = (1 - <c, z>)^2 - r^2 |z|^2. Both are finite exactly when the kernel
     argument is positive on the section; otherwise GeometryError. The
-    simplices are the section's boundary simplices coned from 0, signed by
-    their facet's side of 0 (`volume._cone_simplices`), and the volume is
-    their sum (`volume.body_volume`); a sliced section has them cached, so
-    no triangulation or determinant is taken again. Each evaluation gives the
-    value, gradient and Hessian together, one kernel call per Newton step.
+    simplices are the section's fan (`volume.triangulate`), whose weights
+    sum to its volume (`volume.body_volume`); the formula holds for any
+    apex. A central section contains 0, so its fan is its cones from 0,
+    and a sliced section has them cached: no determinant is taken again.
+    Each evaluation gives the value, gradient and Hessian together, one
+    kernel call per Newton step.
     """
 
     def __init__(self, K: ConvexBody, u):
@@ -72,10 +73,9 @@ class _SectionIntegrator:
         if sec is None:
             raise GeometryError("central section is empty; 0 must be interior to K")
         self.volume = body_volume(sec)
-        if isinstance(sec, Polytope):  # the origin's row has g = 1 and Y = 0
-            cones, weights = _cone_simplices(sec)
-            self.simplices = np.insert(cones, 0, 0.0, axis=1)
-            self._simplex_vols = weights / math.factorial(self.n - 1)
+        if isinstance(sec, Polytope):
+            self.simplices = triangulate(sec)
+            self._simplex_vols = _fan(sec)[2] / math.factorial(self.n - 1)
 
     def integrals(self, zc: np.ndarray):
         """(value, gradient, Hessian) of the kernel integral, in flat coords."""
@@ -191,8 +191,7 @@ def ci_radial(K: ConvexBody, u, tol: float = 1e-8) -> CIEvaluation:
     )
 
 
-def ci_inclusion_report(K: ConvexBody, num_dirs: int, seed: int,
-                        tol: float = 1e-8) -> dict:
+def ci_inclusion_report(K: ConvexBody, num_dirs: int, seed: int) -> dict:
     """Per-direction radii of both section bodies plus the inclusion summary.
 
     Asserts nothing itself; records ci_radius <= i_radius status and the
@@ -204,7 +203,7 @@ def ci_inclusion_report(K: ConvexBody, num_dirs: int, seed: int,
     ratios = []
     num_uncertified = 0
     for u in dirs:
-        ev = ci_radial(K, u, tol=tol)
+        ev = ci_radial(K, u)
         ratio = ev.ci_radius / ev.i_radius
         ratios.append(ratio)
         if not ev.certified:

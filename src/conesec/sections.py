@@ -579,8 +579,6 @@ def solid_angle_fraction(C: PolyhedralCone) -> float:
     """
     p = C.span_dim
     U = C.span.coords(C.generators)  # unit rows in span coords
-    if p == 1:
-        return 0.5
     gram = U @ U.T
     if np.allclose(gram, np.eye(p), atol=1e-9):
         return 2.0**-p

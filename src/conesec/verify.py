@@ -33,6 +33,7 @@ from .geometry import (
     GeometryError,
     PolyhedralCone,
     Subspace,
+    _field,
     make_cube,
     make_regular_simplex,
     minkowski_norm_many,
@@ -54,8 +55,7 @@ from .sections import (
 from .volume import _centred, body_volume, isotropic_position, moments
 
 __all__ = [
-    "CheckResult", "ExplicitConstant",
-    "gruenbaum_constant", "part1_constant",
+    "CheckResult", "gruenbaum_constant", "part1_constant",
     "check_gruenbaum", "check_main_theorem_part1", "check_main_theorem_part2",
     "check_corollary1", "check_corollary2", "check_corollary3",
     "experiment_remark1", "experiment_remark3_cube",
@@ -105,30 +105,16 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class ExplicitConstant:
-    """A named closed-form constant appearing in one of the bounds."""
-
-    name: str
-    parameters: dict
-    value: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value > 0):
-            raise GeometryError(f"constant {self.name} is not finite-positive")
+def gruenbaum_constant(n: int) -> float:
+    return (1.0 + 1.0 / n) ** (-n)
 
 
-def gruenbaum_constant(n: int) -> ExplicitConstant:
-    return ExplicitConstant("centroid-halfspace", {"n": n}, (1.0 + 1.0 / n) ** (-n))
-
-
-def part1_constant(n: int, k: int, p: int) -> ExplicitConstant:
+def part1_constant(n: int, k: int, p: int) -> float:
     """k^p (1 + k/(n+1-k))^(n-k) C(n+p-k, p) C(n+1, k+1)^(-p/(k+1))."""
     if not (1 <= p <= k <= n):
         raise GeometryError("need 1 <= p <= k <= n")
-    value = float(k ** p * (1.0 + k / (n + 1.0 - k)) ** (n - k) * binom(n + p - k, p)
-                  * binom(n + 1, k + 1) ** (-p / (k + 1.0)))
-    return ExplicitConstant("cone-ratio-bound", {"n": n, "k": k, "p": p}, value)
+    return float(k ** p * (1.0 + k / (n + 1.0 - k)) ** (n - k) * binom(n + p - k, p)
+                 * binom(n + 1, k + 1) ** (-p / (k + 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +164,7 @@ def check_gruenbaum(K: ConvexBody, U, body_spec: str = "body") -> list[CheckResu
     """
     m = _centroid_guard(K)
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    lhs = gruenbaum_constant(K.dim).value * m.volume
+    lhs = gruenbaum_constant(K.dim) * m.volume
     return [CheckResult(
         name="centroid-halfspace-lower-bound",
         body_spec=body_spec,
@@ -207,7 +193,7 @@ def check_main_theorem_part1(K: ConvexBody, F: Subspace, C: PolyhedralCone,
         name="cone-ratio-upper-bound",
         body_spec=body_spec,
         parameters={"n": n, "k": k, "p": p},
-        lhs=minus / plus, rhs=const.value, slack=1e-6,
+        lhs=minus / plus, rhs=const, slack=1e-6,
         notes=f"|K cap (F-C)| = {minus:.6e}, |K cap (F+C)| = {plus:.6e}",
     )
 
@@ -236,7 +222,7 @@ def check_main_theorem_part2(K: ConvexBody, F: Subspace, C: PolyhedralCone,
         raise GeometryError("degenerate cone section")
     k_ratio = plus / full
     ball_ratio = solid_angle_fraction(C)
-    alt = part1_constant(n, k, p).value / k ** p
+    alt = part1_constant(n, k, p) / k ** p
     return CheckResult(
         name="isotropic-cone-fraction-sandwich",
         body_spec=body_spec,
@@ -618,7 +604,7 @@ def load_corpus(path: str | None = None) -> list[dict]:
     else:
         with open(path) as fh:
             text = fh.read()
-    return json.loads(text)["bodies"]
+    return _field(json.loads(text), "bodies", "corpus manifest")
 
 
 def checks_for_body(spec: dict) -> list[CheckResult]:

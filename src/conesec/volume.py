@@ -1,15 +1,16 @@
 """Exact volumes, centroids and moments of polytopes via triangulation.
 
-Each full-dimensional polytope is fanned from the vertex average into the
-simplices over its cached boundary simplices (`geometry.boundary`);
-per-simplex closed forms give volume, centroid, second moments and arbitrary
-integer moments of a linear functional.  Wedge moments, the integrals of
-<r, x>^q over K cap {R x >= 0} with r the last row of R, come from the same
-boundary simplices, coned from the origin: hyperplanes through 0 slice them
-down to the cones of a section of K, building only the faces they keep
-(`_slice`), the hyperplanes of the rows before the last split them, and the
-last row weights each piece by an exact recursion on its vertex values.  At
-q = 0 they are wedge volumes.  One call cuts a stack of wedges of one body:
+Each full-dimensional polytope has one fan (`_fan`) over its cached boundary
+simplices (`geometry.boundary`): the cones from 0 while 0 lies in it, from
+its vertex average otherwise, where the cones from 0 cancel. Per-simplex
+closed forms on that fan give volume, centroid, second moments and
+arbitrary integer moments of a linear functional. Wedge moments, the
+integrals of <r, x>^q over K cap {R x >= 0} with r the last row of R, come
+from the same boundary simplices, always coned from the origin: hyperplanes
+through 0 slice them down to the cones of a section of K, building only the
+faces they keep (`_slice`), the hyperplanes of the rows before the last
+split them, and the last row weights each piece by an exact recursion on
+its vertex values.  At q = 0 they are wedge volumes.  One call cuts a stack of wedges of one body:
 the vertex values of many wedges go through one recursion, in blocks of
 about 1 MB, and a wedge R and its negative -R share one split, so a
 direction grid of halfspaces or a part-1 pair costs one pass over the cones.
@@ -18,13 +19,12 @@ functions at m >= 2, and once for each central hyperplane section of a
 simplicial polytope, whose faces and weights become that section's own
 boundary and cone simplices; the other sections, where a halfspace
 intersection measured faster, do not slice.  The convexified
-section integrals of `intersection_bodies` take a section's cone simplices
-as they are.
-A body's volume and its polynomial moments along one direction are read
-from the same cached cones (`body_volume`: their weights over d!, a ball's
-closed form; `moment_p`), so only centroids and second moments take the
-vertex-average fan of `moments`, and volumes of polytopes with 0 outside,
-whose cones from 0 cancel.
+section integrals of `intersection_bodies` take a section's fan
+(`triangulate`) as it is.
+A body's volume, moments and polynomial moments along one direction are
+read from that one fan (`body_volume`: its weights over d!, a ball's closed
+form; `moments`; `moment_p`), so a body that contains 0 takes no
+determinant beyond the one pass of its cones, which its wedge cuts share.
 A seeded Monte Carlo estimator provides an independent cross-check, and the
 isotropic-position transform whitens the centered second-moment matrix.
 """
@@ -43,6 +43,7 @@ from .geometry import (
     Ball,
     ConvexBody,
     GeometryError,
+    _read_only,
     affine_map,
     boundary,
     contains_many,
@@ -73,25 +74,43 @@ def unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
 
 
+def _fan(V: ConvexBody):
+    """(apex, simplices, weights): V's one fan, over its cached boundary simplices.
+
+    The apex is 0 while no cone weight of `_cone_simplices` is negative, and
+    the simplices and weights are then the cached arrays themselves. With 0
+    outside V the cones from 0 cancel (at a shift of 1e4 on a 6-D body their
+    sum loses 1e-8 relative), so the apex is the vertex average and the
+    weights |det(D - apex)| are >= 0. The simplices (S, d, d) are relative to
+    the apex, and a weight is d! times its simplex's volume.
+    """
+    simplices, weights = _cone_simplices(V)
+    if weights.min() >= 0:
+        return np.zeros(V.dim), simplices, weights
+    apex = V.vertices.mean(axis=0)
+    simplices = simplices - apex
+    return apex, simplices, np.abs(np.linalg.det(simplices))
+
+
 def triangulate(K: ConvexBody):
-    """Simplices (S, d+1, d) fanning the polytope from its vertex average.
+    """Simplices (S, d+1, d) of the polytope's fan (`_fan`), apex first.
 
     The fan is over the cached boundary simplices, in R^1 the two end
     points; GeometryError when the polytope is degenerate or its boundary
     simplices do not close up (`geometry.boundary`).
     """
     V = to_vrep(K)
-    verts = V.vertices
-    facets = verts[boundary(V).simplices]  # (S, d, d)
-    apexes = np.broadcast_to(verts.mean(axis=0), (facets.shape[0], 1, V.dim))
-    return np.concatenate([apexes, facets], axis=1)
+    facets = _cone_simplices(V)[0]
+    return np.concatenate([np.broadcast_to(_fan(V)[0], (len(facets), 1, V.dim)), facets], axis=1)
 
 
 def moments(K: ConvexBody) -> MomentSummary:
     """Exact volume, centroid and second-moment matrix of a polytope or ball.
 
-    A polytope's moments are computed once and cached on its vertex
-    representation; their arrays are read-only.
+    A polytope's moments are read from its fan (`_fan`), so a body that
+    contains 0 takes no determinant beyond its cached cones, and the volume
+    is `body_volume`'s to the bit. They are computed once and cached on its
+    vertex representation; their arrays are read-only.
     """
     if isinstance(K, Ball):
         d, r, c = K.dim, K.radius, K.center
@@ -104,24 +123,23 @@ def moments(K: ConvexBody) -> MomentSummary:
     return V._moments_cache
 
 
-def _polytope_moments(K: ConvexBody) -> MomentSummary:
-    simplices = triangulate(K)
-    d = simplices.shape[2]
-    vols = np.abs(np.linalg.det(simplices[:, 1:, :] - simplices[:, :1, :])) / math.factorial(d)
-    vol = float(vols.sum())
+def _polytope_moments(V: ConvexBody) -> MomentSummary:
+    apex, simplices, weights = _fan(V)
+    d, scale = V.dim, math.factorial(V.dim)
+    vol = float(weights.sum()) / scale
     if vol <= 0:
         raise GeometryError("degenerate body has zero volume")
-    centroids = simplices.mean(axis=1)
-    centroid = (vols[:, None] * centroids).sum(axis=0) / vol
-    # int_S x x^T dx = vol_S / ((d+1)(d+2)) * (sum_i v_i v_i^T + s s^T), s = sum_i v_i
+    # about the apex, a simplex with vertices 0, y_1..y_d and s = sum_i y_i has
+    # int y = vol_S s / (d+1) and int y y^T = vol_S (sum_i y_i y_i^T + s s^T) / ((d+1)(d+2)),
+    # vol_S its weight over d!, divided out once at the end
     s = simplices.sum(axis=1)
-    outer_sum = np.einsum("sia,sib->sab", simplices, simplices)
-    outer_s = np.einsum("sa,sb->sab", s, s)
-    cov = np.einsum("s,sab->ab", vols, outer_sum + outer_s) / ((d + 1) * (d + 2))
-    cov = 0.5 * (cov + cov.T)
-    centroid.setflags(write=False)
-    cov.setflags(write=False)
-    return MomentSummary(vol, centroid, cov)
+    first = weights @ s / ((d + 1) * scale)
+    second = (np.einsum("s,sia,sib->ab", weights, simplices, simplices)
+              + np.einsum("s,sa,sb->ab", weights, s, s)) / ((d + 1) * (d + 2) * scale)
+    # about 0, int x x^T = int y y^T + apex (int y)^T + (int y) apex^T + vol apex apex^T,
+    # the middle terms from the symmetric part of 2 apex (int y)^T
+    cov = second + np.outer(apex, 2 * first + vol * apex)
+    return MomentSummary(vol, _read_only(apex + first / vol), _read_only(0.5 * (cov + cov.T)))
 
 
 # boundary simplices per block of `wedge_moment` when rows before the last
@@ -226,25 +244,19 @@ def _cone_simplices(V: ConvexBody):
 
 
 def body_volume(K: ConvexBody | None) -> float:
-    """|K|: a polytope's cached cone weights summed over d! (`_cone_simplices`)
-    while 0 lies in K, a ball's closed form, and 0 for None (an empty section).
+    """|K|: a polytope's fan weights summed over d! (`_fan`), a ball's closed
+    form, and 0 for None (an empty section).
 
-    The weights are the ones every wedge cut of K reads, and a sliced section
-    (`sections.section`) comes with them, so a volume read takes no
-    determinant twice. With 0 outside K some weights are negative, and the
-    cones from 0 cancel: at a shift of 1e4 on a 6-D body the sum loses 1e-8
-    relative. Such a body's volume is read from the vertex-average fan of
-    `moments` instead, which has no cancellation. `moments` also keeps that
-    fan for centroids and second moments.
+    While 0 lies in K the weights are the cached cone weights every wedge cut
+    of K reads, and a sliced section (`sections.section`) comes with them, so
+    a volume read takes no determinant twice; with 0 outside K they are
+    those of the vertex-average fan, which has no cancellation.
     """
     if K is None:
         return 0.0
     if isinstance(K, Ball):
         return unit_ball_volume(K.dim) * K.radius**K.dim
-    weights = _cone_simplices(to_vrep(K))[1]
-    if weights.min() < 0:
-        return moments(K).volume
-    return float(weights.sum()) / math.factorial(K.dim)
+    return float(_fan(to_vrep(K))[2].sum()) / math.factorial(K.dim)
 
 
 def _split(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
@@ -403,9 +415,9 @@ def _suffix_h(x: np.ndarray, q: int) -> np.ndarray:
     return h[:, q]
 
 
-def _centred(K: ConvexBody, x: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether x, K's centroid or a projection of it, is 0 to tol times max(1, |K|^(1/n))."""
-    return bool(np.linalg.norm(x) <= tol * max(1.0, moments(K).volume ** (1.0 / K.dim)))
+def _centred(K: ConvexBody, x: np.ndarray) -> bool:
+    """Whether x, K's centroid or a projection of it, is 0 to 1e-9 times max(1, |K|^(1/n))."""
+    return bool(np.linalg.norm(x) <= 1e-9 * max(1.0, moments(K).volume ** (1.0 / K.dim)))
 
 
 def volume(K: ConvexBody) -> float:
@@ -416,23 +428,23 @@ def centroid(K: ConvexBody) -> np.ndarray:
     return moments(K).centroid
 
 
-_SUPPORTED_P = (0, 1, 2, 3, 4)
-
-
 def moment_p(K: ConvexBody, u, p: int) -> float:
-    """Exact integral of <x, u>^p over a polytope, p in {0,...,4}.
+    """Exact integral of <x, u>^p over a polytope, p >= 0 an integer.
 
-    It is the sum over K's cached boundary cones conv(0, D) (`_cone_simplices`)
-    of their weights sign(b_D) |det| times p! / (d + p)! h_p(<u, v_i>), the
-    formula of `wedge_moment` with no wedge: it holds wherever the origin
-    is, and the cones are the ones every volume read and wedge cut of K
-    takes, so no vertex-average fan is built (`triangulate` serves
-    `moments` alone).
+    It is the sum over K's fan (`_fan`) of its weights, d! times each
+    simplex's volume, times p! / (d + p)! h_p of the simplex's vertex values
+    <u, x>, apex and boundary vertices (Baldoni et al., see
+    `_positive_fraction`). While 0 lies in K the fan is K's cached cones,
+    the ones every volume read and wedge cut of K takes, and the apex's
+    values are zeros; with 0 outside K the vertex-average fan keeps the sum
+    from cancelling.
     """
-    if p not in _SUPPORTED_P:
-        raise GeometryError(f"unsupported moment degree p={p}")
-    simplices, weights = _cone_simplices(to_vrep(K))
-    h = _suffix_h((simplices @ np.asarray(u, dtype=float)).T, p)[0]
+    if p < 0 or p != int(p):
+        raise GeometryError(f"moment degree p={p} is not a nonnegative integer")
+    apex, simplices, weights = _fan(to_vrep(K))
+    u, p = np.asarray(u, dtype=float), int(p)
+    values = np.vstack([np.zeros(len(simplices)), (simplices @ u).T]) + apex @ u  # apex first
+    h = _suffix_h(values, p)[0]
     return float(weights @ h) * math.factorial(p) / math.factorial(K.dim + p)
 
 

@@ -113,14 +113,14 @@ def test_criterion_03_centroid_halfspace_bound():
         u = np.zeros(n)
         u[-1] = 1.0
         frac = halfspace_volume(K, u) / moments(K).volume
-        worst_eq = max(worst_eq, abs(frac - gruenbaum_constant(n).value))
+        worst_eq = max(worst_eq, abs(frac - gruenbaum_constant(n)))
     # inequality on 200 seeded random bodies, 20 directions each
     violations = 0
     total = 0
     for i in range(200):
         n = 2 + i % 4  # dimensions 2..5, 50 bodies each
         K = random_body(n, 1000 + i)
-        bound = gruenbaum_constant(n).value * moments(K).volume
+        bound = gruenbaum_constant(n) * moments(K).volume
         for u in _rng.sample_sphere(n, 20, seed=i):
             total += 1
             if halfspace_volume(K, u) < bound * (1 - 1e-9):

@@ -304,6 +304,28 @@ def test_malformed_vpolytope_file_exits_2(capsys, tmp_path, vertices):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("option, spec, field", [
+    ("--body", {"type": "ball", "n": 3, "center": [0, 0, 0, 0]}, "center"),  # a 4-D ball before
+    ("--body", {"type": "hpolytope", "halfspaces": [{"a": [1.0, 0.0]}]}, "'b'"),
+    ("--body", {"type": "simplex"}, "'n'"),
+    ("--body", {"n": 3}, "'type'"),
+    ("--body", {"type": "random", "n": 3}, "'points'"),
+    ("--body", [{"type": "cube", "n": 3}], "JSON object"),
+    ("--cone", {"flat_basis": [[1.0, 0.0, 0.0]]}, "'generators'"),
+    ("--corpus", {"body": []}, "'bodies'"),
+], ids=["ball-center", "halfspace-b", "simplex-n", "type", "random-points", "array",
+        "cone-generators", "corpus-bodies"])
+def test_malformed_spec_exits_2(capsys, tmp_path, option, spec, field):
+    # a missing or mismatched field is a bad configuration, named in the error
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = {"--body": ["volume"], "--cone": ["cone-volume", "--body", "cube", "--n", "3"],
+            "--corpus": ["corpus"]}[option]
+    code, out, err = run(capsys, *argv, option, str(path))
+    assert code == 2
+    assert err.startswith("error:") and field in err
+
+
 @pytest.mark.parametrize("uncertified, holds", [(1, True), (0, False)])
 def test_ci_body_exits_1_on_uncertified_solve_or_failed_inclusion(
         capsys, monkeypatch, uncertified, holds):

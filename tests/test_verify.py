@@ -80,16 +80,16 @@ def unit(v):
 
 
 def test_gruenbaum_constant_values():
-    assert gruenbaum_constant(1).value == pytest.approx(0.5)
-    assert gruenbaum_constant(2).value == pytest.approx(4.0 / 9.0)
-    vals = [gruenbaum_constant(n).value for n in range(1, 20)]
+    assert gruenbaum_constant(1) == pytest.approx(0.5)
+    assert gruenbaum_constant(2) == pytest.approx(4.0 / 9.0)
+    vals = [gruenbaum_constant(n) for n in range(1, 20)]
     assert all(a > b for a, b in zip(vals, vals[1:]))  # decreasing to 1/e
     assert vals[-1] > 1.0 / math.e
 
 
 def test_part1_constant_spot_value():
     # n=2, k=1, p=1: 1 * (3/2) * 2 * 3^(-1/2) = sqrt(3)
-    assert part1_constant(2, 1, 1).value == pytest.approx(math.sqrt(3), rel=1e-12)
+    assert part1_constant(2, 1, 1) == pytest.approx(math.sqrt(3), rel=1e-12)
 
 
 def test_part1_constant_domain():
@@ -419,7 +419,7 @@ def test_corollary2_random_body():
     K = random_centered_polytope(3, 12, 4)
     res = check_corollary2(K, [1.0, 0, 0], [0.3, 1.0, 0.2])
     assert res.passed
-    assert res.rhs == pytest.approx(part1_constant(3, 2, 1).value)
+    assert res.rhs == pytest.approx(part1_constant(3, 2, 1))
 
 
 def test_corollary2_takes_a_second_direction_of_any_length():
@@ -442,7 +442,7 @@ def test_corollary2_is_part1_on_the_ray_both_ways(n, seed):
     l = check_main_theorem_part1(K, F, PolyhedralCone(theta[None, :])).lhs
     res = check_corollary2(K, u, v)
     assert res.lhs == max(l, 1.0 / l) and res.parameters == {"n": n, "ratio": 1.0 / l}
-    assert res.rhs == part1_constant(n, 2, 1).value
+    assert res.rhs == part1_constant(n, 2, 1)
     assert res.passed is (res.lhs <= res.rhs * (1.0 + res.slack)) is True
 
 

@@ -7,10 +7,11 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
-from scipy.spatial import QhullError
+from scipy.spatial import ConvexHull, QhullError
 
 from conesec import geometry, volume as volume_module
 from conesec.geometry import (
+    Ball,
     GeometryError,
     HPolytope,
     Polytope,
@@ -20,6 +21,7 @@ from conesec.geometry import (
     _closed,
     _halfspace_polytope,
     affine_map,
+    body_from_spec,
     boundary,
     make_ball,
     make_cross_polytope,
@@ -47,6 +49,7 @@ from conesec.volume import (
     volume,
     wedge_moment,
 )
+from conesec.verify import load_corpus
 from conftest import halfspace_section
 
 dims = st.integers(min_value=2, max_value=5)
@@ -99,6 +102,46 @@ def test_volume_off_the_origin_does_not_cancel(n, points, seed, s):
     back = VPolytope(to_vrep(T).vertices - shift)
     assert body_volume(T) == pytest.approx(body_volume(back), rel=1e-12, abs=0)
     assert body_volume(T) == pytest.approx(volume(K), rel=1e-14 * max(s, 100.0), abs=0)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_moment_p_off_the_origin_does_not_cancel(p):
+    # with 0 outside K, moment_p reads the vertex-average fan: the cones from
+    # 0 were off by 1.1e-8 (p = 1) and 9.6e-9 (p = 2) relative. The reference
+    # expands <y + shift, u>^p binomially over the translate moved back,
+    # whose vertices are the translate's own (as above) and which contains 0
+    K = random_centered_polytope(6, 30, 4)
+    shift = 1e4 * np.linspace(1.0, 2.0, 6)
+    u = np.ones(6) / math.sqrt(6)
+    T = translate(K, shift)
+    back = VPolytope(to_vrep(T).vertices - shift)
+    c = float(shift @ u)
+    ref = sum(math.comb(p, j) * c ** (p - j) * moment_p(back, u, j) for j in range(p + 1))
+    assert moment_p(T, u, p) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_moments_and_body_volume_read_one_fan():
+    # one fan per body: the volume of `moments` is `body_volume`'s to the bit
+    for spec in load_corpus():
+        K = body_from_spec(spec)
+        if not isinstance(K, Ball):
+            assert moments(K).volume == body_volume(K), spec.get("label")
+
+
+def test_moments_of_a_body_that_contains_0_read_its_cached_cones(monkeypatch):
+    # its moments take no triangulation and no determinant beyond the cones
+    # every volume read and wedge cut of the body takes
+    def raises(*args, **kwargs):
+        raise AssertionError("a second fan")
+
+    K = random_body(4, 7)
+    ref = ConvexHull(to_vrep(K).vertices).volume
+    _cone_simplices(to_vrep(K))
+    monkeypatch.setattr(volume_module, "triangulate", raises)
+    monkeypatch.setattr(np.linalg, "det", raises)
+    m = moments(K)
+    assert m.volume == pytest.approx(ref, rel=1e-12)
+    assert np.allclose(m.centroid, 0.0, atol=1e-12)
 
 
 def test_overlapping_boundary_triangulation_raises():
@@ -365,8 +408,11 @@ def test_moment_p_on_cube():
     assert moment_p(cube, u, 2) == pytest.approx(4.0 / 3.0)
     assert moment_p(cube, u, 3) == pytest.approx(0.0, abs=1e-12)
     assert moment_p(cube, u, 4) == pytest.approx(4.0 / 5.0)
+    # the closed form holds at every integer degree
+    assert moment_p(cube, u, 5) == pytest.approx(0.0, abs=1e-12)
+    assert moment_p(cube, u, 6) == pytest.approx(4.0 / 7.0)
     with pytest.raises(GeometryError):
-        moment_p(cube, u, 5)
+        moment_p(cube, u, -1)
 
 
 def test_moment_p_reads_the_cached_cones(monkeypatch):
