@@ -13,7 +13,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 from scipy.special import beta
 
 from . import rng as _rng
@@ -307,8 +306,10 @@ def _chord_max(f: SectionVolumeFunction) -> float:
     on K's rows with b scaled to max |b| = 1, since the solver's
     tolerances are absolute. Returns f at the maximiser z, after checking
     that it agrees with s. Raises `GeometryError` when the LP fails or the
-    two disagree.
+    two disagree. `scipy.optimize` is imported here, at the first LP.
     """
+    from scipy.optimize import linprog
+
     K = to_hrep(f.body)
     n = K.dim
     scale = float(np.abs(K.b).max())
@@ -362,7 +363,10 @@ def _search_max(f: ConcaveFunctionOracle | SectionVolumeFunction) -> float:
     For concave-power f any local maximum is global, so the polish step is a
     Nelder-Mead ascent restricted to the support. Uncertified: its value is
     f at some point, so it can only fall short of max f, by an unbounded gap.
+    `scipy.optimize` is imported here, at the first search.
     """
+    from scipy.optimize import minimize
+
     k = f.dim
     pts = _rng.sample_ball(k, _SEARCH_GRID, _SEARCH_SEED) * f.support_radius
     pts = np.vstack([np.zeros((1, k)), pts])

@@ -25,7 +25,6 @@ from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from . import rng as _rng
@@ -421,8 +420,11 @@ class Polytope:
 
     @property
     def vertices(self) -> np.ndarray:
+        """The vertices; a body known by its halfspaces alone takes them from one
+        halfspace intersection, started from 0 when 0 is clearly interior
+        (`_clearly_interior_origin`), else from the Chebyshev centre's LP."""
         if self._vertices is None:
-            P = _halfspace_polytope(self._A, self._b)
+            P = _halfspace_polytope(self._A, self._b, _clearly_interior_origin(self._b, self.dim))
             if P is None:
                 raise GeometryError("halfspace system empty or lower-dimensional")
             self._vertices, self._affine_dim = P._vertices, self.dim
@@ -615,19 +617,22 @@ def facet_ridges(K: Polytope) -> Ridges:
     return K._ridge_cache
 
 
+def _clearly_interior_origin(b: np.ndarray, d: int) -> np.ndarray | None:
+    """0 in R^d when it is clearly interior to {A x <= b}, A with unit rows,
+    else None: every facet distance b_i is at least 1e-3 of the largest,
+    which must be positive (with every b_i = 0, 0 lies on the boundary)."""
+    return np.zeros(d) if b.max() > 0 and b.min() >= 1e-3 * b.max() else None
+
+
 def chebyshev_center(A: np.ndarray, b: np.ndarray):
-    """Center and radius of the largest ball inside {A x <= b} (unit rows)."""
+    """Center and radius of the largest ball inside {A x <= b} (unit rows), by
+    one HiGHS LP. `scipy.optimize` is imported here, at the first LP, so a
+    run that solves none never loads it."""
+    from scipy.optimize import linprog
+
     d = A.shape[1]
-    norms = np.linalg.norm(A, axis=1)
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    res = linprog(
-        c,
-        A_ub=np.hstack([A, norms[:, None]]),
-        b_ub=b,
-        bounds=[(None, None)] * d + [(0, None)],
-        method="highs",
-    )
+    res = linprog(-np.eye(d + 1)[d], A_ub=np.hstack([A, np.linalg.norm(A, axis=1)[:, None]]), b_ub=b,
+                  bounds=[(None, None)] * d + [(0, None)], method="highs")
     if res.status == 3:
         raise GeometryError("unbounded halfspace system")
     if not res.success:
@@ -660,7 +665,9 @@ def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope
     the rest is an interval (`interval_1d`). Otherwise the system is scaled
     to max |b| = 1, since the LP's and qhull's tolerances are absolute, and
     qhull starts from ``interior``, a point the caller knows to be clearly
-    interior, or else from the Chebyshev centre, found by an LP. qhull takes
+    interior (`Polytope.vertices` and `sections.section` pass 0 by
+    `_clearly_interior_origin`), or else, with ``interior`` None, from the
+    Chebyshev centre, found by an LP (`chebyshev_center`). qhull takes
     the system once, with no Q12 retry (`_qhull`), and that is the only
     qhull call: the intersection points, less near repeats
     (`_first_of_close`), are the vertices, and the body is full-dimensional
@@ -668,9 +675,10 @@ def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope
     from 0 than every vertex (they touch nothing); its boundary is pulled
     from them when asked for (`_pulled`). Raises GeometryError when the
     system is unbounded, when qhull rejects it, or when a vertex qhull
-    returns violates the normalised system by more than GEOM_TOL of its
-    scale, a guard kept against any intersection that misplaces its
-    vertices.
+    returns is not finite or violates the normalised system by more than
+    GEOM_TOL of its scale: a guard kept against any intersection that
+    misplaces its vertices, and the one that catches an unbounded system
+    started from a given point, whose intersection has points at infinity.
     """
     norms = np.linalg.norm(A, axis=1)
     ok = norms > 1e-14
@@ -688,8 +696,8 @@ def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope
         if interior is None or r <= GEOM_TOL:
             return None
     points = _qhull(HalfspaceIntersection, np.hstack([A, -c[:, None]]), interior).intersections
-    if np.max(points @ A.T - c) > GEOM_TOL:
-        raise GeometryError("halfspace intersection has vertices outside its system")
+    if not np.all(points @ A.T - c <= GEOM_TOL):  # False at inf and nan too
+        raise GeometryError("halfspace intersection unbounded or with vertices outside its system")
     V = points[_first_of_close(points)] * scale
     if _rank(np.linalg.svd(V - V.mean(axis=0), compute_uv=False)) < A.shape[1]:
         return None
@@ -996,13 +1004,23 @@ def _finite(values, what: str) -> np.ndarray:
     return arr
 
 
-def _field(spec, key: str, what: str = "body spec"):
-    """spec[key]; GeometryError naming the field when spec is no JSON object or lacks it."""
+def _field(spec, key: str, what: str = "body spec", kind: type | None = None, default=None):
+    """spec[key], or ``default`` when it is given and the field is absent.
+
+    GeometryError naming the field when spec is no JSON object, lacks a
+    field that has no default (a null counts as absent), or holds a value
+    not of ``kind``: ``int`` wants an integer, ``float`` a finite real (an
+    integer too); a boolean is neither.
+    """
     if not isinstance(spec, dict):
         raise GeometryError(f"{what} must be a JSON object, not {type(spec).__name__}")
-    if key not in spec:
+    value = spec.get(key, default)
+    if value is None:
         raise GeometryError(f"{what} has no {key!r} field")
-    return spec[key]
+    if kind and (isinstance(value, bool) or not isinstance(value, (int, kind)) or not -np.inf < value < np.inf):
+        raise GeometryError(f"{what} field {key!r} must be {'an integer' if kind is int else 'a finite real'}, "
+                            f"not {value!r}")
+    return value
 
 
 def body_from_spec(spec: dict) -> ConvexBody:
@@ -1018,18 +1036,18 @@ def body_from_spec(spec: dict) -> ConvexBody:
         _check_dim(A.shape[-1])
         return HPolytope(A, _finite([_field(h, "b", "halfspace") for h in halfspaces], "halfspace offsets"))
     if kind == "ball":
-        n = spec.get("n", len(spec.get("center", [])))
-        return make_ball(n, spec.get("radius", 1.0), spec.get("center"))
+        n = _field(spec, "n", kind=int, default=len(spec.get("center", [])))
+        return make_ball(n, _field(spec, "radius", kind=float, default=1.0), spec.get("center"))
     if kind == "simplex":
-        return make_regular_simplex(_field(spec, "n"))
+        return make_regular_simplex(_field(spec, "n", kind=int))
     if kind == "cube":
-        return make_cube(_field(spec, "n"))
+        return make_cube(_field(spec, "n", kind=int))
     if kind == "cross":
-        return make_cross_polytope(_field(spec, "n"))
+        return make_cross_polytope(_field(spec, "n", kind=int))
     if kind == "cone":
-        return make_centered_cone(_field(spec, "n"), spec.get("height", 1.0))
+        return make_centered_cone(_field(spec, "n", kind=int), _field(spec, "height", kind=float, default=1.0))
     if kind == "random":
-        return random_centered_polytope(_field(spec, "n"), _field(spec, "points"), _field(spec, "seed"))
+        return random_centered_polytope(*(_field(spec, key, kind=int) for key in ("n", "points", "seed")))
     raise GeometryError(f"unknown body type {kind!r}")
 
 

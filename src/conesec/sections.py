@@ -44,6 +44,7 @@ from .geometry import (
     PolyhedralCone,
     Polytope,
     Subspace,
+    _clearly_interior_origin,
     _halfspace_polytope,
     _read_only,
     boundary,
@@ -76,9 +77,9 @@ def section(K: ConvexBody, S: Subspace, x0=None):
     (`_sliced_section`), with no qhull call and no LP. Every other flat
     intersects the halfspaces with S by one qhull halfspace intersection,
     whose boundary is pulled from the system's rows; when 0
-    is clearly interior to the body (its distance to every facet is at
-    least 1e-3 of the largest), 0 starts that intersection and no
-    Chebyshev-centre LP is solved.
+    is clearly interior to the body (`geometry._clearly_interior_origin`:
+    its distance to every facet is at least 1e-3 of the largest), 0 starts
+    that intersection and no Chebyshev-centre LP is solved.
 
     That rule was set by measurement, when the halfspace route hulled its
     intersection points as well. A halfspace intersection and one hull
@@ -103,8 +104,7 @@ def section(K: ConvexBody, S: Subspace, x0=None):
     if sliced:
         return _sliced_section(K, S)
     H = to_hrep(K)
-    interior = np.zeros(S.dim) if H.b.min() >= 1e-3 * H.b.max() else None
-    return _halfspace_polytope(H.A @ S.basis.T, H.b, interior)
+    return _halfspace_polytope(H.A @ S.basis.T, H.b, _clearly_interior_origin(H.b, S.dim))
 
 
 def _sliced_section(K: Polytope, S: Subspace):

@@ -434,14 +434,14 @@ def test_search_is_left_for_k_and_m_at_least_2_and_plain_oracles():
 
 def test_m_at_most_1_and_k1_profile_maxima_take_no_search(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("Nelder-Mead search called")
+        raise AssertionError("seeded grid and Nelder-Mead search called")
 
     # the benchmark's two chord profiles and the acceptance criteria's k = 1
     # and m = 1 profiles, on hulls of 2n + 6 ball points
     acceptance = [coordinate_profile(random_centered_polytope(n, 2 * n + 6, seed), k)
                   for k, n, seed in ((2, 3, 8), (3, 4, 9), (1, 3, 11), (1, 4, 12), (2, 3, 13))]
     searched = [ball_bodies._search_max(f) for f in acceptance]
-    monkeypatch.setattr(ball_bodies, "minimize", refuse)
+    monkeypatch.setattr(ball_bodies, "_search_max", refuse)
     others = [coordinate_profile(random_centered_polytope(n, 2 * n + 6, 20 + n), k)
               for n in (2, 3, 4, 5) for k in range(1, n + 1) if k == 1 or n - k <= 1]
     for f in others + [coordinate_profile(make_ball(3, 1.0), 2), ball_indicator_oracle(2)]:

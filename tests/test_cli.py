@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -313,10 +318,16 @@ def test_malformed_vpolytope_file_exits_2(capsys, tmp_path, vertices):
     ("--body", [{"type": "cube", "n": 3}], "JSON object"),
     ("--cone", {"flat_basis": [[1.0, 0.0, 0.0]]}, "'generators'"),
     ("--corpus", {"body": []}, "'bodies'"),
+    ("--body", {"type": "cube", "n": "3"}, "'n'"),
+    ("--body", {"type": "cube", "n": 2.5}, "'n'"),
+    ("--body", {"type": "ball", "n": 2, "radius": "x"}, "'radius'"),
+    ("--body", {"type": "random", "n": 3, "points": 10, "seed": "a"}, "'seed'"),
 ], ids=["ball-center", "halfspace-b", "simplex-n", "type", "random-points", "array",
-        "cone-generators", "corpus-bodies"])
+        "cone-generators", "corpus-bodies", "cube-n-string", "cube-n-float", "ball-radius-string",
+        "random-seed-string"])
 def test_malformed_spec_exits_2(capsys, tmp_path, option, spec, field):
-    # a missing or mismatched field is a bad configuration, named in the error
+    # a missing, mismatched or wrong-typed field is a bad configuration,
+    # named in the error
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     argv = {"--body": ["volume"], "--cone": ["cone-volume", "--body", "cube", "--n", "3"],
@@ -324,6 +335,39 @@ def test_malformed_spec_exits_2(capsys, tmp_path, option, spec, field):
     code, out, err = run(capsys, *argv, option, str(path))
     assert code == 2
     assert err.startswith("error:") and field in err
+
+
+def test_corpus_checks_and_the_radial_route_never_load_scipy_optimize():
+    # in a fresh interpreter: the cube-6 battery (its vertices from one
+    # halfspace intersection started at 0) and a radial query solve no LP
+    # and search nothing; the m = 1 chord maximum then loads scipy.optimize
+    # for its one LP and still equals the longest chord
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import conesec.cli
+        from conesec import verify
+        from conesec.ball_bodies import estimate_max, oracle_from_section_fn
+        from conesec.geometry import (PolyhedralCone, Subspace, VPolytope, radial,
+                                      random_centered_polytope)
+        from conesec.sections import cone_section_volume_radial, section_volume_fn
+
+        results = verify.checks_for_body({"label": "cube-6", "type": "cube", "n": 6})
+        assert results and all(r.passed for r in results)
+        K, e = random_centered_polytope(3, 12, 8), np.eye(3)
+        assert cone_section_volume_radial(K, Subspace.from_span(e[:1], ambient_dim=3),
+                                          PolyhedralCone(e[1:])) > 0
+        assert "scipy.optimize" not in sys.modules
+        f = oracle_from_section_fn(section_volume_fn(K, Subspace.from_span(e[:1], ambient_dim=3)))
+        V = K.vertices
+        chord = radial(VPolytope((V[:, None] - V[None]).reshape(-1, 3)), e[0])
+        assert abs(estimate_max(f) - chord) <= 1e-12 * chord, (estimate_max(f), chord)
+        assert "scipy.optimize" in sys.modules
+    """)
+    src = str(Path(conesec.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("uncertified, holds", [(1, True), (0, False)])

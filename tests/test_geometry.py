@@ -43,7 +43,14 @@ from conesec.geometry import (
     translate,
 )
 from conesec.ball_bodies import ball_indicator_oracle
-from conesec.geometry import _closed, _first_of_close, _halfspace_polytope, _qhull, robust_hull
+from conesec.geometry import (
+    _clearly_interior_origin,
+    _closed,
+    _first_of_close,
+    _halfspace_polytope,
+    _qhull,
+    robust_hull,
+)
 from conesec.sections import section, section_volume
 from conesec.verify import halfspace_volume
 from conesec.volume import moments, volume
@@ -320,6 +327,34 @@ def test_halfspace_polytope_enumerates_its_vertices_once(monkeypatch):
     # the vertices come from one halfspace intersection, and the boundary is
     # pulled from their incidence: its points are never hulled
     assert made == [("HalfspaceIntersection", None)]
+
+
+def test_vertices_of_an_h_built_body_start_from_a_clearly_interior_origin(monkeypatch):
+    # the n-cubes, 0 at distance 1 from every facet, take no LP; a body whose
+    # 0 lies within 1e-3 of the largest facet distance from a facet takes
+    # one. Each gives the vertices the Chebyshev centre's LP route gives:
+    # HiGHS puts the cube's centre at exactly 0, so qhull's input is the same
+    lps = []
+    real = conesec.geometry.chebyshev_center
+    monkeypatch.setattr(conesec.geometry, "chebyshev_center", lambda A, b: lps.append(1) or real(A, b))
+    for n in range(2, 9):
+        K = make_cube(n)
+        assert np.array_equal(K.vertices, _halfspace_polytope(K.A, K.b).vertices)
+        assert len(lps) == n - 1  # the reference's LP only
+    e = np.vstack([np.eye(3), -np.eye(3)])
+    near = HPolytope(e, [2.0, 1.0, 1.0, 1.999e-3, 1.0, 1.0])  # 0 at 0.9995e-3 of 2 from x1 >= -1.999e-3
+    lps.clear()
+    V = near.vertices
+    assert len(lps) == 1
+    assert np.array_equal(V, _halfspace_polytope(near.A, near.b).vertices)
+    assert V[:, 0].min() == pytest.approx(-1.999e-3, rel=1e-12) and volume(near) == pytest.approx(
+        4 * 2.001999, rel=1e-12)
+
+
+def test_clearly_interior_origin_needs_a_positive_largest_distance():
+    assert np.array_equal(_clearly_interior_origin(np.array([1.0, 1e-3, 2e-3]), 3), np.zeros(3))
+    for b in ([1.0, 0.999e-3], [0.0, 0.0], [1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]):
+        assert _clearly_interior_origin(np.array(b), 2) is None
 
 
 @pytest.mark.parametrize("levels", [1, 2])
