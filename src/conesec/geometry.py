@@ -20,6 +20,7 @@ affine hull and handled in intrinsic coordinates.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Union
@@ -678,7 +679,8 @@ def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope
     returns is not finite or violates the normalised system by more than
     GEOM_TOL of its scale: a guard kept against any intersection that
     misplaces its vertices, and the one that catches an unbounded system
-    started from a given point, whose intersection has points at infinity.
+    started from a given point, whose intersection has points at infinity
+    (qhull's division by zero there warns nothing: the guard reports it).
     """
     norms = np.linalg.norm(A, axis=1)
     ok = norms > 1e-14
@@ -695,7 +697,8 @@ def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope
         interior, r = chebyshev_center(A, c)
         if interior is None or r <= GEOM_TOL:
             return None
-    points = _qhull(HalfspaceIntersection, np.hstack([A, -c[:, None]]), interior).intersections
+    with np.errstate(divide="ignore", invalid="ignore"):  # an unbounded system's points at infinity
+        points = _qhull(HalfspaceIntersection, np.hstack([A, -c[:, None]]), interior).intersections
     if not np.all(points @ A.T - c <= GEOM_TOL):  # False at inf and nan too
         raise GeometryError("halfspace intersection unbounded or with vertices outside its system")
     V = points[_first_of_close(points)] * scale
@@ -1009,15 +1012,16 @@ def _field(spec, key: str, what: str = "body spec", kind: type | None = None, de
 
     GeometryError naming the field when spec is no JSON object, lacks a
     field that has no default (a null counts as absent), or holds a value
-    not of ``kind``: ``int`` wants an integer, ``float`` a finite real (an
-    integer too); a boolean is neither.
+    not of ``kind``: ``int`` wants an integer, ``float`` a real (an integer
+    too) that a float holds finitely; a boolean is neither.
     """
     if not isinstance(spec, dict):
         raise GeometryError(f"{what} must be a JSON object, not {type(spec).__name__}")
     value = spec.get(key, default)
     if value is None:
         raise GeometryError(f"{what} has no {key!r} field")
-    if kind and (isinstance(value, bool) or not isinstance(value, (int, kind)) or not -np.inf < value < np.inf):
+    if kind and (isinstance(value, bool) or not isinstance(value, (int, kind))
+                 or kind is float and not abs(value) <= sys.float_info.max):
         raise GeometryError(f"{what} field {key!r} must be {'an integer' if kind is int else 'a finite real'}, "
                             f"not {value!r}")
     return value

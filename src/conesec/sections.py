@@ -4,9 +4,13 @@ Provides the section operation (in the flat's intrinsic coordinates), the
 Brunn section-volume function f(x) = |K cap (F + x)|, and cone-section
 volumes |K cap (F + C)| by two independent routes: polyhedral intersection
 and radial integration over the cone's spherical cross-section.  Every
-section is one `section` call, which alone picks its route: a central
+section body is one central `section` call, which alone picks its route: a
 hyperplane section of a simplicial polytope known by its vertices is sliced
-from K's cached boundary cones, any other a halfspace intersection.  The
+from K's cached boundary cones, any other a halfspace intersection.  Every
+f value is one `section_volume` call, the one place that translates K: on
+such a polytope with sections of dimension m >= 2, one wedge moment of the
+translated body's cones by a zero row, sliced by F^perp, at every
+codimension; elsewhere the volume of the central section of K - x.  The
 polyhedral route cuts one section by the cone's rows, and by their
 negatives for the other sign of a part-1 pair.  The ray
 moments int_0^T t^(p-1) f(t theta) dt of the radial route are exact for
@@ -63,45 +67,31 @@ from .geometry import (
 from .volume import _centred, _cone_simplices, _slice, body_volume, moments, unit_ball_volume, wedge_moment
 
 
-def section(K: ConvexBody, S: Subspace, x0=None):
-    """K intersected with the flat x0 + S, in S's orthonormal coordinates.
+def section(K: ConvexBody, S: Subspace):
+    """K intersected with the flat S through 0, in S's orthonormal coordinates.
 
     Returns a body of intrinsic dimension dim(S), or None when the section
-    is empty or of measure zero in the flat. An affine flat is the central
-    flat S of the translated body: K cap (x0 + S) = x0 + ((K - x0) cap S),
-    in the same coordinates of S, and K - x0 carries every representation
-    K has computed (`geometry.translate`), so no evaluation hulls K again.
-    A hyperplane S of a simplicial polytope known by its vertices
-    (`geometry.known_simplicial`, read on K's own cached boundary) is cut
-    from one slice of the translated body's boundary cones by S's normal
-    (`_sliced_section`), with no qhull call and no LP. Every other flat
-    intersects the halfspaces with S by one qhull halfspace intersection,
-    whose boundary is pulled from the system's rows; when 0
-    is clearly interior to the body (`geometry._clearly_interior_origin`:
-    its distance to every facet is at least 1e-3 of the largest), 0 starts
-    that intersection and no Chebyshev-centre LP is solved.
-
-    That rule was set by measurement, when the halfspace route hulled its
-    intersection points as well. A halfspace intersection and one hull
-    was faster elsewhere: on cube-6 a hyperplane section took 4.3 ms
-    against 18 ms by slicing its 1964 boundary simplices, and on random 5-D
-    and 6-D bodies a flat of codimension 3 or more took 0.6-4.7 ms against
-    3.4-11.8 ms by slicing once per codimension. At codimension 2 neither
-    route won on both (the section on 5-D bodies, the slice on 6-D ones).
-    Bodies known only by their halfspaces would need a halfspace
-    intersection for their vertices first.
+    is empty or of measure zero in the flat. An affine section is the
+    central section of the translated body, which only `section_volume`
+    takes. A hyperplane S of a simplicial polytope known by its vertices
+    (`geometry.known_simplicial`) is cut from one slice of K's cached
+    boundary cones by S's normal (`_sliced_section`), with no qhull call
+    and no LP. Every other flat intersects the halfspaces with S by one
+    qhull halfspace intersection, whose boundary is pulled from the
+    system's rows; when 0 is clearly interior to the body
+    (`geometry._clearly_interior_origin`: its distance to every facet is at
+    least 1e-3 of the largest), 0 starts that intersection and no
+    Chebyshev-centre LP is solved. Bodies known only by their halfspaces
+    would need a halfspace intersection for their vertices before a slice.
     """
     if S.dim < 1:
         raise GeometryError("flat dimension must be >= 1")
-    sliced = S.dim == S.ambient_dim - 1 and known_simplicial(K)
-    if x0 is not None and np.any(x0):
-        K = translate(K if isinstance(K, Ball) else to_hrep(K), np.negative(x0, dtype=float))
     if isinstance(K, Ball):
         # |B^T y - c|^2 = |y - q|^2 + |w|^2 with q the in-flat part of c
         q = S.coords(K.center)
         r2 = K.radius**2 - float(K.center @ K.center - q @ q)
         return Ball(q, math.sqrt(r2)) if r2 > GEOM_TOL**2 else None
-    if sliced:
+    if S.dim == S.ambient_dim - 1 and known_simplicial(K):
         return _sliced_section(K, S)
     H = to_hrep(K)
     return _halfspace_polytope(H.A @ S.basis.T, H.b, _clearly_interior_origin(H.b, S.dim))
@@ -141,10 +131,28 @@ def _sliced_section(K: Polytope, S: Subspace):
 
 
 def section_volume(K: ConvexBody, S: Subspace, x0=None) -> float:
-    """|K cap (x0 + S)| in dimension dim(S), 0 when the section is empty: the
-    section's volume read from its cone weights (`volume.body_volume`), which
-    a sliced section already holds, so no moments are taken."""
-    return body_volume(section(K, S, x0))
+    """|K cap (x0 + S)| in dimension m = dim(S), 0 when the section is empty.
+
+    The one function that takes an affine flat: K - x0 is built once and
+    carries every representation K has computed (`geometry.translate`), so
+    no evaluation hulls K again. A simplicial polytope known by its vertices
+    (`geometry.known_simplicial`) with m >= 2 gives its volume as one wedge
+    moment (`volume.wedge_moment`) of K - x0 by a zero row, whose wedge is
+    the whole space, sliced by a basis of S^perp: K's cached boundary cones
+    cut down to the section, with no qhull call and no LP, clipped at 0:
+    near the support's edge the cones from x0 cancel, and their rounding
+    can leave a residue below 0 (-8e-33 of f(0) on random bodies). Balls, other
+    polytopes and segments (m = 1, an interval with no qhull call) read the
+    volume of the section body (`section`, `volume.body_volume`); that rule
+    was set by measurement: the 8-cube's 80 640 boundary simplices took 4 s
+    to slice at codimension 2 against 9 ms for a halfspace intersection,
+    and slicing a segment took 3-7 times as long as its interval.
+    """
+    if x0 is not None and np.any(x0):
+        K = translate(K if isinstance(K, Ball) else to_hrep(K), np.negative(x0, dtype=float))
+    if S.dim >= 2 and known_simplicial(K):
+        return max(0.0, wedge_moment(K, np.zeros((1, K.dim)), 0, S.complement().basis))
+    return body_volume(section(K, S))
 
 
 class SectionVolumeFunction:
@@ -152,7 +160,9 @@ class SectionVolumeFunction:
 
     f is 1/m-concave on its support with m = n - k (k = codim of F).  For
     F = {0} (k = n) the 0-dimensional convention f = indicator of K is used.
-    Each evaluation takes one section of K. `ray_moments` is the one entry
+    Each evaluation is one `section_volume` call, a slice of K's cached
+    cones for a simplicial polytope known by its vertices at m >= 2, with no
+    qhull call, and one section of K elsewhere. `ray_moments` is the one entry
     point for its ray moments: exact where `has_exact_ray_moments` holds,
     adaptive elsewhere.
 
@@ -239,7 +249,7 @@ class SectionVolumeFunction:
 
         Elsewhere (off-centre balls at m >= 1, and non-integer p at m >= 2)
         each row takes the adaptive rule `_composite_gl` on [0, `ray_extent`],
-        which evaluates f one section per node and warns with a
+        which evaluates f once per node and warns with a
         `QuadratureWarning` when it misses its tolerance. Raises
         `GeometryError` unless p > 0 and every row is nonzero.
         """
@@ -321,8 +331,8 @@ def _adaptive_ray_moments(f, thetas: np.ndarray, p: float, rule) -> np.ndarray:
     ``rule``: the adaptive ray rule `_composite_gl` as the calling module binds it.
 
     The one evaluation loop of the rule: f is called once per node, f(t theta),
-    for any profile oracle, a `SectionVolumeFunction` (one section per node)
-    or a `ball_bodies.ConcaveFunctionOracle`.
+    for any profile oracle, a `SectionVolumeFunction` (one `section_volume`
+    per node) or a `ball_bodies.ConcaveFunctionOracle`.
     """
     out = np.empty(len(thetas))
     for i, theta in enumerate(thetas):

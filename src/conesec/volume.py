@@ -15,10 +15,13 @@ the vertex values of many wedges go through one recursion, in blocks of
 about 1 MB, and a wedge R and its negative -R share one split, so a
 direction grid of halfspaces or a part-1 pair costs one pass over the cones.
 `sections` slices K's cones by every normal for the ray moments of section
-functions at m >= 2, and once for each central hyperplane section of a
-simplicial polytope, whose faces and weights become that section's own
-boundary and cone simplices; the other sections, where a halfspace
-intersection measured faster, do not slice.  The convexified
+functions at m >= 2, and for their values f(x) (`sections.section_volume`),
+a wedge moment of K - x by a zero row, whose wedge is the whole space, so
+the call gives the section's volume; and once for each central hyperplane
+section body of a simplicial polytope, whose faces and weights become that
+section's own boundary and cone simplices. Non-simplicial bodies, bodies
+known by their halfspaces and segments, where a halfspace intersection or
+an interval measured faster, do not slice.  The convexified
 section integrals of `intersection_bodies` take a section's fan
 (`triangulate`) as it is.
 A body's volume, moments and polynomial moments along one direction are
@@ -177,10 +180,13 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
     its own. The pieces grow quickly with the number of rows, so wedges
     with many facets are better cut by a halfspace intersection. Each normal multiplies the pieces too, by up to
     C(d - 2, d/2 - 1) per simplex, and a polytope whose facets are cut into
-    many simplices has many to slice. `sections` slices by normals here only
-    for the ray moments at m >= 2; its sections slice K's cones once
-    themselves (`sections.section`) and seed the section's cone simplices,
-    so their wedges are cut here with no normal.
+    many simplices has many to slice. `sections` slices by normals here for
+    the ray moments at m >= 2 and for the values of Brunn's function
+    (`sections.section_volume`): there R is one zero row, so W is the whole
+    space, h_0 = 1 and the call is the volume of L. Its section bodies
+    slice K's cones once themselves (`sections._sliced_section`) and seed
+    the section's cone simplices, so their wedges are cut here with no
+    normal.
     """
     stack = np.array(R, dtype=float, ndmin=3)
     simplices, weights = _cone_simplices(to_vrep(K))

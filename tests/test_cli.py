@@ -322,9 +322,10 @@ def test_malformed_vpolytope_file_exits_2(capsys, tmp_path, vertices):
     ("--body", {"type": "cube", "n": 2.5}, "'n'"),
     ("--body", {"type": "ball", "n": 2, "radius": "x"}, "'radius'"),
     ("--body", {"type": "random", "n": 3, "points": 10, "seed": "a"}, "'seed'"),
+    ("--body", {"type": "ball", "n": 2, "radius": 10**400}, "'radius'"),  # no float holds it
 ], ids=["ball-center", "halfspace-b", "simplex-n", "type", "random-points", "array",
         "cone-generators", "corpus-bodies", "cube-n-string", "cube-n-float", "ball-radius-string",
-        "random-seed-string"])
+        "random-seed-string", "ball-radius-overflow"])
 def test_malformed_spec_exits_2(capsys, tmp_path, option, spec, field):
     # a missing, mismatched or wrong-typed field is a bad configuration,
     # named in the error

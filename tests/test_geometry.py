@@ -1,6 +1,7 @@
 """Representations, conversions, duality and cone plumbing."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -426,6 +427,16 @@ def test_a_wedge_system_that_qhull_rejects_raises(shift, unit_rows, scaled):
         _halfspace_polytope(A, b / np.abs(b).max() if scaled else b)
 
 
+def test_an_unbounded_system_raises_without_a_warning():
+    # 0 is clearly interior to {x <= 1, y <= 1, -x <= 1}, so qhull starts
+    # from it; the intersection's points at infinity reach the vertex guard,
+    # with numpy's division warnings off
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="unbounded"):
+            HPolytope([[1, 0], [0, 1], [-1, 0]], [1, 1, 1]).vertices
+
+
 def test_one_dimensional_halfspace_systems():
     # bounded: x <= 1, -x <= 0.5 and a repeat scaled by 2
     H = HPolytope([[1.0], [-1.0], [2.0]], [1.0, 0.5, 4.0])
@@ -441,15 +452,15 @@ def test_one_dimensional_halfspace_systems():
     T = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     vertical = Subspace.from_span([[0.0, 1.0]])
     assert section_volume(T, vertical, x0=[0.25, 0.0]) == pytest.approx(0.75)
-    assert section(T, vertical, x0=[2.0, 0.0]) is None  # misses T
-    assert section(T, vertical, x0=[1.0, 0.0]) is None  # touches a vertex
+    assert section(translate(T, [-2.0, 0.0]), vertical) is None  # misses T
+    assert section(translate(T, [-1.0, 0.0]), vertical) is None  # touches a vertex
     # the edges x = 0 of T and y = +-1 of the square are parallel to the line:
     # zero-normal rows, which only test whether the line lies on their side
     assert section_volume(T, vertical, x0=[0.0, 0.0]) == pytest.approx(1.0)
-    assert section(T, vertical, x0=[-0.1, 0.0]) is None
+    assert section(translate(T, [0.1, 0.0]), vertical) is None
     horizontal = Subspace.from_span([[1.0, 0.0]])
     assert section_volume(make_cube(2), horizontal, x0=[0.0, 1.0]) == pytest.approx(2.0)
-    assert section(make_cube(2), horizontal, x0=[0.0, 1.5]) is None
+    assert section(translate(make_cube(2), [0.0, -1.5]), horizontal) is None
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from conesec.sections import (
     solid_angle_fraction,
 )
 from conesec.verify import _opposite_cone_volumes, checks_for_body
-from conesec.volume import moment_p, moments, volume, wedge_moment
+from conesec.volume import body_volume, moment_p, moments, volume, wedge_moment
 from conftest import halfspace_section
 
 dims = st.integers(min_value=2, max_value=5)
@@ -102,17 +102,19 @@ def test_section_through_a_clearly_interior_point_solves_no_lp(monkeypatch):
         lp_route = _halfspace_polytope(H.A @ S.basis.T, H.b)
         assert volume(lp_route) == pytest.approx(scale**3 * ref, rel=1e-12, abs=0.0)
     assert len(lps) == 4  # the LP routes only
-    # an affine hyperplane near the boundary is sliced from the translated
-    # body's cones, with no LP
+    # affine flats of K near the boundary are sliced from the translated
+    # body's cones, at codimension 1 and 2, with no LP
     x0 = 0.9999 * radial(K, e[3]) * e[3]
-    assert section_volume(K, S, x0) > 0
-    assert len(lps) == 4
-    # a flat of codimension 2 takes the halfspace route: through a clearly
-    # interior point it solves no LP, through a point near the boundary one
     S2 = Subspace.from_span(e[:2], ambient_dim=4)
-    assert section_volume(K, S2, 0.1 * x0) > 0
+    assert section_volume(K, S, x0) > 0
+    assert section_volume(K, S2, 0.1 * x0) > 0 and section_volume(K, S2, x0) > 0
     assert len(lps) == 4
-    assert section_volume(K, S2, x0) > 0
+    # the H-built body takes the halfspace route: through a clearly interior
+    # point it solves no LP, through a point near the boundary one
+    H = HPolytope(to_hrep(K).A, K.b)
+    assert section_volume(H, S2, 0.1 * x0) > 0
+    assert len(lps) == 4
+    assert section_volume(H, S2, x0) > 0
     assert len(lps) == 5
 
 
@@ -127,8 +129,9 @@ def test_section_volume_is_the_sum_of_the_section_cone_weights(monkeypatch):
     cases = [(body, S, point) for body, S in ((K, hyperplane), (K, Subspace.from_span(e[:2], ambient_dim=4)),
                                               (H, hyperplane))
              for point in (None, x0)]
-    assert section(K, hyperplane, x0)._cone_cache is not None  # sliced
-    refs = [moments(section(*case)).volume for case in cases]
+    assert section(translate(K, -x0), hyperplane)._cone_cache is not None  # sliced
+    refs = [moments(section(body if point is None else translate(body, -point), S)).volume
+            for body, S, point in cases]
     monkeypatch.setattr(sections, "moments", lambda body: pytest.fail("moments taken"))
     assert [section_volume(*case) for case in cases] == pytest.approx(refs, rel=1e-12, abs=0.0)
     assert H._vertices is None
@@ -144,7 +147,7 @@ def test_ball_section_radius_shrinks():
 
 def test_section_outside_body_is_empty():
     S = Subspace.hyperplane(np.array([0.0, 1.0]))
-    sec = section(make_cube(2), S, x0=np.array([0.0, 5.0]))
+    sec = section(translate(make_cube(2), [0.0, -5.0]), S)
     assert sec is None
     assert section_volume(make_cube(2), S, x0=np.array([0.0, 5.0])) == 0.0
 
@@ -884,15 +887,12 @@ def test_wide_cone_cuts_of_6d_sections(points, seed, k, p):
     assert [plus, minus] == pytest.approx(wedge_moment(L, np.stack([R, -R])), rel=1e-10, abs=0)
 
 
-@pytest.mark.xfail(raises=GeometryError, strict=True,
-                   reason="qhull raises QH6297 (qh_check_maxout) on the halfspace intersection of a thin affine section")
 def test_thin_affine_section_near_the_support_edge():
     # near the edge of the support, f(t theta) is one quartic (T - t)^4 piece:
-    # f at 0.999 T is 16 times f at 0.9995 T (3.99e-13), but the 4-D sliver's
-    # one halfspace intersection raises there, with no retry. qhull decides
-    # on the last bits of the body, so it is pinned: the seeded sample of
-    # random_centered_polytope(6, 18, 4), translated by a centroid written
-    # to the bit (a centroid that differs in its last bits lets qhull pass)
+    # f at 0.999 T is 16 times f at 0.9995 T (3.99e-13). A halfspace
+    # intersection of this 4-D sliver raises QH6297 on the pinned body (the
+    # seeded sample of random_centered_polytope(6, 18, 4), translated by a
+    # centroid written to the bit); the slice of K's cones takes no qhull call
     c = [float.fromhex(x) for x in ("0x1.822af32929feap-3", "-0x1.14b8c002378e6p-8", "0x1.d74b3599c3ef1p-6",
                                      "0x1.5f13bc733edc2p-5", "-0x1.8d2de827b24a2p-7", "-0x1.ba59e1fcacc94p-7")]
     K = translate(VPolytope(_rng.sample_ball(6, 18, 4)), -np.array(c))
@@ -976,6 +976,39 @@ def test_k1_profiles_integrate_to_the_volume_with_no_qhull_call(n, points, seed,
         assert estimate_max(f) > 0
     assert mass == pytest.approx(volume(K), rel=1e-12, abs=0.0)
     assert abs(first) <= 1e-12 * volume(K) * (heights[-1] - heights[0])
+
+
+@pytest.mark.parametrize("n, points, seed", [(4, 14, 1), (5, 16, 2), (6, 18, 5), (7, 11, 1), (8, 10, 1)])
+def test_brunn_function_is_sliced_from_the_cones_at_every_codimension(n, points, seed, monkeypatch):
+    # for a simplicial body known by its vertices and sections of dimension
+    # m >= 2, every f(x) is one wedge moment of the translated body's cones
+    # sliced by F^perp, with no qhull call: at 0, at 0.3 T and 0.999 T along
+    # seeded directions, and exactly 0 at 1.2 T. The values equal qhull's
+    # halfspace intersection and scale by s^m with K. The bodies are ones
+    # where that reference does not raise at 0.999 T: on most random 7-D
+    # and 8-D bodies of 2n + 6 points it does
+    K = random_centered_polytope(n, points, seed)
+    boundary(K)
+
+    def no_qhull(*args, **kwargs):
+        raise AssertionError("qhull called")
+
+    for k in (1, 2, 3):
+        F = Subspace.from_span(np.eye(n)[:n - k])
+        f = SectionVolumeFunction(K, F)
+        thetas = np.random.default_rng(seed).standard_normal((2 if n == 8 else 3, k))
+        extents = [f.ray_extent(theta) * theta for theta in thetas]
+        xs = [np.zeros(k)] + [s * x for x in extents for s in (0.3, 0.999)]
+        scaled = {s: SectionVolumeFunction(affine_map(K, s * np.eye(n)), F) for s in (1e-6, 1e4)}
+        with monkeypatch.context() as patch:
+            patch.setattr(conesec.geometry, "_qhull", no_qhull)
+            values = [f(x) for x in xs]
+            assert [f(1.2 * x) for x in extents] == [0.0] * len(extents)
+            for s, g in scaled.items():
+                assert [g(s * x) for x in xs] == pytest.approx(s ** (n - k) * np.array(values), rel=1e-12,
+                                                               abs=1e-12 * s ** (n - k) * values[0]), (k, s)
+        refs = [body_volume(halfspace_section(translate(K, -F.complement().embed(x)), F)) for x in xs]
+        assert values == pytest.approx(refs, rel=1e-12, abs=1e-12 * values[0]), k
 
 
 def test_sections_just_outside_a_facet_parallel_to_the_flat_are_empty():

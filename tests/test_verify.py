@@ -452,9 +452,9 @@ def test_part2_and_corollary3_take_one_section(monkeypatch):
     taken = []
     real = sections.section
 
-    def spy(K, S, x0=None):
+    def spy(K, S):
         taken.append(S.dim)
-        return real(K, S, x0)
+        return real(K, S)
 
     monkeypatch.setattr(sections, "section", spy)
     K, e = random_centered_polytope(5, 16, 2), np.eye(5)
