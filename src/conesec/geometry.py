@@ -1,12 +1,14 @@
 """Convex bodies in R^n (n <= 8) and primitive geometric operations.
 
-Representations: polytopes and Euclidean balls.  A `Polytope` is built from
-its vertices (`VPolytope`) or its halfspaces (`HPolytope`) and computes the
-other representation lazily, at most once; what it derives from them (its
-triangulated boundary, its H-rep, its vertex-facet incidence, its moments)
-is cached on it as well.  Affine images are applied eagerly and carry every
-representation already computed, so every body is concrete.  Bodies are
-immutable apart from these caches, and all operations are pure.
+Representations: polytopes and Euclidean balls.  A `Polytope` is built
+complete: from its vertices (`VPolytope`), with the boundary of their one
+hull, or from its halfspaces (`HPolytope`), with the vertices of their one
+intersection.  What it derives from these (a boundary pulled from its rows,
+its H-rep read from a boundary, its vertex-facet incidence, its moments) is
+cached on it, and depends on nothing but what it was built from.  Affine
+images are applied eagerly to the vertices and the boundary, so every body
+is concrete.  Bodies are immutable apart from these caches, and all
+operations are pure.
 
 qhull runs at most once per body or halfspace system, through `_qhull`: a
 hull finds a vertex-built body's vertices and facets (with a Q12 retry), and
@@ -20,8 +22,9 @@ affine hull and handled in intrinsic coordinates.
 
 from __future__ import annotations
 
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Union
 
@@ -176,16 +179,6 @@ def _first_of_close(X: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _map_halfspaces(A: np.ndarray, b: np.ndarray, M: np.ndarray, shift: np.ndarray):
-    """The halfspaces <a, x> <= b mapped by x -> M x + shift (M invertible), with unit normals.
-
-    <a, x> <= b becomes <a M^-1, y> <= b + <a M^-1, shift>.
-    """
-    A = A @ np.linalg.inv(M)
-    norms = np.linalg.norm(A, axis=1)
-    return A / norms[:, None], (b + A @ shift) / norms
-
-
 @dataclass(frozen=True)
 class Boundary:
     """Triangulated boundary of a full-dimensional polytope.
@@ -213,9 +206,12 @@ class Boundary:
     def mapped(self, M: np.ndarray, shift: np.ndarray) -> "Boundary":
         """The boundary of the image {M x + shift} of the polytope, M invertible.
 
-        An affine map keeps the face lattice, so the simplices carry over.
+        An affine map keeps the face lattice, so the simplices carry over;
+        <a, x> <= b becomes <a M^-1, y> <= b + <a M^-1, shift>, with unit normals.
         """
-        return Boundary(self.simplices, *_map_halfspaces(self.A, self.b, M, shift), self.facet)
+        A = self.A @ np.linalg.inv(M)
+        norms = np.linalg.norm(A, axis=1)
+        return Boundary(self.simplices, A / norms[:, None], (self.b + A @ shift) / norms, self.facet)
 
 
 def _pulled(P: "Polytope") -> Boundary:
@@ -336,7 +332,7 @@ def _extreme_points(points: np.ndarray):
         index[kept] = np.arange(len(kept))
         bd = _closed(V, Boundary(index[hull.simplices], A, b, rows))
     else:
-        bd = _pulled(Polytope(V, A[rows], b[rows]))
+        bd = _pulled(Polytope(V, adim, A[rows], b[rows]))
     return first[kept], adim, bd
 
 
@@ -387,29 +383,31 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 
 
 class Polytope:
-    """Polytope in R^dim, built from its vertices or from halfspaces <a_i, x> <= b_i.
+    """Polytope in R^dim, built complete: it holds its vertices and affine
+    dimension from construction, with either its triangulated boundary (a
+    vertex-built body's hull, `_extreme_points`; an affine image's; a sliced
+    section's) or halfspace rows (`HPolytope`, a halfspace-route section),
+    whose vertices came from one halfspace intersection.
 
-    It holds the representation it was built from and derives the other at
-    most once: ``vertices`` by one halfspace intersection, ``A`` and ``b``
-    (unit normals) as the facet rows of its boundary. A body known by its
-    vertices alone gets its boundary from one hull (`_extreme_points`); a
-    body with halfspace rows gets it pulled from the incidence of its
-    vertices on those rows (`_pulled`), with no hull. The boundary
+    ``A`` and ``b`` (unit normals) are the rows a body was built from, else
+    its boundary's facet rows; a body with rows pulls its boundary from the
+    incidence of its vertices on them (`_pulled`), with no hull. What is
+    derived from these is cached on the body: the boundary pulled
     (`geometry.boundary`), that incidence (shared with `facet_ridges`), its
-    cone simplices (`volume.wedge_moment`), the moments (`volume.moments`)
-    and its facet ridges are cached on it too, and so are its
-    section-volume functions (`sections.section_volume_fn`). Build
+    cone simplices (`volume.wedge_moment`), the moments (`volume.moments`),
+    its facet ridges and its section-volume functions
+    (`sections.section_volume_fn`). Each is a function of what the body was
+    built from, so no result depends on which was computed first. Build
     polytopes with `VPolytope` or `HPolytope`.
     """
 
-    def __init__(self, vertices: np.ndarray | None = None, A: np.ndarray | None = None,
-                 b: np.ndarray | None = None, affine_dim: int | None = None,
-                 boundary: Boundary | None = None):
-        self.dim = (vertices if A is None else A).shape[1]
-        self._vertices = None if vertices is None else _read_only(vertices)
-        self._A = None if A is None else _read_only(A)
-        self._b = None if b is None else _read_only(b)
-        self._affine_dim = affine_dim
+    def __init__(self, vertices: np.ndarray, affine_dim: int, A: np.ndarray | None = None,
+                 b: np.ndarray | None = None, boundary: Boundary | None = None):
+        self.dim = vertices.shape[1]
+        self.vertices = _read_only(vertices)
+        self.affine_dim = affine_dim
+        if A is not None:
+            self._rows = _read_only(A), _read_only(b)
         self._boundary_cache = boundary
         self._moments_cache = None
         self._cone_cache = None
@@ -419,54 +417,33 @@ class Polytope:
     def __repr__(self):
         return f"Polytope(dim={self.dim})"
 
-    @property
-    def vertices(self) -> np.ndarray:
-        """The vertices; a body known by its halfspaces alone takes them from one
-        halfspace intersection, started from 0 when 0 is clearly interior
-        (`_clearly_interior_origin`), else from the Chebyshev centre's LP."""
-        if self._vertices is None:
-            P = _halfspace_polytope(self._A, self._b, _clearly_interior_origin(self._b, self.dim))
-            if P is None:
-                raise GeometryError("halfspace system empty or lower-dimensional")
-            self._vertices, self._affine_dim = P._vertices, self.dim
-        return self._vertices
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) of a body built from its boundary: its facet rows, in the
+        order they first appear there. A body built from rows holds them here
+        from construction."""
+        bd = self._boundary()
+        first = np.sort(np.unique(bd.facet, return_index=True)[1])
+        return _read_only(bd.A[first]), _read_only(bd.b[first])
 
     @property
     def A(self) -> np.ndarray:
-        if self._A is None:
-            bd = self._boundary()
-            first = np.sort(np.unique(bd.facet, return_index=True)[1])
-            self._A, self._b = _read_only(bd.A[first]), _read_only(bd.b[first])
-        return self._A
+        return self._rows[0]
 
     @property
     def b(self) -> np.ndarray:
-        self.A
-        return self._b
-
-    @property
-    def affine_dim(self) -> int:
-        if self._affine_dim is None:
-            V = self.vertices
-            if self._affine_dim is None:
-                self._affine_dim = orthonormal_basis(V - V[0]).shape[0]
-        return self._affine_dim
+        return self._rows[1]
 
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.dim
 
     def _boundary(self) -> Boundary:
-        """The boundary: pulled from the halfspace rows when the body has them
-        (`_pulled`), else built from the hull of the vertices (`_extreme_points`)."""
+        """The boundary it was built with, else pulled from its rows (`_pulled`)."""
         if self._boundary_cache is None:
-            if self._A is not None:
-                self._boundary_cache = _pulled(self)
-            else:
-                keep, adim, bd = _extreme_points(self.vertices)
-                if bd is None:
-                    raise GeometryError(f"degenerate polytope (affine dim {adim} < {self.dim}); "
-                                        "convert in intrinsic coordinates")
-                self._boundary_cache = replace(bd, simplices=keep[bd.simplices])
+            if not self.is_full_dimensional():
+                raise GeometryError(f"degenerate polytope (affine dim {self.affine_dim} < {self.dim}); "
+                                    "convert in intrinsic coordinates")
+            self._boundary_cache = _pulled(self)
         return self._boundary_cache
 
     @cached_property
@@ -481,12 +458,13 @@ class Polytope:
 
 
 def VPolytope(vertices) -> Polytope:
-    """The polytope conv(vertices), which keeps the extreme points only (`extreme_points`)."""
+    """The polytope conv(vertices), which keeps the extreme points only
+    (`extreme_points`) and, when full-dimensional, the boundary of their one hull."""
     vertices = np.atleast_2d(_as_array(vertices))
     if vertices.size == 0:
         raise GeometryError("empty vertex list")
     keep, adim, bd = _extreme_points(vertices)
-    return Polytope(vertices[keep], affine_dim=adim, boundary=bd)
+    return Polytope(vertices[keep], adim, boundary=bd)
 
 
 def HPolytope(A, b) -> Polytope:
@@ -494,7 +472,11 @@ def HPolytope(A, b) -> Polytope:
 
     A row within GEOM_TOL of an earlier kept row, in normal and in offset,
     is dropped (`_first_of_close`). Only an exactly zero normal raises, so
-    the system may have any scale.
+    the system may have any scale. The vertices come from one halfspace
+    intersection (`_halfspace_polytope`), started from 0 when 0 is clearly
+    interior (`_clearly_interior_origin`), else from the Chebyshev centre's
+    LP; GeometryError when the system is empty, lower-dimensional or
+    unbounded.
     """
     A = np.atleast_2d(_as_array(A))
     b = np.atleast_1d(_as_array(b))
@@ -506,7 +488,15 @@ def HPolytope(A, b) -> Polytope:
     A = A / norms[:, None]
     b = b / norms
     keep = _first_of_close(A, b)
-    return Polytope(A=A[keep], b=b[keep])
+    A, b = A[keep], b[keep]
+    P = _halfspace_polytope(A, b, _clearly_interior_origin(b, A.shape[1]))
+    if P is None:
+        raise GeometryError("halfspace system empty or lower-dimensional")
+    return Polytope(P.vertices, A.shape[1], A, b)
+
+
+def unit_ball_volume(d: int) -> float:
+    return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
 
 
 class Ball:
@@ -517,6 +507,9 @@ class Ball:
         self.center = _read_only(center)
         self.radius = float(radius)
         self.dim = center.shape[0]
+        with np.errstate(over="ignore"):  # the pow of `volume.body_volume`, which raises there
+            if not np.isfinite(unit_ball_volume(self.dim) * np.float64(self.radius) ** self.dim):
+                raise GeometryError(f"ball 'radius' {radius!r} in R^{self.dim} has a volume too large for a float")
 
     def __repr__(self):
         return f"Ball(dim={self.dim})"
@@ -536,10 +529,9 @@ ConvexBody = Union[Polytope, Ball]
 
 
 def to_vrep(K: ConvexBody) -> Polytope:
-    """The polytope K with its vertices computed (balls are rejected)."""
+    """The polytope K, which holds its vertices (balls are rejected)."""
     if isinstance(K, Ball):
         raise GeometryError("a ball has no exact vertex representation")
-    K.vertices
     return K
 
 
@@ -554,12 +546,12 @@ def to_hrep(K: ConvexBody) -> Polytope:
 def boundary(K: ConvexBody) -> Boundary:
     """Triangulated boundary of a full-dimensional polytope, computed once per body.
 
-    A body known by its vertices alone takes it from their one hull
-    (`_extreme_points`): qhull's simplices when every facet is a simplex,
-    else facets pulled from their vertex incidence. A body with halfspace
-    rows (`HPolytope`, a halfspace-route section) pulls its facets from the
-    incidence of its vertices on those rows (`_pulled`), with no hull. A
-    built boundary has passed the closure guard (`_closed`), so
+    A vertex-built body brings it from their one hull (`_extreme_points`):
+    qhull's simplices when every facet is a simplex, else facets pulled from
+    their vertex incidence. A body with halfspace rows (`HPolytope`, a
+    halfspace-route section) pulls its facets from the incidence of its
+    vertices on those rows (`_pulled`), with no hull. A built boundary has
+    passed the closure guard (`_closed`), so
     GeometryError is raised where the simplices would overlap or leave a
     gap, which would bias every volume computed from them.
     """
@@ -567,14 +559,10 @@ def boundary(K: ConvexBody) -> Boundary:
 
 
 def known_simplicial(K: ConvexBody) -> bool:
-    """Whether K is a polytope known by its vertices whose boundary is
-    triangulated by its own facets (`Boundary.simplicial`).
-
-    False for a ball, and for a polytope known only by its halfspaces: its
-    vertices would take a halfspace intersection, which a section of it
-    does not need.
-    """
-    return isinstance(K, Polytope) and K._vertices is not None and K._boundary().simplicial
+    """Whether K is a polytope whose boundary is triangulated by its own
+    facets (`Boundary.simplicial`); a body with rows pulls its boundary for
+    it. False for a ball."""
+    return isinstance(K, Polytope) and K._boundary().simplicial
 
 
 @dataclass(frozen=True)
@@ -666,7 +654,7 @@ def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope
     the rest is an interval (`interval_1d`). Otherwise the system is scaled
     to max |b| = 1, since the LP's and qhull's tolerances are absolute, and
     qhull starts from ``interior``, a point the caller knows to be clearly
-    interior (`Polytope.vertices` and `sections.section` pass 0 by
+    interior (`HPolytope` and `sections.section` pass 0 by
     `_clearly_interior_origin`), or else, with ``interior`` None, from the
     Chebyshev centre, found by an LP (`chebyshev_center`). qhull takes
     the system once, with no Q12 retry (`_qhull`), and that is the only
@@ -705,23 +693,27 @@ def _halfspace_polytope(A: np.ndarray, b: np.ndarray, interior=None) -> Polytope
     if _rank(np.linalg.svd(V - V.mean(axis=0), compute_uv=False)) < A.shape[1]:
         return None
     near = np.abs(b) <= np.linalg.norm(V, axis=1).max()
-    return Polytope(V, A[near], b[near], affine_dim=A.shape[1])
+    return Polytope(V, A.shape[1], A[near], b[near])
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
-def make_regular_simplex(n: int) -> Polytope:
-    """Regular simplex in R^n with n+1 vertices and centroid exactly at 0."""
-    _check_dim(n)
+def _regular_simplex_vertices(n: int) -> np.ndarray:
+    """The n+1 vertices of a regular simplex in R^n, centroid exactly at 0."""
     # Vertices of the standard simplex in R^(n+1), centered, then expressed in
     # an orthonormal basis of the hyperplane sum(x)=0.
     pts = np.eye(n + 1) - np.full((n + 1, n + 1), 1.0 / (n + 1))
     basis = _complement_basis(np.ones((1, n + 1)))
     verts = pts @ basis.T
-    verts -= verts.mean(axis=0)  # kill accumulated roundoff in the centroid
-    return Polytope(verts)
+    return verts - verts.mean(axis=0)  # kill accumulated roundoff in the centroid
+
+
+def make_regular_simplex(n: int) -> Polytope:
+    """Regular simplex in R^n with n+1 vertices and centroid exactly at 0."""
+    _check_dim(n)
+    return VPolytope(_regular_simplex_vertices(n))
 
 
 def make_cube(n: int) -> Polytope:
@@ -734,7 +726,7 @@ def make_cube(n: int) -> Polytope:
 def make_cross_polytope(n: int) -> Polytope:
     """conv(+-e_i)."""
     _check_dim(n)
-    return Polytope(np.vstack([np.eye(n), -np.eye(n)]))
+    return VPolytope(np.vstack([np.eye(n), -np.eye(n)]))
 
 
 def make_ball(n: int, r: float = 1.0, center=None) -> Ball:
@@ -754,14 +746,14 @@ def make_centered_cone(n: int, height: float = 1.0) -> Polytope:
     _check_dim(n)
     if n == 1:
         return VPolytope([[-height / (n + 1)], [height * n / (n + 1)]])
-    base = make_regular_simplex(n - 1).vertices
+    base = _regular_simplex_vertices(n - 1)
     base3 = np.hstack([base, np.zeros((n, 1))])
     apex = np.zeros((1, n))
     apex[0, -1] = height
     verts = np.vstack([base3, apex])
     # centroid of a cone sits at 1/(n+1) of the height above the base
     verts[:, -1] -= height / (n + 1)
-    return Polytope(verts)
+    return VPolytope(verts)
 
 
 def random_centered_polytope(n: int, num_points: int, seed: int) -> Polytope:
@@ -877,15 +869,14 @@ def contains_many(K: ConvexBody, X: np.ndarray, tol: float = GEOM_TOL) -> np.nda
 
 
 def polar(K: ConvexBody) -> ConvexBody:
-    """Polar body K^* with respect to the origin (0 must be interior)."""
+    """Polar body K^* with respect to the origin (0 must be interior): a
+    polytope's is the hull of its facet normals a_i / b_i."""
     if isinstance(K, Ball):
         if not K.centred:
             raise GeometryError("polar of an off-center ball is not a ball")
         return Ball(np.zeros(K.dim), 1.0 / K.radius)
-    has_halfspaces = K._A is not None  # before the interior test computes them
     H = _origin_interior(K)
-    return (VPolytope(H.A / H.b[:, None]) if has_halfspaces
-            else HPolytope(K.vertices, np.ones(len(K.vertices))))
+    return VPolytope(H.A / H.b[:, None])
 
 
 def translate(K: ConvexBody, shift) -> ConvexBody:
@@ -896,12 +887,11 @@ def translate(K: ConvexBody, shift) -> ConvexBody:
 
 
 def _mapped_polytope(K: Polytope, M: np.ndarray, shift: np.ndarray) -> Polytope:
-    """{M x + shift : x in K}, M invertible, with every representation K has computed."""
-    return Polytope(
-        None if K._vertices is None else K._vertices @ M.T + shift,
-        *((None, None) if K._A is None else _map_halfspaces(K._A, K._b, M, shift)),
-        affine_dim=K._affine_dim,
-        boundary=None if K._boundary_cache is None else K._boundary_cache.mapped(M, shift))
+    """{M x + shift : x in K}, M invertible: K's vertices and boundary, mapped
+    (`Boundary.mapped`), so the image's rows are its boundary's facet rows. A
+    body with rows pulls its boundary for it, once; GeometryError for a
+    degenerate K."""
+    return Polytope(K.vertices @ M.T + shift, K.affine_dim, boundary=K._boundary().mapped(M, shift))
 
 
 def polar_with_center(C: ConvexBody, z) -> ConvexBody:

@@ -5,8 +5,8 @@ Brunn section-volume function f(x) = |K cap (F + x)|, and cone-section
 volumes |K cap (F + C)| by two independent routes: polyhedral intersection
 and radial integration over the cone's spherical cross-section.  Every
 section body is one central `section` call, which alone picks its route: a
-hyperplane section of a simplicial polytope known by its vertices is sliced
-from K's cached boundary cones, any other a halfspace intersection.  Every
+hyperplane section of a simplicial polytope is sliced from K's cached
+boundary cones, any other a halfspace intersection.  Every
 f value is one `section_volume` call, the one place that translates K: on
 such a polytope with sections of dimension m >= 2, one wedge moment of the
 translated body's cones by a zero row, sliced by F^perp, at every
@@ -49,6 +49,7 @@ from .geometry import (
     Polytope,
     Subspace,
     _clearly_interior_origin,
+    _complement_basis,
     _halfspace_polytope,
     _read_only,
     boundary,
@@ -64,7 +65,8 @@ from .geometry import (
     translate,
     trivial_flat,
 )
-from .volume import _centred, _cone_simplices, _slice, body_volume, moments, unit_ball_volume, wedge_moment
+from .volume import (_centred, _cone_simplices, _in_plane_tol, _slice, body_volume, moments, unit_ball_volume,
+                     wedge_moment)
 
 
 def section(K: ConvexBody, S: Subspace):
@@ -73,16 +75,15 @@ def section(K: ConvexBody, S: Subspace):
     Returns a body of intrinsic dimension dim(S), or None when the section
     is empty or of measure zero in the flat. An affine section is the
     central section of the translated body, which only `section_volume`
-    takes. A hyperplane S of a simplicial polytope known by its vertices
-    (`geometry.known_simplicial`) is cut from one slice of K's cached
-    boundary cones by S's normal (`_sliced_section`), with no qhull call
-    and no LP. Every other flat intersects the halfspaces with S by one
-    qhull halfspace intersection, whose boundary is pulled from the
-    system's rows; when 0 is clearly interior to the body
-    (`geometry._clearly_interior_origin`: its distance to every facet is at
-    least 1e-3 of the largest), 0 starts that intersection and no
-    Chebyshev-centre LP is solved. Bodies known only by their halfspaces
-    would need a halfspace intersection for their vertices before a slice.
+    takes. A hyperplane S of a simplicial polytope
+    (`geometry.known_simplicial`; an H-built body pulls its boundary for
+    it) is cut from one slice of K's cached boundary cones by S's normal
+    (`_sliced_section`), with no qhull call and no LP. Every other flat
+    intersects the halfspaces with S by one qhull halfspace intersection,
+    whose boundary is pulled from the system's rows; when 0 is clearly
+    interior to the body (`geometry._clearly_interior_origin`: its distance
+    to every facet is at least 1e-3 of the largest), 0 starts that
+    intersection and no Chebyshev-centre LP is solved.
     """
     if S.dim < 1:
         raise GeometryError("flat dimension must be >= 1")
@@ -97,9 +98,33 @@ def section(K: ConvexBody, S: Subspace):
     return _halfspace_polytope(H.A @ S.basis.T, H.b, _clearly_interior_origin(H.b, S.dim))
 
 
+def _slicing_normals(K: Polytope, S: Subspace) -> np.ndarray:
+    """An orthonormal basis (rows) of S^perp by which to slice K's cones
+    (`volume._slice`) down to K cap S, S through 0.
+
+    `_slice` counts a face that lies in its hyperplane only from the
+    hyperplane's positive side, so a flat that supports K from the other
+    side would read 0. At k = dim S^perp = 1 the normal is negated when no
+    vertex of K is positive along it by more than `volume._in_plane_tol`,
+    which leaves every section through an interior 0 as it was. At k >= 2
+    the last normal is the unit S^perp-part of c, K's vertex average: every
+    earlier hyperplane then passes through c, interior to K, and the last
+    leaves c on its positive side. Where that part is 0, S passes through c
+    and S^perp's own basis serves.
+    """
+    N = S.complement().basis
+    if len(N) == 1:
+        return N if (K.vertices @ N[0] > _in_plane_tol(K)).any() else -N
+    e = N.T @ (N @ K.vertices.mean(axis=0))
+    if not e.any():
+        return N
+    e /= np.linalg.norm(e)
+    return np.vstack([_complement_basis(np.vstack([S.basis, e])), e])
+
+
 def _sliced_section(K: Polytope, S: Subspace):
-    """K cap S for a hyperplane S through 0 and a simplicial K known by its
-    vertices, from one `volume._slice` of K's cached cones by S's normal.
+    """K cap S for a hyperplane S through 0 and a simplicial K, from one
+    `volume._slice` of K's cached cones by S's normal (`_slicing_normals`).
 
     The section's vertices are the crossings of K's edges with S and K's
     vertices in S, each taken once by its pair of K's vertex indices, so no
@@ -112,7 +137,7 @@ def _sliced_section(K: Polytope, S: Subspace):
     is not positive.
     """
     bd = boundary(K)
-    faces, weights, ends = _slice(*_cone_simplices(K), S.complement().basis[0])
+    faces, weights, ends = _slice(*_cone_simplices(K), _slicing_normals(K, S)[0], _in_plane_tol(K))
     vol = float(weights.sum()) / math.factorial(S.dim)
     if vol <= 0:
         return None
@@ -124,7 +149,7 @@ def _sliced_section(K: Polytope, S: Subspace):
     parent = ends[:, 0, 0] // K.dim
     A = bd.A[parent] @ S.basis.T
     norms = np.linalg.norm(A, axis=1)
-    L = Polytope(vertices, affine_dim=S.dim, boundary=Boundary(
+    L = Polytope(vertices, S.dim, boundary=Boundary(
         simplices, A / norms[:, None], bd.b[parent] / norms, parent))
     L._cone_cache = _read_only(vertices[simplices]), _read_only(weights)
     return L
@@ -134,11 +159,12 @@ def section_volume(K: ConvexBody, S: Subspace, x0=None) -> float:
     """|K cap (x0 + S)| in dimension m = dim(S), 0 when the section is empty.
 
     The one function that takes an affine flat: K - x0 is built once and
-    carries every representation K has computed (`geometry.translate`), so
-    no evaluation hulls K again. A simplicial polytope known by its vertices
+    carries K's vertices and boundary (`geometry.translate`), so no
+    evaluation hulls K again. A simplicial polytope
     (`geometry.known_simplicial`) with m >= 2 gives its volume as one wedge
     moment (`volume.wedge_moment`) of K - x0 by a zero row, whose wedge is
-    the whole space, sliced by a basis of S^perp: K's cached boundary cones
+    the whole space, sliced by a basis of S^perp that counts a supporting
+    flat's face (`_slicing_normals`): K's cached boundary cones
     cut down to the section, with no qhull call and no LP, clipped at 0:
     near the support's edge the cones from x0 cancel, and their rounding
     can leave a residue below 0 (-8e-33 of f(0) on random bodies). Balls, other
@@ -149,9 +175,9 @@ def section_volume(K: ConvexBody, S: Subspace, x0=None) -> float:
     and slicing a segment took 3-7 times as long as its interval.
     """
     if x0 is not None and np.any(x0):
-        K = translate(K if isinstance(K, Ball) else to_hrep(K), np.negative(x0, dtype=float))
+        K = translate(K, np.negative(x0, dtype=float))
     if S.dim >= 2 and known_simplicial(K):
-        return max(0.0, wedge_moment(K, np.zeros((1, K.dim)), 0, S.complement().basis))
+        return max(0.0, wedge_moment(K, np.zeros((1, K.dim)), 0, _slicing_normals(K, S)))
     return body_volume(section(K, S))
 
 
@@ -161,7 +187,7 @@ class SectionVolumeFunction:
     f is 1/m-concave on its support with m = n - k (k = codim of F).  For
     F = {0} (k = n) the 0-dimensional convention f = indicator of K is used.
     Each evaluation is one `section_volume` call, a slice of K's cached
-    cones for a simplicial polytope known by its vertices at m >= 2, with no
+    cones for a simplicial polytope at m >= 2, with no
     qhull call, and one section of K elsewhere. `ray_moments` is the one entry
     point for its ray moments: exact where `has_exact_ray_moments` holds,
     adaptive elsewhere.

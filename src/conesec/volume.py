@@ -19,9 +19,9 @@ functions at m >= 2, and for their values f(x) (`sections.section_volume`),
 a wedge moment of K - x by a zero row, whose wedge is the whole space, so
 the call gives the section's volume; and once for each central hyperplane
 section body of a simplicial polytope, whose faces and weights become that
-section's own boundary and cone simplices. Non-simplicial bodies, bodies
-known by their halfspaces and segments, where a halfspace intersection or
-an interval measured faster, do not slice.  The convexified
+section's own boundary and cone simplices. Non-simplicial bodies and
+segments, where a halfspace intersection or an interval measured faster,
+do not slice.  The convexified
 section integrals of `intersection_bodies` take a section's fan
 (`triangulate`) as it is.
 A body's volume, moments and polynomial moments along one direction are
@@ -52,6 +52,7 @@ from .geometry import (
     contains_many,
     to_vrep,
     translate,
+    unit_ball_volume,
 )
 
 
@@ -71,10 +72,6 @@ class IsotropicTransform:
     matrix: np.ndarray
     shift: np.ndarray
     isotropy_constant: float
-
-
-def unit_ball_volume(d: int) -> float:
-    return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
 
 
 def _fan(V: ConvexBody):
@@ -112,8 +109,8 @@ def moments(K: ConvexBody) -> MomentSummary:
 
     A polytope's moments are read from its fan (`_fan`), so a body that
     contains 0 takes no determinant beyond its cached cones, and the volume
-    is `body_volume`'s to the bit. They are computed once and cached on its
-    vertex representation; their arrays are read-only.
+    is `body_volume`'s to the bit. They are computed once and cached on the
+    polytope; their arrays are read-only.
     """
     if isinstance(K, Ball):
         d, r, c = K.dim, K.radius, K.center
@@ -190,12 +187,13 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
     """
     stack = np.array(R, dtype=float, ndmin=3)
     simplices, weights = _cone_simplices(to_vrep(K))
+    tol = _in_plane_tol(K)
     block = _WEDGE_BLOCK if stack.shape[1] + len(normals) > 1 else len(simplices)
     total = np.zeros(len(stack))
     for s in range(0, len(simplices), block):
         pts, w = simplices[s:s + block], weights[s:s + block]
         for nu in normals:
-            pts, w, _ = _slice(pts, w, nu)
+            pts, w, _ = _slice(pts, w, nu, tol)
         per_call = max(1, _VALUE_BLOCK_ELEMENTS // max(1, pts.shape[0] * pts.shape[1]))
         total += _weigh(_wedge_pieces(pts, w, stack), q, per_call)
     # a d-simplex with vertices 0, v_1..v_d has integral |det| q! / (d + q)! h_q(<r, v_i>)
@@ -301,7 +299,15 @@ def _split(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
     return tuple(tuple(map(np.concatenate, zip(*side))) for side in sides)
 
 
-def _slice(pts: np.ndarray, w: np.ndarray, nu: np.ndarray):
+def _in_plane_tol(K: ConvexBody) -> float:
+    """The vertex value within which `_slice` puts a vertex of the polytope K
+    in its hyperplane: 1e-13 of K's largest coordinate, some 500 times the
+    rounding of a vertex that lies there, so a flat that holds a face of K
+    holds its vertices too."""
+    return 1e-13 * float(np.abs(K.vertices).max())
+
+
+def _slice(pts: np.ndarray, w: np.ndarray, nu: np.ndarray, tol: float):
     """The faces in nu^perp (nu a unit vector) of the cones from 0 over the simplices ``pts``.
 
     A simplex with P positive values p_1 >= ... >= p_P (vertices a_s) and N
@@ -318,9 +324,11 @@ def _slice(pts: np.ndarray, w: np.ndarray, nu: np.ndarray):
     Sec. 6.2). Each path's face is the zero vertices and the crossings it
     visits; with 0 it is the base of its piece's cone, of height p_P, so its
     weight is w times the fractions along the path over p_P. Only those
-    faces are built. A simplex with one positive value and the rest zero is
-    its own face; faces the hyperplane holds whole are counted once, from
-    the positive side.
+    faces are built. A value within ``tol`` of 0 counts as 0
+    (`_in_plane_tol`). A simplex with one positive value and the rest zero
+    is its own face; faces the hyperplane holds whole are counted once,
+    from the positive side, so a caller slicing by a hyperplane that
+    supports the body orients nu toward it (`sections._slicing_normals`).
 
     Returns (faces, weights, ends). ``ends`` (F, d - 1, 2) holds, for each
     face vertex, the indices into pts.reshape(-1, n) of the two simplex
@@ -329,6 +337,7 @@ def _slice(pts: np.ndarray, w: np.ndarray, nu: np.ndarray):
     """
     d, n = pts.shape[1:]
     c = pts @ nu
+    c[np.abs(c) <= tol] = 0.0
     order = np.argsort(-c, axis=1, kind="stable")  # positives, zeros, negatives from the top
     slots = order + d * np.arange(len(pts))[:, None]
     pts = np.take_along_axis(pts, order[:, :, None], axis=1)

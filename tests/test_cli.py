@@ -157,6 +157,20 @@ def test_check_fradelizi_takes_k_and_records_its_route(capsys):
         assert r["rhs"] == pytest.approx((1 + k / (m + 1)) ** m * top, rel=1e-12)
 
 
+def test_check_fradelizi_at_k1_on_an_apex_down_cone(capsys, tmp_path):
+    # the 3-D cone with its base on top: f at the base's height is the
+    # base's area, read from the side the cone lies on (it read 0, and the
+    # check exited 2, before); f(0) is the maximum, the equality case
+    body = tmp_path / "cone.json"
+    V = [[-0.5773502691896257, -0.5773502691896257, 0.25], [0.788675134594813, -0.21132486540518716, 0.25],
+         [-0.21132486540518716, 0.788675134594813, 0.25], [0.0, 0.0, -0.75]]
+    body.write_text(json.dumps({"type": "vpolytope", "vertices": V}))
+    code, rep = run_json(capsys, "check", "fradelizi", "--body", str(body), "--k", "1")
+    (r,) = rep["results"]
+    assert code == 0 and r["passed"] and r["parameters"]["max_route"] == "vertex-heights"
+    assert r["lhs"] == pytest.approx(r["rhs"], rel=1e-12)
+
+
 def test_experiment_remark3_and_alpha(capsys):
     code, rep = run_json(capsys, "experiment", "remark3", "--n", "4")
     assert code == 0
@@ -323,9 +337,10 @@ def test_malformed_vpolytope_file_exits_2(capsys, tmp_path, vertices):
     ("--body", {"type": "ball", "n": 2, "radius": "x"}, "'radius'"),
     ("--body", {"type": "random", "n": 3, "points": 10, "seed": "a"}, "'seed'"),
     ("--body", {"type": "ball", "n": 2, "radius": 10**400}, "'radius'"),  # no float holds it
+    ("--body", {"type": "ball", "n": 2, "radius": 1e308}, "'radius'"),  # nor its volume
 ], ids=["ball-center", "halfspace-b", "simplex-n", "type", "random-points", "array",
         "cone-generators", "corpus-bodies", "cube-n-string", "cube-n-float", "ball-radius-string",
-        "random-seed-string", "ball-radius-overflow"])
+        "random-seed-string", "ball-radius-overflow", "ball-volume-overflow"])
 def test_malformed_spec_exits_2(capsys, tmp_path, option, spec, field):
     # a missing, mismatched or wrong-typed field is a bad configuration,
     # named in the error

@@ -233,16 +233,21 @@ def _spy_builder(monkeypatch):
 
 @pytest.mark.parametrize("make", [make_regular_simplex, make_cross_polytope, make_centered_cone])
 def test_constructor_bodies_and_their_images_take_the_one_boundary_builder(monkeypatch, make):
+    # a constructor builds through VPolytope: one hull of its vertices, kept
+    # in their order, brings the boundary VPolytope gives those vertices, bit
+    # for bit. Its affine image carries that boundary, mapped, with no hull
     M = np.array([[2.0, 0.3, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.5, 0.1], [0.2, 0, 0, 1.5]])
-    K = make(4)
-    image = affine_map(K, M, [0.1, 0.0, -0.2, 0.3])  # before K's boundary exists
-    V, W = K.vertices.copy(), image.vertices.copy()
+    shift = np.array([0.1, 0.0, -0.2, 0.3])
     seen = _spy_builder(monkeypatch)
-    for body, verts in ((K, V), (image, W)):
-        assert _closed(verts, boundary(body)).simplicial
-        assert np.array_equal(seen[-1], verts)  # built from the vertices, kept in their order
-        assert np.array_equal(body.vertices, verts)
-    assert len(seen) == 2
+    K = make(4)
+    assert len(seen) == 1 and np.array_equal(seen[0], K.vertices)  # built from the vertices, kept in their order
+    image = affine_map(K, M, shift)
+    assert len(seen) == 1
+    ref = boundary(VPolytope(K.vertices))
+    for body, bd in ((K, ref), (image, ref.mapped(M, shift))):
+        assert _closed(body.vertices, boundary(body)).simplicial
+        assert all(np.array_equal(getattr(boundary(body), f), getattr(bd, f)) for f in ("simplices", "A", "b", "facet"))
+    assert np.array_equal(image.vertices, K.vertices @ M.T + shift)
     assert volume(image) == pytest.approx(volume(K) * abs(np.linalg.det(M)), rel=1e-12)
 
 
@@ -286,8 +291,11 @@ def test_a_halfspace_system_takes_one_qhull_call_and_no_hull(monkeypatch):
 
 
 def test_degenerate_input_rejected():
-    with pytest.raises(GeometryError):
-        to_hrep(VPolytope([[0.0, 0.0], [1.0, 1.0]]))  # a segment in the plane
+    segment = VPolytope([[0.0, 0.0], [1.0, 1.0]])  # a segment in the plane
+    with pytest.raises(GeometryError, match="degenerate"):
+        to_hrep(segment)
+    with pytest.raises(GeometryError, match="degenerate"):  # an image carries the boundary it has not
+        translate(segment, [1.0, 0.0])
 
 
 def _count_qhull(monkeypatch, failing=()):
@@ -312,8 +320,9 @@ def _count_qhull(monkeypatch, failing=()):
 
 def test_halfspace_polytope_enumerates_its_vertices_once(monkeypatch):
     src = to_hrep(random_body(4, 14))
-    H = HPolytope(src.A, src.b)
     made = _count_qhull(monkeypatch)
+    H = HPolytope(src.A, src.b)  # its vertices, from construction
+    assert made == [("HalfspaceIntersection", None)]
     u = unit([1.0, -0.5, 0.3, 0.2])
     M = np.array([[2.0, 0.3, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.5, 0.1], [0.2, 0, 0, 1.5]])
     assert to_vrep(H) is H and to_hrep(H) is H
@@ -325,28 +334,30 @@ def test_halfspace_polytope_enumerates_its_vertices_once(monkeypatch):
     assert halfspace_volume(image, u) + halfspace_volume(image, -u) == pytest.approx(
         volume(image), rel=1e-12)
     assert np.all(contains_many(image, to_vrep(image).vertices))
-    # the vertices come from one halfspace intersection, and the boundary is
-    # pulled from their incidence: its points are never hulled
+    # the vertices come from one halfspace intersection at construction, and
+    # the boundary is pulled from their incidence: its points are never hulled
     assert made == [("HalfspaceIntersection", None)]
 
 
 def test_vertices_of_an_h_built_body_start_from_a_clearly_interior_origin(monkeypatch):
     # the n-cubes, 0 at distance 1 from every facet, take no LP; a body whose
     # 0 lies within 1e-3 of the largest facet distance from a facet takes
-    # one. Each gives the vertices the Chebyshev centre's LP route gives:
-    # HiGHS puts the cube's centre at exactly 0, so qhull's input is the same
+    # one, at construction. Each gives the vertices the Chebyshev centre's LP
+    # route gives: HiGHS puts the cube's centre at exactly 0, so qhull's input
+    # is the same
     lps = []
     real = conesec.geometry.chebyshev_center
     monkeypatch.setattr(conesec.geometry, "chebyshev_center", lambda A, b: lps.append(1) or real(A, b))
     for n in range(2, 9):
         K = make_cube(n)
+        assert len(lps) == n - 2
         assert np.array_equal(K.vertices, _halfspace_polytope(K.A, K.b).vertices)
         assert len(lps) == n - 1  # the reference's LP only
     e = np.vstack([np.eye(3), -np.eye(3)])
-    near = HPolytope(e, [2.0, 1.0, 1.0, 1.999e-3, 1.0, 1.0])  # 0 at 0.9995e-3 of 2 from x1 >= -1.999e-3
     lps.clear()
-    V = near.vertices
+    near = HPolytope(e, [2.0, 1.0, 1.0, 1.999e-3, 1.0, 1.0])  # 0 at 0.9995e-3 of 2 from x1 >= -1.999e-3
     assert len(lps) == 1
+    V = near.vertices
     assert np.array_equal(V, _halfspace_polytope(near.A, near.b).vertices)
     assert V[:, 0].min() == pytest.approx(-1.999e-3, rel=1e-12) and volume(near) == pytest.approx(
         4 * 2.001999, rel=1e-12)
@@ -376,11 +387,12 @@ def test_qhull_falls_back_to_q12_then_joggle(monkeypatch, levels):
 
 
 def test_a_halfspace_intersection_takes_one_qhull_attempt(monkeypatch):
-    # a rejected system is not retried with Q12, whose output can be short
-    made = _count_qhull(monkeypatch, {None})
+    # a rejected system is not retried with Q12, whose output can be short;
+    # an H-built body takes its one intersection at construction
     src = to_hrep(make_cube(3))
+    made = _count_qhull(monkeypatch, {None})
     with pytest.raises(GeometryError, match="merge failure"):
-        volume(HPolytope(src.A, src.b))
+        HPolytope(src.A, src.b)
     assert made == [("HalfspaceIntersection", None)]
 
 
@@ -401,10 +413,12 @@ def test_halfspace_intersection_outside_its_system_raises(monkeypatch):
         moved[0] *= 1.5
         return SimpleNamespace(intersections=moved)
 
-    monkeypatch.setattr(conesec.geometry, "HalfspaceIntersection", misplaced)
     src = to_hrep(make_cube(2))
+    monkeypatch.setattr(conesec.geometry, "HalfspaceIntersection", misplaced)
     with pytest.raises(GeometryError, match="outside its system"):
         _halfspace_polytope(src.A, src.b)
+    with pytest.raises(GeometryError, match="outside its system"):
+        HPolytope(src.A, src.b)  # at construction
 
 
 @pytest.mark.parametrize("shift, unit_rows, scaled", [
@@ -542,6 +556,31 @@ def test_origin_interior_is_judged_at_the_body_scale(s):
 def test_cube_polar_is_cross_polytope():
     P = polar(make_cube(3))
     assert volume(P) == pytest.approx(volume(make_cross_polytope(3)), rel=1e-9)
+
+
+def test_polar_does_not_depend_on_whether_the_rows_were_read():
+    # a polytope's polar is the hull of its facet normals over their
+    # offsets, whatever K had computed before: reading K.A first gave
+    # another route and other bits (50.45727918804116 for ...119)
+    fresh, read = random_centered_polytope(4, 14, 3), random_centered_polytope(4, 14, 3)
+    read.A
+    P, Q = polar(fresh), polar(read)
+    assert np.array_equal(P.vertices, Q.vertices) and volume(P) == volume(Q)
+
+
+def test_an_affine_image_does_not_depend_on_whether_the_boundary_was_built():
+    # the simplex brings its boundary from construction, and its image
+    # carries it mapped: an image taken before `boundary(K)` was called is
+    # the image taken after, bit for bit
+    M = np.array([[2.0, 0.3, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.5, 0.1], [0.2, 0, 0, 1.5]])
+    shift = np.array([0.1, 0.0, -0.2, 0.3])
+    before = affine_map(make_regular_simplex(4), M, shift)
+    K = make_regular_simplex(4)
+    boundary(K)
+    after = affine_map(K, M, shift)
+    for field in ("simplices", "A", "b", "facet"):
+        assert np.array_equal(getattr(boundary(before), field), getattr(boundary(after), field))
+    assert np.array_equal(before.A, after.A) and volume(before) == volume(after)
 
 
 def test_ball_polar_radius():

@@ -109,12 +109,17 @@ def test_section_through_a_clearly_interior_point_solves_no_lp(monkeypatch):
     assert section_volume(K, S, x0) > 0
     assert section_volume(K, S2, 0.1 * x0) > 0 and section_volume(K, S2, x0) > 0
     assert len(lps) == 4
-    # the H-built body takes the halfspace route: through a clearly interior
-    # point it solves no LP, through a point near the boundary one
+    # the H-built body takes its vertices from 0, clearly interior, and is
+    # sliced like K, so it solves no LP at all
     H = HPolytope(to_hrep(K).A, K.b)
-    assert section_volume(H, S2, 0.1 * x0) > 0
+    assert [section_volume(H, S2, s * x0) for s in (0.1, 1.0)] == pytest.approx(
+        [section_volume(K, S2, s * x0) for s in (0.1, 1.0)], rel=1e-12, abs=0.0)
     assert len(lps) == 4
-    assert section_volume(H, S2, x0) > 0
+    # the halfspace route: through a clearly interior point it solves no LP,
+    # through a point near the boundary one
+    assert body_volume(halfspace_section(translate(H, -0.1 * x0), S2)) > 0
+    assert len(lps) == 4
+    assert body_volume(halfspace_section(translate(H, -x0), S2)) > 0
     assert len(lps) == 5
 
 
@@ -134,7 +139,6 @@ def test_section_volume_is_the_sum_of_the_section_cone_weights(monkeypatch):
             for body, S, point in cases]
     monkeypatch.setattr(sections, "moments", lambda body: pytest.fail("moments taken"))
     assert [section_volume(*case) for case in cases] == pytest.approx(refs, rel=1e-12, abs=0.0)
-    assert H._vertices is None
 
 
 def test_ball_section_radius_shrinks():
@@ -1011,6 +1015,79 @@ def test_brunn_function_is_sliced_from_the_cones_at_every_codimension(n, points,
         assert values == pytest.approx(refs, rel=1e-12, abs=1e-12 * values[0]), k
 
 
+def test_supporting_lines_of_the_square_read_its_edges():
+    # a flat that supports K holds a face of K, which the slice counts from
+    # the side K lies on: the top and bottom edges of the square, built from
+    # its vertices and from its halfspaces (the top one read 0 before)
+    square = VPolytope([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    line = Subspace.from_span([[1.0, 0.0]])
+    for body in (square, make_cube(2)):
+        for x0 in ([0.0, 1.0], [0.0, -1.0]):
+            ref = body_volume(halfspace_section(translate(body, np.negative(x0)), line))
+            assert ref == 2.0 and section_volume(body, line, x0) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["axes", "rotated"])
+@pytest.mark.parametrize("apex", ["down", "up"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_flat_in_the_base_of_a_cone_reads_its_section_of_the_base(k, apex, rotated):
+    # the 4-D cone, apex down (its base on top) or up, plain or in a seeded
+    # rotation, where no vertex value along the flat's normals is exactly 0:
+    # the flat of codimension k through the base's centre lies in the base's
+    # hyperplane, and the section is that of the base (the apex-down axis
+    # cases read 0 before, the rotated ones 0.13-0.26 for 1/3 and 25/48)
+    R = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))[0] if rotated else np.eye(4)
+    K = affine_map(make_centered_cone(4), R @ np.diag([1.0, 1.0, 1.0, -1.0 if apex == "down" else 1.0]))
+    F = Subspace.from_span(R[:, :4 - k].T)
+    x0 = R @ [0.0, 0.0, 0.0, -0.2 if apex == "up" else 0.2]  # the base's centre
+    ref = body_volume(halfspace_section(translate(K, -x0), F))
+    assert ref == pytest.approx(1 / 3 if k == 1 else 25 / 48, rel=1e-12)
+    assert section_volume(K, F, x0) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    if k == 1:  # the central hyperplane section body of K - x0, sliced
+        assert volume(section(translate(K, -x0), F)) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_flats_in_facets_of_a_random_body_read_their_section_of_the_facet(k):
+    # flats of codimension k through the vertex average of a boundary
+    # simplex, in its facet's hyperplane, off the axes: each reads the
+    # halfspace route's section of the facet
+    K = random_body(5, 2)
+    bd, gen = boundary(K), np.random.default_rng(k)
+    for s in (0, 6, 12, 18, 24):
+        x0, a = K.vertices[bd.simplices[s]].mean(axis=0), bd.A[s]
+        w = gen.standard_normal(5)
+        F = Subspace.from_span([a, w - (w @ a) * a][:k]).complement()
+        ref = body_volume(halfspace_section(translate(K, -x0), F))
+        assert ref > 0 and section_volume(K, F, x0) == pytest.approx(ref, rel=1e-12, abs=0.0), s
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_brunn_function_of_an_h_built_body_does_not_depend_on_what_was_computed_first(k):
+    # the 7-D body known by its halfspaces: before its vertices were read,
+    # f near the support's edge took a halfspace intersection, which raised
+    # QH6271 at 0.999 T (and took 0.4-0.6 s per value inside); after, it was
+    # sliced. Built complete, it is sliced either way, with the same bits,
+    # and equals f of the vertex-built body
+    K = random_centered_polytope(7, 20, 1)
+    F = Subspace.from_span(np.eye(7)[:7 - k])
+    thetas = [[1.0], [-1.0]] if k == 1 else np.random.default_rng(0).standard_normal((3, 2))
+    fK = SectionVolumeFunction(K, F)
+    points = [s * fK.ray_extent(theta) * np.asarray(theta) for theta in thetas for s in (0.5, 0.999)]
+
+    def values(warm):
+        H = HPolytope(to_hrep(K).A, K.b)
+        if warm:
+            H.vertices, boundary(H)
+        f = SectionVolumeFunction(H, F)
+        return [f(x) for x in points]
+
+    cold = values(False)
+    assert cold == values(True)
+    ref = [fK(x) for x in points]
+    assert cold == pytest.approx(ref, rel=1e-12, abs=1e-12 * max(ref))
+
+
 def test_sections_just_outside_a_facet_parallel_to_the_flat_are_empty():
     # 5e-10 outside a facet parallel to the flat the section is empty; at
     # the facet it is the facet's section. The cone is sliced from its
@@ -1045,16 +1122,21 @@ def test_affine_sections_of_6d_bodies_raise_at_no_height(seed):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_bodies_known_by_halfspaces_are_sectioned_without_their_vertices(n):
-    # slicing would need the vertices, and so a halfspace intersection and a
-    # hull; a section needs only the halfspaces
+    # an H-built body holds the vertices of its one halfspace intersection
+    # and pulls its boundary from its rows: its sections, sliced or cut,
+    # equal the vertex-built body's, and no hull of its vertices is taken
     V = VPolytope(np.vstack([np.eye(n), -np.ones(n)]))
     H = HPolytope(to_hrep(V).A, to_hrep(V).b)
     S = Subspace.hyperplane(np.arange(1.0, n + 1.0))
-    for F, C in _hyperplane_cones(n, n):
-        assert cone_section_volume_polyhedral(H, F, C) == pytest.approx(
-            cone_section_volume_polyhedral(V, F, C), rel=1e-12)
-    assert section_volume(H, S) == pytest.approx(section_volume(V, S), rel=1e-12)
-    assert H._vertices is None and known_simplicial(V)
+    hulls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conesec.geometry, "ConvexHull", lambda *a, **k: hulls.append(1) or ConvexHull(*a, **k))
+        got = [cone_section_volume_polyhedral(H, F, C) for F, C in _hyperplane_cones(n, n)]
+        assert section_volume(H, S) == pytest.approx(section_volume(V, S), rel=1e-12)
+        assert hulls == []
+    assert got == pytest.approx([cone_section_volume_polyhedral(V, F, C) for F, C in _hyperplane_cones(n, n)],
+                                rel=1e-12)
+    assert known_simplicial(H) and known_simplicial(V)
 
 
 def test_section_with_non_simplicial_facets_is_pulled():

@@ -14,7 +14,6 @@ from conesec.geometry import (
     Ball,
     GeometryError,
     HPolytope,
-    Polytope,
     Subspace,
     VPolytope,
     Boundary,
@@ -164,7 +163,7 @@ def test_boundary_is_kept_through_affine_maps():
     K = random_body(4, 5)
     M = np.array([[2.0, 0.3, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.5, 0.1], [0.2, 0, 0, 1.5]])
     image = affine_map(translate(K, [0.1, -0.2, 0.0, 0.3]), M, [1.0, 0.0, 0.5, 0.0])
-    fresh = Polytope(image.vertices)
+    fresh = VPolytope(image.vertices)
     assert _closed(image.vertices, boundary(image)) is boundary(image)
     assert moments(image).volume == pytest.approx(moments(fresh).volume, rel=1e-12)
     assert moments(image).volume == pytest.approx(volume(K) * abs(np.linalg.det(M)), rel=1e-12)
@@ -349,7 +348,7 @@ def test_slice_builds_only_the_faces_it_keeps(monkeypatch):
                 counts = zip(np.count_nonzero(c > 0, axis=1), np.count_nonzero(c < 0, axis=1))
                 expected = sum(math.comb(P + N - 2, P - 1) if N else P == 1
                                for P, N in counts if P)
-                faces, weights, ends = _slice(pts, w, u)
+                faces, weights, ends = _slice(pts, w, u, 0.0)  # exact signs, as counted above
                 assert faces.shape == (expected, n - 1, n)
                 assert weights.shape == (expected,)
                 assert np.abs(faces @ u).max(initial=0.0) <= 1e-14 * np.abs(pts).max()
