@@ -164,6 +164,8 @@ def _cmd_cone_volume(args, t0) -> int:
     K = body_from_spec(_body_spec_from_args(args))
     with open(args.cone) as fh:
         F, C = cone_from_spec(json.load(fh))
+    if F.ambient_dim != K.dim:
+        raise GeometryError(f"cone generators in R^{F.ambient_dim} do not fit the body in R^{K.dim}")
     payload = {}
     if args.route in ("polyhedral", "both"):
         payload["polyhedral"] = cone_section_volume_polyhedral(K, F, C)
@@ -251,10 +253,9 @@ def _cmd_experiment(args, t0) -> int:
 
 
 def _cmd_corpus(args, t0) -> int:
-    specs = load_corpus(args.corpus)
-    if args.limit:
-        specs = specs[: args.limit]
-    results = run_corpus(specs)
+    if args.limit is not None and args.limit < 1:
+        raise GeometryError(f"--limit must be at least 1, not {args.limit}")
+    results = run_corpus(load_corpus(args.corpus)[: args.limit])
     return _emit_checks(args, t0, results, num_checks=len(results))
 
 

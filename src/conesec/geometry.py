@@ -1,13 +1,15 @@
 """Convex bodies in R^n (n <= 8) and primitive geometric operations.
 
 Representations: polytopes and Euclidean balls.  A `Polytope` is built
-complete: from its vertices (`VPolytope`), with the boundary of their one
-hull, or from its halfspaces (`HPolytope`), with the vertices of their one
-intersection.  What it derives from these (a boundary pulled from its rows,
-its H-rep read from a boundary, its vertex-facet incidence, its moments) is
-cached on it, and depends on nothing but what it was built from.  Affine
-images are applied eagerly to the vertices and the boundary, so every body
-is concrete.  Bodies are immutable apart from these caches, and all
+complete: from its vertices (`VPolytope`), with the facet rows and the
+boundary of their one hull, or from its halfspaces (`HPolytope`), with the
+vertices of their one intersection.  Its facet rows ``A``, ``b`` are stored
+once, on the body; a `Boundary` holds only its simplices and the row each
+lies on.  What a body derives from these (a boundary pulled from its rows,
+its vertex-facet incidence, its moments) is cached on it, and depends on
+nothing but what it was built from.  Affine images are applied eagerly to
+the vertices and the rows, and share the body's boundary, so every body is
+concrete.  Bodies are immutable apart from these caches, and all
 operations are pure.
 
 qhull runs at most once per body or halfspace system, through `_qhull`: a
@@ -181,43 +183,34 @@ def _first_of_close(X: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Boundary:
-    """Triangulated boundary of a full-dimensional polytope.
+    """Triangulated boundary of a full-dimensional polytope K.
 
     Row s of ``simplices`` indexes the d vertices of a (d-1)-simplex lying
-    on the facet {x : <A[s], x> = b[s]}, where A[s] is the facet's unit
-    outward normal, and facet[s] labels that facet, so the rows where each
-    label first occurs are the polytope's H-rep. A vertex-built body
-    gets its boundary in `_extreme_points`, a body with facet rows in
-    `_pulled`; both pass the closure guard `_closed`. A sliced section
-    (`sections.section`) gets its own from the slice, and an affine image
-    carries its body's (`mapped`).
+    on the facet {x : <A_i, x> = b_i} of K's rows, i = facet[s]: the rows
+    themselves are K's (`Polytope.A`, `Polytope.b`), stored once. A
+    vertex-built body gets its boundary in `_extreme_points`, a body with
+    facet rows in `_pulled`; both pass the closure guard `_closed`. A sliced
+    section (`sections.section`) gets its own from the slice, and an affine
+    image shares its body's.
     """
 
     simplices: np.ndarray  # (S, d) vertex indices
-    A: np.ndarray  # (S, d)
-    b: np.ndarray  # (S,)
-    facet: np.ndarray  # (S,) the facet each simplex lies on
-
-    @cached_property
-    def simplicial(self) -> bool:
-        """Whether each facet is one simplex."""
-        return len(np.unique(self.facet)) == len(self.facet)
-
-    def mapped(self, M: np.ndarray, shift: np.ndarray) -> "Boundary":
-        """The boundary of the image {M x + shift} of the polytope, M invertible.
-
-        An affine map keeps the face lattice, so the simplices carry over;
-        <a, x> <= b becomes <a M^-1, y> <= b + <a M^-1, shift>, with unit normals.
-        """
-        A = self.A @ np.linalg.inv(M)
-        norms = np.linalg.norm(A, axis=1)
-        return Boundary(self.simplices, A / norms[:, None], (self.b + A @ shift) / norms, self.facet)
+    facet: np.ndarray  # (S,) the row of K's A, b each simplex lies on
 
 
-def _pulled(P: "Polytope") -> Boundary:
-    """The boundary of the full-dimensional polytope P, whose facets are
-    among its unit rows (A, b), read from their incidence on its vertices
-    (`Polytope._incidence`) alone.
+def _incidence(V: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, H) bool: vertex i of V lies on row j of the unit rows (A, b) when
+    its residual |<A_j, v_i> - b_j| is within GEOM_TOL of max |b|, so the
+    rule does not depend on the scale. max |b| is capped at max |v|, which
+    bounds |b_j| on every row that touches the body, so a far redundant row
+    does not loosen the rule."""
+    return np.abs(V @ A.T - b) <= GEOM_TOL * min(np.abs(b).max(), np.linalg.norm(V, axis=1).max())
+
+
+def _pulled(V: np.ndarray, A: np.ndarray, b: np.ndarray) -> Boundary:
+    """The boundary of the full-dimensional polytope conv(V), whose facets
+    are among the unit rows (A, b), read from the incidence of V on them
+    (`_incidence`) alone.
 
     A row is a facet when its vertex set holds at least d vertices and lies
     in no other row's set (of rows with equal sets the first is kept), so
@@ -230,9 +223,10 @@ def _pulled(P: "Polytope") -> Boundary:
     the cone from its lowest-index vertex v over the pulled facets of the
     face that miss v. Faces are pulled once each, so a shared face gives
     both of its cofaces the same simplices, and the simplices tile the
-    boundary. Each simplex lists its vertices in ascending order.
+    boundary. Each simplex lists its vertices in ascending order, and its
+    ``facet`` is its row of (A, b).
     """
-    on, d = P._incidence, P.dim
+    on, d = _incidence(V, A, b), V.shape[1]
     rows = np.flatnonzero(on.sum(axis=0) >= d)
     shared = on[:, rows].T.astype(float) @ on[:, rows]
     count = np.diag(shared)
@@ -262,15 +256,16 @@ def _pulled(P: "Polytope") -> Boundary:
                  for j, m in enumerate(masks)]
     counts = np.array([len(p) for p in per_facet])
     simplices = np.array([s for p in per_facet for s in p], dtype=int).reshape(-1, d)
-    row = np.repeat(rows, counts)
-    return _closed(P.vertices, Boundary(simplices, P.A[row], P.b[row], row))
+    return _closed(V, A, Boundary(simplices, np.repeat(rows, counts)))
 
 
-def _closed(V: np.ndarray, bd: Boundary) -> Boundary:
-    """bd, once its simplices are seen to close up; GeometryError otherwise.
+def _closed(V: np.ndarray, A: np.ndarray, bd: Boundary) -> Boundary:
+    """bd, the boundary of conv(V) on the unit rows A, once its simplices are
+    seen to close up; GeometryError otherwise.
 
     The signed fan volume sum_s sign(b_s - <A_s, c>) |det(D_s - c)| / d! of
-    a closed boundary is the same from every apex c. It is affine in c, with
+    a closed boundary is the same from every apex c, A_s the row of simplex
+    s's facet. It is affine in c, with
     gradient -w / d, where w = sum_s a_s A_s and a_s is the (d-1)-volume of
     simplex s, so the fans from all apexes agree exactly when w = 0
     (Minkowski's relation for the facets of a polytope). An overlap or a gap
@@ -280,25 +275,25 @@ def _closed(V: np.ndarray, bd: Boundary) -> Boundary:
     simplex (a_s (d-1)! = |det| of its edges from its first vertex and
     A_s), and it does not depend on the scale or on where 0 lies.
     """
-    D = V[bd.simplices]
-    area = np.abs(np.linalg.det(np.concatenate([D[:, 1:] - D[:, :1], bd.A[:, None, :]], axis=1)))
-    if not np.linalg.norm(area @ bd.A) <= 1e-9 * area.sum():
+    D, normals = V[bd.simplices], A[bd.facet]
+    area = np.abs(np.linalg.det(np.concatenate([D[:, 1:] - D[:, :1], normals[:, None, :]], axis=1)))
+    if not np.linalg.norm(area @ normals) <= 1e-9 * area.sum():
         raise GeometryError(f"boundary simplices do not close up (total area {area.sum():.17g} times (d-1)!)")
     return bd
 
 
 def _extreme_points(points: np.ndarray):
-    """(keep, adim, bd) of the (N, d) float array ``points``: the indices of
-    the extreme points of conv(points), the dimension of its affine hull,
-    and its `Boundary` over points[keep] when it is full-dimensional (else
-    None).
+    """(keep, adim, rows) of the (N, d) float array ``points``: the indices
+    of the extreme points of conv(points), the dimension of its affine hull,
+    and, when it is full-dimensional, (A, b, bd): its unit facet rows and
+    its `Boundary` over points[keep] (else an empty tuple).
 
     The points are hulled once, by qhull, in an orthonormal basis of their
-    affine hull about their mean. When no two of qhull's facet rows are
-    within GEOM_TOL (`_first_of_close`), every facet is a simplex and the
-    boundary is qhull's simplices as qhull gives them. Otherwise the rows
-    kept by `_first_of_close` are the facets, and the boundary is pulled
-    from their incidence (`_pulled`), not taken from qhull's `Qt`
+    affine hull about their mean. The rows are qhull's facet rows less
+    those within GEOM_TOL of an earlier one (`_first_of_close`). When none
+    is dropped, every facet is a simplex and the boundary is qhull's
+    simplices as qhull gives them. Otherwise the boundary is pulled from
+    the incidence on the rows (`_pulled`), not taken from qhull's `Qt`
     triangulation, which depends on the coordinates and can overlap itself.
     In R^1 the boundary is the two end points.
     """
@@ -308,32 +303,31 @@ def _extreme_points(points: np.ndarray):
     basis = orthonormal_basis(X - center)
     adim, d = basis.shape[0], X.shape[1]
     if adim == 0:
-        return first[:1], 0, None
+        return first[:1], 0, ()
     coords = (X - center) @ basis.T
     if adim == 1:
         t = coords[:, 0] if d > 1 else X[:, 0]  # in R^1 the lower end comes first
         ends = [int(np.argmin(t)), int(np.argmax(t))]
         if d > 1:
-            return first[ends], 1, None
+            return first[ends], 1, ()
         lo, hi = X[ends, 0]
-        return first[ends], 1, Boundary(np.array([[1], [0]]), np.array([[1.0], [-1.0]]),
-                                        np.array([hi, -lo]), np.arange(2))
+        return first[ends], 1, (np.array([[1.0], [-1.0]]), np.array([hi, -lo]),
+                                Boundary(np.array([[1], [0]]), np.arange(2)))
     hull = robust_hull(coords)
     kept = np.sort(hull.vertices)
     if adim < d:
-        return first[kept], adim, None
+        return first[kept], adim, ()
     V = X[kept]
     # qhull equations: normal . y + offset <= 0 with unit normals
     A = hull.equations[:, :-1] @ basis
     b = A @ center - hull.equations[:, -1]
     rows = _first_of_close(A, b)
-    if len(rows) == len(A):
-        index = np.zeros(len(X), dtype=int)
-        index[kept] = np.arange(len(kept))
-        bd = _closed(V, Boundary(index[hull.simplices], A, b, rows))
-    else:
-        bd = _pulled(Polytope(V, adim, A[rows], b[rows]))
-    return first[kept], adim, bd
+    A, b = A[rows], b[rows]
+    if len(rows) < len(hull.equations):
+        return first[kept], adim, (A, b, _pulled(V, A, b))
+    index = np.zeros(len(X), dtype=int)
+    index[kept] = np.arange(len(kept))
+    return first[kept], adim, (A, b, _closed(V, A, Boundary(index[hull.simplices], rows)))
 
 
 def extreme_points(points: np.ndarray):
@@ -384,16 +378,19 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 
 class Polytope:
     """Polytope in R^dim, built complete: it holds its vertices and affine
-    dimension from construction, with either its triangulated boundary (a
-    vertex-built body's hull, `_extreme_points`; an affine image's; a sliced
-    section's) or halfspace rows (`HPolytope`, a halfspace-route section),
-    whose vertices came from one halfspace intersection.
+    dimension from construction and, when full-dimensional, its unit facet
+    rows ``A``, ``b``: a vertex-built body's from its hull
+    (`_extreme_points`), which brings its triangulated boundary too; an
+    affine image's, mapped from its body's, whose boundary it shares; a
+    sliced section's, with the boundary of the slice; or the halfspace rows
+    it was built from (`HPolytope`, a halfspace-route section), whose
+    vertices came from one halfspace intersection. A lower-dimensional body
+    has no rows (None).
 
-    ``A`` and ``b`` (unit normals) are the rows a body was built from, else
-    its boundary's facet rows; a body with rows pulls its boundary from the
-    incidence of its vertices on them (`_pulled`), with no hull. What is
-    derived from these is cached on the body: the boundary pulled
-    (`geometry.boundary`), that incidence (shared with `facet_ridges`), its
+    A body with rows and no boundary pulls its boundary from the incidence
+    of its vertices on them (`_pulled`), with no hull. What is derived from
+    these is cached on the body: the boundary pulled (`geometry.boundary`),
+    that incidence (shared with `facet_ridges` and `known_simplicial`), its
     cone simplices (`volume.wedge_moment`), the moments (`volume.moments`),
     its facet ridges and its section-volume functions
     (`sections.section_volume_fn`). Each is a function of what the body was
@@ -406,8 +403,8 @@ class Polytope:
         self.dim = vertices.shape[1]
         self.vertices = _read_only(vertices)
         self.affine_dim = affine_dim
-        if A is not None:
-            self._rows = _read_only(A), _read_only(b)
+        self.A = None if A is None else _read_only(A)
+        self.b = None if b is None else _read_only(b)
         self._boundary_cache = boundary
         self._moments_cache = None
         self._cone_cache = None
@@ -417,54 +414,31 @@ class Polytope:
     def __repr__(self):
         return f"Polytope(dim={self.dim})"
 
-    @cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) of a body built from its boundary: its facet rows, in the
-        order they first appear there. A body built from rows holds them here
-        from construction."""
-        bd = self._boundary()
-        first = np.sort(np.unique(bd.facet, return_index=True)[1])
-        return _read_only(bd.A[first]), _read_only(bd.b[first])
-
-    @property
-    def A(self) -> np.ndarray:
-        return self._rows[0]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self._rows[1]
-
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.dim
 
     def _boundary(self) -> Boundary:
         """The boundary it was built with, else pulled from its rows (`_pulled`)."""
         if self._boundary_cache is None:
-            if not self.is_full_dimensional():
-                raise GeometryError(f"degenerate polytope (affine dim {self.affine_dim} < {self.dim}); "
-                                    "convert in intrinsic coordinates")
-            self._boundary_cache = _pulled(self)
+            H = to_hrep(self)
+            self._boundary_cache = _pulled(H.vertices, H.A, H.b)
         return self._boundary_cache
 
     @cached_property
     def _incidence(self) -> np.ndarray:
-        """(N, H) bool, computed once: vertex i lies on row j of ``A`` when its
-        residual |<A_j, v_i> - b_j| is within GEOM_TOL of max |b|, so the rule
-        does not depend on the scale. max |b| is capped at max |v|, which
-        bounds |b_j| on every row that touches the body, so a far redundant
-        row does not loosen the rule."""
-        V, b = self.vertices, self.b
-        return _read_only(np.abs(V @ self.A.T - b) <= GEOM_TOL * min(np.abs(b).max(), np.linalg.norm(V, axis=1).max()))
+        """(N, H) bool, computed once: which vertices lie on which rows (`_incidence`)."""
+        return _read_only(_incidence(self.vertices, self.A, self.b))
 
 
 def VPolytope(vertices) -> Polytope:
     """The polytope conv(vertices), which keeps the extreme points only
-    (`extreme_points`) and, when full-dimensional, the boundary of their one hull."""
+    (`extreme_points`) and, when full-dimensional, the facet rows and
+    boundary of their one hull."""
     vertices = np.atleast_2d(_as_array(vertices))
     if vertices.size == 0:
         raise GeometryError("empty vertex list")
-    keep, adim, bd = _extreme_points(vertices)
-    return Polytope(vertices[keep], adim, boundary=bd)
+    keep, adim, rows = _extreme_points(vertices)
+    return Polytope(vertices[keep], adim, *rows)
 
 
 def HPolytope(A, b) -> Polytope:
@@ -508,8 +482,14 @@ class Ball:
         self.radius = float(radius)
         self.dim = center.shape[0]
         with np.errstate(over="ignore"):  # the pow of `volume.body_volume`, which raises there
-            if not np.isfinite(unit_ball_volume(self.dim) * np.float64(self.radius) ** self.dim):
-                raise GeometryError(f"ball 'radius' {radius!r} in R^{self.dim} has a volume too large for a float")
+            vol = float(unit_ball_volume(self.dim) * np.float64(self.radius) ** self.dim)
+        if not math.isfinite(vol):
+            raise GeometryError(f"ball 'radius' {radius!r} in R^{self.dim} has a volume too large for a float")
+        # the second moments of `volume.moments`, vol (c c^T + r^2 I / (n + 2)), are of scale max(r, |c|)^2 vol
+        reach = max(self.radius, math.hypot(*center))
+        if not math.isfinite(reach * reach * vol):
+            field = "radius" if reach == self.radius else "center"
+            raise GeometryError(f"ball {field!r} in R^{self.dim} gives second moments too large for a float")
 
     def __repr__(self):
         return f"Ball(dim={self.dim})"
@@ -536,10 +516,13 @@ def to_vrep(K: ConvexBody) -> Polytope:
 
 
 def to_hrep(K: ConvexBody) -> Polytope:
-    """The full-dimensional polytope K with its halfspaces computed (balls are rejected)."""
+    """The polytope K, which holds its facet rows from construction; balls
+    and lower-dimensional polytopes are rejected."""
     if isinstance(K, Ball):
         raise GeometryError("a ball has no exact halfspace representation")
-    K.A
+    if K.A is None:
+        raise GeometryError(f"degenerate polytope (affine dim {K.affine_dim} < {K.dim}); "
+                            "convert in intrinsic coordinates")
     return K
 
 
@@ -559,10 +542,13 @@ def boundary(K: ConvexBody) -> Boundary:
 
 
 def known_simplicial(K: ConvexBody) -> bool:
-    """Whether K is a polytope whose boundary is triangulated by its own
-    facets (`Boundary.simplicial`); a body with rows pulls its boundary for
-    it. False for a ball."""
-    return isinstance(K, Polytope) and K._boundary().simplicial
+    """Whether K is a full-dimensional polytope whose facets are simplices:
+    no row of its H-rep holds more than n of its vertices (`Polytope._incidence`),
+    because a row with more is a facet with more, or lies in one. It reads
+    the incidence only, so no boundary is built. False for a ball and a
+    lower-dimensional polytope."""
+    return (isinstance(K, Polytope) and K.is_full_dimensional()
+            and bool(K._incidence.sum(axis=0).max() <= K.dim))
 
 
 @dataclass(frozen=True)
@@ -887,11 +873,17 @@ def translate(K: ConvexBody, shift) -> ConvexBody:
 
 
 def _mapped_polytope(K: Polytope, M: np.ndarray, shift: np.ndarray) -> Polytope:
-    """{M x + shift : x in K}, M invertible: K's vertices and boundary, mapped
-    (`Boundary.mapped`), so the image's rows are its boundary's facet rows. A
-    body with rows pulls its boundary for it, once; GeometryError for a
-    degenerate K."""
-    return Polytope(K.vertices @ M.T + shift, K.affine_dim, boundary=K._boundary().mapped(M, shift))
+    """{M x + shift : x in K}, M invertible: K's vertices and rows, mapped.
+
+    An affine map keeps the face lattice, so the image shares K's
+    `Boundary`, which K pulls first if it has none, so the image does not
+    depend on whether it had; <a, x> <= b becomes
+    <a M^-1, y> <= b + <a M^-1, shift>, with unit normals, once per row.
+    GeometryError for a degenerate K."""
+    bd = K._boundary()
+    A = K.A @ np.linalg.inv(M)
+    norms = np.linalg.norm(A, axis=1)
+    return Polytope(K.vertices @ M.T + shift, K.affine_dim, A / norms[:, None], (K.b + A @ shift) / norms, bd)
 
 
 def polar_with_center(C: ConvexBody, z) -> ConvexBody:

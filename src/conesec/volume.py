@@ -14,8 +14,8 @@ its vertex values.  At q = 0 they are wedge volumes.  One call cuts a stack of w
 the vertex values of many wedges go through one recursion, in blocks of
 about 1 MB, and a wedge R and its negative -R share one split, so a
 direction grid of halfspaces or a part-1 pair costs one pass over the cones.
-`sections` slices K's cones by every normal for the ray moments of section
-functions at m >= 2, and for their values f(x) (`sections.section_volume`),
+`sections` slices a simplicial K's cones by every normal for the ray moments
+of section functions at m >= 2, and for their values f(x) (`sections.section_volume`),
 a wedge moment of K - x by a zero row, whose wedge is the whole space, so
 the call gives the section's volume; and once for each central hyperplane
 section body of a simplicial polytope, whose faces and weights become that
@@ -177,8 +177,8 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
     its own. The pieces grow quickly with the number of rows, so wedges
     with many facets are better cut by a halfspace intersection. Each normal multiplies the pieces too, by up to
     C(d - 2, d/2 - 1) per simplex, and a polytope whose facets are cut into
-    many simplices has many to slice. `sections` slices by normals here for
-    the ray moments at m >= 2 and for the values of Brunn's function
+    many simplices has many to slice. `sections` slices a simplicial body
+    by normals here for the ray moments at m >= 2 and for the values of Brunn's function
     (`sections.section_volume`): there R is one zero row, so W is the whole
     space, h_0 = 1 and the call is the volume of L. Its section bodies
     slice K's cones once themselves (`sections._sliced_section`) and seed
@@ -233,14 +233,15 @@ def _weigh(pieces, q: int, per_call: int) -> np.ndarray:
 
 
 def _cone_simplices(V: ConvexBody):
-    """V's boundary simplices (S, d, d) and their cone weights sign(b) |det|, cached on V.
+    """V's boundary simplices (S, d, d) and their cone weights sign(b) |det|,
+    b the offset of each simplex's facet row (`Boundary.facet`), cached on V.
 
     A sliced section (`sections.section`) comes with them already cached.
     """
     if V._cone_cache is None:
         bd = boundary(V)
         simplices = V.vertices[bd.simplices]
-        weights = np.sign(bd.b) * np.abs(np.linalg.det(simplices))
+        weights = np.sign(V.b[bd.facet]) * np.abs(np.linalg.det(simplices))
         simplices.setflags(write=False)
         weights.setflags(write=False)
         V._cone_cache = simplices, weights

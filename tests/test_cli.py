@@ -214,6 +214,23 @@ def test_corpus_limited(capsys):
     assert rep["num_checks"] > 0
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_corpus_limit_below_1_exits_2(capsys, limit):
+    # -1 ran 74 of the 75 bodies, and 0 all of them
+    code, out, err = run(capsys, "corpus", "--limit", limit)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--limit" in err
+
+
+def test_cone_of_another_dimension_exits_2(capsys, tmp_path):
+    # generators in R^3 for a body in R^4 raised numpy's reshape error; both dimensions are named
+    cone = tmp_path / "cone.json"
+    cone.write_text(json.dumps({"generators": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}))
+    code, out, err = run(capsys, "cone-volume", "--body", "cube", "--n", "4", "--cone", str(cone))
+    assert code == 2
+    assert err.startswith("error:") and "R^3" in err and "R^4" in err
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -338,9 +355,12 @@ def test_malformed_vpolytope_file_exits_2(capsys, tmp_path, vertices):
     ("--body", {"type": "random", "n": 3, "points": 10, "seed": "a"}, "'seed'"),
     ("--body", {"type": "ball", "n": 2, "radius": 10**400}, "'radius'"),  # no float holds it
     ("--body", {"type": "ball", "n": 2, "radius": 1e308}, "'radius'"),  # nor its volume
+    ("--body", {"type": "ball", "n": 2, "radius": 1e150}, "'radius'"),  # nor its second moments
+    ("--body", {"type": "ball", "n": 2, "center": [1e200, 0]}, "'center'"),
 ], ids=["ball-center", "halfspace-b", "simplex-n", "type", "random-points", "array",
         "cone-generators", "corpus-bodies", "cube-n-string", "cube-n-float", "ball-radius-string",
-        "random-seed-string", "ball-radius-overflow", "ball-volume-overflow"])
+        "random-seed-string", "ball-radius-overflow", "ball-volume-overflow", "ball-moment-overflow-radius",
+        "ball-moment-overflow-center"])
 def test_malformed_spec_exits_2(capsys, tmp_path, option, spec, field):
     # a missing, mismatched or wrong-typed field is a bad configuration,
     # named in the error

@@ -24,6 +24,7 @@ from conesec.geometry import (
     contains,
     contains_many,
     facet_ridges,
+    known_simplicial,
     make_ball,
     make_centered_cone,
     make_cross_polytope,
@@ -234,8 +235,9 @@ def _spy_builder(monkeypatch):
 @pytest.mark.parametrize("make", [make_regular_simplex, make_cross_polytope, make_centered_cone])
 def test_constructor_bodies_and_their_images_take_the_one_boundary_builder(monkeypatch, make):
     # a constructor builds through VPolytope: one hull of its vertices, kept
-    # in their order, brings the boundary VPolytope gives those vertices, bit
-    # for bit. Its affine image carries that boundary, mapped, with no hull
+    # in their order, brings the rows and boundary VPolytope gives those
+    # vertices, bit for bit. Its affine image maps those rows and shares
+    # that boundary, with no hull
     M = np.array([[2.0, 0.3, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.5, 0.1], [0.2, 0, 0, 1.5]])
     shift = np.array([0.1, 0.0, -0.2, 0.3])
     seen = _spy_builder(monkeypatch)
@@ -243,10 +245,15 @@ def test_constructor_bodies_and_their_images_take_the_one_boundary_builder(monke
     assert len(seen) == 1 and np.array_equal(seen[0], K.vertices)  # built from the vertices, kept in their order
     image = affine_map(K, M, shift)
     assert len(seen) == 1
-    ref = boundary(VPolytope(K.vertices))
-    for body, bd in ((K, ref), (image, ref.mapped(M, shift))):
-        assert _closed(body.vertices, boundary(body)).simplicial
-        assert all(np.array_equal(getattr(boundary(body), f), getattr(bd, f)) for f in ("simplices", "A", "b", "facet"))
+    ref = VPolytope(K.vertices)
+    A = ref.A @ np.linalg.inv(M)
+    norms = np.linalg.norm(A, axis=1)
+    for body, rows in ((K, (ref.A, ref.b)), (image, (A / norms[:, None], (ref.b + A @ shift) / norms))):
+        bd = _closed(body.vertices, body.A, boundary(body))
+        assert known_simplicial(body) and len(np.unique(bd.facet)) == len(bd.facet)
+        assert all(np.array_equal(getattr(bd, f), getattr(boundary(ref), f)) for f in ("simplices", "facet"))
+        assert np.array_equal(body.A, rows[0]) and np.array_equal(body.b, rows[1])
+    assert boundary(image) is boundary(K)
     assert np.array_equal(image.vertices, K.vertices @ M.T + shift)
     assert volume(image) == pytest.approx(volume(K) * abs(np.linalg.det(M)), rel=1e-12)
 
@@ -256,21 +263,25 @@ def test_cube_facets_are_pulled_and_cross_polytopes_keep_qhulls_simplices(n):
     # the 2n facets of the cube, H-built or built from its 2^n vertices, are
     # pulled into (n-1)! simplices each, 2 n! in all (qhull's `Qt` gave
     # 113 458 at n = 8); the simplicial cross-polytope keeps
-    # qhull's simplices and rows bit for bit. Every boundary closes up
+    # qhull's simplices and rows bit for bit. Every boundary closes up, and
+    # simpliciality is read from the incidence: the square's edges are
+    # simplices, a cube's facets from n = 3 on are not
     corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * n, indexing="ij")).reshape(n, -1).T
     for cube in (make_cube(n), VPolytope(corners)):
         bd = boundary(cube)
-        assert len(bd.simplices) == 2 * math.factorial(n) and len(np.unique(bd.facet)) == 2 * n
+        assert len(bd.simplices) == 2 * math.factorial(n) and len(np.unique(bd.facet)) == len(cube.A) == 2 * n
         assert volume(cube) == pytest.approx(2.0**n, rel=1e-14, abs=0)
-        assert _closed(cube.vertices, bd) is bd
+        assert _closed(cube.vertices, cube.A, bd) is bd
+        assert known_simplicial(cube) == (n == 2)
     cross = make_cross_polytope(n)
     V = cross.vertices
     basis = conesec.geometry.orthonormal_basis(V - V.mean(axis=0))
     hull = robust_hull((V - V.mean(axis=0)) @ basis.T)
     bd = boundary(cross)
-    assert bd.simplicial and np.array_equal(bd.simplices, hull.simplices)
-    assert np.array_equal(bd.A, hull.equations[:, :-1] @ basis)
-    assert _closed(V, bd) is bd
+    assert known_simplicial(cross) and np.array_equal(bd.facet, np.arange(len(bd.facet)))
+    assert np.array_equal(bd.simplices, hull.simplices)
+    assert np.array_equal(cross.A[bd.facet], hull.equations[:, :-1] @ basis)
+    assert _closed(V, cross.A, bd) is bd
     assert volume(cross) == pytest.approx(2.0**n / math.factorial(n), rel=1e-14, abs=0)
 
 
@@ -326,7 +337,7 @@ def test_halfspace_polytope_enumerates_its_vertices_once(monkeypatch):
     u = unit([1.0, -0.5, 0.3, 0.2])
     M = np.array([[2.0, 0.3, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.5, 0.1], [0.2, 0, 0, 1.5]])
     assert to_vrep(H) is H and to_hrep(H) is H
-    assert _closed(H.vertices, boundary(H)).simplicial
+    assert known_simplicial(H) and _closed(H.vertices, H.A, boundary(H)) is boundary(H)
     assert support(H, u) == pytest.approx(float(np.max(to_vrep(src).vertices @ u)), rel=1e-12)
     image = affine_map(translate(H, [0.1, -0.2, 0.0, 0.3]), M, [1.0, 0.0, 0.5, 0.0])
     assert moments(image).volume == pytest.approx(
@@ -569,18 +580,35 @@ def test_polar_does_not_depend_on_whether_the_rows_were_read():
 
 
 def test_an_affine_image_does_not_depend_on_whether_the_boundary_was_built():
-    # the simplex brings its boundary from construction, and its image
-    # carries it mapped: an image taken before `boundary(K)` was called is
-    # the image taken after, bit for bit
+    # the simplex brings its rows and boundary from construction, and its
+    # image maps the rows and shares the boundary: an image taken before
+    # `boundary(K)` was called is the image taken after, bit for bit. The
+    # H-built cube pulls its boundary for its image, which shares it
     M = np.array([[2.0, 0.3, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.5, 0.1], [0.2, 0, 0, 1.5]])
     shift = np.array([0.1, 0.0, -0.2, 0.3])
     before = affine_map(make_regular_simplex(4), M, shift)
     K = make_regular_simplex(4)
     boundary(K)
     after = affine_map(K, M, shift)
-    for field in ("simplices", "A", "b", "facet"):
+    for field in ("simplices", "facet"):
         assert np.array_equal(getattr(boundary(before), field), getattr(boundary(after), field))
-    assert np.array_equal(before.A, after.A) and volume(before) == volume(after)
+    assert np.array_equal(before.A, after.A) and np.array_equal(before.b, after.b)
+    assert volume(before) == volume(after)
+    cube = make_cube(4)
+    image = affine_map(cube, M, shift)
+    assert boundary(image) is boundary(cube) and np.array_equal(image.vertices, cube.vertices @ M.T + shift)
+
+
+def test_an_image_of_the_8_cube_maps_its_16_rows_and_shares_its_boundary():
+    # the image holds the cube's 16 rows, mapped once each, and shares the
+    # cube's boundary object: its 80 640 simplices are neither copied nor relabelled
+    K = make_cube(8)
+    shift = np.linspace(-0.3, 0.4, 8)
+    image = translate(K, shift)
+    assert image.A.shape == (16, 8) and image.b.shape == (16,)
+    assert np.array_equal(image.A, K.A) and np.array_equal(image.b, K.b + K.A @ shift)
+    assert boundary(image) is boundary(K) and len(boundary(K).simplices) == 80640
+    assert [volume(image), volume(K)] == pytest.approx([256.0, 256.0], rel=1e-13)
 
 
 def test_ball_polar_radius():

@@ -13,9 +13,10 @@ from scipy.stats import multivariate_normal
 
 import conesec
 from conesec import rng as _rng
-from conesec import sections
+from conesec import sections, verify
 from conesec.ball_bodies import I_p, ball_indicator_oracle, estimate_max
 from conesec.geometry import (
+    Ball,
     GeometryError,
     HPolytope,
     PolyhedralCone,
@@ -23,6 +24,7 @@ from conesec.geometry import (
     VPolytope,
     _halfspace_polytope,
     affine_map,
+    body_from_spec,
     boundary,
     known_simplicial,
     make_ball,
@@ -441,6 +443,27 @@ def test_ray_moments_of_6d_bodies_match_fubini(points, seed, index, rotation):
     ref = _fubini_ray_moment(affine_map(K, Q), Subspace.from_span(e[:4] @ Q.T),
                              Q @ f.Fperp.embed(theta), 2)
     assert f.ray_moments(theta[None, :], 2)[0] == pytest.approx(ref, rel=1e-10)
+
+
+def test_ray_moments_of_the_8_cube_take_its_section_per_direction(monkeypatch):
+    # m = 6, k = 2: the cube is not simplicial, so each direction e takes
+    # the section K cap (F + R e) by one halfspace intersection and cuts it
+    # alone, not K's 80 640 boundary simplices sliced (1.2-1.8 s a
+    # direction); the values are the slice route's. A simplicial body
+    # keeps the slice
+    K = make_cube(8)
+    f = SectionVolumeFunction(K, Subspace.from_span(np.eye(8)[:6]))
+    thetas = _unit_rows(2, 3, seed=8)
+    ref = [wedge_moment(K, [f.Fperp.embed(u)], 1, f.Fperp.embed(Subspace.hyperplane(u).basis)) for u in thetas]
+    slices = []
+    slice_ = conesec.volume._slice
+    monkeypatch.setattr(conesec.volume, "_slice", lambda *a: slices.append(1) or slice_(*a))
+    assert f.ray_moments(1.5 * thetas, 2) == pytest.approx(np.array(ref) / 1.5**2, rel=1e-12, abs=0.0)
+    assert slices == []
+    V = random_body(5, 3)
+    assert known_simplicial(V)
+    SectionVolumeFunction(V, Subspace.from_span(np.eye(5)[:3])).ray_moments(thetas, 2)
+    assert slices
 
 
 def _chord_directions(f, K, count, seed):
@@ -1055,7 +1078,7 @@ def test_flats_in_facets_of_a_random_body_read_their_section_of_the_facet(k):
     K = random_body(5, 2)
     bd, gen = boundary(K), np.random.default_rng(k)
     for s in (0, 6, 12, 18, 24):
-        x0, a = K.vertices[bd.simplices[s]].mean(axis=0), bd.A[s]
+        x0, a = K.vertices[bd.simplices[s]].mean(axis=0), K.A[bd.facet[s]]
         w = gen.standard_normal(5)
         F = Subspace.from_span([a, w - (w @ a) * a][:k]).complement()
         ref = body_volume(halfspace_section(translate(K, -x0), F))
@@ -1139,6 +1162,30 @@ def test_bodies_known_by_halfspaces_are_sectioned_without_their_vertices(n):
     assert known_simplicial(H) and known_simplicial(V)
 
 
+def test_a_hyperplane_section_of_the_8_cube_pulls_no_boundary_of_the_cube(monkeypatch):
+    # the cube's simpliciality is read from its incidence, so the section
+    # takes the halfspace route without the cube's 80 640 boundary
+    # simplices: only the 7-D section body pulls its boundary
+    K = make_cube(8)
+    pulled = []
+    pull = conesec.geometry._pulled
+    monkeypatch.setattr(conesec.geometry, "_pulled", lambda V, A, b: pulled.append(V.shape[1]) or pull(V, A, b))
+    assert section_volume(K, Subspace.hyperplane(np.arange(1.0, 9.0))) == 170.9423156921925
+    assert pulled == [7] and K._boundary_cache is None
+
+
+@pytest.mark.parametrize("spec", verify.load_corpus(None), ids=lambda spec: spec["label"])
+def test_simpliciality_is_read_from_the_incidence(spec):
+    # a manifest body and its central section by one hyperplane are
+    # simplicial exactly when each of their boundary simplices is a facet
+    K = body_from_spec(spec)
+    if isinstance(K, Ball):
+        return
+    for body in (K, section(K, Subspace.hyperplane(np.arange(1.0, K.dim + 1.0)))):
+        facet = boundary(body).facet
+        assert known_simplicial(body) == (len(np.unique(facet)) == len(facet))
+
+
 def test_section_with_non_simplicial_facets_is_pulled():
     # in the centred, rotated coordinates of a hull of this section's
     # vertices, qhull's triangulation of its non-simplicial facets overlaps
@@ -1148,7 +1195,8 @@ def test_section_with_non_simplicial_facets_is_pulled():
     K = random_body(6, 2608)
     S = Subspace.from_span(np.eye(6)[[0, 1, 2, 4, 5]], ambient_dim=6)
     sec = halfspace_section(K, S)
-    assert not boundary(sec).simplicial
+    facet = boundary(sec).facet
+    assert not known_simplicial(sec) and len(np.unique(facet)) < len(facet)
     assert volume(sec) == pytest.approx(ConvexHull(sec.vertices).volume, rel=1e-12)
     assert volume(section(K, S)) == pytest.approx(volume(sec), rel=1e-12)
 

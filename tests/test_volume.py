@@ -149,12 +149,13 @@ def test_overlapping_boundary_triangulation_raises():
     # closure guard raises; the closed boundary passes it
     square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [3, 0]])
-    normals = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [-1.0, 0.0]])
+    facet = np.array([0, 1, 2, 3, 3])
+    normals = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     for rows in (np.arange(5), np.arange(3)):
         with pytest.raises(GeometryError, match="do not close up"):
-            _closed(square, Boundary(edges[rows], normals[rows], np.ones(len(rows)), np.arange(len(rows))))
-    closed = Boundary(edges[:4], normals[:4], np.ones(4), np.arange(4))
-    assert _closed(square, closed) is closed
+            _closed(square, normals, Boundary(edges[rows], facet[rows]))
+    closed = Boundary(edges[:4], facet[:4])
+    assert _closed(square, normals, closed) is closed
     fans = [np.abs(np.linalg.det(square[edges[:4]] - c)).sum() / 2 for c in (square.mean(axis=0), square[0])]
     assert fans == [4.0, 4.0]
 
@@ -164,12 +165,12 @@ def test_boundary_is_kept_through_affine_maps():
     M = np.array([[2.0, 0.3, 0, 0], [0, 1.0, 0, 0], [0, 0, 0.5, 0.1], [0.2, 0, 0, 1.5]])
     image = affine_map(translate(K, [0.1, -0.2, 0.0, 0.3]), M, [1.0, 0.0, 0.5, 0.0])
     fresh = VPolytope(image.vertices)
-    assert _closed(image.vertices, boundary(image)) is boundary(image)
+    assert _closed(image.vertices, image.A, boundary(image)) is boundary(image) is boundary(K)
     assert moments(image).volume == pytest.approx(moments(fresh).volume, rel=1e-12)
     assert moments(image).volume == pytest.approx(volume(K) * abs(np.linalg.det(M)), rel=1e-12)
     H = boundary(image)
-    verts = image.vertices[H.simplices]  # every simplex lies on its facet plane
-    assert np.allclose(np.einsum("sid,sd->si", verts, H.A), H.b[:, None], atol=1e-12)
+    verts = image.vertices[H.simplices]  # every simplex lies on its facet's mapped row
+    assert np.allclose(np.einsum("sid,sd->si", verts, image.A[H.facet]), image.b[H.facet, None], atol=1e-12)
 
 
 @pytest.mark.parametrize("lo,hi", [(-0.7, 1.9), (0.5, 2.0)])
