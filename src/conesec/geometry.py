@@ -481,10 +481,10 @@ class Ball:
         self.center = _read_only(center)
         self.radius = float(radius)
         self.dim = center.shape[0]
-        with np.errstate(over="ignore"):  # the pow of `volume.body_volume`, which raises there
+        with np.errstate(over="ignore"):  # the pow of `volume.body_volume`: it raises on overflow, reads 0 on underflow
             vol = float(unit_ball_volume(self.dim) * np.float64(self.radius) ** self.dim)
-        if not math.isfinite(vol):
-            raise GeometryError(f"ball 'radius' {radius!r} in R^{self.dim} has a volume too large for a float")
+        if not sys.float_info.min <= vol < math.inf:
+            raise GeometryError(f"ball 'radius' {radius!r} in R^{self.dim} has a volume outside the range of a float")
         # the second moments of `volume.moments`, vol (c c^T + r^2 I / (n + 2)), are of scale max(r, |c|)^2 vol
         reach = max(self.radius, math.hypot(*center))
         if not math.isfinite(reach * reach * vol):

@@ -566,6 +566,11 @@ def report_prop9(f: ConcaveFunctionOracle | SectionVolumeFunction, num_dirs: int
 
     The bound r a^k contains an unspecified absolute constant a, so no
     pass/fail; the implied a from a sampled distance lower bound is recorded.
+    r is read from the moments of `StarBodyOracle.polytope_approx` at its
+    default size. The seed applies to that polytope only at k >= 3: at k = 2
+    its radii sit at evenly spaced angles (equal angles give the clean
+    N^-2 deficit law), and at k = 1 at +-1. The distance bound's sample
+    reads the seed at every k.
     """
     k = f.dim
     L = ball_body(f, k + 1.0)

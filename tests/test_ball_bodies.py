@@ -264,6 +264,36 @@ def test_moment_identity_k2_indicator():
     assert abs(lhs - rhs) / abs(rhs) < 1e-4
 
 
+def test_polytope_approx_at_k2_takes_evenly_spaced_angles():
+    # L_2 of the disc's indicator is the disc of radius 2^(-1/2)
+    L = ball_body(ball_indicator_oracle(2), 2.0)
+    V = L.polytope_approx(64, seed=0).vertices
+    ang = np.sort(np.arctan2(V[:, 1], V[:, 0]))
+    assert len(ang) == 64
+    assert np.allclose(np.diff(ang), 2 * math.pi / 64, rtol=0.0, atol=1e-12)
+    for axis in np.vstack([np.eye(2), -np.eye(2)]):
+        assert np.linalg.norm(V - axis / math.sqrt(2.0), axis=1).min() <= 1e-15
+    # the seed is read only at k >= 3
+    assert np.array_equal(V, L.polytope_approx(64, seed=7).vertices)
+    L3 = ball_body(ball_indicator_oracle(3), 3.0)
+    assert not np.array_equal(L3.polytope_approx(64, seed=0).vertices,
+                              L3.polytope_approx(64, seed=7).vertices)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_moment_identity_at_k2_is_tight(p):
+    # criterion 7's two k = 2 profiles at the defaults, their gaps measured
+    # as criterion 7 measures them: odd moments of near-even profiles on the
+    # natural scale mass x support-radius^p
+    u = np.ones(2) / math.sqrt(2.0)
+    section = section_volume_fn(random_centered_polytope(3, 12, 8), Subspace.from_span(np.eye(3)[:1], ambient_dim=3))
+    for f, tol in ((ball_indicator_oracle(2), 1e-9), (oracle_from_section_fn(section), 3e-7)):
+        lhs, rhs = moment_identity_check(f, u, p)
+        natural = function_moment(f, u, 0) / 2 * f.support_radius**p
+        scale = natural if max(abs(lhs), abs(rhs)) < 1e-4 * natural else abs(rhs)
+        assert abs(lhs - rhs) <= tol * scale
+
+
 def test_moment_identity_rejects_large_p():
     with pytest.raises(GeometryError):
         moment_identity_check(ball_indicator_oracle(1), [1.0], 3)

@@ -357,10 +357,11 @@ def test_malformed_vpolytope_file_exits_2(capsys, tmp_path, vertices):
     ("--body", {"type": "ball", "n": 2, "radius": 1e308}, "'radius'"),  # nor its volume
     ("--body", {"type": "ball", "n": 2, "radius": 1e150}, "'radius'"),  # nor its second moments
     ("--body", {"type": "ball", "n": 2, "center": [1e200, 0]}, "'center'"),
+    ("--body", {"type": "ball", "n": 2, "center": [1e150, 0], "radius": 1e-300}, "'radius'"),  # volume below a float's least normal
 ], ids=["ball-center", "halfspace-b", "simplex-n", "type", "random-points", "array",
         "cone-generators", "corpus-bodies", "cube-n-string", "cube-n-float", "ball-radius-string",
         "random-seed-string", "ball-radius-overflow", "ball-volume-overflow", "ball-moment-overflow-radius",
-        "ball-moment-overflow-center"])
+        "ball-moment-overflow-center", "ball-volume-underflow"])
 def test_malformed_spec_exits_2(capsys, tmp_path, option, spec, field):
     # a missing, mismatched or wrong-typed field is a bad configuration,
     # named in the error
