@@ -140,7 +140,8 @@ def _sliced_section(K: Polytope, S: Subspace):
     is not positive.
     """
     bd = boundary(K)
-    faces, weights, ends = _slice(*_cone_simplices(K), _slicing_normals(K, S)[0], _in_plane_tol(K))
+    pts, w = _cone_simplices(K)
+    faces, weights, ends = _slice(pts, w, pts @ _slicing_normals(K, S)[0], _in_plane_tol(K), ends=True)
     vol = float(weights.sum()) / math.factorial(S.dim)
     if vol <= 0:
         return None

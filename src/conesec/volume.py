@@ -10,7 +10,10 @@ from the same boundary simplices, always coned from the origin: hyperplanes
 through 0 slice them down to the cones of a section of K, building only the
 faces they keep (`_slice`), the hyperplanes of the rows before the last
 split them, and the last row weights each piece by an exact recursion on
-its vertex values.  At q = 0 they are wedge volumes.  One call cuts a stack of wedges of one body:
+its vertex values, run per sign pattern.  No cut reads a coordinate, so
+the slices and splits carry each vertex's values along the normals and
+rows still to come, one product per row at the start of a block.  At
+q = 0 they are wedge volumes.  One call cuts a stack of wedges of one body:
 the vertex values of many wedges go through one recursion, in blocks of
 about 1 MB, and a wedge R and its negative -R share one split, so a
 direction grid of halfspaces or a part-1 pair costs one pass over the cones.
@@ -147,9 +150,10 @@ def _polytope_moments(V: ConvexBody) -> MomentSummary:
 _WEDGE_BLOCK = 512
 
 # vertex values per `_positive_fraction` call of `wedge_moment`: one call takes
-# as many wedges as the block's simplices fit, which bounds its temporaries
-# near 1 MB for a grid of single-row wedges of any size; split pieces can
-# exceed it, but they are held anyway
+# as many wedges as the block's simplices fit, so a grid of single-row wedges
+# of any size is weighed in blocks of about 1 MB, whose temporaries reach
+# about 3 MB (the 15-row Grünbaum grid on the 6-cube's 1440 cones peaks at
+# 3.3 MB); split pieces can exceed it, but they are held anyway
 _VALUE_BLOCK_ELEMENTS = 1 << 17
 
 
@@ -174,8 +178,16 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
     positive side, which depends on the vertex values alone
     (`_positive_fraction`), taken for as many wedges in one call as
     `_VALUE_BLOCK_ELEMENTS` allows; each wedge's sum over its pieces stays
-    its own. The pieces grow quickly with the number of rows, so wedges
-    with many facets are better cut by a halfspace intersection. Each normal multiplies the pieces too, by up to
+    its own.
+
+    No cut reads a vertex's coordinates, only its values along the normals
+    and rows still to come, and a crossing's values are interpolated as its
+    coordinates would be. So each block takes one product ``pts @ r`` per
+    normal and per distinct row up to sign (`_rows_up_to_sign`), and the
+    slices and splits carry those values, not the n coordinates: a two-row
+    cut carries one value per vertex. The pieces grow quickly with the
+    number of rows, so wedges with many facets are better cut by a halfspace
+    intersection. Each normal multiplies the pieces too, by up to
     C(d - 2, d/2 - 1) per simplex, and a polytope whose facets are cut into
     many simplices has many to slice. `sections` slices a simplicial body
     by normals here for the ray moments at m >= 2 and for the values of Brunn's function
@@ -186,40 +198,68 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
     normal.
     """
     stack = np.array(R, dtype=float, ndmin=3)
+    rows, index, sign = _rows_up_to_sign(stack)
     simplices, weights = _cone_simplices(to_vrep(K))
-    tol = _in_plane_tol(K)
     block = _WEDGE_BLOCK if stack.shape[1] + len(normals) > 1 else len(simplices)
+    d = simplices.shape[1] - len(normals)  # vertices of a simplex of L's cones
     total = np.zeros(len(stack))
     for s in range(0, len(simplices), block):
         pts, w = simplices[s:s + block], weights[s:s + block]
-        for nu in normals:
-            pts, w, _ = _slice(pts, w, nu, tol)
-        per_call = max(1, _VALUE_BLOCK_ELEMENTS // max(1, pts.shape[0] * pts.shape[1]))
-        total += _weigh(_wedge_pieces(pts, w, stack), q, per_call)
+        value = lambda j, pts=pts: pts @ rows[j]  # noqa: E731
+        if len(normals):
+            # a slice keeps the values of the later normals and of the rows
+            X = np.stack([pts @ r for r in (*normals, *rows)], axis=2)
+            for _ in normals:
+                X, w = _slice(X[..., 1:], w, X[..., 0], _in_plane_tol(K))
+            value = lambda j, X=X: X[..., j]  # noqa: E731
+        per_call = max(1, _VALUE_BLOCK_ELEMENTS // max(1, len(w) * d))
+        total += _weigh(_wedge_pieces(value, w, index, sign), q, per_call)
     # a d-simplex with vertices 0, v_1..v_d has integral |det| q! / (d + q)! h_q(<r, v_i>)
-    total = total * math.factorial(q) / math.factorial(simplices.shape[2] - len(normals) + q)
+    total = total * math.factorial(q) / math.factorial(d + q)
     return total if np.ndim(R) == 3 else float(total[0])
 
 
-def _wedge_pieces(pts: np.ndarray, w: np.ndarray, stack: np.ndarray):
-    """Per wedge R of the stack, (w, c) of the pieces of the simplices ``pts`` on the
-    positive side of its rows before the last: their weights, and their vertex values along R[-1].
+def _rows_up_to_sign(stack: np.ndarray):
+    """(rows, index, sign) of a stack of wedges (m, r, n): its distinct rows up
+    to sign, each with its first nonzero entry positive, and for row t of
+    wedge i the index and sign with R_i[t] = sign[i, t] rows[index[i, t]].
 
-    The first row splits by whichever of +-R[0] has its first nonzero entry
-    positive, and R takes that split's side, so a wedge cut alone or in a
-    stack with its negative gets the same pieces, in the same order.
+    A value along -r is the negative of one along r to the bit, so a wedge
+    and its negative carry the same values.
     """
-    sides = {}  # first row -> the pieces on its positive side
-    for R in stack:
-        key = (R[0] + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
-        if len(R) > 1 and key not in sides:
-            flip = R[0][R[0] != 0][:1].sum() < 0  # the sign of the first nonzero entry
-            pos, neg = _split(pts, w, 0.0 - R[0] if flip else R[0])
-            sides[key], sides[(0.0 - R[0]).tobytes()] = (neg, pos) if flip else (pos, neg)
-        piece_pts, piece_w = sides.get(key, (pts, w))
-        for r in R[1:-1]:
-            (piece_pts, piece_w), _ = _split(piece_pts, piece_w, r)
-        yield piece_w, piece_pts @ R[-1]
+    flat = stack.reshape(-1, stack.shape[2])
+    flip = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)] < 0
+    rows, index = np.unique(np.where(flip[:, None], 0.0 - flat, flat + 0.0), axis=0, return_inverse=True)
+    return rows, index.reshape(stack.shape[:2]), np.where(flip, -1.0, 1.0).reshape(stack.shape[:2])
+
+
+def _wedge_pieces(value, w: np.ndarray, index: np.ndarray, sign: np.ndarray):
+    """Per wedge of a stack, (w, c) of the pieces of a block's simplices on the
+    positive side of its rows before the last: their weights, and their
+    vertex values along its last row.
+
+    ``value(j)`` gives the simplices' vertex values along the distinct row j
+    of `_rows_up_to_sign`, whose ``index`` and ``sign`` give each wedge's
+    rows. The first row splits by its distinct row, whose first nonzero entry
+    is positive, carrying the values of the later rows of every wedge that
+    starts with it or its negative, and a wedge takes that split's side by
+    its sign; so a wedge cut alone or in a stack with its negative gets the
+    same pieces, in the same order, and the same values.
+    """
+    sides = {}  # distinct first row -> (its wedges' later rows, its split)
+    for i, s in zip(index, sign):
+        if len(i) == 1:
+            yield w, s[0] * value(i[0])
+            continue
+        if i[0] not in sides:
+            later = np.unique(index[index[:, 0] == i[0], 1:])
+            sides[i[0]] = later, _split(np.stack([value(j) for j in later], axis=2), w, value(i[0]))
+        later, split = sides[i[0]]
+        X, piece_w = split[int(s[0] < 0)]
+        X = X[..., np.searchsorted(later, i[1:])] * s[1:]
+        for _ in i[2:]:
+            (X, piece_w), _ = _split(X[..., 1:], piece_w, X[..., 0])
+        yield piece_w, X[..., 0]
 
 
 def _weigh(pieces, q: int, per_call: int) -> np.ndarray:
@@ -264,19 +304,22 @@ def body_volume(K: ConvexBody | None) -> float:
     return float(_fan(to_vrep(K))[2].sum()) / math.factorial(K.dim)
 
 
-def _split(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
-    """The pieces ((pts, w), (pts, w)) of the simplices ``pts`` (weights ``w``) where <r, x> >= 0 and where <r, x> <= 0.
+def _split(pts: np.ndarray, w: np.ndarray, c: np.ndarray):
+    """The pieces ((pts, w), (pts, w)) of the simplices with vertex values ``c``
+    (S, d) along a row r (weights ``w``) where <r, x> >= 0 and where <r, x> <= 0.
 
-    A simplex with vertices v_i (value c_i > 0) and v_j (c_j < 0), i and j
-    its largest and smallest values, is split at the crossing point
-    x_ij = (c_i v_j - c_j v_i) / (c_i - c_j), whose value is set to exactly
-    0: x_ij replaces v_j in one child and v_i in the other, whose
-    determinants are the fractions c_i / (c_i - c_j) and -c_j / (c_i - c_j)
-    of the parent's, so nothing cancels. The crossings, children and
-    fractions of the split by -r are the same, so its positive side is this
-    split's negative side, in another order.
+    ``pts`` (S, d, k) is what each vertex carries: anything affine on the
+    simplex, such as its coordinates or its values along later rows
+    (`wedge_moment` carries only those). A simplex with vertices v_i
+    (value c_i > 0) and v_j (c_j < 0), i and j its largest and smallest
+    values, is split at the crossing point, which carries
+    (c_i X_j - c_j X_i) / (c_i - c_j) of the payloads X_i and X_j of v_i and
+    v_j and whose value is set to exactly 0: it replaces v_j in one child and
+    v_i in the other, whose determinants are the fractions c_i / (c_i - c_j)
+    and -c_j / (c_i - c_j) of the parent's, so nothing cancels. The
+    crossings, children and fractions of the split by -r are the same, so
+    its positive side is this split's negative side, in another order.
     """
-    c = pts @ r
     sides = [(pts[:0], w[:0])], [(pts[:0], w[:0])]
     while len(pts):
         for side, held in zip(sides, (np.all(c >= 0, axis=1), np.all(c <= 0, axis=1))):
@@ -294,8 +337,7 @@ def _split(pts: np.ndarray, w: np.ndarray, r: np.ndarray):
         c_i, c_j = c.copy(), c
         c_i[rows, j] = 0.0
         c_j[rows, i] = 0.0
-        pts = np.concatenate([keep_i, keep_j])
-        c = np.concatenate([c_i, c_j])
+        pts, c = np.concatenate([keep_i, keep_j]), np.concatenate([c_i, c_j])
         w = np.concatenate([w * (ci / gap), w * (-cj / gap)])
     return tuple(tuple(map(np.concatenate, zip(*side))) for side in sides)
 
@@ -308,14 +350,19 @@ def _in_plane_tol(K: ConvexBody) -> float:
     return 1e-13 * float(np.abs(K.vertices).max())
 
 
-def _slice(pts: np.ndarray, w: np.ndarray, nu: np.ndarray, tol: float):
-    """The faces in nu^perp (nu a unit vector) of the cones from 0 over the simplices ``pts``.
+def _slice(pts: np.ndarray, w: np.ndarray, c: np.ndarray, tol: float, ends: bool = False):
+    """The faces in nu^perp of the cones from 0 over simplices with vertex
+    values ``c`` (S, d) along nu, a unit vector, and weights ``w``.
 
-    A simplex with P positive values p_1 >= ... >= p_P (vertices a_s) and N
-    negative ones n_1 <= ... <= n_N (vertices b_t), sorted as
-    `_positive_fraction` sorts them, meets nu^perp in its zero vertices
-    joined with a copy of Delta_{P-1} x Delta_{N-1}, whose vertices are the
-    crossings x_st = (p_s b_t - n_t a_s) / (p_s - n_t). `_split` at x_st
+    ``pts`` (S, d, k) is what each vertex carries, as in `_split`, and each
+    face vertex carries its crossing's interpolation of it:
+    `sections._sliced_section` passes coordinates, because its faces become
+    the section's boundary, and `wedge_moment` only the values along the
+    normals and rows still to come. A simplex with P positive values
+    p_1 >= ... >= p_P (vertices a_s) and N negative ones n_1 <= ... <= n_N
+    (vertices b_t), sorted as `_positive_fraction` sorts them, meets nu^perp
+    in its zero vertices joined with a copy of Delta_{P-1} x Delta_{N-1},
+    whose vertices are the crossings x_st = (p_s b_t - n_t a_s) / (p_s - n_t). `_split` at x_st
     sends a piece at (s, t) to (s, t + 1) with the fraction
     p_s / (p_s - n_t) of its weight and to (s + 1, t) with
     -n_t / (p_s - n_t). The pieces with one positive vertex a_P left are the
@@ -331,51 +378,50 @@ def _slice(pts: np.ndarray, w: np.ndarray, nu: np.ndarray, tol: float):
     from the positive side, so a caller slicing by a hyperplane that
     supports the body orients nu toward it (`sections._slicing_normals`).
 
-    Returns (faces, weights, ends). ``ends`` (F, d - 1, 2) holds, for each
-    face vertex, the indices into pts.reshape(-1, n) of the two simplex
-    vertices whose crossing it is (a zero vertex twice), so a face's
-    simplex is ends[f, 0, 0] // d.
+    Returns (faces, weights), and with ``ends`` (F, d - 1, 2) as well: for
+    each face vertex, the indices into pts.reshape(-1, k) of the two
+    simplex vertices whose crossing it is (a zero vertex twice), so a
+    face's simplex is ends[f, 0, 0] // d. Only `sections._sliced_section`
+    asks for them; building them took about 40% of a slice's time.
     """
-    d, n = pts.shape[1:]
-    c = pts @ nu
-    c[np.abs(c) <= tol] = 0.0
+    d, k = pts.shape[1:]
+    c = np.where(np.abs(c) <= tol, 0.0, c)
     order = np.argsort(-c, axis=1, kind="stable")  # positives, zeros, negatives from the top
     slots = order + d * np.arange(len(pts))[:, None]
     pts = np.take_along_axis(pts, order[:, :, None], axis=1)
     c = np.take_along_axis(c, order, axis=1)
     pos, neg = np.count_nonzero(c > 0, axis=1), np.count_nonzero(c < 0, axis=1)
-    faces, weights, ends = [pts[:0, 1:]], [w[:0]], [slots[:0, 1:, None].repeat(2, axis=2)]
+    out = [pts[:0, 1:]], [w[:0]], [slots[:0, 1:, None].repeat(2, axis=2)]
     for P, N in set(zip(pos.tolist(), neg.tolist())):
         if P == 0 or (N == 0 and P > 1):
             continue  # no face of full dimension in nu^perp
         group = (pos == P) & (neg == N)
-        x, cg, o, G = pts[group], c[group], slots[group], np.count_nonzero(group)
+        x, cg, G = pts[group], c[group], np.count_nonzero(group)
         a, p = x[:, :P], cg[:, :P]
         b, m = x[:, ::-1][:, :N], cg[:, ::-1][:, :N]
         gap = p[:, :, None] - m[:, None, :]  # (G, P, N)
         cross = (p[:, :, None, None] * b[:, None] - m[:, None, :, None] * a[:, :, None]) / gap[..., None]
         fractions = np.stack([-m[:, None, :] / gap, p[:, :, None] / gap], axis=1).reshape(G, -1)
-        states, steps = _lattice_paths(P, N)
-        zeros = np.broadcast_to(x[:, None, P:d - N], (G, len(states), d - P - N, n))
-        faces.append(np.concatenate([zeros, cross.reshape(G, P * N, n)[:, states]],
-                                    axis=2).reshape(-1, d - 1, n))
-        weights.append((w[group, None] * fractions[:, steps].prod(axis=2) / p[:, -1:]).ravel())
-        pairs = np.stack(np.broadcast_arrays(o[:, :P, None], o[:, ::-1][:, None, :N]), axis=3)
-        zero_ends = np.broadcast_to(o[:, None, P:d - N, None], (G, len(states), d - P - N, 2))
-        ends.append(np.concatenate([zero_ends, pairs.reshape(G, P * N, 2)[:, states]],
-                                   axis=2).reshape(-1, d - 1, 2))
-    return np.concatenate(faces), np.concatenate(weights), np.concatenate(ends)
+        vertices, steps, pairs = _lattice_paths(P, N, d)
+        out[0].append(np.concatenate([x, cross.reshape(G, -1, k)], axis=1).take(vertices, axis=1).reshape(-1, d - 1, k))
+        out[1].append((w[group, None] * fractions[:, steps].prod(axis=2) / p[:, -1:]).ravel())
+        if ends:
+            out[2].append(slots[group].take(pairs, axis=1).reshape(-1, d - 1, 2))
+    return tuple(map(np.concatenate, out[:2 + ends]))
 
 
 @functools.cache
-def _lattice_paths(P: int, N: int):
-    """(states, steps) of the monotone lattice paths of `_slice`, one row per path.
+def _lattice_paths(P: int, N: int, d: int):
+    """(vertices, steps, pairs) of the monotone lattice paths of `_slice`, one row per path.
 
     A path from (1, 1) takes P - 1 steps s -> s + 1 and N - 1 steps
-    t -> t + 1 in any order, then t -> t + 1 from (P, N). ``states`` indexes
-    the crossings x_st it leaves in a (P, N) array, and ``steps`` the
-    fraction of each step in a (2, P, N) array: first those of the steps
-    s -> s + 1, then those of the steps t -> t + 1.
+    t -> t + 1 in any order, then t -> t + 1 from (P, N). ``vertices``
+    indexes its face's vertices, the d - P - N zero vertices and then the
+    crossings x_st it leaves, in the d sorted vertices of a simplex followed
+    by its crossings as a (P, N) array; ``pairs`` gives for each the two
+    sorted vertices it lies between (a zero vertex twice). ``steps``
+    indexes the fraction of each step in a (2, P, N) array: first those of
+    the steps s -> s + 1, then those of the steps t -> t + 1.
     """
     ups = list(itertools.combinations(range(P + N - 2), P - 1))
     up = np.zeros((len(ups), P + N - 1), dtype=int)
@@ -383,7 +429,9 @@ def _lattice_paths(P: int, N: int):
         row[list(cols)] = 1
     s = np.cumsum(up, axis=1) - up
     states = s * N + np.arange(P + N - 1) - s
-    return states, states + P * N * (1 - up)
+    vertices = np.hstack([np.tile(np.arange(P, d - N), (len(up), 1)), d + states])
+    pairs = np.r_[np.c_[np.arange(d), np.arange(d)], np.c_[np.arange(P * N) // N, d - 1 - np.arange(P * N) % N]]
+    return vertices, states + P * N * (1 - up), pairs[vertices]
 
 
 def _positive_fraction(c: np.ndarray, q: int = 0) -> np.ndarray:
@@ -395,28 +443,29 @@ def _positive_fraction(c: np.ndarray, q: int = 0) -> np.ndarray:
     (Baldoni, Berline, De Loera, Koeppe and Vergne, "How to integrate a
     polynomial over a simplex", Math. Comp. 2011). The split pairs the largest positive value
     left with the most negative one, so for positive values
-    p_1 >= ... >= p_a and negative ones n_1 <= ... <= n_b (zeros drop out)
+    p_1 >= ... >= p_P and negative ones n_1 <= ... <= n_N (zeros drop out)
     the part is phi(1, 1) of the recursion
     phi(s, t) = (p_s phi(s, t+1) - n_t phi(s+1, t)) / (p_s - n_t),
-    phi(s, b+1) = h_q(p_s, ..., p_a), phi(a+1, t) = 0. Its weights are the
-    split's own: >= 0 and summing to 1, so nothing cancels. Padding p and n
-    with zeros to length d leaves every phi(1, 1) unchanged.
+    phi(s, N+1) = h_q(p_s, ..., p_P), phi(P+1, t) = 0. Its weights are the
+    split's own: >= 0 and summing to 1, so nothing cancels. The simplices
+    are grouped by their counts (P, N), as `_slice` groups them, and each
+    group runs the P x N states it has, every gap p_s - n_t > 0.
     """
-    frac = np.zeros(len(c))
-    inside = np.all(c >= 0, axis=1)
-    frac[inside] = _suffix_h(c[inside].T, q)[0]
-    mixed = np.any(c > 0, axis=1) & np.any(c < 0, axis=1)
-    # row s of p and n holds p_s and n_s of each simplex with both signs
-    p = np.sort(np.maximum(c[mixed], 0.0), axis=1)[:, ::-1].T.copy()
-    n = np.sort(np.minimum(c[mixed], 0.0), axis=1).T.copy()
-    d = c.shape[1]
-    phi = _suffix_h(p, q)  # row s: phi(s, t + 1), overwritten by phi(s, t)
-    phi[d] = 0.0
-    for t in reversed(range(d)):
-        for s in reversed(range(d)):
-            gap = p[s] - n[t]  # 0 only where both are padding, a state no weight reaches
-            phi[s] = (p[s] * phi[s] - n[t] * phi[s + 1]) / np.where(gap > 0, gap, 1.0)
-    frac[mixed] = phi[0]
+    frac, base = np.zeros(len(c)), c.shape[1] + 1
+    code = np.count_nonzero(c > 0, axis=1) * base + np.count_nonzero(c < 0, axis=1)
+    for k in np.flatnonzero(np.bincount(code)):
+        (P, N), group = divmod(int(k), base), code == k
+        if N == 0:  # the whole cone
+            frac[group] = _suffix_h(c[group].T, q)[0]
+        elif P:
+            v = np.sort(c[group], axis=1)  # negatives, zeros, positives
+            p, n = v[:, :-P - 1:-1].T.copy(), v[:, :N].T.copy()  # row s: p_s, n_s of the group
+            phi = _suffix_h(p, q)  # row s: phi(s, t + 1), overwritten by phi(s, t)
+            phi[P] = 0.0
+            for t in reversed(range(N)):
+                for s in reversed(range(P)):
+                    phi[s] = (p[s] * phi[s] - n[t] * phi[s + 1]) / (p[s] - n[t])
+            frac[group] = phi[0]
     return frac
 
 

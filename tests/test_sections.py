@@ -859,7 +859,7 @@ def test_opposite_cone_volumes_slice_the_cones_once(n, monkeypatch):
     boundary(K)
     slices = []
     real_slice = sections._slice
-    monkeypatch.setattr(sections, "_slice", lambda *a: slices.append(1) or real_slice(*a))
+    monkeypatch.setattr(sections, "_slice", lambda *a, **kw: slices.append(1) or real_slice(*a, **kw))
     for F, C in _hyperplane_cones(n, n):
         plus, minus = (cone_section_volume_polyhedral(K, F, D) for D in (C, C.negated()))
         slices.clear()

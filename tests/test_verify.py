@@ -230,6 +230,41 @@ def test_opposite_two_row_wedges_take_one_split_per_cone_block(monkeypatch):
     assert len(splits) == blocks == 2
 
 
+def _cube6_two_row_pair():
+    """The 6-cube, warmed up, and its part-1 configuration of two rows: F = span(e1..e4), C the orthant of e5, e6."""
+    K, e = make_cube(6), np.eye(6)
+    F, C = Subspace.from_span(e[:4]), orthant_cone(e[4:])
+    assert _opposite_cone_volumes(K, F, C) == pytest.approx([16.0, 16.0], rel=1e-13)
+    return K, F, C
+
+
+def test_a_two_row_cut_carries_one_value_per_vertex(monkeypatch):
+    # the split by the first row of the +-R pair carries, per vertex, only
+    # the value along the second row, not the 6 coordinates
+    K, F, C = _cube6_two_row_pair()
+    payloads = []
+    real_split = volume_module._split
+    monkeypatch.setattr(volume_module, "_split",
+                        lambda pts, w, c: payloads.append(pts.shape) or real_split(pts, w, c))
+    assert _opposite_cone_volumes(K, F, C) == pytest.approx([16.0, 16.0], rel=1e-13)
+    assert payloads and all(shape[-1] == 1 for shape in payloads), payloads
+
+
+def test_two_row_cut_of_the_6_cube_stays_small():
+    # the +-R pair on the 6-cube's 1440 cones: 3.9 MB of temporaries when its
+    # splits carried coordinates
+    import tracemalloc
+
+    K, F, C = _cube6_two_row_pair()
+    tracemalloc.start()
+    try:
+        _opposite_cone_volumes(K, F, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6, peak
+
+
 def test_a_dense_halfspace_grid_is_weighed_in_bounded_blocks(monkeypatch):
     # 1012 directions on the 1440 cones of cube-6 (its 12 facets pulled into
     # 5! simplices each): no `_positive_fraction`

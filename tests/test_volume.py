@@ -36,6 +36,7 @@ from conesec.volume import (
     _positive_fraction,
     _slice,
     _split,
+    _suffix_h,
     body_volume,
     centered_second_moment,
     centroid,
@@ -289,7 +290,7 @@ def test_last_row_recursion_matches_the_split(n, seed):
     gen = np.random.default_rng(seed)
     for r, q in itertools.product((gen.standard_normal(n), np.ones(n), np.eye(n)[0]), moment_degrees):
         # the negative side of the split by r is the positive side of -r
-        for (kept_pts, kept_w), side in zip(_split(pts, w, r), (r, -r)):
+        for (kept_pts, kept_w), side in zip(_split(pts, w, pts @ r), (r, -r)):
             kept = kept_w @ h(kept_pts @ side, q)
             scale = np.abs(w).sum() * np.abs(pts @ r).max() ** q
             assert w @ _positive_fraction(pts @ side, q) == pytest.approx(
@@ -314,6 +315,21 @@ def test_sliced_wedge_matches_the_section(n, seed, rows):
     nu = gen.standard_normal(n)
     nu /= np.linalg.norm(nu)
     R = gen.standard_normal((rows, n))
+    for q in moment_degrees:
+        ref = section_wedge_moment(K, R, q, nu)
+        assume(ref is not None)
+        assert wedge_moment(K, R, q, [nu]) == pytest.approx(ref, rel=1e-12)
+
+
+@given(st.integers(min_value=4, max_value=5), seeds)
+def test_three_row_sliced_wedge_matches_the_section(n, seed):
+    # three rows: two splits of the sliced faces, each carrying the values
+    # of the rows after it
+    K = random_body(n, seed)
+    gen = np.random.default_rng(seed)
+    nu = gen.standard_normal(n)
+    nu /= np.linalg.norm(nu)
+    R = gen.standard_normal((3, n))
     for q in moment_degrees:
         ref = section_wedge_moment(K, R, q, nu)
         assume(ref is not None)
@@ -349,7 +365,7 @@ def test_slice_builds_only_the_faces_it_keeps(monkeypatch):
                 counts = zip(np.count_nonzero(c > 0, axis=1), np.count_nonzero(c < 0, axis=1))
                 expected = sum(math.comb(P + N - 2, P - 1) if N else P == 1
                                for P, N in counts if P)
-                faces, weights, ends = _slice(pts, w, u, 0.0)  # exact signs, as counted above
+                faces, weights, ends = _slice(pts, w, pts @ u, 0.0, ends=True)  # exact signs, as counted above
                 assert faces.shape == (expected, n - 1, n)
                 assert weights.shape == (expected,)
                 assert np.abs(faces @ u).max(initial=0.0) <= 1e-14 * np.abs(pts).max()
@@ -371,6 +387,40 @@ def test_positive_fraction_closed_forms():
         assert _positive_fraction(c) == pytest.approx(
             [0.75 ** (d - 1), 1.0 - 0.75 ** (d - 1), 1.0, 1.0, 0.0], rel=1e-14)
     assert _positive_fraction(np.array([[1.0, 0.0, -1.0]])) == pytest.approx([0.5], rel=1e-15)
+
+
+def padded_positive_fraction(c, q):
+    """`_positive_fraction` by its recursion over all d x d states, p and n
+    padded with zeros to length d, a gap of 0 only where both are padding."""
+    frac = np.zeros(len(c))
+    inside = np.all(c >= 0, axis=1)
+    frac[inside] = _suffix_h(c[inside].T, q)[0]
+    mixed = np.any(c > 0, axis=1) & np.any(c < 0, axis=1)
+    p = np.sort(np.maximum(c[mixed], 0.0), axis=1)[:, ::-1].T.copy()
+    n = np.sort(np.minimum(c[mixed], 0.0), axis=1).T.copy()
+    d = c.shape[1]
+    phi = _suffix_h(p, q)
+    phi[d] = 0.0
+    for t in reversed(range(d)):
+        for s in reversed(range(d)):
+            gap = p[s] - n[t]
+            phi[s] = (p[s] * phi[s] - n[t] * phi[s + 1]) / np.where(gap > 0, gap, 1.0)
+    frac[mixed] = phi[0]
+    return frac
+
+
+def test_positive_fraction_per_sign_pattern_matches_the_padded_recursion():
+    # rows with exact zeros and ties, and integer rows with many of both
+    gen = np.random.default_rng(37)
+    for d in range(2, 9):
+        c = gen.standard_normal((400, d))
+        c[gen.random((400, d)) < 0.2] = 0.0
+        tie = gen.random(400) < 0.3
+        c[tie, -1] = c[tie, 0]
+        c = np.vstack([c, gen.integers(-2, 3, (200, d)).astype(float)])
+        assert np.array_equal(_positive_fraction(c), padded_positive_fraction(c, 0))
+        for q in (1, 2, 3):
+            assert _positive_fraction(c, q) == pytest.approx(padded_positive_fraction(c, q), rel=1e-15, abs=0)
 
 
 def test_wedge_reads_the_cone_simplices_once(monkeypatch):
