@@ -139,8 +139,7 @@ def _sliced_section(K: Polytope, S: Subspace):
     so a wedge cut of it takes no new determinant. None when that volume
     is not positive.
     """
-    bd = boundary(K)
-    pts, w = _cone_simplices(K)
+    (pts, w), bd = _cone_simplices(K), boundary(K)
     faces, weights, ends = _slice(pts, w, pts @ _slicing_normals(K, S)[0], _in_plane_tol(K), ends=True)
     vol = float(weights.sum()) / math.factorial(S.dim)
     if vol <= 0:

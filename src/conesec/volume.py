@@ -201,7 +201,6 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
     rows, index, sign = _rows_up_to_sign(stack)
     simplices, weights = _cone_simplices(to_vrep(K))
     block = _WEDGE_BLOCK if stack.shape[1] + len(normals) > 1 else len(simplices)
-    d = simplices.shape[1] - len(normals)  # vertices of a simplex of L's cones
     total = np.zeros(len(stack))
     for s in range(0, len(simplices), block):
         pts, w = simplices[s:s + block], weights[s:s + block]
@@ -212,10 +211,10 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
             for _ in normals:
                 X, w = _slice(X[..., 1:], w, X[..., 0], _in_plane_tol(K))
             value = lambda j, X=X: X[..., j]  # noqa: E731
-        per_call = max(1, _VALUE_BLOCK_ELEMENTS // max(1, len(w) * d))
+        per_call = max(1, _VALUE_BLOCK_ELEMENTS // max(1, len(w) * (simplices.shape[1] - len(normals))))
         total += _weigh(_wedge_pieces(value, w, index, sign), q, per_call)
     # a d-simplex with vertices 0, v_1..v_d has integral |det| q! / (d + q)! h_q(<r, v_i>)
-    total = total * math.factorial(q) / math.factorial(d + q)
+    total = total * math.factorial(q) / math.factorial(simplices.shape[2] - len(normals) + q)
     return total if np.ndim(R) == 3 else float(total[0])
 
 
@@ -228,9 +227,11 @@ def _rows_up_to_sign(stack: np.ndarray):
     and its negative carry the same values.
     """
     flat = stack.reshape(-1, stack.shape[2])
-    flip = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)] < 0
-    rows, index = np.unique(np.where(flip[:, None], 0.0 - flat, flat + 0.0), axis=0, return_inverse=True)
-    return rows, index.reshape(stack.shape[:2]), np.where(flip, -1.0, 1.0).reshape(stack.shape[:2])
+    sign = np.where(flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)] < 0, -1.0, 1.0)
+    keys = {}  # the bytes of each distinct row, + 0.0 turning -0.0 into 0.0 -> its index
+    index = [keys.setdefault(r.tobytes(), len(keys)) for r in flat * sign[:, None] + 0.0]
+    rows = np.frombuffer(b"".join(keys)).reshape(len(keys), -1)
+    return rows, np.reshape(index, stack.shape[:2]), sign.reshape(stack.shape[:2])
 
 
 def _wedge_pieces(value, w: np.ndarray, index: np.ndarray, sign: np.ndarray):
@@ -453,11 +454,11 @@ def _positive_fraction(c: np.ndarray, q: int = 0) -> np.ndarray:
     """
     frac, base = np.zeros(len(c)), c.shape[1] + 1
     code = np.count_nonzero(c > 0, axis=1) * base + np.count_nonzero(c < 0, axis=1)
+    inside = code % base == 0  # no negative value: the whole cone
+    frac[inside] = _suffix_h(c[inside].T, q)[0]
     for k in np.flatnonzero(np.bincount(code)):
         (P, N), group = divmod(int(k), base), code == k
-        if N == 0:  # the whole cone
-            frac[group] = _suffix_h(c[group].T, q)[0]
-        elif P:
+        if P and N:
             v = np.sort(c[group], axis=1)  # negatives, zeros, positives
             p, n = v[:, :-P - 1:-1].T.copy(), v[:, :N].T.copy()  # row s: p_s, n_s of the group
             phi = _suffix_h(p, q)  # row s: phi(s, t + 1), overwritten by phi(s, t)
