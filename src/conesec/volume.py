@@ -205,7 +205,7 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
     for s in range(0, len(simplices), block):
         pts, w = simplices[s:s + block], weights[s:s + block]
         value = lambda j, pts=pts: pts @ rows[j]  # noqa: E731
-        if len(normals):
+        if len(normals) and len(stack):  # an empty stack has nothing to slice
             # a slice keeps the values of the later normals and of the rows
             X = np.stack([pts @ r for r in (*normals, *rows)], axis=2)
             for _ in normals:
@@ -230,7 +230,7 @@ def _rows_up_to_sign(stack: np.ndarray):
     sign = np.where(flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)] < 0, -1.0, 1.0)
     keys = {}  # the bytes of each distinct row, + 0.0 turning -0.0 into 0.0 -> its index
     index = [keys.setdefault(r.tobytes(), len(keys)) for r in flat * sign[:, None] + 0.0]
-    rows = np.frombuffer(b"".join(keys)).reshape(len(keys), -1)
+    rows = np.frombuffer(b"".join(keys)).reshape(-1, stack.shape[2])
     return rows, np.reshape(index, stack.shape[:2]), sign.reshape(stack.shape[:2])
 
 
@@ -404,7 +404,7 @@ def _slice(pts: np.ndarray, w: np.ndarray, c: np.ndarray, tol: float, ends: bool
         cross = (p[:, :, None, None] * b[:, None] - m[:, None, :, None] * a[:, :, None]) / gap[..., None]
         fractions = np.stack([-m[:, None, :] / gap, p[:, :, None] / gap], axis=1).reshape(G, -1)
         vertices, steps, pairs = _lattice_paths(P, N, d)
-        out[0].append(np.concatenate([x, cross.reshape(G, -1, k)], axis=1).take(vertices, axis=1).reshape(-1, d - 1, k))
+        out[0].append(np.concatenate([x, cross.reshape(G, P * N, k)], 1).take(vertices, 1).reshape(-1, d - 1, k))
         out[1].append((w[group, None] * fractions[:, steps].prod(axis=2) / p[:, -1:]).ravel())
         if ends:
             out[2].append(slots[group].take(pairs, axis=1).reshape(-1, d - 1, 2))

@@ -336,6 +336,12 @@ def test_three_row_sliced_wedge_matches_the_section(n, seed):
         assert wedge_moment(K, R, q, [nu]) == pytest.approx(ref, rel=1e-12)
 
 
+def test_an_empty_stack_gives_no_values():
+    K, e = random_body(4, 4), np.eye(4)
+    for R, normals in itertools.product((np.zeros((0, 1, 4)), np.zeros((0, 2, 4))), ((), [e[0]], e[:2])):
+        assert wedge_moment(K, R, 1, normals).shape == (0,)
+
+
 def test_sliced_wedge_counts_faces_in_the_hyperplane_once():
     # coordinate hyperplanes hold whole faces of these bodies' cones, and
     # many vertex values are exactly 0
