@@ -72,10 +72,20 @@ def _body_spec_from_args(args) -> dict:
             raise GeometryError(f"builtin body {name!r} needs --n")
         spec = {"type": name, "n": args.n, "label": f"{name}-{args.n}"}
         if name == "random":
-            spec["points"] = args.points if args.points else 2 * args.n + 6
+            spec["points"] = 2 * args.n + 6 if args.points is None else args.points
             spec["seed"] = args.seed
         return spec
     raise GeometryError(f"unknown body {name!r} (not a file, not a builtin)")
+
+
+def _at_least(least: int):
+    """An argparse type: an integer of at least ``least``, so that a smaller
+    value is a usage error (exit 2) that names its option, not a default."""
+    def count(text: str) -> int:
+        if int(text) < least:  # a ValueError reads "invalid count value"
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {text}")
+        return int(text)
+    return count
 
 
 def _vector(text: str) -> np.ndarray:
@@ -211,8 +221,7 @@ def _run_named_check(args) -> list[CheckResult]:
     if name == "gruenbaum":
         return check_gruenbaum(K, _rng.sphere_grid(n, args.dirs, args.seed), label)
     if name in ("part1", "part2"):
-        k = args.k if args.k else 1
-        p = args.p if args.p else 1
+        k, p = args.k or 1, args.p or 1  # absent: 1
         F = _default_flat(n, k)
         C = PolyhedralCone(np.eye(n)[n - p:])
         fn = check_main_theorem_part1 if name == "part1" else check_main_theorem_part2
@@ -267,10 +276,10 @@ def _add_body_args(sp, need_dirs=False):
     sp.add_argument("--body", required=True,
                     help="builtin name (simplex/cube/cross/ball/cone/random) or JSON file")
     sp.add_argument("--n", type=int, help="dimension for builtin bodies")
-    sp.add_argument("--points", type=int, help="point count for random bodies")
+    sp.add_argument("--points", type=_at_least(1), help="point count for random bodies (default 2n + 6)")
     sp.add_argument("--seed", type=int, default=0)
     if need_dirs:
-        sp.add_argument("--dirs", type=int, default=32)
+        sp.add_argument("--dirs", type=_at_least(0), default=32)
 
 
 def _add_output_args(sp, rows=False):
@@ -310,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ball-body", help="radii of the moment body of a section profile")
     _add_body_args(sp, need_dirs=True)
-    sp.add_argument("--k", type=int, required=True, help="profile dimension")
+    sp.add_argument("--k", type=_at_least(1), required=True, help="profile dimension")
     sp.add_argument("--p", type=float, default=1.0)
     _add_output_args(sp)
     sp.set_defaults(func=_cmd_ball_body)
@@ -330,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("gruenbaum", "part1", "part2", "fradelizi", "lemma5", "lemma7",
                              "prop8"))
     _add_body_args(sp, need_dirs=True)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--p", type=int)
+    sp.add_argument("--k", type=_at_least(1), help="codimension of the flat F (default 1)")
+    sp.add_argument("--p", type=_at_least(1), help="cone dimension for part1 and part2 (default 1)")
     _add_output_args(sp, rows=True)
     sp.set_defaults(func=_cmd_check)
 

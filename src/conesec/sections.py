@@ -3,26 +3,27 @@
 Provides the section operation (in the flat's intrinsic coordinates), the
 Brunn section-volume function f(x) = |K cap (F + x)|, and cone-section
 volumes |K cap (F + C)| by two independent routes: polyhedral intersection
-and radial integration over the cone's spherical cross-section.  Every
-section body is one central `section` call, which alone picks its route: a
-hyperplane section of a simplicial polytope is sliced from K's cached
-boundary cones, any other a halfspace intersection.  Every
-f value is one `section_volume` call, the one place that translates K: on
-such a polytope with sections of dimension m >= 2, one wedge moment of the
-translated body's cones by a zero row, sliced by F^perp, at every
-codimension; elsewhere the volume of the central section of K - x.  The
-polyhedral route cuts one section by the cone's rows, and by their
-negatives for the other sign of a part-1 pair.  The ray
+and radial integration over the cone's spherical cross-section.  One rule
+(`_slices_cones`) decides whether K cap S, S a flat through 0, is read from
+K's cached boundary cones, sliced down to S inside `volume.wedge_moment`,
+or from a section body: the cones for a polytope in the whole space and
+for a simplicial one at every codimension with dim S >= 2, the body
+elsewhere. Every section body is one central `section` call, which alone
+picks its route: a hyperplane section of a simplicial polytope is sliced
+from K's cached boundary cones, any other a halfspace intersection.  Every
+f value is one `section_volume` call, the one place that translates K.
+The polyhedral route has one cut, `_cut_volume(K, S, R)` with
+S = F + span C (`_cone_flat`): up to two rows it is one wedge moment of
+K's cones sliced down to S where the rule allows, with no section body,
+qhull call or LP, and a part-1 pair cuts the stack [R, -R] in that one
+call; more rows, balls and other polytopes cut the section body.  The ray
 moments int_0^T t^(p-1) f(t theta) dt of the radial route are exact for
 polytopes: radial(K, theta)^p / p at m = 0; at m = 1 a closed form between
 the chord's kinks, which are the ray's crossings with K's cached facet
 ridges (`geometry.facet_ridges`), and T from the Fourier-Motzkin rows of
 those ridges and of the facets parallel to F, with no projection hulled
-(`_Chords`); and at m >= 2 and
-integer p one wedge moment (`volume.wedge_moment`) per direction of the
-section K cap (F + R theta), taken by f's route rule: K's cached boundary
-cones sliced down to it at k = 1 or for a simplicial K, the section body
-elsewhere.
+(`_Chords`); and at m >= 2 and integer p one cut (`_cut_volume`) of degree
+p - 1 per direction of the section K cap (F + R theta), by the same rule.
 
 A polytope keeps one `SectionVolumeFunction` per flat (`section_volume_fn`),
 so F^perp, the chord data of `_Chords` and the support projection are built
@@ -157,31 +158,44 @@ def _sliced_section(K: Polytope, S: Subspace):
     return L
 
 
+def _slices_cones(K: ConvexBody, S) -> bool:
+    """Whether K cap S, S a flat through 0 or None for R^n, is cut from K's
+    cached boundary cones, sliced down to S by `_slicing_normals` inside
+    `volume.wedge_moment`, rather than from a section body: for a polytope
+    when S is R^n (no slice), or when K is simplicial
+    (`geometry.known_simplicial`, read from K's incidence, so a body that is
+    not simplicial builds no boundary to decide) and dim S >= 2.
+
+    The one slice-or-section rule of every cut, f value and ray moment. It
+    was set by measurement: the 8-cube's 80 640 boundary simplices took 4 s
+    to slice at codimension 2 against 9 ms for a halfspace intersection,
+    and slicing a segment took 3-7 times as long as its interval. It does
+    not change under translation, so it may be read on K before K moves.
+    """
+    return isinstance(K, Polytope) and (S is None or (S.dim >= 2 and known_simplicial(K)))
+
+
 def section_volume(K: ConvexBody, S: Subspace, x0=None) -> float:
     """|K cap (x0 + S)| in dimension m = dim(S), 0 when the section is empty.
 
     The one function that takes an affine flat: K - x0 is built once,
     carries K's vertices and rows and shares its boundary
-    (`geometry.translate`), so no
-    evaluation hulls K again. A simplicial polytope
-    (`geometry.known_simplicial`) with m >= 2 gives its volume as one wedge
-    moment (`volume.wedge_moment`) of K - x0 by a zero row, whose wedge is
-    the whole space, sliced by a basis of S^perp that counts a supporting
-    flat's face (`_slicing_normals`): K's cached boundary cones
-    cut down to the section, with no qhull call and no LP, clipped at 0:
-    near the support's edge the cones from x0 cancel, and their rounding
-    can leave a residue below 0 (-8e-33 of f(0) on random bodies). Balls, other
-    polytopes and segments (m = 1, an interval with no qhull call) read the
-    volume of the section body (`section`, `volume.body_volume`); that rule
-    was set by measurement: the 8-cube's 80 640 boundary simplices took 4 s
-    to slice at codimension 2 against 9 ms for a halfspace intersection,
-    and slicing a segment took 3-7 times as long as its interval.
+    (`geometry.translate`), so no evaluation hulls K again. Where
+    `_slices_cones` holds, read on K itself so no translate computes its
+    incidence again, the volume is one wedge moment (`volume.wedge_moment`)
+    of K - x0 by a zero row, whose wedge is the whole space, sliced by a
+    basis of S^perp that counts a supporting flat's face
+    (`_slicing_normals`): K's cached boundary cones cut down to the section,
+    with no qhull call and no LP, clipped at 0: near the support's edge the
+    cones from x0 cancel, and their rounding can leave a residue below 0
+    (-8e-33 of f(0) on random bodies). Balls, other polytopes and segments
+    (m = 1, an interval with no qhull call) read the volume of the section
+    body (`section`, `volume.body_volume`).
     """
-    if x0 is not None and np.any(x0):
-        K = translate(K, np.negative(x0, dtype=float))
-    if S.dim >= 2 and known_simplicial(K):
-        return max(0.0, wedge_moment(K, np.zeros((1, K.dim)), 0, _slicing_normals(K, S)))
-    return body_volume(section(K, S))
+    moved = K if x0 is None or not np.any(x0) else translate(K, np.negative(x0, dtype=float))
+    if _slices_cones(K, S):
+        return max(0.0, wedge_moment(moved, np.zeros((1, K.dim)), 0, _slicing_normals(moved, S)))
+    return body_volume(section(moved, S))
 
 
 class SectionVolumeFunction:
@@ -329,9 +343,10 @@ class SectionVolumeFunction:
 
     def _wedge_moments(self, thetas: np.ndarray, p: int) -> np.ndarray:
         """Ray moments at m >= 2 and integer p: per direction e, one wedge
-        moment of degree p - 1 of the section L = K cap (F + R e) by e.
+        moment of degree p - 1 of the section L = K cap (F + R e) by e, the
+        one cut of the polyhedral route (`_cut_volume`).
 
-        L is taken by f's route rule (`section_volume`): at k = 1 it is K,
+        So L is taken by f's route rule (`_slices_cones`): at k = 1 it is K,
         and a simplicial K is sliced by a basis of F^perp cap e^perp, its
         cached cones cut down to L. Any other K takes the section body
         (`section`, one halfspace intersection), which is cut alone: the
@@ -339,16 +354,10 @@ class SectionVolumeFunction:
         direction at k = 2 against 0.07-0.16 s for its section (2-core Xeon).
         """
         r = np.linalg.norm(thetas, axis=1)
-        units = thetas / r[:, None]
         out = np.empty(len(thetas))
-        slice_K = self.k == 1 or known_simplicial(self.body)
-        for i, (u, e) in enumerate(zip(units, self.Fperp.embed(units))):
-            if slice_K:
-                out[i] = wedge_moment(self.body, [e], p - 1, self.Fperp.embed(Subspace.hyperplane(u).basis))
-            else:
-                S = Subspace(self.body.dim, np.vstack([self.F.basis, e]))
-                L = section(self.body, S)
-                out[i] = 0.0 if L is None else wedge_moment(L, [S.coords(e)], p - 1)
+        for i, e in enumerate(self.Fperp.embed(thetas / r[:, None])):
+            S = None if self.k == 1 else Subspace(self.body.dim, np.vstack([self.F.basis, e]))
+            out[i] = _cut_volume(self.body, S, [e], p - 1)
         return out * r ** -p
 
     def __call__(self, x) -> float:
@@ -544,79 +553,74 @@ def section_volume_fn(K: ConvexBody, F: Subspace) -> SectionVolumeFunction:
 # cone sections, polyhedral route
 
 
-def _check_cone_flat(F: Subspace, C: PolyhedralCone):
-    if (np.linalg.norm(F.coords(C.generators), axis=1) > 1e-9).any():
-        raise GeometryError("cone does not lie in the orthogonal complement of F")
-
-
 def cone_section_volume_polyhedral(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
     """|K cap (F + C)| in dimension dim(F) + dim(span C), exact for polytopes
     and for balls centred at 0.
 
-    It is one section of K by F + span C (none for the whole space), cut by
-    the cone's rows (`_cut_volume`), which raises `GeometryError` on a ball
-    section off 0.
+    It is K cap (F + span C) cut by the cone's rows (`_cut_volume`), which
+    raises `GeometryError` on a ball section off 0.
     """
-    return _cut_volume(*_section_and_rows(K, F, C))
+    return _cut_volume(K, *_cone_flat(F, C))
 
 
-def _flat_section(K: ConvexBody, F: Subspace, C: PolyhedralCone):
-    """(L, S): the section L of the polytope K by S = F + span C, in S's coordinates.
+def _cone_flat(F: Subspace, C: PolyhedralCone):
+    """(S, R): the flat S = F + span C through 0, None when it is the whole
+    space, and rows R in R^n with F + C = {y in S : R y >= 0}.
 
-    L is K itself and S None when F + span C is the whole space; L is None
-    when the section is empty.
+    The rows of -C are -R, whatever basis its span gets, so one flat serves
+    both signs. Raises `GeometryError` unless C lies in F^perp.
     """
-    if F.dim + C.span_dim == K.dim:
-        return K, None
-    S = Subspace.from_span(np.vstack([F.basis, C.span.basis]), ambient_dim=K.dim)
-    return section(K, S), S
+    if (np.linalg.norm(F.coords(C.generators), axis=1) > 1e-9).any():
+        raise GeometryError("cone does not lie in the orthogonal complement of F")
+    whole = F.dim + C.span_dim == F.ambient_dim
+    S = None if whole else Subspace.from_span(np.vstack([F.basis, C.span.basis]), ambient_dim=F.ambient_dim)
+    return S, C.constraints_in_span() @ C.span.basis
 
 
-def _section_and_rows(K: ConvexBody, F: Subspace, C: PolyhedralCone):
-    """(L, R): the section L of `_flat_section`, and rows R with F + C = {y : R y >= 0}.
+def _cut_volume(K: ConvexBody, S, R, q: int = 0):
+    """The integral of <R[-1], y>^q over K cap S cap {y : R y >= 0}, the one
+    cut of the polyhedral route: S is a flat through 0, None for R^n, and R
+    in R^n is one wedge (r, n) of linearly independent rows in S, which
+    gives a float, or a stack of m wedges of r rows each (m, r, n), which
+    gives one value per wedge in an (m,) array, as `volume.wedge_moment`
+    takes them. q = 0 gives the volume; q > 0 is for polytopes cut by up to
+    two rows.
 
-    The rows of -C are -R, whatever basis its span gets, so one section
-    serves both signs. Raises `GeometryError` unless C lies in F^perp
-    (`_check_cone_flat`).
-    """
-    _check_cone_flat(F, C)
-    L, S = _flat_section(K, F, C)
-    rows = C.constraints_in_span() @ C.span.basis
-    return L, rows if S is None else S.coords(rows)
-
-
-def _cut_volume(L, R):
-    """|L cap {y : R y >= 0}| for a polytope or a ball L (0 for None), the one
-    cut of the polyhedral route. R is one wedge (r, n) of linearly
-    independent rows, which gives a float, or a stack of m wedges of r rows
-    each (m, r, n), which gives one value per wedge in an (m,) array, as
-    `volume.wedge_moment` takes them.
-
-    A ball must be centred at 0 (`Ball.centred`; GeometryError otherwise).
-    Its wedge W keeps the share of its volume that the cone {W y >= 0} takes
-    of the sphere: the solid-angle fraction (`solid_angle_fraction`) of the
-    cone in W's row space generated by the columns of W's pseudo-inverse,
-    since W pinv(W) = I. On a polytope, up to two rows, the stack is cut
-    from the boundary simplices L already has in one `wedge_moment` call, so
-    a wedge and its negative share one split. More rows intersect L's
-    halfspaces with each wedge's, one halfspace intersection per wedge whose
-    volume is read from its cone weights (`volume.body_volume`), because the
-    wedge kernel's pieces multiply with every facet of the cone.
+    Up to two rows, where `_slices_cones` holds, the stack is cut from K's
+    cached boundary cones in one `wedge_moment` call, sliced down to S by
+    `_slicing_normals`, so a wedge and its negative share one split and no
+    section body, qhull call or LP is taken, at every codimension. Anywhere
+    else the cut reads the section body L = K cap S (`section`), with R in
+    S's coordinates; 0 for an empty section. A ball must be centred at 0
+    (`Ball.centred`; GeometryError otherwise). Its wedge W keeps the share
+    of its volume that the cone {W y >= 0} takes of the sphere: the
+    solid-angle fraction (`solid_angle_fraction`) of the cone in W's row
+    space generated by the columns of W's pseudo-inverse, since
+    W pinv(W) = I. A polytope section is cut up to two rows from the
+    boundary simplices L already has in one `wedge_moment` call. More rows
+    intersect L's halfspaces with each wedge's, one halfspace intersection
+    per wedge whose volume is read from its cone weights
+    (`volume.body_volume`), because the wedge kernel's pieces multiply with
+    every facet of the cone.
     """
     stack = np.array(R, dtype=float, ndmin=3)
-    if L is None:
-        out = np.zeros(len(stack))
-    elif isinstance(L, Ball):
-        if not L.centred:
-            raise GeometryError("cone sections of balls require the center at 0")
-        out = body_volume(L) * np.array([solid_angle_fraction(PolyhedralCone(np.linalg.pinv(W).T))
-                                         for W in stack])
-    elif stack.shape[1] <= 2:
-        out = wedge_moment(L, stack)
+    if stack.shape[1] <= 2 and _slices_cones(K, S):
+        out = wedge_moment(K, stack, q, () if S is None else _slicing_normals(K, S))
     else:
-        H, zeros = to_hrep(L), np.zeros(stack.shape[1])
-        out = np.array([body_volume(_halfspace_polytope(np.vstack([H.A, -W]), np.concatenate([H.b, zeros])))
-                        for W in stack])
+        L, stack = (K, stack) if S is None else (section(K, S), S.coords(stack))
+        if L is None:
+            out = np.zeros(len(stack))
+        elif isinstance(L, Ball):
+            if not L.centred:
+                raise GeometryError("cone sections of balls require the center at 0")
+            out = body_volume(L) * np.array([solid_angle_fraction(PolyhedralCone(np.linalg.pinv(W).T))
+                                             for W in stack])
+        elif stack.shape[1] <= 2:
+            out = wedge_moment(L, stack, q)
+        else:
+            H, zeros = to_hrep(L), np.zeros(stack.shape[1])
+            out = np.array([body_volume(_halfspace_polytope(np.vstack([H.A, -W]), np.concatenate([H.b, zeros])))
+                            for W in stack])
     return out if np.ndim(R) == 3 else float(out[0])
 
 
@@ -809,7 +813,7 @@ def cone_section_volume_radial(K: ConvexBody, F: Subspace, C: PolyhedralCone) ->
     most _SIMPLEX_NODES nodes, and raises GeometryError when fewer than two
     fit (p >= 6).
     """
-    _check_cone_flat(F, C)
+    S, _ = _cone_flat(F, C)
     spec = QUADRATURE
     f = section_volume_fn(K, F)
     p = C.span_dim
@@ -833,7 +837,7 @@ def cone_section_volume_radial(K: ConvexBody, F: Subspace, C: PolyhedralCone) ->
         def arc(phis):
             return fp(np.stack([np.cos(phis), np.sin(phis)], axis=1))
 
-        edges = np.concatenate([[a1], _arc_kinks(K, F, C, a1, delta), [a1 + delta]])
+        edges = np.concatenate([[a1], _arc_kinks(K, S, C, a1, delta), [a1 + delta]])
         return _refine(lambda levels: _fixed_gl(arc, edges, levels), spec.sphere_nodes,
                        spec.sphere_rel_tol, spec.sphere_fail_tol)
     # p >= 3: integrate over the transversal simplex T = conv(unit generators):
@@ -864,17 +868,18 @@ def cone_section_volume_radial(K: ConvexBody, F: Subspace, C: PolyhedralCone) ->
     return _refine(simplex_value, levels, spec.sphere_rel_tol, spec.sphere_fail_tol)
 
 
-def _arc_kinks(K: ConvexBody, F: Subspace, C: PolyhedralCone, a1: float, delta: float) -> np.ndarray:
+def _arc_kinks(K: ConvexBody, S, C: PolyhedralCone, a1: float, delta: float) -> np.ndarray:
     """Sorted angles in (a1, a1 + delta) where the arc rule's integrand may kink.
 
     On a polytope, the integrand of the 2-D cone's arc is analytic between
-    the directions of the vertices of L = K cap (F + span C), projected onto
-    span C: one product of L's vertices, in R^n, with span C's basis, whose
-    coordinates give the angles. A ball has no kinks.
+    the directions of the vertices of L = K cap S, S = F + span C through 0
+    (`_cone_flat`, None for R^n), projected onto span C: one product of
+    L's vertices, in R^n, with span C's basis, whose coordinates give the
+    angles. A ball has no kinks.
     """
     if isinstance(K, Ball):
         return np.zeros(0)
-    L, S = _flat_section(K, F, C)
+    L = K if S is None else section(K, S)
     if L is None:
         return np.zeros(0)
     Y = C.span.coords(L.vertices if S is None else S.embed(L.vertices))

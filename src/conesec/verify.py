@@ -46,10 +46,11 @@ from .geometry import (
 )
 from .sections import (
     SectionVolumeFunction,
+    _cone_flat,
     _cut_volume,
-    _section_and_rows,
     cone_section_volume_polyhedral,
     section,
+    section_volume,
     solid_angle_fraction,
 )
 from .volume import _centred, body_volume, isotropic_position, moments
@@ -124,9 +125,9 @@ def part1_constant(n: int, k: int, p: int) -> float:
 def halfspace_volume(K: ConvexBody, U):
     """|K cap {x : <x, u> >= 0}| for one direction u (a float) or each row u of
     a grid U (an array): every u is a one-row wedge, and the grid is one
-    stack cut by `sections._cut_volume`, which takes polytopes and balls
-    centred at 0 (a ball off 0 raises `GeometryError`)."""
-    return _cut_volume(K, np.asarray(U, dtype=float)[..., None, :])
+    stack cut by `sections._cut_volume` in the whole space, which takes
+    polytopes and balls centred at 0 (a ball off 0 raises `GeometryError`)."""
+    return _cut_volume(K, None, np.asarray(U, dtype=float)[..., None, :])
 
 
 def cone_volume(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
@@ -136,12 +137,21 @@ def cone_volume(K: ConvexBody, F: Subspace, C: PolyhedralCone) -> float:
 
 def _opposite_cone_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone):
     """|K cap (F + C)| and |K cap (F - C)|, by the route of `cone_volume` for
-    both: one section of K by F + span C, a polytope or a ball, is cut by
-    the stack [R, -R] of C's rows and their negatives in one
-    `sections._cut_volume` call, which picks the cut for both (up to two
-    rows the wedges of a polytope share the split by their first rows)."""
-    L, R = _section_and_rows(K, F, C)
-    return tuple(_cut_volume(L, np.stack([R, -R])).tolist())
+    both: K cap (F + span C) is cut by the stack [R, -R] of C's rows and
+    their negatives in one `sections._cut_volume` call, which picks the cut
+    for both (up to two rows the wedges of a polytope share the split by
+    their first rows)."""
+    S, R = _cone_flat(F, C)
+    return tuple(_cut_volume(K, S, np.stack([R, -R])).tolist())
+
+
+def _cone_and_flat_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone):
+    """|K cap (F + C)|, by the cut of `cone_volume`, and |K cap (F + span C)|:
+    `sections.section_volume` of the flat, or |K| when it is the whole space.
+    On a simplicial polytope with up to two cone rows both read K's cached
+    cones, with no section body."""
+    S, R = _cone_flat(F, C)
+    return _cut_volume(K, S, R), body_volume(K) if S is None else section_volume(K, S)
 
 
 def _centroid_guard(K: ConvexBody):
@@ -202,11 +212,9 @@ def check_main_theorem_part2(K: ConvexBody, F: Subspace, C: PolyhedralCone,
                              body_spec: str = "body") -> CheckResult:
     """Isotropic K: cone-section fraction within n^p of the ball's fraction.
 
-    Both volumes come from one section L of K in isotropic position by
-    F + span C (`sections._section_and_rows`; K itself when that is the
-    whole space): |K cap (F + C)| is L cut by C's rows (`sections._cut_volume`,
-    the cut of `cone_volume`), and |K cap (F + span C)| is L's volume, read
-    from the cone weights that cut takes (`volume.body_volume`).
+    Both volumes are taken of K in isotropic position by
+    `_cone_and_flat_volumes`: |K cap (F + C)| is the cut of `cone_volume`,
+    and |K cap (F + span C)| is `sections.section_volume` of the flat.
 
     Only the n^p branch of the constant is explicit, so only it is asserted;
     the alternative branch, a^(kp) times part 1's constant over k^p, is
@@ -216,8 +224,7 @@ def check_main_theorem_part2(K: ConvexBody, F: Subspace, C: PolyhedralCone,
     k = n - F.dim
     p = C.span_dim
     K_iso, _ = isotropic_position(K)
-    L, R = _section_and_rows(K_iso, F, C)
-    plus, full = _cut_volume(L, R), body_volume(L)
+    plus, full = _cone_and_flat_volumes(K_iso, F, C)
     if full <= 0 or plus <= 0:
         raise GeometryError("degenerate cone section")
     k_ratio = plus / full
@@ -292,10 +299,8 @@ def check_corollary3(K: ConvexBody, E: Subspace, us,
     reported.  K must already be in isotropic position.
 
     C is the orthant of ``us`` and F = E cap us^perp, so F + span C is E.
-    Both volumes come from one section L of K by F + span C
-    (`sections._section_and_rows`; K itself when E is the whole space):
-    |K cap (F + C)| is L cut by C's rows (`sections._cut_volume`) and
-    |K cap E| is L's volume (`volume.body_volume`).
+    Both volumes come from `_cone_and_flat_volumes`: |K cap (F + C)| is the
+    cut of `cone_volume` and |K cap E| is `sections.section_volume` of E.
     """
     n = K.dim
     us = np.atleast_2d(np.asarray(us, dtype=float))
@@ -306,8 +311,7 @@ def check_corollary3(K: ConvexBody, E: Subspace, us,
             raise GeometryError("orthant directions must lie in the section subspace")
     C = orthant_cone(us)
     F = Subspace.from_span(np.vstack([E.complement().basis, us])).complement()
-    L, R = _section_and_rows(K, F, C)
-    plus, full = _cut_volume(L, R), body_volume(L)
+    plus, full = _cone_and_flat_volumes(K, F, C)
     if full <= 0:
         raise GeometryError("empty section subspace")
     frac = plus / full

@@ -17,14 +17,17 @@ q = 0 they are wedge volumes.  One call cuts a stack of wedges of one body:
 the vertex values of many wedges go through one recursion, in blocks of
 about 1 MB, and a wedge R and its negative -R share one split, so a
 direction grid of halfspaces or a part-1 pair costs one pass over the cones.
-`sections` slices a simplicial K's cones by every normal for the ray moments
-of section functions at m >= 2, and for their values f(x) (`sections.section_volume`),
-a wedge moment of K - x by a zero row, whose wedge is the whole space, so
-the call gives the section's volume; and once for each central hyperplane
-section body of a simplicial polytope, whose faces and weights become that
-section's own boundary and cone simplices. Non-simplicial bodies and
-segments, where a halfspace intersection or an interval measured faster,
-do not slice.  The convexified
+`sections` slices a simplicial K's cones by a basis of S^perp wherever it
+needs K cap S, S a flat through 0 of dimension >= 2: for the cone cuts of
+up to two rows (`sections._cut_volume`) at every codimension, for the ray
+moments of section functions at m >= 2, and for their values f(x)
+(`sections.section_volume`), a wedge moment of K - x by a zero row, whose
+wedge is the whole space, so the call gives the section's volume; and it
+slices once for each central hyperplane section body of a simplicial
+polytope, whose faces and weights become that section's own boundary and
+cone simplices. Non-simplicial bodies and segments, where a halfspace
+intersection or an interval measured faster, do not slice
+(`sections._slices_cones`).  The convexified
 section integrals of `intersection_bodies` take a section's fan
 (`triangulate`) as it is.
 A body's volume, moments and polynomial moments along one direction are
@@ -190,12 +193,13 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
     intersection. Each normal multiplies the pieces too, by up to
     C(d - 2, d/2 - 1) per simplex, and a polytope whose facets are cut into
     many simplices has many to slice. `sections` slices a simplicial body
-    by normals here for the ray moments at m >= 2 and for the values of Brunn's function
-    (`sections.section_volume`): there R is one zero row, so W is the whole
-    space, h_0 = 1 and the call is the volume of L. Its section bodies
-    slice K's cones once themselves (`sections._sliced_section`) and seed
-    the section's cone simplices, so their wedges are cut here with no
-    normal.
+    by normals here for its cone cuts of up to two rows at every
+    codimension (`sections._cut_volume`), for the ray moments at m >= 2
+    and for the values of Brunn's function (`sections.section_volume`):
+    there R is one zero row, so W is the whole space, h_0 = 1 and the call
+    is the volume of L. Its section bodies slice K's cones once themselves
+    (`sections._sliced_section`) and seed the section's cone simplices, so
+    their wedges are cut here with no normal.
     """
     stack = np.array(R, dtype=float, ndmin=3)
     rows, index, sign = _rows_up_to_sign(stack)

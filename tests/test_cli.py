@@ -301,6 +301,33 @@ def test_builtin_body_without_dimension_exits_2(capsys):
     assert "needs --n" in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("check", "part1", "--k", "0"), "--k"),
+    (("check", "part1", "--p", "0"), "--p"),
+    (("check", "part2", "--k", "0", "--p", "0"), "--k"),
+    (("check", "fradelizi", "--k", "0"), "--k"),
+    (("check", "part1", "--points", "0"), "--points"),
+    (("check", "gruenbaum", "--dirs", "-1"), "--dirs"),
+    (("check", "part1", "--k", "one"), "--k"),
+], ids=["part1-k0", "part1-p0", "part2-k0-p0", "fradelizi-k0", "points0", "dirs-negative", "k-not-an-int"])
+def test_counts_below_their_least_value_exit_2_and_name_the_option(capsys, argv, option):
+    # k = p = 0 ran k = p = 1, and --points 0 ran 2n + 6 points, each with
+    # the 0 echoed in the report; a negative --dirs failed inside numpy
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--body", "random", "--n", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {option}:" in err
+
+
+def test_absent_counts_keep_their_defaults(capsys):
+    code, rep = run_json(capsys, "check", "part1", "--body", "random", "--n", "3")
+    assert code == 0 and rep["results"][0]["parameters"] == {"n": 3, "k": 1, "p": 1}
+    assert "k" not in rep["config"] and "points" not in rep["config"] and rep["config"]["dirs"] == 32
+    code, rep = run_json(capsys, "check", "gruenbaum", "--body", "random", "--n", "3", "--dirs", "0")
+    assert code == 0 and len(rep["results"]) == 6  # the 2n axis directions only
+
+
 def test_bad_cone_file_exits_2(capsys, tmp_path):
     bad = tmp_path / "cone.json"
     bad.write_text("{not json")

@@ -14,6 +14,7 @@ from scipy.stats import multivariate_normal
 import conesec
 from conesec import rng as _rng
 from conesec import sections, verify
+from conesec import volume as volume_module
 from conesec.ball_bodies import I_p, ball_indicator_oracle, estimate_max
 from conesec.geometry import (
     Ball,
@@ -809,62 +810,75 @@ def test_cone_section_through_a_lower_dimensional_span():
             assert plus + minus == pytest.approx(ConvexHull(section(K, S).vertices).volume, rel=1e-12)
 
 
-def _hyperplane_cones(n, seed):
-    """(F, C) pairs whose F + span C is a hyperplane: a ray and a 2-D cone, in
-    coordinate directions and in a seeded orthonormal frame."""
+def _hyperplane_cones(n, seed, codim=1):
+    """(F, C) pairs whose F + span C has codimension ``codim`` (a hyperplane
+    by default): a ray and a 2-D cone, in coordinate directions and in a
+    seeded orthonormal frame."""
     Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    m = n - codim
     for U in (np.eye(n), Q):
-        yield Subspace.from_span(U[:n - 2], ambient_dim=n), PolyhedralCone(U[n - 1:])
-        yield (Subspace.from_span(U[:n - 3], ambient_dim=n),
+        yield Subspace.from_span(U[:m - 1], ambient_dim=n), PolyhedralCone(U[n - 1:])
+        yield (Subspace.from_span(U[:m - 2], ambient_dim=n),
                PolyhedralCone(np.vstack([U[n - 2], U[n - 2] + 2.0 * U[n - 1]])))
 
 
 def _halfspace_section_and_rows(K, F, C):
-    """`_section_and_rows` with the section taken by a halfspace intersection."""
+    """(L, R): the section L of K by S = F + span C, taken by a halfspace
+    intersection, and C's rows R in S's coordinates."""
     S = Subspace.from_span(np.vstack([F.basis, C.span.basis]), ambient_dim=K.dim)
     return halfspace_section(K, S), S.coords(C.constraints_in_span() @ C.span.basis)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def _no_qhull(*args, **kwargs):
+    raise AssertionError("qhull called")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_hyperplane_cone_volumes_of_simplicial_bodies_take_no_qhull_call(n, monkeypatch):
-    # codimension-1 cones of 1 and 2 rows against a halfspace intersection
-    # and its cut; simplicial bodies slice their cached cones instead, with
-    # no qhull call
+    # cones of 1 and 2 rows whose F + span C has codimension 1 (n <= 6), 2
+    # (n >= 4) and 3 (n >= 5), against a halfspace intersection and its
+    # cut; simplicial bodies slice their cached cones down to the flat
+    # instead, at every codimension, with no section body and no qhull call
     e = np.eye(n)
-    bodies = [random_body(n, n), VPolytope(np.vstack([e, -np.ones(n)])),
-              make_cross_polytope(n), make_centered_cone(n), make_cube(n)]
+    bodies = [random_body(n, n) if n <= 6 else random_centered_polytope(n, n + 4, n),
+              VPolytope(np.vstack([e, -np.ones(n)])), make_cross_polytope(n), make_centered_cone(n), make_cube(n)]
     for K in bodies:
         boundary(K)
     assert [known_simplicial(K) for K in bodies] == [True, True, True, True, False]
-    cases = [(K, F, C, _cut_volume(L, R), _cut_volume(L, -R))
-             for K in bodies for F, C in _hyperplane_cones(n, n)
+    codims = [c for c in (1, 2, 3) if n - c >= 2 and (c > 1 or n <= 6)]
+    cases = [(K, F, C, _cut_volume(L, None, R), _cut_volume(L, None, -R))
+             for K in bodies for codim in codims for F, C in _hyperplane_cones(n, n, codim)
              for L, R in [_halfspace_section_and_rows(K, F, C)]]
-
-    def no_qhull(*args, **kwargs):
-        raise AssertionError("qhull called")
-
+    assert len(cases) == 20 * len(codims)
     for K, F, C, plus, minus in cases:
         with monkeypatch.context() as patch:
             if known_simplicial(K):
-                patch.setattr(conesec.geometry, "_qhull", no_qhull)
+                patch.setattr(conesec.geometry, "_qhull", _no_qhull)
+                patch.setattr(sections, "section", lambda *a: pytest.fail("section body taken"))
             assert cone_section_volume_polyhedral(K, F, C) == pytest.approx(plus, rel=1e-12)
             assert _opposite_cone_volumes(K, F, C) == pytest.approx([plus, minus], rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_opposite_cone_volumes_slice_the_cones_once(n, monkeypatch):
-    # both signs of a part-1 pair cut the same section: one `_slice` of all
-    # of K's cones per call, also for the 6-D body of 888 facets
+    # both signs of a part-1 pair cut the same slices: the pair takes the
+    # `_slice` calls of one sign alone, one per block of K's cones, also for
+    # the 6-D body of 888 facets, and no section body
     K = random_centered_polytope(6, 30, 4) if n == 6 else random_body(n, n)
     boundary(K)
+    blocks = -(-len(volume_module._cone_simplices(K)[1]) // volume_module._WEDGE_BLOCK)
     slices = []
-    real_slice = sections._slice
-    monkeypatch.setattr(sections, "_slice", lambda *a, **kw: slices.append(1) or real_slice(*a, **kw))
+    real_slice = volume_module._slice
+    monkeypatch.setattr(volume_module, "_slice", lambda *a, **kw: slices.append(1) or real_slice(*a, **kw))
+    monkeypatch.setattr(sections, "section", lambda *a, **kw: pytest.fail("section body taken"))
     for F, C in _hyperplane_cones(n, n):
-        plus, minus = (cone_section_volume_polyhedral(K, F, D) for D in (C, C.negated()))
+        slices.clear()
+        plus = cone_section_volume_polyhedral(K, F, C)
+        assert len(slices) == blocks
+        minus = cone_section_volume_polyhedral(K, F, C.negated())
         slices.clear()
         assert _opposite_cone_volumes(K, F, C) == pytest.approx([plus, minus], rel=1e-12)
-        assert len(slices) == 1
+        assert len(slices) == blocks
 
 
 def test_cut_volume_takes_one_wedge_or_a_stack():
@@ -874,24 +888,31 @@ def test_cut_volume_takes_one_wedge_or_a_stack():
     K, e = random_body(4, 3), np.eye(4)
     for rows in (1, 2, 3):
         C = orthant_cone(e[4 - rows:]) if rows > 1 else PolyhedralCone(e[3:])
-        L, R = sections._section_and_rows(K, Subspace.from_span(e[:4 - rows]), C)
-        assert L is K
-        single = [_cut_volume(L, R), _cut_volume(L, -R)]
+        S, R = sections._cone_flat(Subspace.from_span(e[:4 - rows]), C)
+        assert S is None
+        single = [_cut_volume(K, S, R), _cut_volume(K, S, -R)]
         assert all(isinstance(v, float) for v in single)
-        stacked = _cut_volume(L, np.stack([R, -R]))
+        stacked = _cut_volume(K, S, np.stack([R, -R]))
         assert stacked.shape == (2,) and stacked.tolist() == single
         fans = [moments(_halfspace_polytope(np.vstack([K.A, -W]), np.concatenate([K.b, np.zeros(rows)]))).volume
                 for W in (R, -R)]
         assert stacked == pytest.approx(fans, rel=1e-12, abs=0)
-    assert _cut_volume(None, R) == 0.0 and _cut_volume(None, np.stack([R, -R])).tolist() == [0.0, 0.0]
+    # a flat that misses the body: its section body is None, and the slice
+    # of a simplicial body's cones keeps no face
+    S, R = sections._cone_flat(Subspace.from_span(e[1:3]), PolyhedralCone(e[3:]))
+    for K in (translate(make_cube(4), 5 * e[0]), translate(make_cross_polytope(4), 5 * e[0])):
+        assert _cut_volume(K, S, R) == 0.0 and _cut_volume(K, S, np.stack([R, -R])).tolist() == [0.0, 0.0]
     # two rows on a grid of bodies: the stack [R, -R] gives the bits of its
-    # wedges cut alone, whichever sign R's first row has
+    # wedges cut alone, whichever sign R's first row has, in the whole space
+    # and sliced down to a hyperplane
     for n in range(3, 7):
         e = np.eye(n)
         for seed in range(1, 16):
-            L, R = sections._section_and_rows(random_centered_polytope(n, 2 * n + 6, seed),
-                                              Subspace.from_span(e[:n - 2]), orthant_cone(e[n - 2:]))
-            assert _cut_volume(L, np.stack([R, -R])).tolist() == [_cut_volume(L, R), _cut_volume(L, -R)], (n, seed)
+            K = random_centered_polytope(n, 2 * n + 6, seed)
+            for flat in (e[:n - 2], e[:n - 3]):
+                S, R = sections._cone_flat(Subspace.from_span(flat, ambient_dim=n), orthant_cone(e[n - 2:]))
+                assert _cut_volume(K, S, np.stack([R, -R])).tolist() == [_cut_volume(K, S, R),
+                                                                          _cut_volume(K, S, -R)], (n, seed)
 
 
 # (points, seed, k, p) of `conesec check part1 --body random --n 6`
@@ -909,9 +930,10 @@ def test_wide_cone_cuts_of_6d_sections(points, seed, k, p):
     e = np.eye(6)
     K = random_centered_polytope(6, points, seed)
     F, C = Subspace.from_span(e[:6 - k]), PolyhedralCone(e[6 - p:])
-    L, R = sections._section_and_rows(K, F, C)
+    S, R = sections._cone_flat(F, C)
+    assert S is None
     plus, minus = _opposite_cone_volumes(K, F, C)
-    assert [plus, minus] == pytest.approx(wedge_moment(L, np.stack([R, -R])), rel=1e-10, abs=0)
+    assert [plus, minus] == pytest.approx(wedge_moment(K, np.stack([R, -R])), rel=1e-10, abs=0)
 
 
 def test_thin_affine_section_near_the_support_edge():
@@ -1036,6 +1058,25 @@ def test_brunn_function_is_sliced_from_the_cones_at_every_codimension(n, points,
                                                                abs=1e-12 * s ** (n - k) * values[0]), (k, s)
         refs = [body_volume(halfspace_section(translate(K, -F.complement().embed(x)), F)) for x in xs]
         assert values == pytest.approx(refs, rel=1e-12, abs=1e-12 * values[0]), k
+
+
+def test_brunn_function_decides_its_route_before_it_translates(monkeypatch):
+    # simpliciality does not change under translation, so `section_volume`
+    # reads it on K: 20 f values of a warmed body compute no vertex-facet
+    # incidence (each translate K - x computed its own before)
+    K = random_centered_polytope(6, 18, 4)
+    f = SectionVolumeFunction(K, Subspace.from_span(np.eye(6)[:4]))
+    thetas = np.random.default_rng(4).standard_normal((10, 2))
+    xs = [s * f.ray_extent(theta) * theta for theta in thetas for s in (0.3, 0.9)]
+    f(np.zeros(2))
+    incidences = []
+    real = conesec.geometry._incidence
+    monkeypatch.setattr(conesec.geometry, "_incidence", lambda *a: incidences.append(1) or real(*a))
+    values = [f(x) for x in xs]
+    assert incidences == [] and min(values) > 0
+    monkeypatch.undo()
+    assert values == pytest.approx([body_volume(section(translate(K, -f.Fperp.embed(x)), f.F)) for x in xs],
+                                   rel=1e-12)
 
 
 def test_supporting_lines_of_the_square_read_its_edges():

@@ -30,7 +30,7 @@ from conesec.geometry import (
     to_vrep,
     translate,
 )
-from conesec.sections import _flat_section, _section_and_rows, section, section_volume_fn
+from conesec.sections import _cone_flat, _slicing_normals, section, section_volume, section_volume_fn
 from conesec.verify import (
     CheckResult,
     _opposite_cone_volumes,
@@ -195,7 +195,8 @@ def test_halfspace_volumes_add_up_on_the_corpus():
 
 def test_stacked_wedges_match_one_call_per_wedge_on_the_corpus():
     # the battery's Grünbaum grids and its part-1 pairs of one and two rows,
-    # each cut in one `wedge_moment` call, against one call per wedge
+    # each cut in one `wedge_moment` call (sliced down to F + span C when
+    # that is a hyperplane), against one call per wedge
     for spec in load_corpus():
         if spec["type"] == "ball":
             continue
@@ -208,10 +209,11 @@ def test_stacked_wedges_match_one_call_per_wedge_on_the_corpus():
         if n >= 3:
             configs += [(n - 2, PolyhedralCone(e[-1:])), (n - 2, orthant_cone(e[n - 2:]))]
         for flat_dim, C in configs:
-            L, R = _section_and_rows(K, Subspace.from_span(e[:flat_dim], ambient_dim=n), C)
-            pair = [wedge_moment(L, R), wedge_moment(L, -R)]
+            S, R = _cone_flat(Subspace.from_span(e[:flat_dim], ambient_dim=n), C)
+            normals = () if S is None else _slicing_normals(K, S)
+            pair = [wedge_moment(K, R, 0, normals), wedge_moment(K, -R, 0, normals)]
             assert all(isinstance(v, float) for v in pair)
-            stacked = wedge_moment(L, np.stack([R, -R]))
+            stacked = wedge_moment(K, np.stack([R, -R]), 0, normals)
             assert stacked.shape == (2,)
             assert stacked == pytest.approx(pair, rel=1e-13, abs=0), (spec["label"], len(R))
 
@@ -376,9 +378,10 @@ def test_part1_of_an_8d_body_takes_no_section_hull():
 
 
 def test_part2_reads_the_section_volume_from_its_cones(monkeypatch):
-    # |K cap (F + span C)| of the 8-D body is the sliced 7-D section's cone
-    # weight sum; `moments` is taken only of the 8-D body itself (isotropic
-    # position), and the section's fan gives the same volume afterwards
+    # |K cap (F + span C)| of the 8-D body is read from its cones sliced
+    # down to the 7-D flat, with no section body; `moments` is taken only of
+    # the 8-D body itself (isotropic position), and the sliced section's
+    # fan gives the same volume afterwards
     K, e = random_centered_polytope(8, 22, 1), np.eye(8)
     F, C = Subspace.from_span(e[:5]), PolyhedralCone(e[6:])
     real = volume_module.moments
@@ -391,12 +394,17 @@ def test_part2_reads_the_section_volume_from_its_cones(monkeypatch):
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("conesec") and getattr(mod, "moments", None) is real:
             monkeypatch.setattr(mod, "moments", moments_of_8d_bodies)
+    monkeypatch.setattr(sections, "section", lambda *a: pytest.fail("section body taken"))
     res = check_main_theorem_part2(K, F, C)
     monkeypatch.undo()
     assert res.passed
-    L = _flat_section(isotropic_position(K)[0], F, C)[0]
+    K_iso, S = isotropic_position(K)[0], _cone_flat(F, C)[0]
+    L = section(K_iso, S)
     assert L.dim == 7
     assert body_volume(L) == pytest.approx(real(L).volume, rel=1e-12, abs=0)
+    assert section_volume(K_iso, S) == pytest.approx(body_volume(L), rel=1e-12, abs=0)
+    fraction = cone_volume(K_iso, F, C) / section_volume(K_iso, S)
+    assert res.lhs == pytest.approx(max(fraction / 0.25, 0.25 / fraction), rel=1e-12, abs=0)
 
 
 def test_8d_central_section_takes_no_qhull_call(monkeypatch):
@@ -481,25 +489,28 @@ def test_corollary2_is_part1_on_the_ray_both_ways(n, seed):
     assert res.passed is (res.lhs <= res.rhs * (1.0 + res.slack)) is True
 
 
-def test_part2_and_corollary3_take_one_section(monkeypatch):
-    # the cone volume and the volume of the whole section come from one
-    # section by F + span C (two sections of the same flat before)
-    taken = []
-    real = sections.section
+def test_part2_and_corollary3_take_no_section_body(monkeypatch):
+    # the cone volume and the volume of the whole flat F + span C, a
+    # hyperplane, are both read from the simplicial body's cones sliced
+    # down to it: no section body, no qhull call (one section before, and
+    # two sections of the same flat before that)
+    def no_section(K, S):
+        pytest.fail("section body taken")
 
-    def spy(K, S):
-        taken.append(S.dim)
-        return real(K, S)
+    def no_qhull(*args, **kwargs):
+        pytest.fail("qhull called")
 
-    monkeypatch.setattr(sections, "section", spy)
     K, e = random_centered_polytope(5, 16, 2), np.eye(5)
     K_iso = isotropic_position(K)[0]
-    check_main_theorem_part2(K, Subspace.from_span(e[:2]), orthant_cone(e[3:]))
-    assert taken == [4]
-    taken.clear()
+    boundary(K_iso)
+    F, C = Subspace.from_span(e[:2]), orthant_cone(e[3:])
+    monkeypatch.setattr(sections, "section", no_section)
+    monkeypatch.setattr(geometry, "_qhull", no_qhull)
+    part2 = check_main_theorem_part2(K, F, C)
     res = check_corollary3(K_iso, Subspace.from_span(e[:4]), e[2:4])
-    assert taken == [4]
     monkeypatch.undo()
+    fraction = cone_volume(K_iso, F, C) / body_volume(section(K_iso, Subspace.from_span(np.vstack([e[:2], e[3:]]))))
+    assert part2.lhs == pytest.approx(max(4 * fraction, 1 / (4 * fraction)), rel=1e-12, abs=0)
     assert res.rhs == pytest.approx(cone_volume(K_iso, Subspace.from_span(e[:2]), orthant_cone(e[2:4])),
                                     rel=1e-12, abs=0)
     assert res.lhs == pytest.approx(body_volume(section(K_iso, Subspace.from_span(e[:4]))) / 100,
