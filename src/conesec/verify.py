@@ -48,6 +48,7 @@ from .sections import (
     SectionVolumeFunction,
     _cone_flat,
     _cut_volume,
+    _slices_cones,
     cone_section_volume_polyhedral,
     section,
     section_volume,
@@ -149,9 +150,14 @@ def _cone_and_flat_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone):
     """|K cap (F + C)|, by the cut of `cone_volume`, and |K cap (F + span C)|:
     `sections.section_volume` of the flat, or |K| when it is the whole space.
     On a simplicial polytope with up to two cone rows both read K's cached
-    cones, with no section body."""
+    cones, with no section body. Where `_slices_cones` does not hold, one
+    section body L = K cap S serves both: its whole-space cut and |L|, the
+    branches the two would each take on a section body of their own."""
     S, R = _cone_flat(F, C)
-    return _cut_volume(K, S, R), body_volume(K) if S is None else section_volume(K, S)
+    if S is None or _slices_cones(K, S):
+        return _cut_volume(K, S, R), body_volume(K) if S is None else section_volume(K, S)
+    L = section(K, S)
+    return (0.0, 0.0) if L is None else (_cut_volume(L, None, S.coords(R)), body_volume(L))
 
 
 def _centroid_guard(K: ConvexBody):

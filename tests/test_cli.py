@@ -401,20 +401,22 @@ def test_malformed_spec_exits_2(capsys, tmp_path, option, spec, field):
     assert err.startswith("error:") and field in err
 
 
-def test_corpus_checks_and_the_radial_route_never_load_scipy_optimize():
+def test_corpus_checks_radial_route_chord_maximum_and_chebyshev_centre_never_load_scipy_optimize():
     # in a fresh interpreter: the cube-6 battery (its vertices from one
     # halfspace intersection started at 0) and a radial query solve no LP
-    # and search nothing; the m = 1 chord maximum then loads scipy.optimize
-    # for its one LP and still equals the longest chord
+    # and search nothing; the m = 1 chord maximum and the Chebyshev centre
+    # of an H-built body whose 0 is not clearly interior each solve one LP
+    # by the in-house walk, and still nothing loads scipy.optimize
     code = textwrap.dedent("""
         import sys
         import numpy as np
         import conesec.cli
-        from conesec import verify
+        from conesec import geometry, verify
         from conesec.ball_bodies import estimate_max, oracle_from_section_fn
-        from conesec.geometry import (PolyhedralCone, Subspace, VPolytope, radial,
+        from conesec.geometry import (HPolytope, PolyhedralCone, Subspace, VPolytope, radial,
                                       random_centered_polytope)
         from conesec.sections import cone_section_volume_radial, section_volume_fn
+        from conesec.volume import body_volume
 
         results = verify.checks_for_body({"label": "cube-6", "type": "cube", "n": 6})
         assert results and all(r.passed for r in results)
@@ -426,7 +428,13 @@ def test_corpus_checks_and_the_radial_route_never_load_scipy_optimize():
         V = K.vertices
         chord = radial(VPolytope((V[:, None] - V[None]).reshape(-1, 3)), e[0])
         assert abs(estimate_max(f) - chord) <= 1e-12 * chord, (estimate_max(f), chord)
-        assert "scipy.optimize" in sys.modules
+        assert "scipy.optimize" not in sys.modules
+        centres, real = [], geometry.chebyshev_center
+        geometry.chebyshev_center = lambda A, b: centres.append(1) or real(A, b)
+        near = HPolytope(np.vstack([e, -e]), [2.0, 1.0, 1.0, 1.999e-3, 1.0, 1.0])
+        assert len(centres) == 1
+        assert abs(body_volume(near) - 4 * 2.001999) <= 1e-12 * 4 * 2.001999, body_volume(near)
+        assert "scipy.optimize" not in sys.modules
     """)
     src = str(Path(conesec.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

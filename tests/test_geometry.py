@@ -50,7 +50,9 @@ from conesec.geometry import (
     _closed,
     _first_of_close,
     _halfspace_polytope,
+    _lp_max,
     _qhull,
+    chebyshev_center,
     robust_hull,
 )
 from conesec.sections import section, section_volume
@@ -354,8 +356,8 @@ def test_vertices_of_an_h_built_body_start_from_a_clearly_interior_origin(monkey
     # the n-cubes, 0 at distance 1 from every facet, take no LP; a body whose
     # 0 lies within 1e-3 of the largest facet distance from a facet takes
     # one, at construction. Each gives the vertices the Chebyshev centre's LP
-    # route gives: HiGHS puts the cube's centre at exactly 0, so qhull's input
-    # is the same
+    # route gives: the LP walk starts at the cube's centre 0, where every row
+    # is active, and takes only steps of length 0, so qhull's input is the same
     lps = []
     real = conesec.geometry.chebyshev_center
     monkeypatch.setattr(conesec.geometry, "chebyshev_center", lambda A, b: lps.append(1) or real(A, b))
@@ -379,6 +381,72 @@ def test_clearly_interior_origin_needs_a_positive_largest_distance():
     for b in ([1.0, 0.999e-3], [0.0, 0.0], [1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]):
         assert _clearly_interior_origin(np.array(b), 2) is None
 
+
+def _certified(c, M, walked):
+    """x of an `_lp_max` result, after checking its certificate: lam >= 0
+    and M[active].T @ lam = c."""
+    x, active, lam = walked
+    assert lam.min() >= 0
+    assert np.abs(M[active].T @ lam - c).max() <= 1e-12
+    return x
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_lp_walk_matches_highs_on_chord_and_chebyshev_lps(n):
+    # the two LPs the library solves, on cubes, cross-polytopes, simplices,
+    # cones and a random body, along an axis and a random direction (the
+    # chord LP of `ball_bodies._chord_max`) and at 0 and moved (the
+    # Chebyshev centre): every value within 1e-12 of HiGHS's, every optimum
+    # certified
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(n)
+    c = np.eye(n + 1)[n]
+    free_then_positive = [(None, None)] * n + [(0, None)]
+    for K in (make_cube(n), make_cross_polytope(n), make_regular_simplex(n), make_centered_cone(n),
+              random_centered_polytope(n, n + 8, n)):
+        K = to_hrep(K)
+        scale = np.abs(K.b).max()
+        for u in (np.eye(n)[0], unit(rng.normal(size=n))):
+            M = np.block([[K.A, np.zeros((len(K.b), 1))], [K.A, (K.A @ u)[:, None]]])
+            h = np.r_[K.b, K.b] / scale
+            ref = linprog(-c, A_ub=M, b_ub=h, bounds=free_then_positive, method="highs").x[n]
+            x = _certified(c, M, _lp_max(c, M, h, np.r_[K.vertices.mean(axis=0) / scale, 0.0]))
+            assert x[n] == pytest.approx(ref, rel=1e-12, abs=0)
+        for shift in (np.zeros(n), 0.3 * rng.normal(size=n)):
+            b = K.b - K.A @ shift
+            b = b / np.abs(b).max()
+            M = np.hstack([K.A, np.linalg.norm(K.A, axis=1)[:, None]])  # as `chebyshev_center` takes it
+            ref = linprog(-c, A_ub=M, b_ub=b, bounds=free_then_positive, method="highs").x[n]
+            x = _certified(c, M, _lp_max(c, M, b, np.r_[np.zeros(n), b.min()]))
+            assert x[n] == chebyshev_center(K.A, b)[1] == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_lp_walk_ends_from_the_cross_polytope_apex(n):
+    # 2^(n-1) facets of the cross-polytope meet at its apex e1, all active
+    # at the start: the degenerate case Bland's rule is for. max <c, x> over
+    # the cross-polytope is max |c_i|
+    K = to_hrep(make_cross_polytope(n))
+    apex = np.eye(n)[0]
+    assert np.sum(np.isclose(K.A @ apex, K.b)) == 2 ** (n - 1)
+    for c in (np.eye(n)[1], -apex, np.r_[-1.0, np.ones(n - 1)], np.arange(1.0, n + 1)):
+        x = _certified(c, K.A, _lp_max(c, K.A, K.b, apex))
+        assert c @ x == pytest.approx(np.abs(c).max(), rel=1e-12, abs=0)
+        assert np.abs(x).sum() <= 1 + 1e-12
+
+
+def test_chebyshev_centre_of_empty_slab_and_unbounded_systems():
+    e = np.vstack([np.eye(2), -np.eye(2)])
+    # x <= -1 and x >= 1: the largest r is -1
+    assert chebyshev_center(e, np.array([-1.0, 1.0, -1.0, 1.0])) == (None, -np.inf)
+    # a slab, |x| <= 1, holds balls of radius 1 only, although it is unbounded
+    x, r = chebyshev_center(e[[0, 2]], np.array([1.0, 1.0]))
+    assert r == 1.0 and np.array_equal(x, np.zeros(2))
+    with pytest.raises(GeometryError, match="unbounded halfspace system"):
+        chebyshev_center(e[:2], np.array([1.0, 1.0]))  # a quadrant
+    with pytest.raises(GeometryError, match="unbounded LP"):
+        _lp_max(np.array([1.0, 1.0]), e[[0, 2]], np.array([1.0, 1.0]), np.zeros(2))  # along the slab
 
 @pytest.mark.parametrize("levels", [1, 2])
 def test_qhull_falls_back_to_q12_then_joggle(monkeypatch, levels):

@@ -917,11 +917,7 @@ def test_cut_volume_takes_one_wedge_or_a_stack():
 
 # (points, seed, k, p) of `conesec check part1 --body random --n 6`
 @pytest.mark.parametrize("points, seed, k, p", [
-    (18, 3, 3, 3),
-    pytest.param(30, 4, 3, 3, marks=pytest.mark.xfail(
-        raises=GeometryError, strict=True,
-        reason="qhull's halfspace intersection of the +R wedge system raises QH6271 (dupridge)")),
-    (18, 3, 4, 4)])
+    (18, 3, 3, 3), (30, 4, 3, 3), (18, 3, 4, 4)])
 def test_wide_cone_cuts_of_6d_sections(points, seed, k, p):
     # the halfspace cut of 3-4 rows, whose boundary is pulled from the
     # wedge system's rows, against the wedge kernel. The wedge kernel is

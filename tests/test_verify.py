@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conesec import geometry, rng, sections
+from conesec import geometry, rng, sections, verify
 from conesec import volume as volume_module
 from conesec.ball_bodies import ConcaveFunctionOracle, oracle_from_section_fn
 from conesec.geometry import (
@@ -516,6 +516,28 @@ def test_part2_and_corollary3_take_no_section_body(monkeypatch):
     assert res.lhs == pytest.approx(body_volume(section(K_iso, Subspace.from_span(e[:4]))) / 100,
                                     rel=1e-12, abs=0)
 
+
+def test_part2_on_the_6_cube_takes_one_section_body(monkeypatch):
+    # the cube is not simplicial, so its flat F + span C, a hyperplane, is
+    # cut from a section body: one body gives both the cut and the flat's
+    # volume (the cut and the flat's volume each took their own before)
+    K, e = make_cube(6), np.eye(6)
+    F, C = Subspace.from_span(e[:4]), PolyhedralCone([e[4] + 0.5 * e[5]])
+    flats, real = [], sections.section
+
+    def spy(body, S):
+        flats.append(S)
+        return real(body, S)
+
+    monkeypatch.setattr(sections, "section", spy)
+    monkeypatch.setattr(verify, "section", spy)
+    res = check_main_theorem_part2(K, F, C)
+    monkeypatch.undo()
+    assert len(flats) == 1
+    K_iso, S = isotropic_position(K)[0], _cone_flat(F, C)[0]
+    fraction = cone_volume(K_iso, F, C) / section_volume(K_iso, S)
+    assert fraction == pytest.approx(0.5, rel=1e-12, abs=0)  # the cube is symmetric
+    assert res.passed and res.lhs == pytest.approx(1.0, rel=1e-12, abs=0)
 
 def test_corollary3_isotropic_simplex():
     K, _ = isotropic_position(make_regular_simplex(3))
