@@ -68,13 +68,19 @@ def orthonormal_basis(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of R^n given by an orthonormal basis (rows)."""
+    """Linear subspace of R^n given by an orthonormal basis (rows).
+
+    The basis is a read-only copy of the one given, so a subspace that is
+    shared (the corpus battery builds its flats once per dimension) cannot
+    be changed by a caller writing into its basis.
+    """
 
     ambient_dim: int
     basis: np.ndarray  # (d, n), orthonormal rows; possibly 0 rows for {0}
 
     def __post_init__(self):
-        b = np.atleast_2d(_as_array(self.basis)).reshape(-1, self.ambient_dim)
+        b = np.array(self.basis, dtype=float, ndmin=2).reshape(-1, self.ambient_dim)
+        b.setflags(write=False)
         object.__setattr__(self, "basis", b)
         if b.shape[0]:
             gram = b @ b.T
@@ -1000,6 +1006,7 @@ class PolyhedralCone:
                 if not within.contains_vector(g, tol=1e-12):
                     raise GeometryError("cone generator outside its ambient subspace")
         self.within = within
+        self._flats = {}  # `sections._cone_flat`'s (S, R) per flat basis
 
     def negated(self) -> "PolyhedralCone":
         return PolyhedralCone(-self.generators, within=self.within)

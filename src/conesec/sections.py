@@ -565,16 +565,25 @@ def cone_section_volume_polyhedral(K: ConvexBody, F: Subspace, C: PolyhedralCone
 
 def _cone_flat(F: Subspace, C: PolyhedralCone):
     """(S, R): the flat S = F + span C through 0, None when it is the whole
-    space, and rows R in R^n with F + C = {y in S : R y >= 0}.
+    space, and read-only rows R in R^n with F + C = {y in S : R y >= 0}.
 
     The rows of -C are -R, whatever basis its span gets, so one flat serves
-    both signs. Raises `GeometryError` unless C lies in F^perp.
+    both signs. C keeps the pair it has given, keyed by the exact bytes of
+    F's basis as `section_volume_fn` keys a polytope's functions, so a cone
+    used again with the same F takes no SVD or inverse. Raises
+    `GeometryError` unless C lies in F^perp, on every call: nothing is kept
+    for such an F.
     """
-    if (np.linalg.norm(F.coords(C.generators), axis=1) > 1e-9).any():
-        raise GeometryError("cone does not lie in the orthogonal complement of F")
-    whole = F.dim + C.span_dim == F.ambient_dim
-    S = None if whole else Subspace.from_span(np.vstack([F.basis, C.span.basis]), ambient_dim=F.ambient_dim)
-    return S, C.constraints_in_span() @ C.span.basis
+    key = F.basis.shape, F.basis.tobytes()
+    if key not in C._flats:
+        if (np.linalg.norm(F.coords(C.generators), axis=1) > 1e-9).any():
+            raise GeometryError("cone does not lie in the orthogonal complement of F")
+        whole = F.dim + C.span_dim == F.ambient_dim
+        S = None if whole else Subspace.from_span(np.vstack([F.basis, C.span.basis]), ambient_dim=F.ambient_dim)
+        R = C.constraints_in_span() @ C.span.basis
+        R.setflags(write=False)
+        C._flats[key] = S, R
+    return C._flats[key]
 
 
 def _cut_volume(K: ConvexBody, S, R, q: int = 0):

@@ -9,6 +9,7 @@ taken from `scipy.special`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -622,28 +623,45 @@ def load_corpus(path: str | None = None) -> list[dict]:
     return _field(json.loads(text), "bodies", "corpus manifest")
 
 
+@functools.cache
+def _battery(n: int):
+    """The battery's inputs that depend on the dimension n alone, built once
+    per process (n <= `geometry.MAX_DIM`, so at most that many entries): the
+    Grünbaum direction grid, the lemma-7 directions and the part-1 (F, C)
+    configurations, the first of which part 2 takes too. The grids are
+    read-only, as are the flats' bases and the rows each cone keeps
+    (`sections._cone_flat`), so no body can change what the next one reads.
+    """
+    grids = _rng.sphere_grid(n, 3, seed=17), _rng.sphere_grid(n, 2, seed=31)
+    for grid in grids:
+        grid.setflags(write=False)
+    basis = np.eye(n)
+    configs = [(Subspace.from_span(basis[: n - 1], ambient_dim=n), PolyhedralCone(basis[-1:]))]
+    if n >= 3:
+        F2 = Subspace.from_span(basis[: n - 2], ambient_dim=n)
+        configs += [(F2, PolyhedralCone(basis[-1:])), (F2, orthant_cone(basis[n - 2:]))]
+    return (*grids, tuple(configs))
+
+
 def checks_for_body(spec: dict) -> list[CheckResult]:
-    """The standard check battery for one corpus body."""
+    """The standard check battery for one corpus body.
+
+    Its direction grids, flats and cones come from `_battery(n)`, shared by
+    every body of dimension n; each cone keeps its flat, so only the first
+    body of a dimension builds them. The records do not depend on which
+    bodies ran before.
+    """
     from .geometry import body_from_spec
 
     K = body_from_spec(spec)
     label = spec.get("label", spec["type"])
-    n = K.dim
-    results = check_gruenbaum(K, _rng.sphere_grid(n, 3, seed=17), label)
+    gruenbaum_grid, lemma7_dirs, configs = _battery(K.dim)
+    results = check_gruenbaum(K, gruenbaum_grid, label)
     results += [check_lemma5(K, label), check_prop8(K, label)]
-    results += [check_lemma7(K, u, label) for u in _rng.sphere_grid(n, 2, seed=31)]
-    basis = np.eye(n)
-    configs = [(Subspace.from_span(basis[: n - 1], ambient_dim=n),
-                PolyhedralCone(basis[-1:]))]
-    if n >= 3:
-        F2 = Subspace.from_span(basis[: n - 2], ambient_dim=n)
-        configs.append((F2, PolyhedralCone(basis[-1:])))
-        configs.append((F2, orthant_cone(basis[n - 2:])))
+    results += [check_lemma7(K, u, label) for u in lemma7_dirs]
     results += [check_main_theorem_part1(K, F, C, label) for F, C in configs]
-    if n <= 4:
-        results.append(check_main_theorem_part2(
-            K, Subspace.from_span(basis[: n - 1], ambient_dim=n),
-            PolyhedralCone(basis[-1:]), label))
+    if K.dim <= 4:
+        results.append(check_main_theorem_part2(K, *configs[0], label))
     return results
 
 

@@ -915,6 +915,24 @@ def test_cut_volume_takes_one_wedge_or_a_stack():
                                                                           _cut_volume(K, S, -R)], (n, seed)
 
 
+def test_a_cone_keeps_its_flat_per_flat_basis():
+    # the pair a cone keeps for F is, bit for bit, the pair of a cone built
+    # anew with an F built anew; another F gets its own entry
+    e = np.eye(5)
+    C = orthant_cone(e[3:])
+    for rows in (2, 1, 2):
+        S, R = sections._cone_flat(Subspace.from_span(e[:rows]), C)
+        fresh_S, fresh_R = sections._cone_flat(Subspace.from_span(e[:rows]), orthant_cone(e[3:]))
+        assert S.basis.tobytes() == fresh_S.basis.tobytes() and R.tobytes() == fresh_R.tobytes()
+        assert sections._cone_flat(Subspace.from_span(e[:rows]), C)[1] is R
+    assert len(C._flats) == 2
+    # a cone outside F^perp raises on every call, and nothing is kept for it
+    for _ in range(2):
+        with pytest.raises(GeometryError, match="orthogonal complement"):
+            sections._cone_flat(Subspace.from_span(e[2:4]), C)
+    assert len(C._flats) == 2
+
+
 # (points, seed, k, p) of `conesec check part1 --body random --n 6`
 @pytest.mark.parametrize("points, seed, k, p", [
     (18, 3, 3, 3), (30, 4, 3, 3), (18, 3, 4, 4)])

@@ -744,6 +744,53 @@ def test_corpus_records_of_one_check_keep_the_battery_order():
     assert [r.parameters["u"] for r in records] == rng.sphere_grid(5, 2, seed=31).round(12).tolist()
 
 
+def test_the_battery_builds_its_grids_once_per_dimension(monkeypatch):
+    # two 5-D bodies share one per-dimension record: its two grids are drawn
+    # once, not once per body
+    grids = []
+    real = rng.sphere_grid
+    monkeypatch.setattr(rng, "sphere_grid", lambda *a, **kw: grids.append(a) or real(*a, **kw))
+    verify._battery.cache_clear()
+    try:
+        for spec in [s for s in load_corpus() if s.get("n") == 5][:2]:
+            assert all(r.passed for r in checks_for_body(spec))
+    finally:
+        verify._battery.cache_clear()
+    assert len(grids) == 2, grids
+
+
+def test_the_shared_battery_inputs_are_read_only():
+    # a caller writing into a shared grid, flat or cone row would change
+    # every later body's checks, so each of them refuses the write
+    grid, dirs, configs = verify._battery(4)
+    arrays = [grid, dirs]
+    for F, C in configs:
+        S, R = _cone_flat(F, C)
+        arrays += [F.basis, R, C.generators, C.span.basis] + ([] if S is None else [S.basis])
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+    # a subspace keeps its own copy of the basis it is given
+    b = np.eye(3)[:2]
+    E = Subspace(3, b)
+    b[0, 0] = 2.0
+    assert E.basis[0, 0] == 1.0
+
+
+def test_corpus_records_do_not_depend_on_the_body_order():
+    # the per-dimension record and the flats its cones keep are built by
+    # whichever body of a dimension runs first; the records are the same
+    # either way
+    specs = load_corpus()[::3]
+    assert {s["n"] for s in specs} == {2, 3, 4, 5, 6}
+    runs = []
+    for order in (specs, specs[::-1]):
+        verify._battery.cache_clear()
+        runs.append([r.to_record() for r in run_corpus(order)])
+    verify._battery.cache_clear()
+    assert runs[0] == runs[1]
+
+
 def test_run_corpus_subset_deterministic_and_parallel():
     specs = [{"type": "cube", "n": 2, "label": "cube-2"},
              {"type": "simplex", "n": 3, "label": "simplex-3"}]
