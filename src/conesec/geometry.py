@@ -106,7 +106,11 @@ class Subspace:
         return cls(len(normal), _complement_basis(normal[None, :]))
 
     def complement(self) -> "Subspace":
-        return Subspace(self.ambient_dim, _complement_basis(self.basis))
+        """The orthogonal complement, computed once: the subspace is frozen
+        and its basis read-only, so the one kept cannot go stale."""
+        if "_complement" not in self.__dict__:
+            object.__setattr__(self, "_complement", Subspace(self.ambient_dim, _complement_basis(self.basis)))
+        return self._complement
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of (the projection of) ambient points in this basis."""

@@ -68,8 +68,8 @@ from .geometry import (
     translate,
     trivial_flat,
 )
-from .volume import (_centred, _cone_simplices, _in_plane_tol, _slice, body_volume, moments, unit_ball_volume,
-                     wedge_moment)
+from .volume import (_centred, _cone_simplices, _in_plane_tol, _slice, _wedge_stack, body_volume, moments,
+                     unit_ball_volume, wedge_moment)
 
 
 def section(K: ConvexBody, S: Subspace):
@@ -590,47 +590,49 @@ def _cut_volume(K: ConvexBody, S, R, q: int = 0):
     """The integral of <R[-1], y>^q over K cap S cap {y : R y >= 0}, the one
     cut of the polyhedral route: S is a flat through 0, None for R^n, and R
     in R^n is one wedge (r, n) of linearly independent rows in S, which
-    gives a float, or a stack of m wedges of r rows each (m, r, n), which
-    gives one value per wedge in an (m,) array, as `volume.wedge_moment`
-    takes them. q = 0 gives the volume; q > 0 is for polytopes cut by up to
-    two rows.
+    gives a float, or a stack of m wedges, which gives one value per wedge
+    in an (m,) array, as `volume.wedge_moment` takes them: an (m, r, n)
+    array or a list of wedges whose row counts may differ. q = 0 gives the
+    volume; q > 0 is for polytopes cut by up to two rows.
 
     Up to two rows, where `_slices_cones` holds, the stack is cut from K's
     cached boundary cones in one `wedge_moment` call, sliced down to S by
     `_slicing_normals`, so a wedge and its negative share one split and no
-    section body, qhull call or LP is taken, at every codimension. Anywhere
-    else the cut reads the section body L = K cap S (`section`), with R in
-    S's coordinates; 0 for an empty section. A ball must be centred at 0
-    (`Ball.centred`; GeometryError otherwise). Its wedge W keeps the share
-    of its volume that the cone {W y >= 0} takes of the sphere: the
-    solid-angle fraction (`solid_angle_fraction`) of the cone in W's row
-    space generated by the columns of W's pseudo-inverse, since
-    W pinv(W) = I. A polytope section is cut up to two rows from the
-    boundary simplices L already has in one `wedge_moment` call. More rows
-    intersect L's halfspaces with each wedge's, one halfspace intersection
-    per wedge whose volume is read from its cone weights
-    (`volume.body_volume`), because the wedge kernel's pieces multiply with
-    every facet of the cone.
+    section body, qhull call or LP is taken, at every codimension; in the
+    whole space that one call takes wedges of one and of two rows together
+    (the corpus battery's direction grid, part 1's orthant pair and part 2's
+    row). Anywhere else the cut reads the section body L = K cap S
+    (`section`), with R in S's coordinates; 0 for an empty section. A ball
+    must be centred at 0 (`Ball.centred`; GeometryError otherwise). Its
+    wedges are taken one at a time: W keeps the share of the ball's volume
+    that the cone {W y >= 0} takes of the sphere, the solid-angle fraction
+    (`solid_angle_fraction`) of the cone in W's row space generated by the
+    columns of W's pseudo-inverse, since W pinv(W) = I. A polytope section
+    is cut up to two rows from the boundary simplices L already has in one
+    `wedge_moment` call. More rows intersect L's halfspaces with each
+    wedge's, one halfspace intersection per wedge whose volume is read from
+    its cone weights (`volume.body_volume`), because the wedge kernel's
+    pieces multiply with every facet of the cone.
     """
-    stack = np.array(R, dtype=float, ndmin=3)
-    if stack.shape[1] <= 2 and _slices_cones(K, S):
-        out = wedge_moment(K, stack, q, () if S is None else _slicing_normals(K, S))
+    wedges, one = _wedge_stack(R)
+    rows = max(map(len, wedges), default=0)
+    if rows <= 2 and _slices_cones(K, S):
+        return wedge_moment(K, R, q, () if S is None else _slicing_normals(K, S))
+    L, wedges = (K, wedges) if S is None else (section(K, S), [S.coords(W) for W in wedges])
+    if L is None:
+        out = np.zeros(len(wedges))
+    elif isinstance(L, Ball):
+        if not L.centred:
+            raise GeometryError("cone sections of balls require the center at 0")
+        out = body_volume(L) * np.array([solid_angle_fraction(PolyhedralCone(np.linalg.pinv(W).T))
+                                         for W in wedges])
+    elif rows <= 2:
+        out = wedge_moment(L, wedges, q)
     else:
-        L, stack = (K, stack) if S is None else (section(K, S), S.coords(stack))
-        if L is None:
-            out = np.zeros(len(stack))
-        elif isinstance(L, Ball):
-            if not L.centred:
-                raise GeometryError("cone sections of balls require the center at 0")
-            out = body_volume(L) * np.array([solid_angle_fraction(PolyhedralCone(np.linalg.pinv(W).T))
-                                             for W in stack])
-        elif stack.shape[1] <= 2:
-            out = wedge_moment(L, stack, q)
-        else:
-            H, zeros = to_hrep(L), np.zeros(stack.shape[1])
-            out = np.array([body_volume(_halfspace_polytope(np.vstack([H.A, -W]), np.concatenate([H.b, zeros])))
-                            for W in stack])
-    return out if np.ndim(R) == 3 else float(out[0])
+        H = to_hrep(L)
+        out = np.array([body_volume(_halfspace_polytope(np.vstack([H.A, -W]), np.concatenate([H.b, np.zeros(len(W))])))
+                        for W in wedges])
+    return float(out[0]) if one else out
 
 
 def solid_angle_fraction(C: PolyhedralCone) -> float:

@@ -43,6 +43,7 @@ from .geometry import (
     support,
     to_hrep,
     to_vrep,
+    translate,
     trivial_flat,
 )
 from .sections import (
@@ -55,7 +56,7 @@ from .sections import (
     section_volume,
     solid_angle_fraction,
 )
-from .volume import _centred, body_volume, isotropic_position, moments
+from .volume import _centred, _isotropic_matrix, body_volume, isotropic_position, moments
 
 __all__ = [
     "CheckResult", "gruenbaum_constant", "part1_constant",
@@ -147,18 +148,37 @@ def _opposite_cone_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone):
     return tuple(_cut_volume(K, S, np.stack([R, -R])).tolist())
 
 
-def _cone_and_flat_volumes(K: ConvexBody, F: Subspace, C: PolyhedralCone):
-    """|K cap (F + C)|, by the cut of `cone_volume`, and |K cap (F + span C)|:
-    `sections.section_volume` of the flat, or |K| when it is the whole space.
-    On a simplicial polytope with up to two cone rows both read K's cached
-    cones, with no section body. Where `_slices_cones` does not hold, one
-    section body L = K cap S serves both: its whole-space cut and |L|, the
-    branches the two would each take on a section body of their own."""
-    S, R = _cone_flat(F, C)
+def _cone_and_flat_volumes(K: ConvexBody, S, R):
+    """|K cap S cap {R y >= 0}|, by the cut of `cone_volume`, and |K cap S|:
+    `sections.section_volume` of the flat, or |K| when S is None, the whole
+    space. (S, R) is a cone's flat and rows (`sections._cone_flat`), or
+    their pull-back by part 2 (`_pulled_back`). On a simplicial polytope
+    with up to two rows both read K's cached cones, with no section body.
+    Where `_slices_cones` does not hold, one section body L = K cap S serves
+    both: its whole-space cut and |L|, the branches the two would each take
+    on a section body of their own."""
     if S is None or _slices_cones(K, S):
         return _cut_volume(K, S, R), body_volume(K) if S is None else section_volume(K, S)
     L = section(K, S)
     return (0.0, 0.0) if L is None else (_cut_volume(L, None, S.coords(R)), body_volume(L))
+
+
+def _pulled_back(K: ConvexBody, F: Subspace, C: PolyhedralCone):
+    """(K0, S', R'): part 2's cone section of K in isotropic position, pulled
+    back to K. With T and c K's whitening matrix and centroid
+    (`volume._isotropic_matrix`), K0 = K - c, built only when K is not
+    centred, and F + C = {y in S : R y >= 0} (`sections._cone_flat`),
+    T(K - c) cap (F + C) = T(K0 cap S' cap {R T x >= 0}) with S' = T^-1 S,
+    and T(K - c) cap S = T(K0 cap S'). Both lie in one flat, so their ratio
+    is that of the pulled-back pieces, and no isotropic body is built. R' is
+    R T projected onto S', which leaves its values on S' as they are; S' is
+    None when S is the whole space, whose cut is K0's halfspaces of the
+    rows R T, det T = 1."""
+    T, c, _ = _isotropic_matrix(K)
+    K0 = K if _centred(K, c) else translate(K, -c)
+    S, R = _cone_flat(F, C)
+    P = None if S is None else Subspace.from_span(np.linalg.solve(T, S.basis.T).T)
+    return K0, P, R @ T if P is None else R @ T @ P.basis.T @ P.basis
 
 
 def _centroid_guard(K: ConvexBody):
@@ -181,14 +201,18 @@ def check_gruenbaum(K: ConvexBody, U, body_spec: str = "body") -> list[CheckResu
     """
     m = _centroid_guard(K)
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    lhs = gruenbaum_constant(K.dim) * m.volume
+    return _gruenbaum_results(K.dim, m.volume, U, halfspace_volume(K, U), body_spec)
+
+
+def _gruenbaum_results(n: int, vol: float, U, halfspace_volumes, body_spec: str) -> list[CheckResult]:
+    """The Grünbaum verdicts of the rows u of U, from |K| and each |K cap {<x, u> >= 0}|."""
     return [CheckResult(
         name="centroid-halfspace-lower-bound",
         body_spec=body_spec,
-        parameters={"n": K.dim, "u": u.round(12).tolist()},
-        lhs=lhs, rhs=float(rhs), slack=1e-9,
+        parameters={"n": n, "u": u.round(12).tolist()},
+        lhs=gruenbaum_constant(n) * vol, rhs=float(rhs), slack=1e-9,
         notes="lower bound: halfspace volume on the right",
-    ) for u, rhs in zip(U, halfspace_volume(K, U))]
+    ) for u, rhs in zip(U, halfspace_volumes)]
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +223,14 @@ def check_main_theorem_part1(K: ConvexBody, F: Subspace, C: PolyhedralCone,
                              body_spec: str = "body") -> CheckResult:
     """|K cap (F - C)| / |K cap (F + C)| against the explicit constant."""
     _centroid_guard(K)
-    n = K.dim
-    k = n - F.dim
-    p = C.span_dim
+    return _part1_result(K.dim, F, C, *_opposite_cone_volumes(K, F, C), body_spec)
+
+
+def _part1_result(n: int, F: Subspace, C: PolyhedralCone, plus: float, minus: float,
+                  body_spec: str) -> CheckResult:
+    """Part 1's verdict from |K cap (F + C)| and |K cap (F - C)|."""
+    k, p = n - F.dim, C.span_dim
     const = part1_constant(n, k, p)
-    plus, minus = _opposite_cone_volumes(K, F, C)
     if plus <= 0:
         raise GeometryError("degenerate cone section: |K cap (F+C)| = 0")
     return CheckResult(
@@ -219,19 +246,24 @@ def check_main_theorem_part2(K: ConvexBody, F: Subspace, C: PolyhedralCone,
                              body_spec: str = "body") -> CheckResult:
     """Isotropic K: cone-section fraction within n^p of the ball's fraction.
 
-    Both volumes are taken of K in isotropic position by
-    `_cone_and_flat_volumes`: |K cap (F + C)| is the cut of `cone_volume`,
-    and |K cap (F + span C)| is `sections.section_volume` of the flat.
+    The fraction |K_iso cap (F + C)| / |K_iso cap (F + span C)| of K in
+    isotropic position is read from K's own cones: the flat and the cone's
+    rows are pulled back through the isotropic map (`_pulled_back`), which
+    keeps the ratio, and `_cone_and_flat_volumes` cuts K (K - c when K is
+    not centred) by them, so no isotropic body is built. With F + span C the
+    whole space the cut is one halfspace of K and the flat's volume is |K|.
 
     Only the n^p branch of the constant is explicit, so only it is asserted;
     the alternative branch, a^(kp) times part 1's constant over k^p, is
     reported with its unspecified factor a symbolic.
     """
-    n = K.dim
-    k = n - F.dim
-    p = C.span_dim
-    K_iso, _ = isotropic_position(K)
-    plus, full = _cone_and_flat_volumes(K_iso, F, C)
+    return _part2_result(K.dim, F, C, *_cone_and_flat_volumes(*_pulled_back(K, F, C)), body_spec)
+
+
+def _part2_result(n: int, F: Subspace, C: PolyhedralCone, plus: float, full: float,
+                  body_spec: str) -> CheckResult:
+    """Part 2's verdict from the isotropic body's |K cap (F + C)| and |K cap (F + span C)|."""
+    k, p = n - F.dim, C.span_dim
     if full <= 0 or plus <= 0:
         raise GeometryError("degenerate cone section")
     k_ratio = plus / full
@@ -303,12 +335,18 @@ def check_corollary3(K: ConvexBody, E: Subspace, us,
     """Isotropic K: orthant-restricted section keeps a (2n)^-p fraction.
 
     Only the (2n)^-p branch is explicit; the e^{-ckp} branch's implied c is
-    reported.  K must already be in isotropic position.
+    reported.  K must already be in isotropic position: `GeometryError`
+    unless the eigenvalues of its second moments about 0 over its volume
+    agree to 1e-9 of the largest (a body off its centroid fails too).
 
     C is the orthant of ``us`` and F = E cap us^perp, so F + span C is E.
     Both volumes come from `_cone_and_flat_volumes`: |K cap (F + C)| is the
     cut of `cone_volume` and |K cap E| is `sections.section_volume` of E.
     """
+    m = moments(K)
+    w = np.linalg.eigvalsh(m.covariance / m.volume)
+    if w[-1] - w[0] > 1e-9 * w[-1]:
+        raise GeometryError("corollary 3 requires K in isotropic position (equal second-moment eigenvalues)")
     n = K.dim
     us = np.atleast_2d(np.asarray(us, dtype=float))
     p = len(us)
@@ -318,7 +356,7 @@ def check_corollary3(K: ConvexBody, E: Subspace, us,
             raise GeometryError("orthant directions must lie in the section subspace")
     C = orthant_cone(us)
     F = Subspace.from_span(np.vstack([E.complement().basis, us])).complement()
-    plus, full = _cone_and_flat_volumes(K, F, C)
+    plus, full = _cone_and_flat_volumes(K, *_cone_flat(F, C))
     if full <= 0:
         raise GeometryError("empty section subspace")
     frac = plus / full
@@ -650,18 +688,41 @@ def checks_for_body(spec: dict) -> list[CheckResult]:
     every body of dimension n; each cone keeps its flat, so only the first
     body of a dimension builds them. The records do not depend on which
     bodies ran before.
+
+    Every cut of K in the whole space is one `sections._cut_volume` call, one
+    pass of a polytope's cones (`volume.wedge_moment`): the Grünbaum grid's
+    halfspaces, part 1's orthant pair [R, -R] (n >= 3) and part 2's
+    pulled-back row (n <= 4, `_pulled_back`; the first configuration's
+    flat is the whole space and K is centred, so it is one halfspace of K
+    and the flat's volume is |K|). Part 1's first configuration, the rays
+    +-e_n, reads the grid's rows +-e_n (`rng.sphere_grid` starts with
+    +-e_1, ..., +-e_n). The checks keep their judges (`_gruenbaum_results`,
+    `_part1_result`, `_part2_result`), so the records are those of the
+    public checks.
     """
     from .geometry import body_from_spec
 
     K = body_from_spec(spec)
     label = spec.get("label", spec["type"])
-    gruenbaum_grid, lemma7_dirs, configs = _battery(K.dim)
-    results = check_gruenbaum(K, gruenbaum_grid, label)
+    n = K.dim
+    grid, lemma7_dirs, configs = _battery(n)
+    m = _centroid_guard(K)
+    wedges = [*grid[:, None, :]]
+    if n >= 3:
+        R = _cone_flat(*configs[2])[1]
+        wedges += [R, -R]
+    if n <= 4:
+        wedges.append(_pulled_back(K, *configs[0])[2])
+    cut = _cut_volume(K, None, wedges).tolist()
+    results = _gruenbaum_results(n, m.volume, grid, cut[:len(grid)], label)
     results += [check_lemma5(K, label), check_prop8(K, label)]
     results += [check_lemma7(K, u, label) for u in lemma7_dirs]
-    results += [check_main_theorem_part1(K, F, C, label) for F, C in configs]
-    if K.dim <= 4:
-        results.append(check_main_theorem_part2(K, *configs[0], label))
+    results.append(_part1_result(n, *configs[0], cut[n - 1], cut[2 * n - 1], label))
+    if n >= 3:
+        results.append(_part1_result(n, *configs[1], *_opposite_cone_volumes(K, *configs[1]), label))
+        results.append(_part1_result(n, *configs[2], *cut[len(grid):len(grid) + 2], label))
+    if n <= 4:
+        results.append(_part2_result(n, *configs[0], cut[-1], body_volume(K), label))
     return results
 
 

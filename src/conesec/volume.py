@@ -148,15 +148,17 @@ def _polytope_moments(V: ConvexBody) -> MomentSummary:
     return MomentSummary(vol, _read_only(apex + first / vol), _read_only(0.5 * (cov + cov.T)))
 
 
-# boundary simplices per block of `wedge_moment` when rows before the last
-# split them; each split multiplies a block by at most C(d, d/2)
+# boundary simplices per block of `wedge_moment` for the wedges that a row
+# before the last or a normal cuts; each split multiplies a block by at most
+# C(d, d/2)
 _WEDGE_BLOCK = 512
 
 # vertex values per `_positive_fraction` call of `wedge_moment`: one call takes
-# as many wedges as the block's simplices fit, so a grid of single-row wedges
-# of any size is weighed in blocks of about 1 MB, whose temporaries reach
-# about 3 MB (the 15-row Grünbaum grid on the 6-cube's 1440 cones peaks at
-# 3.3 MB); split pieces can exceed it, but they are held anyway
+# as many pieces as fit, so a grid of single-row wedges of any size is weighed
+# in blocks of about 1 MB, whose temporaries reach about 3 MB (the corpus
+# battery's one pass on the 6-cube's 1440 cones, its 15-row Grünbaum grid
+# and two two-row wedges, peaks at 3.3 MB); a split piece can exceed it, but
+# it is held anyway
 _VALUE_BLOCK_ELEMENTS = 1 << 17
 
 
@@ -166,22 +168,27 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
     K is a polytope, q >= 0 an integer and L the section of K by the
     orthogonal complement of the orthonormal rows ``normals``, K itself when
     there are none; q = 0 gives the wedge volume. R is one wedge (r, n),
-    which gives a float, or a stack of m wedges of r rows each (m, r, n),
-    which gives one value per wedge in an (m,) array. Every facet of W lies
-    in a hyperplane through 0, so the integral is the sum over K's boundary
-    simplices D of sign(b_D) times the integral over the simplex
-    conv(0, D) cap W, b_D the offset of D's facet; this holds wherever the
-    origin is. Each normal first slices the simplices down to their faces in
-    its hyperplane (`_slice`), which the same sum turns into L. Each row
-    before the last splits the simplices it crosses (`_split`); a wedge whose
-    first row is the negative of another wedge's takes the other side of
-    one split by that row's fixed sign (`_wedge_pieces`), so R and -R cost
-    one split, and a stack gives the bits of its wedges cut alone. The last
-    row only weights each piece by the part of its cone from 0 on the row's
-    positive side, which depends on the vertex values alone
-    (`_positive_fraction`), taken for as many wedges in one call as
-    `_VALUE_BLOCK_ELEMENTS` allows; each wedge's sum over its pieces stays
-    its own.
+    which gives a float, or a stack of m wedges, which gives one value per
+    wedge in an (m,) array: an (m, r, n) array, or a list of m wedges
+    (r_i, n) whose row counts may differ, so one call cuts a direction grid
+    of halfspaces and wedges of two rows together (`_wedge_stack`). Every
+    facet of W lies in a hyperplane through 0, so the integral is the sum
+    over K's boundary simplices D of sign(b_D) times the integral over the
+    simplex conv(0, D) cap W, b_D the offset of D's facet; this holds
+    wherever the origin is. Each normal first slices the simplices down to
+    their faces in its hyperplane (`_slice`), which the same sum turns into
+    L. Each row before the last splits the simplices it crosses (`_split`);
+    a wedge whose first row is the negative of another wedge's takes the
+    other side of one split by that row's fixed sign (`_wedge_pieces`), so R
+    and -R cost one split. The last row only weights each piece by the part
+    of its cone from 0 on the row's positive side, which depends on the
+    vertex values alone (`_positive_fraction`, simplex by simplex), taken
+    for the pieces of all wedges in as few calls as `_VALUE_BLOCK_ELEMENTS`
+    allows; each wedge's sum over its pieces stays its own. A wedge of one
+    row with no normal takes all the cones at once, any other wedge takes
+    them in `_WEDGE_BLOCK` blocks, so a stack gives the bits of its wedges
+    cut alone; where one block holds all the cones, every wedge of the stack
+    shares one pass, one product per distinct row and the same calls.
 
     No cut reads a vertex's coordinates, only its values along the normals
     and rows still to come, and a crossing's values are interpolated as its
@@ -199,49 +206,70 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
     there R is one zero row, so W is the whole space, h_0 = 1 and the call
     is the volume of L. Its section bodies slice K's cones once themselves
     (`sections._sliced_section`) and seed the section's cone simplices, so
-    their wedges are cut here with no normal.
+    their wedges are cut here with no normal. The corpus battery cuts each
+    body's whole-space wedges in one call (`verify.checks_for_body`).
     """
-    stack = np.array(R, dtype=float, ndmin=3)
-    rows, index, sign = _rows_up_to_sign(stack)
+    wedges, one = _wedge_stack(R)
+    if not wedges:
+        return np.zeros(0)
+    rows, index, sign = _rows_up_to_sign(wedges)
     simplices, weights = _cone_simplices(to_vrep(K))
-    block = _WEDGE_BLOCK if stack.shape[1] + len(normals) > 1 else len(simplices)
-    total = np.zeros(len(stack))
-    for s in range(0, len(simplices), block):
-        pts, w = simplices[s:s + block], weights[s:s + block]
-        value = lambda j, pts=pts: pts @ rows[j]  # noqa: E731
-        if len(normals) and len(stack):  # an empty stack has nothing to slice
-            # a slice keeps the values of the later normals and of the rows
-            X = np.stack([pts @ r for r in (*normals, *rows)], axis=2)
-            for _ in normals:
-                X, w = _slice(X[..., 1:], w, X[..., 0], _in_plane_tol(K))
-            value = lambda j, X=X: X[..., j]  # noqa: E731
-        per_call = max(1, _VALUE_BLOCK_ELEMENTS // max(1, len(w) * (simplices.shape[1] - len(normals))))
-        total += _weigh(_wedge_pieces(value, w, index, sign), q, per_call)
+    # one pass over all the cones for a wedge of one row and no normal, and
+    # for every wedge when one block holds them all; blocks for the others
+    at_once = np.array([len(simplices) <= _WEDGE_BLOCK or (len(i) == 1 and not len(normals)) for i in index])
+    ids, values = [], []
+    for group, block in ((np.flatnonzero(at_once), len(simplices)), (np.flatnonzero(~at_once), _WEDGE_BLOCK)):
+        for s in range(0, len(simplices) if len(group) else 0, block):
+            pts, w = simplices[s:s + block], weights[s:s + block]
+            value = lambda j, pts=pts: pts @ rows[j]  # noqa: E731
+            if len(normals):
+                # a slice keeps the values of the later normals and of the rows
+                X = np.stack([pts @ r for r in (*normals, *rows)], axis=2)
+                for _ in normals:
+                    X, w = _slice(X[..., 1:], w, X[..., 0], _in_plane_tol(K))
+                value = lambda j, X=X: X[..., j]  # noqa: E731
+            weighed = _weigh(_wedge_pieces(value, w, group, index, sign), q)
+            ids, values = ids + weighed[0], values + weighed[1]
+    total = np.bincount(ids, values, minlength=len(wedges))  # each wedge's blocks added in order
     # a d-simplex with vertices 0, v_1..v_d has integral |det| q! / (d + q)! h_q(<r, v_i>)
     total = total * math.factorial(q) / math.factorial(simplices.shape[2] - len(normals) + q)
-    return total if np.ndim(R) == 3 else float(total[0])
+    return float(total[0]) if one else total
 
 
-def _rows_up_to_sign(stack: np.ndarray):
-    """(rows, index, sign) of a stack of wedges (m, r, n): its distinct rows up
-    to sign, each with its first nonzero entry positive, and for row t of
-    wedge i the index and sign with R_i[t] = sign[i, t] rows[index[i, t]].
+def _wedge_stack(R):
+    """(wedges, one): R as a list of wedges, each an (r, n) array, and whether
+    R is one wedge.
+
+    A list of 2-D wedges is a stack whatever their row counts, as is an
+    (m, r, n) array; anything else is one wedge, so ``[e]`` of a vector e
+    is the wedge of one row.
+    """
+    if isinstance(R, list) and all(np.ndim(W) == 2 for W in R):
+        return [np.asarray(W, dtype=float) for W in R], False
+    return list(np.array(R, dtype=float, ndmin=3)), np.ndim(R) < 3
+
+
+def _rows_up_to_sign(wedges: list):
+    """(rows, index, sign) of a list of wedges (r_i, n): their distinct rows
+    up to sign, each with its first nonzero entry positive, and for row t of
+    wedge i the index and sign with R_i[t] = sign[i][t] rows[index[i][t]].
 
     A value along -r is the negative of one along r to the bit, so a wedge
     and its negative carry the same values.
     """
-    flat = stack.reshape(-1, stack.shape[2])
+    flat = np.concatenate(wedges)
     sign = np.where(flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)] < 0, -1.0, 1.0)
     keys = {}  # the bytes of each distinct row, + 0.0 turning -0.0 into 0.0 -> its index
-    index = [keys.setdefault(r.tobytes(), len(keys)) for r in flat * sign[:, None] + 0.0]
-    rows = np.frombuffer(b"".join(keys)).reshape(-1, stack.shape[2])
-    return rows, np.reshape(index, stack.shape[:2]), sign.reshape(stack.shape[:2])
+    index = np.array([keys.setdefault(r.tobytes(), len(keys)) for r in flat * sign[:, None] + 0.0])
+    ends = np.cumsum([len(W) for W in wedges]).tolist()
+    index, sign = ([a[i:j] for i, j in zip([0] + ends, ends)] for a in (index, sign))
+    return np.frombuffer(b"".join(keys)).reshape(-1, flat.shape[1]), index, sign
 
 
-def _wedge_pieces(value, w: np.ndarray, index: np.ndarray, sign: np.ndarray):
-    """Per wedge of a stack, (w, c) of the pieces of a block's simplices on the
-    positive side of its rows before the last: their weights, and their
-    vertex values along its last row.
+def _wedge_pieces(value, w: np.ndarray, group: list, index: list, sign: list):
+    """Per wedge t of ``group``, (t, w, c) of the pieces of a block's
+    simplices on the positive side of its rows before the last: their
+    weights, and their vertex values along its last row.
 
     ``value(j)`` gives the simplices' vertex values along the distinct row j
     of `_rows_up_to_sign`, whose ``index`` and ``sign`` give each wedge's
@@ -252,29 +280,36 @@ def _wedge_pieces(value, w: np.ndarray, index: np.ndarray, sign: np.ndarray):
     same pieces, in the same order, and the same values.
     """
     sides = {}  # distinct first row -> (its wedges' later rows, its split)
-    for i, s in zip(index, sign):
+    for t in group:
+        i, s = index[t], sign[t]
         if len(i) == 1:
-            yield w, s[0] * value(i[0])
+            yield t, w, s[0] * value(i[0])
             continue
         if i[0] not in sides:
-            later = np.unique(index[index[:, 0] == i[0], 1:])
+            later = np.unique(np.concatenate([j[1:] for j in index if j[0] == i[0]]))
             sides[i[0]] = later, _split(np.stack([value(j) for j in later], axis=2), w, value(i[0]))
         later, split = sides[i[0]]
         X, piece_w = split[int(s[0] < 0)]
         X = X[..., np.searchsorted(later, i[1:])] * s[1:]
         for _ in i[2:]:
             (X, piece_w), _ = _split(X[..., 1:], piece_w, X[..., 0])
-        yield piece_w, X[..., 0]
+        yield t, piece_w, X[..., 0]
 
 
-def _weigh(pieces, q: int, per_call: int) -> np.ndarray:
-    """w @ `_positive_fraction`(c, q) for each (w, c) of ``pieces``, with one call per ``per_call`` of them."""
-    out = []
-    while group := list(itertools.islice(pieces, per_call)):
-        frac = _positive_fraction(np.concatenate([c for _, c in group]), q)
-        ends = np.cumsum([len(w) for w, _ in group])
-        out += [w @ frac[e - len(w):e] for (w, _), e in zip(group, ends)]
-    return np.array(out)
+def _weigh(pieces, q: int):
+    """(wedges, values): for each piece (t, w, c), its wedge t and
+    w @ `_positive_fraction`(c, q), with one call for as many pieces as
+    `_VALUE_BLOCK_ELEMENTS` vertex values hold (at least one)."""
+    wedges, values, group = [], [], []
+    for piece in itertools.chain(pieces, [None]):
+        if group and (piece is None or sum(c.size for *_, c in group + [piece]) > _VALUE_BLOCK_ELEMENTS):
+            frac = _positive_fraction(np.concatenate([c for *_, c in group]), q)
+            ends = np.cumsum([len(w) for _, w, _ in group])
+            wedges += [t for t, _, _ in group]
+            values += [w @ frac[e - len(w):e] for (_, w, _), e in zip(group, ends)]
+            group = []
+        group += [piece] if piece is not None else []
+    return wedges, values
 
 
 def _cone_simplices(V: ConvexBody):
@@ -545,13 +580,13 @@ def centered_second_moment(K: ConvexBody) -> np.ndarray:
     return m.covariance - m.volume * np.outer(m.centroid, m.centroid)
 
 
-def isotropic_position(K: ConvexBody):
-    """Translate the centroid to 0 and whiten the second-moment matrix.
-
-    The whitening matrix is scaled to have determinant 1 so the volume is
-    unchanged; the resulting common value of the second moments is recorded
-    as the isotropy constant.
-    """
+def _isotropic_matrix(K: ConvexBody):
+    """(T, c, scale): the symmetric whitening matrix T of K's centred second
+    moments, scaled to determinant 1, K's centroid c and the scale, so that
+    T(K - c) is in isotropic position; GeometryError unless the second-moment
+    matrix is positive definite. `isotropic_position` builds that body, and
+    part 2 of the main theorem pulls its flat and cone back through T
+    instead (`verify.check_main_theorem_part2`)."""
     m = moments(K)
     n = len(m.centroid)
     w, Q = np.linalg.eigh(centered_second_moment(K))
@@ -559,7 +594,17 @@ def isotropic_position(K: ConvexBody):
         raise GeometryError("second-moment matrix is not positive definite")
     inv_sqrt = Q @ np.diag(w**-0.5) @ Q.T
     scale = float(np.prod(w) ** (1.0 / (2 * n)))  # det(T) = 1
-    T = scale * inv_sqrt
-    body = affine_map(translate(K, -m.centroid), T)
-    transform = IsotropicTransform(T, -T @ m.centroid, scale * scale)
-    return body, transform
+    return scale * inv_sqrt, m.centroid, scale
+
+
+def isotropic_position(K: ConvexBody):
+    """Translate the centroid to 0 and whiten the second-moment matrix.
+
+    The whitening matrix (`_isotropic_matrix`) is scaled to have
+    determinant 1 so the volume is unchanged; the resulting common value of
+    the second moments is recorded as the isotropy constant. The body is an
+    affine image of K that shares its boundary (`geometry.affine_map`).
+    """
+    T, c, scale = _isotropic_matrix(K)
+    body = affine_map(translate(K, -c), T)
+    return body, IsotropicTransform(T, -T @ c, scale * scale)

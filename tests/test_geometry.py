@@ -48,6 +48,7 @@ from conesec.ball_bodies import ball_indicator_oracle
 from conesec.geometry import (
     _clearly_interior_origin,
     _closed,
+    _complement_basis,
     _first_of_close,
     _halfspace_polytope,
     _lp_max,
@@ -739,6 +740,16 @@ def test_complement_dimensions():
     C = S.complement()
     assert C.dim == 2
     assert np.allclose(S.basis @ C.basis.T, 0.0)
+
+
+def test_a_subspace_computes_its_complement_once():
+    # the slicing normals of every sliced cut read S^perp; a cached flat
+    # (the battery's, a profile's F) takes its SVD once
+    S = Subspace.from_span([[1, 2, 0, 1], [0, 1, -1, 3]])
+    first = S.complement()
+    assert S.complement() is first
+    assert np.array_equal(first.basis, _complement_basis(S.basis))
+    assert first.dim == 2 and Subspace(4, np.zeros((0, 4))).complement().dim == 4
 
 
 def test_projection_of_cube_is_square():

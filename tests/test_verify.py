@@ -539,6 +539,105 @@ def test_part2_on_the_6_cube_takes_one_section_body(monkeypatch):
     assert fraction == pytest.approx(0.5, rel=1e-12, abs=0)  # the cube is symmetric
     assert res.passed and res.lhs == pytest.approx(1.0, rel=1e-12, abs=0)
 
+def _whole_space_cuts_of(monkeypatch, n):
+    """A list that records each whole-space `wedge_moment` call on an n-D body."""
+    calls, real = [], volume_module.wedge_moment
+
+    def spy(K, R, q=0, normals=()):
+        if K.dim == n and not len(normals):
+            calls.append(K)
+        return real(K, R, q, normals)
+
+    monkeypatch.setattr(volume_module, "wedge_moment", spy)
+    monkeypatch.setattr(sections, "wedge_moment", spy)
+    return calls
+
+
+@pytest.mark.parametrize("label", ["random-2-1", "random-3-11", "random-5-31", "cube-6", "cross-6"])
+def test_each_corpus_polytope_takes_one_whole_space_wedge_pass(monkeypatch, label):
+    # the Grünbaum grid, part 1's orthant pair and part 2's pulled-back row
+    # are cut from K's cones in one pass, and part 1's +-e_n is read from
+    # the grid; the battery made four such passes, one of them on a second
+    # body, K in isotropic position
+    spec = next(s for s in load_corpus() if s.get("label") == label)
+    n = spec["n"]
+    reference = [r.to_record() for r in checks_for_body(spec)]
+    calls = _whole_space_cuts_of(monkeypatch, n)
+    results = checks_for_body(spec)
+    monkeypatch.undo()
+    assert len(calls) == 1, (label, len(calls))
+    assert [r.to_record() for r in results] == reference and all(r.passed for r in results)
+
+
+def test_the_battery_and_part2_build_no_affine_image(monkeypatch):
+    # part 2 pulls its flat and cone back through the isotropic map instead
+    # of building K in isotropic position
+    def no_image(*args):
+        pytest.fail("affine image built")
+
+    e = np.eye(6)
+    cases = [(random_centered_polytope(6, 18, 3), Subspace.from_span(e[:3]), orthant_cone(e[4:])),
+             (translate(random_centered_polytope(4, 14, 5), np.ones(4)), Subspace.from_span(np.eye(4)[:2]),
+              orthant_cone(np.eye(4)[2:]))]
+    for K, _, _ in cases:
+        boundary(K)
+    monkeypatch.setattr(geometry, "affine_map", no_image)
+    monkeypatch.setattr(volume_module, "affine_map", no_image)
+    for spec in load_corpus()[::7]:
+        assert all(r.passed for r in checks_for_body(spec))
+    for K, F, C in cases:
+        assert check_main_theorem_part2(K, F, C).passed
+
+
+def _part2_cases():
+    """(K, F, C) on which part 2's pull-back is checked against the isotropic body."""
+    cases = []
+    for spec in load_corpus():
+        if spec["n"] <= 4:
+            K = body_from_spec(spec)
+            cases += [(K, F, C) for F, C in verify._battery(K.dim)[2]]
+    e = np.eye(6)
+    cube = make_cube(6)
+    cases += [(random_centered_polytope(6, 18, 3), Subspace.from_span(e[:3]), orthant_cone(e[4:])),
+              (cube, Subspace.from_span(e[:4]), PolyhedralCone([e[4] + 0.5 * e[5]])),
+              (cube, Subspace.from_span(e[:3]), orthant_cone(e[4:]))]
+    e = np.eye(4)
+    cases += [(translate(random_centered_polytope(4, 14, 6), np.ones(4)), Subspace.from_span(e[:2]),
+               orthant_cone(e[2:])),
+              (translate(random_centered_polytope(4, 14, 6), np.ones(4)), Subspace.from_span(e[:1]),
+               PolyhedralCone([e[3] - 0.3 * e[2]])),
+              (make_ball(4, r=1.5, center=[0.5, -0.2, 0.1, 0.3]), Subspace.from_span(e[:2]),
+               orthant_cone(e[2:])),
+              (make_ball(3, r=0.8, center=[0.1, 0.2, -0.3]), Subspace.from_span(np.eye(3)[:2]),
+               PolyhedralCone(np.eye(3)[2:]))]
+    return cases
+
+
+def test_part2_pulled_back_equals_the_isotropic_body():
+    # the ratio |K_iso cap (F + C)| / |K_iso cap (F + span C)| read from K's
+    # own cones (K - c off its centroid) equals the one read from K_iso
+    for K, F, C in _part2_cases():
+        K_iso, S = isotropic_position(K)[0], _cone_flat(F, C)[0]
+        plus, full = cone_volume(K_iso, F, C), body_volume(K_iso) if S is None else section_volume(K_iso, S)
+        ratio, ball = plus / full, sections.solid_angle_fraction(C)
+        res = check_main_theorem_part2(K, F, C)
+        assert res.lhs == pytest.approx(max(ratio / ball, ball / ratio), rel=1e-12, abs=0), (K.dim, F.dim)
+        assert res.passed
+
+
+def test_corollary3_refuses_a_body_not_in_isotropic_position():
+    # the sheared simplex passed with orthant fraction 0.640, against 0.615
+    # for its isotropic image
+    K = affine_map(make_regular_simplex(3), [[1.0, 0.9, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    E, e1 = Subspace.from_span(np.eye(3)[:2]), np.eye(3)[0]
+    with pytest.raises(GeometryError, match="isotropic position"):
+        check_corollary3(K, E, [e1])
+    with pytest.raises(GeometryError, match="isotropic position"):
+        check_corollary3(translate(isotropic_position(K)[0], [0.1, 0.0, 0.0]), E, [e1])
+    res = check_corollary3(isotropic_position(K)[0], E, [e1])
+    assert res.passed and "fraction 6.15" in res.notes
+
+
 def test_corollary3_isotropic_simplex():
     K, _ = isotropic_position(make_regular_simplex(3))
     E = Subspace.from_span(np.eye(3))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
-from conesec import geometry, volume as volume_module
+from conesec import geometry, rng, volume as volume_module
 from conesec.geometry import (
     Ball,
     GeometryError,
@@ -32,6 +32,7 @@ from conesec.geometry import (
     translate,
 )
 from conesec.volume import (
+    _WEDGE_BLOCK,
     _cone_simplices,
     _positive_fraction,
     _slice,
@@ -340,6 +341,34 @@ def test_an_empty_stack_gives_no_values():
     K, e = random_body(4, 4), np.eye(4)
     for R, normals in itertools.product((np.zeros((0, 1, 4)), np.zeros((0, 2, 4))), ((), [e[0]], e[:2])):
         assert wedge_moment(K, R, 1, normals).shape == (0,)
+
+
+def test_a_shared_pass_gives_each_wedge_its_bits_cut_alone():
+    # the corpus battery's whole-space wedges in one call: the Grünbaum
+    # grid's halfspaces, part 1's orthant pair [R, -R] (n >= 3) and part 2's
+    # pulled-back row; the grid takes all the cones at once, the pair the
+    # blocks of 512 (three on the 6-cube's 1440 cones), and each wedge gets
+    # the bits it gets alone
+    blocked = 0
+    for spec in load_corpus():
+        K = body_from_spec(spec)
+        if isinstance(K, Ball):
+            continue
+        n, e = K.dim, np.eye(K.dim)
+        T = isotropic_position(K)[1].matrix
+        wedges = [*rng.sphere_grid(n, 3, seed=17)[:, None, :]]
+        wedges += [e[n - 2:], -e[n - 2:]] if n >= 3 else []
+        wedges.append(e[-1:] @ T)
+        blocked += n >= 3 and len(_cone_simplices(K)[0]) > _WEDGE_BLOCK
+        for q in (0, 1):
+            shared = wedge_moment(K, wedges, q)
+            assert shared.shape == (len(wedges),)
+            assert np.array_equal(shared, [wedge_moment(K, W, q) for W in wedges]), spec["label"]
+    assert blocked >= 1  # the 6-cube at least
+    # a list of vectors stays one wedge
+    K = body_from_spec({"type": "cube", "n": 3})
+    assert isinstance(wedge_moment(K, [np.eye(3)[0]]), float)
+    assert wedge_moment(K, [np.eye(3)[0], np.eye(3)[1]]) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_sliced_wedge_counts_faces_in_the_hyperplane_once():
