@@ -13,10 +13,11 @@ split them, and the last row weights each piece by an exact recursion on
 its vertex values, run per sign pattern.  No cut reads a coordinate, so
 the slices and splits carry each vertex's values along the normals and
 rows still to come, one product per row at the start of a block.  At
-q = 0 they are wedge volumes.  One call cuts a stack of wedges of one body:
-the vertex values of many wedges go through one recursion, in blocks of
-about 1 MB, and a wedge R and its negative -R share one split, so a
-direction grid of halfspaces or a part-1 pair costs one pass over the cones.
+q = 0 they are wedge volumes.  One call cuts a stack of wedges of one body,
+of one or two rows each: the vertex values of many wedges go through one
+recursion, in blocks of about 1 MB, and a wedge R and its negative -R share
+one split, so a direction grid of halfspaces, a part-1 pair and part 2's
+row together cost one pass over the cones (`verify.checks_for_body`).
 `sections` slices a simplicial K's cones by a basis of S^perp wherever it
 needs K cap S, S a flat through 0 of dimension >= 2: for the cone cuts of
 up to two rows (`sections._cut_volume`) at every codimension, for the ray
@@ -188,7 +189,7 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
     row with no normal takes all the cones at once, any other wedge takes
     them in `_WEDGE_BLOCK` blocks, so a stack gives the bits of its wedges
     cut alone; where one block holds all the cones, every wedge of the stack
-    shares one pass, one product per distinct row and the same calls.
+    shares one pass and the same `_positive_fraction` calls.
 
     No cut reads a vertex's coordinates, only its values along the normals
     and rows still to come, and a crossing's values are interpolated as its
