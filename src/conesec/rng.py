@@ -31,9 +31,6 @@ def sample_ball(n: int, num: int, seed: int) -> np.ndarray:
 
 def sample_sphere(n: int, num: int, seed: int) -> np.ndarray:
     """``num`` points uniform on the unit sphere S^(n-1), shape (num, n)."""
-    if n == 1:
-        rng = generator(seed)
-        return np.where(rng.random((num, 1)) < 0.5, -1.0, 1.0)
     rng = generator(seed)
     g = rng.standard_normal((num, n))
     return g / np.linalg.norm(g, axis=1, keepdims=True)

@@ -16,14 +16,17 @@ The polyhedral route has one cut, `_cut_volume(K, S, R)` with
 S = F + span C (`_cone_flat`): up to two rows it is one wedge moment of
 K's cones sliced down to S where the rule allows, with no section body,
 qhull call or LP, and a part-1 pair cuts the stack [R, -R] in that one
-call; more rows, balls and other polytopes cut the section body.  The ray
-moments int_0^T t^(p-1) f(t theta) dt of the radial route are exact for
-polytopes: radial(K, theta)^p / p at m = 0; at m = 1 a closed form between
-the chord's kinks, which are the ray's crossings with K's cached facet
-ridges (`geometry.facet_ridges`), and T from the Fourier-Motzkin rows of
-those ridges and of the facets parallel to F, with no projection hulled
-(`_Chords`); and at m >= 2 and integer p one cut (`_cut_volume`) of degree
-p - 1 per direction of the section K cap (F + R theta), by the same rule.
+call; more rows, balls and other polytopes cut the section body. A centred
+ball's wedge keeps its solid angle's share of the ball, and every solid
+angle is one rule on the cone's rows, the orthant probability of
+`_orthant_fraction`.  The ray moments int_0^T t^(p-1) f(t theta) dt of
+the radial route are exact for polytopes: radial(K, theta)^p / p at m = 0;
+at m = 1 a closed form between the chord's kinks, which are the ray's
+crossings with K's cached facet ridges (`geometry.facet_ridges`), and T
+from the Fourier-Motzkin rows of those ridges and of the facets parallel
+to F, with no projection hulled (`_Chords`); and at m >= 2 and integer p
+one cut (`_cut_volume`) of degree p - 1 per direction of the section
+K cap (F + R theta), by the same rule.
 
 A polytope keeps one `SectionVolumeFunction` per flat (`section_volume_fn`),
 so F^perp, the chord data of `_Chords` and the support projection are built
@@ -59,14 +62,12 @@ from .geometry import (
     contains,
     facet_ridges,
     known_simplicial,
-    make_ball,
     project,
     radial,
     radial_many,
     to_hrep,
     to_vrep,
     translate,
-    trivial_flat,
 )
 from .volume import (_centred, _cone_simplices, _in_plane_tol, _slice, _wedge_stack, body_volume, moments,
                      unit_ball_volume, wedge_moment)
@@ -605,9 +606,9 @@ def _cut_volume(K: ConvexBody, S, R, q: int = 0):
     (`section`), with R in S's coordinates; 0 for an empty section. A ball
     must be centred at 0 (`Ball.centred`; GeometryError otherwise). Its
     wedges are taken one at a time: W keeps the share of the ball's volume
-    that the cone {W y >= 0} takes of the sphere, the solid-angle fraction
-    (`solid_angle_fraction`) of the cone in W's row space generated by the
-    columns of W's pseudo-inverse, since W pinv(W) = I. A polytope section
+    that the wedge {W y >= 0} takes of the sphere, the orthant probability
+    of W's rows (`_orthant_fraction`), the one rule `solid_angle_fraction`
+    takes on a cone's rows too. A polytope section
     is cut up to two rows from the boundary simplices L already has in one
     `wedge_moment` call. More rows intersect L's halfspaces with each
     wedge's, one halfspace intersection per wedge whose volume is read from
@@ -624,8 +625,7 @@ def _cut_volume(K: ConvexBody, S, R, q: int = 0):
     elif isinstance(L, Ball):
         if not L.centred:
             raise GeometryError("cone sections of balls require the center at 0")
-        out = body_volume(L) * np.array([solid_angle_fraction(PolyhedralCone(np.linalg.pinv(W).T))
-                                         for W in wedges])
+        out = body_volume(L) * np.array([_orthant_fraction(W) for W in wedges])
     elif rows <= 2:
         out = wedge_moment(L, wedges, q)
     else:
@@ -636,33 +636,66 @@ def _cut_volume(K: ConvexBody, S, R, q: int = 0):
 
 
 def solid_angle_fraction(C: PolyhedralCone) -> float:
-    """Fraction of the sphere S^(p-1) of span(C) inside C.
+    """Fraction of the sphere S^(p-1) of span(C) inside C: the orthant
+    probability of C's rows in the coordinates of its span
+    (`_orthant_fraction`), so at most 7 generators."""
+    return _orthant_fraction(C.constraints_in_span())
 
-    Closed forms for p <= 2 and orthogonal generators; spherical-triangle
-    excess for p = 3. Beyond that it is the radial route's volume of the
-    cone's part of the unit p-ball, over the ball's volume
-    (`cone_section_volume_radial`, with C in the coordinates of its span
-    and the flat {0}): the ball's ray moments are exact, so only the
-    route's sphere quadrature is numerical, and it is deterministic.
+
+def _orthant_fraction(R) -> float:
+    """The share of the sphere inside the wedge {y : R y >= 0}, R of linearly
+    independent rows: the Gaussian orthant probability P(R Z >= 0), Z
+    standard normal, whose covariance R R^T enters only through its
+    correlation matrix, so rows of any scale give the same share.
+
+    It is Plackett's reduction (`_orthant_probability`), exact for up to
+    three rows, whose node counts are refined by `_refine` over
+    QUADRATURE.sphere_nodes with the sphere rule's tolerances, its
+    `QuadratureWarning` and its `QuadratureNonConvergence`. Raises
+    `GeometryError` beyond 7 rows.
     """
-    p = C.span_dim
-    U = C.span.coords(C.generators)  # unit rows in span coords
-    gram = U @ U.T
-    if np.allclose(gram, np.eye(p), atol=1e-9):
-        return 2.0**-p
-    if p == 2:
-        ang = math.acos(np.clip(gram[0, 1], -1, 1))
-        return ang / (2 * math.pi)
-    if p == 3:
-        # spherical excess via the dihedral angles of the triangle (a, b, c)
-        a, b, c = U
-        angles = []
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            ty = y - (y @ x) * x
-            tz = z - (z @ x) * x
-            angles.append(math.acos(np.clip(ty @ tz / (np.linalg.norm(ty) * np.linalg.norm(tz)), -1, 1)))
-        return (sum(angles) - math.pi) / (4 * math.pi)
-    return cone_section_volume_radial(make_ball(p), trivial_flat(p), PolyhedralCone(U)) / unit_ball_volume(p)
+    # a level of n nodes on q rows takes q (q - 1) / 2 * n levels on q - 2 rows:
+    # 7 rows take under 0.1 s at 16 and 32 nodes, 8 rows 1.5 s at 16 alone
+    if len(R) > 7:
+        raise GeometryError(f"the orthant rule takes at most 7 cone rows, not {len(R)}")
+    return _refine(lambda levels: [float(_orthant_probability(R @ R.T, n)) for n in levels],
+                   QUADRATURE.sphere_nodes, QUADRATURE.sphere_rel_tol, QUADRATURE.sphere_fail_tol)
+
+
+def _orthant_probability(S: np.ndarray, n: int) -> np.ndarray:
+    """P(X >= 0) for X ~ N(0, S), one value per covariance matrix of the stack S (..., q, q).
+
+    Plackett's reduction ("A reduction formula for normal multivariate
+    integrals", Biometrika 1954) on the correlation matrix, which S is
+    scaled to first, along S(t) = I + t (S - I):
+    P(S) = 2^-q + int_0^1 sum_(i<j) S_ij phi_2(0, 0; t S_ij) P(S_ij|t) dt,
+    where phi_2(0, 0; r) = 1 / (2 pi sqrt(1 - r^2)) and S_ij|t is the
+    covariance of the other q - 2 coordinates given X_i = X_j = 0 under
+    S(t). Sheppard's closed form 2^-q + sum_(i<j) arcsin S_ij / (2^(q-1) pi)
+    ends the recursion at q <= 3. The integral takes n Gauss-Legendre nodes
+    in u with t = 1 - u^2, graded toward t = 1: there a narrow cone's S(t)
+    nears singular and the integrand nears a (1 - t)^(-1/2) singularity,
+    which the grading smooths (with ungraded nodes remark 2's vertex cone at
+    n = 4, eps = 0.05 ran to 128 nodes and warned, 4e-9 off the radial
+    route).
+    """
+    d = np.sqrt(np.diagonal(S, axis1=-2, axis2=-1))
+    S = S / d[..., :, None] / d[..., None, :]
+    q = S.shape[-1]
+    I, J = np.triu_indices(q, 1)
+    if q <= 3:
+        return 2.0**-q + np.arcsin(S[..., I, J]).sum(axis=-1) / (2 ** (q - 1) * math.pi)
+    x, w = _gl_cache(n)
+    u = 0.5 * (x + 1.0)
+    St = np.eye(q) + (1.0 - u**2)[:, None, None] * (S[..., None, :, :] - np.eye(q))  # (..., n, q, q)
+    total = 0.0
+    for i, j in zip(I, J):
+        o = [i, j, *(k for k in range(q) if k not in (i, j))]
+        M = St[..., o][..., o, :]
+        for _ in range(2):  # condition on X_i, then on X_j
+            M = M[..., 1:, 1:] - M[..., 1:, :1] * M[..., :1, 1:] / M[..., :1, :1]
+        total += (S[..., i, j, None] / np.sqrt(1.0 - St[..., i, j] ** 2) * _orthant_probability(M, n)) @ (w * u)
+    return 2.0**-q + total / (2 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +704,8 @@ def solid_angle_fraction(C: PolyhedralCone) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """The tolerances of the ray and spherical quadrature of the radial route.
+    """The tolerances of the ray and spherical quadrature of the radial route
+    and of the orthant rule of solid angles.
 
     One instance, the module constant `QUADRATURE`, serves every caller;
     no public function takes a spec, so no call can loosen a tolerance.
@@ -690,6 +724,10 @@ class QuadratureSpec:
     batch of ray moments; on a 2-D cone a level puts that many nodes on each
     piece of the arc between the directions where the integrand kinks
     (`_arc_kinks`), on a wider cone it is the 1-D order of a simplex rule.
+    The sphere fields drive the orthant rule of solid angles
+    (`_orthant_fraction`) too: there a level is the node count of each
+    path integral of Plackett's reduction, refined by the same `_refine`
+    with the same tolerances.
 
     Each rule warns with a `QuadratureWarning` when it returns without
     meeting its relative tolerance: the ray rule when its panels run out,
@@ -729,8 +767,9 @@ class QuadratureWarning(RuntimeWarning):
 
     Issued by the refinement loop (`_refine`) of the adaptive ray rule
     (`_composite_gl`) when ray_max_panels runs out before two panel levels
-    agree to ray_rel_tol, and of the sphere rule when its last two levels
-    differ by more than sphere_rel_tol but not by more than sphere_fail_tol.
+    agree to ray_rel_tol, and of the sphere rule and the orthant rule
+    (`_orthant_fraction`) when their last two levels differ by more than
+    sphere_rel_tol but not by more than sphere_fail_tol.
     ``value`` is the returned (finest) estimate and ``gap`` the difference
     between the last two levels.
     """
@@ -807,10 +846,11 @@ def _std_simplex_quadrature(d: int, n1d: int):
 
 
 # nodes of the largest level of the radial route's simplex rule, whose
-# level of n nodes per axis takes n^(p - 1) directions. Every level fits up
-# to p = 4 (128^3 = 2^21); at p = 5 the levels 16 and 32, 1.1 M directions
-# in one batch, peak near 400 MB, and the next, 64^4 = 2^24 directions,
-# would take gigabytes
+# level of n nodes per axis takes n^(p - 1) directions. It bounds only the
+# radial route, which solid angles no longer take. Every level fits up to
+# p = 4 (128^3 = 2^21); at p = 5 the levels 16 and 32, 1.1 M directions in
+# one batch, peak near 400 MB, and the next, 64^4 = 2^24 directions, would
+# take gigabytes
 _SIMPLEX_NODES = 1 << 21
 
 

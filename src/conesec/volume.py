@@ -57,6 +57,7 @@ from .geometry import (
     affine_map,
     boundary,
     contains_many,
+    support,
     to_vrep,
     translate,
     unit_ball_volume,
@@ -555,10 +556,9 @@ def moment_p(K: ConvexBody, u, p: int) -> float:
 
 
 def bounding_box(K: ConvexBody):
-    if isinstance(K, Ball):
-        return K.center - K.radius, K.center + K.radius
-    V = to_vrep(K).vertices
-    return V.min(axis=0), V.max(axis=0)
+    """The corners (lo, hi) of K's axis-parallel box, from K's support along -e_i and e_i."""
+    E = np.eye(K.dim)
+    return np.array([-support(K, -e) for e in E]), np.array([support(K, e) for e in E])
 
 
 def monte_carlo_volume(K: ConvexBody, N: int, seed: int):

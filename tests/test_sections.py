@@ -1,5 +1,6 @@
 """Flat sections, section-volume functions and cone-section volumes."""
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -282,6 +283,28 @@ def test_adaptive_ray_rule_warns_when_it_misses_its_tolerance():
         warnings.simplefilter("error")
         loose = chord(QuadratureSpec(ray_rel_tol=1e-5))
     assert loose == pytest.approx(math.pi / 2, rel=1e-5)
+
+
+def test_refine_raises_beyond_its_failure_bound_and_warns_below_it():
+    # synthetic levels that never agree to rel_tol = 1e-6: the first two come
+    # in one call, the third alone, and the last gap decides the outcome
+    calls = []
+
+    def levels_of(values):
+        def value_at(levels):
+            calls.append(levels)
+            return [values[n] for n in levels]
+        return value_at
+
+    with pytest.raises(sections.QuadratureNonConvergence) as info:
+        sections._refine(levels_of({16: 1.0, 32: 1.5, 64: 1.25}), (16, 32, 64), 1e-6, 1e-3)
+    assert (info.value.value, info.value.error_estimate) == (1.25, 0.25)
+    assert calls == [(16, 32), (64,)]
+    with pytest.warns(QuadratureWarning) as record:
+        got = sections._refine(levels_of({16: 1.0, 32: 1.5, 64: 1.5 + 2**-12}), (16, 32, 64), 1e-6, 1e-3)
+    assert got == 1.5 + 2**-12
+    assert (record[0].message.value, record[0].message.gap) == (got, 2**-12)
+    assert len(record) == 1
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 2.5])
@@ -693,11 +716,86 @@ def test_solid_angle_of_skew_4d_cones_matches_genz(seed):
     assert solid_angle_fraction(C) == pytest.approx(ref, abs=1e-5)
 
 
-def test_solid_angle_beyond_the_simplex_rule_raises():
-    # a skew 6-D cone: the simplex rule's second level would take 32^5 nodes
-    C = PolyhedralCone(np.eye(6) + 0.3 * np.random.default_rng(6).random((6, 6)))
+def _skew_cone(p, seed):
+    return PolyhedralCone(np.eye(p) + 0.3 * np.random.default_rng(seed).random((p, p)))
+
+
+def _remark2_cone(n, eps):
+    # the vertex cone of remark 2 (`verify.experiment_remark2_sharpness`): the
+    # regular simplex's first vertex direction, spread by eps toward the
+    # vertices of a regular (n-1)-simplex in its orthogonal complement
+    apex = to_vrep(make_regular_simplex(n)).vertices[0]
+    apex = apex / np.linalg.norm(apex)
+    spread = to_vrep(make_regular_simplex(n - 1)).vertices
+    spread = spread / np.linalg.norm(spread, axis=1, keepdims=True)
+    return PolyhedralCone(apex + eps * (spread @ Subspace.hyperplane(apex).basis))
+
+
+def _radial_solid_angle(C):
+    p = C.span_dim
+    return cone_section_volume_radial(make_ball(p), trivial_flat(p), C) / volume(make_ball(p))
+
+
+def test_the_radial_simplex_rule_raises_beyond_its_levels():
+    # a skew 6-D cone: the simplex rule's second level would take 32^5 nodes,
+    # so the radial route refuses it; its solid angle is the orthant rule's
+    C = _skew_cone(6, 6)
     with pytest.raises(GeometryError, match="fewer than two levels"):
-        solid_angle_fraction(C)
+        cone_section_volume_radial(make_ball(6), trivial_flat(6), C)
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_the_sign_patterns_of_a_skew_cone_share_the_sphere(p):
+    # the 2^p wedges {D R y >= 0}, D = diag(+-1), partition the sphere. In
+    # the reduction each pair's terms cancel over the signs of its two rows,
+    # so the sum is 1 at every node count, and one stacked level checks it
+    R = _skew_cone(p, 6).constraints_in_span()
+    D = np.array(list(itertools.product((1.0, -1.0), repeat=p)))
+    stack = D[:, :, None] * (R @ R.T) * D[:, None, :]
+    fractions = sections._orthant_probability(stack, sections.QUADRATURE.sphere_nodes[0])
+    assert fractions.shape == (2**p,) and (fractions > 0).all()
+    assert abs(fractions.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [6, 7])
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_skew_solid_angles_beyond_the_simplex_rule_meet_their_tolerance(p, seed):
+    # no warning, and within Genz's quasi-Monte Carlo value at a fixed seed
+    # (a cross-check to ten times its error bound, as in 4-D above)
+    C = _skew_cone(p, seed)
+    R = C.constraints_in_span()
+    ref = multivariate_normal(np.zeros(p), R @ R.T, abseps=1e-7, releps=0).cdf(
+        np.zeros(p), rng=np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solid_angle_fraction(C) == pytest.approx(ref, rel=0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("p", [4, 5])
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_skew_solid_angles_match_the_radial_route(p, seed):
+    C = _skew_cone(p, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solid_angle_fraction(C) == pytest.approx(_radial_solid_angle(C), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("eps", [0.8, 0.2, 0.05])
+def test_remark2_vertex_cones_match_the_radial_route(n, eps):
+    # narrow cones, whose correlation matrix nears singular: the graded nodes
+    # keep the path integral smooth toward t = 1
+    C = _remark2_cone(n, eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solid_angle_fraction(C) == pytest.approx(_radial_solid_angle(C), rel=1e-8, abs=0.0)
+
+
+def test_solid_angles_of_eight_rows_name_the_limit():
+    with pytest.raises(GeometryError, match="at most 7 cone rows, not 8"):
+        solid_angle_fraction(_skew_cone(8, 6))
+    with pytest.raises(GeometryError, match="at most 7 cone rows, not 8"):
+        cone_section_volume_polyhedral(make_ball(8), trivial_flat(8), _skew_cone(8, 6))
 
 
 def test_ball_cone_section_is_solid_angle_share():

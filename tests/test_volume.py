@@ -39,6 +39,7 @@ from conesec.volume import (
     _split,
     _suffix_h,
     body_volume,
+    bounding_box,
     centered_second_moment,
     centroid,
     isotropic_position,
@@ -596,3 +597,22 @@ def test_isotropic_rejects_degenerate():
     flat = VPolytope([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(GeometryError):
         isotropic_position(flat)
+
+
+def test_bounding_box_reads_the_support_function_to_the_bit():
+    for center, r in (([0.3, -1.2, 2.5], 0.7), ([1e3, -4.0], 2.5)):
+        lo, hi = bounding_box(make_ball(len(center), r=r, center=center))
+        assert np.array_equal(lo, np.array(center) - r) and np.array_equal(hi, np.array(center) + r)
+    for K in (make_cube(4), random_centered_polytope(6, 18, 3),
+              translate(make_cross_polytope(5), [1.0, -2.0, 0.5, 3.0, -0.25])):
+        V = to_vrep(K).vertices
+        lo, hi = bounding_box(K)
+        assert np.array_equal(lo, V.min(axis=0)) and np.array_equal(hi, V.max(axis=0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_a_one_dimensional_sphere_sample_is_signs(seed):
+    # g / |g| of one Gaussian coordinate is exactly +-1
+    points = rng.sample_sphere(1, 64, seed)
+    assert points.shape == (64, 1)
+    assert set(points.ravel().tolist()) == {-1.0, 1.0}
