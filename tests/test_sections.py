@@ -792,10 +792,28 @@ def test_remark2_vertex_cones_match_the_radial_route(n, eps):
 
 
 def test_solid_angles_of_eight_rows_name_the_limit():
-    with pytest.raises(GeometryError, match="at most 7 cone rows, not 8"):
+    with pytest.raises(GeometryError, match="at most 7 correlated cone rows, not 8"):
         solid_angle_fraction(_skew_cone(8, 6))
-    with pytest.raises(GeometryError, match="at most 7 cone rows, not 8"):
+    with pytest.raises(GeometryError, match="at most 7 correlated cone rows, not 8"):
         cone_section_volume_polyhedral(make_ball(8), trivial_flat(8), _skew_cone(8, 6))
+
+
+def test_orthants_beyond_the_row_limit_take_exactly_their_share():
+    # rows uncorrelated with every other keep exactly 1/2 each, so the 7-row
+    # limit binds only the correlated rows: the axis orthant and a rotated one
+    rotated = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 8)))[0]
+    B = make_ball(8)
+    for U in (np.eye(8), rotated):
+        assert solid_angle_fraction(orthant_cone(U)) == 2.0**-8
+        assert cone_section_volume_polyhedral(B, trivial_flat(8), orthant_cone(U)) == 2.0**-8 * body_volume(B)
+
+
+def test_an_uncorrelated_row_halves_the_share_of_the_rest():
+    # a skew 7-D cone and an eighth axis orthogonal to it: 8 rows, 7 correlated
+    G = np.eye(8)
+    G[:7, :7] = _skew_cone(7, 5).generators
+    assert solid_angle_fraction(PolyhedralCone(G)) == pytest.approx(solid_angle_fraction(_skew_cone(7, 5)) / 2,
+                                                                    rel=1e-12, abs=0.0)
 
 
 def test_ball_cone_section_is_solid_angle_share():
