@@ -729,9 +729,12 @@ class QuadratureSpec:
     p, where they are wedge moments (`SectionVolumeFunction.ray_moments`).
     The sphere fields always apply: the integral over the cone's directions
     stays numerical. Its levels are sphere_nodes, whose first two share one
-    batch of ray moments; on a 2-D cone a level puts that many nodes on each
-    piece of the arc between the directions where the integrand kinks
-    (`_arc_kinks`), on a wider cone it is the 1-D order of a simplex rule.
+    batch of ray moments. On a 2-D cone a level is the number of intervals
+    of a Clenshaw-Curtis rule (`_nested_cc`) on each piece of the arc
+    between the directions where the integrand kinks (`_arc_kinks`). The
+    levels nest: the default first two, 16 and 32, take 33 directions per
+    piece, and each later level only its new nodes. On a wider cone a level
+    is the 1-D order of a Gauss-Legendre simplex rule.
     The sphere fields drive the orthant rule of solid angles
     (`_orthant_fraction`) too: there a level is the node count of each
     path integral of Plackett's reduction, refined by the same `_refine`
@@ -826,8 +829,7 @@ def _composite_gl(fn, a: float, b: float, spec: QuadratureSpec) -> float:
     finest level.
     """
     def value_at(levels: tuple) -> list:
-        return [_fixed_gl(fn, np.linspace(a, b, panels + 1), (spec.ray_panel_nodes,))[0]
-                for panels in levels]
+        return [_fixed_gl(fn, np.linspace(a, b, panels + 1), spec.ray_panel_nodes) for panels in levels]
 
     levels = tuple(2**i for i in range(spec.ray_max_panels.bit_length()))
     return _refine(value_at, levels, spec.ray_rel_tol, math.inf)
@@ -867,10 +869,11 @@ def cone_section_volume_radial(K: ConvexBody, F: Subspace, C: PolyhedralCone) ->
 
     f is the section-volume function of (K, F); requires 0 interior to the
     support of f restricted to span(C). On a 2-D cone the arc rule is split
-    at the directions where its integrand kinks (`_arc_kinks`). On a wider
-    cone the simplex rule takes only the levels of sphere_nodes with at
-    most _SIMPLEX_NODES nodes, and raises GeometryError when fewer than two
-    fit (p >= 6).
+    at the directions where its integrand kinks (`_arc_kinks`), and its
+    nested Clenshaw-Curtis levels (`_nested_cc`) reuse the ray moments of
+    the levels before them. On a wider cone the simplex rule takes only the
+    levels of sphere_nodes with at most _SIMPLEX_NODES nodes, and raises
+    GeometryError when fewer than two fit (p >= 6).
     """
     S, _ = _cone_flat(F, C)
     spec = QUADRATURE
@@ -897,8 +900,7 @@ def cone_section_volume_radial(K: ConvexBody, F: Subspace, C: PolyhedralCone) ->
             return fp(np.stack([np.cos(phis), np.sin(phis)], axis=1))
 
         edges = np.concatenate([[a1], _arc_kinks(K, S, C, a1, delta), [a1 + delta]])
-        return _refine(lambda levels: _fixed_gl(arc, edges, levels), spec.sphere_nodes,
-                       spec.sphere_rel_tol, spec.sphere_fail_tol)
+        return _refine(_nested_cc(arc, edges), spec.sphere_nodes, spec.sphere_rel_tol, spec.sphere_fail_tol)
     # p >= 3: integrate over the transversal simplex T = conv(unit generators):
     # int_{C cap S^{p-1}} phi(theta) dtheta = h * int_T phi(x/|x|) |x|^-p dA(x)
     levels = tuple(n for n in spec.sphere_nodes if n ** (p - 1) <= _SIMPLEX_NODES)
@@ -934,7 +936,9 @@ def _arc_kinks(K: ConvexBody, S, C: PolyhedralCone, a1: float, delta: float) -> 
     the directions of the vertices of L = K cap S, S = F + span C through 0
     (`_cone_flat`, None for R^n), projected onto span C: one product of
     L's vertices, in R^n, with span C's basis, whose coordinates give the
-    angles. A ball has no kinks.
+    angles. A ball has no kinks. A kink within 1e-12 delta of an arc end or
+    of the kink before it is dropped: the sliver piece it would bound costs
+    a whole level of nodes.
     """
     if isinstance(K, Ball):
         return np.zeros(0)
@@ -942,17 +946,63 @@ def _arc_kinks(K: ConvexBody, S, C: PolyhedralCone, a1: float, delta: float) -> 
     if L is None:
         return np.zeros(0)
     Y = C.span.coords(L.vertices if S is None else S.embed(L.vertices))
-    norms = np.linalg.norm(Y, axis=1)
+    norms = np.hypot(Y[:, 0], Y[:, 1])
     Y = Y[norms > 1e-12 * norms.max()]  # vertices in F have no direction
-    rel = np.unique((np.arctan2(Y[:, 1], Y[:, 0]) - a1) % (2 * math.pi))
-    return a1 + rel[(rel > 0) & (rel < delta)]
+    rel = np.sort((np.arctan2(Y[:, 1], Y[:, 0]) - a1) % (2 * math.pi))
+    tol, before = 1e-12 * delta, np.concatenate(([0.0], rel[:-1]))
+    return a1 + rel[(rel - before > tol) & (rel < delta - tol)]
 
 
-def _fixed_gl(fn, edges: np.ndarray, levels: tuple) -> list:
-    """n-node Gauss-Legendre on each piece [edges[j], edges[j+1]], one value per
-    level n of levels, with the nodes of every level in one call of fn."""
+def _fixed_gl(fn, edges: np.ndarray, n: int) -> float:
+    """n-node Gauss-Legendre on each piece [edges[j], edges[j+1]], with every
+    piece's nodes in one call of fn."""
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    rules = [_gl_cache(n) for n in levels]
-    nodes = [(mid[:, None] + half[:, None] * x).ravel() for x, _ in rules]
-    vals = np.split(fn(np.concatenate(nodes)), np.cumsum([len(ts) for ts in nodes])[:-1])
-    return [float((half[:, None] * w).ravel() @ v) for (_, w), v in zip(rules, vals)]
+    x, w = _gl_cache(n)
+    return float((half[:, None] * w).ravel() @ fn((mid[:, None] + half[:, None] * x).ravel()))
+
+
+@functools.cache
+def _cc_cache(n: int):
+    """The (n + 1)-point Clenshaw-Curtis rule (nodes, weights) on [-1, 1], built once per n.
+
+    Its nodes cos(k pi / n), k = 0..n, nest: when m divides n, every
+    (n / m)-th node of level n is a node of level m. The weights are the
+    cosine sums of Clenshaw and Curtis (Numer. Math. 1960), exact for
+    polynomials of degree n.
+    """
+    k, j = np.arange(n + 1), np.arange(1, n // 2 + 1)
+    x = np.sin(0.5 * np.pi * ((n - 2 * k) / n))  # cos(k pi / n), odd under k -> n - k
+    b = np.where(2 * j == n, 1.0, 2.0) / (4 * j**2 - 1)
+    c = np.where((k == 0) | (k == n), 1.0, 2.0)
+    return x, c / n * (1.0 - np.cos(np.pi * (2 * np.outer(k, j) % (2 * n)) / n) @ b)
+
+
+def _nested_cc(fn, edges: np.ndarray):
+    """The arc rule's value_at for `_refine`: level n is the (n + 1)-point
+    Clenshaw-Curtis rule on each piece [edges[j], edges[j+1]].
+
+    A level takes the node values of the finest level before it, in the same
+    call or an earlier one, that divides it, and evaluates only its other
+    nodes; a level that no earlier level divides is evaluated whole. The
+    new nodes of all the levels of one call go to fn in one call. The node
+    values live as long as the returned function, one query.
+    """
+    mid, half = 0.5 * (edges[1:, None] + edges[:-1, None]), 0.5 * np.diff(edges)
+    values = {}  # level -> (pieces, level + 1) node values
+
+    def value_at(levels: tuple) -> list:
+        plans = []
+        for i, n in enumerate(levels):
+            m = max((m for m in (*values, *levels[:i]) if n % m == 0), default=None)
+            plans.append((n, m, np.arange(n + 1) % (n // m) != 0 if m else slice(None)))
+        nodes = [(mid + half[:, None] * _cc_cache(n)[0][new]).ravel() for n, _, new in plans]
+        v, start = fn(np.concatenate(nodes)), 0
+        for (n, m, new), t in zip(plans, nodes):
+            V = np.empty((len(half), n + 1))
+            V[:, new] = v[start:start + len(t)].reshape(len(half), -1)
+            if m:
+                V[:, :: n // m] = values[m]
+            values[n], start = V, start + len(t)
+        return [float(half @ values[n] @ _cc_cache(n)[1]) for n in levels]
+
+    return value_at

@@ -1420,8 +1420,9 @@ def test_radial_route_matches_polyhedral():
 def test_arc_rule_split_at_vertex_directions_converges_at_its_second_level(monkeypatch):
     # criterion 11's 3-D set-ups with 2-D cones: the integrand over the arc
     # is analytic between the projected vertex directions, so the 16- and
-    # 32-node levels agree. The two levels share one call, so a query that
-    # stops there makes one call of (16 + 32) directions per arc piece
+    # 32-interval levels agree. The two levels share one call, and the
+    # 32-level's 33 nodes on a piece hold the 16-level's 17, so a query that
+    # stops there makes one call of 33 directions per arc piece
     calls, pieces = [], []
     real = SectionVolumeFunction.ray_moments
     monkeypatch.setattr(SectionVolumeFunction, "ray_moments",
@@ -1441,14 +1442,40 @@ def test_arc_rule_split_at_vertex_directions_converges_at_its_second_level(monke
             calls.clear()
             pieces.clear()
             got = cone_section_volume_radial(K, Subspace.from_span(e[:1]), C)
-            assert pieces[0] > 1 and calls == [(16 + 32) * pieces[0]]
+            assert pieces[0] > 1 and calls == [(32 + 1) * pieces[0]]
             assert got == pytest.approx(cone_section_volume_polyhedral(K, Subspace.from_span(e[:1]), C),
                                         rel=1e-6, abs=0.0)
 
 
+def test_arc_kinks_drop_sliver_pieces(monkeypatch):
+    # two vertices of the regular simplex project to directions 1.1e-16
+    # apart, at the arc's middle: the two kinks are one, so the arc takes 2
+    # pieces, not 3 with a sliver between them, and converges at its first
+    # call of 33 nodes per piece
+    calls, pieces = [], []
+    real = SectionVolumeFunction.ray_moments
+    monkeypatch.setattr(SectionVolumeFunction, "ray_moments",
+                        lambda self, thetas, p: calls.append(len(thetas)) or real(self, thetas, p))
+    real_kinks = sections._arc_kinks
+
+    def kinks(*args):
+        out = real_kinks(*args)
+        pieces.append(len(out) + 1)
+        return out
+
+    monkeypatch.setattr(sections, "_arc_kinks", kinks)
+    e = np.eye(3)
+    K, F, C = make_regular_simplex(3), Subspace.from_span(e[:1]), orthant_cone(-e[1:])
+    got = cone_section_volume_radial(K, F, C)
+    assert pieces == [2] and calls == [33 * 2]
+    assert got == pytest.approx(cone_section_volume_polyhedral(K, F, C), rel=1e-12, abs=0.0)
+
+
 def test_sphere_rule_takes_one_call_per_level_after_its_first_two(monkeypatch):
-    # 2 and 3 nodes per arc piece disagree on the cube, and so do 3 and 32,
-    # so the rule goes on to its third level and then to its fourth
+    # levels 2 and 3 (3 and 4 nodes per arc piece) disagree on the cube, and
+    # so do 3 and 32, so the rule goes on to its third level and then to its
+    # fourth. Level 3 takes no node of level 2, level 32 takes level 2's 3
+    # (3 does not divide 32) and level 64 takes level 32's 33
     F, C = Subspace.from_span([[1.0, 0, 0]]), orthant_cone([[0, 1.0, 0], [0, 0, 1.0]])
     monkeypatch.setattr(sections, "QUADRATURE", QuadratureSpec(sphere_nodes=(2, 3, 32, 64)))
     calls = []
@@ -1456,14 +1483,14 @@ def test_sphere_rule_takes_one_call_per_level_after_its_first_two(monkeypatch):
     monkeypatch.setattr(SectionVolumeFunction, "ray_moments",
                         lambda self, thetas, p: calls.append(len(thetas)) or real(self, thetas, p))
     got = cone_section_volume_radial(make_cube(3), F, C)
-    pieces = calls[0] // (2 + 3)
-    assert calls == [(2 + 3) * pieces, 32 * pieces, 64 * pieces]
+    pieces = calls[0] // (3 + 4)
+    assert calls == [7 * pieces, 30 * pieces, 32 * pieces]
     assert got == pytest.approx(2.0, rel=1e-6)
 
 
-def test_fixed_gl_levels_match_their_single_level_calls():
-    # the nodes of both levels go to fn in one call; each level's value is
-    # the one it has alone
+def test_nested_cc_levels_match_their_single_level_calls():
+    # the nodes of both levels go to fn in one call, the 17 of level 16
+    # among the 33 of level 32; each level's value is the one it has alone
     calls = []
 
     def fn(phis):
@@ -1471,10 +1498,22 @@ def test_fixed_gl_levels_match_their_single_level_calls():
         return np.exp(np.sin(3 * phis)) * np.abs(np.cos(phis))
 
     edges = np.array([0.1, 0.7, 1.3, 2.0])
-    both = sections._fixed_gl(fn, edges, (16, 32))
-    alone = [sections._fixed_gl(fn, edges, (n,))[0] for n in (16, 32)]
-    assert calls == [3 * (16 + 32), 3 * 16, 3 * 32]
+    both = sections._nested_cc(fn, edges)((16, 32))
+    alone = [sections._nested_cc(fn, edges)((n,))[0] for n in (16, 32)]
+    assert calls == [3 * 33, 3 * 17, 3 * 33]
     assert both == pytest.approx(alone, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 32, 64, 128])
+def test_clenshaw_curtis_weights_integrate_polynomials_of_their_degree(n):
+    # the (n + 1)-point rule on [-1, 1] integrates x^j exactly for j <= n;
+    # each error is relative to the integral of |x|^j, 2 / (j + 1), as the
+    # odd moments are 0
+    x, w = sections._cc_cache(n)
+    assert w.sum() == pytest.approx(2.0, rel=1e-14, abs=0.0)
+    for j in range(n + 1):
+        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+        assert abs(w @ x**j - exact) <= 1e-14 * 2.0 / (j + 1), j
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
@@ -1493,10 +1532,10 @@ def test_integer_power_steps_match_exact_rationals(q, scale):
 
 
 def test_sphere_rule_warns_when_it_misses_its_tolerance(monkeypatch):
-    # on the cube, 2 and 3 nodes on each piece of the arc differ by more
-    # than sphere_rel_tol and less than sphere_fail_tol
+    # on the cube, levels 2 and 4 (3 and 5 nodes on each piece of the arc)
+    # differ by more than sphere_rel_tol and less than sphere_fail_tol
     F, C = Subspace.from_span([[1.0, 0, 0]]), orthant_cone([[0, 1.0, 0], [0, 0, 1.0]])
-    spec = QuadratureSpec(sphere_nodes=(2, 3), sphere_fail_tol=0.1)
+    spec = QuadratureSpec(sphere_nodes=(2, 4), sphere_fail_tol=0.1)
     monkeypatch.setattr(sections, "QUADRATURE", spec)
     with pytest.warns(QuadratureWarning) as record:
         got = cone_section_volume_radial(make_cube(3), F, C)
