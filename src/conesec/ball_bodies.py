@@ -27,7 +27,7 @@ from .geometry import (
     to_vrep,
     trivial_flat,
 )
-from .sections import SectionVolumeFunction, _adaptive_ray_moments, _composite_gl, _gl_cache, _ray_arguments
+from .sections import QUADRATURE, SectionVolumeFunction, _composite_gl, _fit, _gl_cache, _ray_arguments
 from .volume import unit_ball_volume
 
 
@@ -43,9 +43,9 @@ class ConcaveFunctionOracle:
     ``ray_extent`` and ``ray_moments``, and ``support_radius`` (f = 0
     outside that ball) and ``barycenter_zero`` (the first moment of f
     vanishes), which this class takes as given. A `SectionVolumeFunction`
-    answers the same protocol from its body (`oracle_from_section_fn`); this
-    class serves every other profile, with the adaptive ray rule, which
-    calls f once per node (`sections._adaptive_ray_moments`).
+    answers the same protocol from its body (`oracle_from_section_fn`),
+    with exact ray moments; this class serves every other profile, and its
+    `ray_moments` is the one user of the adaptive ray rule.
     """
 
     def __init__(
@@ -85,10 +85,19 @@ class ConcaveFunctionOracle:
     def ray_moments(self, xs, p: float) -> np.ndarray:
         """int_0^inf t^(p-1) f(t x) dt for each row x of an (N, k) array.
 
-        The adaptive rule `_composite_gl` on [0, `ray_extent`] per row.
-        Raises `GeometryError` unless p > 0 and every row is nonzero.
+        The adaptive rule `_composite_gl` on [0, `ray_extent`] per row, which
+        calls f once per node and warns with a `QuadratureWarning` when it
+        misses its tolerance. It is looked up in this module at each call, so
+        a rebinding of `ball_bodies._composite_gl` applies. Raises
+        `GeometryError` unless p is positive and finite and every row is
+        nonzero.
         """
-        return _adaptive_ray_moments(self, _ray_arguments(xs, p), p, _composite_gl)
+        def moment(x):
+            T = self.ray_extent(x)
+            return 0.0 if T <= 0 else _composite_gl(
+                lambda ts: ts ** (p - 1) * np.array([self(t * x) for t in ts]), 0.0, T, QUADRATURE)
+
+        return np.array([moment(x) for x in _ray_arguments(xs, p)])
 
 
 def oracle_from_section_fn(svf: SectionVolumeFunction) -> SectionVolumeFunction:
@@ -119,8 +128,9 @@ def ball_indicator_oracle(k: int, r: float = 1.0) -> SectionVolumeFunction:
 def I_p(f: ConcaveFunctionOracle | SectionVolumeFunction, x, p: float) -> float:
     """(int_0^inf t^(p-1) f(t x) dt)^(1/p); homogeneous of degree -1 in x.
 
-    One row of `f.ray_moments`: exact for polytope section profiles and
-    ball indicators, else by the adaptive ray rule.
+    One row of `f.ray_moments`: exact for every section profile of a
+    polytope or a ball, by the adaptive ray rule for a
+    `ConcaveFunctionOracle`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return float((f.ray_moments(x[None, :], p) ** (1.0 / p))[0])
@@ -350,8 +360,9 @@ def _height_max(f: SectionVolumeFunction) -> float:
 
     f^(1/m) is concave, so max f lies in the one or two intervals next to
     the height where f is largest. On each, f is a polynomial of degree
-    <= m: it is fitted from f at m + 1 Chebyshev nodes, and f is taken at
-    the real parts of its derivative's roots inside the interval. Returns
+    <= m: it is fitted from f at m + 1 Chebyshev nodes (`sections._fit`, the
+    fit of the real-p ray moments too), and f is taken at the real parts of
+    its derivative's roots inside the interval. Returns
     the largest f value taken. Raises `GeometryError` when a fitted
     polynomial misses f at its interval's ends by more than 1e-8 of the
     largest value, as a section wrongly measured at a vertex height would.
@@ -362,10 +373,7 @@ def _height_max(f: SectionVolumeFunction) -> float:
     best = at[j]
     for i in range(max(j - 1, 0), min(j + 1, len(heights) - 1)):
         ends = heights[i:i + 2]
-        nodes = np.polynomial.polyutils.mapdomain(np.polynomial.chebyshev.chebpts1(f.m + 1),
-                                                  [-1.0, 1.0], ends)
-        values = [f(t) for t in nodes]
-        poly = np.polynomial.Chebyshev.fit(nodes, values, f.m, domain=ends)
+        poly, values = _fit(f, ends, f.m)
         if np.abs(poly(ends) - at[i:i + 2]).max() > 1e-8 * at[j]:
             raise GeometryError("sections at vertex heights miss the polynomial between them")
         crit = poly.deriv().roots().real

@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_experiment)
 
     sp = sub.add_parser("corpus", help="run the standard battery over the body corpus")
-    sp.add_argument("--corpus", help="manifest path (default: env CONESEC_CORPUS or packaged)")
+    sp.add_argument("--corpus", help="manifest path (default: the packaged corpus)")
     sp.add_argument("--limit", type=int, help="only the first N corpus bodies")
     _add_output_args(sp, rows=True)
     sp.set_defaults(func=_cmd_corpus)

@@ -507,7 +507,8 @@ class Ball:
     @property
     def centred(self) -> bool:
         """Whether the centre is 0 to 1e-12 of the radius: the one test by which a
-        ball's closed forms (its cone cuts, its polar, its ray moments) take it."""
+        ball's cone cuts and its polar take it. Ray moments do not read it:
+        their closed form holds for any centre."""
         return bool(np.linalg.norm(self.center) <= 1e-12 * self.radius)
 
 
@@ -852,14 +853,18 @@ def radial_many(K: ConvexBody, U) -> np.ndarray:
     """radial(K, u) for each row u of an (N, n) array.
 
     A facet bounds the ray where <a, u> > 0, with no absolute floor, so the
-    result is of degree -1 in u at every length of u.
+    result is of degree -1 in u at every length of u. A ball's is the
+    positive root of D + 2 t <u, c> - t^2 |u|^2, D = r^2 - |c|^2, by the
+    stable root formula: D / (s - <u, c>) where <u, c> < 0, s the root of
+    the discriminant, so nothing cancels near the ball's boundary.
     """
     U = np.atleast_2d(_as_array(U))
     H = _origin_interior(K)
     if isinstance(K, Ball):
-        c, r = K.center, K.radius
+        c, D = K.center, K.radius**2 - float(K.center @ K.center)
         uu, uc = np.einsum("ij,ij->i", U, U), U @ c
-        return (uc + np.sqrt(uc * uc + uu * (r * r - float(c @ c)))) / uu
+        s = np.sqrt(uc * uc + uu * D)
+        return np.where(uc >= 0, (uc + s) / uu, D / (s - uc))
     proj = U @ H.A.T
     with np.errstate(divide="ignore", over="ignore"):
         ratios = np.where(proj > 0, H.b / proj, np.inf)

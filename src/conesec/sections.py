@@ -20,13 +20,15 @@ call; more rows, balls and other polytopes cut the section body. A centred
 ball's wedge keeps its solid angle's share of the ball, and every solid
 angle is one rule on the cone's rows, the orthant probability of
 `_orthant_fraction`.  The ray moments int_0^T t^(p-1) f(t theta) dt of
-the radial route are exact for polytopes: radial(K, theta)^p / p at m = 0;
-at m = 1 a closed form between the chord's kinks, which are the ray's
-crossings with K's cached facet ridges (`geometry.facet_ridges`), and T
-from the Fourier-Motzkin rows of those ridges and of the facets parallel
-to F, with no projection hulled (`_Chords`); and at m >= 2 and integer p
-one cut (`_cut_volume`) of degree p - 1 per direction of the section
-K cap (F + R theta), by the same rule.
+the radial route are exact for every section profile: radial(K, theta)^p / p
+at m = 0; Euler's integral for 2F1 for a ball of any centre; for a
+polytope at m = 1 a closed form between the chord's kinks, which are the
+ray's crossings with K's cached facet ridges (`geometry.facet_ridges`), and
+T from the Fourier-Motzkin rows of those ridges and of the facets parallel
+to F, with no projection hulled (`_Chords`); and at m >= 2, per direction
+of the section K cap (F + R theta), one cut (`_cut_volume`) of degree
+p - 1 at integer p, by the same rule, and a polynomial fit on each knot
+interval between its vertex heights at real p (`_knot_moments`).
 
 A polytope keeps one `SectionVolumeFunction` per flat (`section_volume_fn`),
 so F^perp, the chord data of `_Chords` and the support projection are built
@@ -43,7 +45,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta
+from scipy.special import beta, hyp2f1, roots_jacobi
 
 from .geometry import (
     Ball,
@@ -207,8 +209,8 @@ class SectionVolumeFunction:
     Each evaluation is one `section_volume` call, a slice of K's cached
     cones for a simplicial polytope at m >= 2, with no
     qhull call, and one section of K elsewhere. `ray_moments` is the one entry
-    point for its ray moments: exact where `has_exact_ray_moments` holds,
-    adaptive elsewhere.
+    point for its ray moments, exact on every route: no section profile takes
+    the adaptive ray rule.
 
     Built once per instance: F^perp (one SVD, here), and on first use the
     support projection (`ray_extent`) and, at m = 1, the chord data
@@ -260,22 +262,23 @@ class SectionVolumeFunction:
             self._proj = project(self.body, self.Fperp)
         return radial(self._proj, np.asarray(theta, dtype=float))
 
-    def has_exact_ray_moments(self, p) -> bool:
-        """Whether `ray_moments` is exact at p: at m = 0 (f the indicator of
-        K), for K a ball centred at 0, or a polytope with m = 1, or m >= 2
-        and p an integer (a wedge moment of degree p - 1)."""
-        if isinstance(self.body, Ball) and self.m > 0:
-            return self.body.centred
-        return self.m <= 1 or float(p).is_integer()
-
     def ray_moments(self, thetas, p) -> np.ndarray:
         """int_0^T t^(p-1) f(t theta) dt for each row theta of an (N, k) array, p > 0.
 
-        Where `has_exact_ray_moments(p)` holds the moments are exact up to
-        rounding. At m = 0, f is the indicator of K, whose moment is
-        radial(K, theta)^p / p for every real p > 0. At m = 1, f is the
-        chord length, linear between its kinks, where the ray's plane
-        crosses a ridge of two facets of K that face the same way along F;
+        Exact up to rounding on every route, with no adaptive rule. At m = 0,
+        f is the indicator of K, whose moment is radial(K, theta)^p / p for
+        every real p > 0. For a ball B(c, r) and m >= 1, f(x) is
+        omega_m (r^2 - |x - c'|^2)_+^(m/2), c' the centre in F^perp
+        coordinates; with D = r^2 - |c'|^2 and t+ the ray's end, the positive
+        root of D + 2 t <theta, c'> - t^2 |theta|^2 (`geometry.radial_many`
+        on B(c', r), by the stable root formula), the moment is Euler's
+        integral for 2F1:
+        omega_m D^(m/2) t+^p B(p, m/2 + 1) 2F1(-m/2, p; p + m/2 + 1; -|theta|^2 t+^2 / D)
+        for every real p > 0, which at c' = 0 is
+        omega_m r^(p+m) |theta|^(-p) B(p/2, m/2 + 1) / 2. At m = 1 on a
+        polytope, f is the chord length, linear between its kinks, where
+        the ray's plane crosses a ridge of two facets of K that face the
+        same way along F;
         each panel is integrated in closed form for every real p > 0. The
         ridges are cached on K (`geometry.facet_ridges`), and the ray's
         extent T comes from the Fourier-Motzkin rows of the ridges between
@@ -283,33 +286,24 @@ class SectionVolumeFunction:
         (`_Chords`). The kinks and chord lengths do not depend on p: after a
         call whose directions fit in one block, a call at another p on the
         same directions reuses them (`_chord_moments`), with the same result
-        bits. At m >= 2 and integer p, the moment is |theta|^(-p) times the integral of <e, x>^(p-1) over
-        L cap {<e, x> >= 0}, with e = theta / |theta| in R^n and
-        L = K cap (F + R e): one wedge moment of K's cached boundary cones
-        sliced by the k - 1 normals of F + R e at k = 1 or for a simplicial
-        K, else of the section body L (`_wedge_moments`). For a ball
-        of radius r centred at 0 and m >= 1, f(t theta) is
-        omega_m (r^2 - t^2 |theta|^2)^(m/2), whose moment is
-        omega_m r^(p+m) |theta|^(-p) B(p/2, m/2 + 1) / 2 for every real p > 0.
-
-        Elsewhere (off-centre balls at m >= 1, and non-integer p at m >= 2)
-        each row takes the adaptive rule `_composite_gl` on [0, `ray_extent`],
-        which evaluates f once per node and warns with a
-        `QuadratureWarning` when it misses its tolerance. Raises
-        `GeometryError` unless p > 0 and every row is nonzero.
+        bits. At m >= 2 on a polytope each direction e = theta / |theta|
+        takes the section L = K cap (F + R e) (`_wedge_moments`): at integer
+        p one wedge moment of degree p - 1, at real p the knot-interval fit
+        of f between L's vertex heights. Raises `GeometryError` unless p is
+        positive and finite and every row is nonzero, and for a ball unless
+        |c'| < r (1 - GEOM_TOL): 0 must be interior to the support of f.
         """
         thetas = _ray_arguments(thetas, p)
-        if not self.has_exact_ray_moments(p):
-            return _adaptive_ray_moments(self, thetas, p, _composite_gl)
         if self.m == 0:
             return radial_many(self.body, self.Fperp.embed(thetas)) ** p / p
         if isinstance(self.body, Ball):
-            m, r = self.m, self.body.radius
-            return (unit_ball_volume(m) * r ** (p + m) * beta(p / 2, m / 2 + 1) / 2
-                    * np.linalg.norm(thetas, axis=1) ** -p)
+            m, B = self.m, project(self.body, self.Fperp)  # B(c', r), the support of f
+            D, top = B.radius**2 - float(B.center @ B.center), radial_many(B, thetas)
+            return (unit_ball_volume(m) * D ** (m / 2) * top**p * beta(p, m / 2 + 1)
+                    * hyp2f1(-m / 2, p, p + m / 2 + 1, -(thetas**2).sum(axis=1) * top**2 / D))
         if self.m == 1:
             return self._chord_moments(thetas, p)
-        return self._wedge_moments(thetas, int(p))
+        return self._wedge_moments(thetas, p)
 
     def _chords(self) -> "_Chords":
         """The chord data of K and F, built once from K's cached ridges (`_Chords`)."""
@@ -342,23 +336,33 @@ class SectionVolumeFunction:
         self._profile = (key, *profile) if 0 < len(thetas) <= ch.block else None
         return out
 
-    def _wedge_moments(self, thetas: np.ndarray, p: int) -> np.ndarray:
-        """Ray moments at m >= 2 and integer p: per direction e, one wedge
-        moment of degree p - 1 of the section L = K cap (F + R e) by e, the
-        one cut of the polyhedral route (`_cut_volume`).
+    def _wedge_moments(self, thetas: np.ndarray, p: float) -> np.ndarray:
+        """Ray moments at m >= 2 of a polytope: per direction e, the section
+        L = K cap (F + R e), at k = 1 K itself.
 
-        So L is taken by f's route rule (`_slices_cones`): at k = 1 it is K,
-        and a simplicial K is sliced by a basis of F^perp cap e^perp, its
-        cached cones cut down to L. Any other K takes the section body
-        (`section`, one halfspace intersection), which is cut alone: the
-        8-cube's 80 640 boundary simplices took 1.2-1.8 s to slice per
-        direction at k = 2 against 0.07-0.16 s for its section (2-core Xeon).
+        At integer p it is one wedge moment of degree p - 1 of L by e, the one
+        cut of the polyhedral route (`_cut_volume`), so L is taken by f's
+        route rule (`_slices_cones`): a simplicial K is sliced by a basis of
+        F^perp cap e^perp, its cached cones cut down to L, and any other K
+        takes the section body (`section`, one halfspace intersection), which
+        is cut alone: the 8-cube's 80 640 boundary simplices took 1.2-1.8 s to
+        slice per direction at k = 2 against 0.07-0.16 s for its section
+        (2-core Xeon). At real p, f(s e) is a polynomial of degree <= m
+        between the heights <v, e> of L's vertices, and `_knot_moments`
+        integrates it one knot interval at a time; L is the section body at
+        k >= 2 (`section`, qhull-free at k = 2 for a simplicial K). The knot
+        route is 40-80 times as slow as the wedge cut at integer p, so it
+        serves only real p.
         """
         r = np.linalg.norm(thetas, axis=1)
         out = np.empty(len(thetas))
-        for i, e in enumerate(self.Fperp.embed(thetas / r[:, None])):
+        for i, (u, e) in enumerate(zip(thetas / r[:, None], self.Fperp.embed(thetas / r[:, None]))):
             S = None if self.k == 1 else Subspace(self.body.dim, np.vstack([self.F.basis, e]))
-            out[i] = _cut_volume(self.body, S, [e], p - 1)
+            if float(p).is_integer():
+                out[i] = _cut_volume(self.body, S, [e], int(p) - 1)
+            else:  # e is S's last basis vector
+                heights = self.body.vertices @ e if S is None else section(self.body, S).vertices[:, -1]
+                out[i] = _knot_moments(lambda s: self(s * u), heights, p, self.m)
         return out * r ** -p
 
     def __call__(self, x) -> float:
@@ -370,29 +374,49 @@ class SectionVolumeFunction:
 
 
 def _ray_arguments(thetas, p) -> np.ndarray:
-    """thetas as an (N, k) array; GeometryError unless p > 0 and every row is nonzero."""
-    if p <= 0:
-        raise GeometryError("p must be positive")
+    """thetas as an (N, k) array; GeometryError unless p is positive and
+    finite and every row is nonzero."""
+    if not 0 < p < math.inf:
+        raise GeometryError("p must be positive and finite")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if not thetas.any(axis=1).all():
         raise GeometryError("ray directions must be nonzero")
     return thetas
 
 
-def _adaptive_ray_moments(f, thetas: np.ndarray, p: float, rule) -> np.ndarray:
-    """int_0^T t^(p-1) f(t theta) dt per row theta, T = f.ray_extent(theta), by
-    ``rule``: the adaptive ray rule `_composite_gl` as the calling module binds it.
+def _fit(g, ends, m: int):
+    """(P, values): the polynomial P of degree m through g at the m + 1
+    Chebyshev points of the interval ends, all interior to it, and g's
+    values there. Exact up to rounding where g is such a polynomial."""
+    nodes = np.polynomial.polyutils.mapdomain(np.polynomial.chebyshev.chebpts1(m + 1), [-1.0, 1.0], ends)
+    values = [g(t) for t in nodes]
+    return np.polynomial.Chebyshev.fit(nodes, values, m, domain=ends), values
 
-    The one evaluation loop of the rule: f is called once per node, f(t theta),
-    for any profile oracle, a `SectionVolumeFunction` (one `section_volume`
-    per node) or a `ball_bodies.ConcaveFunctionOracle`.
+
+def _knot_moments(g, heights: np.ndarray, p: float, m: int) -> float:
+    """int_0^T t^(p-1) g(t) dt for g a spline of degree <= m on [0, T] whose
+    knots are among the heights, T the largest.
+
+    The knots are 0 and the heights above 1e-12 T, a height within 1e-12 T
+    of the next taken as that one (tied knots); the result is 0 when no
+    height is positive. On each knot interval g is fitted from its values at
+    m + 1 interior points (`_fit`), so a jump at an end, as where a facet is
+    parallel to the flat, is read from inside. On [0, k1] the (m + 1)-node
+    Gauss-Jacobi rule of weight t^(p-1) is exact for the fit; on [a, b] with
+    a > 0 the 12-node Gauss-Legendre rule (`_fixed_gl`) on [a, 2a], [2a, 4a],
+    ..., b, where the singularity of t^(p-1) at 0 is three half-widths from
+    each piece's centre: an error factor of about (3 + 2 sqrt 2)^-24, 1e-18.
     """
-    out = np.empty(len(thetas))
-    for i, theta in enumerate(thetas):
-        T = f.ray_extent(theta)
-        out[i] = 0.0 if T <= 0 else rule(
-            lambda ts: ts ** (p - 1) * np.array([f(t * theta) for t in ts]), 0.0, T, QUADRATURE)
-    return out
+    h = np.sort(heights[heights > 1e-12 * heights.max()])
+    if not len(h):
+        return 0.0  # no height above 0: g vanishes on the ray
+    knots = np.concatenate([[0.0], h[np.diff(h, append=math.inf) > 1e-12 * h[-1]]])
+    (x, w), P = roots_jacobi(m + 1, 0.0, p - 1), _fit(g, knots[:2], m)[0]
+    total = (knots[1] / 2) ** p * float(w @ P(knots[1] / 2 * (x + 1)))
+    for a, b in zip(knots[1:-1], knots[2:]):
+        P, edges = _fit(g, (a, b), m)[0], np.append(a * 2.0 ** np.arange(math.ceil(math.log2(b / a))), b)
+        total += _fixed_gl(lambda t: t ** (p - 1) * P(t), edges, 12)
+    return total
 
 
 # directions x kink ridges x neighbours per block of `_chord_moments`, which
@@ -722,12 +746,10 @@ class QuadratureSpec:
     its levels in turn, the first two in one call, until two agree. The ray
     fields drive the adaptive ray rule `_composite_gl`, whose levels are 1,
     2, 4, ... ray_max_panels panels of ray_panel_nodes nodes each. It
-    integrates only the profiles without exact ray moments: off-centre balls
-    at m >= 1, oracles other than section functions, and non-integer p at
-    m >= 2. Ray moments are exact for indicators (m = 0), for centred balls,
-    and for polytope section functions at m = 1, or at m >= 2 with integer
-    p, where they are wedge moments (`SectionVolumeFunction.ray_moments`).
-    The sphere fields always apply: the integral over the cone's directions
+    serves only `ball_bodies.ConcaveFunctionOracle`: every section profile,
+    of a polytope or a ball, has exact ray moments
+    (`SectionVolumeFunction.ray_moments`), so the radial route never
+    reaches it. The sphere fields always apply: the integral over the cone's directions
     stays numerical. Its levels are sphere_nodes, whose first two share one
     batch of ray moments. On a 2-D cone a level is the number of intervals
     of a Clenshaw-Curtis rule (`_nested_cc`) on each piece of the arc
@@ -777,8 +799,9 @@ class QuadratureWarning(RuntimeWarning):
     """A quadrature rule returned its finest level without meeting its tolerance.
 
     Issued by the refinement loop (`_refine`) of the adaptive ray rule
-    (`_composite_gl`) when ray_max_panels runs out before two panel levels
-    agree to ray_rel_tol, and of the sphere rule and the orthant rule
+    (`_composite_gl`, which only `ball_bodies.ConcaveFunctionOracle` takes)
+    when ray_max_panels runs out before two panel levels agree to
+    ray_rel_tol, and of the sphere rule and the orthant rule
     (`_orthant_fraction`) when their last two levels differ by more than
     sphere_rel_tol but not by more than sphere_fail_tol.
     ``value`` is the returned (finest) estimate and ``gap`` the difference
@@ -819,7 +842,8 @@ def _refine(value_at, levels: tuple, rel_tol: float, fail_tol: float) -> float:
 
 
 def _composite_gl(fn, a: float, b: float, spec: QuadratureSpec) -> float:
-    """The adaptive ray rule: int_a^b fn by composite Gauss-Legendre with panel doubling.
+    """The adaptive ray rule: int_a^b fn by composite Gauss-Legendre with panel
+    doubling, which only `ball_bodies.ConcaveFunctionOracle.ray_moments` calls.
 
     fn maps an array of nodes to their values. A level of P panels is one
     `_fixed_gl` call with spec.ray_panel_nodes nodes on each of the P equal

@@ -642,22 +642,13 @@ def report_prop9(f: ConcaveFunctionOracle | SectionVolumeFunction, num_dirs: int
 # corpus runner
 
 
-CORPUS_ENV_VAR = "CONESEC_CORPUS"
-
-
 def load_corpus(path: str | None = None) -> list[dict]:
-    """Body specs from a JSON manifest (argument, env var, or packaged default)."""
+    """Body specs from a JSON manifest: the file at path, or the packaged default."""
     import json
-    import os
     from importlib import resources
+    from pathlib import Path
 
-    if path is None:
-        path = os.environ.get(CORPUS_ENV_VAR)
-    if path is None:
-        text = resources.files("conesec").joinpath("data/corpus.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    text = (resources.files("conesec").joinpath("data/corpus.json") if path is None else Path(path)).read_text()
     return _field(json.loads(text), "bodies", "corpus manifest")
 
 

@@ -209,14 +209,15 @@ def test_function_moment_of_indicator():
             unit_ball_volume(k), rel=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
 def test_indicator_is_the_exact_m0_profile_of_the_ball():
     # 1_{rB} is the m = 0 section profile of rB: its ray moments are closed
     # forms, (r / |theta|)^p / p, and its ray values vanish outside rB
     for k in (1, 2, 3):
         f = ball_indicator_oracle(k, r=2.0)
         assert isinstance(f, SectionVolumeFunction)
-        assert f.has_exact_ray_moments(k + 2)
         theta = np.eye(k)[0]
+        assert f.ray_moments(0.5 * theta[None, :], k + 2)[0] == pytest.approx(4.0 ** (k + 2) / (k + 2), rel=1e-14)
         assert [f(t * theta) for t in (1.0, 1.999, 2.001)] == [1.0, 1.0, 0.0]
         assert f.ray_extent(0.5 * theta) == pytest.approx(4.0, rel=1e-15)
     # at k = 1 the two directions +-1 make the sphere quadrature exact too

@@ -259,6 +259,15 @@ def test_format_is_rejected_where_no_csv_is_written(capsys, argv):
     assert "--format" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_ball_body_rejects_a_p_that_is_not_finite(capsys, p):
+    # a NaN radius is no valid JSON, and p = inf has no moment body
+    code, out, err = run(capsys, "ball-body", "--body", "cube", "--n", "3", "--k", "2", "--p", p)
+    assert code == 2
+    assert out == ""
+    assert "positive and finite" in err
+
+
 def test_corpus_writes_csv(capsys):
     code, out, err = run(capsys, "corpus", "--limit", "1", "--format", "csv")
     assert code == 0

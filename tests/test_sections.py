@@ -190,7 +190,7 @@ def test_brunn_function_codim_n_is_indicator():
 
 @pytest.mark.parametrize("k", [3, 2, 1])
 def test_zero_ray_directions_are_rejected(k):
-    # m = 1, 2, 3: the chord, wedge-moment and (at p = 1.5) adaptive routes
+    # m = 1, 2, 3: the chord, wedge-moment and (at p = 1.5) knot-interval routes
     f = section_volume_fn(random_centered_polytope(4, 14, 9), Subspace.from_span(np.eye(4)[: 4 - k]))
     assert f.m == 4 - k
     for p in (1.0, 1.5, 2.0):
@@ -198,6 +198,18 @@ def test_zero_ray_directions_are_rejected(k):
             f.ray_moments([np.ones(k), np.zeros(k)], p)
         with pytest.raises(GeometryError, match="nonzero"):
             ray_moment(f, np.zeros(k), p)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_non_finite_p_is_rejected(p):
+    # a section function and a ConcaveFunctionOracle each, before any ray is taken
+    from conesec.ball_bodies import ConcaveFunctionOracle
+
+    f = section_volume_fn(make_cube(3), Subspace.from_span(np.eye(3)[:1]))
+    g = ConcaveFunctionOracle(2, lambda x: max(0.0, 1.0 - x @ x), 1.0, 1.0)
+    for profile in (f, g):
+        with pytest.raises(GeometryError, match="positive and finite"):
+            profile.ray_moments([[1.0, 0.0]], p)
 
 
 def test_barycenter_zero_reads_the_centroid_across_the_flat():
@@ -234,6 +246,7 @@ def test_ball_ray_moment_closed_form():
     assert ray_moment(f, np.array([1.0]), 2.0) == pytest.approx(2.0 / 3.0, rel=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_centred_ball_ray_moments_are_exact(m):
     # f(t theta) = omega_m (r^2 - t^2 |theta|^2)^(m/2) for the ball rB in R^(m+2)
@@ -241,13 +254,13 @@ def test_centred_ball_ray_moments_are_exact(m):
     theta = np.array([1.02, -0.34])  # |theta| = 1.075...
     T = 1.5 / np.linalg.norm(theta)
     for p in (0.5, 2.0, 3.5):
-        assert f.has_exact_ray_moments(p)
         ref = quad(lambda t: t ** (p - 1) * f(t * theta), 0.0, T,
                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
         assert f.ray_moments([theta, -2.0 * theta], p) == pytest.approx(
             [ref, ref * 2.0 ** -p], rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_centred_ball_indicator_ray_moments_are_exact(k):
     # at m = 0, f is the indicator of rB: int_0^(r/|theta|) t^(p-1) dt = (r/|theta|)^p / p
@@ -256,7 +269,6 @@ def test_centred_ball_indicator_ray_moments_are_exact(k):
     R = 1.5 / np.linalg.norm(theta)
     assert [f(t * theta) for t in R * np.array([0.5, 0.999, 1.001, 2.0])] == [1, 1, 0, 0]
     for p in (0.5, 2.0, 3.5):
-        assert f.has_exact_ray_moments(p)
         assert f.ray_moments([theta, -2.0 * theta], p) == pytest.approx(
             [R ** p / p, (R / 2) ** p / p], rel=1e-13)
 
@@ -307,26 +319,27 @@ def test_refine_raises_beyond_its_failure_bound_and_warns_below_it():
     assert len(record) == 1
 
 
+@pytest.mark.usefixtures("no_adaptive_ray_rule")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 2.5])
-def test_off_centre_ball_ray_moments_take_the_adaptive_rule(p):
-    # no closed form off centre: `ray_moments` integrates each row with the
-    # adaptive rule, silently at the rule's tolerance
+def test_off_centre_ball_ray_moments_take_the_closed_form(p):
+    # off centre too, `ray_moments` takes Euler's integral for 2F1 at every
+    # real p, to 1e-12 of adaptive Gauss-Kronrod
     f = section_volume_fn(make_ball(4, center=[0, 0, 0.1, -0.05]), Subspace.from_span(np.eye(4)[:2]))
-    assert not f.has_exact_ray_moments(p)
     thetas = np.array([[1.0, 0.0], [-0.3, 0.8], [0.6, -1.2]])
     refs = [quad(lambda t: t ** (p - 1) * f(t * theta), 0.0, f.ray_extent(theta),
                  epsabs=0.0, epsrel=1e-13, limit=200)[0] for theta in thetas]
     got = f.ray_moments(thetas, p)
-    assert got == pytest.approx(refs, rel=1e-12 if float(p).is_integer() else 1e-8)
+    assert got == pytest.approx(refs, rel=1e-12)
     assert [ray_moment(f, theta, p) for theta in thetas] == got.tolist()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
 def test_polytope_indicator_ray_moments_are_exact(p):
     # at m = 0, f is the indicator of K: int_0^T t^(p-1) dt = radial(K, theta)^p / p
     K = make_cube(3)
     f = section_volume_fn(K, trivial_flat(3))
-    assert f.has_exact_ray_moments(p)
     thetas = np.array([[1.0, 0.2, -0.4], [-0.3, 0.9, 0.1], [0.0, 0.0, -2.0]])
     assert f.ray_moments(thetas, p) == pytest.approx(
         [radial(K, theta) ** p / p for theta in thetas], rel=1e-14)
@@ -432,6 +445,7 @@ def _unit_rows(k, count, seed):
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (3, 2), (4, 2), (5, 2), (4, 3)])
 def test_exact_ray_moments_match_fubini(n, m):
     # (n, m) = (4, 2) and (5, 2) take a wedge moment of K's cones sliced by
@@ -443,7 +457,6 @@ def test_exact_ray_moments_match_fubini(n, m):
     thetas = _unit_rows(f.k, 3, seed=n + m)
     thetas[0] *= 1.7  # homogeneity: any nonzero direction vector
     for p in (1, 2, 3, 4, 5):
-        assert f.has_exact_ray_moments(p)
         got = f.ray_moments(thetas, p)
         for value, theta in zip(got, thetas):
             ref = _fubini_ray_moment(K, F, f.Fperp.embed(theta), p)
@@ -539,6 +552,7 @@ def test_chord_moments_of_the_8_cube_are_closed_forms():
         assert f.ray_moments(thetas, p) ** (1 / p) == pytest.approx((2 / p) ** (1 / p) / top, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", [1.5, 3.5])
 def test_chord_ray_moments_at_real_p(p):
     # at m = 1 the closed form holds for real p: compare with adaptive
@@ -546,7 +560,6 @@ def test_chord_ray_moments_at_real_p(p):
     K = random_body(4, 17)
     F = Subspace.from_span(np.eye(4)[:1])
     f = section_volume_fn(K, F)
-    assert f.has_exact_ray_moments(p)
     for theta in _unit_rows(f.k, 3, seed=5):
         T = f.ray_extent(theta)
         heights = _slab(K, F, f.Fperp.embed(theta)).vertices[:, -1]
@@ -557,15 +570,154 @@ def test_chord_ray_moments_at_real_p(p):
         assert f.ray_moments(theta[None, :], p)[0] == pytest.approx(ref, rel=1e-11)
 
 
-def test_non_integer_p_at_m2_is_not_exact():
+@pytest.fixture
+def no_adaptive_ray_rule(monkeypatch):
+    """Both bindings of the adaptive ray rule patched to raise: no section
+    profile of a polytope or a ball may reach it."""
+    from conesec import ball_bodies
+
+    def refuse(*args):
+        raise AssertionError("adaptive ray rule reached")
+
+    monkeypatch.setattr(sections, "_composite_gl", refuse)
+    monkeypatch.setattr(ball_bodies, "_composite_gl", refuse)
+
+
+def _quad_ray_moment(f, theta, p):
+    """int_0^T t^(p-1) f(t theta) dt by adaptive Gauss-Kronrod on each piece
+    between the heights along theta of the vertices of K cap (F + R theta),
+    the slab taken by a halfspace intersection (`_slab`). Heights within
+    1e-12 T of 0 are no breakpoints: a piece [0, 1e-16] would take the mass
+    of the singular end t^(p-1) at p < 1, which quad misses on the next."""
+    heights = _slab(f.body, f.F, f.Fperp.embed(theta)).vertices[:, -1] / np.linalg.norm(theta)
+    edges = np.unique(np.append(heights[heights > 1e-12 * heights.max()], 0.0))
+    return sum(quad(lambda t: t ** (p - 1) * f(t * theta), a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.usefixtures("no_adaptive_ray_rule")
+@pytest.mark.filterwarnings("error")
+def test_real_p_at_m2_matches_quad():
+    # f(t theta) is a polynomial of degree 2 between the slab's vertex
+    # heights, fitted and integrated one knot interval at a time
     f = section_volume_fn(random_body(3, 2), Subspace.from_span(np.eye(3)[:2]))
-    assert f.has_exact_ray_moments(2.0)
-    assert not f.has_exact_ray_moments(2.5)
-    # a ball's profile is exact only when the ball is centred at 0 (closed form)
-    assert section_volume_fn(make_ball(3), Subspace.from_span(np.eye(3)[:1])).has_exact_ray_moments(2.5)
-    off = make_ball(3, center=[0.0, 0.1, 0.0])
-    assert not section_volume_fn(off, Subspace.from_span(np.eye(3)[:1])).has_exact_ray_moments(2)
-    assert section_volume_fn(make_cube(2), trivial_flat(2)).has_exact_ray_moments(2.5)
+    thetas = np.array([[1.0], [-0.7]])
+    got = f.ray_moments(thetas, 2.5)
+    assert got == pytest.approx([_quad_ray_moment(f, theta, 2.5) for theta in thetas], rel=1e-12)
+
+
+_KNOT_BODIES = {
+    "random-4-14-2": lambda: random_centered_polytope(4, 14, 2),
+    "random-5-16-3": lambda: random_centered_polytope(5, 16, 3),
+    "cube-4": lambda: make_cube(4),
+    "cross-5": lambda: make_cross_polytope(5),
+}
+
+
+@pytest.mark.usefixtures("no_adaptive_ray_rule")
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body, k", [("random-4-14-2", 1), ("random-4-14-2", 2), ("random-5-16-3", 1),
+                                     ("random-5-16-3", 2), ("cube-4", 2), ("cross-5", 3)])
+def test_knot_route_matches_quad_at_real_p(body, k):
+    # the 4-cube ties knots and has facets parallel to F along e3; the
+    # 5-cross-polytope's sections at k = 3 are halfspace intersections at
+    # codimension 2
+    K = _KNOT_BODIES[body]()
+    f = section_volume_fn(K, Subspace.from_span(np.eye(K.dim)[:K.dim - k]))
+    thetas = np.vstack([_unit_rows(k, 1, seed=k), 1.3 * np.eye(k)[-1:]])
+    for p in (0.5, 2.5, 3.7):
+        got = f.ray_moments(thetas, p)
+        assert got == pytest.approx([_quad_ray_moment(f, theta, p) for theta in thetas], rel=1e-12)
+
+
+@pytest.mark.usefixtures("no_adaptive_ray_rule")
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1, 2])
+def test_knot_route_at_integer_p_is_the_wedge_cut(k):
+    # the knot route is exact for any p > 0: at integer p it gives the wedge
+    # cut's moments to 1e-13
+    K = random_centered_polytope(5, 16, 3)
+    f = section_volume_fn(K, Subspace.from_span(np.eye(5)[:5 - k]))
+    for u in _unit_rows(k, 2, seed=7):
+        e = f.Fperp.embed(u)
+        L = K if k == 1 else section(K, Subspace(5, np.vstack([f.F.basis, e])))
+        heights = L.vertices @ e if k == 1 else L.vertices[:, -1]
+        for p in (1, 2, 3):
+            knots = sections._knot_moments(lambda s: f(s * u), heights, p, f.m)
+            assert knots == pytest.approx(f.ray_moments(u[None, :], p)[0], rel=1e-13)
+
+
+@pytest.mark.usefixtures("no_adaptive_ray_rule")
+@pytest.mark.filterwarnings("error")
+def test_knot_route_is_0_where_the_ray_leaves_the_support_at_0():
+    # 0 on a facet of [0, 1] x [-1, 1]^2, F = span(e2, e3): f = 4 on [0, 1]
+    # and 0 below, at real p as at integer p
+    K = VPolytope(np.array(list(itertools.product([0.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]))))
+    f = section_volume_fn(K, Subspace.from_span(np.eye(3)[1:]))
+    assert f.ray_moments([[-1.0], [1.0]], 2.5) == pytest.approx([0.0, 4.0 / 2.5], rel=1e-13)
+    assert f.ray_moments([[-1.0], [1.0]], 2.0).tolist() == pytest.approx([0.0, 2.0], rel=1e-13)
+
+
+@pytest.mark.usefixtures("no_adaptive_ray_rule")
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e-6, 1e4])
+def test_knot_route_scales_as_s_to_the_m_plus_p(s):
+    # f of sK at t theta is s^m f(t theta / s): the moments scale by s^(m+p)
+    K = random_centered_polytope(4, 14, 2)
+    F = Subspace.from_span(np.eye(4)[:2])
+    thetas = _unit_rows(2, 3, seed=4)
+    for p in (0.5, 2.5):
+        ref = section_volume_fn(K, F).ray_moments(thetas, p)
+        got = section_volume_fn(affine_map(K, s * np.eye(4)), F).ray_moments(thetas, p)
+        assert got == pytest.approx(s ** (2 + p) * ref, rel=1e-13)
+
+
+@pytest.mark.usefixtures("no_adaptive_ray_rule")
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_ball_ray_moments_match_quad_off_centre(m):
+    # Euler's integral for 2F1, for a centre at 0, 0.5, 0.99 and 0.999 of r
+    # off F, against adaptive Gauss-Kronrod on [0, T]
+    n, r = m + 2, 1.3
+    direction = np.array([0.6, -0.8])
+    thetas = np.array([[1.0, 0.2], [-0.3, 0.8], [0.6, -1.2]])
+    for offset in (0.0, 0.5, 0.99, 0.999):
+        f = section_volume_fn(make_ball(n, r, center=np.r_[np.zeros(m), offset * r * direction]),
+                              Subspace.from_span(np.eye(n)[:m]))
+        for p in (0.5, 1.0, 2.5, 4.0):
+            refs = [quad(lambda t: t ** (p - 1) * f(t * theta), 0.0, f.ray_extent(theta),
+                         epsabs=0.0, epsrel=1e-13, limit=200)[0] for theta in thetas]
+            assert f.ray_moments(thetas, p) == pytest.approx(refs, rel=1e-12)
+
+
+@pytest.mark.usefixtures("no_adaptive_ray_rule")
+@pytest.mark.filterwarnings("error")
+def test_ball_ray_moments_need_0_inside_the_support():
+    # c' outside radius r: 0 is not interior to the support of f
+    f = section_volume_fn(make_ball(3, center=[0.0, 1.2, 0.0]), Subspace.from_span(np.eye(3)[:1]))
+    with pytest.raises(GeometryError, match="origin is not interior"):
+        f.ray_moments([[1.0, 0.0]], 2.5)
+
+
+@pytest.mark.usefixtures("no_adaptive_ray_rule")
+@pytest.mark.filterwarnings("error")
+def test_section_profiles_never_reach_the_adaptive_ray_rule(monkeypatch):
+    # every route of a polytope's or a ball's profile returns with the
+    # adaptive rule patched to raise; a ConcaveFunctionOracle still calls it
+    from conesec import ball_bodies
+
+    cases = [(random_centered_polytope(4, 14, 2), 2), (random_centered_polytope(4, 14, 2), 1),
+             (make_cube(4), 2), (make_cross_polytope(5), 3), (random_body(4, 17), 3),
+             (make_ball(4, center=[0.0, 0.0, 0.3, -0.2]), 2), (make_ball(3), 1), (make_cube(3), 3)]
+    for K, k in cases:
+        f = section_volume_fn(K, Subspace.from_span(np.eye(K.dim)[:K.dim - k]))
+        for p in (0.5, 2.0, 2.5):
+            assert (f.ray_moments(_unit_rows(k, 2, seed=3), p) > 0).all()
+    calls = []
+    monkeypatch.setattr(ball_bodies, "_composite_gl", lambda *args: calls.append(args) or 1.0)
+    g = ball_bodies.ConcaveFunctionOracle(2, lambda x: max(0.0, 1.0 - x @ x), 1.0, 1.0)
+    assert g.ray_moments([[1.0, 0.0]], 2.5).tolist() == [1.0]
+    assert len(calls) >= 1
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from conesec import geometry, rng, sections, verify
@@ -161,18 +162,22 @@ def test_a_centred_ball_is_cut_by_the_one_cut_routine():
     assert res.passed and res.lhs == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("s", [1e-6, 1.0, 1e4])
 def test_a_ball_is_centred_to_1e12_of_its_radius(s):
-    # one rule, |c| <= 1e-12 r, for the cut, the polar and the closed-form ray
-    # moments: a centre 1e-13 r off 0 passes it, one 1e-10 r off raises in
-    # every cut and has adaptive ray moments
+    # one rule, |c| <= 1e-12 r, for the cut and the polar: a centre 1e-13 r
+    # off 0 passes it, one 1e-10 r off raises in every cut. Ray moments take
+    # one closed form at any centre, which matches adaptive Gauss-Kronrod
     e = np.eye(3)
     near, off = (make_ball(3, s, center=t * s * e[0]) for t in (1e-13, 1e-10))
     assert near.centred and not off.centred
     assert cone_volume(near, trivial_flat(3), orthant_cone(e)) == body_volume(near) / 8
     assert polar(near).radius == 1.0 / s
-    assert section_volume_fn(near, Subspace.from_span(e[:1])).has_exact_ray_moments(2)
-    assert not section_volume_fn(off, Subspace.from_span(e[:1])).has_exact_ray_moments(2)
+    for ball in (near, off):
+        f = section_volume_fn(ball, Subspace.from_span(e[1:2]))
+        theta = np.array([1.0, 0.5]) / s
+        ref = quad(lambda t: t * f(t * theta), 0.0, f.ray_extent(theta), epsabs=0.0, epsrel=1e-13)[0]
+        assert f.ray_moments(theta[None, :], 2)[0] == pytest.approx(ref, rel=1e-12)
     for cut in (lambda: cone_volume(off, trivial_flat(3), orthant_cone(e)),
                 lambda: halfspace_volume(off, e[0]),
                 lambda: check_main_theorem_part1(off, Subspace.from_span(e[:1]), PolyhedralCone(e[2:])),
@@ -815,13 +820,12 @@ def test_load_corpus_default():
         "simplex", "cube", "cross", "ball", "cone", "random"}
 
 
-def test_load_corpus_env_override(tmp_path, monkeypatch):
+def test_load_corpus_reads_the_given_manifest(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"version": 1, "bodies": [
         {"type": "cube", "n": 2, "label": "tiny"}]}))
-    monkeypatch.setenv("CONESEC_CORPUS", str(p))
-    bodies = load_corpus()
-    assert bodies == [{"type": "cube", "n": 2, "label": "tiny"}]
+    assert load_corpus(str(p)) == [{"type": "cube", "n": 2, "label": "tiny"}]
+    assert len(load_corpus()) == 75
 
 
 def test_checks_for_body_battery():
