@@ -90,7 +90,7 @@ class ConcaveFunctionOracle:
         misses its tolerance. It is looked up in this module at each call, so
         a rebinding of `ball_bodies._composite_gl` applies. Raises
         `GeometryError` unless p is positive and finite and every row is
-        nonzero.
+        nonzero and finite.
         """
         def moment(x):
             T = self.ray_extent(x)

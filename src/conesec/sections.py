@@ -216,7 +216,7 @@ class SectionVolumeFunction:
     support projection (`ray_extent`) and, at m = 1, the chord data
     (`_Chords`). Built per call: everything that depends on the directions.
     `section_volume_fn` gives one instance per polytope and flat basis, so
-    every query on one (K, F) shares them; so does the kept profile of the
+    every query on one (K, F) shares them; so does the kept panel data of the
     last one-block chord call, which gives the bits of a fresh instance.
 
     It answers the profile-oracle protocol of `ball_bodies` itself: ``dim``
@@ -233,7 +233,7 @@ class SectionVolumeFunction:
         self.m = F.dim  # section dimension n - k
         self._proj = None  # the support of f: projection of K onto F^perp
         self._chord_cache = None  # `_Chords` of a polytope with sections of dimension 1
-        self._profile = None  # (thetas bytes, ts, chord) of the last one-block chord call
+        self._profile = None  # (thetas bytes, panels) of the last one-block chord call
 
     @property
     def concavity_index(self) -> int | None:
@@ -285,13 +285,14 @@ class SectionVolumeFunction:
         facets that face opposite ways, so no projection of K is hulled
         (`_Chords`). The kinks and chord lengths do not depend on p: after a
         call whose directions fit in one block, a call at another p on the
-        same directions reuses them (`_chord_moments`), with the same result
-        bits. At m >= 2 on a polytope each direction e = theta / |theta|
+        same directions reuses its panel data (`_chord_moments`), with the
+        same result bits. At m >= 2 on a polytope each direction e = theta / |theta|
         takes the section L = K cap (F + R e) (`_wedge_moments`): at integer
         p one wedge moment of degree p - 1, at real p the knot-interval fit
         of f between L's vertex heights. Raises `GeometryError` unless p is
-        positive and finite and every row is nonzero, and for a ball unless
-        |c'| < r (1 - GEOM_TOL): 0 must be interior to the support of f.
+        positive and finite and every row is nonzero and finite, and for a
+        ball unless |c'| < r (1 - GEOM_TOL): 0 must be interior to the
+        support of f.
         """
         thetas = _ray_arguments(thetas, p)
         if self.m == 0:
@@ -314,26 +315,28 @@ class SectionVolumeFunction:
     def _chord_moments(self, thetas: np.ndarray, p: float) -> np.ndarray:
         """Ray moments at m = 1: the moments at p of each block's chord profile.
 
-        The profile (`_Chords.profile`) does not depend on p. A call whose
-        directions fit in one block keeps its profile, keyed by the bytes of
-        the directions, so a call at another p on the same directions only
-        takes the moments (`_piecewise_linear_moments`). Larger calls keep
-        nothing: T and W are computed for the whole call, and BLAS may round
-        a block's rows differently when they are computed alone, so a kept
-        block would not give the bits of a fresh call.
+        The profile's panel data (`_Chords.profile`: breakpoints, steps,
+        which steps are positive, and the chord at both ends of each panel)
+        do not depend on p. A call whose directions fit in one block keeps
+        them, keyed by the bytes of the directions, so a call at another p
+        on the same directions only takes the moments
+        (`_piecewise_linear_moments`: the power steps and one weighted sum).
+        Larger calls keep nothing: T and W are computed for the whole call,
+        and BLAS may round a block's rows differently when they are computed
+        alone, so a kept block would not give the bits of a fresh call.
         """
         key = thetas.tobytes()
         if self._profile is not None and self._profile[0] == key:
-            return _piecewise_linear_moments(*self._profile[1:], p)
+            return _piecewise_linear_moments(self._profile[1], p)
         ch = self._chords()
         X = thetas @ self.Fperp.basis  # the directions in R^n
         W = X @ ch.A.T  # (N, H): w_i = <A_i, theta>
         T = ch.extent(X)
         out = np.empty(len(thetas))
         for s in range(0, len(thetas), ch.block):
-            profile = ch.profile(W[s:s + ch.block], T[s:s + ch.block, None])
-            out[s:s + ch.block] = _piecewise_linear_moments(*profile, p)
-        self._profile = (key, *profile) if 0 < len(thetas) <= ch.block else None
+            panels = ch.profile(W[s:s + ch.block], T[s:s + ch.block, None])
+            out[s:s + ch.block] = _piecewise_linear_moments(panels, p)
+        self._profile = (key, panels) if 0 < len(thetas) <= ch.block else None
         return out
 
     def _wedge_moments(self, thetas: np.ndarray, p: float) -> np.ndarray:
@@ -375,12 +378,15 @@ class SectionVolumeFunction:
 
 def _ray_arguments(thetas, p) -> np.ndarray:
     """thetas as an (N, k) array; GeometryError unless p is positive and
-    finite and every row is nonzero."""
+    finite and every row is nonzero and finite: the one argument check of
+    every `ray_moments`, before any route takes a ray."""
     if not 0 < p < math.inf:
         raise GeometryError("p must be positive and finite")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if not thetas.any(axis=1).all():
         raise GeometryError("ray directions must be nonzero")
+    if not np.isfinite(thetas).all():
+        raise GeometryError("ray directions must be finite")
     return thetas
 
 
@@ -419,8 +425,11 @@ def _knot_moments(g, heights: np.ndarray, p: float, m: int) -> float:
     return total
 
 
-# directions x kink ridges x neighbours per block of `_chord_moments`, which
-# bounds its (directions, ridges, neighbours) temporaries near 1 MB for any batch size
+# directions x kink ridges x neighbours per block of `_chord_moments`: it
+# bounds the (neighbours, candidate crossings) slack of `_Chords.profile`,
+# which holds at most that many elements, and so its (directions, kinks)
+# crossings, near 1 MB for any batch size; the envelopes' (facets,
+# breakpoints, directions) array is bounded only through the directions
 _RAY_BLOCK_ELEMENTS = 1 << 17
 
 # a crossing stays a breakpoint while it misses a neighbour's inequality by at
@@ -446,22 +455,27 @@ class _Chords:
     halfspaces are its Fourier-Motzkin rows (Ziegler, *Lectures on
     Polytopes*, 1995, Sec. 1.2): (-a_j) A_i + a_i A_j <= (-a_j) b_i + a_i b_j
     for the ridges of an upper facet i and a lower facet j, and the facets
-    parallel to f; so no projection is hulled. Every array that does not
-    depend on theta is computed once, here.
+    parallel to f; so no projection is hulled. Every gather that does not
+    depend on theta is taken once, here, as a contiguous array: each kink's
+    two facets and c at the first, the first facet's neighbours as a
+    (D, R) table with b and a at each slot, and c on the facets with
+    a_i > 0, then on those with a_i < 0.
     """
 
     A: np.ndarray  # (H, n) K's unit facet normals
     rows: np.ndarray  # (M, n) the projection's unit normals
     beta: np.ndarray  # (M,) and offsets
-    a: np.ndarray  # (H,) <A_i, f>
-    b: np.ndarray  # (H,) K's facet offsets
     scale: np.ndarray  # (H,) a_i, and 1 on the facets parallel to f
-    c: np.ndarray  # (H,) b_i / scale_i
-    upper: np.ndarray  # the facets with a_i > 0
-    lower: np.ndarray  # and with a_i < 0
-    kinks: np.ndarray  # (R, 2) the ridges (i, j) of two upper or two lower facets
+    facets: np.ndarray  # the U facets with a_i > 0, then those with a_i < 0
+    uppers: int  # U
+    c_facets: np.ndarray  # (U + L, 1, 1) c on those facets
+    first: np.ndarray  # (R,) facet i of each ridge (i, j) of two upper or two lower facets
+    second: np.ndarray  # (R,) and facet j
+    c_first: np.ndarray  # (R,) c_i
     rise: np.ndarray  # (R,) c_j - c_i
-    near: np.ndarray  # (R, D) the neighbours of facet i
+    near: np.ndarray  # (D, R) the neighbours of facet i
+    near_b: np.ndarray  # (D, R) their offsets b
+    near_a: np.ndarray  # (D, R) and their a
     floor: float  # the least slack of a kink, -_RIDGE_SLACK max |b|
     block: int  # directions per block, R D of them within _RAY_BLOCK_ELEMENTS
 
@@ -481,12 +495,14 @@ class _Chords:
         rows, beta = rows / norms[:, None], beta / norms
         if beta.min() <= GEOM_TOL * np.abs(b).max():
             raise GeometryError("origin is not interior to the body")
-        kinks, near = ridges.pairs[same], ridges.neighbours[i[same]]
+        first, second = i[same], j[same]
+        near = ridges.neighbours[first].T.copy()
         scale = np.where(side != 0, a, 1.0)
         c = b / scale
-        return cls(A, rows, beta, a, b, scale, c, np.flatnonzero(side > 0), np.flatnonzero(side < 0),
-                   kinks, c[kinks[:, 1]] - c[kinks[:, 0]], near, -_RIDGE_SLACK * np.abs(b).max(),
-                   max(1, _RAY_BLOCK_ELEMENTS // max(1, near.size)))
+        facets = np.concatenate([np.flatnonzero(side > 0), np.flatnonzero(side < 0)])
+        return cls(A, rows, beta, scale, facets, np.count_nonzero(side > 0), c[facets, None, None],
+                   first, second, c[first], c[second] - c[first], near, b[near], a[near],
+                   -_RIDGE_SLACK * np.abs(b).max(), max(1, _RAY_BLOCK_ELEMENTS // max(1, near.size)))
 
     def extent(self, X: np.ndarray) -> np.ndarray:
         """T per row of X, directions in R^n within F^perp: min beta / <h, theta> over the rows h."""
@@ -495,34 +511,59 @@ class _Chords:
             return np.where(proj > 0, self.beta / proj, np.inf).min(axis=1)
 
     def profile(self, W: np.ndarray, top: np.ndarray):
-        """(ts, chord): each row's breakpoints in [0, T] and f(t theta) = hi(t) - lo(t) there.
+        """The p-free panel data of each row's chord profile: (ts, step,
+        positive, left, right), for `_piecewise_linear_moments`.
 
-        W holds <A_i, theta> per direction, top its T. The breakpoints are 0,
-        the kinks and T; rows with fewer kinks are padded with T.
+        W holds <A_i, theta> per direction, top its T. ts holds each row's
+        breakpoints in [0, T]: 0, the kinks and T, rows with fewer kinks
+        padded with T. step is their differences, positive where a step is
+        > 0, and left and right f(t theta) = hi(t) - lo(t) at each panel's
+        two ends. The candidate crossings are the flat indices of the
+        (directions, kinks) array that lie in (0, T); g and W are read at
+        them by flat index, and their slack in the neighbours' inequalities
+        is a (D, P) array, reduced over its leading axis.
         """
+        H = W.shape[1]
         g = -W / self.scale
-        i, j = self.kinks.T
+        t = np.take(g, self.first, axis=1)
+        t -= np.take(g, self.second, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = self.rise / (g[:, i] - g[:, j])
-        row, ridge = np.nonzero((t > 0) & (t < top))
-        t = t[row, ridge]
+            np.divide(self.rise, t, out=t)
+        on = t > 0
+        on &= t < top
+        hit = np.flatnonzero(on)
+        row, ridge = np.divmod(hit, len(self.rise))
+        t = t.take(hit)
         # the crossing's height on facet i, and its slack in the inequalities of i's neighbours
-        i, near = i.take(ridge), self.near.take(ridge, axis=0)
-        s = self.c.take(i) + g[row, i] * t
-        slack = self.b.take(near) - t[:, None] * W[row[:, None], near] - s[:, None] * self.a.take(near)
-        on = (slack >= self.floor).all(axis=1)
+        at = row * H  # where the crossing's row starts in the raveled g and W
+        height = g.take(at + self.first.take(ridge))
+        height *= t
+        height += self.c_first.take(ridge)
+        near = np.take(self.near, ridge, axis=1)
+        near += at
+        slack = W.take(near)
+        slack *= t
+        np.subtract(np.take(self.near_b, ridge, axis=1), slack, out=slack)
+        slack -= height * np.take(self.near_a, ridge, axis=1)
+        on = slack.min(axis=0) >= self.floor
         row, t = row[on], t[on]
         count = np.bincount(row, minlength=len(W))
-        ts = np.repeat(top, count.max(initial=0) + 2, axis=1)
+        width = count.max(initial=0) + 2
+        ts = np.repeat(top, width, axis=1)
         ts[:, 0] = 0.0
-        ts[row, 1 + np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)] = t
+        # each row's crossings fill its slots from 1, in the order found
+        start = np.arange(1, len(W) * width + 1, width) - (np.cumsum(count) - count)
+        np.put(ts, np.arange(len(row)) + start.take(row), t)
         ts.sort(axis=1)
-        # facet-major, breakpoint by breakpoint: each reduction runs over the
-        # leading axis of whole (J, N) planes, whose rows are contiguous
-        tsT, gT = ts.T.copy(), g.T
-        hi = (self.c[self.upper, None, None] + gT[self.upper, None, :] * tsT).min(axis=0)
-        lo = (self.c[self.lower, None, None] + gT[self.lower, None, :] * tsT).max(axis=0)
-        return ts, np.clip(hi - lo, 0.0, None).T.copy()
+        # both envelopes in one facet-major (U + L, breakpoints, N) array:
+        # each reduction runs over its leading axis, of contiguous planes
+        lines = g.T[self.facets][:, None, :] * ts.T.copy()
+        lines += self.c_facets
+        chord = lines[:self.uppers].min(axis=0)
+        chord -= lines[self.uppers:].max(axis=0)
+        chord = np.clip(chord, 0.0, None, out=chord).T.copy()
+        step = ts[:, 1:] - ts[:, :-1]
+        return ts, step, step > 0, chord[:, :-1], chord[:, 1:]
 
 
 def _power_steps(t: np.ndarray, q: float):
@@ -531,35 +572,38 @@ def _power_steps(t: np.ndarray, q: float):
 
     At integer q >= 1 a step is (t2 - t1) times sum_i t2^i t1^(e-1-i), taken
     by Horner's rule, whose pass for q + 1 runs through the one for q; every
-    term is >= 0, so nothing cancels. At real q it is
-    t1^e expm1(e log1p((t2 - t1) / t1)), and t2^e where t1 = 0.
+    term is >= 0, so nothing cancels. The rule starts at e = 2, with sum
+    t2 + t1: the products by 1 of its first step are exact and left out. At
+    real q it is t1^e expm1(e log1p((t2 - t1) / t1)), and t2^e where t1 = 0.
     """
     t1, t2, step = t[:, :-1], t[:, 1:], t[:, 1:] - t[:, :-1]
     if float(q).is_integer() and q >= 1:
-        total = power = 1.0  # 1.0 * x is x exactly, and no array of ones is built
+        below, total, power = 1.0, t2 + t1, t1  # the sums at e = 1 and 2, and t1^(e - 1) at e = 2
         for _ in range(int(q) - 1):
             power = power * t1
-            total = total * t2 + power
-        return step * total, step * (total * t2 + power * t1)
+            below, total = total, total * t2 + power
+        return step * below, step * total
     with np.errstate(divide="ignore", invalid="ignore"):
         log = np.log1p(step / t1)
         return tuple(np.where(t1 > 0, t1**e * np.expm1(e * log), t2**e) for e in (q, q + 1))
 
 
-def _piecewise_linear_moments(t: np.ndarray, f: np.ndarray, p: float) -> np.ndarray:
+def _piecewise_linear_moments(panels, p: float) -> np.ndarray:
     """Row sums of int t^(p-1) f(t) dt over the panels [t_j, t_j+1] of sorted rows t.
 
-    f is linear on each panel with values f[:, j], f[:, j+1] at its ends; the
-    panel integral is f_j (W - w) + f_j+1 w with W = int t^(p-1) dt and
-    w = int t^(p-1) (t - t_j) dt / (t_j+1 - t_j), both free of cancellation
-    against steep f. Empty panels contribute 0.
+    panels is the p-free data of `_Chords.profile`: (t, step, positive,
+    left, right), f linear on each panel with values left[:, j] and
+    right[:, j] at its ends. The panel integral is left (W - w) + right w
+    with W = int t^(p-1) dt and w = int t^(p-1) (t - t_j) dt / step, both
+    free of cancellation against steep f. Empty panels contribute 0. Per p
+    it takes only `_power_steps` and one weighted sum.
     """
-    dt = np.diff(t, axis=1)
+    t, step, positive, left, right = panels
     steps, next_steps = _power_steps(t, p)
     whole = steps / p
     lever = next_steps / (p + 1) - t[:, :-1] * whole
-    right = np.divide(lever, dt, out=np.zeros_like(dt), where=dt > 0)
-    return (f[:, :-1] * (whole - right) + f[:, 1:] * right).sum(axis=1)
+    share = np.divide(lever, step, out=np.zeros_like(step), where=positive)
+    return (left * (whole - share) + right * share).sum(axis=1)
 
 
 def section_volume_fn(K: ConvexBody, F: Subspace) -> SectionVolumeFunction:

@@ -200,6 +200,33 @@ def test_zero_ray_directions_are_rejected(k):
             ray_moment(f, np.zeros(k), p)
 
 
+@pytest.mark.parametrize("route", ["m0", "m1", "m2", "ball", "oracle"])
+def test_non_finite_ray_directions_are_rejected(route):
+    # the indicator (m = 0), the chord (m = 1), the wedge and knot routes of a
+    # polytope at m = 2, a ball's closed form and the adaptive rule of a
+    # ConcaveFunctionOracle each raise before any ray is taken, with no warning
+    from conesec.ball_bodies import ConcaveFunctionOracle
+
+    K = random_centered_polytope(4, 14, 9)
+    f = {"m0": lambda: section_volume_fn(K, trivial_flat(4)),
+         "m1": lambda: section_volume_fn(K, Subspace.from_span(np.eye(4)[:1])),
+         "m2": lambda: section_volume_fn(K, Subspace.from_span(np.eye(4)[:2])),
+         "ball": lambda: section_volume_fn(make_ball(4, center=[0.0, 0.1, 0.0, -0.2]),
+                                           Subspace.from_span(np.eye(4)[:1])),
+         "oracle": lambda: ConcaveFunctionOracle(2, lambda x: max(0.0, 1.0 - x @ x), 1.0, 1.0)}[route]()
+    good = np.ones(f.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.nan, math.inf, -math.inf):
+            row = good.copy()
+            row[-1] = bad
+            for p in (1.0, 1.5, 2.0):
+                with pytest.raises(GeometryError, match="finite"):
+                    f.ray_moments([good, row], p)
+                with pytest.raises(GeometryError, match="finite"):
+                    ray_moment(f, row, p)
+
+
 @pytest.mark.parametrize("p", [math.nan, math.inf])
 def test_non_finite_p_is_rejected(p):
     # a section function and a ConcaveFunctionOracle each, before any ray is taken
@@ -731,6 +758,22 @@ def test_batched_ray_moments_equal_per_direction(m):
         batched = f.ray_moments(thetas, 3)
         single = [ray_moment(f, theta, 3) for theta in thetas]
     assert batched == pytest.approx(single, rel=1e-13)
+    if m == 1:
+        # the many-ridge block path, which no benchmark workload reaches: the
+        # 8-D body's 5430 same-side ridges leave 3 directions per block
+        K, F = random_centered_polytope(8, 22, 1), Subspace.from_span(np.eye(8)[:1])
+        f = section_volume_fn(K, F)
+        assert len(f._chords().rise) == 5430 and f._chords().block == 3
+        thetas = _unit_rows(f.k, 10, seed=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batched = f.ray_moments(thetas, 1)  # 4 blocks
+            single = [ray_moment(f, theta, 1) for theta in thetas]
+        assert batched == pytest.approx(single, rel=1e-13)
+        # a call of 4 blocks keeps no profile, a call of one block keeps its own
+        for rows in (thetas, thetas[:3]):
+            f.ray_moments(rows, 1)
+            assert f.ray_moments(rows, 2).tolist() == SectionVolumeFunction(K, F).ray_moments(rows, 2).tolist()
 
 
 def test_chord_moments_at_several_degrees_equal_fresh_ones():
@@ -819,6 +862,20 @@ def test_coinciding_breakpoints_give_exact_values():
         got = f3.ray_moments([[1.0, 0.0], [0.0, -1.0]], p)
         assert np.all(np.isfinite(got))
         assert got == pytest.approx(2.0 / (p * (p + 1)), rel=1e-13)
+    # 3-D and 4-D cross-polytopes at F = span(e1): the chord is 2 (1 - t |theta|_1)
+    # for every theta, so the moment is 2 |theta|_1^-p / (p (p + 1)). Vertex
+    # rays, rows parallel to facets and generic rows share one call, so its
+    # crossings at +-inf, 0 / 0 and tied kinks meet in one batch
+    for n, parallel in ((3, [[1.0, 1.0], [1.0, -1.0], [-2.0, 2.0]]),
+                        (4, [[1.0, -1.0, 0.0], [1.0, 1.0, -2.0], [0.0, 2.0, 2.0], [-1.0, 0.0, 1.0]])):
+        e = np.eye(n - 1)
+        thetas = np.vstack([e, -e, 3.0 * e, parallel, _unit_rows(n - 1, 20, seed=n)])
+        f = section_volume_fn(make_cross_polytope(n), Subspace.from_span(np.eye(n)[:1]))
+        l1 = np.abs(thetas).sum(axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (1, 2, 2.5):
+                assert f.ray_moments(thetas, p) == pytest.approx(2.0 * l1 ** -p / (p * (p + 1)), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
