@@ -523,7 +523,6 @@ class _Chords:
         them by flat index, and their slack in the neighbours' inequalities
         is a (D, P) array, reduced over its leading axis.
         """
-        H = W.shape[1]
         g = -W / self.scale
         t = np.take(g, self.first, axis=1)
         t -= np.take(g, self.second, axis=1)
@@ -535,7 +534,7 @@ class _Chords:
         row, ridge = np.divmod(hit, len(self.rise))
         t = t.take(hit)
         # the crossing's height on facet i, and its slack in the inequalities of i's neighbours
-        at = row * H  # where the crossing's row starts in the raveled g and W
+        at = row * W.shape[1]  # where the crossing's row starts in the raveled g and W
         height = g.take(at + self.first.take(ridge))
         height *= t
         height += self.c_first.take(ridge)
