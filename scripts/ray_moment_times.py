@@ -19,14 +19,15 @@ on five profiles:
   directions, which span several blocks of the chord kernel.
 
 `first_ms` is a call at p = 1 on directions other than the last call's;
-`memo_ms` a call at p = 2 on the directions of the call before it at p = 1,
-which a call of one block answers from its kept profile. Each is the best
+`memo_p2_ms` and `memo_p3_ms` a call at p = 2 and at p = 3 on the
+directions of the call before it at p = 1, which a call of one block
+answers from its kept profile. Each is the best
 of `--repeat` runs in one child, after one untimed warm-up call, and then
 the best over `--rounds` rounds; a round runs one child per checkout, in
 the order given, so a drift in the machine's speed reaches every checkout
 alike. The chord data of each (K, F) is built before the timing. Prints one
-JSON object: per checkout, per profile, the direction count and both times
-in milliseconds.
+JSON object: per checkout, per profile, the direction count and the three
+times in milliseconds.
 """
 
 import argparse
@@ -84,9 +85,10 @@ def child(repeat: int) -> dict:
             state["last"] = B if state["last"] is A else A
             f.ray_moments(state["last"], 1.0)
 
-        result[name] = {"directions": len(A), "first_ms": _best(first, repeat),
-                        "memo_ms": _best(lambda: f.ray_moments(A, 2.0), repeat,
-                                         before=lambda: f.ray_moments(A, 1.0))}
+        result[name] = {"directions": len(A), "first_ms": _best(first, repeat)}
+        for p in (2, 3):
+            result[name][f"memo_p{p}_ms"] = _best(lambda: f.ray_moments(A, float(p)), repeat,
+                                                  before=lambda: f.ray_moments(A, 1.0))
     return result
 
 
@@ -113,7 +115,7 @@ def main(argv=None) -> int:
             best = report.setdefault(str(checkout), {})
             for name, times in json.loads(proc.stdout).items():
                 kept = best.setdefault(name, times)
-                for key in ("first_ms", "memo_ms"):
+                for key in ("first_ms", "memo_p2_ms", "memo_p3_ms"):
                     kept[key] = min(kept[key], times[key])
     print(json.dumps(report, indent=1))
     return 0

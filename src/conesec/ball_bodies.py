@@ -89,15 +89,15 @@ class ConcaveFunctionOracle:
         calls f once per node and warns with a `QuadratureWarning` when it
         misses its tolerance. It is looked up in this module at each call, so
         a rebinding of `ball_bodies._composite_gl` applies. Raises
-        `GeometryError` unless p is positive and finite and every row is
-        nonzero and finite.
+        `GeometryError` unless p is positive and finite and every row has k
+        entries, is nonzero and is finite.
         """
         def moment(x):
             T = self.ray_extent(x)
             return 0.0 if T <= 0 else _composite_gl(
                 lambda ts: ts ** (p - 1) * np.array([self(t * x) for t in ts]), 0.0, T, QUADRATURE)
 
-        return np.array([moment(x) for x in _ray_arguments(xs, p)])
+        return np.array([moment(x) for x in _ray_arguments(xs, p, self.dim)])
 
 
 def oracle_from_section_fn(svf: SectionVolumeFunction) -> SectionVolumeFunction:

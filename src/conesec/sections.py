@@ -290,11 +290,11 @@ class SectionVolumeFunction:
         takes the section L = K cap (F + R e) (`_wedge_moments`): at integer
         p one wedge moment of degree p - 1, at real p the knot-interval fit
         of f between L's vertex heights. Raises `GeometryError` unless p is
-        positive and finite and every row is nonzero and finite, and for a
-        ball unless |c'| < r (1 - GEOM_TOL): 0 must be interior to the
-        support of f.
+        positive and finite and every row has k entries, is nonzero and is
+        finite, and for a ball unless |c'| < r (1 - GEOM_TOL): 0 must be
+        interior to the support of f.
         """
-        thetas = _ray_arguments(thetas, p)
+        thetas = _ray_arguments(thetas, p, self.k)
         if self.m == 0:
             return radial_many(self.body, self.Fperp.embed(thetas)) ** p / p
         if isinstance(self.body, Ball):
@@ -315,12 +315,13 @@ class SectionVolumeFunction:
     def _chord_moments(self, thetas: np.ndarray, p: float) -> np.ndarray:
         """Ray moments at m = 1: the moments at p of each block's chord profile.
 
-        The profile's panel data (`_Chords.profile`: breakpoints, steps,
-        which steps are positive, and the chord at both ends of each panel)
-        do not depend on p. A call whose directions fit in one block keeps
-        them, keyed by the bytes of the directions, so a call at another p
+        The profile's panel data (`_Chords.profile`: breakpoints, steps and
+        the chord at both ends of each panel) do not depend on p. A call
+        whose directions fit in one block keeps them, keyed by the bytes of
+        the directions, which have k entries each, so a call at another p
         on the same directions only takes the moments
-        (`_piecewise_linear_moments`: the power steps and one weighted sum).
+        (`_piecewise_linear_moments`: at integer p one nonnegative sum per
+        panel, at real p the power steps and one weighted sum).
         Larger calls keep nothing: T and W are computed for the whole call,
         and BLAS may round a block's rows differently when they are computed
         alone, so a kept block would not give the bits of a fresh call.
@@ -376,13 +377,15 @@ class SectionVolumeFunction:
         return section_volume(self.body, self.F, point)
 
 
-def _ray_arguments(thetas, p) -> np.ndarray:
+def _ray_arguments(thetas, p, k: int) -> np.ndarray:
     """thetas as an (N, k) array; GeometryError unless p is positive and
-    finite and every row is nonzero and finite: the one argument check of
-    every `ray_moments`, before any route takes a ray."""
+    finite and every row has k entries, is nonzero and is finite: the one
+    argument check of every `ray_moments`, before any route takes a ray."""
     if not 0 < p < math.inf:
         raise GeometryError("p must be positive and finite")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if thetas.shape[1:] != (k,):
+        raise GeometryError(f"ray directions must have {k} entries")
     if not thetas.any(axis=1).all():
         raise GeometryError("ray directions must be nonzero")
     if not np.isfinite(thetas).all():
@@ -512,13 +515,13 @@ class _Chords:
 
     def profile(self, W: np.ndarray, top: np.ndarray):
         """The p-free panel data of each row's chord profile: (ts, step,
-        positive, left, right), for `_piecewise_linear_moments`.
+        left, right), for `_piecewise_linear_moments`.
 
         W holds <A_i, theta> per direction, top its T. ts holds each row's
         breakpoints in [0, T]: 0, the kinks and T, rows with fewer kinks
-        padded with T. step is their differences, positive where a step is
-        > 0, and left and right f(t theta) = hi(t) - lo(t) at each panel's
-        two ends. The candidate crossings are the flat indices of the
+        padded with T. step is their differences, 0 on the padding, and
+        left and right f(t theta) = hi(t) - lo(t) >= 0 at each panel's two
+        ends. The candidate crossings are the flat indices of the
         (directions, kinks) array that lie in (0, T); g and W are read at
         them by flat index, and their slack in the neighbours' inequalities
         is a (D, P) array, reduced over its leading axis.
@@ -561,47 +564,50 @@ class _Chords:
         chord = lines[:self.uppers].min(axis=0)
         chord -= lines[self.uppers:].max(axis=0)
         chord = np.clip(chord, 0.0, None, out=chord).T.copy()
-        step = ts[:, 1:] - ts[:, :-1]
-        return ts, step, step > 0, chord[:, :-1], chord[:, 1:]
+        return ts, ts[:, 1:] - ts[:, :-1], chord[:, :-1], chord[:, 1:]
 
 
 def _power_steps(t: np.ndarray, q: float):
     """The steps t[:, j+1]**e - t[:, j]**e along sorted rows t >= 0 at e = q and
-    e = q + 1, to rounding also on short steps.
-
-    At integer q >= 1 a step is (t2 - t1) times sum_i t2^i t1^(e-1-i), taken
-    by Horner's rule, whose pass for q + 1 runs through the one for q; every
-    term is >= 0, so nothing cancels. The rule starts at e = 2, with sum
-    t2 + t1: the products by 1 of its first step are exact and left out. At
-    real q it is t1^e expm1(e log1p((t2 - t1) / t1)), and t2^e where t1 = 0.
-    """
-    t1, t2, step = t[:, :-1], t[:, 1:], t[:, 1:] - t[:, :-1]
-    if float(q).is_integer() and q >= 1:
-        below, total, power = 1.0, t2 + t1, t1  # the sums at e = 1 and 2, and t1^(e - 1) at e = 2
-        for _ in range(int(q) - 1):
-            power = power * t1
-            below, total = total, total * t2 + power
-        return step * below, step * total
+    e = q + 1, to rounding also on short steps: t1^e expm1(e log1p((t2 - t1) / t1)),
+    and t2^e where t1 = 0."""
+    t1, t2 = t[:, :-1], t[:, 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        log = np.log1p(step / t1)
+        log = np.log1p((t2 - t1) / t1)
         return tuple(np.where(t1 > 0, t1**e * np.expm1(e * log), t2**e) for e in (q, q + 1))
+
+
+@functools.cache
+def _panel_weights(q: int) -> np.ndarray:
+    """The (q + 1, 2, 1, 1) weights of `_piecewise_linear_moments` at p = q + 1:
+    C(q, j) / ((j + 1)(j + 2)) and C(q, j) / (j + 2) for j = 0 .. q."""
+    return np.array([[math.comb(q, j) / ((j + 1) * (j + 2)), math.comb(q, j) / (j + 2)]
+                     for j in range(q + 1)])[..., None, None]
 
 
 def _piecewise_linear_moments(panels, p: float) -> np.ndarray:
     """Row sums of int t^(p-1) f(t) dt over the panels [t_j, t_j+1] of sorted rows t.
 
-    panels is the p-free data of `_Chords.profile`: (t, step, positive,
-    left, right), f linear on each panel with values left[:, j] and
-    right[:, j] at its ends. The panel integral is left (W - w) + right w
-    with W = int t^(p-1) dt and w = int t^(p-1) (t - t_j) dt / step, both
-    free of cancellation against steep f. Empty panels contribute 0. Per p
-    it takes only `_power_steps` and one weighted sum.
+    panels is the p-free data of `_Chords.profile`: (t, step, left, right),
+    f linear on each panel with values left[:, j], right[:, j] >= 0 at its
+    ends. At integer p = q + 1 a panel [t1, t1 + h] gives h (left a + right b),
+    with a = sum_j C(q, j) t1^(q-j) h^j / ((j+1)(j+2)) and
+    b = sum_j C(q, j) t1^(q-j) h^j / (j+2) (`_panel_weights`), both by one
+    Horner pass in h: every term is >= 0, so nothing cancels, and an empty
+    panel gives exactly 0. C(q, j) is a finite float up to q = 1029, so at
+    real p, and at integer p > 1024, the panel is left (W - w) + right w
+    with W = int t^(p-1) dt and w = int t^(p-1) (t - t1) dt / h from
+    `_power_steps`, and 0 when empty.
     """
-    t, step, positive, left, right = panels
+    t, step, left, right = panels
+    if float(p).is_integer() and p <= 1024:
+        *weights, ab = _panel_weights(int(p) - 1)
+        for i, w in enumerate(reversed(weights), 1):  # Horner's rule in h; w holds the weights of j = q - i
+            ab = ab * step + w * t[:, :-1] ** i
+        return (step * (left * ab[0] + right * ab[1])).sum(axis=1)
     steps, next_steps = _power_steps(t, p)
     whole = steps / p
-    lever = next_steps / (p + 1) - t[:, :-1] * whole
-    share = np.divide(lever, step, out=np.zeros_like(step), where=positive)
+    share = np.divide(next_steps / (p + 1) - t[:, :-1] * whole, step, out=np.zeros_like(step), where=step > 0)
     return (left * (whole - share) + right * share).sum(axis=1)
 
 
@@ -716,8 +722,9 @@ def _orthant_fraction(R) -> float:
     standard normal, whose covariance R R^T enters only through its
     correlation matrix, so rows of any scale give the same share.
 
-    It is Plackett's reduction (`_orthant_probability`), exact for up to
-    three rows, whose node counts are refined by `_refine` over
+    It is Plackett's reduction (`_orthant_probability`): Sheppard's closed
+    form, taken once, for up to three rows, and for four to seven a
+    quadrature whose node counts are refined by `_refine` over
     QUADRATURE.sphere_nodes with the sphere rule's tolerances, its
     `QuadratureWarning` and its `QuadratureNonConvergence`. A row whose
     correlation with every other row is within 1e-9 of 0, the tolerance
@@ -733,8 +740,11 @@ def _orthant_fraction(R) -> float:
     # 7 rows take under 0.1 s at 16 and 32 nodes, 8 rows 1.5 s at 16 alone
     if len(R) > 7:
         raise GeometryError(f"the orthant rule takes at most 7 correlated cone rows, not {len(R)}")
-    return _refine(lambda levels: [0.5 ** (len(U) - len(R)) * float(_orthant_probability(R @ R.T, n)) for n in levels],
-                   QUADRATURE.sphere_nodes, QUADRATURE.sphere_rel_tol, QUADRATURE.sphere_fail_tol)
+    value_at = lambda levels: [0.5 ** (len(U) - len(R)) * float(_orthant_probability(R @ R.T, n))  # noqa: E731
+                               for n in levels]
+    # up to three rows, Sheppard's closed form takes no nodes: one value, not two refinement levels
+    return value_at((0,))[0] if len(R) <= 3 else _refine(
+        value_at, QUADRATURE.sphere_nodes, QUADRATURE.sphere_rel_tol, QUADRATURE.sphere_fail_tol)
 
 
 def _orthant_probability(S: np.ndarray, n: int) -> np.ndarray:

@@ -227,6 +227,39 @@ def test_non_finite_ray_directions_are_rejected(route):
                     ray_moment(f, row, p)
 
 
+@pytest.mark.parametrize("route", ["m0", "m1", "m2", "ball", "oracle"])
+def test_ray_directions_of_the_wrong_width_are_rejected(route):
+    # rows of k - 1 or k + 1 entries, or one flat row of k + 1, raise before
+    # any ray is taken on every route, not numpy's shape error or a value
+    from conesec.ball_bodies import ConcaveFunctionOracle
+
+    K = random_centered_polytope(4, 14, 9)
+    f = {"m0": lambda: section_volume_fn(K, trivial_flat(4)),
+         "m1": lambda: section_volume_fn(K, Subspace.from_span(np.eye(4)[:1])),
+         "m2": lambda: section_volume_fn(K, Subspace.from_span(np.eye(4)[:2])),
+         "ball": lambda: section_volume_fn(make_ball(4, center=[0.0, 0.1, 0.0, -0.2]),
+                                           Subspace.from_span(np.eye(4)[:1])),
+         "oracle": lambda: ConcaveFunctionOracle(2, lambda x: max(0.0, 1.0 - x @ x), 1.0, 1.0)}[route]()
+    k = f.dim
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.ones((2, k - 1)), np.ones((2, k + 1)), np.ones(k + 1)):
+            for p in (1.0, 1.5, 2.0):
+                with pytest.raises(GeometryError, match=f"must have {k} entries"):
+                    f.ray_moments(bad, p)
+
+
+def test_a_kept_chord_profile_answers_only_rows_of_k_entries():
+    # after a one-block call on two rows of k = 3 entries, the same bytes as
+    # six rows of one entry are no directions of this profile
+    f = section_volume_fn(random_centered_polytope(4, 14, 9), Subspace.from_span(np.eye(4)[:1]))
+    thetas = _unit_rows(3, 2, seed=4)
+    f.ray_moments(thetas, 1)
+    with pytest.raises(GeometryError, match="must have 3 entries"):
+        f.ray_moments(thetas.reshape(6, 1), 2)
+    assert f.ray_moments(thetas, 2).tolist() == SectionVolumeFunction(f.body, f.F).ray_moments(thetas, 2).tolist()
+
+
 @pytest.mark.parametrize("p", [math.nan, math.inf])
 def test_non_finite_p_is_rejected(p):
     # a section function and a ConcaveFunctionOracle each, before any ray is taken
@@ -784,7 +817,7 @@ def test_chord_moments_at_several_degrees_equal_fresh_ones():
     block = f._chords().block
     for count in (block, 3 * block + 5):
         thetas = _unit_rows(f.k, count, seed=count)
-        for p in (1, 2, 3, 2.5):
+        for p in (2.5, 1, 2, 3, 2.5, 1):  # each integer p also after another degree
             fresh = SectionVolumeFunction(K, F).ray_moments(thetas, p)
             assert f.ray_moments(thetas, p).tolist() == fresh.tolist()
     # directions changed in place are new directions
@@ -889,6 +922,20 @@ def test_solid_angle_closed_forms():
     assert solid_angle_fraction(C) == pytest.approx(ang / (2 * math.pi), rel=1e-12)
     assert solid_angle_fraction(orthant_cone(np.eye(3))) == pytest.approx(1.0 / 8.0)
     assert solid_angle_fraction(orthant_cone(np.eye(4))) == pytest.approx(1.0 / 16.0)
+
+
+def test_solid_angles_of_up_to_three_correlated_rows_take_one_closed_form(monkeypatch):
+    # Sheppard's closed form is evaluated once, with no refinement levels;
+    # four correlated rows still refine Plackett's quadrature
+    calls = []
+    real = sections._orthant_probability
+    monkeypatch.setattr(sections, "_orthant_probability", lambda S, n: calls.append(n) or real(S, n))
+    v3 = np.ones(3) / math.sqrt(3)
+    share = solid_angle_fraction(PolyhedralCone([[1.0, 0, 0], [0, 1.0, 0], v3]))
+    assert len(calls) == 1 and 0 < share < 1
+    calls.clear()
+    solid_angle_fraction(PolyhedralCone(np.eye(4) + 0.3))
+    assert len(calls) > 1
 
 
 def test_solid_angle_simplicial_3d():
@@ -1728,9 +1775,9 @@ def test_clenshaw_curtis_weights_integrate_polynomials_of_their_degree(n):
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4])
 def test_integer_power_steps_match_exact_rationals(q, scale):
-    # t2^e - t1^e at e = q and q + 1 (one Horner pass) as sums of
-    # non-negative terms: no cancellation on steps of 1e-12 relative, nor
-    # from t1 = 0
+    # t2^e - t1^e at e = q and q + 1 as t1^e expm1(e log1p(h / t1)), the
+    # route of real p and of integer p past the panel weights: no
+    # cancellation on steps of 1e-12 relative, nor from t1 = 0
     base = scale * np.sort(np.random.default_rng(q).uniform(0.05, 3.0, 40))
     t = np.concatenate([[0.0], base, base * (1 + 1e-12), base * (1 + 1e-9)])
     t = np.sort(t)[None, :]
@@ -1738,6 +1785,28 @@ def test_integer_power_steps_match_exact_rationals(q, scale):
         exact = [Fraction(b) ** e - Fraction(a) ** e for a, b in zip(t[0, :-1], t[0, 1:])]
         err = [abs(Fraction(g) - x) / x for g, x in zip(got[0], exact)]
         assert max(err) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4])
+def test_integer_p_panel_moments_match_exact_rationals(p, scale):
+    # the closed form h (left a + right b) sums only non-negative terms: no
+    # cancellation on steps of 1e-12 relative, from t1 = 0, or on steep
+    # panels, whose two ends differ by up to 12 orders of magnitude
+    base = scale * np.sort(np.random.default_rng(p).uniform(0.05, 3.0, 40))
+    t = np.sort(np.concatenate([[0.0], base, base * (1 + 1e-12), base * (1 + 1e-9)]))
+    rng = np.random.default_rng([p, 7])
+    steep = rng.uniform(0.0, 1.0, (2, len(t) - 1)) * 10.0 ** rng.integers(-12, 1, (2, len(t) - 1))
+    ends = np.vstack([rng.uniform(0.1, 2.0, (2, len(t) - 1)), steep, steep[::-1]]).reshape(3, 2, -1)
+    ts = np.repeat(t[None, :], 3, axis=0)
+    got = sections._piecewise_linear_moments((ts, ts[:, 1:] - ts[:, :-1], ends[:, 0], ends[:, 1]), p)
+    for row, (left, right) in enumerate(ends):
+        exact = Fraction(0)
+        for t1, t2, lo, hi in zip(map(Fraction, t[:-1]), map(Fraction, t[1:]), map(Fraction, left), map(Fraction, right)):
+            if t2 > t1:  # int t^(p-1) (lo + slope (t - t1)) dt over [t1, t2]
+                slope, whole = (hi - lo) / (t2 - t1), (t2**p - t1**p) / p
+                exact += lo * whole + slope * ((t2 ** (p + 1) - t1 ** (p + 1)) / (p + 1) - t1 * whole)
+        assert abs(Fraction(got[row]) - exact) <= 4 * np.finfo(float).eps * exact
 
 
 def test_sphere_rule_warns_when_it_misses_its_tolerance(monkeypatch):
