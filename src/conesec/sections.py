@@ -28,7 +28,8 @@ T from the Fourier-Motzkin rows of those ridges and of the facets parallel
 to F, with no projection hulled (`_Chords`); and at m >= 2, per direction
 of the section K cap (F + R theta), one cut (`_cut_volume`) of degree
 p - 1 at integer p, by the same rule, and a polynomial fit on each knot
-interval between its vertex heights at real p (`_knot_moments`).
+interval between its vertex heights at real p (`_knot_moments`), for
+p <= `volume.MAX_DEGREE`; the other profiles take every p > 0.
 
 A polytope keeps one `SectionVolumeFunction` per flat (`section_volume_fn`),
 so F^perp, the chord data of `_Chords` and the support projection are built
@@ -71,8 +72,8 @@ from .geometry import (
     to_vrep,
     translate,
 )
-from .volume import (_centred, _cone_simplices, _in_plane_tol, _slice, _wedge_stack, body_volume, moments,
-                     unit_ball_volume, wedge_moment)
+from .volume import (MAX_DEGREE, _centred, _cone_simplices, _in_plane_tol, _slice, _wedge_stack, body_volume,
+                     moments, unit_ball_volume, wedge_moment)
 
 
 def section(K: ConvexBody, S: Subspace):
@@ -279,7 +280,10 @@ class SectionVolumeFunction:
         polytope, f is the chord length, linear between its kinks, where
         the ray's plane crosses a ridge of two facets of K that face the
         same way along F;
-        each panel is integrated in closed form for every real p > 0. The
+        each panel is integrated in closed form for every real p > 0: one
+        nonnegative sum at integer p <= `volume.MAX_DEGREE`, the power steps
+        anchored at the panel's end elsewhere (`_piecewise_linear_moments`),
+        finite wherever the moment is a float. The
         ridges are cached on K (`geometry.facet_ridges`), and the ray's
         extent T comes from the Fourier-Motzkin rows of the ridges between
         facets that face opposite ways, so no projection of K is hulled
@@ -289,10 +293,12 @@ class SectionVolumeFunction:
         same result bits. At m >= 2 on a polytope each direction e = theta / |theta|
         takes the section L = K cap (F + R e) (`_wedge_moments`): at integer
         p one wedge moment of degree p - 1, at real p the knot-interval fit
-        of f between L's vertex heights. Raises `GeometryError` unless p is
+        of f between L's vertex heights, both of cost O(p), so p is at most
+        MAX_DEGREE there. Raises `GeometryError` unless p is
         positive and finite and every row has k entries, is nonzero and is
-        finite, and for a ball unless |c'| < r (1 - GEOM_TOL): 0 must be
-        interior to the support of f.
+        finite, for a ball unless |c'| < r (1 - GEOM_TOL), as 0 must be
+        interior to the support of f, and at m >= 2 on a polytope when p
+        exceeds MAX_DEGREE.
         """
         thetas = _ray_arguments(thetas, p, self.k)
         if self.m == 0:
@@ -353,11 +359,16 @@ class SectionVolumeFunction:
         slice per direction at k = 2 against 0.07-0.16 s for its section
         (2-core Xeon). At real p, f(s e) is a polynomial of degree <= m
         between the heights <v, e> of L's vertices, and `_knot_moments`
-        integrates it one knot interval at a time; L is the section body at
-        k >= 2 (`section`, qhull-free at k = 2 for a simplicial K). The knot
-        route is 40-80 times as slow as the wedge cut at integer p, so it
-        serves only real p.
+        integrates it one knot interval at a time, on pieces graded by p; L
+        is the section body at k >= 2 (`section`, qhull-free at k = 2 for a
+        simplicial K). The knot route is 40-80 times as slow as the wedge cut
+        at integer p, so it serves only real p. The wedge cut's Baldoni sum
+        takes p passes and the knot route about p log2(b / a) pieces per
+        knot interval [a, b], so both raise `GeometryError` for p above
+        `volume.MAX_DEGREE`, before any direction is cut.
         """
+        if p > MAX_DEGREE:
+            raise GeometryError(f"ray moments of a polytope at m >= 2 take p <= {MAX_DEGREE}, not p={p}")
         r = np.linalg.norm(thetas, axis=1)
         out = np.empty(len(thetas))
         for i, (u, e) in enumerate(zip(thetas / r[:, None], self.Fperp.embed(thetas / r[:, None]))):
@@ -412,9 +423,17 @@ def _knot_moments(g, heights: np.ndarray, p: float, m: int) -> float:
     m + 1 interior points (`_fit`), so a jump at an end, as where a facet is
     parallel to the flat, is read from inside. On [0, k1] the (m + 1)-node
     Gauss-Jacobi rule of weight t^(p-1) is exact for the fit; on [a, b] with
-    a > 0 the 12-node Gauss-Legendre rule (`_fixed_gl`) on [a, 2a], [2a, 4a],
-    ..., b, where the singularity of t^(p-1) at 0 is three half-widths from
-    each piece's centre: an error factor of about (3 + 2 sqrt 2)^-24, 1e-18.
+    a > 0 the 12-node Gauss-Legendre rule (`_fixed_gl`) on the pieces
+    [a, r a], [r a, r^2 a], ..., b graded by p, r = 2^min(1, 1/(p - 1)).
+    The singularity of t^(p-1) at 0 is at least three half-widths from each
+    piece's centre, and t^(p-1) at most doubles across a piece, so on the
+    ellipses that bound the rule's error it grows by a factor that does not
+    depend on p: a truncation factor of about (3 + 2 sqrt 2)^-24, 1e-18, at
+    every p; on pieces [a, 2a] at every p it grows as 2^(p-1), 5.4e-3 of
+    the result at p = 200.5. What is left is the rounding of the fits and
+    the sums: within 2e-12 of the same fits integrated by adaptive
+    quadrature up to p = 400.5. The pieces number about (p - 1) log2(b / a)
+    per interval, so the caller bounds p (`volume.MAX_DEGREE`).
     """
     h = np.sort(heights[heights > 1e-12 * heights.max()])
     if not len(h):
@@ -422,8 +441,8 @@ def _knot_moments(g, heights: np.ndarray, p: float, m: int) -> float:
     knots = np.concatenate([[0.0], h[np.diff(h, append=math.inf) > 1e-12 * h[-1]]])
     (x, w), P = roots_jacobi(m + 1, 0.0, p - 1), _fit(g, knots[:2], m)[0]
     total = (knots[1] / 2) ** p * float(w @ P(knots[1] / 2 * (x + 1)))
-    for a, b in zip(knots[1:-1], knots[2:]):
-        P, edges = _fit(g, (a, b), m)[0], np.append(a * 2.0 ** np.arange(math.ceil(math.log2(b / a))), b)
+    for a, b in zip(knots[1:-1], knots[2:]):  # pieces of ratio r = 2^(1 / max(1, p - 1))
+        P, edges = _fit(g, (a, b), m)[0], np.append(a * 2.0 ** np.arange(0, math.log2(b / a), 1 / max(1, p - 1)), b)
         total += _fixed_gl(lambda t: t ** (p - 1) * P(t), edges, 12)
     return total
 
@@ -568,13 +587,19 @@ class _Chords:
 
 
 def _power_steps(t: np.ndarray, q: float):
-    """The steps t[:, j+1]**e - t[:, j]**e along sorted rows t >= 0 at e = q and
-    e = q + 1, to rounding also on short steps: t1^e expm1(e log1p((t2 - t1) / t1)),
-    and t2^e where t1 = 0."""
-    t1, t2 = t[:, :-1], t[:, 1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log = np.log1p((t2 - t1) / t1)
-        return tuple(np.where(t1 > 0, t1**e * np.expm1(e * log), t2**e) for e in (q, q + 1))
+    """The steps t2^e - t1^e between neighbours t1 <= t2 of sorted rows t >= 0
+    at e = q and e = q + 1, one formula for every panel, anchored at its end:
+    -t2^e expm1(-e log1p((t2 - t1) / t1)), to rounding also on short steps.
+
+    At t1 = 0 the quotient is inf, and so is log1p of it, so the step is t2^e.
+    expm1 of a nonpositive argument lies in [-1, 0], so no step overflows
+    unless t2^e does, at every real e. Anchored at t1, as
+    t1^e expm1(e log1p(...)), a step is NaN where t1^e underflows while the
+    expm1 overflows: from p near 200 on rays of unit extent.
+    """
+    with np.errstate(divide="ignore"):
+        log = np.log1p(np.diff(t, axis=1) / t[:, :-1])
+    return tuple(-t[:, 1:] ** e * np.expm1(-e * log) for e in (q, q + 1))
 
 
 @functools.cache
@@ -590,21 +615,33 @@ def _piecewise_linear_moments(panels, p: float) -> np.ndarray:
 
     panels is the p-free data of `_Chords.profile`: (t, step, left, right),
     f linear on each panel with values left[:, j], right[:, j] >= 0 at its
-    ends. At integer p = q + 1 a panel [t1, t1 + h] gives h (left a + right b),
-    with a = sum_j C(q, j) t1^(q-j) h^j / ((j+1)(j+2)) and
-    b = sum_j C(q, j) t1^(q-j) h^j / (j+2) (`_panel_weights`), both by one
-    Horner pass in h: every term is >= 0, so nothing cancels, and an empty
-    panel gives exactly 0. C(q, j) is a finite float up to q = 1029, so at
-    real p, and at integer p > 1024, the panel is left (W - w) + right w
-    with W = int t^(p-1) dt and w = int t^(p-1) (t - t1) dt / h from
-    `_power_steps`, and 0 when empty.
+    ends. At integer p = q + 1 <= `volume.MAX_DEGREE` a panel [t1, t1 + h]
+    gives h (left a + right b), with a = sum_j C(q, j) t1^(q-j) h^j / ((j+1)(j+2))
+    and b = sum_j C(q, j) t1^(q-j) h^j / (j+2) (`_panel_weights`), both by
+    one Horner pass in h: every term is >= 0, so nothing cancels, and an
+    empty panel gives exactly 0. The pass's partial sums, C(q, j) t1^i h^(i-q+j)
+    summed over j, reach 2^q T^i, T a row's last breakpoint: from q = 32 on
+    they can overflow where the moment, about T^p, does not (at p = MAX_DEGREE
+    from T near 1.03). There each row is taken in units of 2^k, the power of
+    two just above T, so they stay below 2^q, a float up to q = 1023, and
+    its sum is scaled back by 2^(k p). The scaling is exact, so the bits
+    are those of the unscaled pass wherever that pass neither overflows nor
+    underflows; below q = 32 it is skipped, as it changes no bit there and
+    took 10% of a `moment_body` benchmark op (p = 1, 2, 3 on a block of 32
+    directions). That pass costs O(p) per panel, so at real p, and at
+    integer p above MAX_DEGREE, the panel is left (W - w) + right w with
+    W = int t^(p-1) dt and w = int t^(p-1) (t - t1) dt / h from
+    `_power_steps`, O(1) per panel at every p, and 0 when empty.
     """
     t, step, left, right = panels
-    if float(p).is_integer() and p <= 1024:
-        *weights, ab = _panel_weights(int(p) - 1)
+    if float(p).is_integer() and p <= MAX_DEGREE:
+        k, (*weights, ab) = 0, _panel_weights(int(p) - 1)
+        if p > 32:  # each row in units of 2^k > its last breakpoint
+            k = np.frexp(t[:, -1])[1]
+            t, step = np.ldexp(t, -k[:, None]), np.ldexp(step, -k[:, None])
         for i, w in enumerate(reversed(weights), 1):  # Horner's rule in h; w holds the weights of j = q - i
             ab = ab * step + w * t[:, :-1] ** i
-        return (step * (left * ab[0] + right * ab[1])).sum(axis=1)
+        return np.ldexp((step * (left * ab[0] + right * ab[1])).sum(axis=1), int(p) * k)
     steps, next_steps = _power_steps(t, p)
     whole = steps / p
     share = np.divide(next_steps / (p + 1) - t[:, :-1] * whole, step, out=np.zeros_like(step), where=step > 0)

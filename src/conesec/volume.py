@@ -3,8 +3,8 @@
 Each full-dimensional polytope has one fan (`_fan`) over its cached boundary
 simplices (`geometry.boundary`): the cones from 0 while 0 lies in it, from
 its vertex average otherwise, where the cones from 0 cancel. Per-simplex
-closed forms on that fan give volume, centroid, second moments and
-arbitrary integer moments of a linear functional. Wedge moments, the
+closed forms on that fan give volume, centroid, second moments and the
+integer moments of a linear functional up to MAX_DEGREE. Wedge moments, the
 integrals of <r, x>^q over K cap {R x >= 0} with r the last row of R, come
 from the same boundary simplices, always coned from the origin: hyperplanes
 through 0 slice them down to the cones of a section of K, building only the
@@ -62,6 +62,14 @@ from .geometry import (
     translate,
     unit_ball_volume,
 )
+
+
+# the largest degree p of the exact moments whose cost grows with p: `moment_p`
+# and the ray moments of polytope section profiles at m >= 2
+# (`sections.SectionVolumeFunction.ray_moments`) raise GeometryError above it,
+# and the m = 1 chord panels take their closed form up to it; its binomial
+# weights C(p - 1, j) stay finite floats up to p = 1030
+MAX_DEGREE = 1024
 
 
 @dataclass(frozen=True)
@@ -192,6 +200,12 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
     cut alone; where one block holds all the cones, every wedge of the stack
     shares one pass and the same `_positive_fraction` calls.
 
+    A d-simplex's integral is its Baldoni sum h_q over (q + 1) ... (q + d),
+    a float at every q, where q! alone overflows a float from q = 171. The
+    sum takes q passes over the vertex values (`_suffix_h`), so a wedge
+    moment costs O(q); `sections` bounds q by MAX_DEGREE for its ray
+    moments.
+
     No cut reads a vertex's coordinates, only its values along the normals
     and rows still to come, and a crossing's values are interpolated as its
     coordinates would be. So each block takes one product ``pts @ r`` per
@@ -233,8 +247,8 @@ def wedge_moment(K: ConvexBody, R, q: int = 0, normals=()):
             weighed = _weigh(_wedge_pieces(value, w, group, index, sign), q)
             ids, values = ids + weighed[0], values + weighed[1]
     total = np.bincount(ids, values, minlength=len(wedges))  # each wedge's blocks added in order
-    # a d-simplex with vertices 0, v_1..v_d has integral |det| q! / (d + q)! h_q(<r, v_i>)
-    total = total * math.factorial(q) / math.factorial(simplices.shape[2] - len(normals) + q)
+    # a d-simplex with vertices 0, v_1..v_d has integral |det| h_q(<r, v_i>) / ((q + 1) ... (q + d))
+    total = total / math.prod(range(q + 1, q + 1 + simplices.shape[2] - len(normals)))
     return float(total[0]) if one else total
 
 
@@ -512,14 +526,20 @@ def _positive_fraction(c: np.ndarray, q: int = 0) -> np.ndarray:
 
 
 def _suffix_h(x: np.ndarray, q: int) -> np.ndarray:
-    """Row s of the result is h_q(x_s, ..., x_d-1), for values x (d, S); row d is h_q() (1 or 0)."""
-    h = np.zeros((len(x) + 1, q + 1, x.shape[1]))
-    h[:, 0] = 1.0
-    for s in reversed(range(len(x))):
-        h[s] = h[s + 1]
-        for j in range(1, q + 1):
-            h[s, j] += x[s] * h[s, j - 1]
-    return h[:, q]
+    """Row s of the result is h_q(x_s, ..., x_d-1), for values x (d, S); row d is h_q() (1 or 0).
+
+    One (d + 1, S) array of ones, h_0, is raised a degree at a time in place:
+    h_j(x_s, ...) = h_j(x_s+1, ...) + x_s h_j-1(x_s, ...), its rows from the
+    last up, each reading the row below at degree j and its own at j - 1. So
+    memory is O(d S) at every q, and each element takes the operations of
+    the (d + 1, q + 1, S) table of the recursion in the same order.
+    """
+    h = np.ones((len(x) + 1, x.shape[1]))
+    for _ in range(q):
+        h[-1] = 0.0
+        for s in reversed(range(len(x))):
+            h[s] = h[s + 1] + x[s] * h[s]
+    return h
 
 
 def _centred(K: ConvexBody, x: np.ndarray) -> bool:
@@ -536,23 +556,25 @@ def centroid(K: ConvexBody) -> np.ndarray:
 
 
 def moment_p(K: ConvexBody, u, p: int) -> float:
-    """Exact integral of <x, u>^p over a polytope, p >= 0 an integer.
+    """Exact integral of <x, u>^p over a polytope, p an integer in [0, MAX_DEGREE].
 
     It is the sum over K's fan (`_fan`) of its weights, d! times each
-    simplex's volume, times p! / (d + p)! h_p of the simplex's vertex values
-    <u, x>, apex and boundary vertices (Baldoni et al., see
-    `_positive_fraction`). While 0 lies in K the fan is K's cached cones,
-    the ones every volume read and wedge cut of K takes, and the apex's
-    values are zeros; with 0 outside K the vertex-average fan keeps the sum
-    from cancelling.
+    simplex's volume, times h_p of the simplex's vertex values <u, x>, apex
+    and boundary vertices, over (p + 1) (p + 2) ... (p + d) (Baldoni et al.,
+    see `_positive_fraction`); that product is a float at every such p,
+    where p! alone overflows a float from p = 171. While 0 lies in K the
+    fan is K's cached cones, the ones every volume read and wedge cut of K
+    takes, and the apex's values are zeros; with 0 outside K the
+    vertex-average fan keeps the sum from cancelling. h_p takes p passes
+    over the values (`_suffix_h`), so p above MAX_DEGREE raises
+    `GeometryError`, as does any p that is not a nonnegative integer.
     """
-    if p < 0 or p != int(p):
-        raise GeometryError(f"moment degree p={p} is not a nonnegative integer")
+    if not 0 <= p <= MAX_DEGREE or p != int(p):
+        raise GeometryError(f"moment degree p={p} is not an integer in [0, {MAX_DEGREE}]")
     apex, simplices, weights = _fan(to_vrep(K))
     u, p = np.asarray(u, dtype=float), int(p)
     values = np.vstack([np.zeros(len(simplices)), (simplices @ u).T]) + apex @ u  # apex first
-    h = _suffix_h(values, p)[0]
-    return float(weights @ h) * math.factorial(p) / math.factorial(K.dim + p)
+    return float(weights @ _suffix_h(values, p)[0]) / math.prod(range(p + 1, p + 1 + K.dim))
 
 
 def bounding_box(K: ConvexBody):

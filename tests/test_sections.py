@@ -1,5 +1,6 @@
 """Flat sections, section-volume functions and cone-section volumes."""
 
+import functools
 import itertools
 import math
 import warnings
@@ -57,7 +58,7 @@ from conesec.sections import (
     solid_angle_fraction,
 )
 from conesec.verify import _opposite_cone_volumes, checks_for_body
-from conesec.volume import body_volume, moment_p, moments, volume, wedge_moment
+from conesec.volume import MAX_DEGREE, body_volume, moment_p, moments, volume, wedge_moment
 from conftest import halfspace_section
 
 dims = st.integers(min_value=2, max_value=5)
@@ -716,6 +717,106 @@ def test_knot_route_is_0_where_the_ray_leaves_the_support_at_0():
     f = section_volume_fn(K, Subspace.from_span(np.eye(3)[1:]))
     assert f.ray_moments([[-1.0], [1.0]], 2.5) == pytest.approx([0.0, 4.0 / 2.5], rel=1e-13)
     assert f.ray_moments([[-1.0], [1.0]], 2.0).tolist() == pytest.approx([0.0, 2.0], rel=1e-13)
+
+
+@pytest.mark.usefixtures("no_adaptive_ray_rule")
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body, k", [("random-4-14-2", 1), ("random-4-14-2", 2), ("random-5-16-3", 2)])
+def test_knot_route_at_large_real_p_matches_its_fits_integrated_by_quad(body, k, monkeypatch):
+    # the tail pieces [a, r a], r = 2^min(1, 1/(p - 1)), keep the 12-node
+    # rule's error at rounding for every p; with r = 2 at every p it grows
+    # as 2^(p - 1), 5e-2 at p = 400.5. The reference takes the very fits of the
+    # route (a spy on `_fit`), each integrated by quad over 300 equal
+    # parts of its knot interval; quad may warn of rounding at 1e-13
+    K = _KNOT_BODIES[body]()
+    f = section_volume_fn(K, Subspace.from_span(np.eye(K.dim)[:K.dim - k]))
+    u = _unit_rows(k, 1, seed=k)[0]
+    e = f.Fperp.embed(u)
+    heights = K.vertices @ e if k == 1 else section(K, Subspace(K.dim, np.vstack([f.F.basis, e]))).vertices[:, -1]
+    g, fit, fits = functools.cache(lambda s: f(s * u)), sections._fit, []
+    monkeypatch.setattr(sections, "_fit", lambda *args: fits.append(fit(*args)) or fits[-1])
+    for p in (60.5, 200.5, 400.5):
+        fits.clear()
+        got = sections._knot_moments(g, heights, p, f.m)
+        parts = [(P, np.linspace(*P.domain, 301)) for P, _ in fits]
+        ref = sum(quad(lambda t: t ** (p - 1) * P(t), a, b, epsabs=0.0, epsrel=1e-13)[0]
+                  for P, x in parts for a, b in zip(x[:-1], x[1:]))
+        assert got == pytest.approx(ref, rel=2e-12, abs=0.0), p
+
+
+@pytest.mark.usefixtures("no_adaptive_ray_rule")
+@pytest.mark.filterwarnings("error")
+def test_wedge_cut_and_knot_route_agree_at_p_200():
+    # at integer p the m = 3 ray moment is the wedge moment of degree 199,
+    # divided by 200 * 201 * 202 * 203 (199! alone overflows a float). Both
+    # routes are checked against moment_p of the half body on the ray's
+    # side, a sum of nonnegative terms: the wedge cut to 1e-13, and the knot
+    # route, graded by p, to 3e-12, its fits' rounding of f near the ray's
+    # end (2.0e-12 along e4)
+    K = random_centered_polytope(4, 14, 2)
+    f = section_volume_fn(K, Subspace.from_span(np.eye(4)[:3]))
+    H = to_hrep(K)
+    for u in (np.array([1.0]), np.array([-1.0])):
+        e = f.Fperp.embed(u)
+        half = _halfspace_polytope(np.vstack([H.A, -e]), np.append(H.b, 0.0))
+        ref = moment_p(half, e, 199)
+        knots = sections._knot_moments(lambda s: f(s * u), K.vertices @ e, 200.0, f.m)
+        assert f.ray_moments(u[None, :], 200)[0] == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert knots == pytest.approx(ref, rel=3e-12, abs=0.0)
+
+
+@pytest.mark.usefixtures("no_adaptive_ray_rule")
+@pytest.mark.filterwarnings("error")
+def test_every_route_takes_p_up_to_max_degree_and_the_exact_forms_of_cost_p_raise_above():
+    # rays of unit extent: the indicator (m = 0), the chords (m = 1), a
+    # centred ball and the m = 3 wedge cut, on K scaled to extent 1 along
+    # its ray, give finite positive moments at p = MAX_DEGREE; above it
+    # the m >= 2 polytope route and moment_p raise, the others do not
+    K = random_centered_polytope(4, 14, 2)
+    e = np.eye(4)
+    indicator, chords = (section_volume_fn(K, Subspace.from_span(e[:j], ambient_dim=4)) for j in (0, 1))
+    rays = [(f, _unit_rows(f.k, 4, seed=3)) for f in (indicator, chords)]
+    rays = [(f, X * np.array([f.ray_extent(x) for x in X])[:, None]) for f, X in rays]
+    rays.append((section_volume_fn(make_ball(4), Subspace.from_span(e[:2])), _unit_rows(2, 4, seed=3)))
+    wedge = section_volume_fn(affine_map(K, e / radial(K, e[3])), Subspace.from_span(e[:3]))
+    for p in (MAX_DEGREE, MAX_DEGREE + 1):
+        for f, X in rays:
+            got = f.ray_moments(X, p)
+            assert np.all(np.isfinite(got) & (got > 0)), (f.m, p, got)
+    assert 0 < wedge.ray_moments([[1.0]], MAX_DEGREE)[0] < math.inf
+    assert moment_p(make_cube(3), e[0, :3], MAX_DEGREE) == pytest.approx(8 / (MAX_DEGREE + 1), rel=1e-13)
+    for p in (MAX_DEGREE + 0.5, MAX_DEGREE + 1):
+        with pytest.raises(GeometryError, match=f"p={p}"):
+            wedge.ray_moments([[1.0]], p)
+        with pytest.raises(GeometryError, match=f"p={p}"):
+            moment_p(make_cube(3), e[0, :3], p)
+
+
+_CHORD_BODIES = [(3, 12, 8), (4, 14, 9), (4, 14, 2)]
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body", _CHORD_BODIES, ids=["random-3-12-8", "random-4-14-9", "random-4-14-2"])
+def test_real_p_chord_moments_at_large_p_match_quad_panel_by_panel(body):
+    # the power steps anchored at each panel's end, -t2^e expm1(-e log1p(h / t1)),
+    # cannot overflow; anchored at its start, t1^e expm1(e log1p(h / t1)) is
+    # NaN on 7 to 154 of these 200 rays of unit extent at p = 200.5 to
+    # 1000.5. Each moment is checked against quad on the panels between its
+    # kept breakpoints
+    K = random_centered_polytope(*body)
+    f = section_volume_fn(K, Subspace.from_span(np.eye(K.dim)[:1]))
+    thetas = _rng.sample_sphere(K.dim - 1, 200, 1)
+    thetas *= np.array([f.ray_extent(x) for x in thetas])[:, None]
+    for p in (200.5, 400.5, 1000.5):
+        got = f.ray_moments(thetas, p)
+        ts, _, left, right = f._profile[1]
+        ref = [sum(quad(lambda t: t ** (p - 1) * (lo + (hi - lo) * (t - a) / (b - a)), a, b,
+                        epsabs=0.0, epsrel=1e-13)[0] for a, b, lo, hi in zip(*row) if b > a)
+               for row in zip(ts[:, :-1], ts[:, 1:], left, right)]
+        assert np.isfinite(got).all(), p
+        assert got == pytest.approx(ref, rel=1e-10, abs=0.0), p
 
 
 @pytest.mark.usefixtures("no_adaptive_ray_rule")
@@ -1775,7 +1876,7 @@ def test_clenshaw_curtis_weights_integrate_polynomials_of_their_degree(n):
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4])
 def test_integer_power_steps_match_exact_rationals(q, scale):
-    # t2^e - t1^e at e = q and q + 1 as t1^e expm1(e log1p(h / t1)), the
+    # t2^e - t1^e at e = q and q + 1 as -t2^e expm1(-e log1p(h / t1)), the
     # route of real p and of integer p past the panel weights: no
     # cancellation on steps of 1e-12 relative, nor from t1 = 0
     base = scale * np.sort(np.random.default_rng(q).uniform(0.05, 3.0, 40))
@@ -1787,13 +1888,18 @@ def test_integer_power_steps_match_exact_rationals(q, scale):
         assert max(err) <= 4 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 1024])
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4])
 def test_integer_p_panel_moments_match_exact_rationals(p, scale):
     # the closed form h (left a + right b) sums only non-negative terms: no
     # cancellation on steps of 1e-12 relative, from t1 = 0, or on steep
-    # panels, whose two ends differ by up to 12 orders of magnitude
-    base = scale * np.sort(np.random.default_rng(p).uniform(0.05, 3.0, 40))
+    # panels, whose two ends differ by up to 12 orders of magnitude. At
+    # p = 1024, the largest degree it takes, the breakpoints lie in
+    # [0.9, 1.05] times scale^(1/p), so every t^p is a normal float; fewer
+    # of them keep the exact sums of 1024th powers quick
+    low, high, count = (0.9, 1.05, 12) if p == 1024 else (0.05, 3.0, 40)
+    scale = scale ** (1 / p) if p == 1024 else scale
+    base = scale * np.sort(np.random.default_rng(p).uniform(low, high, count))
     t = np.sort(np.concatenate([[0.0], base, base * (1 + 1e-12), base * (1 + 1e-9)]))
     rng = np.random.default_rng([p, 7])
     steep = rng.uniform(0.0, 1.0, (2, len(t) - 1)) * 10.0 ** rng.integers(-12, 1, (2, len(t) - 1))

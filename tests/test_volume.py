@@ -459,6 +459,36 @@ def test_positive_fraction_per_sign_pattern_matches_the_padded_recursion():
             assert _positive_fraction(c, q) == pytest.approx(padded_positive_fraction(c, q), rel=1e-15, abs=0)
 
 
+def table_suffix_h(x, q):
+    """`_suffix_h` by the (d + 1, q + 1, S) table of its recursion
+    h_j(x_s, ...) = h_j(x_s+1, ...) + x_s h_j-1(x_s, ...), one row copied per s."""
+    h = np.zeros((len(x) + 1, q + 1, x.shape[1]))
+    h[:, 0] = 1.0
+    for s in reversed(range(len(x))):
+        h[s] = h[s + 1]
+        for j in range(1, q + 1):
+            h[s, j] += x[s] * h[s, j - 1]
+    return h[:, q]
+
+
+def test_suffix_h_raised_in_place_matches_the_table_bit_for_bit():
+    # one (d + 1, S) array raised a degree at a time takes each element's
+    # operations in the table's order; values with zeros and ties
+    gen = np.random.default_rng(50)
+    for d in range(10):
+        for q in range(9):
+            x = gen.standard_normal((d, 30))
+            x[gen.random((d, 30)) < 0.2] = 0.0
+            x[:, :5] = x[:1, :5]
+            assert np.array_equal(_suffix_h(x, q), table_suffix_h(x, q)), (d, q)
+
+
+def test_moment_p_at_degree_200():
+    # divided by (p + 1) ... (p + d), not multiplied by p!, which overflows a
+    # float from p = 171: int over [-1, 1]^3 of x^200 is 8 / 201
+    assert moment_p(make_cube(3), np.eye(3)[0], 200) == pytest.approx(8 / 201, rel=1e-13, abs=0.0)
+
+
 def test_wedge_reads_the_cone_simplices_once(monkeypatch):
     K, e = random_body(4, 7), np.eye(4)
     whole = [moment_p(K, e[0], q) for q in moment_degrees]
